@@ -14,7 +14,7 @@
  *
  * Output: ablations.csv plus readable tables on stdout.
  *
- * Options: --frames N, --quick, --dse-threads N.
+ * Options: see --help (--frames, --quick, --dse-threads).
  */
 
 #include <cstdio>
@@ -65,26 +65,35 @@ report(const std::vector<StudyRow> &rows)
 int
 main(int argc, char **argv)
 {
-    applyLogFlags(argc, argv);
-    const bool quick = argFlag(argc, argv, "--quick");
-    const size_t frames = static_cast<size_t>(
-        argLong(argc, argv, "--frames", quick ? 8 : 30));
-    const size_t dse_threads = dseThreadsFromArgs(argc, argv);
-    const support::trace::Session trace_session =
-        traceSessionFromArgs(argc, argv);
-    // --pmu: hardware-counter profiling (docs/OBSERVABILITY.md).
-    const support::pmu::Session pmu_session =
-        pmuSessionFromArgs(argc, argv);
-    support::metrics::RunSession metrics_session =
-        metricsSessionFromArgs(argc, argv, "ablations");
-    // --telemetry-port N (+ --crash-dump / --slo-*): live /metrics,
-    // /healthz, /runz server and crash-surviving flight recorder.
-    const support::telemetry::TelemetryEndpoint telemetry =
-        telemetryFromArgs(argc, argv, "ablations");
-    // --trace-requests / --trace-sample-rate / --trace-store:
-    // per-frame request traces with tail-based retention.
-    const support::trace::RequestTraceSession request_traces =
-        requestTraceFromArgs(argc, argv);
+    using support::OptionType;
+    support::Options options(
+        "bench_ablations",
+        "ABLATIONS: single-axis parameter sweeps on the odroid-xu3");
+    options.section("workload").add({
+        {"--quick", OptionType::Flag, "", "",
+         "smoke-test size: 8 frames by default, base volume 64"},
+        {"--frames", OptionType::Integer, "30", "1..",
+         "frames of the canonical sequence"},
+    });
+    core::addDseThreadsOption(options);
+    core::addKernelOptions(options);
+    core::addObservabilityOptions(options);
+    options.parseOrExit(argc, argv);
+
+    // Baseline for every study: a mid-cost configuration so sweeps
+    // finish quickly but the volume still matters. --backend and
+    // --volume apply to every variant (bit-exact, so they never
+    // change a study's accuracy column).
+    const bool quick = options.flag("--quick");
+    kfusion::KFusionConfig base = defaultConfig();
+    base.volumeResolution = quick ? 64 : 128;
+    core::applyKernelOptions(options, base);
+    core::Observability observability(options, "ablations");
+    support::metrics::RunSession &metrics_session = observability.metrics;
+    const auto frames = static_cast<size_t>(
+        quick && !options.given("--frames") ? 8 : options.integer("--frames"));
+    const auto dse_threads =
+        static_cast<size_t>(options.integer("--dse-threads"));
 
     std::printf("ABLATIONS: single-axis sweeps on the simulated "
                 "odroid-xu3 (%zu frames)\n",
@@ -108,16 +117,6 @@ main(int argc, char **argv)
         configs.push_back(config);
     };
     core::addConfigParams(metrics_session, defaultConfig());
-
-    // Baseline for every study: a mid-cost configuration so sweeps
-    // finish quickly but the volume still matters. --backend sets
-    // the kernel backend for every variant (bit-exact, so it never
-    // changes a study's accuracy column).
-    kfusion::KFusionConfig base = defaultConfig();
-    base.volumeResolution = quick ? 64 : 128;
-    base.kernelBackend = backendFromArgs(argc, argv);
-    // --volume applies to every variant too (bit-identical fusion).
-    volumeFromArgs(argc, argv, base);
 
     // 1. Bilateral filter.
     for (int radius : {0, 1, 2, 4}) {

@@ -26,29 +26,22 @@ main(int argc, char **argv)
     using namespace slambench;
     using namespace slambench::bench;
 
-    applyLogFlags(argc, argv);
-    const size_t frames = static_cast<size_t>(
-        argLong(argc, argv, "--frames", 45));
-    // --trace FILE / --perf-csv FILE: per-kernel profiling exports
-    // (see docs/OBSERVABILITY.md); files written at exit.
-    const support::trace::Session trace_session =
-        traceSessionFromArgs(argc, argv);
-    // --pmu: hardware-counter profiling (per-kernel IPC, cache-miss
-    // rates, measured bytes/s; docs/OBSERVABILITY.md).
-    const support::pmu::Session pmu_session =
-        pmuSessionFromArgs(argc, argv);
-    // --metrics-json FILE / --frames-csv FILE: machine-readable run
-    // report with per-frame telemetry (docs/OBSERVABILITY.md).
-    support::metrics::RunSession metrics_session =
-        metricsSessionFromArgs(argc, argv, "fig1_pipeline");
-    // --telemetry-port N (+ --crash-dump / --slo-*): live /metrics,
-    // /healthz, /runz server and crash-surviving flight recorder.
-    const support::telemetry::TelemetryEndpoint telemetry =
-        telemetryFromArgs(argc, argv, "fig1_pipeline");
-    // --trace-requests / --trace-sample-rate / --trace-store:
-    // per-frame request traces with tail-based retention.
-    const support::trace::RequestTraceSession request_traces =
-        requestTraceFromArgs(argc, argv);
+    support::Options options(
+        "bench_fig1_pipeline",
+        "FIG1: the SLAMBench GUI panes and metric readouts");
+    options.section("workload").add({
+        {"--frames", support::OptionType::Integer, "45", "1..",
+         "frames of the canonical sequence"},
+    });
+    core::addKernelOptions(options);
+    core::addObservabilityOptions(options);
+    options.parseOrExit(argc, argv);
+
+    kfusion::KFusionConfig config = defaultConfig();
+    core::applyKernelOptions(options, config);
+    core::Observability observability(options, "fig1_pipeline");
+    support::metrics::RunSession &metrics_session = observability.metrics;
+    const auto frames = static_cast<size_t>(options.integer("--frames"));
 
     dataset::SequenceSpec spec = canonicalWorkload(frames);
     spec.renderRgb = true; // the GUI shows the RGB pane
@@ -56,13 +49,6 @@ main(int argc, char **argv)
                 spec.numFrames, spec.name.c_str());
     const dataset::Sequence sequence = generateSequence(spec);
 
-    kfusion::KFusionConfig config = defaultConfig();
-    // --backend {scalar,simd,auto}: kernel backend for the hot
-    // kernels (bit-exact; performance only).
-    config.kernelBackend = backendFromArgs(argc, argv);
-    // --volume {dense,sparse} (+ --block-size, --pool-capacity):
-    // TSDF map data structure (bit-identical; memory/perf only).
-    volumeFromArgs(argc, argv, config);
     core::addConfigParams(metrics_session, config);
     kfusion::KFusion pipeline(config, sequence.intrinsics);
     pipeline.setPose(sequence.groundTruth.pose(0));

@@ -14,8 +14,8 @@
  * Output: fig2_scatter.csv (one row per evaluation), plus the
  * induced rules and a summary on stdout.
  *
- * Options: --frames N, --random N, --warmup N, --iters N, --batch N,
- *          --seed S, --quick (tiny budgets for smoke testing).
+ * Options: see --help (--frames, --random, --warmup, --iters,
+ * --batch, --seed, --quick).
  */
 
 #include <cstdio>
@@ -55,36 +55,55 @@ writeRows(support::CsvWriter &csv,
 int
 main(int argc, char **argv)
 {
-    applyLogFlags(argc, argv);
-    const bool quick = argFlag(argc, argv, "--quick");
-    const size_t frames = static_cast<size_t>(
-        argLong(argc, argv, "--frames", quick ? 10 : 30));
-    const support::trace::Session trace_session =
-        traceSessionFromArgs(argc, argv);
-    // --pmu: hardware-counter profiling (docs/OBSERVABILITY.md).
-    const support::pmu::Session pmu_session =
-        pmuSessionFromArgs(argc, argv);
-    support::metrics::RunSession metrics_session =
-        metricsSessionFromArgs(argc, argv, "fig2_dse");
-    // --telemetry-port N (+ --crash-dump / --slo-*): live /metrics,
-    // /healthz, /runz server and crash-surviving flight recorder.
-    const support::telemetry::TelemetryEndpoint telemetry =
-        telemetryFromArgs(argc, argv, "fig2_dse");
-    // --trace-requests / --trace-sample-rate / --trace-store:
-    // per-frame request traces with tail-based retention.
-    const support::trace::RequestTraceSession request_traces =
-        requestTraceFromArgs(argc, argv);
-    const size_t random_budget = static_cast<size_t>(
-        argLong(argc, argv, "--random", quick ? 10 : 100));
-    const size_t warmup = static_cast<size_t>(
-        argLong(argc, argv, "--warmup", quick ? 6 : 40));
-    const size_t iterations = static_cast<size_t>(
-        argLong(argc, argv, "--iters", quick ? 1 : 6));
-    const size_t batch = static_cast<size_t>(
-        argLong(argc, argv, "--batch", quick ? 4 : 10));
-    const uint64_t seed = static_cast<uint64_t>(
-        argLong(argc, argv, "--seed", 1));
-    const size_t dse_threads = dseThreadsFromArgs(argc, argv);
+    using support::OptionType;
+    support::Options options(
+        "bench_fig2_dse",
+        "FIG2: random sampling vs active-learning DSE of KinectFusion");
+    options.section("exploration").add({
+        {"--quick", OptionType::Flag, "", "",
+         "tiny budgets for smoke testing (unless given: frames 10, "
+         "random 10, warmup 6, iters 1, batch 4)"},
+        {"--frames", OptionType::Integer, "30", "1..",
+         "frames of the canonical sequence"},
+        {"--random", OptionType::Integer, "100", "0..",
+         "random-sampling evaluation budget"},
+        {"--warmup", OptionType::Integer, "40", "0..",
+         "active-learning warm-up samples"},
+        {"--iters", OptionType::Integer, "6", "0..",
+         "active-learning iterations"},
+        {"--batch", OptionType::Integer, "10", "1..",
+         "active-learning evaluations per iteration"},
+        {"--seed", OptionType::Integer, "1", "0..", "sampling seed"},
+    });
+    core::addDseThreadsOption(options);
+    core::addKernelOptions(options);
+    core::addObservabilityOptions(options);
+    options.parseOrExit(argc, argv);
+
+    // --backend/--volume select the baseline's kernel and volume
+    // backends; the DSE itself always explores the "implementation"
+    // (0 = scalar, 1 = simd, 2 = mixed) and "volume" (0 = dense,
+    // 1 = sparse) dimensions regardless of these flags.
+    kfusion::KFusionConfig default_config = defaultConfig();
+    core::applyKernelOptions(options, default_config);
+    core::Observability observability(options, "fig2_dse");
+    support::metrics::RunSession &metrics_session = observability.metrics;
+
+    // --quick replaces the defaults, not values given explicitly.
+    const bool quick = options.flag("--quick");
+    auto budget = [&](const char *name, long quick_value) {
+        return static_cast<size_t>(quick && !options.given(name)
+                                       ? quick_value
+                                       : options.integer(name));
+    };
+    const size_t frames = budget("--frames", 10);
+    const size_t random_budget = budget("--random", 10);
+    const size_t warmup = budget("--warmup", 6);
+    const size_t iterations = budget("--iters", 1);
+    const size_t batch = budget("--batch", 4);
+    const auto seed = static_cast<uint64_t>(options.integer("--seed"));
+    const auto dse_threads =
+        static_cast<size_t>(options.integer("--dse-threads"));
 
     std::printf("FIG2: DSE on the simulated odroid-xu3 "
                 "(%zu frames, random=%zu, active=%zu+%zux%zu, "
@@ -101,13 +120,6 @@ main(int argc, char **argv)
         core::makeDseEvaluator(space, sequence, xu3, {}, &eval_log);
 
     // --- Baseline: the default configuration. ---
-    // --backend/--volume select the baseline's kernel and volume
-    // backends; the DSE itself always explores the "implementation"
-    // (0 = scalar, 1 = simd, 2 = mixed) and "volume" (0 = dense,
-    // 1 = sparse) dimensions regardless of these flags.
-    kfusion::KFusionConfig default_config = defaultConfig();
-    default_config.kernelBackend = backendFromArgs(argc, argv);
-    volumeFromArgs(argc, argv, default_config);
     core::addConfigParams(metrics_session, default_config);
     const hypermapper::Point default_point =
         core::configToPoint(space, default_config);

@@ -8,7 +8,7 @@
  * Output: fig3_devices.csv (one row per device) and the speed-up
  * histogram on stdout (the right pane of the paper's figure).
  *
- * Options: --frames N, --devices N, --seed S.
+ * Options: see --help (--frames, --devices, --seed).
  */
 
 #include <algorithm>
@@ -26,28 +26,34 @@ main(int argc, char **argv)
     using namespace slambench;
     using namespace slambench::bench;
 
-    applyLogFlags(argc, argv);
-    const size_t frames = static_cast<size_t>(
-        argLong(argc, argv, "--frames", 30));
-    const support::trace::Session trace_session =
-        traceSessionFromArgs(argc, argv);
-    // --pmu: hardware-counter profiling (docs/OBSERVABILITY.md).
-    const support::pmu::Session pmu_session =
-        pmuSessionFromArgs(argc, argv);
-    support::metrics::RunSession metrics_session =
-        metricsSessionFromArgs(argc, argv, "fig3_mobile");
-    // --telemetry-port N (+ --crash-dump / --slo-*): live /metrics,
-    // /healthz, /runz server and crash-surviving flight recorder.
-    const support::telemetry::TelemetryEndpoint telemetry =
-        telemetryFromArgs(argc, argv, "fig3_mobile");
-    // --trace-requests / --trace-sample-rate / --trace-store:
-    // per-frame request traces with tail-based retention.
-    const support::trace::RequestTraceSession request_traces =
-        requestTraceFromArgs(argc, argv);
-    const size_t device_count = static_cast<size_t>(
-        argLong(argc, argv, "--devices", 83));
-    const uint64_t seed = static_cast<uint64_t>(
-        argLong(argc, argv, "--seed", 2018));
+    using support::OptionType;
+    support::Options options(
+        "bench_fig3_mobile",
+        "FIG3: tuned-vs-default speed-up across a simulated fleet");
+    options.section("workload").add({
+        {"--frames", OptionType::Integer, "30", "1..",
+         "frames of the canonical sequence"},
+        {"--devices", OptionType::Integer, "83", "1..",
+         "simulated fleet size"},
+        {"--seed", OptionType::Integer, "2018", "0..", "fleet seed"},
+    });
+    core::addKernelOptions(options);
+    core::addObservabilityOptions(options);
+    options.parseOrExit(argc, argv);
+
+    // --backend and --volume apply to both runs: the implementation
+    // axis is orthogonal to the tuned-vs-default algorithmic
+    // comparison.
+    kfusion::KFusionConfig default_config = defaultConfig();
+    kfusion::KFusionConfig tuned_config = tunedConfig();
+    core::applyKernelOptions(options, default_config);
+    core::applyKernelOptions(options, tuned_config);
+    core::Observability observability(options, "fig3_mobile");
+    support::metrics::RunSession &metrics_session = observability.metrics;
+    const auto frames = static_cast<size_t>(options.integer("--frames"));
+    const auto device_count =
+        static_cast<size_t>(options.integer("--devices"));
+    const auto seed = static_cast<uint64_t>(options.integer("--seed"));
 
     std::printf("FIG3: tuned-vs-default speed-up on %zu simulated "
                 "devices (%zu frames)\n",
@@ -59,16 +65,6 @@ main(int argc, char **argv)
     // One pipeline run per configuration; device models replay the
     // recorded per-frame work (this mirrors how the Android app ran
     // the same workload everywhere).
-    // --backend applies to both runs: the implementation axis is
-    // orthogonal to the tuned-vs-default algorithmic comparison.
-    const std::string backend = backendFromArgs(argc, argv);
-    kfusion::KFusionConfig default_config = defaultConfig();
-    kfusion::KFusionConfig tuned_config = tunedConfig();
-    default_config.kernelBackend = backend;
-    tuned_config.kernelBackend = backend;
-    // --volume applies to both runs for the same reason.
-    volumeFromArgs(argc, argv, default_config);
-    volumeFromArgs(argc, argv, tuned_config);
     // The report's config object records the tuned configuration
     // (the artifact Fig. 3 ships); both runs' frames are appended
     // below under their own labels.

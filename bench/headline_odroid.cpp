@@ -7,7 +7,7 @@
  * reduction over the state-of-the-art default configuration, while
  * keeping Max ATE below 5 cm.
  *
- * Options: --frames N, --dse-threads N.
+ * Options: see --help (--frames, --dse-threads).
  */
 
 #include <cstdio>
@@ -22,32 +22,17 @@ main(int argc, char **argv)
     using namespace slambench;
     using namespace slambench::bench;
 
-    applyLogFlags(argc, argv);
-    const size_t frames = static_cast<size_t>(
-        argLong(argc, argv, "--frames", 30));
-    const size_t dse_threads = dseThreadsFromArgs(argc, argv);
-    const support::trace::Session trace_session =
-        traceSessionFromArgs(argc, argv);
-    // --pmu: hardware-counter profiling (docs/OBSERVABILITY.md).
-    const support::pmu::Session pmu_session =
-        pmuSessionFromArgs(argc, argv);
-    support::metrics::RunSession metrics_session =
-        metricsSessionFromArgs(argc, argv, "headline_odroid");
-    // --telemetry-port N (+ --crash-dump / --slo-*): live /metrics,
-    // /healthz, /runz server and crash-surviving flight recorder.
-    const support::telemetry::TelemetryEndpoint telemetry =
-        telemetryFromArgs(argc, argv, "headline_odroid");
-    // --trace-requests / --trace-sample-rate / --trace-store:
-    // per-frame request traces with tail-based retention.
-    const support::trace::RequestTraceSession request_traces =
-        requestTraceFromArgs(argc, argv);
-
-    std::printf("HEADLINE: default vs tuned on the simulated "
-                "odroid-xu3 (%zu frames)\n\n",
-                frames);
-    const dataset::Sequence sequence =
-        generateSequence(canonicalWorkload(frames));
-    const auto xu3 = devices::odroidXu3();
+    support::Options options(
+        "bench_headline_odroid",
+        "HEADLINE: default vs tuned on the simulated odroid-xu3");
+    options.section("workload").add({
+        {"--frames", support::OptionType::Integer, "30", "1..",
+         "frames of the canonical sequence"},
+    });
+    core::addDseThreadsOption(options);
+    core::addKernelOptions(options);
+    core::addObservabilityOptions(options);
+    options.parseOrExit(argc, argv);
 
     struct Row
     {
@@ -57,13 +42,22 @@ main(int argc, char **argv)
     };
     Row rows[2] = {{"default (state of the art)", defaultConfig(), {}},
                    {"tuned (HyperMapper)", tunedConfig(), {}}};
-    // --backend applies to both rows (bit-exact, performance only).
-    const std::string backend = backendFromArgs(argc, argv);
-    for (Row &row : rows) {
-        row.config.kernelBackend = backend;
-        // --volume likewise applies to both rows.
-        volumeFromArgs(argc, argv, row.config);
-    }
+    // --backend and --volume apply to both rows (bit-exact,
+    // performance only).
+    for (Row &row : rows)
+        core::applyKernelOptions(options, row.config);
+    core::Observability observability(options, "headline_odroid");
+    support::metrics::RunSession &metrics_session = observability.metrics;
+    const auto frames = static_cast<size_t>(options.integer("--frames"));
+    const auto dse_threads =
+        static_cast<size_t>(options.integer("--dse-threads"));
+
+    std::printf("HEADLINE: default vs tuned on the simulated "
+                "odroid-xu3 (%zu frames)\n\n",
+                frames);
+    const dataset::Sequence sequence =
+        generateSequence(canonicalWorkload(frames));
+    const auto xu3 = devices::odroidXu3();
 
     // Both evaluations are independent full pipeline runs; run them
     // concurrently (unless --dse-threads 1) and report serially so

@@ -18,8 +18,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -34,6 +32,7 @@
 #include "kfusion/volume.hpp"
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
+#include "support/options.hpp"
 #include "support/pmu.hpp"
 #include "support/telemetry_server.hpp"
 
@@ -798,80 +797,79 @@ BENCHMARK(BM_RaycastSparse)->Arg(64)->Arg(128)->Arg(256);
 BENCHMARK(BM_GradReference)->Arg(128)->Arg(256);
 
 /**
- * Custom main: google-benchmark 1.x aborts on flags it does not
- * know, so the shared `--metrics-json FILE`, `--telemetry-port N`,
- * `--crash-dump FILE`, `--backend NAME`, `--pmu`, and `--roofline`
- * flags are stripped before benchmark::Initialize sees the argument
- * vector.
+ * Custom main: the repository's own flags come from an option table,
+ * and only arguments starting with --benchmark_ reach google-benchmark.
  */
 int
 main(int argc, char **argv)
 {
-    std::vector<char *> bench_argv(argv, argv + argc);
-    std::string metrics_path;
-    std::string backend_flag;
-    bool pmu_flag = false;
-    bool roofline_flag = false;
+    using slambench::support::OptionType;
+    slambench::support::Options options(
+        "bench_kernels", "google-benchmark microbenches of the kernels");
+    std::string backends;
+    for (const std::string &name :
+         slambench::kfusion::kernelBackendNames())
+        backends += name + "|";
+    options.section("kernel benches").add({
+        {"--metrics-json", OptionType::String, "", "",
+         "kernel bench report (JSON)"},
+        {"--backend", OptionType::String, "", backends + "auto",
+         "run the hot-kernel rows on this backend only (default: "
+         "every backend)"},
+        {"--pmu", OptionType::Flag, "", "",
+         "hardware-counter profiling of every row"},
+        {"--roofline", OptionType::Flag, "", "",
+         "compare measured bytes/s with the device model (implies "
+         "--pmu)"},
+        {"--telemetry-port", OptionType::Integer, "", "0..65535",
+         "serve /metrics, /healthz, /runz on 127.0.0.1:N "
+         "(0 = ephemeral)"},
+        {"--crash-dump", OptionType::String, "", "",
+         "fatal-signal flight-recorder dump (JSON)"},
+    });
+    options.passThrough("--benchmark_");
+    options.parseOrExit(argc, argv);
+
+    const std::string &metrics_path = options.string("--metrics-json");
+    // Roofline validation needs the measured bytes/s, so --roofline
+    // implies --pmu.
+    const bool roofline_flag = options.flag("--roofline");
     slambench::support::telemetry::TelemetryOptions telemetry_opts;
     telemetry_opts.generator = "kernels";
-    for (auto it = bench_argv.begin() + 1; it != bench_argv.end();) {
-        if (std::strcmp(*it, "--metrics-json") == 0 &&
-            it + 1 != bench_argv.end()) {
-            metrics_path = *(it + 1);
-            it = bench_argv.erase(it, it + 2);
-        } else if (std::strcmp(*it, "--backend") == 0 &&
-                   it + 1 != bench_argv.end()) {
-            backend_flag = *(it + 1);
-            it = bench_argv.erase(it, it + 2);
-        } else if (std::strcmp(*it, "--pmu") == 0) {
-            pmu_flag = true;
-            it = bench_argv.erase(it);
-        } else if (std::strcmp(*it, "--roofline") == 0) {
-            // Roofline validation needs the measured bytes/s, so
-            // --roofline implies --pmu.
-            roofline_flag = true;
-            pmu_flag = true;
-            it = bench_argv.erase(it);
-        } else if (std::strcmp(*it, "--telemetry-port") == 0 &&
-                   it + 1 != bench_argv.end()) {
-            telemetry_opts.port = std::atoi(*(it + 1));
-            it = bench_argv.erase(it, it + 2);
-        } else if (std::strcmp(*it, "--crash-dump") == 0 &&
-                   it + 1 != bench_argv.end()) {
-            telemetry_opts.crashDumpPath = *(it + 1);
-            it = bench_argv.erase(it, it + 2);
-        } else {
-            ++it;
-        }
-    }
+    if (options.given("--telemetry-port"))
+        telemetry_opts.port =
+            static_cast<int>(options.integer("--telemetry-port"));
+    telemetry_opts.crashDumpPath = options.string("--crash-dump");
     const slambench::support::telemetry::TelemetryEndpoint telemetry(
         telemetry_opts);
-    const slambench::support::pmu::Session pmu_session(pmu_flag);
+    const slambench::support::pmu::Session pmu_session(
+        options.flag("--pmu") || roofline_flag);
 
     // --backend NAME restricts the hot-kernel benches to one backend
     // ("auto" resolves via CPUID); by default every registered
     // backend gets its own rows so BENCH_kernels.json gates each.
     std::vector<std::string> bench_backends;
-    if (backend_flag.empty()) {
+    if (!options.given("--backend")) {
         bench_backends = slambench::kfusion::kernelBackendNames();
     } else {
         std::string backend_error;
         const slambench::kfusion::KernelBackend *resolved =
-            slambench::kfusion::resolveKernelBackend(backend_flag,
-                                                     &backend_error);
-        if (!resolved) {
-            std::fprintf(stderr, "bench_kernels: --backend: %s\n",
-                         backend_error.c_str());
-            return 1;
-        }
+            slambench::kfusion::resolveKernelBackend(
+                options.string("--backend"), &backend_error);
+        if (!resolved)
+            options.fail("--backend: " + backend_error);
         bench_backends = {resolved->name()};
     }
     registerBackendBenches(bench_backends);
+    std::vector<std::string> bench_args = options.passedThrough();
+    std::vector<char *> bench_argv{argv[0]};
+    for (std::string &arg : bench_args)
+        bench_argv.push_back(arg.data());
     int bench_argc = static_cast<int>(bench_argv.size());
     benchmark::Initialize(&bench_argc, bench_argv.data());
     if (benchmark::ReportUnrecognizedArguments(bench_argc,
                                                bench_argv.data()))
-        return 1;
+        return 2;
 
     CapturingReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);

@@ -14,357 +14,157 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 
-#include <fstream>
-
 #include "core/benchmark.hpp"
-#include "core/report.hpp"
+#include "core/cli_options.hpp"
 #include "core/odometry.hpp"
+#include "core/report.hpp"
 #include "core/slam_system.hpp"
 #include "dataset/generator.hpp"
 #include "devices/fleet.hpp"
-#include "kfusion/backend.hpp"
 #include "kfusion/mesh.hpp"
-#include "kfusion/volume_backend.hpp"
 #include "metrics/reconstruction.hpp"
 #include "support/logging.hpp"
-#include "support/strings.hpp"
-#include "support/telemetry_server.hpp"
-#include "support/trace.hpp"
-
-namespace {
-
-using namespace slambench;
-
-void
-usage()
-{
-    std::printf(
-        "slambench_cli — benchmark a SLAM system on a synthetic "
-        "RGB-D sequence\n\n"
-        "dataset:\n"
-        "  --scene living-room|office     (default living-room)\n"
-        "  --trajectory a|b|c             (default a = orbit)\n"
-        "  --frames N                     (default 40)\n"
-        "  --width W --height H           (default 320x240)\n"
-        "  --no-noise                     disable the sensor model\n"
-        "  --seed S                       sensor noise seed\n\n"
-        "system:\n"
-        "  --system kfusion|odometry      (default kfusion)\n"
-        "  --impl sequential|threaded     (default sequential)\n"
-        "  --dse-threads N                worker threads for the "
-        "threaded impl\n"
-        "                                 (0 = hardware concurrency, "
-        "1 = serial)\n\n"
-        "kfusion configuration (SLAMBench flags):\n"
-        "  --csr {1,2,4,8}   compute-size ratio\n"
-        "  --icp T           ICP convergence threshold\n"
-        "  --mu M            TSDF truncation, meters\n"
-        "  --ir N            integration rate\n"
-        "  --vr N            volume resolution (voxels/edge)\n"
-        "  --vs S            volume size, meters\n"
-        "  --pyramid a,b,c   ICP iterations per level\n"
-        "  --tr N            tracking rate\n"
-        "  --rr N            rendering rate\n"
-        "  --backend NAME    kernel backend: scalar|simd|mixed|auto "
-        "(default scalar;\n"
-        "                    bit-exact, see docs/KERNEL_BACKENDS.md)"
-        "\n"
-        "  --volume NAME     TSDF map data structure: dense|sparse "
-        "(default dense;\n"
-        "                    bit-identical on the observed region, "
-        "see\n"
-        "                    docs/ARCHITECTURE.md \"Volume "
-        "backends\")\n"
-        "  --block-size N    sparse voxel-block edge: 8|16 "
-        "(default 8)\n"
-        "  --pool-capacity N sparse resident-block cap "
-        "(default 0 = unbounded)\n\n"
-        "outputs:\n"
-        "  --align                  also report rigidly aligned ATE\n"
-        "  --trace FILE             chrome://tracing span timeline "
-        "(JSON)\n"
-        "  --perf-csv FILE          per-frame per-kernel host-time "
-        "aggregate (CSV)\n"
-        "  --pmu                    hardware-counter profiling: "
-        "per-kernel IPC,\n"
-        "                           cache/branch miss rates, bytes/s "
-        "(perf_event_open;\n"
-        "                           degrades to a null backend with "
-        "one WARN)\n"
-        "  --metrics-json FILE      machine-readable run report "
-        "(JSON)\n"
-        "  --frames-csv FILE        per-frame telemetry table (CSV)\n"
-        "  --telemetry-port N       serve /metrics, /healthz, /runz "
-        "on 127.0.0.1:N\n"
-        "                           (0 = ephemeral port, logged at "
-        "INFO)\n"
-        "  --crash-dump FILE        fatal-signal flight-recorder "
-        "dump (JSON)\n"
-        "  --slo-frame-p99-ms X     healthz SLO: frame-time p99 "
-        "<= X ms\n"
-        "  --slo-max-ate X          healthz SLO: per-frame ATE "
-        "<= X m\n"
-        "  --slo-max-lost N         healthz SLO: <= N consecutive "
-        "lost frames\n"
-        "  --slo-queue-stall-ms X   healthz SLO: no pool stall "
-        "> X ms\n"
-        "  --recorder-slots N       flight-recorder ring capacity "
-        "(default 1024)\n"
-        "  --trace-requests         per-frame request traces with "
-        "tail-based\n"
-        "                           retention (query /tracez)\n"
-        "  --trace-sample-rate P    retention probability for "
-        "unflagged frames\n"
-        "                           (default 0.01; implies "
-        "--trace-requests)\n"
-        "  --trace-store N          retained-trace ring size "
-        "(default 256;\n"
-        "                           implies --trace-requests)\n"
-        "  --quiet                  warnings only (suppress INFO "
-        "output-path lines)\n"
-        "  --verbose                DEBUG logging\n"
-        "  --log FILE               per-frame metric log (CSV)\n"
-        "  --dump-trajectory FILE   estimated trajectory (TUM)\n"
-        "  --dump-groundtruth FILE  ground truth (TUM)\n"
-        "  --dump-mesh FILE         reconstructed map (.obj, "
-        "kfusion only)\n");
-}
-
-const char *
-flagValue(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return argv[i + 1];
-    return nullptr;
-}
-
-bool
-hasFlag(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return true;
-    return false;
-}
-
-long
-longFlag(int argc, char **argv, const char *name, long fallback)
-{
-    const char *v = flagValue(argc, argv, name);
-    return v ? std::atol(v) : fallback;
-}
-
-double
-doubleFlag(int argc, char **argv, const char *name, double fallback)
-{
-    const char *v = flagValue(argc, argv, name);
-    return v ? std::atof(v) : fallback;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (hasFlag(argc, argv, "--help") || hasFlag(argc, argv, "-h")) {
-        usage();
-        return 0;
-    }
+    using namespace slambench;
+    using support::OptionType;
 
-    if (hasFlag(argc, argv, "--quiet"))
-        support::setLogLevel(support::LogLevel::Warn);
-    else if (hasFlag(argc, argv, "--verbose"))
-        support::setLogLevel(support::LogLevel::Debug);
-
-    // Per-kernel tracing (docs/OBSERVABILITY.md); exports at exit.
-    const char *trace_json = flagValue(argc, argv, "--trace");
-    const char *trace_csv = flagValue(argc, argv, "--perf-csv");
-    const support::trace::Session trace_session(
-        trace_json ? trace_json : "", trace_csv ? trace_csv : "");
-
-    // Hardware-counter profiling (docs/OBSERVABILITY.md "Hardware
-    // counters"); summary logged and gauges published at exit.
-    const support::pmu::Session pmu_session(
-        hasFlag(argc, argv, "--pmu"));
-
-    // Machine-readable run report (docs/OBSERVABILITY.md).
-    const char *metrics_json =
-        flagValue(argc, argv, "--metrics-json");
-    const char *frames_csv = flagValue(argc, argv, "--frames-csv");
-    support::metrics::RunSession metrics_session(
-        metrics_json ? metrics_json : "",
-        frames_csv ? frames_csv : "", "slambench_cli");
-
-    // Live telemetry (docs/OBSERVABILITY.md "Live telemetry").
-    support::telemetry::TelemetryOptions telemetry_options;
-    telemetry_options.port = static_cast<int>(
-        longFlag(argc, argv, "--telemetry-port", -1));
-    const char *crash_dump = flagValue(argc, argv, "--crash-dump");
-    telemetry_options.crashDumpPath = crash_dump ? crash_dump : "";
-    telemetry_options.generator = "slambench_cli";
-    telemetry_options.slo.frameP99Seconds =
-        doubleFlag(argc, argv, "--slo-frame-p99-ms", 0.0) * 1e-3;
-    telemetry_options.slo.maxAteMeters =
-        doubleFlag(argc, argv, "--slo-max-ate", 0.0);
-    telemetry_options.slo.maxConsecutiveTrackingFailures =
-        longFlag(argc, argv, "--slo-max-lost", 0);
-    telemetry_options.slo.poolQueueStallSeconds =
-        doubleFlag(argc, argv, "--slo-queue-stall-ms", 0.0) * 1e-3;
-    const long recorder_slots =
-        longFlag(argc, argv, "--recorder-slots", 1024);
-    telemetry_options.recorderSlots =
-        recorder_slots <= 0 ? 1024
-                            : static_cast<size_t>(recorder_slots);
-    const support::telemetry::TelemetryEndpoint telemetry(
-        telemetry_options);
-
-    // Request tracing (docs/OBSERVABILITY.md "Request tracing"):
-    // each processed frame becomes a queryable span tree under
-    // tail-based retention.
-    support::trace::RequestTraceOptions request_trace_options;
-    request_trace_options.sampleRate =
-        doubleFlag(argc, argv, "--trace-sample-rate", -1.0);
-    const long trace_store =
-        longFlag(argc, argv, "--trace-store", 0);
-    const bool trace_requests =
-        hasFlag(argc, argv, "--trace-requests") ||
-        request_trace_options.sampleRate >= 0.0 || trace_store > 0;
-    if (request_trace_options.sampleRate < 0.0)
-        request_trace_options.sampleRate = 0.01;
-    if (request_trace_options.sampleRate > 1.0)
-        request_trace_options.sampleRate = 1.0;
-    if (trace_store > 0)
-        request_trace_options.maxRetained =
-            static_cast<size_t>(trace_store);
-    const support::trace::RequestTraceSession request_trace_session(
-        trace_requests, request_trace_options);
+    support::Options options(
+        "slambench_cli",
+        "benchmark a SLAM system on a synthetic RGB-D sequence");
+    options.section("dataset").add({
+        {"--scene", OptionType::String, "living-room",
+         "living-room|office", "synthetic scene"},
+        {"--trajectory", OptionType::String, "a", "",
+         "camera path: a (orbit), b (sweep) or c (close-up)", "NAME"},
+        {"--frames", OptionType::Integer, "40", "1..",
+         "frames to synthesize"},
+        {"--width", OptionType::Integer, "320", "1..", "image width"},
+        {"--height", OptionType::Integer, "240", "1..",
+         "image height"},
+        {"--no-noise", OptionType::Flag, "", "",
+         "disable the sensor model"},
+        {"--seed", OptionType::Integer, "42", "0..",
+         "sensor noise seed"},
+    });
+    options.section("system").add({
+        {"--system", OptionType::String, "kfusion", "kfusion|odometry",
+         "SLAM system"},
+        {"--impl", OptionType::String, "sequential",
+         "sequential|threaded", "kernel implementation"},
+    });
+    core::addDseThreadsOption(options);
+    options.section("kfusion configuration (SLAMBench flags)").add({
+        {"--csr", OptionType::Integer, "1", "1|2|4|8",
+         "compute-size ratio"},
+        {"--icp", OptionType::Real, "1e-05", "",
+         "ICP convergence threshold"},
+        {"--mu", OptionType::Real, "0.1", "", "TSDF truncation, meters"},
+        {"--ir", OptionType::Integer, "2", "1..2147483647",
+         "integration rate"},
+        {"--vr", OptionType::Integer, "256", "16..1024",
+         "volume resolution (voxels/edge)"},
+        {"--vs", OptionType::Real, "4.8", "", "volume size, meters"},
+        {"--pyramid", OptionType::List, "10,5,4", "0..100",
+         "ICP iterations per pyramid level, finest first"},
+        {"--tr", OptionType::Integer, "1", "1..2147483647",
+         "tracking rate"},
+        {"--rr", OptionType::Integer, "4", "1..2147483647",
+         "rendering rate"},
+    });
+    core::addKernelOptions(options);
+    options.section("outputs").add({
+        {"--align", OptionType::Flag, "", "",
+         "also report rigidly aligned ATE"},
+        {"--log", OptionType::String, "", "",
+         "per-frame metric log (CSV)"},
+        {"--dump-trajectory", OptionType::String, "", "",
+         "estimated trajectory (TUM)"},
+        {"--dump-groundtruth", OptionType::String, "", "",
+         "ground truth (TUM)"},
+        {"--dump-mesh", OptionType::String, "", "",
+         "reconstructed map (.obj; --system kfusion only)"},
+    });
+    core::addObservabilityOptions(options);
+    options.parseOrExit(argc, argv);
 
     // --- Dataset ---
     dataset::SequenceSpec spec;
-    const char *scene = flagValue(argc, argv, "--scene");
-    if (scene && std::string(scene) == "office")
+    if (options.string("--scene") == "office")
         spec.scene = dataset::SceneId::Office;
-    else if (scene && std::string(scene) != "living-room")
-        support::fatal("unknown --scene (living-room|office)");
-    const char *trajectory = flagValue(argc, argv, "--trajectory");
-    if (trajectory &&
-        !dataset::parsePreset(trajectory, spec.trajectory))
-        support::fatal("unknown --trajectory (a|b|c)");
-    spec.numFrames =
-        static_cast<size_t>(longFlag(argc, argv, "--frames", 40));
-    spec.width =
-        static_cast<size_t>(longFlag(argc, argv, "--width", 320));
-    spec.height =
-        static_cast<size_t>(longFlag(argc, argv, "--height", 240));
-    spec.sensorNoise = !hasFlag(argc, argv, "--no-noise");
-    spec.seed =
-        static_cast<uint64_t>(longFlag(argc, argv, "--seed", 42));
+    const std::string &trajectory = options.string("--trajectory");
+    if (!dataset::parsePreset(trajectory, spec.trajectory))
+        options.fail("--trajectory: unknown preset '" + trajectory +
+                     "' (want a|b|c)");
+    spec.numFrames = static_cast<size_t>(options.integer("--frames"));
+    spec.width = static_cast<size_t>(options.integer("--width"));
+    spec.height = static_cast<size_t>(options.integer("--height"));
+    spec.sensorNoise = !options.flag("--no-noise");
+    spec.seed = static_cast<uint64_t>(options.integer("--seed"));
     spec.renderRgb = false;
+
+    // --- Configuration ---
+    kfusion::KFusionConfig config;
+    config.computeSizeRatio = static_cast<int>(options.integer("--csr"));
+    config.icpThreshold = static_cast<float>(options.real("--icp"));
+    config.mu = static_cast<float>(options.real("--mu"));
+    config.integrationRate = static_cast<int>(options.integer("--ir"));
+    config.volumeResolution = static_cast<int>(options.integer("--vr"));
+    config.volumeSize = static_cast<float>(options.real("--vs"));
+    config.pyramidIterations.assign(options.list("--pyramid").begin(),
+                                    options.list("--pyramid").end());
+    config.trackingRate = static_cast<int>(options.integer("--tr"));
+    config.renderingRate = static_cast<int>(options.integer("--rr"));
+    core::applyKernelOptions(options, config);
+
+    const std::string &system_name = options.string("--system");
+    if (options.given("--dump-mesh") && system_name != "kfusion")
+        options.fail("--dump-mesh requires --system kfusion");
+    const kfusion::Implementation impl =
+        options.string("--impl") == "threaded"
+            ? kfusion::Implementation::Threaded
+            : kfusion::Implementation::Sequential;
+
+    core::Observability observability(options, "slambench_cli");
+    support::metrics::RunSession &metrics_session = observability.metrics;
 
     std::printf("generating %zu frames (%zux%zu, %s, trajectory "
                 "%s)...\n",
                 spec.numFrames, spec.width, spec.height,
-                spec.scene == dataset::SceneId::Office
-                    ? "office"
-                    : "living-room",
-                trajectory ? trajectory : "a");
+                options.string("--scene").c_str(), trajectory.c_str());
     const dataset::Sequence sequence = generateSequence(spec);
-
-    // --- Configuration ---
-    kfusion::KFusionConfig config;
-    config.computeSizeRatio =
-        static_cast<int>(longFlag(argc, argv, "--csr", 1));
-    config.icpThreshold = static_cast<float>(
-        doubleFlag(argc, argv, "--icp", config.icpThreshold));
-    config.mu =
-        static_cast<float>(doubleFlag(argc, argv, "--mu", config.mu));
-    config.integrationRate =
-        static_cast<int>(longFlag(argc, argv, "--ir", 2));
-    config.volumeResolution =
-        static_cast<int>(longFlag(argc, argv, "--vr", 256));
-    config.volumeSize = static_cast<float>(
-        doubleFlag(argc, argv, "--vs", config.volumeSize));
-    config.trackingRate =
-        static_cast<int>(longFlag(argc, argv, "--tr", 1));
-    config.renderingRate =
-        static_cast<int>(longFlag(argc, argv, "--rr", 4));
-    if (const char *backend = flagValue(argc, argv, "--backend")) {
-        std::string backend_error;
-        if (!kfusion::resolveKernelBackend(backend, &backend_error))
-            support::fatal("--backend: " + backend_error);
-        config.kernelBackend = backend;
-    }
-    if (const char *volume = flagValue(argc, argv, "--volume")) {
-        if (!kfusion::volumeBackendNameValid(volume))
-            support::fatal("--volume: unknown volume backend '" +
-                           std::string(volume) +
-                           "' (valid: dense, sparse)");
-        config.volumeBackend = volume;
-    }
-    config.volumeBlockSize = static_cast<int>(longFlag(
-        argc, argv, "--block-size", config.volumeBlockSize));
-    config.volumePoolCapacity = longFlag(
-        argc, argv, "--pool-capacity", config.volumePoolCapacity);
-    if (const char *pyramid = flagValue(argc, argv, "--pyramid")) {
-        config.pyramidIterations.clear();
-        for (const std::string &field :
-             support::split(pyramid, ',')) {
-            long iters = 0;
-            if (!support::parseLong(field, iters))
-                support::fatal("bad --pyramid (want e.g. 10,5,4)");
-            config.pyramidIterations.push_back(
-                static_cast<int>(iters));
-        }
-    }
-
-    kfusion::Implementation impl = kfusion::Implementation::Sequential;
-    if (const char *impl_flag = flagValue(argc, argv, "--impl")) {
-        if (std::string(impl_flag) == "threaded")
-            impl = kfusion::Implementation::Threaded;
-        else if (std::string(impl_flag) != "sequential")
-            support::fatal("unknown --impl (sequential|threaded)");
-    }
-    // Shared with the DSE benches: worker-thread count (0 = hardware
-    // concurrency). Here it sizes the Threaded kernels' pool.
-    const long threads_flag =
-        longFlag(argc, argv, "--dse-threads", 0);
-    const size_t num_threads =
-        threads_flag < 0 ? 0 : static_cast<size_t>(threads_flag);
 
     // --- System ---
     std::unique_ptr<core::SlamSystem> system;
     core::KFusionSystem *kfusion_system = nullptr;
-    const char *system_flag = flagValue(argc, argv, "--system");
-    const std::string system_name =
-        system_flag ? system_flag : "kfusion";
     if (system_name == "kfusion") {
-        auto kf = std::make_unique<core::KFusionSystem>(config, impl,
-                                                        num_threads);
+        // --dse-threads sizes the Threaded kernels' pool here.
+        auto kf = std::make_unique<core::KFusionSystem>(
+            config, impl,
+            static_cast<size_t>(options.integer("--dse-threads")));
         kfusion_system = kf.get();
         system = std::move(kf);
-    } else if (system_name == "odometry") {
+    } else {
         core::OdometryConfig odo;
         odo.computeSizeRatio = config.computeSizeRatio;
         odo.pyramidIterations = config.pyramidIterations;
         odo.icpThreshold = config.icpThreshold;
         system = std::make_unique<core::OdometrySystem>(odo);
-    } else {
-        support::fatal("unknown --system (kfusion|odometry)");
     }
 
     std::printf("running %s (%s)...\n", system->name().c_str(),
                 config.toString().c_str());
     core::addConfigParams(metrics_session, config);
-    core::BenchmarkOptions options;
-    options.alignedAte = hasFlag(argc, argv, "--align");
+    core::BenchmarkOptions benchmark_options;
+    benchmark_options.alignedAte = options.flag("--align");
     const core::BenchmarkResult result =
-        core::runBenchmark(*system, sequence, options);
+        core::runBenchmark(*system, sequence, benchmark_options);
 
     // --- Report ---
     std::printf("\ntracked    : %zu/%zu frames\n",
@@ -373,7 +173,7 @@ main(int argc, char **argv)
                 "%.4f m\n",
                 result.ate.maxAte, result.ate.meanAte,
                 result.ate.rmse);
-    if (options.alignedAte)
+    if (benchmark_options.alignedAte)
         std::printf("aligned    : max ATE %.4f m | RMSE %.4f m\n",
                     result.ateAligned.maxAte, result.ateAligned.rmse);
     std::printf("drift      : RPE %.5f m/frame, %.5f rad/frame\n",
@@ -396,41 +196,38 @@ main(int argc, char **argv)
     metrics_session.setSummary("sim_watts_paced", sim.pacedWatts);
 
     // --- Optional artifacts ---
-    if (const char *path = flagValue(argc, argv, "--log")) {
+    if (const std::string &path = options.string("--log");
+        !path.empty()) {
         std::ofstream log(path);
         if (log) {
             core::writeFrameLog(log, result, xu3);
             support::logInfo() << "wrote " << path;
         }
     }
-    if (const char *path =
-            flagValue(argc, argv, "--dump-trajectory")) {
+    if (const std::string &path = options.string("--dump-trajectory");
+        !path.empty()) {
         dataset::Trajectory estimated;
         for (size_t i = 0; i < result.estimatedPoses.size(); ++i)
             estimated.append(result.estimatedPoses[i],
                              sequence.groundTruth.timestamp(i));
         if (estimated.saveTum(path))
-            std::printf("wrote %s\n", path);
+            std::printf("wrote %s\n", path.c_str());
     }
-    if (const char *path =
-            flagValue(argc, argv, "--dump-groundtruth")) {
+    if (const std::string &path = options.string("--dump-groundtruth");
+        !path.empty()) {
         if (sequence.groundTruth.saveTum(path))
-            std::printf("wrote %s\n", path);
+            std::printf("wrote %s\n", path.c_str());
     }
-    if (const char *path = flagValue(argc, argv, "--dump-mesh")) {
-        if (!kfusion_system) {
-            std::printf("--dump-mesh requires --system kfusion\n");
-        } else {
-            const kfusion::TriangleMesh mesh = kfusion::extractMesh(
-                kfusion_system->pipeline().volume());
-            if (mesh.saveObj(path)) {
-                const auto recon =
-                    metrics::computeReconstructionError(
-                        mesh, dataset::makeScene(spec.scene), 5);
-                std::printf("wrote %s (%zu triangles, surface RMSE "
-                            "%.4f m)\n",
-                            path, mesh.triangleCount(), recon.rmse);
-            }
+    if (const std::string &path = options.string("--dump-mesh");
+        !path.empty()) {
+        const kfusion::TriangleMesh mesh =
+            kfusion::extractMesh(kfusion_system->pipeline().volume());
+        if (mesh.saveObj(path)) {
+            const auto recon = metrics::computeReconstructionError(
+                mesh, dataset::makeScene(spec.scene), 5);
+            std::printf("wrote %s (%zu triangles, surface RMSE "
+                        "%.4f m)\n",
+                        path.c_str(), mesh.triangleCount(), recon.rmse);
         }
     }
     metrics_session.finish();

@@ -17,6 +17,7 @@
  *                   --serve-queue-hi 4              # watch shedding
  */
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -25,137 +26,16 @@
 #include <string>
 #include <vector>
 
+#include "core/cli_options.hpp"
 #include "dataset/generator.hpp"
 #include "devices/fleet.hpp"
-#include "kfusion/backend.hpp"
-#include "kfusion/volume_backend.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/session.hpp"
 #include "support/logging.hpp"
-#include "support/metrics.hpp"
-#include "support/telemetry_server.hpp"
-#include "support/trace.hpp"
 
 namespace {
 
 using namespace slambench;
-
-void
-usage()
-{
-    std::printf(
-        "slambench_serve — multi-session SLAM service "
-        "(docs/SERVING.md)\n\n"
-        "service:\n"
-        "  --serve-tenants N     concurrent tenant sessions "
-        "(default 8)\n"
-        "  --serve-ticks N       scheduling ticks to run; 0 = run "
-        "until SIGTERM\n"
-        "                        (default 0)\n"
-        "  --serve-threads N     scheduler pool workers (0 = "
-        "hardware concurrency)\n\n"
-        "admission control (load shedding):\n"
-        "  --serve-queue-hi N    engage shedding at this peak pool "
-        "queue depth\n"
-        "                        (default 64)\n"
-        "  --serve-queue-lo N    clearing requires peak depth <= N "
-        "(default 4)\n"
-        "  --serve-p99-ms X      engage when smoothed frame p99 "
-        "exceeds X ms\n"
-        "                        (0 disables; default 0)\n"
-        "  --serve-clear-ticks N consecutive healthy ticks before "
-        "shedding clears\n"
-        "                        (default 3)\n"
-        "  --serve-max-tenant-mb X engage when any tenant's TSDF "
-        "volume reaches\n"
-        "                        X MiB resident (0 disables; default "
-        "0; pair with\n"
-        "                        --volume sparse, whose footprint "
-        "grows with the\n"
-        "                        observed surface)\n\n"
-        "fault injection (tests):\n"
-        "  --serve-stall-tick N  flood the pool with sleeping "
-        "blockers at tick N\n"
-        "  --serve-stall-ms X    blocker sleep, milliseconds\n\n"
-        "tenant streams:\n"
-        "  --frames N            frames per rendered stream "
-        "(default 16; streams\n"
-        "                        wrap into fresh epochs)\n"
-        "  --width W --height H  stream resolution (default "
-        "160x120)\n"
-        "  --seed S              base stream seed (default 42)\n"
-        "  --fleet-seed S        device-fleet seed (default 2018)\n\n"
-        "pipeline (per tenant):\n"
-        "  --vr N                volume resolution (default 64)\n"
-        "  --csr {1,2,4,8}       compute-size ratio (default 2)\n"
-        "  --backend NAME        kernel backend: "
-        "scalar|simd|mixed|auto\n"
-        "  --volume NAME         TSDF map: dense|sparse (default "
-        "dense)\n"
-        "  --block-size N        sparse voxel-block edge: 8|16\n"
-        "  --pool-capacity N     sparse resident-block cap (0 = "
-        "unbounded)\n\n"
-        "observability (docs/OBSERVABILITY.md):\n"
-        "  --telemetry-port N    serve /metrics, /healthz, /runz, "
-        "/tracez\n"
-        "                        on 127.0.0.1:N (0 = ephemeral)\n"
-        "  --crash-dump FILE     fatal-signal flight-recorder dump\n"
-        "  --slo-frame-p99-ms X  healthz SLO: frame p99 <= X ms\n"
-        "  --slo-max-ate X       healthz SLO: per-frame ATE <= X m\n"
-        "  --slo-max-lost N      healthz SLO: <= N consecutive lost "
-        "frames\n"
-        "  --slo-queue-stall-ms X healthz SLO: no pool stall > X "
-        "ms\n"
-        "  --recorder-slots N    flight-recorder ring capacity "
-        "(default 1024)\n"
-        "  --trace-requests      arm per-frame request traces "
-        "(tail-based\n"
-        "                        retention; query "
-        "/tracez?trace_id=...)\n"
-        "  --trace-sample-rate P retention probability for "
-        "unflagged frames\n"
-        "                        (default 0.01; implies "
-        "--trace-requests)\n"
-        "  --trace-store N       retained-trace ring size (default "
-        "256; implies\n"
-        "                        --trace-requests)\n"
-        "  --metrics-json FILE   run report; frames carry the "
-        "tenant id as label\n"
-        "  --frames-csv FILE     per-frame telemetry table (CSV)\n"
-        "  --quiet / --verbose   log level\n");
-}
-
-const char *
-flagValue(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return argv[i + 1];
-    return nullptr;
-}
-
-bool
-hasFlag(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], name) == 0)
-            return true;
-    return false;
-}
-
-long
-longFlag(int argc, char **argv, const char *name, long fallback)
-{
-    const char *v = flagValue(argc, argv, name);
-    return v ? std::atol(v) : fallback;
-}
-
-double
-doubleFlag(int argc, char **argv, const char *name, double fallback)
-{
-    const char *v = flagValue(argc, argv, name);
-    return v ? std::atof(v) : fallback;
-}
 
 /** Drain target of the SIGTERM/SIGINT handler. */
 std::atomic<serve::StreamScheduler *> g_scheduler{nullptr};
@@ -174,120 +54,98 @@ handleDrainSignal(int)
 int
 main(int argc, char **argv)
 {
-    if (hasFlag(argc, argv, "--help") || hasFlag(argc, argv, "-h")) {
-        usage();
-        return 0;
-    }
+    using support::OptionType;
+    support::Options options(
+        "slambench_serve",
+        "multi-session SLAM service (docs/SERVING.md)");
+    options.section("service").add({
+        {"--serve-tenants", OptionType::Integer, "8", "1..",
+         "concurrent tenant sessions"},
+        {"--serve-ticks", OptionType::Integer, "0", "0..",
+         "scheduling ticks to run (0 = run until SIGTERM)"},
+        {"--serve-threads", OptionType::Integer, "0", "0..",
+         "scheduler pool workers (0 = hardware concurrency)"},
+    });
+    options.section("admission control (load shedding)").add({
+        {"--serve-queue-hi", OptionType::Integer, "64", "1..",
+         "engage shedding at this peak pool queue depth"},
+        {"--serve-queue-lo", OptionType::Integer, "4", "0..",
+         "clearing requires peak queue depth <= N"},
+        {"--serve-p99-ms", OptionType::Real, "0", "0..",
+         "engage when smoothed frame p99 exceeds X ms (0 = off)"},
+        {"--serve-clear-ticks", OptionType::Integer, "3",
+         "1..2147483647",
+         "consecutive healthy ticks before shedding clears"},
+        {"--serve-max-tenant-mb", OptionType::Real, "0", "0..",
+         "engage when a tenant's TSDF volume reaches X MiB (0 = off; "
+         "pair with --volume sparse)"},
+    });
+    options.section("fault injection (tests)").add({
+        {"--serve-stall-tick", OptionType::Integer, "0", "0..",
+         "flood the pool with sleeping blockers at tick N (0 = off)"},
+        {"--serve-stall-ms", OptionType::Real, "0", "0..",
+         "blocker sleep, milliseconds"},
+    });
+    options.section("tenant streams").add({
+        {"--frames", OptionType::Integer, "16", "1..",
+         "frames per rendered stream (streams wrap into new epochs)"},
+        {"--width", OptionType::Integer, "160", "1..", "stream width"},
+        {"--height", OptionType::Integer, "120", "1..",
+         "stream height"},
+        {"--seed", OptionType::Integer, "42", "0..",
+         "base stream seed"},
+        {"--fleet-seed", OptionType::Integer, "2018", "0..",
+         "device-fleet seed"},
+    });
+    options.section("pipeline (per tenant)").add({
+        {"--vr", OptionType::Integer, "64", "16..1024",
+         "volume resolution"},
+        {"--csr", OptionType::Integer, "2", "1|2|4|8",
+         "compute-size ratio"},
+    });
+    core::addKernelOptions(options);
+    core::addObservabilityOptions(options, /*profiling=*/false);
+    options.parseOrExit(argc, argv);
+
+    kfusion::KFusionConfig kfusion_config;
+    kfusion_config.volumeResolution =
+        static_cast<int>(options.integer("--vr"));
+    kfusion_config.computeSizeRatio =
+        static_cast<int>(options.integer("--csr"));
+    core::applyKernelOptions(options, kfusion_config);
 
     // Belt and braces on top of the server's send(MSG_NOSIGNAL): no
     // stray SIGPIPE (a scraper gone mid-response, a closed log pipe)
     // may ever kill a long-running service.
     std::signal(SIGPIPE, SIG_IGN);
 
-    if (hasFlag(argc, argv, "--quiet"))
-        support::setLogLevel(support::LogLevel::Warn);
-    else if (hasFlag(argc, argv, "--verbose"))
-        support::setLogLevel(support::LogLevel::Debug);
-
-    const size_t tenants = static_cast<size_t>(
-        std::max(1L, longFlag(argc, argv, "--serve-tenants", 8)));
-    const uint64_t ticks = static_cast<uint64_t>(
-        std::max(0L, longFlag(argc, argv, "--serve-ticks", 0)));
+    const auto tenants =
+        static_cast<size_t>(options.integer("--serve-tenants"));
+    const auto ticks =
+        static_cast<uint64_t>(options.integer("--serve-ticks"));
 
     // Run report: one frame row per processed frame, labeled with
-    // the producing tenant's id.
-    const char *metrics_json =
-        flagValue(argc, argv, "--metrics-json");
-    const char *frames_csv = flagValue(argc, argv, "--frames-csv");
-    support::metrics::RunSession metrics_session(
-        metrics_json ? metrics_json : "",
-        frames_csv ? frames_csv : "", "slambench_serve");
-
-    support::telemetry::TelemetryOptions telemetry_options;
-    telemetry_options.port = static_cast<int>(
-        longFlag(argc, argv, "--telemetry-port", -1));
-    const char *crash_dump = flagValue(argc, argv, "--crash-dump");
-    telemetry_options.crashDumpPath = crash_dump ? crash_dump : "";
-    telemetry_options.generator = "slambench_serve";
-    telemetry_options.slo.frameP99Seconds =
-        doubleFlag(argc, argv, "--slo-frame-p99-ms", 0.0) * 1e-3;
-    telemetry_options.slo.maxAteMeters =
-        doubleFlag(argc, argv, "--slo-max-ate", 0.0);
-    telemetry_options.slo.maxConsecutiveTrackingFailures =
-        longFlag(argc, argv, "--slo-max-lost", 0);
-    telemetry_options.slo.poolQueueStallSeconds =
-        doubleFlag(argc, argv, "--slo-queue-stall-ms", 0.0) * 1e-3;
-    const long recorder_slots =
-        longFlag(argc, argv, "--recorder-slots", 1024);
-    telemetry_options.recorderSlots =
-        recorder_slots <= 0 ? 1024
-                            : static_cast<size_t>(recorder_slots);
-    const support::telemetry::TelemetryEndpoint telemetry(
-        telemetry_options);
-
-    // Request tracing: every frame through the scheduler gets a
-    // TraceContext; tail-based retention keeps SLO breaches,
-    // tracking losses, and top-bucket frames, plus a sampled slice
-    // of normal traffic (docs/OBSERVABILITY.md "Request tracing").
-    support::trace::RequestTraceOptions trace_options;
-    trace_options.sampleRate =
-        doubleFlag(argc, argv, "--trace-sample-rate", -1.0);
-    const long trace_store =
-        longFlag(argc, argv, "--trace-store", 0);
-    const bool trace_armed =
-        hasFlag(argc, argv, "--trace-requests") ||
-        trace_options.sampleRate >= 0.0 || trace_store > 0;
-    if (trace_options.sampleRate < 0.0)
-        trace_options.sampleRate = 0.01;
-    if (trace_options.sampleRate > 1.0)
-        trace_options.sampleRate = 1.0;
-    if (trace_store > 0)
-        trace_options.maxRetained =
-            static_cast<size_t>(trace_store);
-    const support::trace::RequestTraceSession trace_session(
-        trace_armed, trace_options);
+    // the producing tenant's id. Request tracing: every frame through
+    // the scheduler gets a TraceContext; tail-based retention keeps
+    // SLO breaches, tracking losses, and top-bucket frames, plus a
+    // sampled slice of normal traffic (docs/OBSERVABILITY.md
+    // "Request tracing").
+    core::Observability observability(options, "slambench_serve");
+    support::metrics::RunSession &metrics_session = observability.metrics;
 
     // --- Tenant fleet ---
     const auto fleet = devices::mobileFleet(
         std::max<size_t>(tenants, 8),
-        static_cast<uint64_t>(
-            longFlag(argc, argv, "--fleet-seed", 2018)));
-
-    kfusion::KFusionConfig kfusion_config;
-    kfusion_config.volumeResolution =
-        static_cast<int>(longFlag(argc, argv, "--vr", 64));
-    kfusion_config.computeSizeRatio =
-        static_cast<int>(longFlag(argc, argv, "--csr", 2));
-    if (const char *backend = flagValue(argc, argv, "--backend")) {
-        std::string backend_error;
-        if (!kfusion::resolveKernelBackend(backend, &backend_error))
-            support::fatal("--backend: " + backend_error);
-        kfusion_config.kernelBackend = backend;
-    }
-    if (const char *volume = flagValue(argc, argv, "--volume")) {
-        if (!kfusion::volumeBackendNameValid(volume))
-            support::fatal("--volume: unknown volume backend '" +
-                           std::string(volume) +
-                           "' (valid: dense, sparse)");
-        kfusion_config.volumeBackend = volume;
-    }
-    kfusion_config.volumeBlockSize = static_cast<int>(
-        longFlag(argc, argv, "--block-size",
-                 kfusion_config.volumeBlockSize));
-    kfusion_config.volumePoolCapacity =
-        longFlag(argc, argv, "--pool-capacity",
-                 kfusion_config.volumePoolCapacity);
+        static_cast<uint64_t>(options.integer("--fleet-seed")));
 
     dataset::SequenceSpec base_spec;
     base_spec.numFrames =
-        static_cast<size_t>(longFlag(argc, argv, "--frames", 16));
-    base_spec.width =
-        static_cast<size_t>(longFlag(argc, argv, "--width", 160));
-    base_spec.height =
-        static_cast<size_t>(longFlag(argc, argv, "--height", 120));
+        static_cast<size_t>(options.integer("--frames"));
+    base_spec.width = static_cast<size_t>(options.integer("--width"));
+    base_spec.height = static_cast<size_t>(options.integer("--height"));
     base_spec.renderRgb = false;
-    const uint64_t base_seed =
-        static_cast<uint64_t>(longFlag(argc, argv, "--seed", 42));
+    const auto base_seed =
+        static_cast<uint64_t>(options.integer("--seed"));
 
     std::printf("standing up %zu tenant sessions (%zux%zu, %zu "
                 "frames/stream, vr=%d, csr=%d)...\n",
@@ -323,31 +181,22 @@ main(int argc, char **argv)
     }
 
     serve::SchedulerOptions scheduler_options;
-    scheduler_options.threads = static_cast<size_t>(
-        std::max(0L, longFlag(argc, argv, "--serve-threads", 0)));
+    scheduler_options.threads =
+        static_cast<size_t>(options.integer("--serve-threads"));
     scheduler_options.admission.queueHiWatermark =
-        static_cast<size_t>(
-            std::max(1L, longFlag(argc, argv, "--serve-queue-hi",
-                                  64)));
+        static_cast<size_t>(options.integer("--serve-queue-hi"));
     scheduler_options.admission.queueLoWatermark =
-        static_cast<size_t>(
-            std::max(0L, longFlag(argc, argv, "--serve-queue-lo",
-                                  4)));
+        static_cast<size_t>(options.integer("--serve-queue-lo"));
     scheduler_options.admission.frameP99TargetSeconds =
-        doubleFlag(argc, argv, "--serve-p99-ms", 0.0) * 1e-3;
+        options.real("--serve-p99-ms") * 1e-3;
     scheduler_options.admission.clearAfterHealthyTicks =
-        static_cast<int>(
-            std::max(1L, longFlag(argc, argv, "--serve-clear-ticks",
-                                  3)));
+        static_cast<int>(options.integer("--serve-clear-ticks"));
     scheduler_options.admission.maxTenantVolumeBytes =
-        static_cast<uint64_t>(
-            std::max(0.0, doubleFlag(argc, argv,
-                                     "--serve-max-tenant-mb", 0.0)) *
-            (1 << 20));
-    scheduler_options.stallAtTick = static_cast<uint64_t>(
-        std::max(0L, longFlag(argc, argv, "--serve-stall-tick", 0)));
-    scheduler_options.stallMs =
-        doubleFlag(argc, argv, "--serve-stall-ms", 0.0);
+        static_cast<uint64_t>(options.real("--serve-max-tenant-mb") *
+                              (1 << 20));
+    scheduler_options.stallAtTick =
+        static_cast<uint64_t>(options.integer("--serve-stall-tick"));
+    scheduler_options.stallMs = options.real("--serve-stall-ms");
 
     serve::StreamScheduler scheduler(std::move(sessions),
                                      scheduler_options);

@@ -83,7 +83,9 @@ tenants=8
 
 # --- Phase A: multi-tenant soak with per-tenant labels ------------
 
-"$serve" --serve-tenants "$tenants" --serve-ticks 60 \
+# The soak runs until SIGTERM (--serve-ticks 0) and is drained after
+# the last scrape, so no scrape races the server's exit.
+"$serve" --serve-tenants "$tenants" --serve-ticks 0 \
     --telemetry-port 0 --metrics-json soak.json \
     > soak.log 2>&1 &
 soak_pid=$!
@@ -148,8 +150,14 @@ if [ "$have_python" -eq 1 ]; then
         || fail "labeled exposition lint failed"
 fi
 
-wait "$soak_pid" || fail "soak run exited non-zero"
+kill -TERM "$soak_pid"
+status=0
+wait "$soak_pid" || status=$?
 pids=""
+[ "$status" -eq 0 ] || {
+    cat soak.log >&2
+    fail "soak drain exit status $status, want 0"
+}
 if [ "$have_python" -eq 1 ]; then
     python3 "$scripts/check_metrics_schema.py" soak.json \
         --serve --tenants "$tenants" \

@@ -11,7 +11,9 @@
 #     /tracez?trace_id=... and require a complete span tree (root
 #     "frame" span plus queue_wait and kernel children). Also
 #     exercise the tenant/min_ms/limit query filters and the 404
-#     path for unknown ids.
+#     path for unknown ids. The soak runs until SIGTERM
+#     (--serve-ticks 0) and is drained only after the last query, so
+#     no query races the server's exit.
 #  B. overhead gate: two slambench_cli runs, base vs tracing at the
 #     default 1% sample rate, compared via bench_compare.py's
 #     --telemetry-overhead-pct gate. Tracing must stay cheap enough
@@ -91,7 +93,7 @@ tenants=4
 # Sample rate 0 means head sampling keeps NOTHING; the 0.0001 ms p99
 # SLO means every frame breaches it, so anything retrievable below
 # proves the tail-based always-keep path, not sampling luck.
-"$serve" --serve-tenants "$tenants" --serve-ticks 50 \
+"$serve" --serve-tenants "$tenants" --serve-ticks 0 \
     --trace-requests --trace-sample-rate 0 \
     --slo-frame-p99-ms 0.0001 \
     --telemetry-port 0 --metrics-json trace_soak.json \
@@ -178,8 +180,16 @@ scrape "$port" /tracez > index.json || fail "/tracez scrape failed"
 grep -q '"request_tracing"' index.json \
     || { cat index.json >&2; fail "index missing request_tracing"; }
 
-wait "$soak_pid" || fail "traced soak exited non-zero"
+kill -TERM "$soak_pid"
+status=0
+wait "$soak_pid" || status=$?
 pids=""
+[ "$status" -eq 0 ] || {
+    cat soak.log >&2
+    fail "traced soak drain exit status $status, want 0"
+}
+grep -q 'serve: drained after' soak.log \
+    || { cat soak.log >&2; fail "traced soak did not drain"; }
 echo "trace_query_smoke: phase A ok (port $port)"
 
 # --- Phase B: tracing overhead gate at default sample rate --------

@@ -1,6 +1,7 @@
 #include "support/strings.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -81,8 +82,9 @@ parseDouble(const std::string &text, double &value)
     if (t.empty())
         return false;
     char *end = nullptr;
+    errno = 0;
     const double parsed = std::strtod(t.c_str(), &end);
-    if (end != t.c_str() + t.size())
+    if (end != t.c_str() + t.size() || errno == ERANGE)
         return false;
     value = parsed;
     return true;
@@ -95,8 +97,9 @@ parseLong(const std::string &text, long &value)
     if (t.empty())
         return false;
     char *end = nullptr;
+    errno = 0;
     const long parsed = std::strtol(t.c_str(), &end, 10);
-    if (end != t.c_str() + t.size())
+    if (end != t.c_str() + t.size() || errno == ERANGE)
         return false;
     value = parsed;
     return true;

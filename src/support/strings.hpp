@@ -38,7 +38,7 @@ std::string format(const char *fmt, ...)
  *
  * @param text Input text (leading/trailing spaces allowed).
  * @param[out] value Parsed value on success.
- * @return true when the whole trimmed string parsed.
+ * @return true when the whole trimmed string parsed and is in range.
  */
 bool parseDouble(const std::string &text, double &value);
 
@@ -47,7 +47,7 @@ bool parseDouble(const std::string &text, double &value);
  *
  * @param text Input text (leading/trailing spaces allowed).
  * @param[out] value Parsed value on success.
- * @return true when the whole trimmed string parsed.
+ * @return true when the whole trimmed string parsed and is in range.
  */
 bool parseLong(const std::string &text, long &value);
 

@@ -8,11 +8,9 @@
 
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 
 #include "dataset/generator.hpp"
 #include "dataset/noise.hpp"
-#include "dataset/raw_io.hpp"
 #include "dataset/renderer.hpp"
 #include "dataset/scene.hpp"
 #include "dataset/sdf.hpp"
@@ -460,87 +458,6 @@ TEST(Generator, OfficeSceneRenders)
     for (size_t i = 0; i < seq.frames[0].depthMm.size(); ++i)
         valid += seq.frames[0].depthMm[i] > 0;
     EXPECT_GT(valid, seq.frames[0].depthMm.size() / 2);
-}
-
-TEST(RawIo, RoundTripPreservesEverything)
-{
-    SequenceSpec spec;
-    spec.width = 24;
-    spec.height = 18;
-    spec.numFrames = 3;
-    spec.renderRgb = true;
-    const Sequence original = generateSequence(spec);
-
-    const std::string path = "/tmp/sb_test_seq.raw";
-    ASSERT_TRUE(saveSequenceRaw(original, path));
-
-    Sequence loaded;
-    ASSERT_TRUE(loadSequenceRaw(path, loaded));
-    ASSERT_EQ(loaded.frames.size(), original.frames.size());
-    EXPECT_EQ(loaded.intrinsics.width, original.intrinsics.width);
-    EXPECT_FLOAT_EQ(loaded.intrinsics.fx, original.intrinsics.fx);
-    for (size_t f = 0; f < original.frames.size(); ++f) {
-        const auto &a = original.frames[f];
-        const auto &b = loaded.frames[f];
-        EXPECT_DOUBLE_EQ(a.timestamp, b.timestamp);
-        for (size_t i = 0; i < a.depthMm.size(); ++i)
-            ASSERT_EQ(a.depthMm[i], b.depthMm[i]);
-        for (size_t i = 0; i < a.rgb.size(); ++i)
-            ASSERT_EQ(a.rgb[i], b.rgb[i]);
-        EXPECT_NEAR((original.groundTruth.pose(f).translationPart() -
-                     loaded.groundTruth.pose(f).translationPart())
-                        .norm(),
-                    0.0f, 0.0f);
-    }
-    std::filesystem::remove(path);
-}
-
-TEST(RawIo, DepthOnlySequences)
-{
-    SequenceSpec spec;
-    spec.width = 16;
-    spec.height = 12;
-    spec.numFrames = 2;
-    spec.renderRgb = false;
-    const Sequence original = generateSequence(spec);
-    const std::string path = "/tmp/sb_test_seq_d.raw";
-    ASSERT_TRUE(saveSequenceRaw(original, path));
-    Sequence loaded;
-    ASSERT_TRUE(loadSequenceRaw(path, loaded));
-    EXPECT_TRUE(loaded.frames[0].rgb.empty());
-    EXPECT_EQ(loaded.frames[0].depthMm.size(), 16u * 12u);
-    std::filesystem::remove(path);
-}
-
-TEST(RawIo, RejectsGarbageAndMissingFiles)
-{
-    Sequence loaded;
-    EXPECT_FALSE(loadSequenceRaw("/tmp/does_not_exist.raw", loaded));
-    const std::string path = "/tmp/sb_test_garbage.raw";
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << "not a sequence";
-    }
-    EXPECT_FALSE(loadSequenceRaw(path, loaded));
-    std::filesystem::remove(path);
-}
-
-TEST(RawIo, RejectsTruncatedFiles)
-{
-    SequenceSpec spec;
-    spec.width = 16;
-    spec.height = 12;
-    spec.numFrames = 2;
-    spec.renderRgb = false;
-    const Sequence original = generateSequence(spec);
-    const std::string path = "/tmp/sb_test_trunc.raw";
-    ASSERT_TRUE(saveSequenceRaw(original, path));
-    // Truncate in the middle of the second frame.
-    const auto size = std::filesystem::file_size(path);
-    std::filesystem::resize_file(path, size - 100);
-    Sequence loaded;
-    EXPECT_FALSE(loadSequenceRaw(path, loaded));
-    std::filesystem::remove(path);
 }
 
 TEST(Generator, RgbRenderedWhenRequested)

@@ -330,6 +330,7 @@ TEST(Strings, ParseDouble)
     EXPECT_FALSE(parseDouble("abc", v));
     EXPECT_FALSE(parseDouble("1.5x", v));
     EXPECT_FALSE(parseDouble("", v));
+    EXPECT_FALSE(parseDouble("1e999", v));
 }
 
 TEST(Strings, ParseLong)
@@ -338,6 +339,7 @@ TEST(Strings, ParseLong)
     EXPECT_TRUE(parseLong("-42", v));
     EXPECT_EQ(v, -42);
     EXPECT_FALSE(parseLong("4.2", v));
+    EXPECT_FALSE(parseLong("99999999999999999999", v));
 }
 
 // --- Image ---
