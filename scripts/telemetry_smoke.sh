@@ -154,7 +154,8 @@ port=$(wait_for_port "$cli_pid" cli.log) || {
     fail "slambench_cli never announced its telemetry port"
 }
 # Long deadline: the CLI generates its synthetic sequence up front
-# (~0.2 s/frame) before the first pipeline frame can tick.
+# (~0.1 s/frame with rows rendered on four cores, ~0.25 s/frame on
+# one) before the first pipeline frame can tick.
 recorded=0
 for _ in $(seq 1 900); do
     if scrape "$port" /metrics 2>/dev/null \

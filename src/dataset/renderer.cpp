@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "support/thread_pool.hpp"
+
 namespace slambench::dataset {
 
 using math::Vec3f;
@@ -48,50 +50,56 @@ renderFrame(const Scene &scene, const CameraIntrinsics &intrinsics,
     const Vec3f origin = camera_to_world.translationPart();
     const float far_clip = scene.farClip();
 
-    for (size_t y = 0; y < h; ++y) {
-        for (size_t x = 0; x < w; ++x) {
-            const Vec3f dir_cam = intrinsics.rayDir(
-                static_cast<float>(x) + 0.5f,
-                static_cast<float>(y) + 0.5f);
-            const Vec3f dir = camera_to_world.transformDir(dir_cam);
+    // Every pixel is independent and writes only its own slots of the
+    // images sized above, so rows split over the pool give the same
+    // bytes as a serial sweep.
+    const auto render_rows = [&](size_t row_begin, size_t row_end) {
+        for (size_t y = row_begin; y < row_end; ++y) {
+            for (size_t x = 0; x < w; ++x) {
+                const Vec3f dir_cam = intrinsics.rayDir(
+                    static_cast<float>(x) + 0.5f,
+                    static_cast<float>(y) + 0.5f);
+                const Vec3f dir = camera_to_world.transformDir(dir_cam);
 
-            float t = 0.0f;
-            bool hit = false;
-            int prim_id = -1;
-            for (int step = 0; step < options.maxSteps; ++step) {
-                const Vec3f p = origin + dir * t;
-                const SdfSample s = scene.evaluate(p);
-                if (s.distance < options.hitEpsilon) {
-                    hit = true;
-                    prim_id = s.primitive;
-                    break;
+                float t = 0.0f;
+                bool hit = false;
+                int prim_id = -1;
+                for (int step = 0; step < options.maxSteps; ++step) {
+                    const Vec3f p = origin + dir * t;
+                    const SdfSample s = scene.evaluate(p);
+                    if (s.distance < options.hitEpsilon) {
+                        hit = true;
+                        prim_id = s.primitive;
+                        break;
+                    }
+                    t += s.distance;
+                    if (t > far_clip)
+                        break;
                 }
-                t += s.distance;
-                if (t > far_clip)
-                    break;
-            }
 
-            if (!hit) {
-                result.depth(x, y) = 0.0f;
-                result.cosIncidence(x, y) = 0.0f;
-                if (options.shadeRgb)
-                    result.rgb(x, y) = {10, 10, 14};
-                continue;
-            }
+                if (!hit) {
+                    result.depth(x, y) = 0.0f;
+                    result.cosIncidence(x, y) = 0.0f;
+                    if (options.shadeRgb)
+                        result.rgb(x, y) = {10, 10, 14};
+                    continue;
+                }
 
-            const Vec3f p = origin + dir * t;
-            const Vec3f n = scene.normal(p, options.normalEpsilon);
-            // Depth is camera-Z, not ray length.
-            result.depth(x, y) = t * dir_cam.z;
-            result.cosIncidence(x, y) = std::abs(n.dot(dir));
-            result.primitive(x, y) = prim_id;
-            if (options.shadeRgb) {
-                result.rgb(x, y) =
-                    shade(scene.primitives()[static_cast<size_t>(prim_id)],
-                          n, dir);
+                const Vec3f p = origin + dir * t;
+                const Vec3f n = scene.normal(p, options.normalEpsilon);
+                // Depth is camera-Z, not ray length.
+                result.depth(x, y) = t * dir_cam.z;
+                result.cosIncidence(x, y) = std::abs(n.dot(dir));
+                result.primitive(x, y) = prim_id;
+                if (options.shadeRgb) {
+                    const Primitive &prim =
+                        scene.primitives()[static_cast<size_t>(prim_id)];
+                    result.rgb(x, y) = shade(prim, n, dir);
+                }
             }
         }
-    }
+    };
+    support::ThreadPool::global().parallelForChunked(0, h, render_rows);
     return result;
 }
 

@@ -7,16 +7,15 @@ namespace slambench::dataset {
 
 namespace {
 
-/** Rotate @p v by -yaw about Y (world -> primitive-local). */
+/** Rotate @p p - center by -yaw about Y (world -> primitive-local). */
 Vec3f
-toLocal(const Primitive &prim, const Vec3f &p)
+toLocal(const Primitive &prim, const YawRotation &rot, const Vec3f &p)
 {
     const Vec3f d = p - prim.center;
     if (prim.yaw == 0.0f)
         return d;
-    const float c = std::cos(-prim.yaw);
-    const float s = std::sin(-prim.yaw);
-    return {c * d.x + s * d.z, d.y, -s * d.x + c * d.z};
+    return {rot.cos * d.x + rot.sin * d.z, d.y,
+            -rot.sin * d.x + rot.cos * d.z};
 }
 
 float
@@ -43,23 +42,28 @@ sdCylinderY(const Vec3f &p, float radius, float half_height)
     return outside + inside;
 }
 
-} // namespace
+YawRotation
+yawRotation(float yaw)
+{
+    return {std::cos(-yaw), std::sin(-yaw)};
+}
 
+/** Signed distance from @p p (world) to @p prim, rotated by @p rot. */
 float
-primitiveDistance(const Primitive &prim, const Vec3f &p)
+distanceTo(const Primitive &prim, const YawRotation &rot, const Vec3f &p)
 {
     switch (prim.kind) {
       case PrimitiveKind::Sphere: {
         return (p - prim.center).norm() - prim.params.x;
       }
       case PrimitiveKind::Box: {
-        return sdBox(toLocal(prim, p), prim.params, prim.rounding);
+        return sdBox(toLocal(prim, rot, p), prim.params, prim.rounding);
       }
       case PrimitiveKind::InvertedBox: {
-        return -sdBox(toLocal(prim, p), prim.params, prim.rounding);
+        return -sdBox(toLocal(prim, rot, p), prim.params, prim.rounding);
       }
       case PrimitiveKind::Cylinder: {
-        const Vec3f local = toLocal(prim, p);
+        const Vec3f local = toLocal(prim, rot, p);
         return sdCylinderY(local, prim.params.x, prim.params.y);
       }
       case PrimitiveKind::Plane: {
@@ -69,13 +73,29 @@ primitiveDistance(const Primitive &prim, const Vec3f &p)
     return prim.center.norm(); // unreachable
 }
 
+} // namespace
+
+float
+primitiveDistance(const Primitive &prim, const Vec3f &p)
+{
+    return distanceTo(prim, yawRotation(prim.yaw), p);
+}
+
+int
+Scene::add(const Primitive &p)
+{
+    primitives_.push_back(p);
+    rotations_.push_back(yawRotation(p.yaw));
+    return static_cast<int>(primitives_.size()) - 1;
+}
+
 SdfSample
 Scene::evaluate(const Vec3f &p) const
 {
     SdfSample best;
     best.distance = farClip_;
     for (size_t i = 0; i < primitives_.size(); ++i) {
-        const float d = primitiveDistance(primitives_[i], p);
+        const float d = distanceTo(primitives_[i], rotations_[i], p);
         if (d < best.distance) {
             best.distance = d;
             best.primitive = static_cast<int>(i);
@@ -88,8 +108,8 @@ float
 Scene::distance(const Vec3f &p) const
 {
     float best = farClip_;
-    for (const Primitive &prim : primitives_)
-        best = std::min(best, primitiveDistance(prim, p));
+    for (size_t i = 0; i < primitives_.size(); ++i)
+        best = std::min(best, distanceTo(primitives_[i], rotations_[i], p));
     return best;
 }
 

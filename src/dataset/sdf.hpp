@@ -53,6 +53,16 @@ struct Primitive
     std::string name;
 };
 
+/**
+ * cos/sin of -yaw: the rotation that takes a world offset into a
+ * primitive's local frame (Scene caches one per primitive).
+ */
+struct YawRotation
+{
+    float cos = 1.0f; ///< cos(-yaw).
+    float sin = 0.0f; ///< sin(-yaw).
+};
+
 /** Result of evaluating the scene SDF at one point. */
 struct SdfSample
 {
@@ -62,18 +72,14 @@ struct SdfSample
 
 /**
  * A static scene: primitives plus an overall bounding radius used to
- * terminate rays.
+ * terminate rays. Each primitive's yaw rotation is computed once, when
+ * it is added, instead of at every SDF sample.
  */
 class Scene
 {
   public:
     /** Append a primitive. @return its index. */
-    int
-    add(const Primitive &p)
-    {
-        primitives_.push_back(p);
-        return static_cast<int>(primitives_.size()) - 1;
-    }
+    int add(const Primitive &p);
 
     /** @return all primitives, in insertion order. */
     const std::vector<Primitive> &primitives() const { return primitives_; }
@@ -107,6 +113,8 @@ class Scene
 
   private:
     std::vector<Primitive> primitives_;
+    /** yawRotation() of each primitive, parallel to primitives_. */
+    std::vector<YawRotation> rotations_;
     float farClip_ = 20.0f;
 };
 

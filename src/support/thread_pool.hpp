@@ -6,10 +6,11 @@
  * Task-queue worker pool with blocking parallelFor on top.
  *
  * This is the substrate behind the `Threaded` kernel implementations
- * (mirroring SLAMBench's OpenMP builds without an OpenMP dependency)
- * and the parallel DSE drivers, which submit whole pipeline runs as
- * tasks. Unlike the original single-job broadcast design, the pool is
- * a task-queue executor: any number of threads may submit work
+ * (mirroring SLAMBench's OpenMP builds without an OpenMP dependency),
+ * the parallel DSE drivers, which submit whole pipeline runs as
+ * tasks, and dataset::renderFrame, which splits its rows over
+ * global(). Unlike the original single-job broadcast design, the pool
+ * is a task-queue executor: any number of threads may submit work
  * concurrently, and a task running on a worker may itself open a
  * nested parallel region — waiters execute queued tasks cooperatively
  * instead of blocking the thread (or panicking, as the old

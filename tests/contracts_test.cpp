@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 
+#include "dataset/generator.hpp"
 #include "hypermapper/param_space.hpp"
 #include "kfusion/pipeline.hpp"
 #include "ml/dataset.hpp"
@@ -118,6 +121,66 @@ TEST(Contracts, OversizedRatioForTinyImagesIsFatal)
     const auto k = math::CameraIntrinsics::fromFov(32, 24, 1.0f);
     EXPECT_EXIT(kfusion::KFusion(config, k),
                 ::testing::ExitedWithCode(1), "too small");
+}
+
+TEST(Contracts, DegenerateSequenceSpecIsFatal)
+{
+    // Each bad field fails before anything is rendered; none is
+    // silently coerced (a speedup <= 0 used to mean 1x).
+    const auto expect_fatal = [](const char *what, auto mutate,
+                                 const char *message) {
+        dataset::SequenceSpec spec;
+        spec.width = 8;
+        spec.height = 6;
+        spec.numFrames = 1;
+        mutate(spec);
+        EXPECT_EXIT(dataset::generateSequence(spec),
+                    ::testing::ExitedWithCode(1), message)
+            << what;
+    };
+    using Spec = dataset::SequenceSpec;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    expect_fatal("width 0", [](Spec &s) { s.width = 0; }, "image size");
+    expect_fatal("height 0", [](Spec &s) { s.height = 0; }, "image size");
+    expect_fatal("0 frames", [](Spec &s) { s.numFrames = 0; },
+                 "numFrames");
+    expect_fatal("fps 0", [](Spec &s) { s.fps = 0.0; }, "fps");
+    expect_fatal("fps -30", [](Spec &s) { s.fps = -30.0; }, "fps");
+    expect_fatal("fps nan", [nan](Spec &s) { s.fps = nan; }, "fps");
+    expect_fatal("fps inf", [inf](Spec &s) { s.fps = inf; }, "fps");
+    expect_fatal("speedup 0", [](Spec &s) { s.trajectorySpeedup = 0.0; },
+                 "trajectorySpeedup");
+    expect_fatal("speedup -2",
+                 [](Spec &s) { s.trajectorySpeedup = -2.0; },
+                 "trajectorySpeedup");
+    expect_fatal("speedup nan",
+                 [nan](Spec &s) { s.trajectorySpeedup = nan; },
+                 "trajectorySpeedup");
+    expect_fatal("speedup inf",
+                 [inf](Spec &s) { s.trajectorySpeedup = inf; },
+                 "trajectorySpeedup");
+    expect_fatal("hfov 0", [](Spec &s) { s.hfovRad = 0.0f; }, "hfovRad");
+    expect_fatal("hfov pi",
+                 [](Spec &s) { s.hfovRad = static_cast<float>(M_PI); },
+                 "hfovRad");
+    expect_fatal("hfov nan",
+                 [](Spec &s) {
+                     s.hfovRad = std::numeric_limits<float>::quiet_NaN();
+                 },
+                 "hfovRad");
+}
+
+TEST(Contracts, ValidSequenceSpecRenders)
+{
+    // The bounds above are exclusive only where the spec says so.
+    dataset::SequenceSpec spec;
+    spec.width = 1;
+    spec.height = 1;
+    spec.numFrames = 1;
+    spec.hfovRad = 3.1f;
+    spec.trajectorySpeedup = 1e-3;
+    EXPECT_EQ(dataset::generateSequence(spec).frames.size(), 1u);
 }
 
 TEST(Contracts, CheckCompatibilityReturnsTextNotDeath)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 
 #include "dataset/generator.hpp"
@@ -140,6 +141,28 @@ TEST(Scene, OfficeDiffersFromLivingRoom)
     const Scene lr = livingRoomScene();
     const Scene office = officeScene();
     EXPECT_NE(lr.size(), office.size());
+}
+
+TEST(Scene, YawedBoxDistanceMatchesPrimitiveDistance)
+{
+    // Scene hoists each primitive's yaw rotation out of the per-sample
+    // loop; the result must equal the free function bit for bit.
+    Primitive b;
+    b.kind = PrimitiveKind::Box;
+    b.center = {0.3f, 0.5f, -0.2f};
+    b.params = {0.6f, 0.4f, 0.15f};
+    b.rounding = 0.02f;
+    b.yaw = 0.7f;
+    Scene scene;
+    scene.add(b);
+    const Vec3f points[] = {{2.0f, 0.1f, 0.3f},
+                            {-1.1f, 0.9f, 0.4f},
+                            {0.35f, 0.5f, -0.25f},
+                            {0.0f, -2.0f, 3.0f}};
+    for (const Vec3f &p : points) {
+        EXPECT_EQ(scene.distance(p), primitiveDistance(b, p));
+        EXPECT_EQ(scene.evaluate(p).distance, primitiveDistance(b, p));
+    }
 }
 
 // --- Catmull-Rom / trajectory ---
@@ -472,6 +495,79 @@ TEST(Generator, RgbRenderedWhenRequested)
     spec.renderRgb = false;
     const Sequence no_rgb = generateSequence(spec);
     EXPECT_TRUE(no_rgb.frames[0].rgb.empty());
+}
+
+// Golden hashes pin generateSequence's output bit for bit: rendering is
+// row-parallel, and the sensor noise draws from one stream in frame
+// order, so neither the thread count nor the scheduling may show.
+
+/** FNV-1a over the bytes of every frame's depth (and color). */
+struct SequenceHash
+{
+    uint64_t depth = 14695981039346656037ull;
+    uint64_t rgb = 14695981039346656037ull;
+};
+
+void
+fnv1a(uint64_t &h, uint8_t byte)
+{
+    h = (h ^ byte) * 1099511628211ull;
+}
+
+SequenceHash
+hashSequence(const Sequence &seq)
+{
+    SequenceHash h;
+    for (const Frame &f : seq.frames) {
+        for (size_t i = 0; i < f.depthMm.size(); ++i) {
+            fnv1a(h.depth, static_cast<uint8_t>(f.depthMm[i] & 0xff));
+            fnv1a(h.depth, static_cast<uint8_t>(f.depthMm[i] >> 8));
+        }
+        for (size_t i = 0; i < f.rgb.size(); ++i) {
+            fnv1a(h.rgb, f.rgb[i].r);
+            fnv1a(h.rgb, f.rgb[i].g);
+            fnv1a(h.rgb, f.rgb[i].b);
+        }
+    }
+    return h;
+}
+
+TEST(Generator, GoldenHashNoisyLivingRoom)
+{
+    SequenceSpec spec;
+    spec.width = 80;
+    spec.height = 60;
+    spec.numFrames = 4;
+    const SequenceHash h = hashSequence(generateSequence(spec));
+    EXPECT_EQ(h.depth, 0xcf68eeae79de4ec6ull);
+    EXPECT_EQ(h.rgb, 0x6ac13e36cff19e76ull);
+}
+
+TEST(Generator, GoldenHashOfficeRgb)
+{
+    SequenceSpec spec;
+    spec.scene = SceneId::Office;
+    spec.trajectory = TrajectoryPreset::SweepB;
+    spec.width = 64;
+    spec.height = 48;
+    spec.numFrames = 3;
+    spec.renderRgb = true;
+    const SequenceHash h = hashSequence(generateSequence(spec));
+    EXPECT_EQ(h.depth, 0x33972830900bc9ceull);
+    EXPECT_EQ(h.rgb, 0x32ff0407bf764a78ull);
+}
+
+TEST(Generator, GoldenHashNoiseFree)
+{
+    SequenceSpec spec;
+    spec.trajectory = TrajectoryPreset::CloseupC;
+    spec.width = 80;
+    spec.height = 60;
+    spec.numFrames = 3;
+    spec.sensorNoise = false;
+    spec.renderRgb = false;
+    const SequenceHash h = hashSequence(generateSequence(spec));
+    EXPECT_EQ(h.depth, 0x500fb8ff185b2056ull);
 }
 
 } // namespace
