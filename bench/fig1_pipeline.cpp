@@ -60,28 +60,22 @@ main(int argc, char **argv)
         const uint64_t start_ns = slambench::metrics::now_ns();
         const kfusion::FrameResult r =
             pipeline.processFrame(sequence.frames[i].depthMm);
-        run.frameSeconds.push_back(
+        core::FrameOutcome outcome;
+        outcome.frame = i;
+        outcome.liveFrame = i;
+        outcome.wallSeconds =
             static_cast<double>(slambench::metrics::now_ns() -
                                 start_ns) *
-            1e-9);
-        run.frameTracked.push_back(r.tracking.tracked);
-        run.frameRssPeak.push_back(
-            support::metrics::peakRssBytes());
+            1e-9;
+        outcome.tracked = r.tracking.tracked;
+        outcome.estimatedPose = r.pose;
+        if (i < sequence.groundTruth.size())
+            outcome.groundTruthPose = &sequence.groundTruth.pose(i);
+        outcome.work = &r.work;
+        core::completeFrame(outcome, &run.frameRows.emplace_back());
+        run.frameSeconds.push_back(outcome.wallSeconds);
         tracked += r.tracking.tracked;
         poses.push_back(r.pose);
-        if (support::telemetry::liveTelemetry()) {
-            const double live_ate =
-                i < sequence.groundTruth.size()
-                    ? (r.pose.translationPart() -
-                       sequence.groundTruth.pose(i)
-                           .translationPart())
-                          .norm()
-                    : 0.0;
-            support::telemetry::frameTick(i,
-                                          run.frameSeconds.back(),
-                                          live_ate,
-                                          r.tracking.tracked);
-        }
     }
     const metrics::AteResult ate = metrics::computeAte(
         poses, sequence.groundTruth.poses(), false);

@@ -20,7 +20,8 @@ matching `--frames-csv` table):
     counts, miss rates within [0,1], and bytes_per_second consistent
     with bytes / task_clock_seconds;
   * the frames CSV (when given) has the documented header and one row
-    per frame of the report.
+    per frame of the report, and each row says integrated=1 exactly
+    when its integrate_ms is positive.
 
 --serve additionally validates a slambench_serve run report
 (docs/SERVING.md): the serve_* summary block, the per-tenant
@@ -418,6 +419,18 @@ def check_frames_csv(path, frames):
             require(value in ("0", "1"),
                     "%s row %d: %s=%r not 0/1"
                     % (path, i + 1, col, value))
+        # A frame integrated exactly when it spent integrate time.
+        integrated = row[FRAMES_CSV_HEADER.index("integrated")]
+        integrate_ms = row[FRAMES_CSV_HEADER.index("integrate_ms")]
+        try:
+            spent = float(integrate_ms) > 0.0
+        except ValueError:
+            require(False, "%s row %d: integrate_ms=%r not a number"
+                    % (path, i + 1, integrate_ms))
+            continue
+        require((integrated == "1") == spent,
+                "%s row %d: integrated=%s but integrate_ms=%s"
+                % (path, i + 1, integrated, integrate_ms))
 
 
 def main():

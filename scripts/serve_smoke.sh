@@ -3,8 +3,9 @@
 #
 #  A. soak slambench_serve with 8 tenants and a live /metrics
 #     endpoint; scrape mid-run, require the per-tenant labeled series
-#     for every tenant, lint the exposition (label-aware), and check
-#     /healthz answers 200 ok;
+#     for every tenant, lint the exposition (label-aware), check
+#     /healthz answers 200 ok, and validate the report together with
+#     its frames CSV;
 #  B. stall-injection leg: flood the scheduler pool mid-run with
 #     blockers long enough to trip the pool-queue-stall SLO, and
 #     assert from the run report that load shedding ENGAGED (frames
@@ -87,7 +88,7 @@ tenants=8
 # the last scrape, so no scrape races the server's exit.
 "$serve" --serve-tenants "$tenants" --serve-ticks 0 \
     --telemetry-port 0 --metrics-json soak.json \
-    > soak.log 2>&1 &
+    --frames-csv soak.csv > soak.log 2>&1 &
 soak_pid=$!
 pids="$soak_pid"
 
@@ -159,7 +160,7 @@ pids=""
     fail "soak drain exit status $status, want 0"
 }
 if [ "$have_python" -eq 1 ]; then
-    python3 "$scripts/check_metrics_schema.py" soak.json \
+    python3 "$scripts/check_metrics_schema.py" soak.json soak.csv \
         --serve --tenants "$tenants" \
         || fail "serve run-report schema validation failed"
 fi

@@ -3,11 +3,88 @@
 #include <chrono>
 
 #include "support/logging.hpp"
-#include "support/metrics.hpp"
 #include "support/slo_watchdog.hpp"
 #include "support/trace.hpp"
 
 namespace slambench::core {
+
+namespace {
+
+/** Sum host seconds of a kernel subset within one frame's work. */
+double
+kernelGroupSeconds(const kfusion::WorkCounts &work,
+                   std::initializer_list<kfusion::KernelId> kernels)
+{
+    double seconds = 0.0;
+    for (const kfusion::KernelId id : kernels)
+        seconds += work.hostSecondsFor(id);
+    return seconds;
+}
+
+} // namespace
+
+double
+completeFrame(const FrameOutcome &outcome,
+              support::metrics::FrameTelemetry *row)
+{
+    namespace trace = support::trace;
+    // The arithmetic of computeAte(align=false), so the live value
+    // equals the end-of-run per-frame ATE.
+    const double ate =
+        outcome.groundTruthPose
+            ? (outcome.estimatedPose.translationPart().cast<double>() -
+               outcome.groundTruthPose->translationPart().cast<double>())
+                  .norm()
+            : 0.0;
+
+    if (support::telemetry::liveTelemetry())
+        support::telemetry::frameTick(outcome.liveFrame, outcome.wallSeconds,
+                                      ate, outcome.tracked);
+
+    if (trace::requestTracingArmed()) {
+        const trace::TraceContext ctx = trace::currentTraceContext();
+        if (ctx.active()) {
+            trace::RequestTraceFinish fin;
+            fin.durationSeconds = outcome.wallSeconds;
+            fin.trackingLost = !outcome.tracked;
+            fin.sloBreach = support::telemetry::SloWatchdog::instance()
+                                .thresholds()
+                                .frameBreached(outcome.wallSeconds, ate);
+            // The sample was just recorded, so its bucket is populated:
+            // >= means "is the top populated bucket".
+            if (const auto *hist = outcome.latencyHistogram)
+                fin.topBucket = hist->bucketIndexFor(outcome.wallSeconds) >=
+                                hist->highestPopulatedBucket();
+            if (outcome.exemplarMetric)
+                fin.exemplarMetric = *outcome.exemplarMetric;
+            trace::RequestTracer::instance().finish(ctx, fin);
+        }
+    }
+
+    if (row) {
+        using kfusion::KernelId;
+        row->label = outcome.label;
+        row->frame = outcome.frame;
+        row->wallSeconds = outcome.wallSeconds;
+        row->ateMeters = ate;
+        row->tracked = outcome.tracked;
+        row->simJoules = outcome.simJoules;
+        row->rssPeakBytes = support::metrics::peakRssBytes();
+        if (const kfusion::WorkCounts *work = outcome.work) {
+            row->preprocessSeconds = kernelGroupSeconds(
+                *work, {KernelId::Mm2Meters, KernelId::BilateralFilter,
+                        KernelId::HalfSample, KernelId::Depth2Vertex,
+                        KernelId::Vertex2Normal});
+            row->trackSeconds = kernelGroupSeconds(
+                *work, {KernelId::Track, KernelId::Reduce, KernelId::Solve});
+            row->integrateSeconds = work->hostSecondsFor(KernelId::Integrate);
+            row->raycastSeconds = kernelGroupSeconds(
+                *work, {KernelId::Raycast, KernelId::RenderVolume});
+            row->integrated = work->itemsFor(KernelId::Integrate) > 0.0;
+        }
+    }
+    return ate;
+}
 
 BenchmarkResult
 runBenchmark(SlamSystem &system, const dataset::Sequence &sequence,
@@ -19,74 +96,52 @@ runBenchmark(SlamSystem &system, const dataset::Sequence &sequence,
 
     system.initialize(sequence.intrinsics, sequence.groundTruth.pose(0));
 
-    std::vector<double> &frame_seconds = result.frameSeconds;
-    frame_seconds.reserve(sequence.frames.size());
-    result.frameTracked.reserve(sequence.frames.size());
-    result.frameRssPeak.reserve(sequence.frames.size());
+    result.frameSeconds.reserve(sequence.frames.size());
+    result.frameRows.reserve(sequence.frames.size());
 
     for (size_t i = 0; i < sequence.frames.size(); ++i) {
         // When `--trace-requests` is armed, each bench frame is a
-        // request trace of its own (tenant "" = single-tenant bench)
-        // so the overhead gate measures tracing at the real per-frame
-        // cost and /tracez works outside the serve layer too.
+        // request trace of its own (tenant "" = single-tenant bench),
+        // installed until completeFrame() finishes it, so the
+        // overhead gate measures tracing at the real per-frame cost
+        // and /tracez works outside the serve layer too.
         support::trace::TraceContext trace_ctx;
         if (support::trace::requestTracingArmed())
             trace_ctx = support::trace::RequestTracer::instance()
                             .begin("", i);
+        support::trace::ScopedTraceContext trace_scope(trace_ctx);
         const auto start = std::chrono::steady_clock::now();
-        bool tracked;
-        {
-            support::trace::ScopedTraceContext trace_scope(
-                trace_ctx);
-            tracked = system.processFrame(sequence.frames[i]);
-        }
+        const bool tracked = system.processFrame(sequence.frames[i]);
         const auto end = std::chrono::steady_clock::now();
 
-        frame_seconds.push_back(
-            std::chrono::duration<double>(end - start).count());
-        result.frameTracked.push_back(tracked);
-        result.frameRssPeak.push_back(
-            support::metrics::peakRssBytes());
-        result.estimatedPoses.push_back(system.currentPose());
+        FrameOutcome outcome;
+        outcome.frame = i;
+        outcome.liveFrame = i;
+        outcome.wallSeconds =
+            std::chrono::duration<double>(end - start).count();
+        outcome.tracked = tracked;
+        outcome.estimatedPose = system.currentPose();
+        if (i < sequence.groundTruth.size())
+            outcome.groundTruthPose = &sequence.groundTruth.pose(i);
+        const std::vector<kfusion::WorkCounts> &work =
+            system.frameWork();
+        if (!work.empty())
+            outcome.work = &work.back();
+        completeFrame(outcome, &result.frameRows.emplace_back());
+
+        result.frameSeconds.push_back(outcome.wallSeconds);
+        result.estimatedPoses.push_back(outcome.estimatedPose);
         ++result.frames;
         if (tracked)
             ++result.trackedFrames;
-        if (support::telemetry::liveTelemetry()) {
-            // Cheap live ATE proxy (unaligned translation error at
-            // this frame) so the watchdog and /metrics track
-            // accuracy without waiting for the end-of-run solve.
-            const double live_ate =
-                i < sequence.groundTruth.size()
-                    ? (system.currentPose().translationPart() -
-                       sequence.groundTruth.pose(i)
-                           .translationPart())
-                          .norm()
-                    : 0.0;
-            support::telemetry::frameTick(i, frame_seconds.back(),
-                                          live_ate, tracked);
-        }
-        if (trace_ctx.active() &&
-            support::trace::requestTracingArmed()) {
-            support::trace::RequestTraceFinish fin;
-            fin.durationSeconds = frame_seconds.back();
-            fin.trackingLost = !tracked;
-            const auto slo =
-                support::telemetry::SloWatchdog::instance()
-                    .thresholds();
-            fin.sloBreach = slo.frameP99Seconds > 0.0 &&
-                            frame_seconds.back() >
-                                slo.frameP99Seconds;
-            support::trace::RequestTracer::instance().finish(
-                trace_ctx, fin);
-        }
         if (options.verbose) {
             support::logDebug()
                 << "frame " << i << (tracked ? " tracked" : " LOST")
-                << " in " << frame_seconds.back() * 1e3 << " ms";
+                << " in " << outcome.wallSeconds * 1e3 << " ms";
         }
     }
 
-    result.hostTiming = metrics::summarizeTiming(frame_seconds);
+    result.hostTiming = metrics::summarizeTiming(result.frameSeconds);
     result.ate = metrics::computeAte(result.estimatedPoses,
                                      sequence.groundTruth.poses(),
                                      /*align=*/false);

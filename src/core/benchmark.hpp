@@ -4,15 +4,21 @@
 /**
  * @file
  * The benchmark loop: feed a sequence through a SLAM system and
- * collect the SLAMBench metric triple (speed, accuracy, power/work).
+ * collect the SLAMBench metric triple (speed, accuracy, power/work),
+ * plus completeFrame(), the one place every frame loop (this one,
+ * the serve tenants, bench_fig1_pipeline) finishes a frame.
  */
 
+#include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/slam_system.hpp"
 #include "dataset/generator.hpp"
 #include "metrics/ate.hpp"
 #include "metrics/timing.hpp"
+#include "support/metrics.hpp"
 
 namespace slambench::core {
 
@@ -41,12 +47,11 @@ struct BenchmarkResult
     /** Host wall-clock timing of the pipeline. */
     metrics::TimingSummary hostTiming;
 
-    /** Host wall seconds of each frame (drives FrameTelemetry). */
+    /** Host wall seconds of each frame (drives hostTiming). */
     std::vector<double> frameSeconds;
-    /** Per-frame tracking acceptance. */
-    std::vector<bool> frameTracked;
-    /** Process RSS high-water mark after each frame, bytes. */
-    std::vector<double> frameRssPeak;
+    /** One completeFrame() row per frame, unlabeled and without
+     *  energy; appendRunTelemetry() adds both. */
+    std::vector<support::metrics::FrameTelemetry> frameRows;
 
     /** Per-frame work counts (feed these to device models). */
     std::vector<kfusion::WorkCounts> frameWork;
@@ -65,6 +70,43 @@ struct BenchmarkResult
                       : 0.0;
     }
 };
+
+/** One finished frame, as a frame loop hands it to completeFrame(). */
+struct FrameOutcome
+{
+    uint64_t frame = 0;       ///< Index in the run or tenant stream.
+    uint64_t liveFrame = 0;   ///< frameTick() index (serve: global).
+    std::string_view label;   ///< Row label (serve: the tenant id).
+    double wallSeconds = 0.0; ///< Host wall time of the frame.
+    bool tracked = false;     ///< Pose accepted by the gates.
+    math::Mat4f estimatedPose;
+    /** Ground-truth pose of the frame (nullptr: live ATE is 0). */
+    const math::Mat4f *groundTruthPose = nullptr;
+    /** The frame's work counts (nullptr: no phase split). */
+    const kfusion::WorkCounts *work = nullptr;
+    double simJoules = 0.0; ///< Modeled energy (serve: its device).
+    /** Serve only: the tenant's frame-latency histogram, already
+     *  holding this frame (top-bucket retention), and its registry
+     *  name, which a retained trace becomes the exemplar of. */
+    const support::metrics::LatencyHistogram *latencyHistogram =
+        nullptr;
+    const std::string *exemplarMetric = nullptr;
+};
+
+/**
+ * Finish one frame, the same way in every frame loop: compute the
+ * live ATE, call telemetry::frameTick() when liveTelemetry() is on,
+ * finish the request trace installed on this thread (always kept on
+ * SloThresholds::frameBreached(), lost tracking, or the histogram's
+ * top bucket), and fill @p row (nullptr: none) with the phase split
+ * of the WorkCounts and `integrated` from the integrate item count.
+ * A disarmed run pays two relaxed loads beyond the ATE.
+ *
+ * @return the live ATE: the unaligned translation error, equal to
+ *         metrics::computeAte()'s per-frame value.
+ */
+double completeFrame(const FrameOutcome &outcome,
+                     support::metrics::FrameTelemetry *row = nullptr);
 
 /**
  * Run @p system over @p sequence, starting from the sequence's

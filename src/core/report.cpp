@@ -11,21 +11,6 @@
 
 namespace slambench::core {
 
-namespace {
-
-/** Sum host seconds of a kernel subset within one frame's work. */
-double
-kernelGroupSeconds(const kfusion::WorkCounts &work,
-                   std::initializer_list<kfusion::KernelId> kernels)
-{
-    double seconds = 0.0;
-    for (const kfusion::KernelId id : kernels)
-        seconds += work.hostSecondsFor(id);
-    return seconds;
-}
-
-} // namespace
-
 size_t
 writeFrameLog(std::ostream &out, const BenchmarkResult &result,
               const devices::DeviceModel &device)
@@ -127,53 +112,6 @@ addConfigParams(support::metrics::RunSession &session,
                      backend ? backend->name() : config.kernelBackend);
 }
 
-support::metrics::FrameTelemetry
-frameTelemetry(const BenchmarkResult &result, size_t frame,
-               const std::string &label,
-               const devices::DeviceModel *device)
-{
-    using kfusion::KernelId;
-    support::metrics::FrameTelemetry t;
-    t.label = label;
-    t.frame = frame;
-    if (frame >= result.frameWork.size())
-        return t;
-    const kfusion::WorkCounts &work = result.frameWork[frame];
-
-    t.wallSeconds = frame < result.frameSeconds.size()
-                        ? result.frameSeconds[frame]
-                        : work.totalHostSeconds();
-    t.preprocessSeconds = kernelGroupSeconds(
-        work, {KernelId::Mm2Meters, KernelId::BilateralFilter,
-               KernelId::HalfSample, KernelId::Depth2Vertex,
-               KernelId::Vertex2Normal});
-    t.trackSeconds = kernelGroupSeconds(
-        work,
-        {KernelId::Track, KernelId::Reduce, KernelId::Solve});
-    t.integrateSeconds =
-        kernelGroupSeconds(work, {KernelId::Integrate});
-    t.raycastSeconds = kernelGroupSeconds(
-        work, {KernelId::Raycast, KernelId::RenderVolume});
-    t.ateMeters = frame < result.ate.perFrame.size()
-                      ? result.ate.perFrame[frame]
-                      : 0.0;
-    t.tracked = frame < result.frameTracked.size()
-                    ? static_cast<bool>(result.frameTracked[frame])
-                    : true;
-    t.integrated = work.itemsFor(KernelId::Integrate) > 0.0;
-    t.rssPeakBytes = frame < result.frameRssPeak.size()
-                         ? result.frameRssPeak[frame]
-                         : support::metrics::peakRssBytes();
-    if (device) {
-        // Modeled per-frame energy via the power-monitor abstraction
-        // (the simulated INA231 rail of the target device).
-        power::SimulatedPowerMonitor monitor(*device);
-        monitor.recordFrame(work);
-        t.simJoules = monitor.reading().joules;
-    }
-    return t;
-}
-
 size_t
 appendRunTelemetry(support::metrics::RunSession &session,
                    const std::string &label,
@@ -189,10 +127,10 @@ appendRunTelemetry(support::metrics::RunSession &session,
         device ? power::makeSimulatedMonitor(*device)
                : power::makeNullMonitor();
     double previous_joules = 0.0;
-    for (size_t frame = 0; frame < result.frameWork.size();
+    for (size_t frame = 0; frame < result.frameRows.size();
          ++frame) {
-        support::metrics::FrameTelemetry t =
-            frameTelemetry(result, frame, label, nullptr);
+        support::metrics::FrameTelemetry t = result.frameRows[frame];
+        t.label = label;
         monitor->recordFrame(result.frameWork[frame]);
         const power::EnergyReading reading = monitor->reading();
         if (reading.available) {
@@ -218,7 +156,7 @@ appendRunTelemetry(support::metrics::RunSession &session,
                     kfusion::kernelName(id), bytes);
         }
     }
-    return result.frameWork.size();
+    return result.frameRows.size();
 }
 
 } // namespace slambench::core

@@ -13,7 +13,6 @@
 #include <string>
 
 #include "core/benchmark.hpp"
-#include "dataset/generator.hpp"
 #include "devices/device_model.hpp"
 #include "support/metrics.hpp"
 
@@ -55,26 +54,12 @@ void addConfigParams(support::metrics::RunSession &session,
                      const kfusion::KFusionConfig &config);
 
 /**
- * Build one frame's telemetry record from a benchmark run: phase
- * times partitioned from the frame's WorkCounts (preprocess / track
- * / integrate / raycast) and, when @p device is given, the modeled
- * energy of the frame from a simulated power monitor.
- *
- * @param result Finished benchmark run.
- * @param frame Frame index within @p result.
- * @param label Run label stored in the record.
- * @param device Device model for the energy column (nullptr = 0 J).
- */
-support::metrics::FrameTelemetry
-frameTelemetry(const BenchmarkResult &result, size_t frame,
-               const std::string &label,
-               const devices::DeviceModel *device);
-
-/**
- * Append every frame of @p result to @p session (no-op when the
- * session is inactive) and fold the run into the process metrics
- * registry (`frame_wall_seconds` / `frame_ate_m` histograms and the
- * run counters the report's `histograms` section is built from).
+ * Append every frame row of @p result to @p session (no-op when the
+ * session is inactive), labeled @p label and with the modeled energy
+ * of @p device's simulated power monitor (0 J without one), and fold
+ * the run into the process metrics registry (`frame_wall_seconds` /
+ * `frame_ate_m` histograms and the run counters the report's
+ * `histograms` section is built from).
  *
  * @return number of frames appended.
  */

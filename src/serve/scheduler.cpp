@@ -137,6 +137,7 @@ StreamScheduler::runTick(support::metrics::RunSession *session)
     {
         TenantSession *tenant = nullptr;
         TenantFrameStats stats;
+        support::metrics::FrameTelemetry row;
         bool ran = false;
     };
     std::vector<FrameSlot> slots(n);
@@ -159,29 +160,22 @@ StreamScheduler::runTick(support::metrics::RunSession *session)
         // so the time queued before a worker picks the task up is
         // inside the trace (the pool synthesizes the queue_wait
         // span). Installing the context around submit() is what
-        // hands it to the pool; the session finishes the trace —
-        // tail-retention flags and exemplar — in processNext().
+        // hands it to the pool; processNext() finishes the frame,
+        // trace included, through core::completeFrame().
         support::trace::TraceContext trace_ctx;
         if (support::trace::requestTracingArmed())
             trace_ctx = support::trace::RequestTracer::instance()
                             .begin(tenant.id(),
                                    tenant.framesProcessed());
         support::trace::ScopedTraceContext trace_scope(trace_ctx);
-        pool_->submit(group, [this, &slot] {
-            slot.stats = slot.tenant->processNext();
+        pool_->submit(group, [this, &slot, session] {
+            slot.stats = slot.tenant->processNext(
+                globalFrame_.fetch_add(1, std::memory_order_relaxed),
+                session != nullptr ? &slot.row : nullptr);
             slot.ran = true;
             aggregateFrameSeconds_.record(slot.stats.wallSeconds);
-            {
-                std::lock_guard<std::mutex> lock(tickMutex_);
-                tickWallSeconds_.push_back(slot.stats.wallSeconds);
-            }
-            const uint64_t frame =
-                globalFrame_.fetch_add(1, std::memory_order_relaxed);
-            if (support::telemetry::liveTelemetry()) {
-                support::telemetry::frameTick(
-                    frame, slot.stats.wallSeconds,
-                    slot.stats.ateMeters, slot.stats.tracked);
-            }
+            std::lock_guard<std::mutex> lock(tickMutex_);
+            tickWallSeconds_.push_back(slot.stats.wallSeconds);
         });
     }
 
@@ -193,19 +187,8 @@ StreamScheduler::runTick(support::metrics::RunSession *session)
         frames_counter.add();
         ++framesProcessed_;
         ++report.framesProcessed;
-        if (session != nullptr) {
-            support::metrics::FrameTelemetry telemetry;
-            telemetry.label = slot.tenant->id();
-            telemetry.frame = slot.stats.frame;
-            telemetry.wallSeconds = slot.stats.wallSeconds;
-            telemetry.ateMeters = slot.stats.ateMeters;
-            telemetry.tracked = slot.stats.tracked;
-            telemetry.integrated = true;
-            telemetry.simJoules = slot.stats.deviceJoules;
-            telemetry.rssPeakBytes =
-                support::metrics::peakRssBytes();
-            session->addFrame(telemetry);
-        }
+        if (session != nullptr)
+            session->addFrame(slot.row);
     }
 
     {

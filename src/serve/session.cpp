@@ -2,9 +2,9 @@
 
 #include <chrono>
 
+#include "core/benchmark.hpp"
 #include "support/logging.hpp"
 #include "support/telemetry_server.hpp"
-#include "support/trace.hpp"
 
 namespace slambench::serve {
 
@@ -25,6 +25,8 @@ tenantMetric(const char *family, const std::string &tenant)
 TenantSession::TenantSession(const TenantConfig &config)
     : config_(config),
       sequence_(dataset::generateSequence(config.sequence)),
+      frameSecondsName_(
+          tenantMetric("serve.tenant.frame_seconds", config.id)),
       framesCounter_(Registry::instance().counter(
           tenantMetric("serve.tenant.frames", config.id))),
       shedCounter_(Registry::instance().counter(
@@ -33,8 +35,8 @@ TenantSession::TenantSession(const TenantConfig &config)
           tenantMetric("serve.tenant.epochs", config.id))),
       trackingFailuresCounter_(Registry::instance().counter(
           tenantMetric("serve.tenant.tracking_failures", config.id))),
-      frameSecondsHistogram_(Registry::instance().histogram(
-          tenantMetric("serve.tenant.frame_seconds", config.id))),
+      frameSecondsHistogram_(
+          Registry::instance().histogram(frameSecondsName_)),
       deviceSecondsHistogram_(Registry::instance().histogram(
           tenantMetric("serve.tenant.device_seconds", config.id))),
       lastAteGauge_(Registry::instance().gauge(
@@ -59,7 +61,8 @@ TenantSession::TenantSession(const TenantConfig &config)
 }
 
 TenantFrameStats
-TenantSession::processNext()
+TenantSession::processNext(uint64_t liveFrame,
+                           support::metrics::FrameTelemetry *row)
 {
     if (cursor_ >= sequence_.frames.size()) {
         // Stream wrap: a fresh session epoch on the same stream, as
@@ -84,21 +87,9 @@ TenantSession::processNext()
     stats.frame = framesProcessed_++;
     stats.wallSeconds =
         std::chrono::duration<double>(end - start).count();
-    stats.tracked = tracked;
-    stats.ateMeters =
-        stream_index < sequence_.groundTruth.size()
-            ? (system_->currentPose().translationPart() -
-               sequence_.groundTruth.pose(stream_index)
-                   .translationPart())
-                  .norm()
-            : 0.0;
-
-    const auto &frame_work = system_->frameWork();
-    if (!frame_work.empty()) {
-        const kfusion::WorkCounts &work = frame_work.back();
-        stats.deviceSeconds = config_.device.frameSeconds(work);
-        stats.deviceJoules = config_.device.frameJoules(work);
-    }
+    const kfusion::WorkCounts &work = system_->frameWork().back();
+    stats.deviceSeconds = config_.device.frameSeconds(work);
+    stats.deviceJoules = config_.device.frameJoules(work);
 
     framesCounter_.add();
     if (!tracked) {
@@ -109,41 +100,28 @@ TenantSession::processNext()
     }
     frameSecondsHistogram_.record(stats.wallSeconds);
     deviceSecondsHistogram_.record(stats.deviceSeconds);
-    lastAteGauge_.set(stats.ateMeters);
     volumeBytes_ = system_->pipeline().volume().memoryStats().bytes;
     volumeBytesGauge_.set(static_cast<double>(volumeBytes_));
 
-    // Finish this frame's request trace (the context was installed
-    // by the pool from the scheduler's submission). Tail retention:
-    // a frame that breached an SLO threshold, lost tracking, or
-    // landed in the top populated bucket of this tenant's latency
-    // histogram is always retained; everything else samples at the
-    // configured rate. The retained trace becomes the exemplar of
-    // the tenant's frame-latency histogram.
-    const auto trace_ctx = support::trace::currentTraceContext();
-    if (trace_ctx.active() &&
-        support::trace::requestTracingArmed()) {
-        support::trace::RequestTraceFinish fin;
-        fin.durationSeconds = stats.wallSeconds;
-        fin.trackingLost = !tracked;
-        const auto slo = support::telemetry::SloWatchdog::instance()
-                             .thresholds();
-        fin.sloBreach =
-            (slo.frameP99Seconds > 0.0 &&
-             stats.wallSeconds > slo.frameP99Seconds) ||
-            (slo.maxAteMeters > 0.0 &&
-             stats.ateMeters > slo.maxAteMeters);
-        // The sample was just recorded, so its bucket is populated:
-        // >= means "is the top populated bucket".
-        fin.topBucket =
-            frameSecondsHistogram_.bucketIndexFor(
-                stats.wallSeconds) >=
-            frameSecondsHistogram_.highestPopulatedBucket();
-        fin.exemplarMetric =
-            tenantMetric("serve.tenant.frame_seconds", config_.id);
-        support::trace::RequestTracer::instance().finish(trace_ctx,
-                                                         fin);
-    }
+    // The request-trace context completeFrame() finishes was
+    // installed by the pool from the scheduler's submission. Serve
+    // adds top-bucket retention, and a retained trace becomes the
+    // exemplar of the tenant's frame-latency histogram.
+    core::FrameOutcome outcome;
+    outcome.frame = stats.frame;
+    outcome.liveFrame = liveFrame;
+    outcome.label = config_.id;
+    outcome.wallSeconds = stats.wallSeconds;
+    outcome.tracked = tracked;
+    outcome.estimatedPose = system_->currentPose();
+    if (stream_index < sequence_.groundTruth.size())
+        outcome.groundTruthPose =
+            &sequence_.groundTruth.pose(stream_index);
+    outcome.work = &work;
+    outcome.simJoules = stats.deviceJoules;
+    outcome.latencyHistogram = &frameSecondsHistogram_;
+    outcome.exemplarMetric = &frameSecondsName_;
+    lastAteGauge_.set(core::completeFrame(outcome, row));
     return stats;
 }
 

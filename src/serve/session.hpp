@@ -60,10 +60,6 @@ struct TenantFrameStats
     double deviceSeconds = 0.0;
     /** Simulated device energy of the frame, joules. */
     double deviceJoules = 0.0;
-    /** Live unaligned translation error vs. ground truth, meters. */
-    double ateMeters = 0.0;
-    /** Whether tracking was accepted this frame. */
-    bool tracked = false;
 };
 
 /**
@@ -96,11 +92,17 @@ class TenantSession
      * When the stream is exhausted it wraps: the pipeline is
      * re-initialized from ground truth (a fresh session epoch, like
      * a client reconnecting), so the service can run indefinitely on
-     * a finite rendered sequence. Updates the per-tenant metrics.
+     * a finite rendered sequence. Updates the per-tenant metrics and
+     * finishes the frame with core::completeFrame().
      *
      * Not thread-safe per session; the scheduler serializes calls.
+     *
+     * @param liveFrame Service-wide index for the live-telemetry hook.
+     * @param row Frame-table row to fill (nullptr: none).
      */
-    TenantFrameStats processNext();
+    TenantFrameStats
+    processNext(uint64_t liveFrame,
+                support::metrics::FrameTelemetry *row = nullptr);
 
     /**
      * Count one shed (dropped) frame against this tenant — called by
@@ -141,6 +143,9 @@ class TenantSession
     uint64_t framesShed_ = 0;
     uint64_t epochs_ = 0;
     uint64_t volumeBytes_ = 0;
+
+    /** Registry name of the tenant's frame-latency histogram. */
+    std::string frameSecondsName_;
 
     // Cached per-tenant labeled registry handles (stable for the
     // process lifetime, like all Registry references).

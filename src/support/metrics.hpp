@@ -279,8 +279,8 @@ class Registry
  * The phase times partition WorkCounts host time by pipeline stage
  * (preprocess = depth conversion/filter/pyramid maps, track =
  * ICP+reduce+solve, integrate = TSDF fusion, raycast = surface
- * extraction + rendering); `core::frameTelemetry()` fills one from a
- * benchmark run.
+ * extraction + rendering); `core::completeFrame()` fills one as
+ * each bench or serve frame finishes.
  */
 struct FrameTelemetry
 {

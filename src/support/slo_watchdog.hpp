@@ -55,6 +55,15 @@ struct SloThresholds
                maxConsecutiveTrackingFailures > 0 ||
                poolQueueStallSeconds > 0.0;
     }
+
+    /** @return whether a frame's wall time or ATE is above its
+     *  threshold (the request tracer's tail-retention predicate). */
+    bool
+    frameBreached(double wallSeconds, double ateMeters) const
+    {
+        return (frameP99Seconds > 0.0 && wallSeconds > frameP99Seconds) ||
+               (maxAteMeters > 0.0 && ateMeters > maxAteMeters);
+    }
 };
 
 /** One latched SLO breach. */

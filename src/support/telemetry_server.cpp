@@ -4,8 +4,8 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <ostream>
@@ -265,7 +265,9 @@ appendTraceJson(std::string &out,
 /**
  * Render the /tracez?... query response: retained request traces
  * filtered by trace_id / tenant / min_ms, newest first, capped at
- * limit, each with its complete span tree.
+ * limit, each with its complete span tree. A `limit` that is not an
+ * integer >= 1 or a `min_ms` that is not a finite number >= 0 sets
+ * @p status to 400.
  */
 std::string
 renderTracezQuery(const std::vector<QueryParam> &params,
@@ -275,13 +277,17 @@ renderTracezQuery(const std::vector<QueryParam> &params,
     const std::string id_text = queryValue(params, "trace_id");
     const std::string tenant = queryValue(params, "tenant");
     const std::string min_ms_text = queryValue(params, "min_ms");
-    const double min_ms =
-        min_ms_text.empty() ? 0.0 : std::atof(min_ms_text.c_str());
     const std::string limit_text = queryValue(params, "limit");
-    size_t limit = 32;
-    if (!limit_text.empty()) {
-        const long parsed = std::atol(limit_text.c_str());
-        limit = parsed <= 0 ? 1 : static_cast<size_t>(parsed);
+    double min_ms = 0.0;
+    long limit = 32;
+    if ((!min_ms_text.empty() &&
+         !(parseDouble(min_ms_text, min_ms) && std::isfinite(min_ms) &&
+           min_ms >= 0.0)) ||
+        (!limit_text.empty() &&
+         !(parseLong(limit_text, limit) && limit >= 1))) {
+        *status = 400;
+        return "{\"error\": \"want limit >= 1 (integer) and min_ms >= "
+               "0 (finite)\"}\n";
     }
 
     std::vector<trace::RetainedTrace> matches;
@@ -294,7 +300,7 @@ renderTracezQuery(const std::vector<QueryParam> &params,
             *status = 404;
     } else {
         for (auto &candidate : tracer.retainedSnapshot()) {
-            if (matches.size() >= limit)
+            if (matches.size() >= static_cast<size_t>(limit))
                 break;
             if (!tenant.empty() && candidate.tenant != tenant)
                 continue;
@@ -749,7 +755,6 @@ serveConnection(int client_fd, int read_deadline_ms)
     }
 
     int status = 200;
-    const char *status_text = "OK";
     const char *content_type = "text/plain; charset=utf-8";
     std::string body;
 
@@ -757,11 +762,9 @@ serveConnection(int client_fd, int read_deadline_ms)
         // Partial line (oversize or timed out mid-request): answer
         // rather than silently dropping, then let close() end it.
         status = 400;
-        status_text = "Bad Request";
         body = "incomplete request line\n";
     } else if (method != "GET") {
         status = 405;
-        status_text = "Method Not Allowed";
         body = "only GET is supported\n";
     } else if (path == "/metrics") {
         std::ostringstream out;
@@ -771,10 +774,8 @@ serveConnection(int client_fd, int read_deadline_ms)
     } else if (path == "/healthz") {
         const auto &watchdog = SloWatchdog::instance();
         body = watchdog.healthzText();
-        if (!watchdog.healthy()) {
+        if (!watchdog.healthy())
             status = 503;
-            status_text = "Service Unavailable";
-        }
     } else if (path == "/runz") {
         std::ostringstream out;
         if (metrics::RunSession::writeCurrentJson(out)) {
@@ -782,26 +783,25 @@ serveConnection(int client_fd, int read_deadline_ms)
             content_type = "application/json";
         } else {
             status = 404;
-            status_text = "Not Found";
             body = "no active run session\n";
         }
     } else if (path == "/tracez") {
-        if (query.empty()) {
-            body = renderTracez();
-        } else {
-            body = renderTracezQuery(parseQuery(query), &status);
-            if (status == 404)
-                status_text = "Not Found";
-        }
+        body = query.empty()
+                   ? renderTracez()
+                   : renderTracezQuery(parseQuery(query), &status);
         content_type = "application/json";
     } else {
         status = 404;
-        status_text = "Not Found";
         body = "unknown path; try /metrics, /healthz, /runz, "
                "/tracez\n";
     }
 
     std::ostringstream response;
+    const char *status_text = status == 200   ? "OK"
+                              : status == 400 ? "Bad Request"
+                              : status == 404 ? "Not Found"
+                              : status == 405 ? "Method Not Allowed"
+                                              : "Service Unavailable";
     response << "HTTP/1.0 " << status << " " << status_text
              << "\r\nContent-Type: " << content_type
              << "\r\nContent-Length: " << body.size()

@@ -15,6 +15,8 @@
 #include "core/report.hpp"
 #include "core/slam_system.hpp"
 #include "devices/fleet.hpp"
+#include "support/slo_watchdog.hpp"
+#include "support/trace.hpp"
 
 namespace {
 
@@ -92,6 +94,79 @@ TEST(Benchmark, RenderingRateChargesRenderVolume)
             work.itemsFor(
                 slambench::kfusion::KernelId::RenderVolume) > 0.0;
     EXPECT_EQ(rendered_frames, 3u);
+}
+
+TEST(Benchmark, MaxAteSloRetainsEveryFrameTrace)
+{
+    // Flag-only retention (rate 0) and nothing armed but a max-ATE
+    // threshold every tracked frame breaches: the bench must keep
+    // those frames' request traces as SLO breaches, as serve does.
+    // Frame 0 starts at the ground-truth pose (ATE exactly 0), so it
+    // breaches nothing and its trace is dropped.
+    namespace telemetry = slambench::support::telemetry;
+    namespace trace = slambench::support::trace;
+    telemetry::SloThresholds thresholds;
+    thresholds.maxAteMeters = 1e-12;
+    telemetry::SloWatchdog::instance().configure(thresholds);
+    trace::RequestTraceOptions trace_options;
+    trace_options.sampleRate = 0.0;
+    auto &tracer = trace::RequestTracer::instance();
+    tracer.configure(trace_options);
+
+    const Sequence seq = tinySequence(3);
+    KFusionSystem system(tinyConfig());
+    const BenchmarkResult result = runBenchmark(system, seq);
+    const uint64_t started = tracer.tracesStarted();
+    const std::vector<trace::RetainedTrace> retained =
+        tracer.retainedSnapshot();
+
+    tracer.disarm();
+    tracer.clear();
+    telemetry::SloWatchdog::instance().reset();
+
+    EXPECT_EQ(started, 3u);
+    EXPECT_EQ(result.ate.perFrame[0], 0.0);
+    ASSERT_EQ(retained.size(), 2u);
+    for (const trace::RetainedTrace &trace : retained) {
+        EXPECT_NE(trace.frame, 0u);
+        EXPECT_TRUE(trace.retention.sloBreach) << trace.frame;
+        EXPECT_GT(result.ate.perFrame[trace.frame],
+                  thresholds.maxAteMeters)
+            << trace.frame;
+    }
+}
+
+TEST(Benchmark, FrameRowsMatchEndOfRunMetrics)
+{
+    // The rows completeFrame() builds during the run agree with what
+    // the run computes at its end: the live ATE is the unaligned
+    // per-frame ATE bit for bit, and the phase split and integrate
+    // flag come from each frame's WorkCounts.
+    const Sequence seq = tinySequence(6);
+    KFusionConfig config = tinyConfig();
+    config.integrationRate = 2;
+    KFusionSystem system(config);
+    const BenchmarkResult result = runBenchmark(system, seq);
+    ASSERT_EQ(result.frameRows.size(), 6u);
+    for (size_t f = 0; f < result.frameRows.size(); ++f) {
+        const auto &row = result.frameRows[f];
+        const auto &work = result.frameWork[f];
+        EXPECT_EQ(row.frame, f);
+        EXPECT_EQ(row.ateMeters, result.ate.perFrame[f]) << f;
+        EXPECT_EQ(row.wallSeconds, result.frameSeconds[f]);
+        EXPECT_EQ(row.integrated,
+                  work.itemsFor(
+                      slambench::kfusion::KernelId::Integrate) > 0.0)
+            << f;
+        EXPECT_EQ(row.integrateSeconds,
+                  work.hostSecondsFor(
+                      slambench::kfusion::KernelId::Integrate));
+        EXPECT_GT(row.preprocessSeconds, 0.0) << f;
+        EXPECT_GT(row.rssPeakBytes, 0.0);
+    }
+    // ir=2 integrates frames 0-3 (bootstrap) and 4; frame 5 skips.
+    EXPECT_FALSE(result.frameRows[5].integrated);
+    EXPECT_EQ(result.frameRows[5].integrateSeconds, 0.0);
 }
 
 // --- config binding ---

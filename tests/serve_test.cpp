@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -204,7 +205,8 @@ TEST(TenantSession, ProcessesWrapsAndCountsLabeledMetrics)
 
     // One full stream plus one frame: wraps into a second epoch.
     for (int i = 0; i < 4; ++i) {
-        const serve::TenantFrameStats stats = session.processNext();
+        const serve::TenantFrameStats stats =
+            session.processNext(static_cast<uint64_t>(i));
         EXPECT_EQ(stats.frame, static_cast<uint64_t>(i));
         EXPECT_GT(stats.wallSeconds, 0.0);
         EXPECT_GT(stats.deviceSeconds, 0.0);
@@ -332,6 +334,73 @@ tinyFleet(size_t count, const char *prefix)
             std::make_unique<serve::TenantSession>(tenant));
     }
     return sessions;
+}
+
+TEST(StreamScheduler, FramesCsvRowsCarryPhasesAndRealIntegration)
+{
+    // ir=2 skips integration from frame 5 on (frames 0-3 bootstrap,
+    // frame 4 is on the rate): the serve rows must say so, and carry
+    // the per-phase host time of the frame's WorkCounts.
+    serve::TenantConfig tenant = tinyTenant("rows-ir2");
+    tenant.sequence.numFrames = 6;
+    tenant.kfusion.integrationRate = 2;
+    std::vector<std::unique_ptr<serve::TenantSession>> sessions;
+    sessions.push_back(std::make_unique<serve::TenantSession>(tenant));
+    serve::SchedulerOptions options;
+    options.threads = 1;
+    serve::StreamScheduler scheduler(std::move(sessions), options);
+
+    const std::string csv_path =
+        ::testing::TempDir() + "serve_rows_ir2.csv";
+    {
+        support::metrics::RunSession run("", csv_path, "serve_test");
+        for (int tick = 0; tick < 6; ++tick)
+            scheduler.runTick(&run);
+    }
+
+    std::ifstream in(csv_path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    std::vector<std::string> header;
+    {
+        std::stringstream fields(line);
+        std::string field;
+        while (std::getline(fields, field, ','))
+            header.push_back(field);
+    }
+    const auto column = [&header](const char *name) {
+        return static_cast<size_t>(
+            std::find(header.begin(), header.end(), name) -
+            header.begin());
+    };
+    const size_t frame_col = column("frame");
+    const size_t integrated_col = column("integrated");
+    const size_t integrate_col = column("integrate_ms");
+    const size_t preprocess_col = column("preprocess_ms");
+    ASSERT_LT(preprocess_col, header.size());
+
+    size_t rows = 0;
+    while (std::getline(in, line)) {
+        std::vector<std::string> cells;
+        std::stringstream fields(line);
+        std::string field;
+        while (std::getline(fields, field, ','))
+            cells.push_back(field);
+        ASSERT_EQ(cells.size(), header.size()) << line;
+        const int frame = std::stoi(cells[frame_col]);
+        EXPECT_EQ(frame, static_cast<int>(rows));
+        const double integrate_ms = std::stod(cells[integrate_col]);
+        if (frame == 5) {
+            EXPECT_EQ(cells[integrated_col], "0") << line;
+            EXPECT_EQ(integrate_ms, 0.0) << line;
+        } else {
+            EXPECT_EQ(cells[integrated_col], "1") << line;
+            EXPECT_GT(integrate_ms, 0.0) << line;
+        }
+        EXPECT_GT(std::stod(cells[preprocess_col]), 0.0) << line;
+        ++rows;
+    }
+    EXPECT_EQ(rows, 6u);
 }
 
 TEST(StreamScheduler, TicksEveryTenantOncePerTickAndReports)

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -32,6 +33,7 @@
 
 #include "support/flight_recorder.hpp"
 #include "support/metrics.hpp"
+#include "support/rng.hpp"
 #include "support/slo_watchdog.hpp"
 #include "support/telemetry_server.hpp"
 #include "support/thread_pool.hpp"
@@ -1407,6 +1409,114 @@ TEST(TelemetryServer, OversizeRequestLineGets400)
     const std::string response = pipe.response();
     EXPECT_NE(response.find("HTTP/1.0 400"), std::string::npos)
         << response;
+}
+
+/**
+ * Serve one raw request over a socketpair. The client half-closes
+ * after writing, so a line without CRLF ends at EOF rather than at
+ * the read deadline.
+ */
+std::string
+serveRaw(const std::string &request)
+{
+    ServerPipe pipe;
+    if (!request.empty()) {
+        EXPECT_EQ(::write(pipe.clientFd, request.data(),
+                          request.size()),
+                  static_cast<ssize_t>(request.size()));
+    }
+    ::shutdown(pipe.clientFd, SHUT_WR);
+    serveConnection(pipe.serverFd, /*read_deadline_ms=*/1000);
+    return pipe.response();
+}
+
+TEST(TelemetryServer, TracezQueryRejectsMalformedLimitAndMinMs)
+{
+    trace::RequestTracer::instance().configure({});
+    const auto status_of = [](const std::string &query) {
+        return serveRaw("GET /tracez?" + query + " HTTP/1.0\r\n\r\n")
+            .substr(0, 12);
+    };
+    for (const char *bad :
+         {"limit=abc", "limit=-5", "limit=0", "limit=1.5",
+          "limit=99999999999999999999", "min_ms=abc", "min_ms=-1",
+          "min_ms=nan", "min_ms=inf", "min_ms=1e999",
+          "tenant=t01&limit=2x"})
+        EXPECT_EQ(status_of(bad), "HTTP/1.0 400") << bad;
+    for (const char *good :
+         {"limit=1", "limit=500", "min_ms=0", "min_ms=2.5",
+          "tenant=t01&min_ms=0.5&limit=3", "limit="})
+        EXPECT_EQ(status_of(good), "HTTP/1.0 200") << good;
+    trace::RequestTracer::instance().disarm();
+    trace::RequestTracer::instance().clear();
+}
+
+TEST(TelemetryServer, RequestLineMutationCorpusGetsOneAllowedStatus)
+{
+    // A seeded hostile-input corpus over valid request lines: byte
+    // flips, truncation, inserted NUL / bare LF / '%' / '?', and one
+    // 5 KB line. Every mutant gets no response or exactly one status
+    // line with an allowed code and a matching Content-Length.
+    const std::vector<std::string> seeds = {
+        "GET /metrics HTTP/1.0\r\n\r\n",
+        "GET /healthz HTTP/1.0\r\n\r\n",
+        "GET /runz HTTP/1.0\r\n\r\n",
+        "GET /tracez?tenant=t00&min_ms=0.5&limit=3 HTTP/1.0\r\n\r\n",
+        "GET /tracez?trace_id=00000000000000ff HTTP/1.0\r\n\r\n",
+    };
+    const char inserts[] = {'\0', '\n', '%', '?'};
+    slambench::support::Rng rng(0x7ace2);
+    std::vector<std::string> corpus;
+    for (size_t i = 0; i < 600; ++i) {
+        std::string line = seeds[i % seeds.size()];
+        switch (rng.uniformInt(3)) {
+        case 0:
+            for (uint64_t n = 1 + rng.uniformInt(3); n > 0; --n)
+                line[rng.uniformInt(line.size())] ^= static_cast<char>(
+                    1u << rng.uniformInt(8));
+            break;
+        case 1:
+            line.resize(rng.uniformInt(line.size()));
+            break;
+        default:
+            line.insert(line.begin() +
+                            static_cast<std::ptrdiff_t>(
+                                rng.uniformInt(line.size() + 1)),
+                        inserts[rng.uniformInt(sizeof(inserts))]);
+        }
+        corpus.push_back(line);
+    }
+    corpus.push_back("GET /metrics?" + std::string(5 * 1024, 'q') +
+                     " HTTP/1.0\r\n\r\n");
+
+    std::map<std::string, size_t> statuses;
+    for (const std::string &mutant : corpus) {
+        const std::string response = serveRaw(mutant);
+        if (response.empty()) {
+            ++statuses["none"];
+            continue;
+        }
+        const std::string code = response.substr(9, 3);
+        ++statuses[code];
+        EXPECT_EQ(response.compare(0, 9, "HTTP/1.0 "), 0) << mutant;
+        EXPECT_TRUE(code == "200" || code == "400" || code == "404" ||
+                    code == "405" || code == "503")
+            << code << " for " << mutant;
+        EXPECT_EQ(response.find("HTTP/1.0 ", 1), std::string::npos)
+            << mutant;
+        const size_t body = response.find("\r\n\r\n");
+        const size_t length = response.find("Content-Length: ");
+        ASSERT_NE(body, std::string::npos) << mutant;
+        ASSERT_NE(length, std::string::npos) << mutant;
+        EXPECT_EQ(std::stoul(response.substr(length + 16)),
+                  response.size() - body - 4)
+            << mutant;
+    }
+    // The corpus reaches the answering paths, not just the drops.
+    EXPECT_GT(statuses["200"], 0u);
+    EXPECT_GT(statuses["400"], 0u);
+    EXPECT_GT(statuses["404"], 0u);
+    EXPECT_GT(statuses["405"], 0u);
 }
 
 TEST(TelemetryServer, StalledClientHitsReadDeadlineNotHang)
