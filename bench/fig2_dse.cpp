@@ -82,7 +82,7 @@ main(int argc, char **argv)
 
     // --backend/--volume select the baseline's kernel and volume
     // backends; the DSE itself always explores the "implementation"
-    // (0 = scalar, 1 = simd, 2 = mixed) and "volume" (0 = dense,
+    // (0 = scalar, 1 = simd) and "volume" (0 = dense,
     // 1 = sparse) dimensions regardless of these flags.
     kfusion::KFusionConfig default_config = defaultConfig();
     core::applyKernelOptions(options, default_config);

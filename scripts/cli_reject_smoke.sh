@@ -4,8 +4,8 @@
 # prints a "generating" line or synthesizes a frame. Each binary gets
 # an unknown flag and a negative frame count, plus every case below
 # whose first flag it accepts: a non-numeric --vr, an out-of-set
-# --csr, values that used to be clamped silently, and the CLI's
-# --dump-mesh/odometry clash.
+# --csr, values that used to be clamped silently, the deleted "mixed"
+# kernel backend, and the CLI's --dump-mesh/odometry clash.
 #
 # Usage: cli_reject_smoke.sh <binary>...
 set -u
@@ -47,6 +47,7 @@ cases=(
     "--trace-sample-rate 2"
     "--recorder-slots 0"
     "--dse-threads -1"
+    "--backend mixed"
     "--dump-mesh mesh.obj --system odometry"
 )
 

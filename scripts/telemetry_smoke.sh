@@ -96,29 +96,28 @@ port=$(wait_for_port "$dse_pid" dse.log) || {
 }
 
 # Retry until the sweep has produced live frame metrics and pool
-# gauges; each evaluation runs whole pipeline frames, so this
-# converges within the first warmup batch.
+# gauges and /healthz answers ok, all from the running process (the
+# sweep is finite, so both scrapes sit in one loop); each evaluation
+# runs whole pipeline frames, so this converges within the first
+# warmup batch.
 scraped=0
 for _ in $(seq 1 300); do
+    kill -0 "$dse_pid" 2>/dev/null || break
     if scrape "$port" /metrics > metrics.txt 2>/dev/null \
             && grep -q '^live_frame_wall_seconds_bucket' metrics.txt \
-            && grep -q '^dse_pool_occupancy ' metrics.txt; then
+            && grep -q '^dse_pool_occupancy ' metrics.txt \
+            && scrape "$port" /healthz > healthz.txt 2>/dev/null \
+            && grep -q '^ok$' healthz.txt; then
         scraped=1
         break
     fi
-    kill -0 "$dse_pid" 2>/dev/null || break
     sleep 0.1
 done
 [ "$scraped" -eq 1 ] || {
     cat dse.log >&2
-    fail "never scraped live metrics from the running sweep"
-}
-
-scrape "$port" /healthz > healthz.txt \
-    || fail "/healthz scrape failed"
-grep -q '^ok$' healthz.txt || {
-    cat healthz.txt >&2
-    fail "/healthz of a healthy run is not ok"
+    cat healthz.txt >&2 2>/dev/null || true
+    fail "never scraped live metrics and an ok /healthz from the" \
+         "running sweep"
 }
 
 if [ "$have_python" -eq 1 ]; then

@@ -14,8 +14,9 @@
 #     path for unknown ids. The soak runs until SIGTERM
 #     (--serve-ticks 0) and is drained only after the last query, so
 #     no query races the server's exit.
-#  B. overhead gate: two slambench_cli runs, base vs tracing at the
-#     default 1% sample rate, compared via bench_compare.py's
+#  B. overhead gate: slambench_cli runs, base vs tracing at the
+#     default 1% sample rate, three of each interleaved, the
+#     least-disturbed run of each side compared via bench_compare.py's
 #     --telemetry-overhead-pct gate. Tracing must stay cheap enough
 #     to leave on in production.
 #
@@ -106,14 +107,23 @@ port=$(wait_for_port "$soak_pid" soak.log) || {
     fail "slambench_serve never announced its telemetry port"
 }
 
-# Poll /metrics until a tenant latency bucket carries an exemplar.
+# Poll /metrics until a tenant latency bucket carries an exemplar,
+# and follow it to /tracez at once. The store keeps only the newest
+# 256 traces (FIFO), about a second of this soak, so an exemplar can
+# be evicted before a slower follow-up query; then scrape again for
+# a fresher one.
 trace_id=""
 for _ in $(seq 1 600); do
     if scrape "$port" /metrics > metrics.txt 2>/dev/null; then
         trace_id=$(sed -n \
             's@^serve_tenant_frame_seconds_bucket.* # {trace_id="\([0-9a-f]\{16\}\)"}.*@\1@p' \
             metrics.txt | head -n 1)
-        [ -n "$trace_id" ] && break
+        if [ -n "$trace_id" ] &&
+            scrape "$port" "/tracez?trace_id=$trace_id" \
+                > by_id.json 2>/dev/null &&
+            grep -q '"matches": 1' by_id.json; then
+            break
+        fi
     fi
     kill -0 "$soak_pid" 2>/dev/null || break
     sleep 0.1
@@ -131,9 +141,8 @@ if [ "$have_python" -eq 1 ]; then
         || fail "exemplar-aware exposition lint failed"
 fi
 
-# Follow the exemplar to its complete span tree.
-scrape "$port" "/tracez?trace_id=$trace_id" > by_id.json \
-    || fail "/tracez?trace_id=$trace_id scrape failed"
+# The exemplar must lead to its complete span tree.
+[ -s by_id.json ] || fail "/tracez?trace_id=$trace_id scrape failed"
 grep -q '"schema": "slambench-tracez-query"' by_id.json \
     || { cat by_id.json >&2; fail "query response missing schema"; }
 grep -q '"matches": 1' by_id.json \
@@ -194,24 +203,41 @@ echo "trace_query_smoke: phase A ok (port $port)"
 
 # --- Phase B: tracing overhead gate at default sample rate --------
 
-"$cli" --frames 40 --metrics-json base.json > base.log 2>&1 \
-    || { cat base.log >&2; fail "baseline CLI run failed"; }
-"$cli" --frames 40 --metrics-json traced.json \
-    --trace-requests > traced.log 2>&1 \
-    || { cat traced.log >&2; fail "traced CLI run failed"; }
+# On a loaded host the p50 of one run swings by more than the gate
+# from run to run (+-20-40% with the CPUs oversubscribed), so each
+# side runs three times, interleaved so that both see the same load
+# drift, and the gate compares each side's least-disturbed run.
+for i in 1 2 3; do
+    "$cli" --frames 40 --metrics-json "base$i.json" > base.log 2>&1 \
+        || { cat base.log >&2; fail "baseline CLI run $i failed"; }
+    "$cli" --frames 40 --metrics-json "traced$i.json" \
+        --trace-requests > traced.log 2>&1 \
+        || { cat traced.log >&2; fail "traced CLI run $i failed"; }
+done
 
 if [ "$have_python" -eq 1 ]; then
-    # Wide standard gates: two independent runs carry scheduling
-    # noise, so only the dedicated overhead gate decides here.
-    python3 "$scripts/bench_compare.py" base.json traced.json \
+    fastest() {
+        python3 -c '
+import json, sys
+print(min(sys.argv[1:], key=lambda path: json.load(open(path))
+          ["summary"]["frame_wall_seconds_p50"]))
+' "$@"
+    }
+    # Wide standard gates: independent runs carry scheduling noise,
+    # so only the dedicated overhead gate decides here.
+    python3 "$scripts/bench_compare.py" \
+        "$(fastest base1.json base2.json base3.json)" \
+        "$(fastest traced1.json traced2.json traced3.json)" \
         --max-frame-time-regress 2.0 --max-ate-regress 2.0 \
         --max-rss-regress 2.0 \
         --telemetry-overhead-pct \
         "${TRACE_SMOKE_OVERHEAD_PCT:-25}" \
         || fail "request-tracing overhead gate failed"
 else
-    [ -s traced.json ] \
-        || fail "traced run wrote no report (grep fallback)"
+    for i in 1 2 3; do
+        [ -s "traced$i.json" ] \
+            || fail "traced run $i wrote no report (grep fallback)"
+    done
 fi
 echo "trace_query_smoke: phase B ok"
 

@@ -29,11 +29,10 @@ kfusionParameterSpace()
     space.addInteger("rendering_rate", 1, 8, 4);
     // Kernel implementation axis (paper sec. II: the same algorithmic
     // configuration can run on differently optimized kernels). The
-    // ordinal maps onto the kernel-backend registry: 0 = scalar,
-    // 1 = simd, 2 = mixed (per-kernel best of the two). All backends
-    // are bit-exact, so this dimension only moves the
-    // performance/energy axes, never accuracy.
-    space.addOrdinal("implementation", {0, 1, 2}, 0);
+    // ordinal is an index into the kernel-backend table: 0 = scalar,
+    // 1 = simd. All backends are bit-exact, so this dimension only
+    // moves the performance/energy axes, never accuracy.
+    space.addOrdinal("implementation", {0, 1}, 0);
     // TSDF map data structure: 0 = dense array, 1 = hashed voxel
     // blocks. Sparse is bit-identical to dense on the observed
     // region, so like "implementation" this is a pure

@@ -69,7 +69,11 @@ evaluateConfigOnDevice(const kfusion::KFusionConfig &config,
         return record;
     }
 
-    KFusionSystem system(config);
+    // Every kernel backend is bit-exact, so the host pipeline runs the
+    // fastest one; deviceForBackend still models the sampled backend.
+    kfusion::KFusionConfig host_config = config;
+    host_config.kernelBackend = "auto";
+    KFusionSystem system(host_config);
     BenchmarkOptions bench_options;
     bench_options.alignedAte = false;
     record.bench = runBenchmark(system, sequence, bench_options);

@@ -1,22 +1,9 @@
 #include "kfusion/backend.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <mutex>
+#include <array>
 
 #include "kfusion/backend_simd.hpp"
-#include "math/aabb.hpp"
-#include "support/logging.hpp"
-
-// The portable "simd" flavor leans on the compiler's vectorizer via
-// `#pragma omp simd` when the build enables -fopenmp-simd (see
-// SLAMBENCH_HAVE_OPENMP_SIMD in the top-level CMakeLists); without
-// it the pragma would only draw -Wunknown-pragmas noise.
-#if defined(SLAMBENCH_HAVE_OPENMP_SIMD)
-#define SLAMBENCH_SIMD_LOOP _Pragma("omp simd")
-#else
-#define SLAMBENCH_SIMD_LOOP
-#endif
 
 namespace slambench::kfusion {
 
@@ -106,73 +93,11 @@ reduceRangeScalar(const support::Image<TrackData> &track_data,
     return partial;
 }
 
-/**
- * Portable "simd" integrate column: the scalar per-voxel math with
- * the serial position accumulation hoisted into a block-local array,
- * which removes the loop-carried `pos += step` dependency from the
- * projection/fusion body and lets the compiler's vectorizer work on
- * it. Semantics per voxel are the scalar statements verbatim, so the
- * result is bit-exact on any host.
- */
-void
-integrateColumnPortable(const IntegrateContext &ctx, Voxel *column,
-                        int z_begin, int z_end, Vec3f pos)
-{
-    constexpr int kBlock = 64;
-    float posx[kBlock], posy[kBlock], posz[kBlock];
-    int z = z_begin;
-    while (z < z_end) {
-        const int n = std::min(kBlock, z_end - z);
-        for (int l = 0; l < n; ++l) {
-            posx[l] = pos.x;
-            posy[l] = pos.y;
-            posz[l] = pos.z;
-            pos += ctx.step;
-        }
-        SLAMBENCH_SIMD_LOOP
-        for (int l = 0; l < n; ++l) {
-            if (posz[l] <= 0.001f)
-                continue;
-            const math::Vec2f pix = ctx.intrinsics.project(
-                {posx[l], posy[l], posz[l]});
-            const int px = static_cast<int>(pix.x);
-            const int py = static_cast<int>(pix.y);
-            if (px < 0 || py < 0 ||
-                px >= static_cast<int>(ctx.width) ||
-                py >= static_cast<int>(ctx.height))
-                continue;
-            const float measured =
-                ctx.depth[static_cast<size_t>(py) * ctx.width +
-                          static_cast<size_t>(px)];
-            if (measured <= 0.0f)
-                continue;
-            const float lambda =
-                ctx.lambda[static_cast<size_t>(py) * ctx.width +
-                           static_cast<size_t>(px)];
-            const float sdf = (measured - posz[l]) * lambda;
-            if (sdf < -ctx.mu)
-                continue;
-            const float tsdf = std::min(1.0f, sdf * ctx.invMu);
-            Voxel &v = column[z + l];
-            const float weight = v.weight;
-            v.tsdf = (v.tsdf * weight + tsdf) / (weight + 1.0f);
-            v.weight = std::min(weight + 1.0f, ctx.maxWeight);
-        }
-        z += n;
-    }
-}
-
 /** The reference backend: the kernels as they have always run. */
 class ScalarBackend final : public KernelBackend
 {
   public:
     const char *name() const override { return "scalar"; }
-
-    const char *
-    description() const override
-    {
-        return "scalar reference kernels (baseline ISA)";
-    }
 
     void
     integrateColumn(const IntegrateContext &ctx, Voxel *column,
@@ -204,26 +129,13 @@ class ScalarBackend final : public KernelBackend
 };
 
 /**
- * Explicitly vectorized kernels: AVX2 intrinsics when the build and
- * the CPU both provide them, otherwise a portable fallback with the
- * same lane structure (and scalar delegation where the portable form
- * would add nothing). Either flavor is bit-exact versus scalar.
+ * The AVX2 kernels when the build and the CPU both provide them,
+ * otherwise the scalar kernels. Either way bit-exact versus scalar.
  */
 class SimdBackend final : public KernelBackend
 {
   public:
-    SimdBackend()
-        : avx2_(detail::avx2CompiledIn() && cpuSupportsAvx2())
-    {}
-
     const char *name() const override { return "simd"; }
-
-    const char *
-    description() const override
-    {
-        return avx2_ ? "vectorized kernels (AVX2)"
-                     : "vectorized kernels (portable fallback)";
-    }
 
     void
     integrateColumn(const IntegrateContext &ctx, Voxel *column,
@@ -233,7 +145,7 @@ class SimdBackend final : public KernelBackend
             detail::integrateColumnAvx2(ctx, column, z_begin, z_end,
                                         pos);
         else
-            integrateColumnPortable(ctx, column, z_begin, z_end, pos);
+            integrateColumnScalar(ctx, column, z_begin, z_end, pos);
     }
 
     Vec3f
@@ -267,21 +179,18 @@ class SimdBackend final : public KernelBackend
     {
         if (!avx2_)
             return 1.0;
-        // Host-calibrated per-kernel throughput ratios versus the
-        // scalar backend (items_per_second in BENCH_kernels.json,
-        // single core; see docs/KERNEL_BACKENDS.md for the
-        // calibration procedure). Integrate is below 1.0 on purpose:
-        // the column sweep's scalar early-out branches skip most of
-        // the per-voxel work, while the vector path pays two gathers
-        // plus the {tsdf, weight} de/re-interleave for every 8-voxel
-        // block — so AVX2 loses there and the model says so.
-        // RenderVolume shares the marchImage ray-march core with
-        // Raycast and inherits its factor (it has no dedicated
-        // microbenchmark). The device models scale itemsPerSecond by
-        // these factors; joulesPerItem is left untouched — vector
-        // units retire the same arithmetic per item, so energy per
-        // item is modeled as implementation-invariant (a conservative
-        // simplification).
+        // Per-kernel items_per_second ratios versus scalar, as
+        // recorded in BENCH_kernels.json (single core; see
+        // docs/KERNEL_BACKENDS.md for the calibration procedure).
+        // Integrate's 0.80 is that file's ratio, from a build where
+        // the scalar sweep's early-outs beat the vector gathers;
+        // ROADMAP item 5 measured the opposite at -O3 (simd integrate
+        // faster). Recalibration waits for the item-1 ledger, since
+        // any change here moves every DSE objective. RenderVolume
+        // shares the marchImage core with Raycast and inherits its
+        // factor. Only itemsPerSecond is scaled: a vector unit
+        // retires the same arithmetic per item, so joulesPerItem is
+        // modeled as implementation-invariant.
         switch (id) {
           case KernelId::Integrate: return 0.80;
           case KernelId::Raycast: return 2.60;
@@ -292,183 +201,37 @@ class SimdBackend final : public KernelBackend
     }
 
   private:
-    const bool avx2_;
+    const bool avx2_ = simdBackendIsAccelerated();
 };
 
-/**
- * Per-kernel composition of the scalar and simd backends: each hot
- * kernel dispatches to whichever constituent models faster for it
- * (modelSpeedup), chosen once at construction. On an AVX2 host that
- * is the scalar integrate (the column sweep's early-out branches
- * beat the vector path's gathers; see SimdBackend::modelSpeedup)
- * combined with the vectorized gradient, ray-march, and reduction.
- * Without AVX2 both constituents model 1.0 and the pick degenerates
- * to scalar everywhere, which is the same code the simd backend
- * would run anyway. Bit-exactness is inherited: every constituent
- * kernel is bit-exact against scalar, so any per-kernel mix is too.
- */
-class MixedBackend final : public KernelBackend
+/** The built-in backends; a backend's DSE ordinal is its index. */
+const std::array<const KernelBackend *, 2> &
+backendTable()
 {
-  public:
-    MixedBackend(const KernelBackend &scalar,
-                 const KernelBackend &simd)
-        : integrate_(pick(scalar, simd, KernelId::Integrate)),
-          raycast_(pick(scalar, simd, KernelId::Raycast)),
-          reduce_(pick(scalar, simd, KernelId::Reduce))
-    {}
-
-    const char *name() const override { return "mixed"; }
-
-    const char *
-    description() const override
-    {
-        return "per-kernel dispatch (fastest of scalar/simd each)";
-    }
-
-    void
-    integrateColumn(const IntegrateContext &ctx, Voxel *column,
-                    int z_begin, int z_end, Vec3f pos) const override
-    {
-        integrate_.integrateColumn(ctx, column, z_begin, z_end, pos);
-    }
-
-    Vec3f
-    grad(const TsdfVolume &volume, const Vec3f &p) const override
-    {
-        // The gradient is the raycaster's per-hit epilogue; it rides
-        // with the ray-march pick.
-        return raycast_.grad(volume, p);
-    }
-
-    void
-    castRays(const TsdfVolume &volume, const Vec3f &origin,
-             const Vec3f *dirs, size_t count,
-             const RaycastParams &params, RayHit *hits) const override
-    {
-        raycast_.castRays(volume, origin, dirs, count, params, hits);
-    }
-
-    ReductionResult
-    reduceRange(const support::Image<TrackData> &track_data,
-                size_t begin, size_t end) const override
-    {
-        return reduce_.reduceRange(track_data, begin, end);
-    }
-
-    double
-    modelSpeedup(KernelId id) const override
-    {
-        return backendFor(id).modelSpeedup(id);
-    }
-
-    /** @return the constituent that serves @p id. */
-    const KernelBackend &
-    backendFor(KernelId id) const
-    {
-        switch (id) {
-          case KernelId::Integrate: return integrate_;
-          // RenderVolume shares the marchImage core with Raycast.
-          case KernelId::Raycast:
-          case KernelId::RenderVolume: return raycast_;
-          case KernelId::Reduce: return reduce_;
-          default: return integrate_;
-        }
-    }
-
-  private:
-    static const KernelBackend &
-    pick(const KernelBackend &a, const KernelBackend &b, KernelId id)
-    {
-        return b.modelSpeedup(id) > a.modelSpeedup(id) ? b : a;
-    }
-
-    const KernelBackend &integrate_;
-    const KernelBackend &raycast_;
-    const KernelBackend &reduce_;
-};
-
-/** Registry storage; guarded by registryMutex(). */
-std::vector<const KernelBackend *> &
-registrySlots()
-{
-    static std::vector<const KernelBackend *> slots;
-    return slots;
+    static const ScalarBackend scalar;
+    static const SimdBackend simd;
+    static const std::array<const KernelBackend *, 2> table{&scalar,
+                                                            &simd};
+    return table;
 }
 
-std::mutex &
-registryMutex()
-{
-    static std::mutex m;
-    return m;
-}
-
-const ScalarBackend &
-builtinScalar()
-{
-    static const ScalarBackend backend;
-    return backend;
-}
-
-/** Register the built-in backends exactly once, in a fixed order. */
-void
-ensureBuiltins()
-{
-    static const bool once = [] {
-        static const SimdBackend simd;
-        static const MixedBackend mixed(builtinScalar(), simd);
-        registrySlots().push_back(&builtinScalar());
-        registrySlots().push_back(&simd);
-        registrySlots().push_back(&mixed);
-        return true;
-    }();
-    (void)once;
-}
+} // namespace
 
 const KernelBackend *
-findLocked(std::string_view name)
+findKernelBackend(std::string_view name)
 {
-    for (const KernelBackend *backend : registrySlots())
+    for (const KernelBackend *backend : backendTable())
         if (name == backend->name())
             return backend;
     return nullptr;
 }
 
-} // namespace
-
-bool
-registerKernelBackend(const KernelBackend *backend)
-{
-    if (!backend || !backend->name() || backend->name()[0] == '\0')
-        return false;
-    std::lock_guard<std::mutex> lock(registryMutex());
-    ensureBuiltins();
-    if (std::string_view(backend->name()) == "auto" ||
-        findLocked(backend->name()))
-        return false;
-    registrySlots().push_back(backend);
-    return true;
-}
-
-const KernelBackend *
-findKernelBackend(std::string_view name)
-{
-    std::lock_guard<std::mutex> lock(registryMutex());
-    ensureBuiltins();
-    return findLocked(name);
-}
-
 const KernelBackend *
 resolveKernelBackend(std::string_view name, std::string *error)
 {
-    // "auto" now lands on "mixed", not "simd": PR 6 shipped the simd
-    // backend with a known integrate regression (modelSpeedup 0.80),
-    // so the right automatic choice is the per-kernel composition.
-    const std::string_view requested =
-        name == "auto" ? (simdBackendIsAccelerated()
-                              ? std::string_view("mixed")
-                              : std::string_view("scalar"))
-                       : name;
-    if (const KernelBackend *backend = findKernelBackend(requested))
+    if (name == "auto")
+        return backendTable()[simdBackendIsAccelerated() ? 1 : 0];
+    if (const KernelBackend *backend = findKernelBackend(name))
         return backend;
     if (error) {
         std::string names = "auto";
@@ -483,11 +246,8 @@ resolveKernelBackend(std::string_view name, std::string *error)
 std::vector<std::string>
 kernelBackendNames()
 {
-    std::lock_guard<std::mutex> lock(registryMutex());
-    ensureBuiltins();
     std::vector<std::string> names;
-    names.reserve(registrySlots().size());
-    for (const KernelBackend *backend : registrySlots())
+    for (const KernelBackend *backend : backendTable())
         names.emplace_back(backend->name());
     return names;
 }
@@ -495,48 +255,38 @@ kernelBackendNames()
 const KernelBackend &
 scalarKernelBackend()
 {
-    return builtinScalar();
-}
-
-bool
-cpuSupportsAvx2()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    return __builtin_cpu_supports("avx2") != 0;
-#else
-    return false;
-#endif
+    return *backendTable()[0];
 }
 
 bool
 simdBackendIsAccelerated()
 {
-    return detail::avx2CompiledIn() && cpuSupportsAvx2();
+#if defined(__x86_64__) || defined(__i386__)
+    return detail::avx2CompiledIn() &&
+           __builtin_cpu_supports("avx2") != 0;
+#else
+    return false;
+#endif
 }
 
 double
 kernelBackendOrdinal(std::string_view name)
 {
-    const std::string_view resolved =
-        name == "auto"
-            ? (simdBackendIsAccelerated() ? std::string_view("mixed")
-                                          : std::string_view("scalar"))
-            : name;
-    if (resolved == "simd")
-        return 1.0;
-    if (resolved == "mixed")
-        return 2.0;
-    return 0.0;
+    const KernelBackend *backend = resolveKernelBackend(name);
+    const auto &table = backendTable();
+    const auto it = std::find(table.begin(), table.end(), backend);
+    return it == table.end() ? 0.0
+                             : static_cast<double>(it - table.begin());
 }
 
 const char *
 kernelBackendFromOrdinal(double ordinal)
 {
-    if (ordinal == 1.0)
-        return "simd";
-    if (ordinal == 2.0)
-        return "mixed";
-    return "scalar";
+    const auto &table = backendTable();
+    for (size_t i = 0; i < table.size(); ++i)
+        if (ordinal == static_cast<double>(i))
+            return table[i]->name();
+    return table[0]->name();
 }
 
 } // namespace slambench::kfusion

@@ -3,13 +3,12 @@
 
 /**
  * @file
- * Pluggable kernel-backend registry: named implementations of the
- * four hot kernels of the frame loop.
+ * Kernel backends: named implementations of the four hot kernels of
+ * the frame loop.
  *
  * SLAMBench's founding idea is comparing multiple implementations of
- * the same kernels (C++, OpenMP, OpenCL, CUDA) under one
- * accuracy/performance harness. This registry reproduces that
- * implementation axis for the kernels PR 4 isolated as the hot path:
+ * the same kernels under one accuracy/performance harness. The
+ * backends reproduce that implementation axis for the hot path:
  *
  *  1. the per-column TSDF integrate sweep
  *     (KernelBackend::integrateColumn),
@@ -19,24 +18,18 @@
  *  4. the ICP reduction over a pixel range
  *     (KernelBackend::reduceRange).
  *
- * Three backends are built in:
+ * There is one backend per ISA, held in a fixed table in
+ * backend.cpp; a backend's DSE ordinal is its index there:
  *
- *  - "scalar": the reference implementation, byte-for-byte the loops
- *    the kernels have always run. Every other backend is tested
- *    against it.
- *  - "simd": explicitly vectorized variants — AVX2 intrinsics when
- *    the build and the CPU support them, otherwise a portable,
- *    intrinsic-free fallback (`#pragma omp simd` hinted) with the
- *    same lane structure.
- *  - "mixed": per-kernel composition of the two — each hot kernel
- *    dispatches to whichever constituent models faster for it
- *    (modelSpeedup). On AVX2 hosts that is the scalar integrate
- *    (the vector integrate's gathers lose to the scalar early-outs)
- *    plus the simd gradient/ray-march/reduction.
+ *  0. "scalar": the reference for the baseline ISA. Every other
+ *     backend is tested against it.
+ *  1. "simd": AVX2 intrinsics when they are compiled in and the CPU
+ *     supports them (simdBackendIsAccelerated()), else the scalar
+ *     kernels.
  *
- * The special name "auto" is resolved at runtime by CPUID: it picks
- * "mixed" when the host actually provides AVX2 acceleration and
- * "scalar" otherwise, deterministically for a given machine.
+ * The special name "auto" resolves to "simd" when
+ * simdBackendIsAccelerated() and to "scalar" otherwise,
+ * deterministically for a given machine.
  *
  * Numerical-parity contract (docs/ARCHITECTURE.md): all four simd
  * kernels are bit-exact against scalar by construction. Each vector
@@ -45,7 +38,7 @@
  * vectorized across its 28 accumulator slots rather than across
  * pixels, so no floating-point operation is reassociated anywhere.
  * tests/kfusion_parity_test.cpp enforces the contract for every
- * registered backend.
+ * backend in the table.
  */
 
 #include <cstddef>
@@ -94,23 +87,16 @@ struct IntegrateContext
 /**
  * One named implementation of the four hot kernels.
  *
- * Implementations must be stateless (safe to call concurrently from
- * the thread pool) and live for the whole process — the registry
- * stores raw pointers.
+ * Implementations are stateless (safe to call concurrently from the
+ * thread pool) and live for the whole process.
  */
 class KernelBackend
 {
   public:
     virtual ~KernelBackend() = default;
 
-    /** @return the registry name (e.g. "scalar", "simd"). */
+    /** @return the backend name ("scalar" or "simd"). */
     virtual const char *name() const = 0;
-
-    /**
-     * @return a one-line human-readable description, including the
-     * active flavor (e.g. "simd (avx2)" vs "simd (portable)").
-     */
-    virtual const char *description() const = 0;
 
     /**
      * Fuse one voxel column's z range into the volume (the inner
@@ -169,18 +155,8 @@ class KernelBackend
 };
 
 /**
- * Register @p backend under backend->name().
- *
- * The registry keeps the pointer for the process lifetime.
- *
- * @return true on success; false when the name is already taken
- * (duplicate registrations are rejected, not replaced).
- */
-bool registerKernelBackend(const KernelBackend *backend);
-
-/**
- * Look up a registered backend by exact name ("auto" is not a
- * registered name; see resolveKernelBackend).
+ * Look up a backend by exact name ("auto" is not a backend name; see
+ * resolveKernelBackend).
  *
  * @return the backend, or nullptr when unknown.
  */
@@ -189,10 +165,8 @@ const KernelBackend *findKernelBackend(std::string_view name);
 /**
  * Resolve a user-facing `--backend` value.
  *
- * Accepts every registered name plus "auto", which dispatches by
- * CPUID: "mixed" when the host provides real SIMD acceleration
- * (AVX2 compiled in and supported), else "scalar". Resolution is
- * deterministic on a given machine.
+ * Accepts every backend name plus "auto", which resolves to "simd"
+ * when simdBackendIsAccelerated(), else to "scalar".
  *
  * @param name Requested backend name.
  * @param[out] error When non-null and resolution fails, receives a
@@ -202,26 +176,23 @@ const KernelBackend *findKernelBackend(std::string_view name);
 const KernelBackend *resolveKernelBackend(std::string_view name,
                                           std::string *error = nullptr);
 
-/** @return registered backend names in registration order. */
+/** @return the backend names in table order: {"scalar", "simd"}. */
 std::vector<std::string> kernelBackendNames();
 
 /** @return the built-in scalar reference backend. */
 const KernelBackend &scalarKernelBackend();
 
-/** @return true when the CPU supports AVX2 (runtime CPUID check). */
-bool cpuSupportsAvx2();
-
 /**
- * @return true when the "simd" backend runs its AVX2 flavor on this
- * host (compiled in and CPU-supported); false means the portable
- * fallback is active.
+ * @return true when the "simd" backend runs its AVX2 kernels on this
+ * host (compiled in and CPU-supported); false means it runs the
+ * scalar kernels.
  */
 bool simdBackendIsAccelerated();
 
 /**
  * Map a backend name to its ordinal value in the DSE's
- * "implementation" dimension (0 = scalar, 1 = simd, 2 = mixed);
- * "auto" maps to its resolved backend.
+ * "implementation" dimension: its index in the backend table
+ * (0 = scalar, 1 = simd). "auto" maps to its resolved backend.
  *
  * @return the ordinal, or 0 when the name is unknown.
  */
@@ -230,8 +201,8 @@ double kernelBackendOrdinal(std::string_view name);
 /**
  * Inverse of kernelBackendOrdinal.
  *
- * @return the backend name for @p ordinal ("scalar" for 0 or any
- * unknown value, "simd" for 1, "mixed" for 2).
+ * @return the backend name at table index @p ordinal, or "scalar"
+ * for any value that is not an index.
  */
 const char *kernelBackendFromOrdinal(double ordinal);
 

@@ -3,7 +3,7 @@
  * AVX2 implementations of the four hot kernels, behind the "simd"
  * backend. This is the only translation unit compiled with -mavx2;
  * everything else in the tree stays at the baseline ISA, and the
- * registry only dispatches here after a runtime CPUID check.
+ * simd backend only dispatches here after a runtime CPUID check.
  *
  * Bit-exactness strategy (the parity contract in
  * docs/ARCHITECTURE.md): every vector lane replays the scalar
@@ -558,7 +558,7 @@ reduceRangeAvx2(const support::Image<TrackData> &track_data,
 
 namespace slambench::kfusion::detail {
 
-// Fallback stubs: the registry never dispatches here unless
+// Fallback stubs: the simd backend never dispatches here unless
 // avx2CompiledIn() returned true, so these only exist to keep the
 // build linking when the compiler has no -mavx2.
 

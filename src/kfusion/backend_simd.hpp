@@ -3,7 +3,7 @@
 
 /**
  * @file
- * Internal interface between the kernel-backend registry
+ * Internal interface between the kernel-backend table
  * (backend.cpp) and the AVX2 translation unit (backend_avx2.cpp),
  * which is the only file compiled with -mavx2. Not part of the
  * public backend API — include backend.hpp instead.
@@ -15,8 +15,8 @@ namespace slambench::kfusion::detail {
 
 /**
  * @return true when backend_avx2.cpp was compiled with AVX2 code
- * generation (the build found a working -mavx2); pair with
- * cpuSupportsAvx2() before calling any *Avx2 function below.
+ * generation (the build found a working -mavx2); call the *Avx2
+ * functions below only when simdBackendIsAccelerated().
  */
 bool avx2CompiledIn();
 

@@ -15,7 +15,7 @@
  *    at every voxel the dense volume observed.
  *
  * The volume backend (map data structure) is orthogonal to the
- * kernel backend (scalar/simd/mixed instruction flavor): both volume
+ * kernel backend (scalar/simd instruction flavor): both volume
  * backends fuse columns through the selected KernelBackend, while
  * ray marching runs the dense backend's packet caster or the sparse
  * backend's block-cached scalar sampler — all combinations are

@@ -15,6 +15,7 @@
 #include "core/report.hpp"
 #include "core/slam_system.hpp"
 #include "devices/fleet.hpp"
+#include "kfusion/backend.hpp"
 #include "support/slo_watchdog.hpp"
 #include "support/trace.hpp"
 
@@ -221,14 +222,44 @@ TEST(ConfigBinding, RoundTripThroughPoint)
     EXPECT_EQ(decoded.volumePoolCapacity, 4096);
 }
 
-TEST(ConfigBinding, MixedBackendRoundTripsThroughOrdinal)
+TEST(ConfigBinding, ImplementationAxisIndexesTheBackendTable)
 {
+    // The DSE's implementation ordinal is the kernel-backend table
+    // index: one level per backend, decoding to that backend's name.
     const ParameterSpace space = kfusionParameterSpace();
+    const size_t axis = space.indexOf("implementation");
+    const std::vector<std::string> names =
+        slambench::kfusion::kernelBackendNames();
+    ASSERT_EQ(space.param(axis).values.size(), names.size());
+    for (size_t i = 0; i < names.size(); ++i) {
+        EXPECT_EQ(space.param(axis).values[i], static_cast<double>(i));
+        Point p = space.defaultPoint();
+        p[axis] = static_cast<double>(i);
+        EXPECT_EQ(pointToConfig(space, p).kernelBackend, names[i]);
+    }
+    // "auto" encodes as the backend it resolves to on this host.
     KFusionConfig config;
-    config.kernelBackend = "mixed";
-    const Point p = configToPoint(space, config);
-    EXPECT_EQ(p[space.indexOf("implementation")], 2.0);
-    EXPECT_EQ(pointToConfig(space, p).kernelBackend, "mixed");
+    config.kernelBackend = "auto";
+    EXPECT_EQ(configToPoint(space, config)[axis],
+              slambench::kfusion::simdBackendIsAccelerated() ? 1.0
+                                                             : 0.0);
+}
+
+TEST(ConfigBinding, RandomPointsSampleEveryBackend)
+{
+    // Uniform sampling reaches every backend in the table and nothing
+    // else (no stale ordinal decodes to a deleted backend).
+    const ParameterSpace space = kfusionParameterSpace();
+    slambench::support::Rng rng(5);
+    std::vector<std::string> seen;
+    for (int i = 0; i < 200; ++i) {
+        const std::string backend =
+            pointToConfig(space, space.sample(rng)).kernelBackend;
+        if (std::find(seen.begin(), seen.end(), backend) == seen.end())
+            seen.push_back(backend);
+    }
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(seen, slambench::kfusion::kernelBackendNames());
 }
 
 TEST(ConfigBinding, RandomPointsAlwaysValidate)
@@ -262,6 +293,39 @@ TEST(Experiment, EvaluateConfigOnDeviceProducesObjectives)
     EXPECT_GT(record.simulated.meanWatts, 0.0);
     EXPECT_GE(record.ate.maxAte, 0.0);
     EXPECT_GT(record.trackedFraction, 0.9);
+}
+
+TEST(Experiment, EvaluationModelsSampledBackendOnSameHostWork)
+{
+    // The host pipeline runs whichever kernel backend is fastest;
+    // only the device model sees the sampled one. So the work and
+    // accuracy of a DSE point are backend-independent, while its
+    // simulated runtime is not (on a host where simd is accelerated).
+    const Sequence seq = tinySequence(4);
+    KFusionConfig scalar = tinyConfig();
+    scalar.kernelBackend = "scalar";
+    KFusionConfig simd = tinyConfig();
+    simd.kernelBackend = "simd";
+    const EvaluatedConfig a =
+        evaluateConfigOnDevice(scalar, seq, odroidXu3());
+    const EvaluatedConfig b =
+        evaluateConfigOnDevice(simd, seq, odroidXu3());
+    EXPECT_EQ(a.config.kernelBackend, "scalar");
+    EXPECT_EQ(b.config.kernelBackend, "simd");
+    ASSERT_EQ(a.bench.frameWork.size(), b.bench.frameWork.size());
+    for (size_t f = 0; f < a.bench.frameWork.size(); ++f) {
+        EXPECT_EQ(a.bench.frameWork[f].items, b.bench.frameWork[f].items)
+            << "frame " << f;
+        EXPECT_EQ(a.bench.frameWork[f].skipped,
+                  b.bench.frameWork[f].skipped)
+            << "frame " << f;
+    }
+    EXPECT_EQ(a.ate.maxAte, b.ate.maxAte);
+    EXPECT_EQ(a.ate.perFrame, b.ate.perFrame);
+    if (slambench::kfusion::simdBackendIsAccelerated()) {
+        EXPECT_NE(a.simulated.meanFrameSeconds,
+                  b.simulated.meanFrameSeconds);
+    }
 }
 
 TEST(Experiment, MemoryBudgetInvalidatesHugeVolumes)

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -270,97 +269,16 @@ TEST(WorkHelpers, BilateralItemsPerPixel)
     EXPECT_DOUBLE_EQ(bilateralItemsPerPixel(0), 1.0);
 }
 
-// A registerable backend that forwards everything to the scalar
-// reference; only its name differs. Registered instances must
-// outlive the process (the registry stores raw pointers), hence the
-// static storage in the tests below.
-class ForwardingBackend : public KernelBackend
-{
-  public:
-    explicit ForwardingBackend(const char *name) : name_(name) {}
-
-    const char *name() const override { return name_; }
-    const char *description() const override
-    {
-        return "scalar forwarder (test)";
-    }
-    void integrateColumn(const IntegrateContext &ctx, Voxel *column,
-                         int z_begin, int z_end,
-                         Vec3f pos) const override
-    {
-        scalarKernelBackend().integrateColumn(ctx, column, z_begin,
-                                              z_end, pos);
-    }
-    Vec3f grad(const TsdfVolume &volume,
-                     const Vec3f &p) const override
-    {
-        return scalarKernelBackend().grad(volume, p);
-    }
-    void castRays(const TsdfVolume &volume, const Vec3f &origin,
-                  const Vec3f *dirs, size_t count,
-                  const RaycastParams &params,
-                  RayHit *hits) const override
-    {
-        scalarKernelBackend().castRays(volume, origin, dirs, count,
-                                       params, hits);
-    }
-    ReductionResult
-    reduceRange(const Image<TrackData> &track_data,
-                size_t begin, size_t end) const override
-    {
-        return scalarKernelBackend().reduceRange(track_data, begin,
-                                                 end);
-    }
-
-  private:
-    const char *name_;
-};
-
 TEST(BackendRegistry, BuiltinsAreRegistered)
 {
-    const std::vector<std::string> names = kernelBackendNames();
-    ASSERT_GE(names.size(), 3u);
-    EXPECT_EQ(names[0], "scalar");
-    EXPECT_EQ(names[1], "simd");
-    EXPECT_EQ(names[2], "mixed");
+    // One backend per ISA, in table order (the DSE ordinal).
+    EXPECT_EQ(kernelBackendNames(),
+              (std::vector<std::string>{"scalar", "simd"}));
     EXPECT_EQ(findKernelBackend("scalar"), &scalarKernelBackend());
     EXPECT_NE(findKernelBackend("simd"), nullptr);
-    EXPECT_NE(findKernelBackend("mixed"), nullptr);
-}
-
-TEST(BackendRegistry, RejectsInvalidRegistrations)
-{
-    EXPECT_FALSE(registerKernelBackend(nullptr));
-
-    static const ForwardingBackend empty_name("");
-    EXPECT_FALSE(registerKernelBackend(&empty_name));
-
-    // "auto" is a resolver keyword, never a registered name.
-    static const ForwardingBackend reserved("auto");
-    EXPECT_FALSE(registerKernelBackend(&reserved));
+    // "auto" is a resolver keyword, never a backend name.
     EXPECT_EQ(findKernelBackend("auto"), nullptr);
-
-    // Duplicates of a built-in are rejected, not replaced.
-    static const ForwardingBackend shadow("scalar");
-    EXPECT_FALSE(registerKernelBackend(&shadow));
-    EXPECT_EQ(findKernelBackend("scalar"), &scalarKernelBackend());
-}
-
-TEST(BackendRegistry, RegistersAndRejectsDuplicateOfNewBackend)
-{
-    static const ForwardingBackend first("test-forwarder");
-    static const ForwardingBackend second("test-forwarder");
-    ASSERT_TRUE(registerKernelBackend(&first));
-    EXPECT_FALSE(registerKernelBackend(&second));
-    EXPECT_EQ(findKernelBackend("test-forwarder"), &first);
-
-    // Registered names become valid --backend values immediately.
-    std::string error;
-    EXPECT_EQ(resolveKernelBackend("test-forwarder", &error), &first);
-    const std::vector<std::string> names = kernelBackendNames();
-    EXPECT_NE(std::find(names.begin(), names.end(),
-                        std::string("test-forwarder")),
-              names.end());
+    EXPECT_EQ(findKernelBackend("mixed"), nullptr);
 }
 
 TEST(BackendRegistry, UnknownBackendErrorsCleanly)
@@ -370,9 +288,9 @@ TEST(BackendRegistry, UnknownBackendErrorsCleanly)
               nullptr);
     EXPECT_NE(error.find("no-such-backend"), std::string::npos);
     // The message lists every valid choice.
-    EXPECT_NE(error.find("auto"), std::string::npos);
-    EXPECT_NE(error.find("scalar"), std::string::npos);
-    EXPECT_NE(error.find("simd"), std::string::npos);
+    EXPECT_NE(error.find("(valid: auto, scalar, simd)"),
+              std::string::npos)
+        << error;
 }
 
 TEST(BackendRegistry, AutoResolvesDeterministically)
@@ -382,63 +300,57 @@ TEST(BackendRegistry, AutoResolvesDeterministically)
     ASSERT_NE(first, nullptr);
     EXPECT_EQ(first, second);
 
-    // "auto" dispatches by CPUID: the per-kernel mixed composition
-    // iff the AVX2 flavor actually runs on this host (the pure simd
-    // backend is slower than scalar at integrate), scalar otherwise.
+    // "auto" dispatches by CPUID: simd iff the AVX2 kernels actually
+    // run on this host, scalar otherwise.
     const char *expected =
-        simdBackendIsAccelerated() ? "mixed" : "scalar";
+        simdBackendIsAccelerated() ? "simd" : "scalar";
     EXPECT_STREQ(first->name(), expected);
     EXPECT_EQ(first, findKernelBackend(expected));
-}
-
-TEST(BackendRegistry, MixedBackendDispatchesPerKernel)
-{
-    const KernelBackend *mixed = findKernelBackend("mixed");
-    const KernelBackend *simd = findKernelBackend("simd");
-    ASSERT_NE(mixed, nullptr);
-    ASSERT_NE(simd, nullptr);
-    const KernelBackend &scalar = scalarKernelBackend();
-
-    // The composition picks, per kernel, the constituent with the
-    // larger modelSpeedup; its own modelSpeedup reports the pick.
-    for (KernelId id :
-         {KernelId::Integrate, KernelId::Raycast,
-          KernelId::RenderVolume, KernelId::Reduce}) {
-        const double best = std::max(scalar.modelSpeedup(id),
-                                     simd->modelSpeedup(id));
-        EXPECT_EQ(mixed->modelSpeedup(id), best)
-            << "kernel id " << static_cast<int>(id);
-    }
-
-    if (simdBackendIsAccelerated()) {
-        // On AVX2 hosts the simd integrate models a slowdown (0.80),
-        // so mixed must fall back to the scalar column sweep while
-        // keeping the vector speedups everywhere else.
-        EXPECT_LT(simd->modelSpeedup(KernelId::Integrate), 1.0);
-        EXPECT_EQ(mixed->modelSpeedup(KernelId::Integrate), 1.0);
-        EXPECT_GT(mixed->modelSpeedup(KernelId::Raycast), 1.0);
-        EXPECT_GT(mixed->modelSpeedup(KernelId::Reduce), 1.0);
-    } else {
-        // Portable fallback: both constituents model 1.0 everywhere.
-        EXPECT_EQ(mixed->modelSpeedup(KernelId::Integrate), 1.0);
-        EXPECT_EQ(mixed->modelSpeedup(KernelId::Raycast), 1.0);
-    }
 }
 
 TEST(BackendRegistry, OrdinalRoundTrip)
 {
     EXPECT_EQ(kernelBackendOrdinal("scalar"), 0.0);
     EXPECT_EQ(kernelBackendOrdinal("simd"), 1.0);
-    EXPECT_EQ(kernelBackendOrdinal("mixed"), 2.0);
+    EXPECT_EQ(kernelBackendOrdinal("auto"),
+              simdBackendIsAccelerated() ? 1.0 : 0.0);
+    EXPECT_EQ(kernelBackendOrdinal("no-such-backend"), 0.0);
     EXPECT_STREQ(kernelBackendFromOrdinal(0.0), "scalar");
     EXPECT_STREQ(kernelBackendFromOrdinal(1.0), "simd");
-    EXPECT_STREQ(kernelBackendFromOrdinal(2.0), "mixed");
     // Unknown ordinals decode to the scalar reference so a stray DSE
     // point can never crash a run.
+    EXPECT_STREQ(kernelBackendFromOrdinal(2.0), "scalar");
+    EXPECT_STREQ(kernelBackendFromOrdinal(0.5), "scalar");
     EXPECT_STREQ(kernelBackendFromOrdinal(7.0), "scalar");
-    for (const std::string name : {"scalar", "simd", "mixed"})
+    for (const std::string &name : kernelBackendNames())
         EXPECT_EQ(kernelBackendFromOrdinal(kernelBackendOrdinal(name)),
                   name);
+}
+
+TEST(BackendRegistry, ModelSpeedupFactorsArePinned)
+{
+    // The device models scale each kernel's rate by these factors, so
+    // any change moves every DSE objective; recalibrating them is a
+    // deliberate change that must update this table too.
+    const KernelBackend *simd = findKernelBackend("simd");
+    ASSERT_NE(simd, nullptr);
+    const bool accelerated = simdBackendIsAccelerated();
+    for (size_t k = 0; k < kNumKernels; ++k) {
+        const auto id = static_cast<KernelId>(k);
+        EXPECT_EQ(scalarKernelBackend().modelSpeedup(id), 1.0)
+            << kernelName(id);
+        double expected = 1.0;
+        if (accelerated) {
+            switch (id) {
+              case KernelId::Integrate: expected = 0.80; break;
+              case KernelId::Raycast: expected = 2.60; break;
+              case KernelId::RenderVolume: expected = 2.60; break;
+              case KernelId::Reduce: expected = 2.70; break;
+              default: break;
+            }
+        }
+        EXPECT_EQ(simd->modelSpeedup(id), expected) << kernelName(id);
+    }
 }
 
 } // namespace

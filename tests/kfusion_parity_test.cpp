@@ -877,8 +877,10 @@ TEST(SparseParity, PipelinePosesMatchDenseExactly)
 TEST(BackendParity, PipelinePosesMatchScalarExactly)
 {
     // End-to-end: the full pipeline must produce bit-identical poses
-    // under every backend, because each kernel is bit-exact and the
-    // pose is a pure function of the kernel outputs.
+    // and per-frame work counts under every backend, because each
+    // kernel is bit-exact and both are pure functions of the kernel
+    // outputs. Equal work is what lets the DSE run its host pipeline
+    // on any backend while the device model sees the sampled one.
     slambench::dataset::SequenceSpec spec;
     spec.width = 80;
     spec.height = 60;
@@ -891,13 +893,12 @@ TEST(BackendParity, PipelinePosesMatchScalarExactly)
     config.volumeResolution = 96;
     config.pyramidIterations = {6, 4, 3};
 
-    std::vector<Mat4f> reference_poses;
+    std::vector<FrameResult> reference;
     {
         KFusion kf(config, seq.intrinsics);
         kf.setPose(seq.groundTruth.pose(0));
         for (const auto &frame : seq.frames)
-            reference_poses.push_back(
-                kf.processFrame(frame.depthMm).pose);
+            reference.push_back(kf.processFrame(frame.depthMm));
     }
 
     for (const std::string &name : kernelBackendNames()) {
@@ -907,13 +908,27 @@ TEST(BackendParity, PipelinePosesMatchScalarExactly)
         KFusion kf(cfg, seq.intrinsics);
         kf.setPose(seq.groundTruth.pose(0));
         for (size_t f = 0; f < seq.frames.size(); ++f) {
-            const Mat4f pose =
-                kf.processFrame(seq.frames[f].depthMm).pose;
+            SCOPED_TRACE(f);
+            const FrameResult result =
+                kf.processFrame(seq.frames[f].depthMm);
             for (int r = 0; r < 4; ++r)
                 for (int c = 0; c < 4; ++c)
-                    ASSERT_EQ(pose(r, c), reference_poses[f](r, c))
-                        << "frame " << f << " element (" << r << ", "
-                        << c << ")";
+                    ASSERT_EQ(result.pose(r, c),
+                              reference[f].pose(r, c))
+                        << "element (" << r << ", " << c << ")";
+            // Raycast items are the ray-march step counts.
+            for (size_t k = 0; k < kNumKernels; ++k) {
+                const auto id = static_cast<KernelId>(k);
+                EXPECT_EQ(result.work.itemsFor(id),
+                          reference[f].work.itemsFor(id))
+                    << kernelName(id);
+                EXPECT_EQ(result.work.skippedFor(id),
+                          reference[f].work.skippedFor(id))
+                    << kernelName(id);
+                EXPECT_EQ(result.work.bytesFor(id),
+                          reference[f].work.bytesFor(id))
+                    << kernelName(id);
+            }
         }
     }
 }
