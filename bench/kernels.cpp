@@ -35,6 +35,7 @@
 #include "support/options.hpp"
 #include "support/pmu.hpp"
 #include "support/telemetry_server.hpp"
+#include "support/trace.hpp"
 
 namespace {
 
@@ -842,8 +843,9 @@ main(int argc, char **argv)
     telemetry_opts.crashDumpPath = options.string("--crash-dump");
     const slambench::support::telemetry::TelemetryEndpoint telemetry(
         telemetry_opts);
-    const slambench::support::pmu::Session pmu_session(
-        options.flag("--pmu") || roofline_flag);
+    slambench::support::trace::SessionOptions pmu_options;
+    pmu_options.pmu = options.flag("--pmu") || roofline_flag;
+    const slambench::support::trace::Session pmu_session(pmu_options);
 
     // --backend NAME restricts the hot-kernel benches to one backend
     // ("auto" resolves via CPUID); by default every registered

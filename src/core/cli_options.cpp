@@ -39,17 +39,23 @@ telemetryOptions(const support::Options &options, const char *generator)
     return telemetry;
 }
 
-support::trace::RequestTraceSession
-requestTraceSession(const support::Options &options)
+support::trace::SessionOptions
+sessionOptions(const support::Options &options)
 {
-    support::trace::RequestTraceOptions tracing;
-    tracing.sampleRate = options.real("--trace-sample-rate");
-    tracing.maxRetained =
-        static_cast<size_t>(options.integer("--trace-store"));
-    const bool armed = options.flag("--trace-requests") ||
+    support::trace::SessionOptions session;
+    if (options.declared("--trace")) {
+        session.timelinePath = options.string("--trace");
+        session.frameCsvPath = options.string("--perf-csv");
+        session.pmu = options.flag("--pmu");
+    }
+    session.requests = options.flag("--trace-requests") ||
                        options.given("--trace-sample-rate") ||
                        options.given("--trace-store");
-    return support::trace::RequestTraceSession(armed, tracing);
+    session.requestOptions.sampleRate =
+        options.real("--trace-sample-rate");
+    session.requestOptions.maxRetained =
+        static_cast<size_t>(options.integer("--trace-store"));
+    return session;
 }
 
 } // namespace
@@ -106,15 +112,10 @@ addObservabilityOptions(support::Options &options, bool profiling)
 Observability::Observability(const support::Options &options,
                              const char *generator)
     : logLevel(applyLogOptions(options)),
-      trace(options.declared("--trace")
-                ? support::trace::Session(options.string("--trace"),
-                                          options.string("--perf-csv"))
-                : support::trace::Session()),
-      pmu(options.declared("--pmu") && options.flag("--pmu")),
+      spans(sessionOptions(options)),
       metrics(options.string("--metrics-json"),
               options.string("--frames-csv"), generator),
-      telemetry(telemetryOptions(options, generator)),
-      requestTraces(requestTraceSession(options))
+      telemetry(telemetryOptions(options, generator))
 {
 }
 

@@ -14,7 +14,6 @@
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
 #include "support/options.hpp"
-#include "support/pmu.hpp"
 #include "support/telemetry_server.hpp"
 #include "support/trace.hpp"
 
@@ -45,11 +44,12 @@ struct Observability
 
     /** Threshold set by `--quiet`/`--verbose`, applied first. */
     support::LogLevel logLevel;
-    support::trace::Session trace;
-    support::pmu::Session pmu;
+    /** The span sinks: `--trace`, `--perf-csv`, `--pmu`, `--trace-*`.
+     *  Declared before metrics so the run report is written while
+     *  the sinks are still armed. */
+    support::trace::Session spans;
     support::metrics::RunSession metrics;
     support::telemetry::TelemetryEndpoint telemetry;
-    support::trace::RequestTraceSession requestTraces;
 };
 
 /**

@@ -156,9 +156,7 @@ class KernelTimer
      */
     KernelTimer(WorkCounts &counts, KernelId id)
         : counts_(counts), id_(id),
-#if SLAMBENCH_TRACE_ENABLED
           span_(kernelName(id), support::trace::Category::Kernel),
-#endif
           start_(std::chrono::steady_clock::now())
     {}
 
@@ -175,12 +173,10 @@ class KernelTimer
   private:
     WorkCounts &counts_;
     KernelId id_;
-#if SLAMBENCH_TRACE_ENABLED
     // Declared before start_ so the span opens before timing begins
     // and closes after the host time is accumulated: the span always
     // covers (and slightly exceeds) the counted interval.
     support::trace::ScopedSpan span_;
-#endif
     std::chrono::steady_clock::time_point start_;
 };
 

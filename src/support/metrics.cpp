@@ -749,7 +749,7 @@ RunSession::writeJson(std::ostream &os) const
     }
     os << (gauges.empty() ? "},\n" : "\n  },\n");
 
-    // Optional hardware-counter block: present whenever a pmu::Session
+    // Optional hardware-counter block: present whenever a PMU session
     // armed profiling this run (even on the null backend, where every
     // kernel entry simply has no valid counters) — absent otherwise,
     // so pre-PMU reports stay byte-compatible. Schema in

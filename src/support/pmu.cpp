@@ -1,6 +1,7 @@
 #include "support/pmu.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -9,6 +10,7 @@
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
 #include "support/strings.hpp"
+#include "support/trace.hpp"
 
 #ifdef __linux__
 #include <linux/perf_event.h>
@@ -18,10 +20,6 @@
 #endif
 
 namespace slambench::support::pmu {
-
-namespace detail {
-std::atomic<bool> g_enabled{false};
-} // namespace detail
 
 const char *
 counterName(CounterId id)
@@ -407,16 +405,6 @@ detectBackend()
 
 namespace {
 
-/** One open span on a thread's frame stack. */
-struct Frame
-{
-    const char *name;
-    Sample begin;
-    /** Summed deltas of completed child spans, subtracted from the
-     *  parent's delta for exclusive attribution. */
-    Sample childSum;
-};
-
 /** Accumulated per-name totals (the shared table's value type). */
 struct Totals
 {
@@ -426,22 +414,20 @@ struct Totals
 };
 
 /**
- * Per-thread profiling state. The counter group reopens when the
- * profiler generation moves past the one it was opened under
- * (start() after stop(), possibly with a different backend).
+ * Per-thread counter group. It reopens when the profiler generation
+ * moves past the one it was opened under (start() after stop(),
+ * possibly with a different backend).
  */
 struct ThreadState
 {
     uint64_t generation = 0;
     std::unique_ptr<ThreadCounters> counters;
-    std::vector<Frame> stack;
 };
 
 thread_local ThreadState t_state;
 
-} // namespace
-
-struct Profiler::Impl
+/** The profiler's shared state. */
+struct ProfilerState
 {
     mutable std::mutex mutex;
     std::map<std::string, Totals> totals;
@@ -459,7 +445,6 @@ struct Profiler::Impl
         if (state.generation != current) {
             state.generation = current;
             state.counters.reset();
-            state.stack.clear();
             CounterBackend *be;
             {
                 std::lock_guard<std::mutex> lock(mutex);
@@ -479,12 +464,54 @@ struct Profiler::Impl
     }
 };
 
-Profiler::Impl &
-Profiler::impl() const
+ProfilerState &
+profilerState()
 {
-    static Impl impl;
-    return impl;
+    static ProfilerState state;
+    return state;
 }
+
+} // namespace
+
+bool
+enabled()
+{
+    return (trace::armedSinks() & trace::kPmuSink) != 0;
+}
+
+namespace detail {
+
+void
+openSpan(SpanCounters &span)
+{
+    ProfilerState &state = profilerState();
+    ThreadState &local = state.localState();
+    span.generation = local.generation;
+    span.childSum = Sample{};
+    state.readNow(local, span.begin);
+}
+
+void
+closeSpan(const char *name, const SpanCounters &span,
+          SpanCounters *parent)
+{
+    ProfilerState &state = profilerState();
+    ThreadState &local = state.localState();
+    if (span.generation != local.generation)
+        return;
+    Sample now;
+    state.readNow(local, now);
+    const Sample delta = sampleDelta(now, span.begin);
+    const Sample self = sampleExclusive(delta, span.childSum);
+    if (parent)
+        sampleAccumulate(parent->childSum, delta);
+    std::lock_guard<std::mutex> lock(state.mutex);
+    Totals &slot = state.totals[name];
+    slot.spans += 1;
+    sampleAccumulate(slot.sum, self);
+}
+
+} // namespace detail
 
 Profiler &
 Profiler::instance()
@@ -496,60 +523,28 @@ Profiler::instance()
 void
 Profiler::start(CounterBackend &backend)
 {
-    Impl &state = impl();
+    ProfilerState &state = profilerState();
     {
         std::lock_guard<std::mutex> lock(state.mutex);
         state.totals.clear();
         state.backend = &backend;
     }
     state.generation.fetch_add(1, std::memory_order_acq_rel);
-    detail::g_enabled.store(true, std::memory_order_relaxed);
+    trace::detail::armSink(trace::kPmuSink, true);
 }
 
 void
 Profiler::stop()
 {
-    detail::g_enabled.store(false, std::memory_order_relaxed);
+    trace::detail::armSink(trace::kPmuSink, false);
 }
 
 CounterBackend *
 Profiler::backend() const
 {
-    Impl &state = impl();
+    ProfilerState &state = profilerState();
     std::lock_guard<std::mutex> lock(state.mutex);
     return state.backend;
-}
-
-void
-Profiler::beginSpan(const char *name)
-{
-    Impl &state = impl();
-    ThreadState &local = state.localState();
-    Frame frame;
-    frame.name = name;
-    state.readNow(local, frame.begin);
-    local.stack.push_back(std::move(frame));
-}
-
-void
-Profiler::endSpan()
-{
-    Impl &state = impl();
-    ThreadState &local = state.localState();
-    if (local.stack.empty())
-        return;
-    Frame frame = std::move(local.stack.back());
-    local.stack.pop_back();
-    Sample now;
-    state.readNow(local, now);
-    const Sample delta = sampleDelta(now, frame.begin);
-    const Sample self = sampleExclusive(delta, frame.childSum);
-    if (!local.stack.empty())
-        sampleAccumulate(local.stack.back().childSum, delta);
-    std::lock_guard<std::mutex> lock(state.mutex);
-    Totals &slot = state.totals[frame.name];
-    slot.spans += 1;
-    sampleAccumulate(slot.sum, self);
 }
 
 bool
@@ -558,7 +553,7 @@ Profiler::readThreadSample(Sample &out)
     out = Sample{};
     if (!enabled())
         return false;
-    Impl &state = impl();
+    ProfilerState &state = profilerState();
     ThreadState &local = state.localState();
     state.readNow(local, out);
     return out.validMask != 0;
@@ -569,7 +564,7 @@ Profiler::addSpanBytes(const std::string &name, double bytes)
 {
     if (bytes <= 0.0)
         return;
-    Impl &state = impl();
+    ProfilerState &state = profilerState();
     std::lock_guard<std::mutex> lock(state.mutex);
     state.totals[name].bytes += bytes;
 }
@@ -577,7 +572,7 @@ Profiler::addSpanBytes(const std::string &name, double bytes)
 std::vector<SpanStats>
 Profiler::spanStats() const
 {
-    Impl &state = impl();
+    ProfilerState &state = profilerState();
     std::lock_guard<std::mutex> lock(state.mutex);
     std::vector<SpanStats> out;
     out.reserve(state.totals.size());
@@ -595,7 +590,7 @@ Profiler::spanStats() const
 void
 Profiler::clear()
 {
-    Impl &state = impl();
+    ProfilerState &state = profilerState();
     std::lock_guard<std::mutex> lock(state.mutex);
     state.totals.clear();
 }
@@ -604,7 +599,7 @@ Profiler::clear()
 
 namespace {
 
-/** Whether a Session armed profiling this process (report gate). */
+/** Whether a session armed profiling this process (report gate). */
 std::atomic<bool> g_profiling_active{false};
 
 } // namespace
@@ -650,11 +645,9 @@ publishGauges()
     }
 }
 
-Session::Session(bool arm)
+void
+startSession()
 {
-    if (!arm)
-        return;
-    armed_ = true;
     CounterBackend &backend = detectBackend();
     Profiler::instance().start(backend);
     g_profiling_active.store(true, std::memory_order_relaxed);
@@ -663,30 +656,9 @@ Session::Session(bool arm)
               << maskNames(backend.availableMask()) << ")";
 }
 
-Session::Session(Session &&other) noexcept : armed_(other.armed_)
-{
-    other.armed_ = false;
-}
-
-Session &
-Session::operator=(Session &&other) noexcept
-{
-    if (this != &other) {
-        finish();
-        armed_ = other.armed_;
-        other.armed_ = false;
-    }
-    return *this;
-}
-
-Session::~Session() { finish(); }
-
 void
-Session::finish()
+finishSession()
 {
-    if (!armed_)
-        return;
-    armed_ = false;
     Profiler &profiler = Profiler::instance();
     profiler.stop();
     publishGauges();

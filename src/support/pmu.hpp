@@ -12,7 +12,10 @@
  * or branch mispredicts — by sampling a grouped counter set at every
  * Category::Kernel / Category::Worker span boundary and aggregating
  * exclusive (self-time) totals per span name across all threads,
- * thread-pool worker chunks included. The derived per-kernel metrics
+ * thread-pool worker chunks included. The profiler is one of the
+ * three sinks of `trace::ScopedSpan`: it keeps no span stack of its
+ * own, only the counter samples each open span carries on the shared
+ * per-thread stack (SpanCounters). The derived per-kernel metrics
  * (IPC, LLC miss rate, branch miss rate, measured bytes/s) land in
  * the run report's `pmu` block, in `pmu.*` registry gauges, and in
  * per-backend `pmu` blocks of `BENCH_kernels.json` (see
@@ -22,12 +25,11 @@
  * probed once per arm (per-counter — a VM that vetoes hardware PMU
  * events can still deliver software task-clock), a single WARN is
  * logged when anything is missing, and a null backend keeps every
- * report schema-stable. When `--pmu` is absent the entire layer
- * costs one relaxed atomic load per span.
+ * report schema-stable. When `--pmu` is absent the layer costs
+ * nothing beyond the span gate's one relaxed load.
  */
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -207,24 +209,42 @@ struct SpanStats
     double bytes = 0.0;   ///< Known memory traffic (0 = unknown).
 };
 
-namespace detail {
-/** Hot-path gate; read via pmu::enabled() only. */
-extern std::atomic<bool> g_enabled;
-} // namespace detail
-
-/** @return whether span profiling is armed (relaxed load). */
-inline bool
-enabled()
-{
-    return detail::g_enabled.load(std::memory_order_relaxed);
-}
+/** @return whether the PMU span sink is armed (relaxed load). */
+bool enabled();
 
 /**
- * Process-wide span profiler. Threads keep private frame stacks and
- * counter groups (opened lazily from the armed backend); completed
- * spans fold their exclusive deltas into a shared per-name table
- * under a mutex — spans are per kernel dispatch, not per work item,
- * so the lock is cold.
+ * The counter samples one open Kernel/Worker span carries on the
+ * shared per-thread span stack (support/trace.hpp).
+ */
+struct SpanCounters
+{
+    Sample begin;
+    /** Summed deltas of completed child spans, subtracted from the
+     *  span's own delta for exclusive attribution. */
+    Sample childSum;
+    /** Profiler::start() generation the span opened under. */
+    uint64_t generation = 0;
+};
+
+namespace detail {
+/** PMU sink of ScopedSpan: sample this thread's counters at open. */
+void openSpan(SpanCounters &span);
+/**
+ * Fold the closing span's exclusive delta into @p name's totals and
+ * its full delta into @p parent (the innermost enclosing PMU span on
+ * this thread; nullptr = none). A span opened before the latest
+ * start() is dropped: its begin sample came from a closed group.
+ */
+void closeSpan(const char *name, const SpanCounters &span,
+               SpanCounters *parent);
+} // namespace detail
+
+/**
+ * Process-wide span profiler. Threads keep private counter groups
+ * (opened lazily from the armed backend); completed spans fold their
+ * exclusive deltas into a shared per-name table under a mutex —
+ * spans are per kernel dispatch, not per work item, so the lock is
+ * cold.
  *
  * Attribution is exclusive: a span's children (nested spans on the
  * same thread, including cooperative worker chunks run inside a
@@ -245,21 +265,15 @@ class Profiler
     /**
      * Arm profiling with @p backend: clears prior totals, bumps the
      * thread-state generation (stale per-thread groups reopen on
-     * next use), and enables the hot path.
+     * next use), and sets the PMU bit of the span gate.
      */
     void start(CounterBackend &backend);
 
-    /** Disarm the hot path; totals remain readable. */
+    /** Clear the PMU bit of the span gate; totals remain readable. */
     void stop();
 
     /** @return the armed backend (nullptr before any start()). */
     CounterBackend *backend() const;
-
-    /** Begin a span on this thread; callers check enabled() first. */
-    void beginSpan(const char *name);
-
-    /** End this thread's innermost span and fold in its delta. */
-    void endSpan();
 
     /**
      * Read this thread's accumulating sample directly (opens the
@@ -284,38 +298,6 @@ class Profiler
 
   private:
     Profiler() = default;
-
-    struct Impl;
-    Impl &impl() const;
-};
-
-/**
- * RAII span hook: begins a profiler span when profiling is armed.
- * Free (one relaxed load) when it is not. Embedded in
- * trace::ScopedSpan for kernel and worker spans.
- */
-class Scope
-{
-  public:
-    explicit Scope(const char *name)
-    {
-        if (enabled()) {
-            active_ = true;
-            Profiler::instance().beginSpan(name);
-        }
-    }
-
-    Scope(const Scope &) = delete;
-    Scope &operator=(const Scope &) = delete;
-
-    ~Scope()
-    {
-        if (active_)
-            Profiler::instance().endSpan();
-    }
-
-  private:
-    bool active_ = false;
 };
 
 /**
@@ -327,46 +309,23 @@ class Scope
  */
 void publishGauges();
 
-/** @return whether a Session has armed profiling this run (report
+/** @return whether a session has armed profiling this run (report
  *  writers use this to decide whether to emit a `pmu` block even
  *  after the session disarmed the hot path). */
 bool profilingActive();
 
 /**
- * RAII profiling capture for a CLI run, the PMU analogue of
- * trace::Session: armed by the `--pmu` flag, it probes the host
- * backend once, enables the profiler, and on destruction disarms it,
- * publishes the registry gauges, and logs a one-line per-kernel
- * summary at INFO. Inactive sessions cost nothing.
+ * Arm profiling for a run (the `--pmu` flag; called by
+ * trace::Session): probe the host backend once, start the profiler,
+ * latch profilingActive() and log the armed backend at INFO.
  */
-class Session
-{
-  public:
-    /** Inactive session (profiling stays off). */
-    Session() = default;
+void startSession();
 
-    /** @param arm Arm profiling (the `--pmu` flag). */
-    explicit Session(bool arm);
-
-    Session(Session &&other) noexcept;
-    Session &operator=(Session &&other) noexcept;
-    Session(const Session &) = delete;
-    Session &operator=(const Session &) = delete;
-
-    ~Session();
-
-    /** @return whether this session armed profiling. */
-    bool
-    active() const
-    {
-        return armed_;
-    }
-
-  private:
-    void finish();
-
-    bool armed_ = false;
-};
+/**
+ * End the run's profiling: stop the profiler, publish the registry
+ * gauges and log a one-line per-kernel summary at INFO.
+ */
+void finishSession();
 
 } // namespace slambench::support::pmu
 

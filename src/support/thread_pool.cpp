@@ -66,20 +66,13 @@ ThreadPool::~ThreadPool()
 
 void
 ThreadPool::enqueue(TaskGroup &group, std::function<void()> task,
-                    const char *trace_name)
+                    const trace::TaskContext &context)
 {
     Task entry;
     entry.fn = std::move(task);
     entry.group = &group;
-    entry.traceName = trace_name;
-#if SLAMBENCH_TRACE_ENABLED
-    // Carry the submitter's request context across the queue so the
-    // worker's spans attach to the right trace (one relaxed load
-    // when request tracing is disarmed).
-    if (trace::requestTracingArmed())
-        entry.requestContext = trace::currentTraceContext();
-#endif
-    entry.enqueuedAt = std::chrono::steady_clock::now();
+    entry.context = context;
+    entry.enqueuedNs = slambench::metrics::now_ns();
     group.pending_.fetch_add(1, std::memory_order_acq_rel);
     queueDepth_.fetch_add(1, std::memory_order_relaxed);
     {
@@ -94,15 +87,10 @@ ThreadPool::enqueue(TaskGroup &group, std::function<void()> task,
 void
 ThreadPool::submit(TaskGroup &group, std::function<void()> task)
 {
-    const char *trace_name = nullptr;
-#if SLAMBENCH_TRACE_ENABLED
     // Attribute worker-side execution to the span open at submission
-    // (e.g. the DSE driver's scope on the submitting thread). PMU
-    // profiling needs the same attribution for its counter spans.
-    if (trace::Tracer::instance().enabled() || pmu::enabled())
-        trace_name = trace::currentSpanName();
-#endif
-    enqueue(group, std::move(task), trace_name);
+    // (e.g. the DSE loop's scope) and carry the request context
+    // across the queue so the worker's spans join the right trace.
+    enqueue(group, std::move(task), trace::captureTaskContext());
 }
 
 void
@@ -126,49 +114,28 @@ ThreadPool::execute(Task task)
             "pool.task.queue_wait_ms");
     static metrics::LatencyHistogram &run_hist =
         metrics::Registry::instance().histogram("pool.task.run_ms");
-    const auto start = std::chrono::steady_clock::now();
+    const uint64_t start_ns = slambench::metrics::now_ns();
     queue_wait_hist.record(
-        std::chrono::duration<double>(start - task.enqueuedAt)
-            .count() * 1e3);
+        static_cast<double>(start_ns - task.enqueuedNs) * 1e-6);
 
-#if SLAMBENCH_TRACE_ENABLED
     // Reinstate the submitter's request context for the task body
     // (no-op for an inactive context), and make the time the task
     // sat queued visible in its trace as a queue_wait span ending
     // where execution starts.
-    trace::ScopedTraceContext request_scope(task.requestContext);
-    if (task.requestContext.active() &&
-        trace::requestTracingArmed()) {
-        auto &request_tracer = trace::RequestTracer::instance();
-        trace::RequestSpan wait_span;
-        wait_span.spanId = request_tracer.nextSpanId();
-        wait_span.parentSpanId = task.requestContext.spanId;
-        wait_span.name = "queue_wait";
-        wait_span.cat = trace::Category::Worker;
-        wait_span.endNs = slambench::metrics::now_ns();
-        const uint64_t wait_ns = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                start - task.enqueuedAt)
-                .count());
-        wait_span.startNs = wait_span.endNs > wait_ns
-                                ? wait_span.endNs - wait_ns
-                                : 0;
-        request_tracer.addSpan(task.requestContext.traceId,
-                               wait_span);
-    }
-    if (task.traceName) {
-        trace::ScopedSpan span(task.traceName,
+    trace::ScopedTraceContext request_scope(task.context.request);
+    trace::recordQueueWait(task.context.request, task.enqueuedNs,
+                           start_ns);
+    if (task.context.spanName) {
+        trace::ScopedSpan span(task.context.spanName,
                                trace::Category::Worker);
         task.fn();
-    } else
-#endif
-    {
+    } else {
         task.fn();
     }
 
-    run_hist.record(std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count() * 1e3);
+    run_hist.record(
+        static_cast<double>(slambench::metrics::now_ns() - start_ns) *
+        1e-6);
 
     activeTasks_.fetch_sub(1, std::memory_order_relaxed);
     tasksExecuted_.fetch_add(1, std::memory_order_relaxed);
@@ -274,14 +241,11 @@ ThreadPool::parallelForChunked(
         const std::function<void(size_t, size_t)> *body;
         const char *traceName;
     };
-    LoopState state{{begin}, end, chunk, &body, nullptr};
-#if SLAMBENCH_TRACE_ENABLED
     // Attribute every chunk (caller- or worker-run) to the span that
-    // dispatched the loop (e.g. a KernelTimer's kernel span). PMU
-    // profiling rides the same Worker spans for counter attribution.
-    if (trace::Tracer::instance().enabled() || pmu::enabled())
-        state.traceName = trace::currentSpanName();
-#endif
+    // dispatched the loop (e.g. a KernelTimer's kernel span); the
+    // runners carry the request context, not the span.
+    const trace::TaskContext context = trace::captureTaskContext();
+    LoopState state{{begin}, end, chunk, &body, context.spanName};
 
     const auto run_chunks = [&state] {
         for (;;) {
@@ -290,14 +254,12 @@ ThreadPool::parallelForChunked(
             if (lo >= state.end)
                 return;
             const size_t hi = std::min(state.end, lo + state.chunk);
-#if SLAMBENCH_TRACE_ENABLED
             if (state.traceName) {
                 trace::ScopedSpan chunk_span(state.traceName,
                                              trace::Category::Worker);
                 (*state.body)(lo, hi);
                 continue;
             }
-#endif
             (*state.body)(lo, hi);
         }
     };
@@ -307,7 +269,7 @@ ThreadPool::parallelForChunked(
     TaskGroup group;
     const size_t helpers = std::min(threads_.size(), num_chunks - 1);
     for (size_t i = 0; i < helpers; ++i)
-        enqueue(group, run_chunks, nullptr);
+        enqueue(group, run_chunks, {nullptr, context.request});
     run_chunks();
     wait(group);
 }

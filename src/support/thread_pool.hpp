@@ -18,7 +18,6 @@
  */
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -174,23 +173,20 @@ class ThreadPool
     {
         std::function<void()> fn;
         TaskGroup *group = nullptr;
-        /** Span name of the dispatching scope; chunks executed by
-         *  workers are traced under it (null = no tracing). */
-        const char *traceName = nullptr;
-        /** Request context of the submitting thread, reinstated on
-         *  the executing worker so request spans opened inside the
-         *  task attach to the submitter's trace (inactive when
-         *  request tracing is disarmed or no context was active). */
-        trace::TraceContext requestContext;
-        /** Enqueue time, for the pool.task.queue_wait_ms histogram
-         *  (queue stall vs. execute time; see docs/OBSERVABILITY.md). */
-        std::chrono::steady_clock::time_point enqueuedAt;
+        /** The submitter's span name (a Worker span of that name
+         *  wraps the task; null = none) and request context
+         *  (reinstated on the executing thread). */
+        trace::TaskContext context;
+        /** metrics::now_ns() at enqueue, for the
+         *  pool.task.queue_wait_ms histogram and the queue_wait
+         *  request span (see docs/OBSERVABILITY.md). */
+        uint64_t enqueuedNs = 0;
     };
 
     void workerLoop();
-    /** Push one task; @p trace_name labels worker-side spans. */
+    /** Push one task carrying @p context. */
     void enqueue(TaskGroup &group, std::function<void()> task,
-                 const char *trace_name);
+                 const trace::TaskContext &context);
     /** Run one task (queue lock NOT held) and settle its group. */
     void execute(Task task);
     /** Pop-and-run one queued task, preferring tasks of @p prefer

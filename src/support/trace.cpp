@@ -9,16 +9,39 @@
 #include "metrics/timing.hpp"
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
+#include "support/pmu.hpp"
 
 namespace slambench::support::trace {
 
 namespace {
 
-/**
- * Per-thread stack of open span names backing currentSpanName(),
- * which the thread pool uses for worker-chunk attribution.
- */
-thread_local std::vector<const char *> t_span_stack;
+/** One open span on a thread's stack: what each sink needs at close. */
+struct OpenSpan
+{
+    const char *name = nullptr;
+    Category cat = Category::Phase;
+    /** The Sink bits this span opened in (and will close in). */
+    uint32_t sinks = 0;
+    /** metrics::now_ns() at open, shared by timeline and request. */
+    uint64_t beginNs = 0;
+    /** Request span id and its parent (request sink only). */
+    uint64_t requestSpanId = 0;
+    uint64_t requestParentId = 0;
+    /** PMU begin and child-sum samples (PMU sink only). */
+    pmu::SpanCounters counters;
+};
+
+/** A thread's span state: the open-span stack every sink shares and
+ *  the installed request context. */
+struct ThreadSpans
+{
+    std::vector<OpenSpan> stack;
+    /** Installed context; spanId is the innermost open request span
+     *  (the parent of the next one). */
+    TraceContext request;
+};
+
+thread_local ThreadSpans t_spans;
 
 /** Append @p s to @p out with JSON string escaping. */
 void
@@ -58,7 +81,94 @@ categoryName(Category cat)
     return "unknown";
 }
 
-Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
+namespace detail {
+
+std::atomic<uint32_t> g_sinks{0};
+
+void
+armSink(uint32_t sink, bool on)
+{
+    if (on)
+        g_sinks.fetch_or(sink, std::memory_order_relaxed);
+    else
+        g_sinks.fetch_and(~sink, std::memory_order_relaxed);
+}
+
+bool
+openSpan(const char *name, Category cat, uint32_t armed)
+{
+    ThreadSpans &local = t_spans;
+    uint32_t sinks = armed & kTimelineSink;
+    // PMU attribution covers compute spans only: kernels and the
+    // worker chunks they dispatch. Phase spans would double-count
+    // their kernels' exclusive totals.
+    if ((armed & kPmuSink) &&
+        (cat == Category::Kernel || cat == Category::Worker))
+        sinks |= kPmuSink;
+    if ((armed & kRequestSink) && local.request.active())
+        sinks |= kRequestSink;
+    if (sinks == 0)
+        return false;
+
+    OpenSpan &span = local.stack.emplace_back();
+    span.name = name;
+    span.cat = cat;
+    span.sinks = sinks;
+    if (sinks & (kTimelineSink | kRequestSink))
+        span.beginNs = slambench::metrics::now_ns();
+    if (sinks & kTimelineSink)
+        Tracer::instance().spanEvent(name, cat, 'B', span.beginNs);
+    if (sinks & kRequestSink) {
+        span.requestParentId = local.request.spanId;
+        span.requestSpanId = RequestTracer::instance().nextSpanId();
+        local.request.spanId = span.requestSpanId;
+    }
+    // Sampled last so the interval excludes the other sinks' work.
+    if (sinks & kPmuSink)
+        pmu::detail::openSpan(span.counters);
+    return true;
+}
+
+void
+closeSpan()
+{
+    ThreadSpans &local = t_spans;
+    OpenSpan &span = local.stack.back();
+    if (span.sinks & kPmuSink) {
+        pmu::SpanCounters *parent = nullptr;
+        for (size_t i = local.stack.size() - 1; i-- > 0;) {
+            if (local.stack[i].sinks & kPmuSink) {
+                parent = &local.stack[i].counters;
+                break;
+            }
+        }
+        pmu::detail::closeSpan(span.name, span.counters, parent);
+    }
+    const uint64_t end_ns =
+        (span.sinks & (kTimelineSink | kRequestSink))
+            ? slambench::metrics::now_ns()
+            : 0;
+    if (span.sinks & kTimelineSink)
+        Tracer::instance().spanEvent(span.name, span.cat, 'E', end_ns);
+    if (span.sinks & kRequestSink) {
+        // The span is strictly nested inside the ScopedTraceContext
+        // that installed its trace, so the context is still current.
+        local.request.spanId = span.requestParentId;
+        RequestSpan done;
+        done.spanId = span.requestSpanId;
+        done.parentSpanId = span.requestParentId;
+        done.name = span.name;
+        done.cat = span.cat;
+        done.startNs = span.beginNs;
+        done.endNs = end_ns;
+        RequestTracer::instance().addSpan(local.request.traceId, done);
+    }
+    local.stack.pop_back();
+}
+
+} // namespace detail
+
+Tracer::Tracer() : epochNs_(slambench::metrics::now_ns()) {}
 
 Tracer &
 Tracer::instance()
@@ -70,7 +180,7 @@ Tracer::instance()
 void
 Tracer::setEnabled(bool on)
 {
-    enabled_.store(on, std::memory_order_relaxed);
+    detail::armSink(kTimelineSink, on);
 }
 
 void
@@ -80,33 +190,29 @@ Tracer::clear()
     for (auto &buffer : buffers_)
         buffer->events.clear();
     frame_.store(0, std::memory_order_relaxed);
-    epoch_ = std::chrono::steady_clock::now();
+    epochNs_ = slambench::metrics::now_ns();
 }
 
 void
 Tracer::setFrame(uint64_t frame)
 {
     frame_.store(frame, std::memory_order_relaxed);
-    record("frame", Category::Marker, 'i',
-           static_cast<double>(frame));
+    record("frame", Category::Marker, 'i', static_cast<double>(frame),
+           slambench::metrics::now_ns());
 }
 
 void
-Tracer::beginSpan(const char *name, Category cat)
+Tracer::spanEvent(const char *name, Category cat, char phase,
+                  uint64_t now_ns)
 {
-    record(name, cat, 'B', 0.0);
-}
-
-void
-Tracer::endSpan(const char *name, Category cat)
-{
-    record(name, cat, 'E', 0.0);
+    record(name, cat, phase, 0.0, now_ns);
 }
 
 void
 Tracer::counter(const char *name, double value)
 {
-    record(name, Category::Counter, 'C', value);
+    record(name, Category::Counter, 'C', value,
+           slambench::metrics::now_ns());
 }
 
 Tracer::ThreadBuffer &
@@ -127,15 +233,11 @@ Tracer::localBuffer()
 
 void
 Tracer::record(const char *name, Category cat, char phase,
-               double value)
+               double value, uint64_t now_ns)
 {
-    const auto now = std::chrono::steady_clock::now();
     Event event;
     event.name = name;
-    event.tsNs = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(now -
-                                                             epoch_)
-            .count());
+    event.tsNs = now_ns - epochNs_;
     event.frame = frame_.load(std::memory_order_relaxed);
     event.value = value;
     event.cat = cat;
@@ -307,32 +409,16 @@ Tracer::writeFrameCsv(const std::string &path) const
 const char *
 currentSpanName()
 {
-    return t_span_stack.empty() ? nullptr : t_span_stack.back();
+    const std::vector<OpenSpan> &stack = t_spans.stack;
+    for (size_t i = stack.size(); i-- > 0;)
+        if (stack[i].sinks & (kTimelineSink | kPmuSink))
+            return stack[i].name;
+    return nullptr;
 }
-
-namespace detail {
-
-void
-pushCurrentSpan(const char *name)
-{
-    t_span_stack.push_back(name);
-}
-
-void
-popCurrentSpan()
-{
-    if (!t_span_stack.empty())
-        t_span_stack.pop_back();
-}
-
-} // namespace detail
 
 // --- Request tracing ---------------------------------------------
 
 namespace {
-
-/** This thread's installed request context (inactive by default). */
-thread_local TraceContext t_request_ctx;
 
 /**
  * SplitMix64 finalizer: a bijective 64-bit mix. Used both to derive
@@ -359,54 +445,47 @@ sampleFraction(uint64_t trace_id)
 
 } // namespace
 
-namespace detail {
-
-std::atomic<bool> g_request_tracing{false};
-
-bool
-beginRequestSpan(uint64_t *span_id, uint64_t *parent_id,
-                 uint64_t *start_ns)
-{
-    if (!t_request_ctx.active())
-        return false;
-    *parent_id = t_request_ctx.spanId;
-    *span_id = RequestTracer::instance().nextSpanId();
-    *start_ns = slambench::metrics::now_ns();
-    t_request_ctx.spanId = *span_id;
-    return true;
-}
-
-void
-endRequestSpan(const char *name, Category cat, uint64_t span_id,
-               uint64_t parent_id, uint64_t start_ns)
-{
-    // The owning ScopedSpan is strictly nested inside the installing
-    // ScopedTraceContext, so the context is still this trace's.
-    t_request_ctx.spanId = parent_id;
-    RequestSpan span;
-    span.spanId = span_id;
-    span.parentSpanId = parent_id;
-    span.name = name;
-    span.cat = cat;
-    span.startNs = start_ns;
-    span.endNs = slambench::metrics::now_ns();
-    RequestTracer::instance().addSpan(t_request_ctx.traceId, span);
-}
-
-} // namespace detail
-
 TraceContext
 currentTraceContext()
 {
-    return t_request_ctx;
+    return t_spans.request;
+}
+
+TaskContext
+captureTaskContext()
+{
+    const uint32_t armed = armedSinks();
+    TaskContext ctx;
+    if (armed & (kTimelineSink | kPmuSink))
+        ctx.spanName = currentSpanName();
+    if (armed & kRequestSink)
+        ctx.request = t_spans.request;
+    return ctx;
+}
+
+void
+recordQueueWait(const TraceContext &request, uint64_t enqueued_ns,
+                uint64_t started_ns)
+{
+    if (!request.active() || !requestTracingArmed())
+        return;
+    RequestTracer &tracer = RequestTracer::instance();
+    RequestSpan wait;
+    wait.spanId = tracer.nextSpanId();
+    wait.parentSpanId = request.spanId;
+    wait.name = "queue_wait";
+    wait.cat = Category::Worker;
+    wait.startNs = enqueued_ns;
+    wait.endNs = started_ns;
+    tracer.addSpan(request.traceId, wait);
 }
 
 ScopedTraceContext::ScopedTraceContext(const TraceContext &ctx)
 {
     if (!ctx.active())
         return;
-    prev_ = t_request_ctx;
-    t_request_ctx = ctx;
+    prev_ = t_spans.request;
+    t_spans.request = ctx;
     installed_ = true;
     setLogTraceId(ctx.traceId);
 }
@@ -415,7 +494,7 @@ ScopedTraceContext::~ScopedTraceContext()
 {
     if (!installed_)
         return;
-    t_request_ctx = prev_;
+    t_spans.request = prev_;
     setLogTraceId(prev_.traceId);
 }
 
@@ -483,15 +562,13 @@ RequestTracer::configure(const RequestTraceOptions &options)
         // across runs; ids within a run are a mixed counter.
         idSeed_ = slambench::metrics::now_ns();
     }
-    detail::g_request_tracing.store(true,
-                                    std::memory_order_relaxed);
+    detail::armSink(kRequestSink, true);
 }
 
 void
 RequestTracer::disarm()
 {
-    detail::g_request_tracing.store(false,
-                                    std::memory_order_relaxed);
+    detail::armSink(kRequestSink, false);
 }
 
 void
@@ -683,95 +760,53 @@ RequestTracer::exemplarFor(const std::string &metric,
     return true;
 }
 
-RequestTraceSession::RequestTraceSession(
-    bool armed, const RequestTraceOptions &options)
+Session::Session(SessionOptions options)
+    : options_(std::move(options))
 {
-    if (!armed)
-        return;
-    RequestTracer::instance().configure(options);
-    armed_ = true;
-    logInfo() << "trace: request tracing armed (sample rate "
-              << options.sampleRate << ", store "
-              << options.maxRetained << " traces)";
+    if (!options_.timelinePath.empty() ||
+        !options_.frameCsvPath.empty()) {
+        Tracer &tracer = Tracer::instance();
+        tracer.clear();
+        tracer.setEnabled(true);
+        sinks_ |= kTimelineSink;
+    }
+    if (options_.pmu) {
+        pmu::startSession();
+        sinks_ |= kPmuSink;
+    }
+    if (options_.requests) {
+        const RequestTraceOptions &requests = options_.requestOptions;
+        RequestTracer::instance().configure(requests);
+        sinks_ |= kRequestSink;
+        logInfo() << "trace: request tracing armed (sample rate "
+                  << requests.sampleRate << ", store "
+                  << requests.maxRetained << " traces)";
+    }
 }
 
-RequestTraceSession::~RequestTraceSession()
+Session::~Session()
 {
-    if (armed_)
+    if (sinks_ & kRequestSink)
         RequestTracer::instance().disarm();
-}
-
-RequestTraceSession::RequestTraceSession(
-    RequestTraceSession &&other) noexcept
-    : armed_(other.armed_)
-{
-    other.armed_ = false;
-}
-
-RequestTraceSession &
-RequestTraceSession::operator=(RequestTraceSession &&other) noexcept
-{
-    if (this != &other) {
-        if (armed_)
-            RequestTracer::instance().disarm();
-        armed_ = other.armed_;
-        other.armed_ = false;
-    }
-    return *this;
-}
-
-Session::Session(std::string json_path, std::string csv_path)
-    : jsonPath_(std::move(json_path)), csvPath_(std::move(csv_path))
-{
-    if (jsonPath_.empty() && csvPath_.empty())
+    if (sinks_ & kPmuSink)
+        pmu::finishSession();
+    if (!(sinks_ & kTimelineSink))
         return;
-    Tracer &tracer = Tracer::instance();
-    tracer.clear();
-    tracer.setEnabled(true);
-    armed_ = true;
-}
-
-Session::Session(Session &&other) noexcept
-    : jsonPath_(std::move(other.jsonPath_)),
-      csvPath_(std::move(other.csvPath_)), armed_(other.armed_)
-{
-    other.armed_ = false;
-}
-
-Session &
-Session::operator=(Session &&other) noexcept
-{
-    if (this != &other) {
-        finish();
-        jsonPath_ = std::move(other.jsonPath_);
-        csvPath_ = std::move(other.csvPath_);
-        armed_ = other.armed_;
-        other.armed_ = false;
-    }
-    return *this;
-}
-
-Session::~Session() { finish(); }
-
-void
-Session::finish()
-{
-    if (!armed_)
-        return;
-    armed_ = false;
     Tracer &tracer = Tracer::instance();
     tracer.setEnabled(false);
-    if (!jsonPath_.empty()) {
-        if (tracer.writeChromeJson(jsonPath_))
-            logInfo() << "trace: wrote " << jsonPath_;
+    if (!options_.timelinePath.empty()) {
+        if (tracer.writeChromeJson(options_.timelinePath))
+            logInfo() << "trace: wrote " << options_.timelinePath;
         else
-            logError() << "trace: cannot write " << jsonPath_;
+            logError() << "trace: cannot write "
+                       << options_.timelinePath;
     }
-    if (!csvPath_.empty()) {
-        if (tracer.writeFrameCsv(csvPath_))
-            logInfo() << "trace: wrote " << csvPath_;
+    if (!options_.frameCsvPath.empty()) {
+        if (tracer.writeFrameCsv(options_.frameCsvPath))
+            logInfo() << "trace: wrote " << options_.frameCsvPath;
         else
-            logError() << "trace: cannot write " << csvPath_;
+            logError() << "trace: cannot write "
+                       << options_.frameCsvPath;
     }
 }
 

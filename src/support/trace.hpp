@@ -15,21 +15,22 @@
  * `work_counters` CSV columns. See docs/OBSERVABILITY.md for the
  * span semantics and the export schemas.
  *
- * Cost model: when `SLAMBENCH_TRACE_ENABLED` is defined to 0 the
- * TRACE_* macros compile to nothing. When compiled in but not
- * runtime-enabled (the default), every entry point is a single
- * relaxed atomic load — no allocation, no event, no lock. When
- * enabled, events append to per-thread buffers without locking; the
- * registry lock is only taken once per thread (first event) and at
- * export time.
+ * One span model: `ScopedSpan` is the only span producer, and three
+ * sinks consume it — the Chrome timeline (`Tracer`), the PMU profiler
+ * (`pmu::Profiler`, Kernel and Worker spans only) and the request
+ * tracer (`RequestTracer`, spans opened under an installed request
+ * context). One atomic bitmask gates all three (`Sink`), one
+ * per-thread stack holds every open span, and one `Session` arms the
+ * sinks a run asked for.
+ *
+ * Cost model: with every sink disarmed (the default) a span costs
+ * one relaxed atomic load — no allocation, no event, no lock. An
+ * armed span appends to per-thread state without locking; the
+ * timeline registry lock is only taken once per thread (first
+ * event) and at export time.
  */
 
-#ifndef SLAMBENCH_TRACE_ENABLED
-#define SLAMBENCH_TRACE_ENABLED 1
-#endif
-
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -39,8 +40,6 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-#include "support/pmu.hpp"
 
 namespace slambench::support::trace {
 
@@ -55,6 +54,36 @@ enum class Category : uint8_t {
 
 /** @return the stable lowercase name of @p cat for exports. */
 const char *categoryName(Category cat);
+
+/** The consumers of ScopedSpan: one bit each in the span gate. */
+enum Sink : uint32_t {
+    kTimelineSink = 1u << 0, ///< Tracer: Chrome timeline, perf CSV.
+    kPmuSink = 1u << 1,      ///< pmu::Profiler: Kernel/Worker spans.
+    kRequestSink = 1u << 2,  ///< RequestTracer: in-context spans.
+};
+
+namespace detail {
+/** The span gate: the armed Sink bits (read via armedSinks()). */
+extern std::atomic<uint32_t> g_sinks;
+/** Set (@p on) or clear @p sink in the gate. */
+void armSink(uint32_t sink, bool on);
+/**
+ * Push a span onto this thread's open-span stack, opening it in each
+ * sink of @p armed that accepts it. @return whether any did (the
+ * span then must be closed with closeSpan()).
+ */
+bool openSpan(const char *name, Category cat, uint32_t armed);
+/** Pop this thread's innermost span, closing it in exactly the
+ *  sinks it opened in. */
+void closeSpan();
+} // namespace detail
+
+/** @return the armed Sink bits (one relaxed load). */
+inline uint32_t
+armedSinks()
+{
+    return detail::g_sinks.load(std::memory_order_relaxed);
+}
 
 /** One recorded trace event (span begin/end, counter, or marker). */
 struct Event
@@ -107,8 +136,8 @@ class Tracer
     Tracer &operator=(const Tracer &) = delete;
 
     /**
-     * Turn recording on or off. Must not race in-flight spans:
-     * enable before the measured region, disable after.
+     * Arm or disarm the timeline sink. A span open at disarm still
+     * records its end.
      */
     void setEnabled(bool on);
 
@@ -116,7 +145,7 @@ class Tracer
     bool
     enabled() const
     {
-        return enabled_.load(std::memory_order_relaxed);
+        return (armedSinks() & kTimelineSink) != 0;
     }
 
     /** Drop all recorded events and restart the time epoch. */
@@ -135,10 +164,12 @@ class Tracer
         return frame_.load(std::memory_order_relaxed);
     }
 
-    /** Record a span begin; callers must check enabled() first. */
-    void beginSpan(const char *name, Category cat);
-    /** Record the matching span end. */
-    void endSpan(const char *name, Category cat);
+    /**
+     * Record a span boundary (@p phase 'B' or 'E') taken at
+     * @p now_ns (metrics::now_ns()); the timeline sink of ScopedSpan.
+     */
+    void spanEvent(const char *name, Category cat, char phase,
+                   uint64_t now_ns);
     /** Record a counter sample; callers must check enabled() first. */
     void counter(const char *name, double value);
 
@@ -188,30 +219,21 @@ class Tracer
     /** @return this thread's buffer, registering it on first use. */
     ThreadBuffer &localBuffer();
     void record(const char *name, Category cat, char phase,
-                double value);
+                double value, uint64_t now_ns);
 
     mutable std::mutex mutex_;
     std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
-    std::atomic<bool> enabled_{false};
     std::atomic<uint64_t> frame_{0};
-    std::chrono::steady_clock::time_point epoch_;
+    /** metrics::now_ns() at construction / the last clear(). */
+    uint64_t epochNs_ = 0;
 };
 
 /**
- * @return the name of the innermost open span on this thread, or
- * nullptr outside any span. The thread pool uses this to attribute
- * worker-side chunks to the kernel that dispatched them. Maintained
- * by ScopedSpan whenever tracing *or* PMU profiling is armed, so a
- * PMU-only run still attributes worker chunks to their kernel.
+ * @return the name of the innermost span on this thread that is open
+ * in the timeline or PMU sink, or nullptr outside any. Read from the
+ * shared open-span stack.
  */
 const char *currentSpanName();
-
-namespace detail {
-/** Push onto this thread's current-span stack (ScopedSpan only). */
-void pushCurrentSpan(const char *name);
-/** Pop this thread's current-span stack (ScopedSpan only). */
-void popCurrentSpan();
-} // namespace detail
 
 // --- Request tracing ---------------------------------------------
 //
@@ -328,26 +350,11 @@ struct TraceExemplar
     uint64_t ns = 0;    ///< When the exemplar was updated.
 };
 
-namespace detail {
-/** Master gate for request tracing (relaxed; see armed()). */
-extern std::atomic<bool> g_request_tracing;
-
-/**
- * Open a request span on this thread if a context is active.
- * @return whether a span was opened (ids/start filled in).
- */
-bool beginRequestSpan(uint64_t *span_id, uint64_t *parent_id,
-                      uint64_t *start_ns);
-/** Close the span opened by beginRequestSpan on this thread. */
-void endRequestSpan(const char *name, Category cat, uint64_t span_id,
-                    uint64_t parent_id, uint64_t start_ns);
-} // namespace detail
-
 /** @return whether request tracing is armed (single relaxed load). */
 inline bool
 requestTracingArmed()
 {
-    return detail::g_request_tracing.load(std::memory_order_relaxed);
+    return (armedSinks() & kRequestSink) != 0;
 }
 
 /** @return the thread's active request context (inactive outside
@@ -483,39 +490,40 @@ std::string formatTraceId(uint64_t trace_id);
 uint64_t parseTraceId(const std::string &text);
 
 /**
- * RAII arming of the request tracer for one run (the `--trace-*`
- * flag family; mirrors pmu::Session). Disarms on destruction;
- * inactive when constructed with @p armed false.
+ * What a thread-pool task carries from the thread that submitted it:
+ * the span its worker-side chunks are labelled with and the request
+ * context its spans attach to.
  */
-class RequestTraceSession
+struct TaskContext
 {
-  public:
-    RequestTraceSession() = default;
-    RequestTraceSession(bool armed,
-                        const RequestTraceOptions &options);
-    ~RequestTraceSession();
-
-    RequestTraceSession(RequestTraceSession &&other) noexcept;
-    RequestTraceSession &
-    operator=(RequestTraceSession &&other) noexcept;
-    RequestTraceSession(const RequestTraceSession &) = delete;
-    RequestTraceSession &
-    operator=(const RequestTraceSession &) = delete;
-
-    /** @return whether this session armed the tracer. */
-    bool active() const { return armed_; }
-
-  private:
-    bool armed_ = false;
+    /** currentSpanName() when the timeline or PMU sink is armed, else
+     *  nullptr (no Worker chunk spans). */
+    const char *spanName = nullptr;
+    /** The installed request context when request tracing is armed
+     *  (inactive otherwise). */
+    TraceContext request;
 };
 
+/** @return this thread's TaskContext (one relaxed load when every
+ *  sink is disarmed). */
+TaskContext captureTaskContext();
+
 /**
- * RAII span: records a begin event on construction and the matching
- * end on destruction. Kernel and Worker spans also delimit a PMU
- * counter interval when `--pmu` profiling is armed (support/pmu.hpp),
- * so hardware-counter attribution rides the same span names as the
- * wall-clock timeline. Two relaxed loads when both subsystems are
- * disabled.
+ * Record the time a pool task of @p request sat queued, from
+ * @p enqueued_ns to @p started_ns (metrics::now_ns()), as a Worker
+ * `queue_wait` span under the submitter's innermost span. No-op for
+ * an inactive context or a disarmed request sink.
+ */
+void recordQueueWait(const TraceContext &request, uint64_t enqueued_ns,
+                     uint64_t started_ns);
+
+/**
+ * RAII span, the only span producer: opens on construction in every
+ * armed sink that accepts it and closes on destruction in exactly
+ * those sinks, even if one was disarmed meanwhile. The timeline takes
+ * every span, the PMU profiler Kernel and Worker spans, the request
+ * tracer spans opened under an installed request context. One
+ * relaxed load when every sink is disarmed.
  */
 class ScopedSpan
 {
@@ -528,33 +536,9 @@ class ScopedSpan
     explicit ScopedSpan(const char *name,
                         Category cat = Category::Phase)
     {
-        Tracer &tracer = Tracer::instance();
-        const bool traced = tracer.enabled();
-        // PMU attribution covers compute spans only: kernels and
-        // the worker chunks they dispatch. Phase spans would
-        // double-count their kernels' exclusive totals.
-        const bool pmu_active =
-            pmu::enabled() && (cat == Category::Kernel ||
-                               cat == Category::Worker);
-        // Request tracing records spans only while a context is
-        // installed on this thread (beginRequestSpan checks).
-        const bool request =
-            requestTracingArmed() &&
-            detail::beginRequestSpan(&reqSpanId_, &reqParentId_,
-                                     &reqStartNs_);
-        if (!traced && !pmu_active && !request)
-            return;
-        name_ = name;
-        cat_ = cat;
-        traced_ = traced;
-        pmuActive_ = pmu_active;
-        requestActive_ = request;
-        if (traced || pmu_active)
-            detail::pushCurrentSpan(name);
-        if (traced)
-            tracer.beginSpan(name, cat);
-        if (pmu_active)
-            pmu::Profiler::instance().beginSpan(name);
+        const uint32_t armed = armedSinks();
+        if (armed != 0)
+            open_ = detail::openSpan(name, cat, armed);
     }
 
     ScopedSpan(const ScopedSpan &) = delete;
@@ -562,28 +546,12 @@ class ScopedSpan
 
     ~ScopedSpan()
     {
-        if (!name_)
-            return;
-        if (pmuActive_)
-            pmu::Profiler::instance().endSpan();
-        if (traced_)
-            Tracer::instance().endSpan(name_, cat_);
-        if (traced_ || pmuActive_)
-            detail::popCurrentSpan();
-        if (requestActive_)
-            detail::endRequestSpan(name_, cat_, reqSpanId_,
-                                   reqParentId_, reqStartNs_);
+        if (open_)
+            detail::closeSpan();
     }
 
   private:
-    const char *name_ = nullptr;
-    Category cat_ = Category::Phase;
-    bool traced_ = false;
-    bool pmuActive_ = false;
-    bool requestActive_ = false;
-    uint64_t reqSpanId_ = 0;
-    uint64_t reqParentId_ = 0;
-    uint64_t reqStartNs_ = 0;
+    bool open_ = false;
 };
 
 /** Record a counter sample if tracing is enabled. */
@@ -604,49 +572,42 @@ frameMarker(uint64_t frame)
         tracer.setFrame(frame);
 }
 
+/** What a run arms: the `--trace`, `--perf-csv`, `--pmu` and
+ *  `--trace-*` values. */
+struct SessionOptions
+{
+    std::string timelinePath; ///< Chrome trace JSON ("" = skip).
+    std::string frameCsvPath; ///< Per-frame aggregate CSV ("" = skip).
+    bool pmu = false;         ///< Hardware-counter profiling.
+    bool requests = false;    ///< Request tracing.
+    RequestTraceOptions requestOptions; ///< Used when @c requests.
+};
+
 /**
- * RAII trace capture for a CLI run: enables the tracer on
- * construction when at least one output path is non-empty, and on
- * destruction exports the requested files and disables tracing.
+ * RAII capture for one run: arms the timeline sink when an output
+ * path is set (clearing earlier events), the PMU sink (probing the
+ * host backend, see pmu::startSession()) and the request sink. On
+ * destruction disarms them, publishes the PMU summary, and writes the
+ * timeline files. Inert when @p options asks for nothing.
  */
 class Session
 {
   public:
-    /** Inactive session (tracing stays off). */
-    Session() = default;
+    explicit Session(SessionOptions options);
+    ~Session();
 
-    /**
-     * @param json_path Chrome trace output path ("" = skip).
-     * @param csv_path Per-frame aggregate CSV path ("" = skip).
-     */
-    Session(std::string json_path, std::string csv_path);
-
-    Session(Session &&other) noexcept;
-    Session &operator=(Session &&other) noexcept;
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
 
-    /** Exports the requested files when the session is active. */
-    ~Session();
-
-    /** @return whether this session turned tracing on. */
-    bool
-    active() const
-    {
-        return armed_;
-    }
+    /** @return whether this session armed any sink. */
+    bool active() const { return sinks_ != 0; }
 
   private:
-    void finish();
-
-    std::string jsonPath_;
-    std::string csvPath_;
-    bool armed_ = false;
+    SessionOptions options_;
+    uint32_t sinks_ = 0;
 };
 
 } // namespace slambench::support::trace
-
-#if SLAMBENCH_TRACE_ENABLED
 
 #define SB_TRACE_CONCAT_IMPL(a, b) a##b
 #define SB_TRACE_CONCAT(a, b) SB_TRACE_CONCAT_IMPL(a, b)
@@ -665,13 +626,5 @@ class Session
 #define TRACE_FRAME(index)                                           \
     ::slambench::support::trace::frameMarker(                        \
         static_cast<uint64_t>(index))
-
-#else // !SLAMBENCH_TRACE_ENABLED
-
-#define TRACE_SCOPE(name) ((void)0)
-#define TRACE_COUNTER(name, value) ((void)0)
-#define TRACE_FRAME(index) ((void)0)
-
-#endif // SLAMBENCH_TRACE_ENABLED
 
 #endif // SLAMBENCH_SUPPORT_TRACE_HPP

@@ -26,6 +26,7 @@
 namespace {
 
 namespace pmu = slambench::support::pmu;
+namespace trace = slambench::support::trace;
 namespace metrics = slambench::support::metrics;
 using pmu::CounterId;
 using pmu::counterBit;
@@ -259,10 +260,10 @@ TEST(PmuProfiler, NestedSpansGetExclusiveAttribution)
     // outer delta = 300 with 100 attributed to the child, so the
     // outer self-time is 200 cycles (and twice that in
     // instructions, whose step is 200 per read).
-    profiler.beginSpan("outer");
-    profiler.beginSpan("inner");
-    profiler.endSpan();
-    profiler.endSpan();
+    {
+        trace::ScopedSpan outer("outer", trace::Category::Kernel);
+        trace::ScopedSpan inner("inner", trace::Category::Kernel);
+    }
     profiler.stop();
 
     const pmu::SpanStats inner = statsFor("inner");
@@ -292,9 +293,9 @@ TEST(PmuProfiler, MultiThreadSpansAggregateUnderOneName)
     // 100-cycle delta and the shared table sums them.
     std::vector<std::thread> threads;
     for (int t = 0; t < 3; ++t) {
-        threads.emplace_back([&profiler] {
-            profiler.beginSpan("integrate");
-            profiler.endSpan();
+        threads.emplace_back([] {
+            trace::ScopedSpan span("integrate",
+                                   trace::Category::Kernel);
         });
     }
     for (std::thread &t : threads)
@@ -314,16 +315,18 @@ TEST(PmuProfiler, StartClearsTotalsAndReopensThreadGroups)
     FakeBackend first(kCyclesInstr);
     auto &profiler = pmu::Profiler::instance();
     profiler.start(first);
-    profiler.beginSpan("stale");
-    profiler.endSpan();
+    {
+        trace::ScopedSpan span("stale", trace::Category::Kernel);
+    }
 
     // A second start() must drop the previous run's totals and bump
     // the generation so this thread's counter group reopens from
     // the new backend.
     FakeBackend second(kCyclesInstr);
     profiler.start(second);
-    profiler.beginSpan("fresh");
-    profiler.endSpan();
+    {
+        trace::ScopedSpan span("fresh", trace::Category::Kernel);
+    }
     profiler.stop();
 
     const auto all = profiler.spanStats();
@@ -358,8 +361,9 @@ TEST(PmuProfiler, AddSpanBytesAccumulatesAndIgnoresNonPositive)
     FakeBackend backend(kCyclesInstr);
     auto &profiler = pmu::Profiler::instance();
     profiler.start(backend);
-    profiler.beginSpan("raycast");
-    profiler.endSpan();
+    {
+        trace::ScopedSpan span("raycast", trace::Category::Kernel);
+    }
     profiler.stop();
 
     profiler.addSpanBytes("raycast", 1000.0);
@@ -369,32 +373,42 @@ TEST(PmuProfiler, AddSpanBytesAccumulatesAndIgnoresNonPositive)
     EXPECT_DOUBLE_EQ(statsFor("raycast").bytes, 1500.0);
 }
 
-TEST(PmuProfiler, EndSpanWithEmptyStackIsANoOp)
+TEST(PmuProfiler, SpanOpenAcrossRestartIsDropped)
 {
-    FakeBackend backend(kCyclesInstr);
+    FakeBackend first(kCyclesInstr);
+    FakeBackend second(kCyclesInstr);
     auto &profiler = pmu::Profiler::instance();
-    profiler.start(backend);
-    profiler.endSpan(); // nothing open on this thread
-    profiler.stop();
-    EXPECT_TRUE(profiler.spanStats().empty());
+    profiler.start(first);
+    {
+        // Its begin sample came from the first backend's group, so
+        // after the restart it has no valid delta and is dropped;
+        // the span opened under the new start() still counts.
+        trace::ScopedSpan stale("stale", trace::Category::Kernel);
+        profiler.start(second);
+        {
+            trace::ScopedSpan fresh("fresh", trace::Category::Kernel);
+        }
+        profiler.stop();
+    }
+    const auto all = profiler.spanStats();
+    ASSERT_EQ(all.size(), 1u);
+    EXPECT_EQ(all[0].name, "fresh");
+    EXPECT_DOUBLE_EQ(all[0].totals.get(CounterId::Cycles), 100.0);
 }
 
 // --- trace::ScopedSpan integration -------------------------------
 
 TEST(PmuTraceIntegration, KernelSpansFeedProfilerPhaseSpansDoNot)
 {
-    ASSERT_FALSE(slambench::support::trace::Tracer::instance()
-                     .enabled());
+    ASSERT_FALSE(trace::Tracer::instance().enabled());
     FakeBackend backend(kCyclesInstr);
     auto &profiler = pmu::Profiler::instance();
     profiler.start(backend);
     {
         // Phase spans would double-count their kernels; only the
         // kernel and worker categories reach the profiler.
-        slambench::support::trace::ScopedSpan frame(
-            "frame", slambench::support::trace::Category::Phase);
-        slambench::support::trace::ScopedSpan kernel(
-            "track", slambench::support::trace::Category::Kernel);
+        trace::ScopedSpan frame("frame", trace::Category::Phase);
+        trace::ScopedSpan kernel("track", trace::Category::Kernel);
     }
     profiler.stop();
 
@@ -410,18 +424,14 @@ TEST(PmuTraceIntegration, ScopeIsInertWhenDisabled)
     pmu::Profiler::instance().clear();
     ASSERT_FALSE(pmu::enabled());
     {
-        pmu::Scope scope("ignored");
-    }
-    {
-        slambench::support::trace::ScopedSpan span(
-            "ignored2", slambench::support::trace::Category::Kernel);
+        trace::ScopedSpan span("ignored", trace::Category::Kernel);
     }
     EXPECT_TRUE(pmu::Profiler::instance().spanStats().empty());
 }
 
 // --- Graceful degradation (null backend, schema-stable) ----------
 //
-// Declared last on purpose: pmu::Session latches profilingActive()
+// Declared last on purpose: a PMU session latches profilingActive()
 // for the rest of the process (report writers must still see the
 // pmu block after the session disarms), which earlier tests do not
 // want flipped on.
@@ -461,7 +471,9 @@ TEST(PmuDegradation, NullBackendSessionKeepsReportsSchemaStable)
     ::setenv("SLAMBENCH_PMU_DISABLE", "1", 1);
     ASSERT_FALSE(pmu::profilingActive());
     {
-        pmu::Session session(true);
+        trace::SessionOptions options;
+        options.pmu = true;
+        trace::Session session(options);
         ASSERT_TRUE(session.active());
         EXPECT_TRUE(pmu::profilingActive());
         auto *backend = pmu::Profiler::instance().backend();
@@ -470,7 +482,7 @@ TEST(PmuDegradation, NullBackendSessionKeepsReportsSchemaStable)
         EXPECT_EQ(backend->availableMask(), 0u);
 
         // Spans still count even though no counter delivers values.
-        pmu::Scope scope("integrate");
+        trace::ScopedSpan span("integrate", trace::Category::Kernel);
     }
     // Session ended: the hot path is disarmed but report writers
     // must still emit the pmu block.

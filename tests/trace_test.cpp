@@ -2,8 +2,10 @@
  * @file
  * Tests of the tracing subsystem: span nesting, zero-cost disabled
  * path, Chrome JSON well-formedness (every B paired with an E),
- * worker-chunk attribution, and agreement between the per-frame CSV
- * aggregate and the WorkCounts host-time accounting.
+ * worker-chunk attribution, agreement between the per-frame CSV
+ * aggregate and the WorkCounts host-time accounting, request traces,
+ * and the span model (one ScopedSpan feeding the timeline, PMU and
+ * request sinks).
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "dataset/generator.hpp"
 #include "kfusion/pipeline.hpp"
 #include "support/logging.hpp"
+#include "support/pmu.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
@@ -289,7 +293,10 @@ TEST_F(TraceTest, SessionExportsAndDisarms)
     const std::string csv_path =
         ::testing::TempDir() + "trace_session.csv";
     {
-        Session session(json_path, csv_path);
+        SessionOptions options;
+        options.timelinePath = json_path;
+        options.frameCsvPath = csv_path;
+        Session session(options);
         EXPECT_TRUE(session.active());
         EXPECT_TRUE(Tracer::instance().enabled());
         TRACE_SCOPE("session_span");
@@ -309,7 +316,7 @@ TEST_F(TraceTest, SessionExportsAndDisarms)
     std::remove(csv_path.c_str());
 
     // A pathless session stays inert.
-    Session inert("", "");
+    Session inert(SessionOptions{});
     EXPECT_FALSE(inert.active());
     EXPECT_FALSE(Tracer::instance().enabled());
 }
@@ -681,6 +688,216 @@ TEST_F(RequestTraceTest, ScopedContextCarriesLogCorrelation)
         ::testing::internal::GetCapturedStderr();
     EXPECT_EQ(line.find("trace_id="), std::string::npos) << line;
     tracer.finish(ctx, RequestTraceFinish{});
+}
+
+// --- Span model: one producer, three sinks ---
+
+namespace pmu = slambench::support::pmu;
+
+/** Every test starts and ends with every sink disarmed and empty. */
+class SpanModel : public ::testing::Test
+{
+  protected:
+    void SetUp() override { reset(); }
+
+    void
+    TearDown() override
+    {
+        reset();
+        support::setLogTraceId(0);
+    }
+
+    static void
+    reset()
+    {
+        Tracer::instance().setEnabled(false);
+        Tracer::instance().clear();
+        pmu::Profiler::instance().stop();
+        pmu::Profiler::instance().clear();
+        RequestTracer::instance().disarm();
+        RequestTracer::instance().clear();
+    }
+
+    static void
+    armRequests()
+    {
+        RequestTraceOptions options;
+        options.sampleRate = 1.0;
+        options.maxRetained = 8;
+        RequestTracer::instance().configure(options);
+    }
+
+    static void
+    armAll()
+    {
+        Tracer::instance().setEnabled(true);
+        pmu::Profiler::instance().start(pmu::nullBackend());
+        armRequests();
+    }
+
+    static void
+    disarmAll()
+    {
+        Tracer::instance().setEnabled(false);
+        pmu::Profiler::instance().stop();
+        RequestTracer::instance().disarm();
+    }
+
+    /** @return Kernel/Worker timeline spans per name; fails the test
+     *  unless every name's begins match its ends. */
+    static std::map<std::string, uint64_t>
+    timelineCounts()
+    {
+        std::map<std::string, uint64_t> begins, ends;
+        for (const auto &events : Tracer::instance().eventsByThread())
+            for (const Event &event : events) {
+                if (event.cat != Category::Kernel &&
+                    event.cat != Category::Worker)
+                    continue;
+                if (event.phase == 'B')
+                    ++begins[event.name];
+                else if (event.phase == 'E')
+                    ++ends[event.name];
+            }
+        EXPECT_EQ(begins, ends);
+        return begins;
+    }
+
+    /** @return PMU span counts per name. */
+    static std::map<std::string, uint64_t>
+    pmuCounts()
+    {
+        std::map<std::string, uint64_t> counts;
+        for (const pmu::SpanStats &stats :
+             pmu::Profiler::instance().spanStats())
+            counts[stats.name] = stats.spans;
+        return counts;
+    }
+
+    /** @return Kernel/Worker spans of @p trace per name, without the
+     *  pool's queue_wait spans. */
+    static std::map<std::string, uint64_t>
+    requestCounts(const RetainedTrace &trace)
+    {
+        std::map<std::string, uint64_t> counts;
+        for (const RequestSpan &span : trace.spans)
+            if ((span.cat == Category::Kernel ||
+                 span.cat == Category::Worker) &&
+                std::string(span.name) != "queue_wait")
+                ++counts[span.name];
+        return counts;
+    }
+
+    /** @return spans of @p trace named @p name in category @p cat. */
+    static std::vector<RequestSpan>
+    spansOf(const RetainedTrace &trace, const char *name, Category cat)
+    {
+        std::vector<RequestSpan> out;
+        for (const RequestSpan &span : trace.spans)
+            if (span.cat == cat && std::string(span.name) == name)
+                out.push_back(span);
+        return out;
+    }
+};
+
+TEST_F(SpanModel, AllSinksSeeTheSameKernelAndWorkerSpans)
+{
+    armAll();
+    support::ThreadPool pool(3);
+    auto &requests = RequestTracer::instance();
+    const TraceContext ctx = requests.begin("t00", 0);
+    {
+        ScopedTraceContext scope(ctx);
+        ScopedSpan phase("frame_phase", Category::Phase);
+        ScopedSpan kernel("pooled_kernel", Category::Kernel);
+        pool.parallelFor(0, 64, [](size_t) {});
+    }
+    disarmAll();
+    requests.finish(ctx, RequestTraceFinish{});
+    RetainedTrace trace;
+    ASSERT_TRUE(requests.findTrace(ctx.traceId, &trace));
+
+    // One Kernel span plus its worker chunks, counted alike by all
+    // three sinks; the Phase span never reaches the profiler.
+    const auto timeline = timelineCounts();
+    EXPECT_EQ(pmuCounts(), timeline);
+    EXPECT_EQ(requestCounts(trace), timeline);
+    ASSERT_EQ(timeline.size(), 1u);
+    EXPECT_GE(timeline.at("pooled_kernel"), 2u);
+
+    // Worker chunks carry the dispatching kernel's name everywhere:
+    // on the timeline and as children of the kernel's request span.
+    size_t timeline_chunks = 0;
+    for (const auto &events : Tracer::instance().eventsByThread())
+        for (const Event &event : events)
+            if (event.cat == Category::Worker && event.phase == 'B') {
+                EXPECT_STREQ(event.name, "pooled_kernel");
+                ++timeline_chunks;
+            }
+    const auto kernel_spans =
+        spansOf(trace, "pooled_kernel", Category::Kernel);
+    ASSERT_EQ(kernel_spans.size(), 1u);
+    const auto chunks =
+        spansOf(trace, "pooled_kernel", Category::Worker);
+    EXPECT_EQ(chunks.size(), timeline_chunks);
+    for (const RequestSpan &chunk : chunks)
+        EXPECT_EQ(chunk.parentSpanId, kernel_spans[0].spanId);
+    const auto phases =
+        spansOf(trace, "frame_phase", Category::Phase);
+    ASSERT_EQ(phases.size(), 1u);
+    EXPECT_EQ(kernel_spans[0].parentSpanId, phases[0].spanId);
+}
+
+TEST_F(SpanModel, RequestSinkAloneAddsNoWorkerChunks)
+{
+    armRequests();
+    support::ThreadPool pool(3);
+    auto &requests = RequestTracer::instance();
+    const TraceContext ctx = requests.begin("t00", 0);
+    {
+        ScopedTraceContext scope(ctx);
+        ScopedSpan kernel("pooled_kernel", Category::Kernel);
+        EXPECT_EQ(currentSpanName(), nullptr);
+        pool.parallelFor(0, 64, [](size_t) {});
+    }
+    disarmAll();
+    requests.finish(ctx, RequestTraceFinish{});
+    RetainedTrace trace;
+    ASSERT_TRUE(requests.findTrace(ctx.traceId, &trace));
+
+    EXPECT_EQ(spansOf(trace, "pooled_kernel", Category::Kernel).size(),
+              1u);
+    EXPECT_TRUE(
+        spansOf(trace, "pooled_kernel", Category::Worker).empty());
+    // The three helper runners still record their queue wait.
+    EXPECT_EQ(spansOf(trace, "queue_wait", Category::Worker).size(),
+              3u);
+    EXPECT_EQ(Tracer::instance().eventCount(), 0u);
+    EXPECT_TRUE(pmu::Profiler::instance().spanStats().empty());
+}
+
+TEST_F(SpanModel, SpanOpenAtDisarmStillClosesInItsSinks)
+{
+    armAll();
+    auto &requests = RequestTracer::instance();
+    const TraceContext ctx = requests.begin("t00", 0);
+    {
+        ScopedTraceContext scope(ctx);
+        ScopedSpan straddling("straddling", Category::Kernel);
+        disarmAll();
+        // Opened after the disarm: reaches no sink.
+        ScopedSpan late("late", Category::Kernel);
+        EXPECT_STREQ(currentSpanName(), "straddling");
+    }
+    EXPECT_EQ(currentSpanName(), nullptr);
+    requests.finish(ctx, RequestTraceFinish{});
+    RetainedTrace trace;
+    ASSERT_TRUE(requests.findTrace(ctx.traceId, &trace));
+
+    const std::map<std::string, uint64_t> expected{{"straddling", 1}};
+    EXPECT_EQ(timelineCounts(), expected);
+    EXPECT_EQ(pmuCounts(), expected);
+    EXPECT_EQ(requestCounts(trace), expected);
 }
 
 } // namespace
