@@ -24,7 +24,8 @@ namespace {
  */
 void
 integrateColumnScalar(const IntegrateContext &ctx, Voxel *column,
-                      int z_begin, int z_end, Vec3f pos)
+                      int z_begin, int z_end, Vec3f pos,
+                      uint64_t *dirty)
 {
     for (int z = z_begin; z < z_end; ++z, pos += ctx.step) {
         if (pos.z <= 0.001f)
@@ -49,22 +50,22 @@ integrateColumnScalar(const IntegrateContext &ctx, Voxel *column,
         const float tsdf = std::min(1.0f, sdf * ctx.invMu);
         Voxel &v = column[z];
         const float weight = v.weight;
+        const bool was_one = v.tsdf == 1.0f;
         v.tsdf = (v.tsdf * weight + tsdf) / (weight + 1.0f);
         v.weight = std::min(weight + 1.0f, ctx.maxWeight);
+        if (was_one && v.tsdf != 1.0f)
+            markDirtyZ(dirty, z);
     }
 }
 
-/** Scalar castRays: one castRay() call per packet lane. */
+/** Scalar castRays: one castRayDense() march per packet lane. */
 void
 castRaysScalar(const TsdfVolume &volume, const Vec3f &origin,
                const Vec3f *dirs, size_t count,
                const RaycastParams &params, RayHit *hits)
 {
-    for (size_t l = 0; l < count; ++l) {
-        hits[l] = RayHit{};
-        hits[l].found = castRay(volume, origin, dirs[l], params,
-                                hits[l].hit, hits[l].steps);
-    }
+    for (size_t l = 0; l < count; ++l)
+        castRayDense(volume, origin, dirs[l], params, hits[l]);
 }
 
 /** The scalar ICP reduction body (reduceKernel's reduce_range). */
@@ -101,9 +102,10 @@ class ScalarBackend final : public KernelBackend
 
     void
     integrateColumn(const IntegrateContext &ctx, Voxel *column,
-                    int z_begin, int z_end, Vec3f pos) const override
+                    int z_begin, int z_end, Vec3f pos,
+                    uint64_t *dirty) const override
     {
-        integrateColumnScalar(ctx, column, z_begin, z_end, pos);
+        integrateColumnScalar(ctx, column, z_begin, z_end, pos, dirty);
     }
 
     Vec3f
@@ -139,13 +141,15 @@ class SimdBackend final : public KernelBackend
 
     void
     integrateColumn(const IntegrateContext &ctx, Voxel *column,
-                    int z_begin, int z_end, Vec3f pos) const override
+                    int z_begin, int z_end, Vec3f pos,
+                    uint64_t *dirty) const override
     {
         if (avx2_)
             detail::integrateColumnAvx2(ctx, column, z_begin, z_end,
-                                        pos);
+                                        pos, dirty);
         else
-            integrateColumnScalar(ctx, column, z_begin, z_end, pos);
+            integrateColumnScalar(ctx, column, z_begin, z_end, pos,
+                                  dirty);
     }
 
     Vec3f

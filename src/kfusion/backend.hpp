@@ -46,6 +46,7 @@
 #include <string_view>
 #include <vector>
 
+#include "kfusion/ray_march.hpp"
 #include "kfusion/raycast.hpp"
 #include "kfusion/tracking.hpp"
 #include "kfusion/volume.hpp"
@@ -59,13 +60,6 @@ namespace slambench::kfusion {
 /** Maximum rays per KernelBackend::castRays packet. */
 inline constexpr size_t kRayPacketWidth = 8;
 
-/** Per-ray result of a castRays packet (mirrors castRay outputs). */
-struct RayHit
-{
-    math::Vec3f hit;  ///< World-space surface point when found.
-    int steps = 0;    ///< Marching steps consumed by this ray.
-    bool found = false; ///< Whether a + to - zero crossing was found.
-};
 
 /**
  * Read-only context shared by every column of one integrate call
@@ -83,6 +77,24 @@ struct IntegrateContext
     float maxWeight = 100.0f;     ///< Weight saturation bound.
     math::Vec3f step;             ///< Camera-frame z step per voxel.
 };
+
+/**
+ * Record that an integrateColumn kernel moved voxel @p z of its column
+ * from tsdf == 1 to tsdf != 1: set the bit of every z-brick whose
+ * apron holds it (brick z / kBrickEdge, and the brick below when z is
+ * on a brick's low face).
+ *
+ * @param[in,out] dirty One bit per z-brick of the column.
+ * @param z Voxel index within the column.
+ */
+inline void
+markDirtyZ(uint64_t *dirty, int z)
+{
+    const int b = z >> kBrickShift;
+    dirty[b >> 6] |= uint64_t{1} << (b & 63);
+    if ((z & (kBrickEdge - 1)) == 0 && b > 0)
+        dirty[(b - 1) >> 6] |= uint64_t{1} << ((b - 1) & 63);
+}
 
 /**
  * One named implementation of the four hot kernels.
@@ -108,10 +120,16 @@ class KernelBackend
      * @param z_end Last z index to visit (exclusive).
      * @param pos Camera-frame position of voxel @p z_begin, produced
      *            by the caller's incremental `pos += step` sweep.
+     * @param[in,out] dirty One bit per z-brick of the column; the
+     *            kernel sets markDirtyZ() bits for every voxel it
+     *            moves from tsdf == 1 to tsdf != 1 (the free-brick
+     *            upkeep; a voxel already != 1 had its bricks cleared
+     *            when it left 1) and clears none.
      */
     virtual void integrateColumn(const IntegrateContext &ctx,
                                  Voxel *column, int z_begin, int z_end,
-                                 math::Vec3f pos) const = 0;
+                                 math::Vec3f pos,
+                                 uint64_t *dirty) const = 0;
 
     /**
      * Fused TSDF gradient at world point @p p; must match
@@ -122,7 +140,12 @@ class KernelBackend
 
     /**
      * Cast a packet of up to kRayPacketWidth rays (the per-pixel core
-     * of marchImage); each lane must match castRay bit-for-bit.
+     * of marchImage); each lane must match castRay bit-for-bit in
+     * found, hit and steps. An implementation may honour the
+     * volume's free-brick flags or ignore them: a skipped fetch can
+     * change neither the step decision nor the refined hit (see
+     * docs/ARCHITECTURE.md), so both are exact. RayHit::skipped
+     * reports the fetches it elided.
      *
      * @param volume Fused TSDF volume.
      * @param origin Shared ray origin (world).

@@ -39,25 +39,23 @@ avx2CompiledIn()
 
 namespace {
 
+/** Per-lane stencil base of up to 8 trilinear samples. */
+struct Stencil8
+{
+    __m256 lx, ly, lz;   ///< Voxel-center-relative coordinates.
+    __m256i x0, y0, z0;  ///< Stencil base voxel (floor of l*).
+    __m256i inBounds;    ///< The 2x2x2 stencil fits (lane mask).
+};
+
 /**
- * Trilinear TSDF sample of up to 8 world points (one per lane), each
- * lane replaying TsdfVolume::sampleTrilinear exactly.
- *
- * @param voxels Volume storage viewed as interleaved {tsdf, weight}
- *               float pairs.
- * @param res Volume resolution (voxels per edge).
- * @param origin Volume origin, broadcast per component.
- * @param inv_vs The scalar kernel's single-rounded 1 / voxelSize().
- * @param px,py,pz Sample positions, one point per lane.
- * @param active Lanes to sample (sign-bit mask); inactive lanes
- *               perform no memory access and return 1.0f/invalid.
- * @param[out] valid_out Per-lane validity (bounds && any observed).
- * @return per-lane interpolated TSDF (1.0f when invalid).
+ * The stencil base of up to 8 world points, each lane replaying
+ * TsdfVolume's stencilLocal / floor / bounds arithmetic exactly.
+ * Shared by the sampler and the free-brick test, so both see the
+ * same base voxel.
  */
-__m256
-sampleTrilinear8(const float *voxels, int res, const Vec3f &origin,
-                 float inv_vs, __m256 px, __m256 py, __m256 pz,
-                 __m256 active, __m256 &valid_out)
+Stencil8
+stencil8(int res, const Vec3f &origin, float inv_vs, __m256 px,
+         __m256 py, __m256 pz)
 {
     const __m256 half = _mm256_set1_ps(0.5f);
     const __m256 s = _mm256_set1_ps(inv_vs);
@@ -94,6 +92,27 @@ sampleTrilinear8(const float *voxels, int res, const Vec3f &origin,
                  _mm256_and_si256(_mm256_cmpgt_epi32(resm1, x0),
                                   _mm256_cmpgt_epi32(resm1, y0)),
                  _mm256_cmpgt_epi32(resm1, z0)));
+    return {lx, ly, lz, x0, y0, z0, inb};
+}
+
+/**
+ * Trilinear TSDF sample of up to 8 world points (one per lane), each
+ * lane replaying TsdfVolume::sampleTrilinear exactly.
+ *
+ * @param voxels Volume storage viewed as interleaved {tsdf, weight}
+ *               float pairs.
+ * @param res Volume resolution (voxels per edge).
+ * @param stencil The samples' stencil8().
+ * @param active Lanes to sample (sign-bit mask); inactive lanes
+ *               perform no memory access and return 1.0f/invalid.
+ * @param[out] valid_out Per-lane validity (bounds && any observed).
+ * @return per-lane interpolated TSDF (1.0f when invalid).
+ */
+__m256
+sampleTrilinear8(const float *voxels, int res, const Stencil8 &stencil,
+                 __m256 active, __m256 &valid_out)
+{
+    const auto &[lx, ly, lz, x0, y0, z0, inb] = stencil;
     const __m256 gather_mask =
         _mm256_and_ps(_mm256_castsi256_ps(inb), active);
 
@@ -153,6 +172,42 @@ sampleTrilinear8(const float *voxels, int res, const Vec3f &origin,
     return _mm256_blendv_ps(one, value, valid_out);
 }
 
+/**
+ * Per-lane TsdfVolume::sampleIsFree: the lane's stencil is out of
+ * bounds, or based in a flagged brick. One 32-bit gather reads each
+ * in-bounds lane's flag byte (the flag array is padded for it).
+ *
+ * @param flags TsdfVolume::freeBricks().
+ * @param bricks TsdfVolume::bricksPerEdge().
+ * @param s The samples' stencil8().
+ * @param active Lanes to test; inactive lanes read no flag.
+ * @return free lanes (sign-bit mask); only meaningful where active.
+ */
+__m256
+freeMask8(const uint8_t *flags, int bricks, const Stencil8 &s,
+          __m256 active)
+{
+    const __m256i bv = _mm256_set1_epi32(bricks);
+    const __m256i brick = _mm256_add_epi32(
+        _mm256_mullo_epi32(
+            _mm256_add_epi32(
+                _mm256_mullo_epi32(
+                    _mm256_srai_epi32(s.x0, kBrickShift), bv),
+                _mm256_srai_epi32(s.y0, kBrickShift)),
+            bv),
+        _mm256_srai_epi32(s.z0, kBrickShift));
+    const __m256i zero = _mm256_setzero_si256();
+    const __m256i raw = _mm256_mask_i32gather_epi32(
+        zero, reinterpret_cast<const int *>(flags), brick,
+        _mm256_and_si256(s.inBounds, _mm256_castps_si256(active)), 1);
+    const __m256i unflagged = _mm256_cmpeq_epi32(
+        _mm256_and_si256(raw, _mm256_set1_epi32(0xff)), zero);
+    // free = !inBounds || flagged = !(inBounds && unflagged).
+    return _mm256_castsi256_ps(_mm256_xor_si256(
+        _mm256_and_si256(s.inBounds, unflagged),
+        _mm256_set1_epi32(-1)));
+}
+
 /** @return lane l of a float vector. */
 float
 lane(__m256 v, int l)
@@ -175,7 +230,7 @@ lanei(__m256i v, int l)
 
 void
 integrateColumnAvx2(const IntegrateContext &ctx, Voxel *column,
-                    int z_begin, int z_end, Vec3f pos)
+                    int z_begin, int z_end, Vec3f pos, uint64_t *dirty)
 {
     const __m256 fx = _mm256_set1_ps(ctx.intrinsics.fx);
     const __m256 fy = _mm256_set1_ps(ctx.intrinsics.fy);
@@ -272,6 +327,17 @@ integrateColumnAvx2(const IntegrateContext &ctx, Voxel *column,
         const __m256 bt = _mm256_blendv_ps(vt, nt, keep);
         const __m256 bw = _mm256_blendv_ps(vw, nw, keep);
 
+        // Free-brick upkeep: fused lanes that leave tsdf == 1 (NEQ_UQ
+        // is true for NaN, like the scalar `!=`). Eight lanes span at
+        // most two bricks, so the first and last such lane mark every
+        // brick the others would.
+        if (const int m = _mm256_movemask_ps(_mm256_and_ps(
+                _mm256_and_ps(keep, _mm256_cmp_ps(vt, one, _CMP_EQ_OQ)),
+                _mm256_cmp_ps(nt, one, _CMP_NEQ_UQ)))) {
+            markDirtyZ(dirty, z + __builtin_ctz(m));
+            markDirtyZ(dirty, z + 31 - __builtin_clz(m));
+        }
+
         // Re-interleave (the 64-bit permute is an involution) and
         // store; skipped lanes write back their original bytes.
         const __m256 tp = _mm256_castpd_ps(_mm256_permute4x64_pd(
@@ -307,8 +373,11 @@ integrateColumnAvx2(const IntegrateContext &ctx, Voxel *column,
         const float tsdf = std::min(1.0f, sdf * ctx.invMu);
         Voxel &v = column[z];
         const float weight = v.weight;
+        const bool was_one = v.tsdf == 1.0f;
         v.tsdf = (v.tsdf * weight + tsdf) / (weight + 1.0f);
         v.weight = std::min(weight + 1.0f, ctx.maxWeight);
+        if (was_one && v.tsdf != 1.0f)
+            markDirtyZ(dirty, z);
     }
 }
 
@@ -332,9 +401,10 @@ gradAvx2(const TsdfVolume &volume, const Vec3f &p)
         -1, -1, -1, -1, -1, -1, 0, 0));
 
     __m256 valid;
-    const __m256 v = sampleTrilinear8(voxels, volume.resolution(),
-                                      volume.origin(), inv_vs, px, py,
-                                      pz, active, valid);
+    const int res = volume.resolution();
+    const __m256 v = sampleTrilinear8(
+        voxels, res, stencil8(res, volume.origin(), inv_vs, px, py, pz),
+        active, valid);
     const int ok = _mm256_movemask_ps(valid);
 
     // Per-axis early-outs in the scalar order: both samples of an
@@ -407,6 +477,8 @@ castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
     const __m256 eps = _mm256_set1_ps(1e-12f);
     const int res = volume.resolution();
     const Vec3f &vorigin = volume.origin();
+    const uint8_t *flags = volume.freeBricks();
+    const int bricks = volume.bricksPerEdge();
 
     const auto point_at = [&](__m256 tv, __m256 &px, __m256 &py,
                               __m256 &pz) {
@@ -416,12 +488,26 @@ castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
         pz = _mm256_add_ps(oz, _mm256_mul_ps(dzv, tv));
     };
 
+    // The free-space skip, per lane as in castRayCore: a lane whose
+    // sample is free skips the fetch, leaving f_t stale (`stale`) with
+    // its t kept in t_stale for a re-fetch should the next sample
+    // cross zero. The gathers run only for lanes that fetch, and not
+    // at all when every running lane is free.
+    __m256 t_stale = t;
+
     // Initial sample: f_t = interp(origin + dir * t); lanes that
     // start inside the surface (valid && f_t < 0) miss immediately.
-    __m256 px, py, pz, valid;
+    __m256 px, py, pz, valid = zero;
     point_at(t, px, py, pz);
-    __m256 f_t = sampleTrilinear8(voxels, res, vorigin, inv_vs, px,
-                                  py, pz, running, valid);
+    Stencil8 stencil = stencil8(res, vorigin, inv_vs, px, py, pz);
+    __m256 stale = _mm256_and_ps(
+        running, freeMask8(flags, bricks, stencil, running));
+    __m256i skipped = _mm256_sub_epi32(_mm256_setzero_si256(),
+                                       _mm256_castps_si256(stale));
+    const __m256 fetch0 = _mm256_andnot_ps(stale, running);
+    __m256 f_t = one;
+    if (!_mm256_testz_ps(fetch0, fetch0))
+        f_t = sampleTrilinear8(voxels, res, stencil, fetch0, valid);
     running = _mm256_andnot_ps(
         _mm256_and_ps(valid, _mm256_cmp_ps(f_t, zero, _CMP_LT_OQ)),
         running);
@@ -445,20 +531,57 @@ castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
         t = _mm256_blendv_ps(t, _mm256_add_ps(t, stepsize), running);
 
         point_at(t, px, py, pz);
-        const __m256 f_tt = sampleTrilinear8(
-            voxels, res, vorigin, inv_vs, px, py, pz, running, valid);
+        stencil = stencil8(res, vorigin, inv_vs, px, py, pz);
+
+        // Free lanes: invalid or >= 0.8 either way, so the coarse
+        // step, no crossing, and a stale f_t.
+        const __m256 skip = _mm256_and_ps(
+            running, freeMask8(flags, bricks, stencil, running));
+        if (!_mm256_testz_ps(skip, skip)) {
+            // Lanes in free space already take the coarse step; only
+            // blend when one does not, so the next t does not wait on
+            // this iteration's flag gather.
+            const __m256 fine_skip = _mm256_and_ps(
+                skip, _mm256_cmp_ps(stepsize, large, _CMP_NEQ_UQ));
+            if (!_mm256_testz_ps(fine_skip, fine_skip))
+                stepsize = _mm256_blendv_ps(stepsize, large, skip);
+            stale = _mm256_or_ps(stale, skip);
+            t_stale = _mm256_blendv_ps(t_stale, t, skip);
+            skipped = _mm256_sub_epi32(skipped,
+                                       _mm256_castps_si256(skip));
+        }
+        const __m256 fetch = _mm256_andnot_ps(skip, running);
+        if (_mm256_testz_ps(fetch, fetch))
+            continue;
+
+        const __m256 f_tt =
+            sampleTrilinear8(voxels, res, stencil, fetch, valid);
 
         // Unknown space: f_t = 1, back to the coarse step, continue.
-        const __m256 invalid = _mm256_andnot_ps(valid, running);
+        const __m256 invalid = _mm256_andnot_ps(valid, fetch);
         f_t = _mm256_blendv_ps(f_t, one, invalid);
         stepsize = _mm256_blendv_ps(stepsize, large, invalid);
 
-        const __m256 sampled = _mm256_and_ps(running, valid);
+        const __m256 sampled = _mm256_and_ps(fetch, valid);
         // Zero crossing: linear refinement between samples, exactly
         // the scalar t + stepsize * f_tt / denom operation order.
         const __m256 crossing = _mm256_and_ps(
             sampled, _mm256_cmp_ps(f_tt, zero, _CMP_LT_OQ));
         if (!_mm256_testz_ps(crossing, crossing)) {
+            // A crossing right after a skipped sample re-fetches
+            // that sample's f_t at its stored t.
+            const __m256 refetch = _mm256_and_ps(crossing, stale);
+            if (!_mm256_testz_ps(refetch, refetch)) {
+                __m256 sx, sy, sz, ok;
+                point_at(t_stale, sx, sy, sz);
+                f_t = _mm256_blendv_ps(
+                    f_t,
+                    sampleTrilinear8(
+                        voxels, res,
+                        stencil8(res, vorigin, inv_vs, sx, sy, sz),
+                        refetch, ok),
+                    refetch);
+            }
             const __m256 denom = _mm256_sub_ps(f_t, f_tt);
             const __m256 refine =
                 _mm256_cmp_ps(denom, eps, _CMP_GT_OQ);
@@ -483,11 +606,13 @@ castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
             large, fine, _mm256_cmp_ps(f_tt, band, _CMP_LT_OQ));
         stepsize = _mm256_blendv_ps(stepsize, next_step, marching);
         f_t = _mm256_blendv_ps(f_t, f_tt, marching);
+        stale = _mm256_andnot_ps(fetch, stale);
     }
 
     const int found_bits = _mm256_movemask_ps(found);
     for (size_t l = 0; l < count; ++l) {
         hits[l].steps = lanei(steps, static_cast<int>(l));
+        hits[l].skipped = lanei(skipped, static_cast<int>(l));
         if (found_bits & (1 << l)) {
             hits[l].found = true;
             hits[l].hit = {lane(hitx, static_cast<int>(l)),
@@ -570,7 +695,7 @@ avx2CompiledIn()
 
 void
 integrateColumnAvx2(const IntegrateContext &, Voxel *, int, int,
-                    math::Vec3f)
+                    math::Vec3f, uint64_t *)
 {
     support::fatal("integrateColumnAvx2: AVX2 not compiled in");
 }

@@ -1,6 +1,7 @@
 #include "kfusion/pipeline.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "kfusion/backend.hpp"
 #include "metrics/timing.hpp"
@@ -225,15 +226,19 @@ KFusion::processFrame(const support::Image<uint16_t> &depth_mm)
                            config_.mu, config_.maxWeight, work,
                            pool_.get());
         result.integrated = true;
+        raycastCurrent_ = false;
     }
 
     // --- Raycast the model for the next frame's tracking ---
     if (frame_ > 2 || do_integrate) {
+        const double steps_before = work.itemsFor(KernelId::Raycast);
         volume_->raycast(raycastVertex_, raycastNormal_,
                          scaledIntrinsics_, pose_, raycastParams(),
                          work, pool_.get());
+        raycastSteps_ = work.itemsFor(KernelId::Raycast) - steps_before;
         raycastPose_ = pose_;
         haveReference_ = true;
+        raycastCurrent_ = true;
         result.raycast = true;
     }
 
@@ -261,10 +266,19 @@ KFusion::renderModel(support::Image<support::Rgb8> &out,
 {
     TRACE_SCOPE("render_model");
     WorkCounts work;
-    volume_->renderVolume(out,
-                          intrinsics ? *intrinsics : inputIntrinsics_,
-                          view_pose, raycastParams(), work,
-                          pool_.get());
+    const math::CameraIntrinsics &k =
+        intrinsics ? *intrinsics : inputIntrinsics_;
+    // The raycast's rays are this render's rays only when pose and
+    // intrinsics match bit for bit (-0 and +0 aim rays differently).
+    if (raycastCurrent_ &&
+        std::memcmp(&view_pose, &raycastPose_, sizeof(Mat4f)) == 0 &&
+        std::memcmp(&k, &scaledIntrinsics_, sizeof(k)) == 0) {
+        renderFromNormalsKernel(out, raycastNormal_, raycastSteps_,
+                                work, pool_.get());
+    } else {
+        volume_->renderVolume(out, k, view_pose, raycastParams(), work,
+                              pool_.get());
+    }
     totalWork_.merge(work);
     if (!frameWork_.empty())
         frameWork_.back().merge(work);

@@ -95,6 +95,11 @@ class KFusion
      * Render the reconstructed model from @p view_pose into @p out
      * (the GUI's model pane; charged to the RenderVolume kernel).
      *
+     * At the pose and intrinsics of the last raycast, with no
+     * integration since, the render is shaded from that raycast's
+     * normal map instead of marching again (renderFromNormalsKernel):
+     * same pixels, same work counts.
+     *
      * @param out Destination image.
      * @param view_pose Camera-to-world view pose.
      * @param intrinsics Render camera; nullptr renders at the input
@@ -179,6 +184,10 @@ class KFusion
     support::Image<math::Vec3f> raycastNormal_;
     math::Mat4f raycastPose_;
     bool haveReference_ = false;
+    /** The maps were cast from the volume as it is now. */
+    bool raycastCurrent_ = false;
+    /** Marching steps the last raycast took. */
+    double raycastSteps_ = 0.0;
 
     // Last track data for the GUI pane.
     support::Image<TrackData> lastTrackData_;

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "kfusion/backend.hpp"
-#include "math/aabb.hpp"
+#include "kfusion/ray_march.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 
@@ -16,86 +16,61 @@ using math::Vec3f;
 namespace {
 
 /**
- * Intersect a ray with a volume's AABB (slab test, shared with
- * math::intersectRayAabb).
- *
- * @return false when the ray misses entirely.
+ * A hit whose gradient is this short has no usable normal: raycast
+ * drops it and the render paints background. One predicate for both
+ * keeps a render shaded from raycast's normal map exact.
  */
 bool
-clipToVolume(const Vec3f &vol_origin, float vol_size,
-             const Vec3f &origin, const Vec3f &dir, float &t_near,
-             float &t_far)
+degenerateGradient(const Vec3f &g)
 {
-    const math::Aabb box{vol_origin,
-                         vol_origin + Vec3f::all(vol_size)};
-    return math::intersectRayAabb(box, origin, dir, t_near, t_far);
+    return !(g.squaredNorm() > 1e-18f);
 }
 
-/**
- * Shared single-ray marching core: every volume backend casts with
- * this exact control flow — per-step t accumulation (never jumped, so
- * refined hit parameters are bit-identical across backends), linear
- * zero-crossing refinement, coarse steps across invalid samples —
- * differing only in how a sample is fetched (@p interp).
- */
-template <typename InterpFn>
-bool
-castRayCore(const Vec3f &vol_origin, float vol_size,
-            const Vec3f &origin, const Vec3f &dir,
-            const RaycastParams &params, Vec3f &hit, int &steps,
-            const InterpFn &interp)
+/** Background of the shaded render (misses and degenerate hits). */
+constexpr support::Rgb8 kRenderBackground{20, 20, 28};
+
+/** Diffuse shading of a unit surface normal for the model render. */
+support::Rgb8
+shadeNormal(const Vec3f &n)
 {
-    steps = 0;
-    float t_near, t_far;
-    if (!clipToVolume(vol_origin, vol_size, origin, dir, t_near,
-                      t_far))
-        return false;
-    // Start marching at the volume entry point, not the near plane.
-    float t = std::max(t_near, params.nearPlane);
-    const float t_end = std::min(t_far, params.farPlane);
-    if (t >= t_end)
-        return false;
-
-    bool valid = false;
-    float f_t = interp(origin + dir * t, valid);
-    if (valid && f_t < 0.0f)
-        return false; // started inside the surface
-
-    float stepsize = params.largeStep;
-    while (t < t_end) {
-        ++steps;
-        t += stepsize;
-        bool sample_valid = false;
-        const float f_tt = interp(origin + dir * t, sample_valid);
-        if (!sample_valid) {
-            // Unknown space: cross at the coarse rate.
-            f_t = 1.0f;
-            stepsize = params.largeStep;
-            continue;
-        }
-        if (f_tt < 0.0f) {
-            // Zero crossing: linear refinement between samples.
-            const float denom = f_t - f_tt;
-            const float t_star =
-                denom > 1e-12f ? t + stepsize * f_tt / denom : t;
-            hit = origin + dir * t_star;
-            return true;
-        }
-        // Close to the surface: drop to the fine step.
-        stepsize = f_tt < 0.8f ? params.step : params.largeStep;
-        f_t = f_tt;
-    }
-    return false;
+    static const Vec3f light = Vec3f{0.3f, 0.8f, -0.5f}.normalized();
+    const float diffuse = std::max(0.0f, n.dot(light)) * 0.7f + 0.25f;
+    const auto channel = [diffuse](float base) {
+        return static_cast<uint8_t>(
+            std::clamp(base * diffuse, 0.0f, 255.0f));
+    };
+    return {channel(200.0f), channel(205.0f), channel(215.0f)};
 }
 
-/**
- * Per-row marching-step accumulator, padded to a cache line so
- * adjacent rows written by different workers never share a line
- * (parallelFor hands out consecutive row indices).
- */
-struct alignas(64) RowSteps
+/** castRayCore on the sparse volume: block-cached, never skipped. */
+void
+castRaySparse(const SparseTsdfVolume &volume, const Vec3f &origin,
+              const Vec3f &dir, const RaycastParams &params,
+              SparseTsdfVolume::LookupCache &cache, RayHit &ray)
 {
-    double value = 0.0;
+    castRayCore(
+        volume.origin(), volume.size(), origin, dir, params,
+        [&](const Vec3f &p, bool &valid) {
+            return volume.interpCached(p, valid, cache);
+        },
+        NeverFree{}, ray);
+}
+
+/** Marching work of one image: steps taken, fetches skipped. */
+struct MarchTotals
+{
+    double steps = 0.0;
+    double skipped = 0.0;
+};
+
+/**
+ * Per-row march accumulator, padded to a cache line so adjacent rows
+ * written by different workers never share a line (parallelFor hands
+ * out consecutive row indices).
+ */
+struct alignas(64) RowTotals
+{
+    MarchTotals value;
 };
 
 /** Dense volume caster: ray packets + gradients via the backend. */
@@ -135,9 +110,8 @@ struct SparseCaster
     {
         SparseTsdfVolume::LookupCache cache;
         for (size_t l = 0; l < n; ++l)
-            hits[l].found =
-                castRay(volume, origin, dirs[l], params, hits[l].hit,
-                        hits[l].steps, cache);
+            castRaySparse(volume, origin, dirs[l], params, cache,
+                          hits[l]);
     }
 
     Vec3f
@@ -156,13 +130,12 @@ struct SparseCaster
  * block-cached marching), the fused TSDF gradient is evaluated at
  * each hit, and shade(x, y, hit_found, hit, grad) runs for every
  * pixel — grad is the raw (unnormalized) gradient, zero when the ray
- * missed, so each caller applies its own degenerate-normal policy
- * unchanged.
+ * missed.
  *
- * @return total marching steps taken across the image.
+ * @return marching steps taken and fetches skipped across the image.
  */
 template <typename Caster, typename ShadeFn>
-double
+MarchTotals
 marchImage(const Caster &caster,
            const math::CameraIntrinsics &intrinsics,
            const math::Mat4f &camera_to_world,
@@ -172,10 +145,10 @@ marchImage(const Caster &caster,
     const size_t w = intrinsics.width;
     const size_t h = intrinsics.height;
     const Vec3f origin = camera_to_world.translationPart();
-    std::vector<RowSteps> row_steps(h);
+    std::vector<RowTotals> rows(h);
 
     auto process_row = [&](size_t y) {
-        double steps_in_row = 0.0;
+        MarchTotals row;
         Vec3f dirs[kRayPacketWidth];
         RayHit hits[kRayPacketWidth];
         for (size_t x0 = 0; x0 < w; x0 += kRayPacketWidth) {
@@ -189,14 +162,15 @@ marchImage(const Caster &caster,
             }
             caster.castRays(origin, dirs, n, params, hits);
             for (size_t l = 0; l < n; ++l) {
-                steps_in_row += hits[l].steps;
+                row.steps += hits[l].steps;
+                row.skipped += hits[l].skipped;
                 const Vec3f g = hits[l].found
                                     ? caster.grad(hits[l].hit)
                                     : Vec3f{};
                 shade(x0 + l, y, hits[l].found, hits[l].hit, g);
             }
         }
-        row_steps[y].value = steps_in_row;
+        rows[y].value = row;
     };
 
     if (pool) {
@@ -206,10 +180,12 @@ marchImage(const Caster &caster,
             process_row(y);
     }
 
-    double total_steps = 0.0;
-    for (const RowSteps &s : row_steps)
-        total_steps += s.value;
-    return total_steps;
+    MarchTotals total;
+    for (const RowTotals &r : rows) {
+        total.steps += r.value.steps;
+        total.skipped += r.value.skipped;
+    }
+    return total;
 }
 
 template <typename Caster>
@@ -228,11 +204,11 @@ raycastKernelImpl(support::Image<Vec3f> &vertex_out,
     vertex_out.resize(w, h);
     normal_out.resize(w, h);
 
-    const double total_steps = marchImage(
+    const MarchTotals total = marchImage(
         caster, intrinsics, camera_to_world, params, pool,
         [&](size_t x, size_t y, bool found, const Vec3f &hit,
             const Vec3f &g) {
-            if (found && g.squaredNorm() > 1e-18f) {
+            if (found && !degenerateGradient(g)) {
                 vertex_out(x, y) = hit;
                 // TSDF increases away from the surface toward the
                 // camera side, so the gradient already points
@@ -244,17 +220,31 @@ raycastKernelImpl(support::Image<Vec3f> &vertex_out,
             }
         });
 
-    counts.addItems(KernelId::Raycast, total_steps);
-    counts.addBytes(KernelId::Raycast, total_steps * 32.0);
+    counts.addItems(KernelId::Raycast, total.steps);
+    counts.addBytes(KernelId::Raycast, total.steps * 32.0);
 
+    // Skipped fetches stay out of WorkCounts: the scalar and simd
+    // casters may elide different fetches for the same steps.
     namespace sm = support::metrics;
     static sm::Counter &rays_counter =
         sm::Registry::instance().counter("raycast.rays");
     static sm::Counter &steps_counter =
         sm::Registry::instance().counter("raycast.steps");
+    static sm::Counter &skipped_counter =
+        sm::Registry::instance().counter("raycast.samples_skipped");
     rays_counter.add(static_cast<uint64_t>(w * h));
-    steps_counter.add(static_cast<uint64_t>(total_steps));
-    TRACE_COUNTER("raycast.steps", total_steps);
+    steps_counter.add(static_cast<uint64_t>(total.steps));
+    skipped_counter.add(static_cast<uint64_t>(total.skipped));
+    TRACE_COUNTER("raycast.steps", total.steps);
+}
+
+/** Charge one image's ray march to the RenderVolume kernel. */
+void
+addRenderWork(WorkCounts &counts, double steps)
+{
+    counts.addItems(KernelId::RenderVolume, steps);
+    counts.addBytes(KernelId::RenderVolume, steps * 32.0);
+    TRACE_COUNTER("render_volume.steps", steps);
 }
 
 template <typename Caster>
@@ -271,30 +261,15 @@ renderVolumeKernelImpl(support::Image<support::Rgb8> &out,
     const size_t h = intrinsics.height;
     out.resize(w, h);
 
-    const Vec3f light = Vec3f{0.3f, 0.8f, -0.5f}.normalized();
-
-    const double total_steps = marchImage(
+    const MarchTotals total = marchImage(
         caster, intrinsics, camera_to_world, params, pool,
         [&](size_t x, size_t y, bool found, const Vec3f &,
             const Vec3f &g) {
-            if (!found || g.squaredNorm() < 1e-18f) {
-                out(x, y) = {20, 20, 28};
-                return;
-            }
-            const Vec3f n = g.normalized();
-            const float diffuse =
-                std::max(0.0f, n.dot(light)) * 0.7f + 0.25f;
-            const auto channel = [diffuse](float base) {
-                return static_cast<uint8_t>(
-                    std::clamp(base * diffuse, 0.0f, 255.0f));
-            };
-            out(x, y) = {channel(200.0f), channel(205.0f),
-                         channel(215.0f)};
+            out(x, y) = found && !degenerateGradient(g)
+                            ? shadeNormal(g.normalized())
+                            : kRenderBackground;
         });
-
-    counts.addItems(KernelId::RenderVolume, total_steps);
-    counts.addBytes(KernelId::RenderVolume, total_steps * 32.0);
-    TRACE_COUNTER("render_volume.steps", total_steps);
+    addRenderWork(counts, total.steps);
 }
 
 } // namespace
@@ -303,11 +278,12 @@ bool
 castRay(const TsdfVolume &volume, const Vec3f &origin, const Vec3f &dir,
         const RaycastParams &params, Vec3f &hit, int &steps)
 {
-    return castRayCore(volume.origin(), volume.size(), origin, dir,
-                       params, hit, steps,
-                       [&](const Vec3f &p, bool &valid) {
-                           return volume.interp(p, valid);
-                       });
+    RayHit ray;
+    castRayDense(volume, origin, dir, params, ray);
+    if (ray.found)
+        hit = ray.hit;
+    steps = ray.steps;
+    return ray.found;
 }
 
 bool
@@ -315,12 +291,41 @@ castRay(const SparseTsdfVolume &volume, const Vec3f &origin,
         const Vec3f &dir, const RaycastParams &params, Vec3f &hit,
         int &steps, SparseTsdfVolume::LookupCache &cache)
 {
-    return castRayCore(volume.origin(), volume.size(), origin, dir,
-                       params, hit, steps,
-                       [&](const Vec3f &p, bool &valid) {
-                           return volume.interpCached(p, valid,
-                                                      cache);
-                       });
+    RayHit ray;
+    castRaySparse(volume, origin, dir, params, cache, ray);
+    if (ray.found)
+        hit = ray.hit;
+    steps = ray.steps;
+    return ray.found;
+}
+
+void
+renderFromNormalsKernel(support::Image<support::Rgb8> &out,
+                        const support::Image<Vec3f> &normals,
+                        double march_steps, WorkCounts &counts,
+                        support::ThreadPool *pool)
+{
+    KernelTimer timer(counts, KernelId::RenderVolume);
+    const size_t w = normals.width();
+    const size_t h = normals.height();
+    out.resize(w, h);
+    // raycastKernel stored g.normalized() exactly where the render
+    // would shade it, and zero where it would paint background.
+    auto shade_row = [&](size_t y) {
+        for (size_t x = 0; x < w; ++x) {
+            const Vec3f &n = normals(x, y);
+            out(x, y) = n.x == 0.0f && n.y == 0.0f && n.z == 0.0f
+                            ? kRenderBackground
+                            : shadeNormal(n);
+        }
+    };
+    if (pool) {
+        pool->parallelFor(0, h, shade_row);
+    } else {
+        for (size_t y = 0; y < h; ++y)
+            shade_row(y);
+    }
+    addRenderWork(counts, march_steps);
 }
 
 void

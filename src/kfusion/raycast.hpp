@@ -76,7 +76,29 @@ void renderVolumeKernel(support::Image<support::Rgb8> &out,
                         const KernelBackend *backend = nullptr);
 
 /**
- * Cast a single ray against the volume.
+ * Shaded rendering from a raycast's normal map instead of a second
+ * march. Pixel-for-pixel identical to renderVolumeKernel when
+ * @p normals came from raycastKernel at the same pose, intrinsics and
+ * stepping parameters on an unchanged volume: raycast keeps exactly
+ * the hits the render shades, with the same normalized gradient.
+ *
+ * @param[out] out Shaded image, sized like @p normals.
+ * @param normals World-space normal map (zero = no surface).
+ * @param march_steps That raycast's total marching steps; charged to
+ *                    RenderVolume as the march would have been, so
+ *                    work counts and device models do not change.
+ * @param[in,out] counts Work accounting (RenderVolume kernel).
+ * @param pool Optional worker pool.
+ */
+void renderFromNormalsKernel(support::Image<support::Rgb8> &out,
+                             const support::Image<math::Vec3f> &normals,
+                             double march_steps, WorkCounts &counts,
+                             support::ThreadPool *pool);
+
+/**
+ * Cast a single ray against the volume, skipping the fetch of
+ * samples in free bricks (TsdfVolume::sampleIsFree); hits and steps
+ * are those of the march that fetches every sample.
  *
  * @param volume Fused TSDF volume.
  * @param origin Ray origin (world).

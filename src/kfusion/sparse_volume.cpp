@@ -465,6 +465,9 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
         static thread_local std::vector<Voxel *> dest;
         static thread_local std::vector<uint8_t> fresh;
         static thread_local std::vector<uint8_t> swept;
+        // The free-brick flags are a dense-volume structure; block
+        // segments span at most 16 voxels (< 64 bricks), one word.
+        uint64_t unused_dirty = 0;
         long long touched = 0;
         for (size_t ri = begin; ri < end; ++ri) {
             const BlockRun r = runs[ri];
@@ -520,7 +523,7 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
                             std::min(z_stop, block_z0 + bs);
                         backend.integrateColumn(
                             ctx, dest[j] + col_off, z - block_z0,
-                            z_lim - block_z0, pos);
+                            z_lim - block_z0, pos, &unused_dirty);
                         // Advance past the segment with the same
                         // additions the dense sweep performs.
                         for (int k = z; k < z_lim; ++k)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 
 #include "kfusion/backend.hpp"
@@ -12,8 +13,16 @@
 
 namespace slambench::kfusion {
 
+namespace {
+
+/** Readable bytes past the last free flag (one 32-bit gather). */
+constexpr size_t kFreeFlagPadding = 4;
+
+} // namespace
+
 TsdfVolume::TsdfVolume(int resolution, float size_m, const Vec3f &origin)
-    : resolution_(resolution), size_(size_m), origin_(origin)
+    : resolution_(resolution), size_(size_m), origin_(origin),
+      bricks_((resolution + kBrickEdge - 1) / kBrickEdge)
 {
     if (resolution < 8)
         support::fatal("TsdfVolume: resolution must be >= 8");
@@ -22,12 +31,32 @@ TsdfVolume::TsdfVolume(int resolution, float size_m, const Vec3f &origin)
     voxels_.assign(static_cast<size_t>(resolution) * resolution *
                        resolution,
                    Voxel{});
+    // Every voxel starts at tsdf 1, so every brick starts free.
+    freeBricks_.assign(static_cast<size_t>(bricks_) * bricks_ * bricks_ +
+                           kFreeFlagPadding,
+                       1);
 }
 
 void
 TsdfVolume::reset()
 {
     std::fill(voxels_.begin(), voxels_.end(), Voxel{});
+    std::fill(freeBricks_.begin(), freeBricks_.end(), 1);
+}
+
+void
+TsdfVolume::clearColumnBricks(int x, int y, uint64_t *dirty)
+{
+    for (int w = 0; w * 64 < bricks_; ++w) {
+        for (uint64_t bits = dirty[w]; bits != 0; bits &= bits - 1) {
+            const int bz = w * 64 + std::countr_zero(bits);
+            for (int bx = apronLow(x); bx <= (x >> kBrickShift); ++bx)
+                for (int by = apronLow(y); by <= (y >> kBrickShift);
+                     ++by)
+                    clearBrick(brickIndex(bx, by, bz));
+        }
+        dirty[w] = 0;
+    }
 }
 
 bool
@@ -42,15 +71,11 @@ float
 TsdfVolume::sampleTrilinear(float px, float py, float pz,
                             bool &valid) const
 {
-    const float vs = voxelSize();
-    // Shift by half a voxel so samples are taken at voxel centers.
-    const Vec3f local = (Vec3f{px, py, pz} - origin_) * (1.0f / vs) -
-                        Vec3f{0.5f, 0.5f, 0.5f};
+    const Vec3f local = stencilLocal(px, py, pz);
     const int x0 = static_cast<int>(std::floor(local.x));
     const int y0 = static_cast<int>(std::floor(local.y));
     const int z0 = static_cast<int>(std::floor(local.z));
-    if (x0 < 0 || y0 < 0 || z0 < 0 || x0 + 1 >= resolution_ ||
-        y0 + 1 >= resolution_ || z0 + 1 >= resolution_) {
+    if (!stencilInBounds(x0, y0, z0)) {
         valid = false;
         return 1.0f;
     }
@@ -218,6 +243,11 @@ TsdfVolume::integrateImpl(const support::Image<float> &depth,
     std::atomic<long long> visited_total{0};
     std::atomic<long long> culled_total{0};
 
+    // One bit per z-brick: the kernels mark the bricks whose apron
+    // holds a voxel they moved off tsdf 1, and the column's free
+    // flags are cleared from it.
+    const size_t dirty_words = (static_cast<size_t>(bricks_) + 63) / 64;
+
     // March along voxel columns: for fixed (x, y) the camera-frame
     // position is affine in z, so compute it incrementally (this is
     // the same strategy the CUDA kernel uses per thread). In the
@@ -225,6 +255,7 @@ TsdfVolume::integrateImpl(const support::Image<float> &depth,
     auto process_column_range = [&](size_t begin, size_t end) {
         long long visited = 0;
         long long culled = 0;
+        std::vector<uint64_t> dirty(dirty_words);
         for (size_t xy = begin; xy < end; ++xy) {
             const int x = static_cast<int>(xy) % res;
             const int y = static_cast<int>(xy) / res;
@@ -248,7 +279,12 @@ TsdfVolume::integrateImpl(const support::Image<float> &depth,
             for (int z = 0; z < z_begin; ++z)
                 pos += step;
             Voxel *column = voxels_.data() + index(x, y, 0);
-            backend.integrateColumn(ctx, column, z_begin, z_end, pos);
+            backend.integrateColumn(ctx, column, z_begin, z_end, pos,
+                                    dirty.data());
+            // Once a surface is fused, columns rarely mark anything.
+            if (std::any_of(dirty.begin(), dirty.end(),
+                            [](uint64_t w) { return w != 0; }))
+                clearColumnBricks(x, y, dirty.data());
         }
         visited_total.fetch_add(visited, std::memory_order_relaxed);
         culled_total.fetch_add(culled, std::memory_order_relaxed);

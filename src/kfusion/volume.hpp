@@ -7,7 +7,10 @@
  * fusion, the map representation of KinectFusion.
  */
 
+#include <atomic>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "kfusion/integrate_cull.hpp"
@@ -27,6 +30,11 @@ using math::Vec3i;
 
 class KernelBackend;
 
+/** log2 of the free-space brick edge. */
+inline constexpr int kBrickShift = 3;
+/** Edge of a free-space brick, voxels (the ray marcher's skip unit). */
+inline constexpr int kBrickEdge = 1 << kBrickShift;
+
 /** One voxel: truncated SDF value in [-1, 1] and fusion weight. */
 struct Voxel
 {
@@ -43,6 +51,14 @@ struct Voxel
  * Storage is z-major (z contiguous, then y, then x), so the
  * integration sweep along a (x, y) voxel column and the 2x2x2
  * interpolation stencil both touch adjacent memory.
+ *
+ * Free-space bricks: the volume also keeps one flag byte per
+ * kBrickEdge^3 brick. A set flag means every voxel of the brick, plus
+ * a one-voxel apron on its +x/+y/+z faces, holds tsdf == 1.0f
+ * exactly, so any 2x2x2 stencil based in the brick samples "about 1"
+ * (or is invalid) and the ray marcher may skip the fetch
+ * (sampleIsFree). The constructor and reset() set every flag;
+ * integrate() and the mutable at() only ever clear them.
  */
 class TsdfVolume
 {
@@ -63,13 +79,21 @@ class TsdfVolume
     /** @return voxel edge length, meters. */
     float voxelSize() const { return size_ / resolution_; }
 
-    /** Reset every voxel to unobserved. */
+    /** Reset every voxel to unobserved (and every brick to free). */
     void reset();
 
-    /** Unchecked voxel access. */
+    /**
+     * Unchecked voxel access. The caller may write the voxel, so the
+     * free flags of every brick whose apron holds it are cleared.
+     */
     Voxel &
     at(int x, int y, int z)
     {
+        for (int bx = apronLow(x); bx <= (x >> kBrickShift); ++bx)
+            for (int by = apronLow(y); by <= (y >> kBrickShift); ++by)
+                for (int bz = apronLow(z); bz <= (z >> kBrickShift);
+                     ++bz)
+                    clearBrick(brickIndex(bx, by, bz));
         return voxels_[index(x, y, z)];
     }
 
@@ -103,6 +127,46 @@ class TsdfVolume
 
     /** @return true when @p p (world) lies inside the volume. */
     bool contains(const Vec3f &p) const;
+
+    /** @return bricks per edge: ceil(resolution / kBrickEdge). */
+    int bricksPerEdge() const { return bricks_; }
+
+    /**
+     * Free-brick flags, indexed (bx * B + by) * B + bz with
+     * B = bricksPerEdge(); nonzero = free (see the class comment).
+     * Four readable padding bytes follow the last flag, so a 32-bit
+     * load at any flag stays inside the allocation.
+     */
+    const uint8_t *freeBricks() const { return freeBricks_.data(); }
+
+    /** @return whether brick (bx, by, bz) is flagged free. */
+    bool
+    brickFree(int bx, int by, int bz) const
+    {
+        return freeBricks_[brickIndex(bx, by, bz)] != 0;
+    }
+
+    /**
+     * The ray marcher's fetch-policy predicate: true when interp(p)
+     * is known without a fetch to be invalid or >= 0.8, because the
+     * sample's 2x2x2 stencil is out of bounds or based in a free
+     * brick (all eight corners hold tsdf 1). Repeats interp()'s exact
+     * stencil arithmetic, so the brick tested is the one the fetch
+     * would read.
+     */
+    bool
+    sampleIsFree(const Vec3f &p) const
+    {
+        const Vec3f local = stencilLocal(p.x, p.y, p.z);
+        const int x0 = static_cast<int>(std::floor(local.x));
+        const int y0 = static_cast<int>(std::floor(local.y));
+        const int z0 = static_cast<int>(std::floor(local.z));
+        if (!stencilInBounds(x0, y0, z0))
+            return true;
+        return freeBricks_[brickIndex(x0 >> kBrickShift,
+                                      y0 >> kBrickShift,
+                                      z0 >> kBrickShift)] != 0;
+    }
 
     /**
      * Trilinearly interpolated TSDF at world point @p p.
@@ -200,6 +264,67 @@ class TsdfVolume
                static_cast<size_t>(z);
     }
 
+    size_t
+    brickIndex(int bx, int by, int bz) const
+    {
+        return (static_cast<size_t>(bx) * bricks_ +
+                static_cast<size_t>(by)) *
+                   bricks_ +
+               static_cast<size_t>(bz);
+    }
+
+    /**
+     * @return the lowest brick coordinate whose apron holds voxel
+     * coordinate @p v: a voxel on a brick's low face is also the
+     * apron of the brick below it.
+     */
+    static int
+    apronLow(int v)
+    {
+        return (v & (kBrickEdge - 1)) == 0 && v > 0
+                   ? (v >> kBrickShift) - 1
+                   : v >> kBrickShift;
+    }
+
+    /**
+     * Clear one free flag. Pool workers fusing neighboring columns
+     * clear shared bricks concurrently, hence the relaxed atomic
+     * (the load first keeps already-cleared lines shared).
+     */
+    void
+    clearBrick(size_t brick)
+    {
+        std::atomic_ref<uint8_t> flag(freeBricks_[brick]);
+        if (flag.load(std::memory_order_relaxed) != 0)
+            flag.store(0, std::memory_order_relaxed);
+    }
+
+    /**
+     * Clear the flags column (x, y) dirtied: every brick whose apron
+     * holds voxel column (x, y) at a z-brick set in @p dirty (one bit
+     * per z-brick, as the integrateColumn kernels report). Zeroes
+     * @p dirty for the next column.
+     */
+    void clearColumnBricks(int x, int y, uint64_t *dirty);
+
+    /** interp()'s voxel-center-relative stencil coordinates of p. */
+    Vec3f
+    stencilLocal(float px, float py, float pz) const
+    {
+        const float vs = voxelSize();
+        // Shift by half a voxel so samples are taken at voxel centers.
+        return (Vec3f{px, py, pz} - origin_) * (1.0f / vs) -
+               Vec3f{0.5f, 0.5f, 0.5f};
+    }
+
+    /** @return whether the stencil based at (x0, y0, z0) fits. */
+    bool
+    stencilInBounds(int x0, int y0, int z0) const
+    {
+        return !(x0 < 0 || y0 < 0 || z0 < 0 || x0 + 1 >= resolution_ ||
+                 y0 + 1 >= resolution_ || z0 + 1 >= resolution_);
+    }
+
     /**
      * Trilinear sample with interp()'s exact arithmetic but a single
      * base-index computation; the building block of grad().
@@ -219,6 +344,8 @@ class TsdfVolume
     float size_;
     Vec3f origin_;
     std::vector<Voxel> voxels_;
+    int bricks_;
+    std::vector<uint8_t> freeBricks_;
     const KernelBackend *backend_ = nullptr;
     LambdaTable lambda_;
 };

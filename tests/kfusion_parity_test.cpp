@@ -15,10 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "dataset/generator.hpp"
 #include "kfusion/backend.hpp"
 #include "kfusion/pipeline.hpp"
+#include "kfusion/ray_march.hpp"
 #include "kfusion/raycast.hpp"
 #include "kfusion/sparse_volume.hpp"
 #include "kfusion/tracking.hpp"
@@ -930,6 +932,499 @@ TEST(BackendParity, PipelinePosesMatchScalarExactly)
                     << kernelName(id);
             }
         }
+    }
+}
+
+// --- free-space skip ---
+//
+// The dense caster skips the fetch of samples in free bricks. The
+// reference is the same castRayCore with the NeverFree policy, so
+// any difference in hits or steps is the skip's fault.
+
+/** Metric depth of a sphere seen from @p camera_to_world (0 = miss). */
+Image<float>
+sphereDepth(const CameraIntrinsics &k, const Mat4f &camera_to_world,
+            const Vec3f &center, float radius)
+{
+    Image<float> depth(k.width, k.height, 0.0f);
+    const Vec3f c = camera_to_world.rigidInverse().transformPoint(center);
+    for (size_t y = 0; y < k.height; ++y) {
+        for (size_t x = 0; x < k.width; ++x) {
+            const Vec3f d = k.rayDir(static_cast<float>(x) + 0.5f,
+                                     static_cast<float>(y) + 0.5f);
+            const float b = d.dot(c);
+            const float disc = b * b - (c.squaredNorm() - radius * radius);
+            if (disc < 0.0f)
+                continue;
+            const float t = b - std::sqrt(disc);
+            if (t > 0.0f)
+                depth(x, y) = t * d.z;
+        }
+    }
+    return depth;
+}
+
+/** Views of the fused sphere: three around it, one from inside. */
+std::vector<Mat4f>
+sphereViews()
+{
+    const Vec3f up{0.0f, 1.0f, 0.0f};
+    const Vec3f center{0.0f, 0.0f, 1.0f};
+    return {
+        Mat4f{},
+        slambench::math::lookAt(Vec3f{0.7f, 0.2f, 0.1f}, center, up),
+        slambench::math::lookAt(Vec3f{-0.6f, -0.3f, 0.2f}, center, up),
+        slambench::math::lookAt(Vec3f{0.1f, 0.6f, 1.9f}, center, up),
+    };
+}
+
+/**
+ * A 60^3 volume (not a multiple of the brick edge: the last brick of
+ * each axis is partial) with a sphere of radius 0.35 m fused from
+ * every sphereViews() pose.
+ */
+TsdfVolume
+fusedSphere(const KernelBackend *backend, ThreadPool *pool)
+{
+    const auto k = CameraIntrinsics::fromFov(64, 48, 1.2f);
+    TsdfVolume volume(60, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
+    volume.setBackend(backend);
+    WorkCounts counts;
+    for (const Mat4f &pose : sphereViews())
+        volume.integrate(
+            sphereDepth(k, pose, Vec3f{0.0f, 0.0f, 1.0f}, 0.35f), k,
+            pose, 0.1f, 100.0f, counts, pool);
+    return volume;
+}
+
+/**
+ * The fusedSphere() volume's geometry with three flat walls fused
+ * from cameras looking along +z, +x and +y instead. Each wall's depth
+ * puts the outer edge of its truncation band exactly on a brick face,
+ * so the first voxel layer past the face is the only one fused below
+ * 1: the brick before the face is clean except for its apron.
+ */
+TsdfVolume
+fusedFaceWalls(const KernelBackend *backend, ThreadPool *pool)
+{
+    const auto k = CameraIntrinsics::fromFov(48, 40, 0.8f);
+    TsdfVolume volume(60, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
+    volume.setBackend(backend);
+    const float mu = 0.1f;
+    const float vs = volume.voxelSize();
+    const Vec3f o = volume.origin();
+    struct Wall
+    {
+        Vec3f eye, forward, up;
+        float face; ///< World coordinate of the face plane.
+    };
+    const Wall walls[] = {
+        {{0.0f, 0.0f, 0.3f}, {0.0f, 0.0f, 1.0f}, {0.0f, 1.0f, 0.0f},
+         o.z + 32.0f * vs},
+        {{-0.9f, 0.1f, 1.0f}, {1.0f, 0.0f, 0.0f}, {0.0f, 1.0f, 0.0f},
+         o.x + 24.0f * vs},
+        {{0.1f, -0.9f, 1.0f}, {0.0f, 1.0f, 0.0f}, {0.0f, 0.0f, 1.0f},
+         o.y + 40.0f * vs},
+    };
+    WorkCounts counts;
+    for (const Wall &w : walls) {
+        const float eye = w.eye.dot(w.forward);
+        const Image<float> depth(k.width, k.height, w.face + mu - eye);
+        volume.integrate(
+            depth, k,
+            slambench::math::lookAt(w.eye, w.eye + w.forward, w.up), mu,
+            100.0f, counts, pool);
+    }
+    return volume;
+}
+
+/** Fine step one voxel, coarse step about one brick (8 voxels). */
+RaycastParams
+skipParams(const TsdfVolume &volume, float large_step)
+{
+    RaycastParams params;
+    params.nearPlane = 0.0f;
+    params.farPlane = 10.0f;
+    params.step = volume.voxelSize();
+    params.largeStep = large_step;
+    return params;
+}
+
+/** One march with the free-brick skip, one without. */
+struct SkipPair
+{
+    RayHit skip;
+    RayHit reference;
+};
+
+SkipPair
+marchBoth(const TsdfVolume &volume, const Vec3f &origin,
+          const Vec3f &dir, const RaycastParams &params)
+{
+    const auto interp = [&](const Vec3f &p, bool &valid) {
+        return volume.interp(p, valid);
+    };
+    SkipPair pair;
+    castRayCore(volume.origin(), volume.size(), origin, dir, params,
+                interp,
+                [&](const Vec3f &p) { return volume.sampleIsFree(p); },
+                pair.skip);
+    castRayCore(volume.origin(), volume.size(), origin, dir, params,
+                interp, NeverFree{}, pair.reference);
+    return pair;
+}
+
+/** Exact equality of everything castRay reports. */
+void
+expectSameRay(const RayHit &got, const RayHit &want)
+{
+    ASSERT_EQ(got.found, want.found);
+    ASSERT_EQ(got.steps, want.steps);
+    if (want.found) {
+        ASSERT_EQ(got.hit.x, want.hit.x);
+        ASSERT_EQ(got.hit.y, want.hit.y);
+        ASSERT_EQ(got.hit.z, want.hit.z);
+    }
+}
+
+Vec3f
+randomDir(Rng &rng)
+{
+    Vec3f d;
+    do {
+        d = Vec3f{static_cast<float>(rng.uniform(-1.0, 1.0)),
+                  static_cast<float>(rng.uniform(-1.0, 1.0)),
+                  static_cast<float>(rng.uniform(-1.0, 1.0))};
+    } while (d.squaredNorm() < 0.01f || d.squaredNorm() > 1.0f);
+    return d.normalized();
+}
+
+TEST(FreeSpaceSkip, RandomRaysOnFusedSphereMatchNeverFree)
+{
+    const TsdfVolume volume = fusedSphere(nullptr, nullptr);
+    Rng rng(71);
+    for (float large : {0.075f, 0.25f}) {
+        const RaycastParams params = skipParams(volume, large);
+        int hits = 0;
+        long long skipped = 0;
+        for (int i = 0; i < 4000; ++i) {
+            const Vec3f origin{
+                static_cast<float>(rng.uniform(-1.2, 1.2)),
+                static_cast<float>(rng.uniform(-1.2, 1.2)),
+                static_cast<float>(rng.uniform(-0.2, 2.2))};
+            // Every other ray is aimed at the sphere.
+            const Vec3f target =
+                Vec3f{0.0f, 0.0f, 1.0f} + randomDir(rng) * 0.3f;
+            const Vec3f dir = i % 2 ? (target - origin).normalized()
+                                    : randomDir(rng);
+            const SkipPair r = marchBoth(volume, origin, dir, params);
+            SCOPED_TRACE(i);
+            expectSameRay(r.skip, r.reference);
+            EXPECT_EQ(r.reference.skipped, 0);
+            hits += r.skip.found;
+            skipped += r.skip.skipped;
+        }
+        EXPECT_GT(hits, 1000);
+        EXPECT_GT(skipped, 10000);
+    }
+}
+
+TEST(FreeSpaceSkip, CrossingRightAfterSkippedSampleRefetches)
+{
+    // A coarse step of three truncation bands jumps from a free
+    // brick straight into the surface, so the crossing's f_t is the
+    // skipped sample's, fetched again at its stored t.
+    const TsdfVolume volume = fusedSphere(nullptr, nullptr);
+    const RaycastParams params = skipParams(volume, 0.3f);
+    const Vec3f center{0.0f, 0.0f, 1.0f};
+    Rng rng(72);
+    int after_skip = 0;
+    for (int i = 0; i < 3000; ++i) {
+        // Rays from outside the sphere aimed near its center.
+        const Vec3f origin = center + randomDir(rng) * 0.9f;
+        const Vec3f target =
+            center + randomDir(rng) *
+                         static_cast<float>(rng.uniform(0.0, 0.3));
+        const Vec3f dir = (target - origin).normalized();
+        const SkipPair r = marchBoth(volume, origin, dir, params);
+        SCOPED_TRACE(i);
+        expectSameRay(r.skip, r.reference);
+        if (!r.skip.found)
+            continue;
+        // Replay the skip march's decisions: was the sample before
+        // the crossing skipped?
+        std::vector<bool> decisions;
+        RayHit replay;
+        castRayCore(
+            volume.origin(), volume.size(), origin, dir, params,
+            [&](const Vec3f &p, bool &valid) {
+                return volume.interp(p, valid);
+            },
+            [&](const Vec3f &p) {
+                decisions.push_back(volume.sampleIsFree(p));
+                return decisions.back();
+            },
+            replay);
+        ASSERT_GE(decisions.size(), 2u);
+        after_skip += decisions[decisions.size() - 2];
+    }
+    EXPECT_GT(after_skip, 100);
+}
+
+void
+checkRaysAlongBrickFaces(const TsdfVolume &volume)
+{
+    const float vs = volume.voxelSize();
+    const Vec3f o = volume.origin();
+    const RaycastParams params = skipParams(volume, 0.075f);
+    int hits = 0;
+    long long skipped = 0;
+    for (int bx = 1; bx < volume.bricksPerEdge(); ++bx) {
+        for (int by = 1; by < volume.bricksPerEdge(); ++by) {
+            // The face plane x = bx * kBrickEdge * vs puts the stencil
+            // base at x0 = bx * kBrickEdge - 1.
+            const float fx = o.x + static_cast<float>(bx * kBrickEdge) * vs;
+            const float fy = o.y + static_cast<float>(by * kBrickEdge) * vs;
+            const Vec3f along[] = {
+                {0.0f, 0.0f, 1.0f},
+                Vec3f{0.0f, 0.05f, 1.0f}.normalized(),
+                Vec3f{0.05f, 0.0f, 1.0f}.normalized(),
+            };
+            for (const Vec3f &dir : along) {
+                const SkipPair r = marchBoth(
+                    volume, Vec3f{fx, fy, o.z - 0.5f}, dir, params);
+                SCOPED_TRACE(testing::Message()
+                             << "bx " << bx << " by " << by);
+                expectSameRay(r.skip, r.reference);
+                hits += r.skip.found;
+                skipped += r.skip.skipped;
+            }
+            // Along y, in the x face plane and a z face plane.
+            const float fz =
+                o.z + static_cast<float>(by * kBrickEdge) * vs;
+            const SkipPair r =
+                marchBoth(volume, Vec3f{fx, o.y - 0.5f, fz},
+                          Vec3f{0.0f, 1.0f, 0.0f}, params);
+            expectSameRay(r.skip, r.reference);
+            hits += r.skip.found;
+        }
+    }
+    EXPECT_GT(hits, 10);
+    EXPECT_GT(skipped, 1000);
+}
+
+TEST(FreeSpaceSkip, RaysAlongBrickFacesMatchNeverFree)
+{
+    // Rays in the planes between bricks: every stencil straddles two
+    // bricks, so a flag that ignored the +x/+y/+z apron voxel would
+    // skip a fetch that reads the surface. The face walls put
+    // surface voxels on exactly those apron layers.
+    checkRaysAlongBrickFaces(fusedSphere(nullptr, nullptr));
+    checkRaysAlongBrickFaces(fusedFaceWalls(nullptr, nullptr));
+}
+
+TEST(FreeSpaceSkip, RaysLeavingTheVolumeMatchNeverFree)
+{
+    // Origins inside the volume, far plane beyond it: the last
+    // samples' stencils fall off the far faces, where the predicate
+    // answers "free" for out-of-bounds samples.
+    const TsdfVolume volume = fusedSphere(nullptr, nullptr);
+    const RaycastParams params = skipParams(volume, 0.075f);
+    Rng rng(73);
+    long long skipped = 0;
+    for (int i = 0; i < 3000; ++i) {
+        const Vec3f origin{static_cast<float>(rng.uniform(-0.95, 0.95)),
+                           static_cast<float>(rng.uniform(-0.95, 0.95)),
+                           static_cast<float>(rng.uniform(0.05, 1.95))};
+        const SkipPair r =
+            marchBoth(volume, origin, randomDir(rng), params);
+        SCOPED_TRACE(i);
+        expectSameRay(r.skip, r.reference);
+        skipped += r.skip.skipped;
+    }
+    EXPECT_GT(skipped, 10000);
+}
+
+TEST(FreeSpaceSkip, PacketsWithMixedFreeLanesMatchScalar)
+{
+    // Packets of rays fanned from one origin: lanes enter, leave and
+    // skip free bricks at different iterations, some hit the sphere,
+    // some miss the volume, and short packets leave lanes unused.
+    const TsdfVolume volume = fusedSphere(nullptr, nullptr);
+    const KernelBackend &scalar = scalarKernelBackend();
+    Rng rng(74);
+    for (const KernelBackend *backend : nonScalarBackends()) {
+        SCOPED_TRACE(backend->name());
+        for (float large : {0.075f, 0.3f}) {
+            const RaycastParams params = skipParams(volume, large);
+            long long skipped = 0;
+            for (int packet = 0; packet < 600; ++packet) {
+                const Vec3f origin{
+                    static_cast<float>(rng.uniform(-1.5, 1.5)),
+                    static_cast<float>(rng.uniform(-1.5, 1.5)),
+                    static_cast<float>(rng.uniform(-0.5, 1.0))};
+                const Vec3f aim = (Vec3f{0.0f, 0.0f, 1.0f} - origin)
+                                      .normalized();
+                const size_t n = 1 + static_cast<size_t>(packet) %
+                                         kRayPacketWidth;
+                Vec3f dirs[kRayPacketWidth];
+                for (size_t l = 0; l < n; ++l)
+                    dirs[l] = (aim + randomDir(rng) * 0.6f).normalized();
+                RayHit got[kRayPacketWidth], want[kRayPacketWidth];
+                backend->castRays(volume, origin, dirs, n, params, got);
+                scalar.castRays(volume, origin, dirs, n, params, want);
+                for (size_t l = 0; l < n; ++l) {
+                    SCOPED_TRACE(testing::Message()
+                                 << "packet " << packet << " lane " << l);
+                    expectSameRay(got[l], want[l]);
+                    RayHit never;
+                    castRayCore(
+                        volume.origin(), volume.size(), origin, dirs[l],
+                        params,
+                        [&](const Vec3f &p, bool &valid) {
+                            return volume.interp(p, valid);
+                        },
+                        NeverFree{}, never);
+                    expectSameRay(got[l], never);
+                    skipped += got[l].skipped;
+                }
+            }
+            if (simdBackendIsAccelerated()) {
+                EXPECT_GT(skipped, 10000);
+            }
+        }
+    }
+}
+
+TEST(FreeSpaceSkip, FlagInvariantHoldsAfterPooledIntegrates)
+{
+    // Exhaustive: after multi-frame fusion on a pool, every flagged
+    // brick and its +x/+y/+z apron hold tsdf == 1 exactly, for every
+    // backend and both fixtures, and the flags match the serial
+    // fusion's.
+    ThreadPool pool(3);
+    for (const std::string &name : kernelBackendNames()) {
+        SCOPED_TRACE(name);
+        const KernelBackend *backend = findKernelBackend(name);
+        for (const auto fuse : {fusedSphere, fusedFaceWalls}) {
+            const TsdfVolume pooled = fuse(backend, &pool);
+            const TsdfVolume serial = fuse(backend, nullptr);
+            const int res = pooled.resolution();
+            const int nb = pooled.bricksPerEdge();
+            const auto hi = [res](int b) {
+                return std::min((b + 1) * kBrickEdge, res - 1);
+            };
+            int flagged = 0;
+            for (int bx = 0; bx < nb; ++bx) {
+                for (int by = 0; by < nb; ++by) {
+                    for (int bz = 0; bz < nb; ++bz) {
+                        ASSERT_EQ(pooled.brickFree(bx, by, bz),
+                                  serial.brickFree(bx, by, bz));
+                        if (!pooled.brickFree(bx, by, bz))
+                            continue;
+                        ++flagged;
+                        for (int x = bx * kBrickEdge; x <= hi(bx); ++x)
+                            for (int y = by * kBrickEdge; y <= hi(by);
+                                 ++y)
+                                for (int z = bz * kBrickEdge;
+                                     z <= hi(bz); ++z)
+                                    ASSERT_EQ(
+                                        pooled.voxelAt(x, y, z).tsdf,
+                                        1.0f)
+                                        << "brick (" << bx << ", " << by
+                                        << ", " << bz << ") voxel (" << x
+                                        << ", " << y << ", " << z << ")";
+                    }
+                }
+            }
+            // The surfaces clear some bricks and leave most free.
+            EXPECT_GT(flagged, nb * nb * nb / 2);
+            EXPECT_LT(flagged, nb * nb * nb);
+        }
+    }
+}
+
+TEST(FreeSpaceSkip, AtClearsFlagsAndResetRestoresThem)
+{
+    TsdfVolume volume(60, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
+    const int nb = volume.bricksPerEdge();
+    const auto count_free = [&] {
+        int n = 0;
+        for (int bx = 0; bx < nb; ++bx)
+            for (int by = 0; by < nb; ++by)
+                for (int bz = 0; bz < nb; ++bz)
+                    n += volume.brickFree(bx, by, bz);
+        return n;
+    };
+    ASSERT_EQ(count_free(), nb * nb * nb);
+    // Voxel (8, 16, 3) sits on the low x face of brick 1 and the low
+    // y face of brick 2, so it is also apron of bricks 0 (x) and 1
+    // (y): four bricks lose their flag.
+    volume.at(8, 16, 3).tsdf = -0.5f;
+    for (int bx = 0; bx < nb; ++bx)
+        for (int by = 0; by < nb; ++by)
+            for (int bz = 0; bz < nb; ++bz)
+                EXPECT_EQ(volume.brickFree(bx, by, bz),
+                          !(bx <= 1 && by >= 1 && by <= 2 && bz == 0))
+                    << bx << ", " << by << ", " << bz;
+    // The predicate honours the cleared brick.
+    const float vs = volume.voxelSize();
+    const Vec3f in_cleared = volume.origin() + Vec3f{8.6f, 16.6f, 3.6f} * vs;
+    EXPECT_FALSE(volume.sampleIsFree(in_cleared));
+    EXPECT_TRUE(volume.sampleIsFree(volume.origin() +
+                                    Vec3f{40.6f, 40.6f, 40.6f} * vs));
+    EXPECT_TRUE(volume.sampleIsFree(volume.origin() - Vec3f::all(vs)));
+    volume.reset();
+    EXPECT_EQ(count_free(), nb * nb * nb);
+    EXPECT_EQ(volume.voxelAt(8, 16, 3).tsdf, 1.0f);
+}
+
+// --- render reuse ---
+
+TEST(RenderReuse, ModelRenderAtRaycastPoseMatchesMarchPooled)
+{
+    // renderModel at the pose and compute intrinsics of the frame's
+    // raycast shades from raycast's normal map; the pixels and the
+    // RenderVolume work must equal a fresh march's.
+    slambench::dataset::SequenceSpec spec;
+    spec.width = 80;
+    spec.height = 60;
+    spec.numFrames = 5;
+    spec.renderRgb = false;
+    spec.seed = 43;
+    const auto seq = slambench::dataset::generateSequence(spec);
+
+    KFusionConfig config;
+    config.volumeResolution = 96;
+    config.pyramidIterations = {6, 4, 3};
+    KFusion kf(config, seq.intrinsics, Implementation::Threaded, 3);
+    kf.setPose(seq.groundTruth.pose(0));
+    RaycastParams params;
+    params.nearPlane = config.nearPlane;
+    params.farPlane = config.farPlane;
+    params.step = config.voxelSize();
+    params.largeStep = std::max(0.75f * config.mu, params.step);
+    for (const auto &frame : seq.frames) {
+        const FrameResult result = kf.processFrame(frame.depthMm);
+        ASSERT_TRUE(result.raycast);
+        const CameraIntrinsics k = kf.computeIntrinsics();
+        Image<slambench::support::Rgb8> reused, marched;
+        kf.renderModel(reused, kf.pose(), &k);
+        WorkCounts march_work;
+        kf.volume().renderVolume(marched, k, kf.pose(), params,
+                                 march_work, nullptr);
+        ASSERT_EQ(reused.size(), marched.size());
+        for (size_t i = 0; i < reused.size(); ++i) {
+            ASSERT_EQ(reused[i].r, marched[i].r) << "pixel " << i;
+            ASSERT_EQ(reused[i].g, marched[i].g);
+            ASSERT_EQ(reused[i].b, marched[i].b);
+        }
+        const WorkCounts &charged = kf.frameWork().back();
+        EXPECT_EQ(charged.itemsFor(KernelId::RenderVolume),
+                  march_work.itemsFor(KernelId::RenderVolume));
+        EXPECT_EQ(charged.bytesFor(KernelId::RenderVolume),
+                  march_work.bytesFor(KernelId::RenderVolume));
+        EXPECT_GT(charged.itemsFor(KernelId::RenderVolume), 0.0);
     }
 }
 
