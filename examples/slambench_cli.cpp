@@ -14,7 +14,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 
@@ -27,7 +26,6 @@
 #include "devices/fleet.hpp"
 #include "kfusion/mesh.hpp"
 #include "metrics/reconstruction.hpp"
-#include "support/logging.hpp"
 
 int
 main(int argc, char **argv)
@@ -82,8 +80,6 @@ main(int argc, char **argv)
     options.section("outputs").add({
         {"--align", OptionType::Flag, "", "",
          "also report rigidly aligned ATE"},
-        {"--log", OptionType::String, "", "",
-         "per-frame metric log (CSV)"},
         {"--dump-trajectory", OptionType::String, "", "",
          "estimated trajectory (TUM)"},
         {"--dump-groundtruth", OptionType::String, "", "",
@@ -196,14 +192,6 @@ main(int argc, char **argv)
     metrics_session.setSummary("sim_watts_paced", sim.pacedWatts);
 
     // --- Optional artifacts ---
-    if (const std::string &path = options.string("--log");
-        !path.empty()) {
-        std::ofstream log(path);
-        if (log) {
-            core::writeFrameLog(log, result, xu3);
-            support::logInfo() << "wrote " << path;
-        }
-    }
     if (const std::string &path = options.string("--dump-trajectory");
         !path.empty()) {
         dataset::Trajectory estimated;

@@ -19,9 +19,13 @@ matching `--frames-csv` table):
     --pmu) is well-formed: backend/counter names, per-kernel span
     counts, miss rates within [0,1], and bytes_per_second consistent
     with bytes / task_clock_seconds;
-  * the frames CSV (when given) has the documented header and one row
-    per frame of the report, and each row says integrated=1 exactly
-    when its integrate_ms is positive.
+  * the frames CSV (when given) has the documented 35-column header
+    and one row per frame of the report. On each row integrated=1
+    exactly when integrate_ms and kernel_integrate_items are
+    positive; integrate_ms equals kernel_integrate_ms as a string;
+    preprocess_ms, track_ms and raycast_ms equal the sums of their
+    kernel groups (docs/OBSERVABILITY.md) within 1e-9 relative; and
+    sim_seconds and every kernel_* cell are finite and >= 0.
 
 --serve additionally validates a slambench_serve run report
 (docs/SERVING.md): the serve_* summary block, the per-tenant
@@ -36,17 +40,36 @@ Stdlib only.
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 
 SCHEMA = "slambench-run-report"
 SCHEMA_VERSION = 1
 
+# kfusion::kernelName() of every KernelId, in enum order.
+KERNELS = [
+    "mm2meters", "bilateral_filter", "half_sample", "depth2vertex",
+    "vertex2normal", "track", "reduce", "solve", "integrate",
+    "raycast", "render_volume",
+]
+
+KERNEL_COLUMNS = ["kernel_%s_ms" % k for k in KERNELS] + [
+    "kernel_%s_items" % k for k in KERNELS]
+
 FRAMES_CSV_HEADER = [
     "label", "frame", "wall_ms", "preprocess_ms", "track_ms",
     "integrate_ms", "raycast_ms", "ate_m", "tracked", "integrated",
-    "sim_joules", "rss_peak_bytes",
-]
+    "sim_joules", "rss_peak_bytes", "sim_seconds",
+] + KERNEL_COLUMNS
+
+# Phase columns and the kernels whose host time they sum.
+PHASE_KERNELS = {
+    "preprocess_ms": ["mm2meters", "bilateral_filter", "half_sample",
+                      "depth2vertex", "vertex2normal"],
+    "track_ms": ["track", "reduce", "solve"],
+    "raycast_ms": ["raycast", "render_volume"],
+}
 
 errors = []
 
@@ -431,6 +454,46 @@ def check_frames_csv(path, frames):
         require((integrated == "1") == spent,
                 "%s row %d: integrated=%s but integrate_ms=%s"
                 % (path, i + 1, integrated, integrate_ms))
+        check_kernel_columns(path, i + 1, row)
+
+
+def check_kernel_columns(path, line, row):
+    """Cross-check one frames-CSV row's kernel columns."""
+    cell = dict(zip(FRAMES_CSV_HEADER, row))
+    values = {}
+    for col in ["sim_seconds"] + KERNEL_COLUMNS:
+        try:
+            value = float(cell[col])
+        except ValueError:
+            require(False, "%s row %d: %s=%r not a number"
+                    % (path, line, col, cell[col]))
+            return
+        if not require(math.isfinite(value) and value >= 0.0,
+                       "%s row %d: %s=%s not finite and >= 0"
+                       % (path, line, col, cell[col])):
+            return
+        values[col] = value
+    require(cell["integrate_ms"] == cell["kernel_integrate_ms"],
+            "%s row %d: integrate_ms=%s but kernel_integrate_ms=%s"
+            % (path, line, cell["integrate_ms"],
+               cell["kernel_integrate_ms"]))
+    require((cell["integrated"] == "1") ==
+            (values["kernel_integrate_items"] > 0.0),
+            "%s row %d: integrated=%s but kernel_integrate_items=%s"
+            % (path, line, cell["integrated"],
+               cell["kernel_integrate_items"]))
+    for phase, kernels in PHASE_KERNELS.items():
+        try:
+            phase_ms = float(cell[phase])
+        except ValueError:
+            require(False, "%s row %d: %s=%r not a number"
+                    % (path, line, phase, cell[phase]))
+            continue
+        kernel_ms = sum(values["kernel_%s_ms" % k] for k in kernels)
+        require(abs(phase_ms - kernel_ms) <=
+                1e-9 * max(abs(phase_ms), abs(kernel_ms)),
+                "%s row %d: %s=%s but its kernels sum to %r"
+                % (path, line, phase, cell[phase], kernel_ms))
 
 
 def main():

@@ -5,7 +5,10 @@
 # an unknown flag and a negative frame count, plus every case below
 # whose first flag it accepts: a non-numeric --vr, an out-of-set
 # --csr, values that used to be clamped silently, the deleted "mixed"
-# kernel backend, and the CLI's --dump-mesh/odometry clash.
+# kernel backend, and the CLI's --dump-mesh/odometry clash. The
+# deleted --perf-csv (every binary with --trace) and --log
+# (slambench_cli) per-frame tables must be rejected too: --frames-csv
+# replaced both.
 #
 # Usage: cli_reject_smoke.sh <binary>...
 set -u
@@ -55,6 +58,12 @@ for bin in "$@"; do
     check "$bin" --bogus-flag 1
     check "$bin" --frames -5
     help=$("$bin" --help)
+    if grep -q "^  --trace " <<< "$help"; then
+        check "$bin" --perf-csv p.csv
+    fi
+    if [ "$(basename "$bin")" = slambench_cli ]; then
+        check "$bin" --log l.csv
+    fi
     for case in "${cases[@]}"; do
         read -r -a args <<< "$case"
         if grep -q "^  ${args[0]} " <<< "$help"; then

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test of the tracing subsystem (docs/OBSERVABILITY.md): run
-# the Fig. 1 bench for a handful of frames with --trace/--perf-csv on
-# and validate that the exports are well-formed — the JSON loads,
-# every span begin pairs with an end, and the CSV has the expected
-# header and at least one row per kernel that ran.
+# the Fig. 1 bench for a handful of frames with --trace on and
+# validate that the timeline is well-formed — the JSON loads, every
+# span begin pairs with an end, and the core kernels have spans.
 #
 # Usage: trace_smoke.sh <path-to-bench_fig1_pipeline>
 set -eu
@@ -18,15 +17,13 @@ workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 cd "$workdir"
 
-"$bin" --frames 6 --trace trace.json --perf-csv perf.csv \
-    > run.log 2>&1 || {
+"$bin" --frames 6 --trace trace.json > run.log 2>&1 || {
     echo "trace_smoke: bench failed:" >&2
     cat run.log >&2
     exit 1
 }
 
 [ -s trace.json ] || { echo "trace_smoke: empty trace.json" >&2; exit 1; }
-[ -s perf.csv ] || { echo "trace_smoke: empty perf.csv" >&2; exit 1; }
 
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
@@ -52,24 +49,15 @@ kernels = {e["name"] for e in events if e.get("cat") == "kernel"}
 for required in ("mm2meters", "bilateral_filter", "track",
                  "integrate", "raycast"):
     assert required in kernels, f"missing kernel span: {required}"
-
-header = open("perf.csv").readline().strip()
-assert header == "frame,kernel,spans,host_ms", f"bad header: {header}"
-rows = open("perf.csv").read().splitlines()[1:]
-assert rows, "perf.csv has no data rows"
-print(f"trace_smoke: ok ({len(events)} events, {len(rows)} CSV rows)")
+print(f"trace_smoke: ok ({len(events)} events)")
 EOF
 else
-    # Fallback check without python3: paired B/E counts and header.
+    # Fallback check without python3: paired B/E counts.
     b=$(grep -o '"ph":"B"' trace.json | wc -l)
     e=$(grep -o '"ph":"E"' trace.json | wc -l)
     if [ "$b" -eq 0 ] || [ "$b" -ne "$e" ]; then
         echo "trace_smoke: unpaired events (B=$b E=$e)" >&2
         exit 1
     fi
-    head -1 perf.csv | grep -q '^frame,kernel,spans,host_ms$' || {
-        echo "trace_smoke: bad perf.csv header" >&2
-        exit 1
-    }
     echo "trace_smoke: ok (B=$b spans)"
 fi

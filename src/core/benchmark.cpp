@@ -69,8 +69,13 @@ completeFrame(const FrameOutcome &outcome,
         row->ateMeters = ate;
         row->tracked = outcome.tracked;
         row->simJoules = outcome.simJoules;
+        row->simSeconds = outcome.simSeconds;
         row->rssPeakBytes = support::metrics::peakRssBytes();
         if (const kfusion::WorkCounts *work = outcome.work) {
+            row->kernelSeconds.assign(work->hostSeconds.begin(),
+                                      work->hostSeconds.end());
+            row->kernelItems.assign(work->items.begin(),
+                                    work->items.end());
             row->preprocessSeconds = kernelGroupSeconds(
                 *work, {KernelId::Mm2Meters, KernelId::BilateralFilter,
                         KernelId::HalfSample, KernelId::Depth2Vertex,

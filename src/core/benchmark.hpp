@@ -4,7 +4,7 @@
 /**
  * @file
  * The benchmark loop: feed a sequence through a SLAM system and
- * collect the SLAMBench metric triple (speed, accuracy, power/work),
+ * collect the SLAMBench metric triple (speed, accuracy, power and work),
  * plus completeFrame(), the one place every frame loop (this one,
  * the serve tenants, bench_fig1_pipeline) finishes a frame.
  */
@@ -50,7 +50,7 @@ struct BenchmarkResult
     /** Host wall seconds of each frame (drives hostTiming). */
     std::vector<double> frameSeconds;
     /** One completeFrame() row per frame, unlabeled and without
-     *  energy; appendRunTelemetry() adds both. */
+     *  modeled device cost; appendRunTelemetry() adds both. */
     std::vector<support::metrics::FrameTelemetry> frameRows;
 
     /** Per-frame work counts (feed these to device models). */
@@ -84,7 +84,8 @@ struct FrameOutcome
     const math::Mat4f *groundTruthPose = nullptr;
     /** The frame's work counts (nullptr: no phase split). */
     const kfusion::WorkCounts *work = nullptr;
-    double simJoules = 0.0; ///< Modeled energy (serve: its device).
+    double simJoules = 0.0;  ///< Modeled energy (serve: its device).
+    double simSeconds = 0.0; ///< Modeled frame time (serve: same).
     /** Serve only: the tenant's frame-latency histogram, already
      *  holding this frame (top-bucket retention), and its registry
      *  name, which a retained trace becomes the exemplar of. */
@@ -98,8 +99,9 @@ struct FrameOutcome
  * live ATE, call telemetry::frameTick() when liveTelemetry() is on,
  * finish the request trace installed on this thread (always kept on
  * SloThresholds::frameBreached(), lost tracking, or the histogram's
- * top bucket), and fill @p row (nullptr: none) with the phase split
- * of the WorkCounts and `integrated` from the integrate item count.
+ * top bucket), and fill @p row (nullptr: none) with the WorkCounts'
+ * per-kernel host seconds and items, their phase split, and
+ * `integrated` from the integrate item count.
  * A disarmed run pays two relaxed loads beyond the ATE.
  *
  * @return the live ATE: the unaligned translation error, equal to

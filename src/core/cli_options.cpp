@@ -1,5 +1,6 @@
 #include "core/cli_options.hpp"
 
+#include "core/report.hpp"
 #include "kfusion/backend.hpp"
 
 namespace slambench::core {
@@ -45,7 +46,6 @@ sessionOptions(const support::Options &options)
     support::trace::SessionOptions session;
     if (options.declared("--trace")) {
         session.timelinePath = options.string("--trace");
-        session.frameCsvPath = options.string("--perf-csv");
         session.pmu = options.flag("--pmu");
     }
     session.requests = options.flag("--trace-requests") ||
@@ -68,8 +68,6 @@ addObservabilityOptions(support::Options &options, bool profiling)
         options.add({
             {"--trace", OptionType::String, "", "",
              "chrome://tracing span timeline (JSON)"},
-            {"--perf-csv", OptionType::String, "", "",
-             "per-frame per-kernel host-time aggregate (CSV)"},
             {"--pmu", OptionType::Flag, "", "",
              "hardware-counter profiling: per-kernel IPC, miss rates, "
              "bytes/s"},
@@ -78,7 +76,8 @@ addObservabilityOptions(support::Options &options, bool profiling)
         {"--metrics-json", OptionType::String, "", "",
          "machine-readable run report (JSON)"},
         {"--frames-csv", OptionType::String, "", "",
-         "per-frame telemetry table (CSV)"},
+         "per-frame table: phases, per-kernel ms and items, ATE, "
+         "modeled s/J (CSV)"},
         {"--telemetry-port", OptionType::Integer, "", "0..65535",
          "serve /metrics, /healthz, /runz, /tracez on 127.0.0.1:N "
          "(0 = ephemeral)"},
@@ -114,7 +113,8 @@ Observability::Observability(const support::Options &options,
     : logLevel(applyLogOptions(options)),
       spans(sessionOptions(options)),
       metrics(options.string("--metrics-json"),
-              options.string("--frames-csv"), generator),
+              options.string("--frames-csv"), generator,
+              kernelColumnNames()),
       telemetry(telemetryOptions(options, generator))
 {
 }

@@ -27,7 +27,7 @@ namespace slambench::core {
  * `--trace-sample-rate`, `--trace-store`) and `--quiet`/`--verbose`.
  *
  * @param profiling Also declare per-kernel profiling (`--trace`,
- *     `--perf-csv`, `--pmu`).
+ *     `--pmu`).
  */
 void addObservabilityOptions(support::Options &options,
                              bool profiling = true);
@@ -44,10 +44,12 @@ struct Observability
 
     /** Threshold set by `--quiet`/`--verbose`, applied first. */
     support::LogLevel logLevel;
-    /** The span sinks: `--trace`, `--perf-csv`, `--pmu`, `--trace-*`.
+    /** The span sinks: `--trace`, `--pmu`, `--trace-*`.
      *  Declared before metrics so the run report is written while
      *  the sinks are still armed. */
     support::trace::Session spans;
+    /** The run report and the per-frame table, with one
+     *  `kernel_<name>_*` column pair per KernelId. */
     support::metrics::RunSession metrics;
     support::telemetry::TelemetryEndpoint telemetry;
 };

@@ -3,42 +3,20 @@
 #include <sstream>
 
 #include "kfusion/backend.hpp"
-#include "power/power_monitor.hpp"
-#include "support/csv.hpp"
 #include "support/metrics.hpp"
 #include "support/pmu.hpp"
 #include "support/strings.hpp"
 
 namespace slambench::core {
 
-size_t
-writeFrameLog(std::ostream &out, const BenchmarkResult &result,
-              const devices::DeviceModel &device)
+std::vector<std::string>
+kernelColumnNames()
 {
-    std::vector<std::string> header{"frame", "ate_m",
-                                    "host_seconds", "sim_seconds",
-                                    "sim_joules"};
-    for (size_t k = 0; k < kfusion::kNumKernels; ++k) {
-        const auto id = static_cast<kfusion::KernelId>(k);
-        header.push_back(std::string(kfusion::kernelName(id)) +
-                         "_items");
-    }
-    support::CsvWriter csv(out, header);
-    for (size_t f = 0; f < result.frameWork.size(); ++f) {
-        const kfusion::WorkCounts &work = result.frameWork[f];
-        csv.beginRow()
-            .cell(static_cast<int64_t>(f))
-            .cell(f < result.ate.perFrame.size()
-                      ? result.ate.perFrame[f]
-                      : 0.0)
-            .cell(work.totalHostSeconds())
-            .cell(device.frameSeconds(work))
-            .cell(device.frameJoules(work));
-        for (size_t k = 0; k < kfusion::kNumKernels; ++k)
-            csv.cell(work.items[k]);
-    }
-    csv.endRow();
-    return csv.rowCount();
+    std::vector<std::string> names;
+    for (size_t k = 0; k < kfusion::kNumKernels; ++k)
+        names.emplace_back(
+            kfusion::kernelName(static_cast<kfusion::KernelId>(k)));
+    return names;
 }
 
 std::string
@@ -123,23 +101,27 @@ appendRunTelemetry(support::metrics::RunSession &session,
     auto &registry = support::metrics::Registry::instance();
     auto &wall_histogram = registry.histogram("frame_wall_seconds");
     auto &ate_histogram = registry.histogram("frame_ate_m");
-    std::unique_ptr<power::PowerMonitor> monitor =
-        device ? power::makeSimulatedMonitor(*device)
-               : power::makeNullMonitor();
-    double previous_joules = 0.0;
+    double joules = 0.0;
+    double seconds = 0.0;
     for (size_t frame = 0; frame < result.frameRows.size();
          ++frame) {
         support::metrics::FrameTelemetry t = result.frameRows[frame];
         t.label = label;
-        monitor->recordFrame(result.frameWork[frame]);
-        const power::EnergyReading reading = monitor->reading();
-        if (reading.available) {
-            t.simJoules = reading.joules - previous_joules;
-            previous_joules = reading.joules;
+        if (device) {
+            const kfusion::WorkCounts &work = result.frameWork[frame];
+            t.simJoules = device->frameJoules(work);
+            t.simSeconds = device->frameSeconds(work);
+            joules += t.simJoules;
+            seconds += t.simSeconds;
         }
         wall_histogram.record(t.wallSeconds);
         ate_histogram.record(t.ateMeters);
         session.addFrame(t);
+    }
+    if (device && !result.frameRows.empty()) {
+        registry.gauge("power.sim_joules").set(joules);
+        if (seconds > 0.0)
+            registry.gauge("power.sim_watts").set(joules / seconds);
     }
     registry.counter("runs_total").add(1);
     registry.gauge("peak_rss_bytes")

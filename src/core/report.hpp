@@ -3,14 +3,14 @@
 
 /**
  * @file
- * SLAMBench-style run reporting: the per-frame metric log (one CSV
- * row per frame: kernel times, tracking state, pose error) and the
- * human-readable summary block the original benchmark binaries
- * print at the end of a run.
+ * SLAMBench-style run reporting: the rows of the per-frame table
+ * (`--frames-csv`: per-kernel time and items, tracking state, pose
+ * error, modeled device cost) and the human-readable summary block
+ * the original benchmark binaries print at the end of a run.
  */
 
-#include <ostream>
 #include <string>
+#include <vector>
 
 #include "core/benchmark.hpp"
 #include "devices/device_model.hpp"
@@ -19,17 +19,12 @@
 namespace slambench::core {
 
 /**
- * Write the per-frame log: frame index, host kernel times, work
- * items for the dominant kernels, per-frame ATE, and the simulated
- * device frame time.
- *
- * @param out Destination stream.
- * @param result A finished benchmark run.
- * @param device Device model used for the simulated column.
- * @return number of rows written.
+ * @return the kernelName() of every KernelId in enum order: the
+ * kernel names a RunSession's per-frame table is built with, so its
+ * `kernel_<name>_ms` / `kernel_<name>_items` columns line up with
+ * FrameTelemetry's kernel vectors.
  */
-size_t writeFrameLog(std::ostream &out, const BenchmarkResult &result,
-                     const devices::DeviceModel &device);
+std::vector<std::string> kernelColumnNames();
 
 /**
  * Format the end-of-run summary block (the metric triple plus
@@ -55,11 +50,14 @@ void addConfigParams(support::metrics::RunSession &session,
 
 /**
  * Append every frame row of @p result to @p session (no-op when the
- * session is inactive), labeled @p label and with the modeled energy
- * of @p device's simulated power monitor (0 J without one), and fold
- * the run into the process metrics registry (`frame_wall_seconds` /
- * `frame_ate_m` histograms and the run counters the report's
- * `histograms` section is built from).
+ * session is inactive), labeled @p label and with @p device's modeled
+ * cost of the frame's work: `sim_joules` = frameJoules(work) and
+ * `sim_seconds` = frameSeconds(work), both 0 without a device. Fold
+ * the run into the process metrics registry: the `frame_wall_seconds`
+ * / `frame_ate_m` histograms, the run counters the report's
+ * `histograms` section is built from, and (with a device) the
+ * `power.sim_joules` / `power.sim_watts` gauges of the run's running
+ * energy and time sums.
  *
  * @return number of frames appended.
  */

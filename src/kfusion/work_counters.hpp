@@ -144,8 +144,8 @@ struct WorkCounts
  *
  * When tracing is enabled the timer also emits a Category::Kernel
  * span named kernelName(id), so a timeline opened in chrome://tracing
- * carries exactly the names of the work-counter CSV columns and the
- * span totals reconcile with WorkCounts::hostSecondsFor().
+ * carries exactly the names of the `--frames-csv` kernel columns and
+ * the span totals reconcile with WorkCounts::hostSecondsFor().
  */
 class KernelTimer
 {

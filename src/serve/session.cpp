@@ -119,6 +119,7 @@ TenantSession::processNext(uint64_t liveFrame,
             &sequence_.groundTruth.pose(stream_index);
     outcome.work = &work;
     outcome.simJoules = stats.deviceJoules;
+    outcome.simSeconds = stats.deviceSeconds;
     outcome.latencyHistogram = &frameSecondsHistogram_;
     outcome.exemplarMetric = &frameSecondsName_;
     lastAteGauge_.set(core::completeFrame(outcome, row));

@@ -426,17 +426,31 @@ RunSession *g_current_session = nullptr;
 
 /** Header of the per-frame CSV (streaming and writeFramesCsv). */
 std::vector<std::string>
-frameCsvColumns()
+frameCsvColumns(const std::vector<std::string> &kernel_names)
 {
-    return {"label",        "frame",      "wall_ms",
-            "preprocess_ms", "track_ms",   "integrate_ms",
-            "raycast_ms",    "ate_m",      "tracked",
-            "integrated",    "sim_joules", "rss_peak_bytes"};
+    std::vector<std::string> columns{
+        "label",         "frame",      "wall_ms",
+        "preprocess_ms", "track_ms",   "integrate_ms",
+        "raycast_ms",    "ate_m",      "tracked",
+        "integrated",    "sim_joules", "rss_peak_bytes",
+        "sim_seconds"};
+    for (const std::string &name : kernel_names)
+        columns.push_back("kernel_" + name + "_ms");
+    for (const std::string &name : kernel_names)
+        columns.push_back("kernel_" + name + "_items");
+    return columns;
 }
 
-/** Append one frame row to @p csv. */
+/** @return values[i], or 0 past the end of @p values. */
+double
+valueAt(const std::vector<double> &values, size_t i)
+{
+    return i < values.size() ? values[i] : 0.0;
+}
+
+/** Append one frame row with @p kernels kernel columns to @p csv. */
 void
-writeFrameCsvRow(CsvWriter &csv, const FrameTelemetry &t)
+appendFrameRow(CsvWriter &csv, const FrameTelemetry &t, size_t kernels)
 {
     csv.beginRow()
         .cell(t.label)
@@ -450,7 +464,12 @@ writeFrameCsvRow(CsvWriter &csv, const FrameTelemetry &t)
         .cell(t.tracked ? "1" : "0")
         .cell(t.integrated ? "1" : "0")
         .cell(t.simJoules)
-        .cell(t.rssPeakBytes);
+        .cell(t.rssPeakBytes)
+        .cell(t.simSeconds);
+    for (size_t k = 0; k < kernels; ++k)
+        csv.cell(valueAt(t.kernelSeconds, k) * 1e3);
+    for (size_t k = 0; k < kernels; ++k)
+        csv.cell(valueAt(t.kernelItems, k));
     csv.endRow();
 }
 
@@ -459,9 +478,11 @@ writeFrameCsvRow(CsvWriter &csv, const FrameTelemetry &t)
 RunSession::RunSession() = default;
 
 RunSession::RunSession(std::string json_path, std::string csv_path,
-                       std::string generator)
+                       std::string generator,
+                       std::vector<std::string> kernel_names)
     : jsonPath_(std::move(json_path)), csvPath_(std::move(csv_path)),
-      generator_(std::move(generator))
+      generator_(std::move(generator)),
+      kernelNames_(std::move(kernel_names))
 {
     if (jsonPath_.empty() && csvPath_.empty())
         return;
@@ -474,7 +495,7 @@ RunSession::RunSession(std::string json_path, std::string csv_path,
         csvStream_ = std::make_unique<std::ofstream>(csvPath_);
         if (*csvStream_) {
             csvWriter_ = std::make_unique<CsvWriter>(
-                *csvStream_, frameCsvColumns());
+                *csvStream_, frameCsvColumns(kernelNames_));
         } else {
             logError() << "metrics: cannot write " << csvPath_;
             csvStream_.reset();
@@ -489,6 +510,7 @@ RunSession::RunSession(RunSession &&other) noexcept
     jsonPath_ = std::move(other.jsonPath_);
     csvPath_ = std::move(other.csvPath_);
     generator_ = std::move(other.generator_);
+    kernelNames_ = std::move(other.kernelNames_);
     active_ = other.active_;
     startNs_ = other.startNs_;
     startCpuSeconds_ = other.startCpuSeconds_;
@@ -514,6 +536,7 @@ RunSession::operator=(RunSession &&other) noexcept
         jsonPath_ = std::move(other.jsonPath_);
         csvPath_ = std::move(other.csvPath_);
         generator_ = std::move(other.generator_);
+        kernelNames_ = std::move(other.kernelNames_);
         active_ = other.active_;
         startNs_ = other.startNs_;
         startCpuSeconds_ = other.startCpuSeconds_;
@@ -600,7 +623,7 @@ RunSession::addFrame(const FrameTelemetry &telemetry)
     std::lock_guard<std::mutex> lock(*mutex_);
     frames_.push_back(telemetry);
     if (csvWriter_) {
-        writeFrameCsvRow(*csvWriter_, telemetry);
+        appendFrameRow(*csvWriter_, telemetry, kernelNames_.size());
         flushCsvLocked(false);
     }
 }
@@ -862,9 +885,9 @@ void
 RunSession::writeFramesCsv(std::ostream &os) const
 {
     std::lock_guard<std::mutex> lock(*mutex_);
-    CsvWriter csv(os, frameCsvColumns());
+    CsvWriter csv(os, frameCsvColumns(kernelNames_));
     for (const FrameTelemetry &t : frames_)
-        writeFrameCsvRow(csv, t);
+        appendFrameRow(csv, t, kernelNames_.size());
 }
 
 void

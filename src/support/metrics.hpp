@@ -279,8 +279,10 @@ class Registry
  * The phase times partition WorkCounts host time by pipeline stage
  * (preprocess = depth conversion/filter/pyramid maps, track =
  * ICP+reduce+solve, integrate = TSDF fusion, raycast = surface
- * extraction + rendering); `core::completeFrame()` fills one as
- * each bench or serve frame finishes.
+ * extraction + rendering), and the kernel vectors carry the same
+ * WorkCounts per kernel, in the order of the session's kernel names;
+ * `core::completeFrame()` fills one as each bench or serve frame
+ * finishes.
  */
 struct FrameTelemetry
 {
@@ -295,8 +297,13 @@ struct FrameTelemetry
     double ateMeters = 0.0;    ///< Trajectory error at this frame.
     bool tracked = false;      ///< Pose accepted by the gates.
     bool integrated = false;   ///< Volume updated this frame.
-    double simJoules = 0.0;    ///< Modeled energy (power monitor).
+    double simJoules = 0.0;    ///< Modeled device energy.
     double rssPeakBytes = 0.0; ///< Process RSS high-water mark.
+    double simSeconds = 0.0;   ///< Modeled device frame time.
+    /** Host seconds per kernel (empty: all 0). */
+    std::vector<double> kernelSeconds;
+    /** Work items per kernel (empty: all 0). */
+    std::vector<double> kernelItems;
 };
 
 /**
@@ -347,9 +354,13 @@ class RunSession
      * @param csv_path Per-frame telemetry CSV path ("" = skip).
      * @param generator Name of the producing binary, stamped into
      *        the report.
+     * @param kernel_names Kernel names of the per-frame CSV's
+     *        `kernel_<name>_ms` and `kernel_<name>_items` columns,
+     *        in the order of FrameTelemetry's kernel vectors.
      */
     RunSession(std::string json_path, std::string csv_path,
-               std::string generator);
+               std::string generator,
+               std::vector<std::string> kernel_names = {});
 
     RunSession(RunSession &&other) noexcept;
     RunSession &operator=(RunSession &&other) noexcept;
@@ -412,6 +423,7 @@ class RunSession
     std::string jsonPath_;
     std::string csvPath_;
     std::string generator_;
+    std::vector<std::string> kernelNames_;
     bool active_ = false;
     uint64_t startNs_ = 0;
     double startCpuSeconds_ = 0.0;

@@ -118,10 +118,11 @@ ThreadPool::execute(Task task)
     queue_wait_hist.record(
         static_cast<double>(start_ns - task.enqueuedNs) * 1e-6);
 
-    // Reinstate the submitter's request context for the task body
-    // (no-op for an inactive context), and make the time the task
-    // sat queued visible in its trace as a queue_wait span ending
-    // where execution starts.
+    // Reinstate the submitter's frame stamp and request context for
+    // the task body (no-op for an inactive context), and make the
+    // time the task sat queued visible in its trace as a queue_wait
+    // span ending where execution starts.
+    trace::ScopedFrame frame_scope(task.context.frame);
     trace::ScopedTraceContext request_scope(task.context.request);
     trace::recordQueueWait(task.context.request, task.enqueuedNs,
                            start_ns);
@@ -243,7 +244,8 @@ ThreadPool::parallelForChunked(
     };
     // Attribute every chunk (caller- or worker-run) to the span that
     // dispatched the loop (e.g. a KernelTimer's kernel span); the
-    // runners carry the request context, not the span.
+    // runners carry the frame stamp and request context, not the
+    // span.
     const trace::TaskContext context = trace::captureTaskContext();
     LoopState state{{begin}, end, chunk, &body, context.spanName};
 
@@ -269,7 +271,8 @@ ThreadPool::parallelForChunked(
     TaskGroup group;
     const size_t helpers = std::min(threads_.size(), num_chunks - 1);
     for (size_t i = 0; i < helpers; ++i)
-        enqueue(group, run_chunks, {nullptr, context.request});
+        enqueue(group, run_chunks,
+                {nullptr, context.frame, context.request});
     run_chunks();
     wait(group);
 }

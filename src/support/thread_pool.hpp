@@ -174,8 +174,8 @@ class ThreadPool
         std::function<void()> fn;
         TaskGroup *group = nullptr;
         /** The submitter's span name (a Worker span of that name
-         *  wraps the task; null = none) and request context
-         *  (reinstated on the executing thread). */
+         *  wraps the task; null = none), frame stamp and request
+         *  context (both reinstated on the executing thread). */
         trace::TaskContext context;
         /** metrics::now_ns() at enqueue, for the
          *  pool.task.queue_wait_ms histogram and the queue_wait

@@ -31,11 +31,13 @@ struct OpenSpan
     pmu::SpanCounters counters;
 };
 
-/** A thread's span state: the open-span stack every sink shares and
- *  the installed request context. */
+/** A thread's span state: the open-span stack every sink shares,
+ *  the timeline frame stamp and the installed request context. */
 struct ThreadSpans
 {
     std::vector<OpenSpan> stack;
+    /** Frame index stamped onto this thread's timeline events. */
+    uint64_t frame = 0;
     /** Installed context; spanId is the innermost open request span
      *  (the parent of the next one). */
     TraceContext request;
@@ -189,16 +191,22 @@ Tracer::clear()
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto &buffer : buffers_)
         buffer->events.clear();
-    frame_.store(0, std::memory_order_relaxed);
+    t_spans.frame = 0;
     epochNs_ = slambench::metrics::now_ns();
 }
 
 void
 Tracer::setFrame(uint64_t frame)
 {
-    frame_.store(frame, std::memory_order_relaxed);
+    t_spans.frame = frame;
     record("frame", Category::Marker, 'i', static_cast<double>(frame),
            slambench::metrics::now_ns());
+}
+
+uint64_t
+Tracer::frame() const
+{
+    return t_spans.frame;
 }
 
 void
@@ -238,7 +246,7 @@ Tracer::record(const char *name, Category cat, char phase,
     Event event;
     event.name = name;
     event.tsNs = now_ns - epochNs_;
-    event.frame = frame_.load(std::memory_order_relaxed);
+    event.frame = t_spans.frame;
     event.value = value;
     event.cat = cat;
     event.phase = phase;
@@ -384,28 +392,6 @@ Tracer::writeChromeJson(const std::string &path) const
     return static_cast<bool>(os);
 }
 
-void
-Tracer::writeFrameCsv(std::ostream &os) const
-{
-    os << "frame,kernel,spans,host_ms\n";
-    char buf[64];
-    for (const FrameKernelTotal &t : frameKernelTotals()) {
-        std::snprintf(buf, sizeof(buf), "%.6f", t.seconds * 1e3);
-        os << t.frame << "," << t.name << "," << t.spans << ","
-           << buf << "\n";
-    }
-}
-
-bool
-Tracer::writeFrameCsv(const std::string &path) const
-{
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    writeFrameCsv(os);
-    return static_cast<bool>(os);
-}
-
 const char *
 currentSpanName()
 {
@@ -458,6 +444,8 @@ captureTaskContext()
     TaskContext ctx;
     if (armed & (kTimelineSink | kPmuSink))
         ctx.spanName = currentSpanName();
+    if (armed & kTimelineSink)
+        ctx.frame = t_spans.frame;
     if (armed & kRequestSink)
         ctx.request = t_spans.request;
     return ctx;
@@ -479,6 +467,13 @@ recordQueueWait(const TraceContext &request, uint64_t enqueued_ns,
     wait.endNs = started_ns;
     tracer.addSpan(request.traceId, wait);
 }
+
+ScopedFrame::ScopedFrame(uint64_t frame) : prev_(t_spans.frame)
+{
+    t_spans.frame = frame;
+}
+
+ScopedFrame::~ScopedFrame() { t_spans.frame = prev_; }
 
 ScopedTraceContext::ScopedTraceContext(const TraceContext &ctx)
 {
@@ -763,8 +758,7 @@ RequestTracer::exemplarFor(const std::string &metric,
 Session::Session(SessionOptions options)
     : options_(std::move(options))
 {
-    if (!options_.timelinePath.empty() ||
-        !options_.frameCsvPath.empty()) {
+    if (!options_.timelinePath.empty()) {
         Tracer &tracer = Tracer::instance();
         tracer.clear();
         tracer.setEnabled(true);
@@ -794,20 +788,10 @@ Session::~Session()
         return;
     Tracer &tracer = Tracer::instance();
     tracer.setEnabled(false);
-    if (!options_.timelinePath.empty()) {
-        if (tracer.writeChromeJson(options_.timelinePath))
-            logInfo() << "trace: wrote " << options_.timelinePath;
-        else
-            logError() << "trace: cannot write "
-                       << options_.timelinePath;
-    }
-    if (!options_.frameCsvPath.empty()) {
-        if (tracer.writeFrameCsv(options_.frameCsvPath))
-            logInfo() << "trace: wrote " << options_.frameCsvPath;
-        else
-            logError() << "trace: cannot write "
-                       << options_.frameCsvPath;
-    }
+    if (tracer.writeChromeJson(options_.timelinePath))
+        logInfo() << "trace: wrote " << options_.timelinePath;
+    else
+        logError() << "trace: cannot write " << options_.timelinePath;
 }
 
 } // namespace slambench::support::trace

@@ -4,16 +4,16 @@
 /**
  * @file
  * Lightweight per-kernel tracing: scoped spans, counter events, and
- * frame markers, exported as Chrome `chrome://tracing` JSON and a
- * per-frame aggregate CSV.
+ * frame markers, exported as Chrome `chrome://tracing` JSON.
  *
  * SLAMBench's whole methodology is timing every pipeline stage; this
  * is the host-side instrumentation that makes those timings visible.
  * Span names for compute kernels are exactly the
  * `kfusion::kernelName()` strings, so a timeline opened in
  * chrome://tracing (or Perfetto) lines up 1:1 with the
- * `work_counters` CSV columns. See docs/OBSERVABILITY.md for the
- * span semantics and the export schemas.
+ * `kernel_<name>_ms` columns of the `--frames-csv` table. See
+ * docs/OBSERVABILITY.md for the span semantics and the export
+ * schema.
  *
  * One span model: `ScopedSpan` is the only span producer, and three
  * sinks consume it — the Chrome timeline (`Tracer`), the PMU profiler
@@ -57,7 +57,7 @@ const char *categoryName(Category cat);
 
 /** The consumers of ScopedSpan: one bit each in the span gate. */
 enum Sink : uint32_t {
-    kTimelineSink = 1u << 0, ///< Tracer: Chrome timeline, perf CSV.
+    kTimelineSink = 1u << 0, ///< Tracer: Chrome timeline.
     kPmuSink = 1u << 1,      ///< pmu::Profiler: Kernel/Worker spans.
     kRequestSink = 1u << 2,  ///< RequestTracer: in-context spans.
 };
@@ -92,7 +92,7 @@ struct Event
     const char *name = nullptr;
     /** Nanoseconds since the tracer epoch (start / last clear()). */
     uint64_t tsNs = 0;
-    /** Pipeline frame index current when the event was recorded. */
+    /** The recording thread's frame stamp (see Tracer::setFrame). */
     uint64_t frame = 0;
     /** Counter value; unused for spans and markers. */
     double value = 0.0;
@@ -148,21 +148,21 @@ class Tracer
         return (armedSinks() & kTimelineSink) != 0;
     }
 
-    /** Drop all recorded events and restart the time epoch. */
+    /** Drop all recorded events, restart the time epoch and reset
+     *  the calling thread's frame stamp to 0. */
     void clear();
 
     /**
-     * Record a frame-boundary marker and stamp subsequent events
-     * (on every thread) with @p frame.
+     * Record a frame-boundary marker and stamp this thread's
+     * subsequent events with @p frame. The stamp is per thread, so
+     * pipelines running concurrently each stamp their own frames;
+     * pool tasks inherit the submitting thread's stamp through
+     * TaskContext.
      */
     void setFrame(uint64_t frame);
 
-    /** @return the frame index currently stamped onto events. */
-    uint64_t
-    frame() const
-    {
-        return frame_.load(std::memory_order_relaxed);
-    }
+    /** @return the frame index stamped onto this thread's events. */
+    uint64_t frame() const;
 
     /**
      * Record a span boundary (@p phase 'B' or 'E') taken at
@@ -199,14 +199,6 @@ class Tracer
      */
     bool writeChromeJson(const std::string &path) const;
 
-    /** Write the per-frame per-kernel aggregate CSV to @p os. */
-    void writeFrameCsv(std::ostream &os) const;
-    /**
-     * Write the per-frame aggregate CSV to @p path.
-     * @return false when the file cannot be opened.
-     */
-    bool writeFrameCsv(const std::string &path) const;
-
   private:
     struct ThreadBuffer
     {
@@ -223,7 +215,6 @@ class Tracer
 
     mutable std::mutex mutex_;
     std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
-    std::atomic<uint64_t> frame_{0};
     /** metrics::now_ns() at construction / the last clear(). */
     uint64_t epochNs_ = 0;
 };
@@ -491,17 +482,39 @@ uint64_t parseTraceId(const std::string &text);
 
 /**
  * What a thread-pool task carries from the thread that submitted it:
- * the span its worker-side chunks are labelled with and the request
- * context its spans attach to.
+ * the span its worker-side chunks are labelled with, the frame stamp
+ * their timeline events carry, and the request context its spans
+ * attach to.
  */
 struct TaskContext
 {
     /** currentSpanName() when the timeline or PMU sink is armed, else
      *  nullptr (no Worker chunk spans). */
     const char *spanName = nullptr;
+    /** The submitter's Tracer::frame() when the timeline sink is
+     *  armed, else 0. */
+    uint64_t frame = 0;
     /** The installed request context when request tracing is armed
      *  (inactive otherwise). */
     TraceContext request;
+};
+
+/**
+ * RAII frame stamp: this thread's timeline events carry @p frame
+ * while in scope (a pool task runs under its submitter's stamp); the
+ * previous stamp is restored on destruction.
+ */
+class ScopedFrame
+{
+  public:
+    explicit ScopedFrame(uint64_t frame);
+    ~ScopedFrame();
+
+    ScopedFrame(const ScopedFrame &) = delete;
+    ScopedFrame &operator=(const ScopedFrame &) = delete;
+
+  private:
+    uint64_t prev_;
 };
 
 /** @return this thread's TaskContext (one relaxed load when every
@@ -563,7 +576,7 @@ counterEvent(const char *name, double value)
         tracer.counter(name, value);
 }
 
-/** Record a frame boundary if tracing is enabled. */
+/** Record a frame boundary on this thread if tracing is enabled. */
 inline void
 frameMarker(uint64_t frame)
 {
@@ -572,12 +585,11 @@ frameMarker(uint64_t frame)
         tracer.setFrame(frame);
 }
 
-/** What a run arms: the `--trace`, `--perf-csv`, `--pmu` and
- *  `--trace-*` values. */
+/** What a run arms: the `--trace`, `--pmu` and `--trace-*`
+ *  values. */
 struct SessionOptions
 {
     std::string timelinePath; ///< Chrome trace JSON ("" = skip).
-    std::string frameCsvPath; ///< Per-frame aggregate CSV ("" = skip).
     bool pmu = false;         ///< Hardware-counter profiling.
     bool requests = false;    ///< Request tracing.
     RequestTraceOptions requestOptions; ///< Used when @c requests.
@@ -588,7 +600,7 @@ struct SessionOptions
  * path is set (clearing earlier events), the PMU sink (probing the
  * host backend, see pmu::startSession()) and the request sink. On
  * destruction disarms them, publishes the PMU summary, and writes the
- * timeline files. Inert when @p options asks for nothing.
+ * timeline file. Inert when @p options asks for nothing.
  */
 class Session
 {
@@ -622,7 +634,8 @@ class Session
     ::slambench::support::trace::counterEvent(                       \
         name, static_cast<double>(value))
 
-/** Mark a frame boundary; later events belong to frame @p index. */
+/** Mark a frame boundary; this thread's later events belong to
+ *  frame @p index. */
 #define TRACE_FRAME(index)                                           \
     ::slambench::support::trace::frameMarker(                        \
         static_cast<uint64_t>(index))

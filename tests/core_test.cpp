@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "core/benchmark.hpp"
+#include "core/cli_options.hpp"
 #include "core/config_binding.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
@@ -168,6 +171,53 @@ TEST(Benchmark, FrameRowsMatchEndOfRunMetrics)
     // ir=2 integrates frames 0-3 (bootstrap) and 4; frame 5 skips.
     EXPECT_FALSE(result.frameRows[5].integrated);
     EXPECT_EQ(result.frameRows[5].integrateSeconds, 0.0);
+}
+
+TEST(Benchmark, FrameRowsCarryEveryKernelsWork)
+{
+    // Each row holds its frame's WorkCounts per kernel bit for bit,
+    // and the phase fields are sums over the kernel groups.
+    using slambench::kfusion::KernelId;
+    const Sequence seq = tinySequence(4);
+    KFusionSystem system(tinyConfig());
+    const BenchmarkResult result = runBenchmark(system, seq);
+    ASSERT_EQ(result.frameRows.size(), 4u);
+    const auto sum = [](const std::vector<double> &seconds,
+                        std::initializer_list<KernelId> ids) {
+        double total = 0.0;
+        for (const KernelId id : ids)
+            total += seconds[static_cast<size_t>(id)];
+        return total;
+    };
+    for (size_t f = 0; f < result.frameRows.size(); ++f) {
+        const auto &row = result.frameRows[f];
+        const auto &work = result.frameWork[f];
+        ASSERT_EQ(row.kernelSeconds.size(),
+                  slambench::kfusion::kNumKernels);
+        ASSERT_EQ(row.kernelItems.size(),
+                  slambench::kfusion::kNumKernels);
+        for (size_t k = 0; k < slambench::kfusion::kNumKernels; ++k) {
+            EXPECT_EQ(row.kernelSeconds[k], work.hostSeconds[k]) << k;
+            EXPECT_EQ(row.kernelItems[k], work.items[k]) << k;
+        }
+        EXPECT_EQ(row.preprocessSeconds,
+                  sum(row.kernelSeconds,
+                      {KernelId::Mm2Meters, KernelId::BilateralFilter,
+                       KernelId::HalfSample, KernelId::Depth2Vertex,
+                       KernelId::Vertex2Normal}));
+        EXPECT_EQ(row.trackSeconds,
+                  sum(row.kernelSeconds, {KernelId::Track,
+                                          KernelId::Reduce,
+                                          KernelId::Solve}));
+        EXPECT_EQ(row.integrateSeconds,
+                  sum(row.kernelSeconds, {KernelId::Integrate}));
+        EXPECT_EQ(row.raycastSeconds,
+                  sum(row.kernelSeconds,
+                      {KernelId::Raycast, KernelId::RenderVolume}));
+        // The device cost is appendRunTelemetry's to add.
+        EXPECT_EQ(row.simSeconds, 0.0);
+        EXPECT_EQ(row.simJoules, 0.0);
+    }
 }
 
 // --- config binding ---
@@ -390,18 +440,126 @@ TEST(Experiment, ReplayOnFleetComputesSpeedups)
     }
 }
 
-TEST(Report, FrameLogHasOneRowPerFrame)
+/** A CSV table as header names plus rows of cells (no quoting). */
+struct CsvTable
+{
+    std::vector<std::string> header;
+    std::vector<std::vector<std::string>> rows;
+
+    /** @return the index of column @p name (header.size() if absent). */
+    size_t
+    column(const std::string &name) const
+    {
+        return static_cast<size_t>(
+            std::find(header.begin(), header.end(), name) -
+            header.begin());
+    }
+};
+
+CsvTable
+parseCsv(const std::string &text)
+{
+    CsvTable table;
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+        std::vector<std::string> cells;
+        std::istringstream fields(line);
+        for (std::string cell; std::getline(fields, cell, ',');)
+            cells.push_back(cell);
+        if (table.header.empty())
+            table.header = std::move(cells);
+        else
+            table.rows.push_back(std::move(cells));
+    }
+    return table;
+}
+
+/** @return @p result's rows as appendRunTelemetry writes them. */
+CsvTable
+telemetryTable(const BenchmarkResult &result,
+               const DeviceModel *device)
+{
+    const std::string path =
+        ::testing::TempDir() + "core_test_frames.csv";
+    std::ostringstream out;
+    {
+        slambench::support::metrics::RunSession session(
+            "", path, "core_test", kernelColumnNames());
+        appendRunTelemetry(session, "run", result, device);
+        session.writeFramesCsv(out);
+    }
+    std::remove(path.c_str());
+    return parseCsv(out.str());
+}
+
+TEST(Report, KernelColumnNamesFollowKernelIdOrder)
+{
+    const std::vector<std::string> names = kernelColumnNames();
+    ASSERT_EQ(names.size(), slambench::kfusion::kNumKernels);
+    for (size_t k = 0; k < names.size(); ++k)
+        EXPECT_EQ(names[k],
+                  slambench::kfusion::kernelName(
+                      static_cast<slambench::kfusion::KernelId>(k)));
+}
+
+TEST(Report, RunTelemetryModelsEachFrameOnTheDevice)
+{
+    // sim_seconds / sim_joules are the device model applied to the
+    // frame's own WorkCounts, bit for bit (no running-sum deltas).
+    const Sequence seq = tinySequence(4);
+    KFusionSystem system(tinyConfig());
+    const BenchmarkResult result = runBenchmark(system, seq);
+    const DeviceModel xu3 = odroidXu3();
+    const CsvTable table = telemetryTable(result, &xu3);
+    const size_t seconds_col = table.column("sim_seconds");
+    const size_t joules_col = table.column("sim_joules");
+    ASSERT_LT(seconds_col, table.header.size());
+    ASSERT_LT(joules_col, table.header.size());
+    ASSERT_EQ(table.rows.size(), 4u);
+    for (size_t f = 0; f < table.rows.size(); ++f) {
+        const auto &work = result.frameWork[f];
+        EXPECT_GT(xu3.frameSeconds(work), 0.0);
+        EXPECT_EQ(std::stod(table.rows[f][seconds_col]),
+                  xu3.frameSeconds(work))
+            << f;
+        EXPECT_EQ(std::stod(table.rows[f][joules_col]),
+                  xu3.frameJoules(work))
+            << f;
+    }
+}
+
+TEST(Report, RunTelemetryWithoutDeviceModelsNothing)
+{
+    const Sequence seq = tinySequence(3);
+    KFusionSystem system(tinyConfig());
+    const BenchmarkResult result = runBenchmark(system, seq);
+    const CsvTable table = telemetryTable(result, nullptr);
+    ASSERT_EQ(table.rows.size(), 3u);
+    for (const auto &row : table.rows) {
+        EXPECT_EQ(row[table.column("sim_seconds")], "0");
+        EXPECT_EQ(row[table.column("sim_joules")], "0");
+    }
+}
+
+TEST(Report, PowerGaugesHoldTheRunsRunningSums)
 {
     const Sequence seq = tinySequence(4);
     KFusionSystem system(tinyConfig());
     const BenchmarkResult result = runBenchmark(system, seq);
-    std::ostringstream out;
-    const size_t rows =
-        writeFrameLog(out, result, odroidXu3());
-    EXPECT_EQ(rows, 4u);
-    // Header + 4 data rows.
-    const std::string text = out.str();
-    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 5);
+    const DeviceModel xu3 = odroidXu3();
+    double joules = 0.0;
+    double seconds = 0.0;
+    for (const auto &work : result.frameWork) {
+        joules += xu3.frameJoules(work);
+        seconds += xu3.frameSeconds(work);
+    }
+    auto &registry = slambench::support::metrics::Registry::instance();
+    registry.gauge("power.sim_joules").set(-1.0);
+    registry.gauge("power.sim_watts").set(-1.0);
+    telemetryTable(result, &xu3);
+    EXPECT_EQ(registry.gauge("power.sim_joules").value(), joules);
+    EXPECT_EQ(registry.gauge("power.sim_watts").value(),
+              joules / seconds);
 }
 
 TEST(Report, SummaryMentionsKeyMetrics)
@@ -415,6 +573,50 @@ TEST(Report, SummaryMentionsKeyMetrics)
     EXPECT_NE(text.find("max ATE"), std::string::npos);
     EXPECT_NE(text.find("odroid-xu3"), std::string::npos);
     EXPECT_NE(text.find("integrate"), std::string::npos);
+}
+
+TEST(Observability, FramesCsvHasThePinnedHeader)
+{
+    // The 12 phase/accuracy/energy columns, sim_seconds, then one
+    // kernel_<name>_ms and one kernel_<name>_items per KernelId.
+    const std::string path =
+        ::testing::TempDir() + "core_test_observability.csv";
+    slambench::support::Options options("core_test", "observability");
+    addObservabilityOptions(options);
+    ASSERT_EQ(options.parse({"--frames-csv", path}), "");
+    {
+        Observability observability(options, "core_test");
+        ASSERT_TRUE(observability.metrics.active());
+        const Sequence seq = tinySequence(2);
+        KFusionSystem system(tinyConfig());
+        appendRunTelemetry(observability.metrics, "run",
+                           runBenchmark(system, seq));
+    }
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::remove(path.c_str());
+    const CsvTable table = parseCsv(text.str());
+    const std::vector<std::string> pinned{
+        "label", "frame", "wall_ms", "preprocess_ms", "track_ms",
+        "integrate_ms", "raycast_ms", "ate_m", "tracked", "integrated",
+        "sim_joules", "rss_peak_bytes", "sim_seconds",
+        "kernel_mm2meters_ms", "kernel_bilateral_filter_ms",
+        "kernel_half_sample_ms", "kernel_depth2vertex_ms",
+        "kernel_vertex2normal_ms", "kernel_track_ms",
+        "kernel_reduce_ms", "kernel_solve_ms", "kernel_integrate_ms",
+        "kernel_raycast_ms", "kernel_render_volume_ms",
+        "kernel_mm2meters_items", "kernel_bilateral_filter_items",
+        "kernel_half_sample_items", "kernel_depth2vertex_items",
+        "kernel_vertex2normal_items", "kernel_track_items",
+        "kernel_reduce_items", "kernel_solve_items",
+        "kernel_integrate_items", "kernel_raycast_items",
+        "kernel_render_volume_items"};
+    EXPECT_EQ(pinned.size(), 35u);
+    EXPECT_EQ(table.header, pinned);
+    ASSERT_EQ(table.rows.size(), 2u);
+    for (const auto &row : table.rows)
+        EXPECT_EQ(row.size(), pinned.size());
 }
 
 TEST(Experiment, UntrackableRunIsInvalid)

@@ -301,8 +301,10 @@ TEST(Timing, DescribeMentionsFps)
 // --- support::metrics registry, histogram, and run report ---
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -725,7 +727,7 @@ TEST(RunReport, JsonRoundTripParses)
     EXPECT_EQ(lines[0],
               "label,frame,wall_ms,preprocess_ms,track_ms,"
               "integrate_ms,raycast_ms,ate_m,tracked,integrated,"
-              "sim_joules,rss_peak_bytes");
+              "sim_joules,rss_peak_bytes,sim_seconds");
     EXPECT_NE(lines[1].find("\"unit \"\"quoted\"\" label\""),
               std::string::npos);
 
@@ -743,6 +745,51 @@ TEST(RunReport, InactiveSessionRecordsNothing)
     session.setSummary("x", 1.0);
     EXPECT_EQ(session.frameCount(), 0u);
     session.finish(); // no-op, no crash
+}
+
+TEST(RunReport, StreamedCsvEqualsWriteFramesCsvWithKernelColumns)
+{
+    // The streamed --frames-csv file and writeFramesCsv() are one
+    // table, kernel columns included: sim_seconds, then
+    // kernel_<name>_ms (host seconds x 1e3) per kernel name, then
+    // kernel_<name>_items; a row without kernel values reads 0.
+    const std::string csv_path =
+        ::testing::TempDir() + "metrics_kernel_columns.csv";
+    std::string written;
+    {
+        sm::RunSession session("", csv_path, "metrics_test",
+                               {"alpha", "beta"});
+        sm::FrameTelemetry t;
+        t.simSeconds = 0.125;
+        t.kernelSeconds = {0.25, 0.5};
+        t.kernelItems = {7.0, 3.0};
+        session.addFrame(t);
+        sm::FrameTelemetry bare;
+        bare.frame = 1;
+        session.addFrame(bare);
+        std::ostringstream os;
+        session.writeFramesCsv(os);
+        written = os.str();
+    }
+    std::ifstream in(csv_path);
+    std::stringstream streamed;
+    streamed << in.rdbuf();
+    std::remove(csv_path.c_str());
+    EXPECT_EQ(streamed.str(), written);
+
+    std::vector<std::string> lines;
+    std::istringstream ls(written);
+    for (std::string line; std::getline(ls, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), 3u);
+    EXPECT_EQ(lines[0],
+              "label,frame,wall_ms,preprocess_ms,track_ms,"
+              "integrate_ms,raycast_ms,ate_m,tracked,integrated,"
+              "sim_joules,rss_peak_bytes,sim_seconds,"
+              "kernel_alpha_ms,kernel_beta_ms,"
+              "kernel_alpha_items,kernel_beta_items");
+    EXPECT_EQ(lines[1], "run,0,0,0,0,0,0,0,0,0,0,0,0.125,250,500,7,3");
+    EXPECT_EQ(lines[2], "run,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0");
 }
 
 TEST(RunReport, ProcessStatsAreSane)

@@ -171,7 +171,7 @@ TEST(Options, SharedGroupsDeclareEveryFlagOnce)
     const std::string help = options.help();
     for (const char *name :
          {"--backend", "--volume", "--block-size", "--pool-capacity",
-          "--dse-threads", "--trace", "--perf-csv", "--pmu",
+          "--dse-threads", "--trace", "--pmu",
           "--metrics-json", "--frames-csv", "--telemetry-port",
           "--crash-dump", "--recorder-slots", "--slo-frame-p99-ms",
           "--slo-max-ate", "--slo-max-lost", "--slo-queue-stall-ms",

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/report.hpp"
 #include "devices/fleet.hpp"
 #include "kfusion/volume.hpp"
 #include "serve/admission.hpp"
@@ -340,7 +341,8 @@ TEST(StreamScheduler, FramesCsvRowsCarryPhasesAndRealIntegration)
 {
     // ir=2 skips integration from frame 5 on (frames 0-3 bootstrap,
     // frame 4 is on the rate): the serve rows must say so, and carry
-    // the per-phase host time of the frame's WorkCounts.
+    // the per-phase and per-kernel host time and items of the frame's
+    // WorkCounts plus the tenant device's modeled frame time.
     serve::TenantConfig tenant = tinyTenant("rows-ir2");
     tenant.sequence.numFrames = 6;
     tenant.kfusion.integrationRate = 2;
@@ -350,10 +352,21 @@ TEST(StreamScheduler, FramesCsvRowsCarryPhasesAndRealIntegration)
     options.threads = 1;
     serve::StreamScheduler scheduler(std::move(sessions), options);
 
+    // The same stream replayed outside the scheduler: the modeled
+    // cost is a function of the (deterministic) work counts.
+    std::vector<double> device_seconds;
+    {
+        serve::TenantSession replay(tenant);
+        for (uint64_t f = 0; f < 6; ++f)
+            device_seconds.push_back(
+                replay.processNext(f).deviceSeconds);
+    }
+
     const std::string csv_path =
         ::testing::TempDir() + "serve_rows_ir2.csv";
     {
-        support::metrics::RunSession run("", csv_path, "serve_test");
+        support::metrics::RunSession run("", csv_path, "serve_test",
+                                         core::kernelColumnNames());
         for (int tick = 0; tick < 6; ++tick)
             scheduler.runTick(&run);
     }
@@ -377,7 +390,13 @@ TEST(StreamScheduler, FramesCsvRowsCarryPhasesAndRealIntegration)
     const size_t integrated_col = column("integrated");
     const size_t integrate_col = column("integrate_ms");
     const size_t preprocess_col = column("preprocess_ms");
+    const size_t sim_seconds_col = column("sim_seconds");
+    const size_t kernel_integrate_col = column("kernel_integrate_ms");
+    const size_t integrate_items_col = column("kernel_integrate_items");
+    const size_t track_items_col = column("kernel_track_items");
     ASSERT_LT(preprocess_col, header.size());
+    ASSERT_EQ(header.size(), 35u);
+    ASSERT_LT(track_items_col, header.size());
 
     size_t rows = 0;
     while (std::getline(in, line)) {
@@ -398,6 +417,18 @@ TEST(StreamScheduler, FramesCsvRowsCarryPhasesAndRealIntegration)
             EXPECT_GT(integrate_ms, 0.0) << line;
         }
         EXPECT_GT(std::stod(cells[preprocess_col]), 0.0) << line;
+        EXPECT_EQ(cells[kernel_integrate_col], cells[integrate_col])
+            << line;
+        EXPECT_EQ(std::stod(cells[integrate_items_col]) > 0.0,
+                  cells[integrated_col] == "1")
+            << line;
+        // Frame 0 bootstraps the map without tracking.
+        EXPECT_EQ(std::stod(cells[track_items_col]) > 0.0, frame > 0)
+            << line;
+        ASSERT_LT(rows, device_seconds.size()) << line;
+        EXPECT_EQ(std::stod(cells[sim_seconds_col]),
+                  device_seconds[rows])
+            << line;
         ++rows;
     }
     EXPECT_EQ(rows, 6u);

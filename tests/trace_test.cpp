@@ -2,8 +2,9 @@
  * @file
  * Tests of the tracing subsystem: span nesting, zero-cost disabled
  * path, Chrome JSON well-formedness (every B paired with an E),
- * worker-chunk attribution, agreement between the per-frame CSV
- * aggregate and the WorkCounts host-time accounting, request traces,
+ * worker-chunk attribution, per-thread frame stamps, agreement
+ * between the per-frame span aggregate and the WorkCounts host-time
+ * accounting, request traces,
  * and the span model (one ScopedSpan feeding the timeline, PMU and
  * request sinks).
  */
@@ -11,11 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dataset/generator.hpp"
@@ -174,6 +178,62 @@ TEST_F(TraceTest, WorkerChunksAttributeToDispatchingSpan)
     EXPECT_EQ(totals[0].spans, 1u);
 }
 
+TEST_F(TraceTest, FrameStampIsPerThreadAndFollowsPoolTasks)
+{
+    // Two pipelines on two threads: B's frame marker must not
+    // restamp A's events, and a chunk a pool worker runs under A's
+    // span carries A's frame.
+    Tracer &tracer = Tracer::instance();
+    tracer.setEnabled(true);
+    support::ThreadPool pool(1);
+    TRACE_FRAME(1);
+    std::thread other([] { TRACE_FRAME(2); });
+    other.join();
+    EXPECT_EQ(tracer.frame(), 1u);
+    {
+        ScopedSpan span("stamped", Category::Kernel);
+        // A chunk on this thread waits until one has run elsewhere,
+        // so the worker is certain to run one (no timed waits).
+        const std::thread::id self = std::this_thread::get_id();
+        std::mutex mutex;
+        std::condition_variable ran;
+        bool worker_ran = false;
+        pool.parallelFor(0, 2, [&](size_t) {
+            std::unique_lock<std::mutex> lock(mutex);
+            if (std::this_thread::get_id() == self) {
+                ran.wait(lock, [&] { return worker_ran; });
+            } else {
+                worker_ran = true;
+                ran.notify_all();
+            }
+        });
+    }
+    tracer.setEnabled(false);
+
+    const auto by_thread = tracer.eventsByThread();
+    size_t kernel_thread = by_thread.size();
+    size_t stamped = 0;
+    for (size_t tid = 0; tid < by_thread.size(); ++tid)
+        for (const Event &event : by_thread[tid]) {
+            if (std::string(event.name) != "stamped")
+                continue;
+            EXPECT_EQ(event.frame, 1u)
+                << categoryName(event.cat) << " " << event.phase;
+            if (event.cat == Category::Kernel)
+                kernel_thread = tid;
+            ++stamped;
+        }
+    ASSERT_LT(kernel_thread, by_thread.size());
+    size_t off_thread_chunks = 0;
+    for (size_t tid = 0; tid < by_thread.size(); ++tid)
+        for (const Event &event : by_thread[tid])
+            off_thread_chunks += tid != kernel_thread &&
+                                 event.cat == Category::Worker &&
+                                 event.phase == 'B';
+    EXPECT_GE(off_thread_chunks, 1u);
+    EXPECT_GE(stamped, 4u); // Kernel B/E plus >= 1 chunk B/E.
+}
+
 TEST_F(TraceTest, ChromeJsonPairsEveryBeginWithAnEnd)
 {
     Tracer &tracer = Tracer::instance();
@@ -267,8 +327,8 @@ TEST_F(TraceTest, CsvAggregateMatchesWorkCounts)
     EXPECT_LE(std::abs(traced_total - work.totalHostSeconds()),
               std::max(0.05 * work.totalHostSeconds(), 2e-3));
 
-    // The CSV aggregate covers every processed frame and sums to
-    // the same per-kernel totals.
+    // The per-frame aggregate covers every processed frame and sums
+    // to the same per-kernel totals.
     const auto per_frame = tracer.frameKernelTotals();
     uint64_t max_frame = 0;
     double per_frame_total = 0.0;
@@ -279,23 +339,19 @@ TEST_F(TraceTest, CsvAggregateMatchesWorkCounts)
     EXPECT_EQ(max_frame, spec.numFrames - 1);
     EXPECT_NEAR(per_frame_total, traced_total, 1e-9);
 
-    std::ostringstream os;
-    tracer.writeFrameCsv(os);
-    const std::string csv = os.str();
-    EXPECT_EQ(csv.rfind("frame,kernel,spans,host_ms\n", 0), 0u);
-    EXPECT_GT(countOccurrences(csv, "integrate"), 0u);
+    size_t integrate_rows = 0;
+    for (const auto &t : per_frame)
+        integrate_rows += t.name == "integrate";
+    EXPECT_GT(integrate_rows, 0u);
 }
 
 TEST_F(TraceTest, SessionExportsAndDisarms)
 {
     const std::string json_path =
         ::testing::TempDir() + "trace_session.json";
-    const std::string csv_path =
-        ::testing::TempDir() + "trace_session.csv";
     {
         SessionOptions options;
         options.timelinePath = json_path;
-        options.frameCsvPath = csv_path;
         Session session(options);
         EXPECT_TRUE(session.active());
         EXPECT_TRUE(Tracer::instance().enabled());
@@ -309,11 +365,7 @@ TEST_F(TraceTest, SessionExportsAndDisarms)
     json_contents << json_in.rdbuf();
     EXPECT_NE(json_contents.str().find("session_span"),
               std::string::npos);
-
-    std::ifstream csv_in(csv_path);
-    ASSERT_TRUE(csv_in.good());
     std::remove(json_path.c_str());
-    std::remove(csv_path.c_str());
 
     // A pathless session stays inert.
     Session inert(SessionOptions{});
