@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cli_options.hpp"
 #include "dataset/generator.hpp"
 #include "devices/fleet.hpp"
 #include "kfusion/backend.hpp"
@@ -33,9 +34,7 @@
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
 #include "support/options.hpp"
-#include "support/pmu.hpp"
 #include "support/telemetry_server.hpp"
-#include "support/trace.hpp"
 
 namespace {
 
@@ -98,63 +97,12 @@ benchVolume(int res)
     return TsdfVolume(res, 4.8f, {-2.4f, -0.4f, -2.4f});
 }
 
-/**
- * Samples the PMU thread counters around a whole benchmark body and
- * exports the deltas as "pmu_<counter>" user counters, divided by
- * iterations at report time (kAvgIterations) so the report writer
- * gets per-iteration cycles/instructions/... without span machinery.
- * Inert (no counters exported) unless `--pmu` armed profiling. The
- * bench kernels run serially (nullptr pool), so the bench thread's
- * counter group observes all the work.
- */
-class BenchPmuSampler
-{
-  public:
-    explicit BenchPmuSampler(benchmark::State &state) : state_(state)
-    {
-        active_ =
-            support::pmu::Profiler::instance().readThreadSample(
-                begin_);
-    }
-
-    BenchPmuSampler(const BenchPmuSampler &) = delete;
-    BenchPmuSampler &operator=(const BenchPmuSampler &) = delete;
-
-    ~BenchPmuSampler()
-    {
-        if (!active_)
-            return;
-        support::pmu::Sample end;
-        if (!support::pmu::Profiler::instance().readThreadSample(
-                end))
-            return;
-        const support::pmu::Sample delta =
-            support::pmu::sampleDelta(end, begin_);
-        for (size_t i = 0; i < support::pmu::kNumCounters; ++i) {
-            const auto id = static_cast<support::pmu::CounterId>(i);
-            if (!delta.valid(id))
-                continue;
-            state_.counters[std::string("pmu_") +
-                            support::pmu::counterName(id)] =
-                benchmark::Counter(
-                    delta.get(id),
-                    benchmark::Counter::kAvgIterations);
-        }
-    }
-
-  private:
-    benchmark::State &state_;
-    support::pmu::Sample begin_;
-    bool active_ = false;
-};
-
 void
 BM_Mm2Meters(benchmark::State &state)
 {
     Workload &wl = workload(static_cast<size_t>(state.range(0)),
                             static_cast<size_t>(state.range(1)));
     Image<float> out;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         mm2metersKernel(out, wl.sequence.frames[0].depthMm, 1,
                         nullptr);
@@ -171,7 +119,6 @@ BM_BilateralFilter(benchmark::State &state)
     Workload &wl = workload(static_cast<size_t>(state.range(0)),
                             static_cast<size_t>(state.range(1)));
     Image<float> out;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         bilateralFilterKernel(out, wl.depth, 2, 4.0f, 0.1f, nullptr);
         benchmark::DoNotOptimize(out.data());
@@ -187,7 +134,6 @@ BM_HalfSample(benchmark::State &state)
     Workload &wl = workload(static_cast<size_t>(state.range(0)),
                             static_cast<size_t>(state.range(1)));
     Image<float> out;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         halfSampleRobustKernel(out, wl.depth, 0.3f, nullptr);
         benchmark::DoNotOptimize(out.data());
@@ -203,7 +149,6 @@ BM_Depth2Vertex(benchmark::State &state)
     Workload &wl = workload(static_cast<size_t>(state.range(0)),
                             static_cast<size_t>(state.range(1)));
     Image<math::Vec3f> out;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         depth2vertexKernel(out, wl.depth, wl.k, nullptr);
         benchmark::DoNotOptimize(out.data());
@@ -219,7 +164,6 @@ BM_Vertex2Normal(benchmark::State &state)
     Workload &wl = workload(static_cast<size_t>(state.range(0)),
                             static_cast<size_t>(state.range(1)));
     Image<math::Vec3f> out;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         vertex2normalKernel(out, wl.vertex, nullptr);
         benchmark::DoNotOptimize(out.data());
@@ -235,7 +179,6 @@ BM_TrackKernel(benchmark::State &state)
     Workload &wl = workload(static_cast<size_t>(state.range(0)),
                             static_cast<size_t>(state.range(1)));
     Image<TrackData> track;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         trackKernel(track, wl.vertex, wl.normal, wl.pose,
                     wl.refVertex, wl.refNormal, wl.k, wl.pose, 0.1f,
@@ -255,7 +198,6 @@ BM_ReduceKernel(benchmark::State &state, const KernelBackend *backend)
     Image<TrackData> track;
     trackKernel(track, wl.vertex, wl.normal, wl.pose, wl.refVertex,
                 wl.refNormal, wl.k, wl.pose, 0.1f, 0.8f, nullptr);
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         const ReductionResult r =
             reduceKernel(track, nullptr, backend);
@@ -280,7 +222,6 @@ BM_Integrate(benchmark::State &state, const KernelBackend *backend)
         benchVolume(static_cast<int>(state.range(0)));
     volume.setBackend(backend);
     WorkCounts counts;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         volume.integrate(wl.depth, wl.k, wl.pose, 0.1f, 100.0f,
                          counts, nullptr);
@@ -300,7 +241,6 @@ BM_IntegrateDense(benchmark::State &state)
     TsdfVolume volume =
         benchVolume(static_cast<int>(state.range(0)));
     WorkCounts counts;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         volume.integrateDense(wl.depth, wl.k, wl.pose, 0.1f, 100.0f,
                               counts, nullptr);
@@ -327,7 +267,6 @@ BM_IntegrateSparse(benchmark::State &state,
                             {-2.4f, -0.4f, -2.4f}, 8, 0);
     volume.setBackend(backend);
     WorkCounts counts;
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         volume.integrate(wl.depth, wl.k, wl.pose, 0.1f, 100.0f,
                          counts, nullptr);
@@ -356,7 +295,6 @@ BM_Raycast(benchmark::State &state, const KernelBackend *backend)
     params.largeStep = 0.075f;
     Image<math::Vec3f> vertex, normal;
     counts = WorkCounts{};
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         raycastKernel(vertex, normal, volume, wl.k, wl.pose, params,
                       counts, nullptr, backend);
@@ -389,7 +327,6 @@ BM_RaycastSparse(benchmark::State &state)
     params.largeStep = 0.075f;
     Image<math::Vec3f> vertex, normal;
     counts = WorkCounts{};
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         raycastKernel(vertex, normal, volume, wl.k, wl.pose, params,
                       counts, nullptr);
@@ -439,7 +376,6 @@ BM_Grad(benchmark::State &state, const KernelBackend *backend)
     const std::vector<math::Vec3f> points =
         gradientPoints(volume, wl);
     math::Vec3f acc{};
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         for (const math::Vec3f &p : points)
             acc += backend->grad(volume, p);
@@ -463,7 +399,6 @@ BM_GradReference(benchmark::State &state)
     const std::vector<math::Vec3f> points =
         gradientPoints(volume, wl);
     math::Vec3f acc{};
-    BenchPmuSampler pmu_sampler(state);
     for (auto _ : state) {
         for (const math::Vec3f &p : points)
             acc += volume.gradReference(p);
@@ -495,10 +430,6 @@ struct KernelResult
      *  exported by the sparse benches only. */
     bool hasVolumeBytes = false;
     double volumeBytes = 0.0;
-    /** Per-iteration hardware-counter sample ("pmu_*" counters),
-     *  all-invalid when --pmu is off or the backend delivered
-     *  nothing. */
-    support::pmu::Sample pmu;
 };
 
 /**
@@ -566,19 +497,6 @@ class CapturingReporter : public benchmark::ConsoleReporter
                 r.volumeBytes =
                     static_cast<double>(volume_bytes->second);
             }
-            // "pmu_<counter>" user counters exported by
-            // BenchPmuSampler (per-iteration, kAvgIterations).
-            for (size_t i = 0; i < support::pmu::kNumCounters;
-                 ++i) {
-                const auto id =
-                    static_cast<support::pmu::CounterId>(i);
-                const auto counter = run.counters.find(
-                    std::string("pmu_") +
-                    support::pmu::counterName(id));
-                if (counter != run.counters.end())
-                    r.pmu.set(id, static_cast<double>(
-                                      counter->second));
-            }
             results.push_back(std::move(r));
         }
         ConsoleReporter::ReportRuns(reports);
@@ -604,82 +522,22 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+/** @return @p value with 17 significant digits, which round-trips
+ *  a double, so a checker recomputes derived fields exactly. */
 std::string
 jsonNumber(double value)
 {
     char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
     return buf;
-}
-
-/**
- * Append one row's optional "pmu" JSON block: the per-iteration raw
- * counters that are valid, the derived metrics, and — in roofline
- * mode, for rows with known memory traffic — the device-model
- * bandwidth term and the measured fraction of it. Emitted for every
- * row whenever --pmu armed profiling (possibly with no counters on
- * the null backend), so row shape is stable per run.
- */
-void
-writePmuBlock(std::ostream &os, const KernelResult &r,
-              double roofline_bandwidth)
-{
-    os << ", \"pmu\": {";
-    bool first = true;
-    for (size_t i = 0; i < support::pmu::kNumCounters; ++i) {
-        const auto id = static_cast<support::pmu::CounterId>(i);
-        if (!r.pmu.valid(id))
-            continue;
-        os << (first ? "" : ", ") << "\""
-           << support::pmu::counterName(id)
-           << "\": " << jsonNumber(r.pmu.get(id));
-        first = false;
-    }
-    // Known memory traffic per iteration, back-computed from the
-    // bytes_per_second google-benchmark derived from
-    // SetBytesProcessed; feeds the measured-bytes/s derivation
-    // (bytes / task-clock) and the roofline check.
-    const double bytes_per_iter =
-        r.hasBytes && r.bytesPerSecond > 0.0
-            ? r.bytesPerSecond * r.realNsPerIter * 1e-9
-            : 0.0;
-    const support::pmu::DerivedMetrics derived =
-        support::pmu::deriveMetrics(r.pmu, bytes_per_iter);
-    if (derived.hasIpc)
-        os << (first ? "" : ", ")
-           << "\"ipc\": " << jsonNumber(derived.ipc), first = false;
-    if (derived.hasLlcMissRate)
-        os << (first ? "" : ", ") << "\"llc_miss_rate\": "
-           << jsonNumber(derived.llcMissRate),
-            first = false;
-    if (derived.hasBranchMissRate)
-        os << (first ? "" : ", ") << "\"branch_miss_rate\": "
-           << jsonNumber(derived.branchMissRate),
-            first = false;
-    if (derived.hasTaskClock)
-        os << (first ? "" : ", ") << "\"task_clock_seconds\": "
-           << jsonNumber(derived.taskClockSeconds),
-            first = false;
-    if (derived.hasBytesPerSecond) {
-        os << (first ? "" : ", ") << "\"bytes_per_second\": "
-           << jsonNumber(derived.bytesPerSecond);
-        first = false;
-        if (roofline_bandwidth > 0.0) {
-            os << ", \"roofline_bytes_per_second\": "
-               << jsonNumber(roofline_bandwidth);
-            os << ", \"roofline_fraction\": "
-               << jsonNumber(derived.bytesPerSecond /
-                             roofline_bandwidth);
-        }
-    }
-    os << "}";
 }
 
 /**
  * Write the versioned kernel-bench report consumed by
  * scripts/bench_compare.py and validated by
  * scripts/check_kernel_bench_schema.py. @p roofline_bandwidth > 0
- * adds roofline fields to pmu blocks with measured bytes/s.
+ * adds the device-model bandwidth and the measured fraction of it to
+ * every row with bytes/s.
  */
 bool
 writeKernelReport(const std::string &path,
@@ -725,12 +583,17 @@ writeKernelReport(const std::string &path,
                << jsonNumber(r.bytesPerSecond);
             os << ", \"gb_per_s\": "
                << jsonNumber(r.bytesPerSecond / 1e9);
+            if (roofline_bandwidth > 0.0) {
+                os << ", \"roofline_bytes_per_second\": "
+                   << jsonNumber(roofline_bandwidth);
+                os << ", \"roofline_fraction\": "
+                   << jsonNumber(r.bytesPerSecond /
+                                 roofline_bandwidth);
+            }
         }
         if (r.hasVolumeBytes)
             os << ", \"volume_bytes\": "
                << jsonNumber(r.volumeBytes);
-        if (support::pmu::profilingActive())
-            writePmuBlock(os, r, roofline_bandwidth);
         os << "}";
     }
     os << (results.empty() ? "],\n" : "\n  ],\n");
@@ -817,11 +680,8 @@ main(int argc, char **argv)
         {"--backend", OptionType::String, "", backends + "auto",
          "run the hot-kernel rows on this backend only (default: "
          "every backend)"},
-        {"--pmu", OptionType::Flag, "", "",
-         "hardware-counter profiling of every row"},
         {"--roofline", OptionType::Flag, "", "",
-         "compare measured bytes/s with the device model (implies "
-         "--pmu)"},
+         "compare measured bytes/s with the device model"},
         {"--telemetry-port", OptionType::Integer, "", "0..65535",
          "serve /metrics, /healthz, /runz on 127.0.0.1:N "
          "(0 = ephemeral)"},
@@ -830,10 +690,9 @@ main(int argc, char **argv)
     });
     options.passThrough("--benchmark_");
     options.parseOrExit(argc, argv);
+    slambench::core::checkOutputPaths(options);
 
     const std::string &metrics_path = options.string("--metrics-json");
-    // Roofline validation needs the measured bytes/s, so --roofline
-    // implies --pmu.
     const bool roofline_flag = options.flag("--roofline");
     slambench::support::telemetry::TelemetryOptions telemetry_opts;
     telemetry_opts.generator = "kernels";
@@ -843,9 +702,6 @@ main(int argc, char **argv)
     telemetry_opts.crashDumpPath = options.string("--crash-dump");
     const slambench::support::telemetry::TelemetryEndpoint telemetry(
         telemetry_opts);
-    slambench::support::trace::SessionOptions pmu_options;
-    pmu_options.pmu = options.flag("--pmu") || roofline_flag;
-    const slambench::support::trace::Session pmu_session(pmu_options);
 
     // --backend NAME restricts the hot-kernel benches to one backend
     // ("auto" resolves via CPUID); by default every registered
@@ -877,11 +733,12 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
 
-    // Roofline validation: compare each row's measured bytes/s (from
-    // the PMU task clock and the kernel's known memory traffic)
-    // against the device model's bandwidth term, so the calibrated
-    // constants in src/devices/ are checked against machine-measured
-    // behaviour instead of trusted.
+    // Roofline validation: compare each row's measured bytes/s
+    // (google-benchmark's figure: the kernel's known memory traffic
+    // over the bench's own time) against the device model's
+    // bandwidth term, so the calibrated constants in src/devices/
+    // are checked against machine-measured behaviour instead of
+    // trusted.
     const double roofline_bandwidth =
         roofline_flag
             ? slambench::devices::odroidXu3().memoryBandwidth
@@ -894,27 +751,17 @@ main(int argc, char **argv)
                     "meas GB/s", "of roof");
         bool any = false;
         for (const KernelResult &r : reporter.results) {
-            const double bytes_per_iter =
-                r.hasBytes && r.bytesPerSecond > 0.0
-                    ? r.bytesPerSecond * r.realNsPerIter * 1e-9
-                    : 0.0;
-            const slambench::support::pmu::DerivedMetrics derived =
-                slambench::support::pmu::deriveMetrics(
-                    r.pmu, bytes_per_iter);
-            if (!derived.hasBytesPerSecond)
+            if (!r.hasBytes || r.bytesPerSecond <= 0.0)
                 continue;
             any = true;
             std::printf("%-32s %-8s %12.2f %9.1f%%\n",
                         r.name.c_str(),
                         r.backend.empty() ? "-" : r.backend.c_str(),
-                        derived.bytesPerSecond / 1e9,
-                        100.0 * derived.bytesPerSecond /
-                            roofline_bandwidth);
+                        r.bytesPerSecond / 1e9,
+                        100.0 * r.bytesPerSecond / roofline_bandwidth);
         }
         if (!any)
-            std::printf("(no rows with measured bytes/s — the PMU "
-                        "task clock is unavailable on this host or "
-                        "no bench reports bytes)\n");
+            std::printf("(no selected bench reports bytes)\n");
     }
 
     if (!metrics_path.empty()) {

@@ -8,8 +8,6 @@ Usage:
         [--max-rss-regress FRAC]          (default 0.20)
         [--max-kernel-regress FRAC]       (default 0.25)
         [--telemetry-overhead-pct [PCT]]  (off; bare flag = 1.0)
-        [--max-ipc-regress FRAC]          (off)
-        [--max-miss-rate-regress FRAC]    (off)
         [--max-serve-p99-regress FRAC]    (off)
         [--max-volume-bytes-regress FRAC] (off)
 
@@ -36,14 +34,6 @@ percent of the baseline's. The telemetry smoke test uses it to
 assert that running with --telemetry-port does not slow the frame
 loop down (p50 is the stable center of the distribution, so it
 isolates per-frame overhead from tail noise).
-
---max-ipc-regress and --max-miss-rate-regress arm PMU gates for
-kernel-bench reports, reading the per-row `pmu` blocks emitted by
-`bench_kernels --pmu`: IPC regresses when it DROPS by more than FRAC
-relative to the baseline (lower IPC = worse), and the LLC/branch miss
-rates regress when they RISE by more than FRAC. Rows where either
-side lacks the counters (null backend, degraded probe) are skipped —
-the gates never fail on hosts without hardware counters.
 
 --max-volume-bytes-regress arms a memory gate for kernel-bench
 reports: rows carrying a "volume_bytes" field (the sparse TSDF
@@ -142,53 +132,6 @@ def kernel_label(key):
     return "%s@%s" % (name, backend) if backend else name
 
 
-def pmu_metric(entry, key):
-    pmu = entry.get("pmu")
-    if not isinstance(pmu, dict):
-        return None
-    return kernel_metric(pmu, key)
-
-
-def compare_pmu(name, base_entry, cand_entry, args):
-    """PMU gates for one kernel row. @return regression count.
-
-    Skips silently when either side lacks the metric: a report from
-    a degraded host (null backend, software-only counter set) must
-    never fail against a baseline recorded with full counters."""
-    regressions = 0
-    if args.max_ipc_regress is not None:
-        base = pmu_metric(base_entry, "ipc")
-        cand = pmu_metric(cand_entry, "ipc")
-        if base is not None and cand is not None and base > 0.0:
-            # IPC is a goodness metric: gate on the relative DROP.
-            delta = (base - cand) / base
-            regressed = delta > args.max_ipc_regress
-            if regressed:
-                regressions += 1
-            print("  %-24s IPC baseline %.3f -> candidate %.3f "
-                  "(%+.1f%%, limit -%.0f%%)%s"
-                  % (name, base, cand, (cand - base) / base * 100.0,
-                     args.max_ipc_regress * 100.0,
-                     "  REGRESSION" if regressed else ""))
-    if args.max_miss_rate_regress is not None:
-        for key, label in (("llc_miss_rate", "LLC miss"),
-                           ("branch_miss_rate", "branch miss")):
-            base = pmu_metric(base_entry, key)
-            cand = pmu_metric(cand_entry, key)
-            if base is None or cand is None or base <= 0.0:
-                continue
-            delta = (cand - base) / base
-            regressed = delta > args.max_miss_rate_regress
-            if regressed:
-                regressions += 1
-            print("  %-24s %s baseline %.4f -> candidate %.4f "
-                  "(%+.1f%%, limit +%.0f%%)%s"
-                  % (name, label, base, cand, delta * 100.0,
-                     args.max_miss_rate_regress * 100.0,
-                     "  REGRESSION" if regressed else ""))
-    return regressions
-
-
 def compare_kernels(args, baseline, candidate):
     """Per-kernel gate for slambench-kernel-bench reports."""
     base_kernels = kernels_by_name(baseline, args.baseline)
@@ -203,8 +146,6 @@ def compare_kernels(args, baseline, candidate):
             continue
         base_entry = base_kernels[key]
         cand_entry = cand_kernels[key]
-        regressions += compare_pmu(name, base_entry, cand_entry,
-                                   args)
         if args.max_volume_bytes_regress is not None:
             base_vb = kernel_metric(base_entry, "volume_bytes")
             cand_vb = kernel_metric(cand_entry, "volume_bytes")
@@ -283,17 +224,6 @@ def main():
                         help="also gate frame_wall_seconds_p50 "
                         "within PCT percent of the baseline "
                         "(bare flag = 1.0)")
-    parser.add_argument("--max-ipc-regress", type=float,
-                        default=None, dest="max_ipc_regress",
-                        metavar="FRAC",
-                        help="allowed relative per-kernel IPC drop "
-                        "(kernel-bench reports with pmu blocks)")
-    parser.add_argument("--max-miss-rate-regress", type=float,
-                        default=None, dest="max_miss_rate_regress",
-                        metavar="FRAC",
-                        help="allowed relative LLC/branch miss-rate "
-                        "increase (kernel-bench reports with pmu "
-                        "blocks)")
     parser.add_argument("--max-volume-bytes-regress", type=float,
                         default=None,
                         dest="max_volume_bytes_regress",

@@ -18,11 +18,10 @@ Checks the report produced by `bench_kernels --metrics-json` (schema
     times;
   * derived fields reconcile: ns_per_item == 1e9 / items_per_second
     and gb_per_s == bytes_per_second / 1e9 (when present);
-  * the optional per-row "pmu" block (--pmu runs) is well-formed:
-    known counter/derived field names only, ipc reconciles with
-    instructions/cycles, miss rates lie in [0,1], and
-    roofline_fraction reconciles with bytes_per_second /
-    roofline_bytes_per_second.
+  * the optional roofline fields (--roofline runs) travel together,
+    only on rows with bytes_per_second, and roofline_fraction equals
+    bytes_per_second / roofline_bytes_per_second within 1e-9
+    relative.
 
 Exit status: 0 = valid, 1 = invalid, 2 = usage/parse error.
 Stdlib only.
@@ -165,63 +164,35 @@ def check_kernels(report):
                         "%s gb_per_s %g does not reconcile with "
                         "bytes_per_second %g" % (where, gbs, bps))
 
-        check_row_pmu(where, entry)
+        check_row_roofline(where, entry)
 
 
-PMU_COUNTER_NAMES = {
-    "cycles", "instructions", "llc_loads", "llc_misses", "branches",
-    "branch_misses", "task_clock_ns",
-}
-
-PMU_DERIVED_KEYS = {
-    "ipc", "llc_miss_rate", "branch_miss_rate",
-    "task_clock_seconds", "bytes_per_second",
-    "roofline_bytes_per_second", "roofline_fraction",
-}
-
-
-def check_row_pmu(where, entry):
-    """Validate one row's optional `pmu` block. Every counter field
-    is optional (the perf probe degrades per counter and the null
-    backend delivers none), but present fields must be consistent."""
-    if "pmu" not in entry:
-        return
-    pmu = entry["pmu"]
-    where = "%s.pmu" % where
-    if not require(isinstance(pmu, dict),
-                   "%s should be an object" % where):
-        return
-    for key, value in pmu.items():
-        require(key in PMU_COUNTER_NAMES or key in PMU_DERIVED_KEYS,
-                "%s has unknown field %r" % (where, key))
-        require(is_number(value) and value >= 0,
-                "%s.%s should be a non-negative number"
-                % (where, key))
-    for key in ("llc_miss_rate", "branch_miss_rate"):
-        if key in pmu and is_number(pmu[key]):
-            require(0.0 <= pmu[key] <= 1.0,
-                    "%s.%s=%g outside [0,1]" % (where, key, pmu[key]))
-    checks = (
-        ("ipc", "instructions", "cycles"),
-        ("llc_miss_rate", "llc_misses", "llc_loads"),
-        ("branch_miss_rate", "branch_misses", "branches"),
-        ("roofline_fraction", "bytes_per_second",
-         "roofline_bytes_per_second"),
-    )
-    for derived, num, den in checks:
-        if (derived in pmu and num in pmu and den in pmu
-                and is_number(pmu[den]) and pmu[den] > 0):
-            expect = pmu[num] / pmu[den]
-            require(abs(pmu[derived] - expect) <=
-                    1e-3 * max(1e-12, abs(expect)),
-                    "%s.%s=%g does not reconcile with %s/%s=%g"
-                    % (where, derived, pmu[derived], num, den,
-                       expect))
-    # The roofline pair travels together.
-    require(("roofline_fraction" in pmu) ==
-            ("roofline_bytes_per_second" in pmu),
+def check_row_roofline(where, entry):
+    """Validate one row's optional roofline pair."""
+    has_roof = "roofline_bytes_per_second" in entry
+    has_frac = "roofline_fraction" in entry
+    require(has_roof == has_frac,
             "%s has only one of roofline_fraction/"
             "roofline_bytes_per_second" % where)
+    if not (has_roof and has_frac):
+        return
+    if not require("bytes_per_second" in entry,
+                   "%s has roofline fields but no bytes_per_second"
+                   % where):
+        return
+    bps = entry["bytes_per_second"]
+    roof = entry["roofline_bytes_per_second"]
+    frac = entry["roofline_fraction"]
+    if not require(is_number(roof) and roof > 0 and is_number(frac),
+                   "%s roofline fields should be numbers with a "
+                   "positive bandwidth" % where):
+        return
+    if is_number(bps):
+        expect = bps / roof
+        require(abs(frac - expect) <= 1e-9 * abs(expect),
+                "%s roofline_fraction %r does not equal "
+                "bytes_per_second/roofline_bytes_per_second %r"
+                % (where, frac, expect))
 
 
 def main():

@@ -15,10 +15,8 @@ matching `--frames-csv` table):
   * per-histogram bucket counts sum to the histogram count, buckets
     are disjoint and ascending, and the bucket-estimated total
     (midpoint x count) reconciles with mean x count;
-  * the optional `pmu` block (present when the run was profiled with
-    --pmu) is well-formed: backend/counter names, per-kernel span
-    counts, miss rates within [0,1], and bytes_per_second consistent
-    with bytes / task_clock_seconds;
+  * every `pipeline.kernel_seconds{kernel="..."}` histogram (the
+    always-on per-kernel time) names a kernelName() string;
   * the frames CSV (when given) has the documented 35-column header
     and one row per frame of the report. On each row integrated=1
     exactly when integrate_ms and kernel_integrate_items are
@@ -236,91 +234,20 @@ def check_histograms(report):
                         "mean*count %g" % (where, estimate, exact))
 
 
-PMU_COUNTER_NAMES = {
-    "cycles", "instructions", "llc_loads", "llc_misses", "branches",
-    "branch_misses", "task_clock_ns",
-}
-
-PMU_DERIVED_KEYS = {
-    "ipc", "llc_miss_rate", "branch_miss_rate",
-    "task_clock_seconds", "bytes", "bytes_per_second",
-}
+KERNEL_SECONDS_FAMILY = "pipeline.kernel_seconds"
 
 
-def check_pmu(report):
-    """The `pmu` block is optional (only --pmu runs emit it); when
-    present, every counter field inside a kernel entry is itself
-    optional — the backend probe degrades per counter — but whatever
-    is there must be internally consistent."""
-    if "pmu" not in report:
-        return
-    pmu = report["pmu"]
-    if not require(isinstance(pmu, dict), "pmu should be an object"):
-        return
-    require(isinstance(pmu.get("backend"), str) and pmu.get("backend"),
-            "pmu.backend should be a non-empty string")
-    counters = pmu.get("counters")
-    if require(isinstance(counters, list),
-               "pmu.counters should be a list"):
-        for name in counters:
-            require(name in PMU_COUNTER_NAMES,
-                    "pmu.counters has unknown counter %r" % name)
-        if pmu.get("backend") == "null":
-            require(counters == [],
-                    "null backend must expose no counters")
-
-    kernels = pmu.get("kernels")
-    if not require(isinstance(kernels, dict),
-                   "pmu.kernels should be an object"):
-        return
-    for name, entry in kernels.items():
-        where = "pmu.kernels[%r]" % name
-        if not require(isinstance(entry, dict),
-                       "%s should be an object" % where):
+def check_kernel_seconds(report):
+    """Each `pipeline.kernel_seconds` series carries exactly one
+    `kernel` label whose value is a kernelName() string."""
+    for name in report.get("histograms", {}):
+        if name.split("{")[0] != KERNEL_SECONDS_FAMILY:
             continue
-        spans = entry.get("spans")
-        require(isinstance(spans, int) and spans >= 0,
-                "%s.spans should be a non-negative int" % where)
-        for key, value in entry.items():
-            if key == "spans":
-                continue
-            require(key in PMU_COUNTER_NAMES or
-                    key in PMU_DERIVED_KEYS,
-                    "%s has unknown field %r" % (where, key))
-            require(is_number(value) and value >= 0,
-                    "%s.%s should be a non-negative number"
-                    % (where, key))
-        for key in ("llc_miss_rate", "branch_miss_rate"):
-            if key in entry and is_number(entry[key]):
-                require(0.0 <= entry[key] <= 1.0,
-                        "%s.%s=%g outside [0,1]"
-                        % (where, key, entry[key]))
-        # Derived fields must reconcile with the raw counters they
-        # came from (same division the C++ layer performed).
-        checks = (
-            ("ipc", "instructions", "cycles"),
-            ("llc_miss_rate", "llc_misses", "llc_loads"),
-            ("branch_miss_rate", "branch_misses", "branches"),
-        )
-        for derived, num, den in checks:
-            if (derived in entry and num in entry and den in entry
-                    and is_number(entry[den]) and entry[den] > 0):
-                expect = entry[num] / entry[den]
-                require(abs(entry[derived] - expect) <=
-                        1e-6 * max(1.0, abs(expect)),
-                        "%s.%s=%g does not reconcile with %s/%s=%g"
-                        % (where, derived, entry[derived], num, den,
-                           expect))
-        if ("bytes_per_second" in entry and "bytes" in entry
-                and "task_clock_seconds" in entry
-                and is_number(entry["task_clock_seconds"])
-                and entry["task_clock_seconds"] > 0):
-            expect = entry["bytes"] / entry["task_clock_seconds"]
-            require(abs(entry["bytes_per_second"] - expect) <=
-                    1e-6 * max(1.0, abs(expect)),
-                    "%s.bytes_per_second=%g does not reconcile with "
-                    "bytes/task_clock_seconds=%g"
-                    % (where, entry["bytes_per_second"], expect))
+        label = name[len(KERNEL_SECONDS_FAMILY):]
+        kernel = label[len('{kernel="'):-len('"}')]
+        require(label == '{kernel="%s"}' % kernel and kernel in KERNELS,
+                "histogram %r is not %s{kernel=\"<kernelName()>\"}"
+                % (name, KERNEL_SECONDS_FAMILY))
 
 
 SERVE_SUMMARY_KEYS = (
@@ -522,7 +449,7 @@ def main():
     frames = check_run(report)
     check_summary(report)
     check_histograms(report)
-    check_pmu(report)
+    check_kernel_seconds(report)
     if args.serve:
         check_serve(report, args.tenants)
     if args.frames_csv is not None:

@@ -5,10 +5,12 @@
 # an unknown flag and a negative frame count, plus every case below
 # whose first flag it accepts: a non-numeric --vr, an out-of-set
 # --csr, values that used to be clamped silently, the deleted "mixed"
-# kernel backend, and the CLI's --dump-mesh/odometry clash. The
-# deleted --perf-csv (every binary with --trace) and --log
-# (slambench_cli) per-frame tables must be rejected too: --frames-csv
-# replaced both.
+# kernel backend, the CLI's --dump-mesh/odometry clash, and an output
+# path (--frames-csv, --metrics-json, --trace, --crash-dump) in a
+# directory that does not exist. The deleted --perf-csv (every binary
+# with --trace) and --log (slambench_cli) per-frame tables must be
+# rejected too: --frames-csv replaced both. So must the deleted
+# hardware-counter flag --pmu, on every binary.
 #
 # Usage: cli_reject_smoke.sh <binary>...
 set -u
@@ -52,11 +54,16 @@ cases=(
     "--dse-threads -1"
     "--backend mixed"
     "--dump-mesh mesh.obj --system odometry"
+    "--frames-csv /nonexistent/d/x.csv"
+    "--metrics-json /nonexistent/d/y.json"
+    "--trace /nonexistent/d/t.json"
+    "--crash-dump /nonexistent/d/c.json"
 )
 
 for bin in "$@"; do
     check "$bin" --bogus-flag 1
     check "$bin" --frames -5
+    check "$bin" --pmu
     help=$("$bin" --help)
     if grep -q "^  --trace " <<< "$help"; then
         check "$bin" --perf-csv p.csv

@@ -3,7 +3,9 @@
 # fast subset of bench_kernels with --metrics-json on, validate the
 # report against the kernel-bench schema checker, sanity-check the
 # integrate entries, and check that comparing the report against
-# itself yields zero regressions.
+# itself yields zero regressions. A --roofline leg on one integrate
+# row checks that the row carries the device-model bandwidth and the
+# measured fraction of it, and that the console table lists the row.
 #
 # Usage: kernels_bench_smoke.sh <path-to-bench_kernels> <scripts-dir>
 set -eu
@@ -85,6 +87,37 @@ sparse = kernels[("BM_IntegrateSparse/64", "scalar")]
 assert sparse.get("volume_bytes", 0) > 0, \
     "sparse row missing volume_bytes"
 print("kernels_bench_smoke: ok (%d kernels)" % len(kernels))
+EOF
+
+    "$bin" --benchmark_filter='BM_Integrate@scalar/64$' --roofline \
+        --benchmark_min_time=0.01 --metrics-json roof.json \
+        > roof.log 2>&1 || {
+        echo "kernels_bench_smoke: --roofline run failed:" >&2
+        cat roof.log >&2
+        exit 1
+    }
+    grep -q '^ROOFLINE: measured bytes/s vs device model' roof.log &&
+        grep -q '^BM_Integrate/64  *scalar ' roof.log || {
+        echo "kernels_bench_smoke: --roofline table lacks the row:" >&2
+        cat roof.log >&2
+        exit 1
+    }
+    python3 "$scripts/check_kernel_bench_schema.py" roof.json || {
+        echo "kernels_bench_smoke: --roofline schema validation" \
+             "failed" >&2
+        exit 1
+    }
+    python3 - <<'EOF'
+import json
+
+rows = json.load(open("roof.json"))["kernels"]
+assert len(rows) == 1, f"want one roofline row, got {len(rows)}"
+row = rows[0]
+assert row["bytes_per_second"] > 0, "roofline row has no bytes/s"
+assert row["roofline_bytes_per_second"] > 0, "no roofline bandwidth"
+assert row["roofline_fraction"] > 0, "no roofline fraction"
+print("kernels_bench_smoke: roofline ok (%.1f%% of the model)"
+      % (100.0 * row["roofline_fraction"]))
 EOF
 else
     # Fallback check without python3: schema marker, the expected

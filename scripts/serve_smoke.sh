@@ -146,6 +146,7 @@ if [ "$have_python" -eq 1 ]; then
         --require serve_tenant_frame_seconds:histogram \
         --require serve_frames_total:counter \
         --require serve_frame_seconds:histogram \
+        --require pipeline_kernel_seconds:histogram \
         --require serve_tenants:gauge \
         --require serve_shedding:gauge \
         || fail "labeled exposition lint failed"

@@ -3,7 +3,8 @@
 #
 #  A. run a fig2_dse sweep with --telemetry-port 0, scrape /metrics
 #     while it runs, lint the exposition (requiring the live
-#     frame-time histogram and the DSE pool gauges), and check
+#     frame-time histogram, the per-kernel time family and the DSE
+#     pool gauges), and check
 #     /healthz answers 200 ok;
 #  B. SIGTERM a slambench_cli run mid-flight and validate the crash
 #     dump JSON the fatal-signal handler writes;
@@ -105,6 +106,7 @@ for _ in $(seq 1 300); do
     kill -0 "$dse_pid" 2>/dev/null || break
     if scrape "$port" /metrics > metrics.txt 2>/dev/null \
             && grep -q '^live_frame_wall_seconds_bucket' metrics.txt \
+            && grep -q '^pipeline_kernel_seconds_bucket' metrics.txt \
             && grep -q '^dse_pool_occupancy ' metrics.txt \
             && scrape "$port" /healthz > healthz.txt 2>/dev/null \
             && grep -q '^ok$' healthz.txt; then
@@ -124,6 +126,7 @@ if [ "$have_python" -eq 1 ]; then
     python3 "$scripts/check_prometheus_exposition.py" metrics.txt \
         --require live_frame_wall_seconds:histogram \
         --require live_frames_total:counter \
+        --require pipeline_kernel_seconds:histogram \
         --require dse_pool_occupancy:gauge \
         --require dse_pool_active_evals:gauge \
         --require process_peak_rss_bytes:gauge \

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Race gate for the concurrency layer: re-run the thread-pool, metrics
 # -registry, parallel-DSE, pooled-kernel-parity, sparse-volume,
-# telemetry, span-model (timeline, request-trace propagation, PMU
-# profiler), and row-parallel input synthesis test groups under
+# telemetry, span-model (timeline, request-trace propagation), and
+# row-parallel input synthesis test groups under
 # ThreadSanitizer. Only registered by
 # CMake when the tree was configured with SLAMBENCH_SANITIZE=thread,
 # so the binaries passed in are already TSan-instrumented; any
@@ -11,14 +11,14 @@
 # Usage: tsan_smoke.sh <support_test> <metrics_test> \
 #            <hypermapper_test> <kfusion_parity_test> \
 #            <kfusion_sparse_test> <telemetry_test> <trace_test> \
-#            <dataset_test> <pmu_test>
+#            <dataset_test>
 set -eu
 
-if [ $# -ne 9 ]; then
+if [ $# -ne 8 ]; then
     echo "usage: $0 <support_test> <metrics_test>" \
          "<hypermapper_test> <kfusion_parity_test>" \
          "<kfusion_sparse_test> <telemetry_test> <trace_test>" \
-         "<dataset_test> <pmu_test>" >&2
+         "<dataset_test>" >&2
     exit 2
 fi
 support_test=$(readlink -f "$1")
@@ -29,7 +29,6 @@ sparse_test=$(readlink -f "$5")
 telemetry_test=$(readlink -f "$6")
 trace_test=$(readlink -f "$7")
 dataset_test=$(readlink -f "$8")
-pmu_test=$(readlink -f "$9")
 
 # halt_on_error: the first race fails the run instead of just logging.
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -62,14 +61,11 @@ run "$sparse_test" '*Pooled*'
 # excluded (fork is not meaningful under TSan's runtime).
 run "$telemetry_test" 'FlightRecorder.*:TelemetryServer.*:SloWatchdog.*:LiveTelemetry.*'
 # The span model: one gate and one per-thread span stack feeding
-# the timeline, PMU and request sinks; request-context propagation
-# across pool task boundaries (nested submits, concurrent
-# multi-tenant traces, span-store writers) and pooled worker chunks
-# under all three sinks at once.
+# the timeline and request sinks; request-context propagation across
+# pool task boundaries (nested submits, concurrent multi-tenant
+# traces, span-store writers) and pooled worker chunks under both
+# sinks at once.
 run "$trace_test" 'TraceTest.*:RequestTraceTest.*:SpanModel.*'
-# The PMU sink: multi-thread span aggregation and the ScopedSpan
-# integration.
-run "$pmu_test" 'PmuProfiler.*:PmuTraceIntegration.*'
 # Row-parallel rendering on the global pool: the golden-hash
 # sequences and the hoisted per-primitive SDF rotations.
 run "$dataset_test" 'Generator.*:Scene.*'

@@ -1,9 +1,11 @@
 #include "core/benchmark.hpp"
 
+#include <array>
 #include <chrono>
 
 #include "support/logging.hpp"
 #include "support/slo_watchdog.hpp"
+#include "support/telemetry_server.hpp"
 #include "support/trace.hpp"
 
 namespace slambench::core {
@@ -19,6 +21,26 @@ kernelGroupSeconds(const kfusion::WorkCounts &work,
     for (const kfusion::KernelId id : kernels)
         seconds += work.hostSecondsFor(id);
     return seconds;
+}
+
+/** @return the `pipeline.kernel_seconds{kernel="<kernelName()>"}`
+ *  histogram of @p k, resolved once per kernel. */
+support::metrics::LatencyHistogram &
+kernelSecondsHistogram(size_t k)
+{
+    using Handles = std::array<support::metrics::LatencyHistogram *,
+                               kfusion::kNumKernels>;
+    static const Handles handles = [] {
+        Handles h{};
+        for (size_t i = 0; i < kfusion::kNumKernels; ++i)
+            h[i] = &support::metrics::Registry::instance().histogram(
+                support::telemetry::labeledMetricName(
+                    "pipeline.kernel_seconds", "kernel",
+                    kfusion::kernelName(
+                        static_cast<kfusion::KernelId>(i))));
+        return h;
+    }();
+    return *handles[k];
 }
 
 } // namespace
@@ -59,6 +81,12 @@ completeFrame(const FrameOutcome &outcome,
                 fin.exemplarMetric = *outcome.exemplarMetric;
             trace::RequestTracer::instance().finish(ctx, fin);
         }
+    }
+
+    if (const kfusion::WorkCounts *work = outcome.work) {
+        for (size_t k = 0; k < kfusion::kNumKernels; ++k)
+            if (work->items[k] > 0.0)
+                kernelSecondsHistogram(k).record(work->hostSeconds[k]);
     }
 
     if (row) {

@@ -99,10 +99,12 @@ struct FrameOutcome
  * live ATE, call telemetry::frameTick() when liveTelemetry() is on,
  * finish the request trace installed on this thread (always kept on
  * SloThresholds::frameBreached(), lost tracking, or the histogram's
- * top bucket), and fill @p row (nullptr: none) with the WorkCounts'
- * per-kernel host seconds and items, their phase split, and
- * `integrated` from the integrate item count.
- * A disarmed run pays two relaxed loads beyond the ATE.
+ * top bucket), record each kernel that ran (items > 0) into
+ * `pipeline.kernel_seconds{kernel="<kernelName()>"}`, and fill @p row
+ * (nullptr: none) with the WorkCounts' per-kernel host seconds and
+ * items, their phase split, and `integrated` from the integrate item
+ * count. A disarmed run pays two relaxed loads beyond the ATE and at
+ * most one histogram record per kernel.
  *
  * @return the live ATE: the unaligned translation error, equal to
  *         metrics::computeAte()'s per-frame value.

@@ -1,5 +1,9 @@
 #include "core/cli_options.hpp"
 
+#include <unistd.h>
+
+#include <filesystem>
+
 #include "core/report.hpp"
 #include "kfusion/backend.hpp"
 
@@ -44,10 +48,8 @@ support::trace::SessionOptions
 sessionOptions(const support::Options &options)
 {
     support::trace::SessionOptions session;
-    if (options.declared("--trace")) {
+    if (options.declared("--trace"))
         session.timelinePath = options.string("--trace");
-        session.pmu = options.flag("--pmu");
-    }
     session.requests = options.flag("--trace-requests") ||
                        options.given("--trace-sample-rate") ||
                        options.given("--trace-store");
@@ -60,6 +62,28 @@ sessionOptions(const support::Options &options)
 
 } // namespace
 
+const support::Options &
+checkOutputPaths(const support::Options &options)
+{
+    for (const char *flag :
+         {"--trace", "--metrics-json", "--frames-csv", "--crash-dump"}) {
+        if (!options.declared(flag) || !options.given(flag))
+            continue;
+        const std::filesystem::path path(options.string(flag));
+        std::filesystem::path dir = path.parent_path();
+        if (dir.empty())
+            dir = ".";
+        std::error_code ec;
+        if (!std::filesystem::is_directory(dir, ec) ||
+            ::access(dir.c_str(), W_OK) != 0)
+            options.fail(std::string(flag) + ": cannot write '" +
+                         path.string() + "' (directory '" +
+                         dir.string() +
+                         "' is missing or not writable)");
+    }
+    return options;
+}
+
 void
 addObservabilityOptions(support::Options &options, bool profiling)
 {
@@ -68,9 +92,6 @@ addObservabilityOptions(support::Options &options, bool profiling)
         options.add({
             {"--trace", OptionType::String, "", "",
              "chrome://tracing span timeline (JSON)"},
-            {"--pmu", OptionType::Flag, "", "",
-             "hardware-counter profiling: per-kernel IPC, miss rates, "
-             "bytes/s"},
         });
     options.add({
         {"--metrics-json", OptionType::String, "", "",
@@ -110,7 +131,7 @@ addObservabilityOptions(support::Options &options, bool profiling)
 
 Observability::Observability(const support::Options &options,
                              const char *generator)
-    : logLevel(applyLogOptions(options)),
+    : logLevel(applyLogOptions(checkOutputPaths(options))),
       spans(sessionOptions(options)),
       metrics(options.string("--metrics-json"),
               options.string("--frames-csv"), generator,

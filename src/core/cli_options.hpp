@@ -26,11 +26,21 @@ namespace slambench::core {
  * `--slo-*`), request tracing (`--trace-requests`,
  * `--trace-sample-rate`, `--trace-store`) and `--quiet`/`--verbose`.
  *
- * @param profiling Also declare per-kernel profiling (`--trace`,
- *     `--pmu`).
+ * @param profiling Also declare the span timeline (`--trace`).
  */
 void addObservabilityOptions(support::Options &options,
                              bool profiling = true);
+
+/**
+ * Fail (Options::fail, exit 2) when a given `--trace`,
+ * `--metrics-json`, `--frames-csv` or `--crash-dump` path's directory
+ * is missing or not writable, so a bad path costs no work and a crash
+ * still finds somewhere to write its dump. Creates no file; flags
+ * @p options does not declare are skipped.
+ *
+ * @return @p options, so a constructor can check first.
+ */
+const support::Options &checkOutputPaths(const support::Options &options);
 
 /**
  * The sessions the observability group arms, in the order they must
@@ -39,14 +49,16 @@ void addObservabilityOptions(support::Options &options,
  */
 struct Observability
 {
-    /** @param generator Binary name stamped into reports and dumps. */
+    /**
+     * Runs checkOutputPaths() before starting any session.
+     *
+     * @param generator Binary name stamped into reports and dumps.
+     */
     Observability(const support::Options &options, const char *generator);
 
     /** Threshold set by `--quiet`/`--verbose`, applied first. */
     support::LogLevel logLevel;
-    /** The span sinks: `--trace`, `--pmu`, `--trace-*`.
-     *  Declared before metrics so the run report is written while
-     *  the sinks are still armed. */
+    /** The span sinks: `--trace`, `--trace-*`. */
     support::trace::Session spans;
     /** The run report and the per-frame table, with one
      *  `kernel_<name>_*` column pair per KernelId. */

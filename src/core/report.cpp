@@ -4,7 +4,6 @@
 
 #include "kfusion/backend.hpp"
 #include "support/metrics.hpp"
-#include "support/pmu.hpp"
 #include "support/strings.hpp"
 
 namespace slambench::core {
@@ -126,18 +125,6 @@ appendRunTelemetry(support::metrics::RunSession &session,
     registry.counter("runs_total").add(1);
     registry.gauge("peak_rss_bytes")
         .setMax(support::metrics::peakRssBytes());
-    if (support::pmu::profilingActive()) {
-        // Attribute the run's modeled memory traffic to each kernel's
-        // PMU span so the report derives measured bytes/s from the
-        // task-clock the counters actually observed.
-        for (size_t k = 0; k < kfusion::kNumKernels; ++k) {
-            const auto id = static_cast<kfusion::KernelId>(k);
-            const double bytes = result.totalWork.bytesFor(id);
-            if (bytes > 0.0)
-                support::pmu::Profiler::instance().addSpanBytes(
-                    kfusion::kernelName(id), bytes);
-        }
-    }
     return result.frameRows.size();
 }
 

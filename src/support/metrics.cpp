@@ -13,7 +13,6 @@
 #include "metrics/timing.hpp"
 #include "support/csv.hpp"
 #include "support/logging.hpp"
-#include "support/pmu.hpp"
 #include "support/stats.hpp"
 #include "support/strings.hpp"
 
@@ -648,10 +647,6 @@ RunSession::flushCsvLocked(bool final_flush)
 void
 RunSession::writeJson(std::ostream &os) const
 {
-    // Fold the PMU profiler's aggregated per-span metrics into the
-    // registry gauges first so the gauges block reflects them (no-op
-    // when --pmu never armed profiling this run).
-    pmu::publishGauges();
     std::lock_guard<std::mutex> lock(*mutex_);
     // Exact per-frame distributions for the summary block; the
     // quantiles reuse support::percentile (linear interpolation).
@@ -771,71 +766,6 @@ RunSession::writeJson(std::ostream &os) const
            << jsonNumber(gauges[i].second);
     }
     os << (gauges.empty() ? "},\n" : "\n  },\n");
-
-    // Optional hardware-counter block: present whenever a PMU session
-    // armed profiling this run (even on the null backend, where every
-    // kernel entry simply has no valid counters) — absent otherwise,
-    // so pre-PMU reports stay byte-compatible. Schema in
-    // docs/OBSERVABILITY.md, validated by check_metrics_schema.py.
-    if (pmu::profilingActive()) {
-        const pmu::CounterBackend *backend =
-            pmu::Profiler::instance().backend();
-        os << "  \"pmu\": {\n";
-        os << "    \"backend\": "
-           << jsonString(backend ? backend->name() : "null") << ",\n";
-        os << "    \"counters\": [";
-        const uint32_t mask = backend ? backend->availableMask() : 0;
-        bool first_counter = true;
-        for (size_t i = 0; i < pmu::kNumCounters; ++i) {
-            if (!(mask & (1u << i)))
-                continue;
-            os << (first_counter ? "" : ", ")
-               << jsonString(pmu::counterName(
-                      static_cast<pmu::CounterId>(i)));
-            first_counter = false;
-        }
-        os << "],\n";
-        os << "    \"kernels\": {";
-        bool first_kernel = true;
-        for (const pmu::SpanStats &stats :
-             pmu::Profiler::instance().spanStats()) {
-            os << (first_kernel ? "\n      " : ",\n      ")
-               << jsonString(stats.name) << ": {\n";
-            first_kernel = false;
-            os << "        \"spans\": " << stats.spans;
-            for (size_t i = 0; i < pmu::kNumCounters; ++i) {
-                const auto id = static_cast<pmu::CounterId>(i);
-                if (!stats.totals.valid(id))
-                    continue;
-                os << ",\n        "
-                   << jsonString(pmu::counterName(id)) << ": "
-                   << jsonNumber(stats.totals.get(id));
-            }
-            const pmu::DerivedMetrics derived =
-                pmu::deriveMetrics(stats.totals, stats.bytes);
-            if (derived.hasIpc)
-                os << ",\n        \"ipc\": "
-                   << jsonNumber(derived.ipc);
-            if (derived.hasLlcMissRate)
-                os << ",\n        \"llc_miss_rate\": "
-                   << jsonNumber(derived.llcMissRate);
-            if (derived.hasBranchMissRate)
-                os << ",\n        \"branch_miss_rate\": "
-                   << jsonNumber(derived.branchMissRate);
-            if (derived.hasTaskClock)
-                os << ",\n        \"task_clock_seconds\": "
-                   << jsonNumber(derived.taskClockSeconds);
-            if (stats.bytes > 0.0)
-                os << ",\n        \"bytes\": "
-                   << jsonNumber(stats.bytes);
-            if (derived.hasBytesPerSecond)
-                os << ",\n        \"bytes_per_second\": "
-                   << jsonNumber(derived.bytesPerSecond);
-            os << "\n      }";
-        }
-        os << (first_kernel ? "}\n" : "\n    }\n");
-        os << "  },\n";
-    }
 
     os << "  \"histograms\": {";
     const auto histograms = registry.histograms();

@@ -21,7 +21,6 @@
 #include "support/flight_recorder.hpp"
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
-#include "support/pmu.hpp"
 #include "support/strings.hpp"
 #include "support/trace.hpp"
 
@@ -452,10 +451,6 @@ renderPrometheus(std::ostream &os)
     // without waiting for the end-of-run report.
     registry.gauge("process.peak_rss_bytes")
         .set(metrics::peakRssBytes());
-    // Same idea for the hardware-counter gauges: fold the profiler's
-    // current per-span totals in so a mid-run scrape sees live IPC /
-    // miss rates (no-op when --pmu never armed profiling).
-    pmu::publishGauges();
 
     // Labeled registry names (labeledMetricName()'s `base{...}` form)
     // share one family: the name-sorted snapshots keep every

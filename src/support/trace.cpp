@@ -9,7 +9,6 @@
 #include "metrics/timing.hpp"
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
-#include "support/pmu.hpp"
 
 namespace slambench::support::trace {
 
@@ -27,8 +26,6 @@ struct OpenSpan
     /** Request span id and its parent (request sink only). */
     uint64_t requestSpanId = 0;
     uint64_t requestParentId = 0;
-    /** PMU begin and child-sum samples (PMU sink only). */
-    pmu::SpanCounters counters;
 };
 
 /** A thread's span state: the open-span stack every sink shares,
@@ -101,12 +98,6 @@ openSpan(const char *name, Category cat, uint32_t armed)
 {
     ThreadSpans &local = t_spans;
     uint32_t sinks = armed & kTimelineSink;
-    // PMU attribution covers compute spans only: kernels and the
-    // worker chunks they dispatch. Phase spans would double-count
-    // their kernels' exclusive totals.
-    if ((armed & kPmuSink) &&
-        (cat == Category::Kernel || cat == Category::Worker))
-        sinks |= kPmuSink;
     if ((armed & kRequestSink) && local.request.active())
         sinks |= kRequestSink;
     if (sinks == 0)
@@ -116,8 +107,7 @@ openSpan(const char *name, Category cat, uint32_t armed)
     span.name = name;
     span.cat = cat;
     span.sinks = sinks;
-    if (sinks & (kTimelineSink | kRequestSink))
-        span.beginNs = slambench::metrics::now_ns();
+    span.beginNs = slambench::metrics::now_ns();
     if (sinks & kTimelineSink)
         Tracer::instance().spanEvent(name, cat, 'B', span.beginNs);
     if (sinks & kRequestSink) {
@@ -125,9 +115,6 @@ openSpan(const char *name, Category cat, uint32_t armed)
         span.requestSpanId = RequestTracer::instance().nextSpanId();
         local.request.spanId = span.requestSpanId;
     }
-    // Sampled last so the interval excludes the other sinks' work.
-    if (sinks & kPmuSink)
-        pmu::detail::openSpan(span.counters);
     return true;
 }
 
@@ -136,20 +123,7 @@ closeSpan()
 {
     ThreadSpans &local = t_spans;
     OpenSpan &span = local.stack.back();
-    if (span.sinks & kPmuSink) {
-        pmu::SpanCounters *parent = nullptr;
-        for (size_t i = local.stack.size() - 1; i-- > 0;) {
-            if (local.stack[i].sinks & kPmuSink) {
-                parent = &local.stack[i].counters;
-                break;
-            }
-        }
-        pmu::detail::closeSpan(span.name, span.counters, parent);
-    }
-    const uint64_t end_ns =
-        (span.sinks & (kTimelineSink | kRequestSink))
-            ? slambench::metrics::now_ns()
-            : 0;
+    const uint64_t end_ns = slambench::metrics::now_ns();
     if (span.sinks & kTimelineSink)
         Tracer::instance().spanEvent(span.name, span.cat, 'E', end_ns);
     if (span.sinks & kRequestSink) {
@@ -397,7 +371,7 @@ currentSpanName()
 {
     const std::vector<OpenSpan> &stack = t_spans.stack;
     for (size_t i = stack.size(); i-- > 0;)
-        if (stack[i].sinks & (kTimelineSink | kPmuSink))
+        if (stack[i].sinks & kTimelineSink)
             return stack[i].name;
     return nullptr;
 }
@@ -442,10 +416,10 @@ captureTaskContext()
 {
     const uint32_t armed = armedSinks();
     TaskContext ctx;
-    if (armed & (kTimelineSink | kPmuSink))
+    if (armed & kTimelineSink) {
         ctx.spanName = currentSpanName();
-    if (armed & kTimelineSink)
         ctx.frame = t_spans.frame;
+    }
     if (armed & kRequestSink)
         ctx.request = t_spans.request;
     return ctx;
@@ -764,10 +738,6 @@ Session::Session(SessionOptions options)
         tracer.setEnabled(true);
         sinks_ |= kTimelineSink;
     }
-    if (options_.pmu) {
-        pmu::startSession();
-        sinks_ |= kPmuSink;
-    }
     if (options_.requests) {
         const RequestTraceOptions &requests = options_.requestOptions;
         RequestTracer::instance().configure(requests);
@@ -782,8 +752,6 @@ Session::~Session()
 {
     if (sinks_ & kRequestSink)
         RequestTracer::instance().disarm();
-    if (sinks_ & kPmuSink)
-        pmu::finishSession();
     if (!(sinks_ & kTimelineSink))
         return;
     Tracer &tracer = Tracer::instance();

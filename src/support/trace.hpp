@@ -15,13 +15,12 @@
  * docs/OBSERVABILITY.md for the span semantics and the export
  * schema.
  *
- * One span model: `ScopedSpan` is the only span producer, and three
- * sinks consume it — the Chrome timeline (`Tracer`), the PMU profiler
- * (`pmu::Profiler`, Kernel and Worker spans only) and the request
+ * One span model: `ScopedSpan` is the only span producer, and two
+ * sinks consume it — the Chrome timeline (`Tracer`) and the request
  * tracer (`RequestTracer`, spans opened under an installed request
- * context). One atomic bitmask gates all three (`Sink`), one
- * per-thread stack holds every open span, and one `Session` arms the
- * sinks a run asked for.
+ * context). One atomic bitmask gates both (`Sink`), one per-thread
+ * stack holds every open span, and one `Session` arms the sinks a run
+ * asked for.
  *
  * Cost model: with every sink disarmed (the default) a span costs
  * one relaxed atomic load — no allocation, no event, no lock. An
@@ -58,8 +57,7 @@ const char *categoryName(Category cat);
 /** The consumers of ScopedSpan: one bit each in the span gate. */
 enum Sink : uint32_t {
     kTimelineSink = 1u << 0, ///< Tracer: Chrome timeline.
-    kPmuSink = 1u << 1,      ///< pmu::Profiler: Kernel/Worker spans.
-    kRequestSink = 1u << 2,  ///< RequestTracer: in-context spans.
+    kRequestSink = 1u << 1,  ///< RequestTracer: in-context spans.
 };
 
 namespace detail {
@@ -221,8 +219,8 @@ class Tracer
 
 /**
  * @return the name of the innermost span on this thread that is open
- * in the timeline or PMU sink, or nullptr outside any. Read from the
- * shared open-span stack.
+ * in the timeline sink, or nullptr outside any. Read from the shared
+ * open-span stack.
  */
 const char *currentSpanName();
 
@@ -488,7 +486,7 @@ uint64_t parseTraceId(const std::string &text);
  */
 struct TaskContext
 {
-    /** currentSpanName() when the timeline or PMU sink is armed, else
+    /** currentSpanName() when the timeline sink is armed, else
      *  nullptr (no Worker chunk spans). */
     const char *spanName = nullptr;
     /** The submitter's Tracer::frame() when the timeline sink is
@@ -534,9 +532,8 @@ void recordQueueWait(const TraceContext &request, uint64_t enqueued_ns,
  * RAII span, the only span producer: opens on construction in every
  * armed sink that accepts it and closes on destruction in exactly
  * those sinks, even if one was disarmed meanwhile. The timeline takes
- * every span, the PMU profiler Kernel and Worker spans, the request
- * tracer spans opened under an installed request context. One
- * relaxed load when every sink is disarmed.
+ * every span, the request tracer spans opened under an installed
+ * request context. One relaxed load when every sink is disarmed.
  */
 class ScopedSpan
 {
@@ -585,22 +582,19 @@ frameMarker(uint64_t frame)
         tracer.setFrame(frame);
 }
 
-/** What a run arms: the `--trace`, `--pmu` and `--trace-*`
- *  values. */
+/** What a run arms: the `--trace` and `--trace-*` values. */
 struct SessionOptions
 {
     std::string timelinePath; ///< Chrome trace JSON ("" = skip).
-    bool pmu = false;         ///< Hardware-counter profiling.
     bool requests = false;    ///< Request tracing.
     RequestTraceOptions requestOptions; ///< Used when @c requests.
 };
 
 /**
  * RAII capture for one run: arms the timeline sink when an output
- * path is set (clearing earlier events), the PMU sink (probing the
- * host backend, see pmu::startSession()) and the request sink. On
- * destruction disarms them, publishes the PMU summary, and writes the
- * timeline file. Inert when @p options asks for nothing.
+ * path is set (clearing earlier events) and the request sink. On
+ * destruction disarms them and writes the timeline file. Inert when
+ * @p options asks for nothing.
  */
 class Session
 {

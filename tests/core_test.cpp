@@ -20,7 +20,19 @@
 #include "devices/fleet.hpp"
 #include "kfusion/backend.hpp"
 #include "support/slo_watchdog.hpp"
+#include "support/telemetry_server.hpp"
 #include "support/trace.hpp"
+
+namespace slambench::kfusion {
+
+/** Name KernelId test parameters by kernelName(). */
+void
+PrintTo(KernelId id, std::ostream *os)
+{
+    *os << kernelName(id);
+}
+
+} // namespace slambench::kfusion
 
 namespace {
 
@@ -219,6 +231,68 @@ TEST(Benchmark, FrameRowsCarryEveryKernelsWork)
         EXPECT_EQ(row.simJoules, 0.0);
     }
 }
+
+/** The always-on per-kernel time series of one kernel. */
+class KernelSecondsFamily
+    : public ::testing::TestWithParam<slambench::kfusion::KernelId>
+{
+  protected:
+    static slambench::support::metrics::LatencyHistogram &
+    histogram(slambench::kfusion::KernelId id)
+    {
+        return slambench::support::metrics::Registry::instance()
+            .histogram(slambench::support::telemetry::labeledMetricName(
+                "pipeline.kernel_seconds", "kernel",
+                slambench::kfusion::kernelName(id)));
+    }
+};
+
+TEST_P(KernelSecondsFamily, RecordsEveryFrameTheKernelRan)
+{
+    // completeFrame() records the frame's WorkCounts host seconds of
+    // each kernel that ran (items > 0), with no tracer armed: ir=2
+    // skips integration on frame 5, which must add no zero sample.
+    const size_t k = static_cast<size_t>(GetParam());
+    auto &family = histogram(GetParam());
+    family.reset();
+    const Sequence seq = tinySequence(6);
+    KFusionConfig config = tinyConfig();
+    config.integrationRate = 2;
+    KFusionSystem system(config);
+    const BenchmarkResult result = runBenchmark(system, seq);
+    ASSERT_EQ(result.frameWork.size(), 6u);
+
+    uint64_t frames_ran = 0;
+    double seconds = 0.0;
+    for (const auto &work : result.frameWork) {
+        if (work.items[k] > 0.0) {
+            ++frames_ran;
+            seconds += work.hostSeconds[k];
+        }
+    }
+    EXPECT_GT(frames_ran, 0u);
+    EXPECT_EQ(family.count(), frames_ran);
+    EXPECT_EQ(family.sum(), seconds);
+    if (GetParam() == slambench::kfusion::KernelId::Integrate) {
+        EXPECT_EQ(frames_ran, 5u);
+    }
+}
+
+std::vector<slambench::kfusion::KernelId>
+everyKernel()
+{
+    std::vector<slambench::kfusion::KernelId> ids;
+    for (size_t k = 0; k < slambench::kfusion::kNumKernels; ++k)
+        ids.push_back(static_cast<slambench::kfusion::KernelId>(k));
+    return ids;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryKernel, KernelSecondsFamily, ::testing::ValuesIn(everyKernel()),
+    [](const ::testing::TestParamInfo<slambench::kfusion::KernelId>
+           &info) {
+        return std::string(slambench::kfusion::kernelName(info.param));
+    });
 
 // --- config binding ---
 
@@ -618,6 +692,35 @@ TEST(Observability, FramesCsvHasThePinnedHeader)
     for (const auto &row : table.rows)
         EXPECT_EQ(row.size(), pinned.size());
 }
+
+/** An output flag of the observability group, pointed at a file in
+ *  a directory that does not exist. */
+class ObservabilityOutputPath : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(ObservabilityOutputPath, MissingDirectoryExitsTwoBeforeAnyFrame)
+{
+    // A forked child of this multi-threaded test process would exit
+    // through the global pool's destructor; re-execute instead.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    slambench::support::Options options("core_test", "observability");
+    addObservabilityOptions(options);
+    ASSERT_EQ(options.parse({GetParam(), "/nonexistent/d/out"}), "");
+    // Reaching the frame loop would exit 0.
+    EXPECT_EXIT(
+        {
+            Observability observability(options, "core_test");
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(2),
+        std::string(GetParam()) + ": cannot write");
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryOutputFlag, ObservabilityOutputPath,
+                         ::testing::Values("--frames-csv",
+                                           "--metrics-json", "--trace",
+                                           "--crash-dump"));
 
 TEST(Experiment, UntrackableRunIsInvalid)
 {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -171,8 +173,7 @@ TEST(Options, SharedGroupsDeclareEveryFlagOnce)
     const std::string help = options.help();
     for (const char *name :
          {"--backend", "--volume", "--block-size", "--pool-capacity",
-          "--dse-threads", "--trace", "--pmu",
-          "--metrics-json", "--frames-csv", "--telemetry-port",
+          "--dse-threads", "--trace", "--metrics-json", "--frames-csv", "--telemetry-port",
           "--crash-dump", "--recorder-slots", "--slo-frame-p99-ms",
           "--slo-max-ate", "--slo-max-lost", "--slo-queue-stall-ms",
           "--trace-requests", "--trace-sample-rate", "--trace-store",
@@ -193,9 +194,37 @@ TEST(Options, ServeObservabilityGroupHasNoProfilingFlags)
     Options options("sample", "serve-style observability");
     slambench::core::addObservabilityOptions(options, false);
     EXPECT_FALSE(options.declared("--trace"));
-    EXPECT_FALSE(options.declared("--pmu"));
     EXPECT_NE(options.parse({"--trace", "t.json"}).find("unknown option"),
               std::string::npos);
+}
+
+TEST(Options, ObservabilityGroupHasNoHardwareCounterFlag)
+{
+    // Per-kernel time needs no flag (pipeline.kernel_seconds and the
+    // frames-CSV kernel columns), so no hardware-counter flag exists.
+    Options options("sample", "shared observability group");
+    slambench::core::addObservabilityOptions(options);
+    EXPECT_FALSE(options.declared("--pmu"));
+    EXPECT_NE(options.parse({"--pmu"}).find("unknown option"),
+              std::string::npos);
+}
+
+TEST(Options, OutputPathCheckAcceptsWritableDirectoryAndCreatesNothing)
+{
+    // A bench_kernels-style table: only some output flags declared.
+    // The check looks at the directory alone, so a run that never
+    // crashes leaves no dump behind.
+    const std::string path =
+        ::testing::TempDir() + "options_test_never_written_crash.json";
+    std::remove(path.c_str());
+    Options options("sample", "kernel-bench outputs");
+    options.add({
+        {"--metrics-json", OptionType::String, "", "", "report"},
+        {"--crash-dump", OptionType::String, "", "", "dump"},
+    });
+    ASSERT_EQ(options.parse({"--crash-dump", path}), "");
+    EXPECT_EQ(&slambench::core::checkOutputPaths(options), &options);
+    EXPECT_FALSE(std::ifstream(path).good());
 }
 
 } // namespace

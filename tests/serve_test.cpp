@@ -240,6 +240,43 @@ TEST(TenantSession, ProcessesWrapsAndCountsLabeledMetrics)
               std::string::npos);
 }
 
+TEST(TenantSession, FramesFeedThePipelineKernelSecondsFamily)
+{
+    // Tenant frames pass through core::completeFrame(), so the
+    // always-on per-kernel family sees them like bench frames: one
+    // sample per frame a kernel ran, summing the rows' host seconds.
+    auto &registry = support::metrics::Registry::instance();
+    std::vector<support::metrics::LatencyHistogram *> family;
+    for (size_t k = 0; k < kfusion::kNumKernels; ++k) {
+        family.push_back(&registry.histogram(
+            support::telemetry::labeledMetricName(
+                "pipeline.kernel_seconds", "kernel",
+                kfusion::kernelName(static_cast<kfusion::KernelId>(k)))));
+        family.back()->reset();
+    }
+    serve::TenantSession session(tinyTenant("unittest-kernels"));
+    std::vector<support::metrics::FrameTelemetry> rows(3);
+    for (size_t f = 0; f < rows.size(); ++f)
+        session.processNext(f, &rows[f]);
+
+    for (size_t k = 0; k < kfusion::kNumKernels; ++k) {
+        uint64_t ran = 0;
+        double seconds = 0.0;
+        for (const auto &row : rows) {
+            ASSERT_EQ(row.kernelItems.size(), kfusion::kNumKernels);
+            if (row.kernelItems[k] > 0.0) {
+                ++ran;
+                seconds += row.kernelSeconds[k];
+            }
+        }
+        EXPECT_EQ(family[k]->count(), ran) << k;
+        EXPECT_EQ(family[k]->sum(), seconds) << k;
+    }
+    EXPECT_EQ(family[static_cast<size_t>(kfusion::KernelId::Integrate)]
+                  ->count(),
+              3u);
+}
+
 // Defined in the StreamScheduler section below.
 std::vector<std::unique_ptr<serve::TenantSession>>
 tinyFleet(size_t count, const char *prefix);

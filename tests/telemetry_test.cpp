@@ -17,6 +17,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -31,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/benchmark.hpp"
 #include "support/flight_recorder.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
@@ -1584,6 +1586,66 @@ TEST(TelemetryServer, EintrDuringRequestIsRetriedNotDropped)
     const std::string response = pipe.response();
     EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos)
         << response;
+}
+
+// --- Always-on per-kernel time on /metrics ----------------------
+
+TEST(PrometheusExposition, KernelSecondsIsOneFamilyWithAKernelLabel)
+{
+    // A frame in which every kernel ran puts every kernel's series on
+    // /metrics, under one HELP/TYPE pair.
+    namespace kfusion = slambench::kfusion;
+    kfusion::WorkCounts work;
+    for (size_t k = 0; k < kfusion::kNumKernels; ++k) {
+        work.items[k] = 1.0;
+        work.hostSeconds[k] = 1e-3 * static_cast<double>(k + 1);
+    }
+    slambench::core::FrameOutcome outcome;
+    outcome.work = &work;
+    slambench::core::completeFrame(outcome);
+
+    std::ostringstream out;
+    renderPrometheus(out);
+    const std::string text = out.str();
+    const std::string family = "pipeline_kernel_seconds";
+    EXPECT_EQ(linesStartingWith(text, "# HELP " + family + " ").size(),
+              1u);
+    EXPECT_EQ(
+        linesStartingWith(text, "# TYPE " + family + " histogram").size(),
+        1u);
+
+    // The family's samples are contiguous, each carries the kernel
+    // label, and per kernel the +Inf bucket equals _count.
+    const auto lines = splitLines(text);
+    size_t first = lines.size();
+    size_t last = 0;
+    for (size_t i = 0; i < lines.size(); ++i) {
+        if (lines[i].rfind(family + "_", 0) != 0)
+            continue;
+        first = std::min(first, i);
+        last = i;
+        EXPECT_NE(lines[i].find("{kernel=\""), std::string::npos)
+            << lines[i];
+    }
+    ASSERT_LT(first, lines.size());
+    for (size_t i = first; i <= last; ++i)
+        EXPECT_EQ(lines[i].rfind(family + "_", 0), 0u)
+            << "family not contiguous at: " << lines[i];
+    for (size_t k = 0; k < kfusion::kNumKernels; ++k) {
+        const std::string label =
+            std::string("kernel=\"") +
+            kfusion::kernelName(static_cast<kfusion::KernelId>(k)) +
+            "\"";
+        const auto count =
+            linesStartingWith(text, family + "_count{" + label + "}");
+        ASSERT_EQ(count.size(), 1u) << label;
+        const auto inf = linesStartingWith(
+            text, family + "_bucket{" + label + ",le=\"+Inf\"}");
+        ASSERT_EQ(inf.size(), 1u) << label;
+        EXPECT_EQ(inf[0].substr(inf[0].rfind(' ')),
+                  count[0].substr(count[0].rfind(' ')))
+            << label;
+    }
 }
 
 // --- Labeled exposition (per-tenant /metrics series) ------------

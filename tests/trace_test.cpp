@@ -4,9 +4,8 @@
  * path, Chrome JSON well-formedness (every B paired with an E),
  * worker-chunk attribution, per-thread frame stamps, agreement
  * between the per-frame span aggregate and the WorkCounts host-time
- * accounting, request traces,
- * and the span model (one ScopedSpan feeding the timeline, PMU and
- * request sinks).
+ * accounting, request traces, and the span model (one ScopedSpan
+ * feeding the timeline and request sinks).
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +24,6 @@
 #include "dataset/generator.hpp"
 #include "kfusion/pipeline.hpp"
 #include "support/logging.hpp"
-#include "support/pmu.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
@@ -742,9 +740,7 @@ TEST_F(RequestTraceTest, ScopedContextCarriesLogCorrelation)
     tracer.finish(ctx, RequestTraceFinish{});
 }
 
-// --- Span model: one producer, three sinks ---
-
-namespace pmu = slambench::support::pmu;
+// --- Span model: one producer, two sinks ---
 
 /** Every test starts and ends with every sink disarmed and empty. */
 class SpanModel : public ::testing::Test
@@ -764,8 +760,6 @@ class SpanModel : public ::testing::Test
     {
         Tracer::instance().setEnabled(false);
         Tracer::instance().clear();
-        pmu::Profiler::instance().stop();
-        pmu::Profiler::instance().clear();
         RequestTracer::instance().disarm();
         RequestTracer::instance().clear();
     }
@@ -783,7 +777,6 @@ class SpanModel : public ::testing::Test
     armAll()
     {
         Tracer::instance().setEnabled(true);
-        pmu::Profiler::instance().start(pmu::nullBackend());
         armRequests();
     }
 
@@ -791,7 +784,6 @@ class SpanModel : public ::testing::Test
     disarmAll()
     {
         Tracer::instance().setEnabled(false);
-        pmu::Profiler::instance().stop();
         RequestTracer::instance().disarm();
     }
 
@@ -813,17 +805,6 @@ class SpanModel : public ::testing::Test
             }
         EXPECT_EQ(begins, ends);
         return begins;
-    }
-
-    /** @return PMU span counts per name. */
-    static std::map<std::string, uint64_t>
-    pmuCounts()
-    {
-        std::map<std::string, uint64_t> counts;
-        for (const pmu::SpanStats &stats :
-             pmu::Profiler::instance().spanStats())
-            counts[stats.name] = stats.spans;
-        return counts;
     }
 
     /** @return Kernel/Worker spans of @p trace per name, without the
@@ -869,10 +850,9 @@ TEST_F(SpanModel, AllSinksSeeTheSameKernelAndWorkerSpans)
     RetainedTrace trace;
     ASSERT_TRUE(requests.findTrace(ctx.traceId, &trace));
 
-    // One Kernel span plus its worker chunks, counted alike by all
-    // three sinks; the Phase span never reaches the profiler.
+    // One Kernel span plus its worker chunks, counted alike by both
+    // sinks.
     const auto timeline = timelineCounts();
-    EXPECT_EQ(pmuCounts(), timeline);
     EXPECT_EQ(requestCounts(trace), timeline);
     ASSERT_EQ(timeline.size(), 1u);
     EXPECT_GE(timeline.at("pooled_kernel"), 2u);
@@ -925,7 +905,6 @@ TEST_F(SpanModel, RequestSinkAloneAddsNoWorkerChunks)
     EXPECT_EQ(spansOf(trace, "queue_wait", Category::Worker).size(),
               3u);
     EXPECT_EQ(Tracer::instance().eventCount(), 0u);
-    EXPECT_TRUE(pmu::Profiler::instance().spanStats().empty());
 }
 
 TEST_F(SpanModel, SpanOpenAtDisarmStillClosesInItsSinks)
@@ -948,7 +927,6 @@ TEST_F(SpanModel, SpanOpenAtDisarmStillClosesInItsSinks)
 
     const std::map<std::string, uint64_t> expected{{"straddling", 1}};
     EXPECT_EQ(timelineCounts(), expected);
-    EXPECT_EQ(pmuCounts(), expected);
     EXPECT_EQ(requestCounts(trace), expected);
 }
 
