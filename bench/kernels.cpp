@@ -308,13 +308,11 @@ BM_Raycast(benchmark::State &state, const KernelBackend *backend)
 }
 
 /**
- * Sparse-volume raycast: per-ray cached block lookups with the
- * empty-space skip over unallocated blocks. The sparse march is
- * always the scalar block-cached sampler (no backend axis), so this
- * is registered once, not per backend.
+ * Sparse-volume raycast: the backend's packet caster with per-lane
+ * cached block lookups and the free-brick skip; items are rays cast.
  */
 void
-BM_RaycastSparse(benchmark::State &state)
+BM_RaycastSparse(benchmark::State &state, const KernelBackend *backend)
 {
     Workload &wl = workload(160, 120);
     SparseTsdfVolume volume(static_cast<int>(state.range(0)), 4.8f,
@@ -329,7 +327,7 @@ BM_RaycastSparse(benchmark::State &state)
     counts = WorkCounts{};
     for (auto _ : state) {
         raycastKernel(vertex, normal, volume, wl.k, wl.pose, params,
-                      counts, nullptr);
+                      counts, nullptr, backend);
         benchmark::DoNotOptimize(vertex.data());
     }
     state.SetItemsProcessed(
@@ -636,6 +634,12 @@ registerBackendBenches(const std::vector<std::string> &backends)
             ->Arg(128)
             ->Arg(256);
         benchmark::RegisterBenchmark(
+            ("BM_RaycastSparse@" + name).c_str(), BM_RaycastSparse,
+            backend)
+            ->Arg(64)
+            ->Arg(128)
+            ->Arg(256);
+        benchmark::RegisterBenchmark(
             ("BM_Grad@" + name).c_str(), BM_Grad, backend)
             ->Arg(128)
             ->Arg(256);
@@ -657,7 +661,6 @@ BENCHMARK(BM_TrackKernel)
     ->Args({160, 120})
     ->Args({80, 60});
 BENCHMARK(BM_IntegrateDense)->Arg(64)->Arg(128)->Arg(256);
-BENCHMARK(BM_RaycastSparse)->Arg(64)->Arg(128)->Arg(256);
 BENCHMARK(BM_GradReference)->Arg(128)->Arg(256);
 
 /**

@@ -28,7 +28,7 @@ cd "$workdir"
 # backend field and bench_compare's (name, backend) keying; the
 # sparse rows exercise the volume/volume_bytes fields and the
 # --max-volume-bytes-regress gate.
-"$bin" --benchmark_filter='BM_Integrate(Dense)?/64|BM_Integrate(Sparse)?@[^/]+/64|BM_RaycastSparse/64|BM_Mm2Meters/160/120' \
+"$bin" --benchmark_filter='BM_Integrate(Dense)?/64|BM_Integrate(Sparse)?@[^/]+/64|BM_RaycastSparse@[^/]+/64|BM_Mm2Meters/160/120' \
     --benchmark_min_time=0.01 --metrics-json out.json \
     > run.log 2>&1 || {
     echo "kernels_bench_smoke: bench failed:" >&2
@@ -65,7 +65,8 @@ for key in (("BM_Integrate/64", "scalar"),
             ("BM_Integrate/64", "simd"),
             ("BM_IntegrateDense/64", ""),
             ("BM_IntegrateSparse/64", "scalar"),
-            ("BM_RaycastSparse/64", ""),
+            ("BM_RaycastSparse/64", "scalar"),
+            ("BM_RaycastSparse/64", "simd"),
             ("BM_Mm2Meters/160/120", "")):
     assert key in kernels, f"{key} missing from report"
 for k in report["kernels"]:

@@ -132,11 +132,11 @@ addObservabilityOptions(support::Options &options, bool profiling)
 Observability::Observability(const support::Options &options,
                              const char *generator)
     : logLevel(applyLogOptions(checkOutputPaths(options))),
+      telemetry(telemetryOptions(options, generator)),
       spans(sessionOptions(options)),
       metrics(options.string("--metrics-json"),
               options.string("--frames-csv"), generator,
-              kernelColumnNames()),
-      telemetry(telemetryOptions(options, generator))
+              kernelColumnNames())
 {
 }
 

@@ -45,7 +45,9 @@ const support::Options &checkOutputPaths(const support::Options &options);
 /**
  * The sessions the observability group arms, in the order they must
  * start. Construct after parsing and keep alive for the whole run;
- * each is inert when none of its flags was given.
+ * each is inert when none of its flags was given. The telemetry
+ * endpoint starts first and so stops last: its crash dump then covers
+ * the other sessions' shutdown writes (run report, trace export).
  */
 struct Observability
 {
@@ -58,12 +60,12 @@ struct Observability
 
     /** Threshold set by `--quiet`/`--verbose`, applied first. */
     support::LogLevel logLevel;
+    support::telemetry::TelemetryEndpoint telemetry;
     /** The span sinks: `--trace`, `--trace-*`. */
     support::trace::Session spans;
     /** The run report and the per-frame table, with one
      *  `kernel_<name>_*` column pair per KernelId. */
     support::metrics::RunSession metrics;
-    support::telemetry::TelemetryEndpoint telemetry;
 };
 
 /**

@@ -58,14 +58,28 @@ integrateColumnScalar(const IntegrateContext &ctx, Voxel *column,
     }
 }
 
-/** Scalar castRays: one castRayDense() march per packet lane. */
+/** Scalar castRays: one marchRay() per packet lane. */
 void
 castRaysScalar(const TsdfVolume &volume, const Vec3f &origin,
                const Vec3f *dirs, size_t count,
                const RaycastParams &params, RayHit *hits)
 {
     for (size_t l = 0; l < count; ++l)
-        castRayDense(volume, origin, dirs[l], params, hits[l]);
+        marchRay(volume, origin, dirs[l], params, hits[l]);
+}
+
+/**
+ * Scalar castRays on the sparse volume: one marchRay() per lane, with
+ * one block cache for the packet (adjacent rays walk the same blocks).
+ */
+void
+castRaysScalar(const SparseTsdfVolume &volume, const Vec3f &origin,
+               const Vec3f *dirs, size_t count,
+               const RaycastParams &params, RayHit *hits)
+{
+    SparseTsdfVolume::LookupCache cache;
+    for (size_t l = 0; l < count; ++l)
+        marchRay(volume, origin, dirs[l], params, cache, hits[l]);
 }
 
 /** The scalar ICP reduction body (reduceKernel's reduce_range). */
@@ -122,6 +136,14 @@ class ScalarBackend final : public KernelBackend
         castRaysScalar(volume, origin, dirs, count, params, hits);
     }
 
+    void
+    castRays(const SparseTsdfVolume &volume, const Vec3f &origin,
+             const Vec3f *dirs, size_t count,
+             const RaycastParams &params, RayHit *hits) const override
+    {
+        castRaysScalar(volume, origin, dirs, count, params, hits);
+    }
+
     ReductionResult
     reduceRange(const support::Image<TrackData> &track_data,
                 size_t begin, size_t end) const override
@@ -163,11 +185,15 @@ class SimdBackend final : public KernelBackend
              const Vec3f *dirs, size_t count,
              const RaycastParams &params, RayHit *hits) const override
     {
-        if (avx2_)
-            detail::castRaysAvx2(volume, origin, dirs, count, params,
-                                 hits);
-        else
-            castRaysScalar(volume, origin, dirs, count, params, hits);
+        castRaysOn(volume, origin, dirs, count, params, hits);
+    }
+
+    void
+    castRays(const SparseTsdfVolume &volume, const Vec3f &origin,
+             const Vec3f *dirs, size_t count,
+             const RaycastParams &params, RayHit *hits) const override
+    {
+        castRaysOn(volume, origin, dirs, count, params, hits);
     }
 
     ReductionResult
@@ -205,6 +231,20 @@ class SimdBackend final : public KernelBackend
     }
 
   private:
+    /** The AVX2 packet march on either volume, else scalar. */
+    template <typename Volume>
+    void
+    castRaysOn(const Volume &volume, const Vec3f &origin,
+               const Vec3f *dirs, size_t count,
+               const RaycastParams &params, RayHit *hits) const
+    {
+        if (avx2_)
+            detail::castRaysAvx2(volume, origin, dirs, count, params,
+                                 hits);
+        else
+            castRaysScalar(volume, origin, dirs, count, params, hits);
+    }
+
     const bool avx2_ = simdBackendIsAccelerated();
 };
 

@@ -14,7 +14,7 @@
  *     (KernelBackend::integrateColumn),
  *  2. the fused TSDF gradient (KernelBackend::grad),
  *  3. the shared marchImage ray-march core, vectorized as ray
- *     packets (KernelBackend::castRays),
+ *     packets on either volume (KernelBackend::castRays),
  *  4. the ICP reduction over a pixel range
  *     (KernelBackend::reduceRange).
  *
@@ -48,6 +48,7 @@
 
 #include "kfusion/ray_march.hpp"
 #include "kfusion/raycast.hpp"
+#include "kfusion/sparse_volume.hpp"
 #include "kfusion/tracking.hpp"
 #include "kfusion/volume.hpp"
 #include "kfusion/work_counters.hpp"
@@ -155,6 +156,17 @@ class KernelBackend
      * @param[out] hits Per-ray results, @p count entries written.
      */
     virtual void castRays(const TsdfVolume &volume,
+                          const math::Vec3f &origin,
+                          const math::Vec3f *dirs, size_t count,
+                          const RaycastParams &params,
+                          RayHit *hits) const = 0;
+
+    /**
+     * castRays on the sparse volume, under the same contract: each
+     * lane matches castRay on it (and so on the dense volume of the
+     * same integrates) bit-for-bit in found, hit and steps.
+     */
+    virtual void castRays(const SparseTsdfVolume &volume,
                           const math::Vec3f &origin,
                           const math::Vec3f *dirs, size_t count,
                           const RaycastParams &params,

@@ -96,25 +96,25 @@ stencil8(int res, const Vec3f &origin, float inv_vs, __m256 px,
 }
 
 /**
- * Trilinear TSDF sample of up to 8 world points (one per lane), each
- * lane replaying TsdfVolume::sampleTrilinear exactly.
+ * The trilinear blend of up to 8 samples (one per lane), each lane
+ * replaying TsdfVolume::sampleTrilinear's weights, corner order and
+ * sum exactly. Every sampler shares it; they differ only in how the
+ * corners are loaded.
  *
- * @param voxels Volume storage viewed as interleaved {tsdf, weight}
- *               float pairs.
- * @param res Volume resolution (voxels per edge).
  * @param stencil The samples' stencil8().
- * @param active Lanes to sample (sign-bit mask); inactive lanes
- *               perform no memory access and return 1.0f/invalid.
- * @param[out] valid_out Per-lane validity (bounds && any observed).
+ * @param mask Lanes that load their corners (in bounds and active).
+ * @param corner (c, tsdf&, weight&): corner c of every lane in
+ *               @p mask, in the order 000, 100, 010, 110, 001, 101,
+ *               011, 111; other lanes read 0.
+ * @param[out] valid_out Per-lane validity (mask && any observed).
  * @return per-lane interpolated TSDF (1.0f when invalid).
  */
+template <typename CornerFn>
 __m256
-sampleTrilinear8(const float *voxels, int res, const Stencil8 &stencil,
-                 __m256 active, __m256 &valid_out)
+trilinear8(const Stencil8 &stencil, __m256 mask, const CornerFn &corner,
+           __m256 &valid_out)
 {
     const auto &[lx, ly, lz, x0, y0, z0, inb] = stencil;
-    const __m256 gather_mask =
-        _mm256_and_ps(_mm256_castsi256_ps(inb), active);
 
     // Fractional offsets and the eight corner weights, exactly the
     // scalar expressions (int -> float conversion is exact here).
@@ -125,21 +125,6 @@ sampleTrilinear8(const float *voxels, int res, const Stencil8 &stencil,
     const __m256 wx0 = _mm256_sub_ps(one, fx), wx1 = fx;
     const __m256 wy0 = _mm256_sub_ps(one, fy), wy1 = fy;
     const __m256 wz0 = _mm256_sub_ps(one, fz), wz1 = fz;
-
-    // base = (x0 * res + y0) * res + z0, in voxels; the float pair
-    // index is 2 * voxel index (max 2 * res^3 < 2^31 for res <= 1024).
-    const __m256i resv = _mm256_set1_epi32(res);
-    const __m256i base = _mm256_add_epi32(
-        _mm256_mullo_epi32(
-            _mm256_add_epi32(_mm256_mullo_epi32(x0, resv), y0), resv),
-        z0);
-
-    const int sy = res;
-    const int sx = res * res;
-    // Corner order 000,100,010,110,001,101,011,111 — the scalar
-    // accumulation order.
-    const int corner_off[8] = {0,      sx,     sy,     sx + sy,
-                               1,      sx + 1, sy + 1, sx + sy + 1};
     const __m256 wxc[8] = {wx0, wx1, wx0, wx1, wx0, wx1, wx0, wx1};
     const __m256 wyc[8] = {wy0, wy0, wy1, wy1, wy0, wy0, wy1, wy1};
     const __m256 wzc[8] = {wz0, wz0, wz0, wz0, wz1, wz1, wz1, wz1};
@@ -148,14 +133,8 @@ sampleTrilinear8(const float *voxels, int res, const Stencil8 &stencil,
     __m256 value = zero;
     __m256 observed = zero; // accumulated as a sign-bit mask
     for (int c = 0; c < 8; ++c) {
-        const __m256i vidx = _mm256_slli_epi32(
-            _mm256_add_epi32(base,
-                             _mm256_set1_epi32(corner_off[c])),
-            1);
-        const __m256 tsdf = _mm256_mask_i32gather_ps(
-            zero, voxels, vidx, gather_mask, 4);
-        const __m256 weight = _mm256_mask_i32gather_ps(
-            zero, voxels + 1, vidx, gather_mask, 4);
+        __m256 tsdf, weight;
+        corner(c, tsdf, weight);
         observed = _mm256_or_ps(
             observed, _mm256_cmp_ps(weight, zero, _CMP_GT_OQ));
         // value += tsdf * wx * wy * wz with the scalar's left-to-
@@ -168,26 +147,138 @@ sampleTrilinear8(const float *voxels, int res, const Stencil8 &stencil,
                 wzc[c]));
     }
 
-    valid_out = _mm256_and_ps(gather_mask, observed);
+    valid_out = _mm256_and_ps(mask, observed);
     return _mm256_blendv_ps(one, value, valid_out);
 }
 
 /**
- * Per-lane TsdfVolume::sampleIsFree: the lane's stencil is out of
+ * The dense volume's sampler: trilinear TSDF samples of up to 8
+ * world points, each lane replaying TsdfVolume::sampleTrilinear
+ * exactly, with the corners gathered from the z-major voxel array.
+ */
+struct DenseSampler8
+{
+    const float *voxels; ///< Interleaved {tsdf, weight} pairs.
+    int res;             ///< Voxels per edge.
+
+    /**
+     * @param stencil The samples' stencil8().
+     * @param active Lanes to sample (sign-bit mask); inactive lanes
+     *               perform no memory access and return 1.0f/invalid.
+     * @param[out] valid_out Per-lane validity (bounds && any
+     *                       observed).
+     * @return per-lane interpolated TSDF (1.0f when invalid).
+     */
+    __m256
+    operator()(const Stencil8 &stencil, __m256 active,
+               __m256 &valid_out) const
+    {
+        const __m256 gather_mask = _mm256_and_ps(
+            _mm256_castsi256_ps(stencil.inBounds), active);
+
+        // base = (x0 * res + y0) * res + z0, in voxels; the float pair
+        // index is 2 * voxel index (max 2 * res^3 < 2^31 for
+        // res <= 1024).
+        const __m256i resv = _mm256_set1_epi32(res);
+        const __m256i base = _mm256_add_epi32(
+            _mm256_mullo_epi32(
+                _mm256_add_epi32(_mm256_mullo_epi32(stencil.x0, resv),
+                                 stencil.y0),
+                resv),
+            stencil.z0);
+
+        const int sy = res;
+        const int sx = res * res;
+        const int corner_off[8] = {0,      sx,     sy,     sx + sy,
+                                   1,      sx + 1, sy + 1, sx + sy + 1};
+        const __m256 zero = _mm256_setzero_ps();
+        return trilinear8(
+            stencil, gather_mask,
+            [&](int c, __m256 &tsdf, __m256 &weight) {
+                const __m256i vidx = _mm256_slli_epi32(
+                    _mm256_add_epi32(base,
+                                     _mm256_set1_epi32(corner_off[c])),
+                    1);
+                tsdf = _mm256_mask_i32gather_ps(zero, voxels, vidx,
+                                                gather_mask, 4);
+                weight = _mm256_mask_i32gather_ps(zero, voxels + 1,
+                                                  vidx, gather_mask, 4);
+            },
+            valid_out);
+    }
+};
+
+/**
+ * The sparse volume's packet sampler (see castRaysPacket). Each lane
+ * resolves its stencil through its own block cache
+ * (SparseTsdfVolume::stencilVoxels: each block the stencil spans,
+ * once) and stages the eight corners; the blend is the dense
+ * sampler's vector code, so a lane's result is bit-identical to the
+ * dense volume's. Lane l's cache follows ray l for the whole packet
+ * march.
+ */
+class SparseSampler8
+{
+  public:
+    explicit SparseSampler8(const SparseTsdfVolume &volume)
+        : volume_(volume)
+    {
+    }
+
+    __m256
+    operator()(const Stencil8 &stencil, __m256 active,
+               __m256 &valid_out)
+    {
+        const __m256 mask =
+            _mm256_and_ps(_mm256_castsi256_ps(stencil.inBounds), active);
+        alignas(32) int x0[8], y0[8], z0[8];
+        _mm256_store_si256(reinterpret_cast<__m256i *>(x0), stencil.x0);
+        _mm256_store_si256(reinterpret_cast<__m256i *>(y0), stencil.y0);
+        _mm256_store_si256(reinterpret_cast<__m256i *>(z0), stencil.z0);
+        // [corner][lane]; lanes outside the mask read 0, as the dense
+        // sampler's masked gathers do.
+        alignas(32) float tsdf[8][8] = {};
+        alignas(32) float weight[8][8] = {};
+        for (int bits = _mm256_movemask_ps(mask); bits != 0;
+             bits &= bits - 1) {
+            const int l = __builtin_ctz(bits);
+            const Voxel *corners[8];
+            volume_.stencilVoxels(x0[l], y0[l], z0[l], caches_[l],
+                                  corners);
+            for (int c = 0; c < 8; ++c) {
+                tsdf[c][l] = corners[c]->tsdf;
+                weight[c][l] = corners[c]->weight;
+            }
+        }
+        return trilinear8(
+            stencil, mask,
+            [&](int c, __m256 &t, __m256 &w) {
+                t = _mm256_load_ps(tsdf[c]);
+                w = _mm256_load_ps(weight[c]);
+            },
+            valid_out);
+    }
+
+  private:
+    const SparseTsdfVolume &volume_;
+    SparseTsdfVolume::LookupCache caches_[kRayPacketWidth];
+};
+
+/**
+ * Per-lane FreeBrickGrid::sampleIsFree: the lane's stencil is out of
  * bounds, or based in a flagged brick. One 32-bit gather reads each
  * in-bounds lane's flag byte (the flag array is padded for it).
  *
- * @param flags TsdfVolume::freeBricks().
- * @param bricks TsdfVolume::bricksPerEdge().
+ * @param grid The volume's free-brick flags.
  * @param s The samples' stencil8().
  * @param active Lanes to test; inactive lanes read no flag.
  * @return free lanes (sign-bit mask); only meaningful where active.
  */
 __m256
-freeMask8(const uint8_t *flags, int bricks, const Stencil8 &s,
-          __m256 active)
+freeMask8(const FreeBrickGrid &grid, const Stencil8 &s, __m256 active)
 {
-    const __m256i bv = _mm256_set1_epi32(bricks);
+    const uint8_t *flags = grid.flags();
+    const __m256i bv = _mm256_set1_epi32(grid.bricksPerEdge());
     const __m256i brick = _mm256_add_epi32(
         _mm256_mullo_epi32(
             _mm256_add_epi32(
@@ -402,9 +493,9 @@ gradAvx2(const TsdfVolume &volume, const Vec3f &p)
 
     __m256 valid;
     const int res = volume.resolution();
-    const __m256 v = sampleTrilinear8(
-        voxels, res, stencil8(res, volume.origin(), inv_vs, px, py, pz),
-        active, valid);
+    const __m256 v = DenseSampler8{voxels, res}(
+        stencil8(res, volume.origin(), inv_vs, px, py, pz), active,
+        valid);
     const int ok = _mm256_movemask_ps(valid);
 
     // Per-axis early-outs in the scalar order: both samples of an
@@ -420,14 +511,25 @@ gradAvx2(const TsdfVolume &volume, const Vec3f &p)
     return {s[0] - s[1], s[2] - s[3], s[4] - s[5]};
 }
 
+namespace {
+
+/**
+ * The packet march of castRaysAvx2 on either volume: castRayCore's
+ * control flow per lane, with the free-brick skip read from the
+ * volume's FreeBrickGrid.
+ *
+ * @param volume TsdfVolume or SparseTsdfVolume.
+ * @param sample (stencil, active, valid&) -> per-lane interp() of
+ *               the stencil's samples (DenseSampler8,
+ *               SparseSampler8).
+ */
+template <typename Volume, typename Sampler>
 void
-castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
-             const Vec3f *dirs, size_t count,
-             const RaycastParams &params, RayHit *hits)
+castRaysPacket(const Volume &volume, Sampler &sample,
+               const Vec3f &origin, const Vec3f *dirs, size_t count,
+               const RaycastParams &params, RayHit *hits)
 {
     const float inv_vs = 1.0f / volume.voxelSize();
-    const float *voxels =
-        reinterpret_cast<const float *>(&volume.at(0, 0, 0));
     const math::Aabb box{volume.origin(),
                          volume.origin() +
                              Vec3f::all(volume.size())};
@@ -477,8 +579,7 @@ castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
     const __m256 eps = _mm256_set1_ps(1e-12f);
     const int res = volume.resolution();
     const Vec3f &vorigin = volume.origin();
-    const uint8_t *flags = volume.freeBricks();
-    const int bricks = volume.bricksPerEdge();
+    const FreeBrickGrid &grid = volume.freeBricks();
 
     const auto point_at = [&](__m256 tv, __m256 &px, __m256 &py,
                               __m256 &pz) {
@@ -501,13 +602,13 @@ castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
     point_at(t, px, py, pz);
     Stencil8 stencil = stencil8(res, vorigin, inv_vs, px, py, pz);
     __m256 stale = _mm256_and_ps(
-        running, freeMask8(flags, bricks, stencil, running));
+        running, freeMask8(grid, stencil, running));
     __m256i skipped = _mm256_sub_epi32(_mm256_setzero_si256(),
                                        _mm256_castps_si256(stale));
     const __m256 fetch0 = _mm256_andnot_ps(stale, running);
     __m256 f_t = one;
     if (!_mm256_testz_ps(fetch0, fetch0))
-        f_t = sampleTrilinear8(voxels, res, stencil, fetch0, valid);
+        f_t = sample(stencil, fetch0, valid);
     running = _mm256_andnot_ps(
         _mm256_and_ps(valid, _mm256_cmp_ps(f_t, zero, _CMP_LT_OQ)),
         running);
@@ -536,7 +637,7 @@ castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
         // Free lanes: invalid or >= 0.8 either way, so the coarse
         // step, no crossing, and a stale f_t.
         const __m256 skip = _mm256_and_ps(
-            running, freeMask8(flags, bricks, stencil, running));
+            running, freeMask8(grid, stencil, running));
         if (!_mm256_testz_ps(skip, skip)) {
             // Lanes in free space already take the coarse step; only
             // blend when one does not, so the next t does not wait on
@@ -554,8 +655,7 @@ castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
         if (_mm256_testz_ps(fetch, fetch))
             continue;
 
-        const __m256 f_tt =
-            sampleTrilinear8(voxels, res, stencil, fetch, valid);
+        const __m256 f_tt = sample(stencil, fetch, valid);
 
         // Unknown space: f_t = 1, back to the coarse step, continue.
         const __m256 invalid = _mm256_andnot_ps(valid, fetch);
@@ -576,10 +676,8 @@ castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
                 point_at(t_stale, sx, sy, sz);
                 f_t = _mm256_blendv_ps(
                     f_t,
-                    sampleTrilinear8(
-                        voxels, res,
-                        stencil8(res, vorigin, inv_vs, sx, sy, sz),
-                        refetch, ok),
+                    sample(stencil8(res, vorigin, inv_vs, sx, sy, sz),
+                           refetch, ok),
                     refetch);
             }
             const __m256 denom = _mm256_sub_ps(f_t, f_tt);
@@ -620,6 +718,28 @@ castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
                            lane(hitz, static_cast<int>(l))};
         }
     }
+}
+
+} // namespace
+
+void
+castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
+             const Vec3f *dirs, size_t count,
+             const RaycastParams &params, RayHit *hits)
+{
+    DenseSampler8 sample{
+        reinterpret_cast<const float *>(&volume.at(0, 0, 0)),
+        volume.resolution()};
+    castRaysPacket(volume, sample, origin, dirs, count, params, hits);
+}
+
+void
+castRaysAvx2(const SparseTsdfVolume &volume, const Vec3f &origin,
+             const Vec3f *dirs, size_t count,
+             const RaycastParams &params, RayHit *hits)
+{
+    SparseSampler8 sample(volume);
+    castRaysPacket(volume, sample, origin, dirs, count, params, hits);
 }
 
 ReductionResult
@@ -708,6 +828,14 @@ gradAvx2(const TsdfVolume &, const math::Vec3f &)
 
 void
 castRaysAvx2(const TsdfVolume &, const math::Vec3f &,
+             const math::Vec3f *, size_t, const RaycastParams &,
+             RayHit *)
+{
+    support::fatal("castRaysAvx2: AVX2 not compiled in");
+}
+
+void
+castRaysAvx2(const SparseTsdfVolume &, const math::Vec3f &,
              const math::Vec3f *, size_t, const RaycastParams &,
              RayHit *)
 {

@@ -33,6 +33,12 @@ void castRaysAvx2(const TsdfVolume &volume, const math::Vec3f &origin,
                   const math::Vec3f *dirs, size_t count,
                   const RaycastParams &params, RayHit *hits);
 
+/** castRaysAvx2 on the sparse volume (bit-exact per lane). */
+void castRaysAvx2(const SparseTsdfVolume &volume,
+                  const math::Vec3f &origin, const math::Vec3f *dirs,
+                  size_t count, const RaycastParams &params,
+                  RayHit *hits);
+
 /** AVX2 flavor of KernelBackend::reduceRange (bit-exact). */
 ReductionResult
 reduceRangeAvx2(const support::Image<TrackData> &track_data,

@@ -3,10 +3,10 @@
 
 /**
  * @file
- * The single-ray marching core every caster shares: the dense
- * volume's scalar caster (with the free-brick skip), the sparse
- * volume's block-cached caster (without it), and the parity tests
- * that run one against the other.
+ * The single-ray marching core every scalar caster shares: both
+ * volumes march it with their free-brick skip (marchRay), and the
+ * parity tests run it with the NeverFree reference policy against
+ * them and against the kernel backends' packet casters.
  */
 
 #include <algorithm>
@@ -28,9 +28,8 @@ struct RayHit
 };
 
 /**
- * Fetch policy that never skips: every sample is fetched. The sparse
- * volume marches with it, and it is the reference the free-brick skip
- * is tested against.
+ * Fetch policy that never skips: every sample is fetched. It is the
+ * reference the free-brick skip is tested against.
  */
 struct NeverFree
 {
@@ -134,20 +133,40 @@ castRayCore(const math::Vec3f &vol_origin, float vol_size,
 }
 
 /**
- * castRayCore on a dense volume with its free-brick skip: the scalar
- * caster every kernel backend is tested against.
+ * castRayCore on the dense volume with its free-brick skip: the
+ * scalar caster every kernel backend is tested against.
  */
 inline void
-castRayDense(const TsdfVolume &volume, const math::Vec3f &origin,
-             const math::Vec3f &dir, const RaycastParams &params,
-             RayHit &ray)
+marchRay(const TsdfVolume &volume, const math::Vec3f &origin,
+         const math::Vec3f &dir, const RaycastParams &params,
+         RayHit &ray)
 {
+    const FreeBrickGrid &free = volume.freeBricks();
     castRayCore(
         volume.origin(), volume.size(), origin, dir, params,
         [&](const math::Vec3f &p, bool &valid) {
             return volume.interp(p, valid);
         },
-        [&](const math::Vec3f &p) { return volume.sampleIsFree(p); },
+        [&](const math::Vec3f &p) { return free.sampleIsFree(p); },
+        ray);
+}
+
+/**
+ * castRayCore on the sparse volume with its free-brick skip, fetching
+ * through the block cache @p cache.
+ */
+inline void
+marchRay(const SparseTsdfVolume &volume, const math::Vec3f &origin,
+         const math::Vec3f &dir, const RaycastParams &params,
+         SparseTsdfVolume::LookupCache &cache, RayHit &ray)
+{
+    const FreeBrickGrid &free = volume.freeBricks();
+    castRayCore(
+        volume.origin(), volume.size(), origin, dir, params,
+        [&](const math::Vec3f &p, bool &valid) {
+            return volume.interpCached(p, valid, cache);
+        },
+        [&](const math::Vec3f &p) { return free.sampleIsFree(p); },
         ray);
 }
 

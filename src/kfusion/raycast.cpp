@@ -1,3 +1,11 @@
+/**
+ * @file
+ * raycastKernel and renderVolumeKernel on either volume: one image
+ * march (marchImage) that casts ray packets through the kernel
+ * backend's castRays overload for the volume, then takes the fused
+ * gradient at each hit.
+ */
+
 #include "kfusion/raycast.hpp"
 
 #include <algorithm>
@@ -42,20 +50,6 @@ shadeNormal(const Vec3f &n)
     return {channel(200.0f), channel(205.0f), channel(215.0f)};
 }
 
-/** castRayCore on the sparse volume: block-cached, never skipped. */
-void
-castRaySparse(const SparseTsdfVolume &volume, const Vec3f &origin,
-              const Vec3f &dir, const RaycastParams &params,
-              SparseTsdfVolume::LookupCache &cache, RayHit &ray)
-{
-    castRayCore(
-        volume.origin(), volume.size(), origin, dir, params,
-        [&](const Vec3f &p, bool &valid) {
-            return volume.interpCached(p, valid, cache);
-        },
-        NeverFree{}, ray);
-}
-
 /** Marching work of one image: steps taken, fetches skipped. */
 struct MarchTotals
 {
@@ -73,70 +67,36 @@ struct alignas(64) RowTotals
     MarchTotals value;
 };
 
-/** Dense volume caster: ray packets + gradients via the backend. */
-struct DenseCaster
+/** The dense volume's fused gradient, on the kernel backend. */
+Vec3f
+gradAt(const KernelBackend &backend, const TsdfVolume &volume,
+       const Vec3f &p)
 {
-    const TsdfVolume &volume;
-    const KernelBackend &backend;
+    return backend.grad(volume, p);
+}
 
-    void
-    castRays(const Vec3f &origin, const Vec3f *dirs, size_t n,
-             const RaycastParams &params, RayHit *hits) const
-    {
-        backend.castRays(volume, origin, dirs, n, params, hits);
-    }
-
-    Vec3f
-    grad(const Vec3f &p) const
-    {
-        return backend.grad(volume, p);
-    }
-};
-
-/**
- * Sparse volume caster: per-lane scalar marching with a block cache
- * shared across the packet (adjacent rays walk the same blocks), a
- * fresh cache per gradient stencil. The kernel backend's packet
- * caster is a dense-layout kernel, so the sparse path always marches
- * the scalar sampler — bit-identical to every dense backend anyway.
- */
-struct SparseCaster
+/** The sparse volume's fused gradient (one block cache per call). */
+Vec3f
+gradAt(const KernelBackend &, const SparseTsdfVolume &volume,
+       const Vec3f &p)
 {
-    const SparseTsdfVolume &volume;
-
-    void
-    castRays(const Vec3f &origin, const Vec3f *dirs, size_t n,
-             const RaycastParams &params, RayHit *hits) const
-    {
-        SparseTsdfVolume::LookupCache cache;
-        for (size_t l = 0; l < n; ++l)
-            castRaySparse(volume, origin, dirs[l], params, cache,
-                          hits[l]);
-    }
-
-    Vec3f
-    grad(const Vec3f &p) const
-    {
-        SparseTsdfVolume::LookupCache cache;
-        return volume.gradCached(p, cache);
-    }
-};
+    return volume.grad(p);
+}
 
 /**
  * Shared ray-march core of raycastKernel and renderVolumeKernel.
  *
  * Rays are cast in packets of up to kRayPacketWidth per row through
- * the volume caster (dense: the kernel backend; sparse: per-lane
- * block-cached marching), the fused TSDF gradient is evaluated at
- * each hit, and shade(x, y, hit_found, hit, grad) runs for every
- * pixel — grad is the raw (unnormalized) gradient, zero when the ray
- * missed.
+ * the kernel backend's castRays for @p volume, the fused TSDF
+ * gradient is evaluated at each hit, and
+ * shade(x, y, hit_found, hit, grad) runs for every pixel — grad is
+ * the raw (unnormalized) gradient, zero when the ray missed.
  *
  * @return marching steps taken and fetches skipped across the image.
  */
-template <typename Caster, typename ShadeFn>
+template <typename Volume, typename ShadeFn>
 MarchTotals
-marchImage(const Caster &caster,
+marchImage(const Volume &volume, const KernelBackend &backend,
            const math::CameraIntrinsics &intrinsics,
            const math::Mat4f &camera_to_world,
            const RaycastParams &params, support::ThreadPool *pool,
@@ -160,12 +120,12 @@ marchImage(const Caster &caster,
                 dirs[l] = camera_to_world.transformDir(dir_cam)
                               .normalized();
             }
-            caster.castRays(origin, dirs, n, params, hits);
+            backend.castRays(volume, origin, dirs, n, params, hits);
             for (size_t l = 0; l < n; ++l) {
                 row.steps += hits[l].steps;
                 row.skipped += hits[l].skipped;
                 const Vec3f g = hits[l].found
-                                    ? caster.grad(hits[l].hit)
+                                    ? gradAt(backend, volume, hits[l].hit)
                                     : Vec3f{};
                 shade(x0 + l, y, hits[l].found, hits[l].hit, g);
             }
@@ -188,15 +148,16 @@ marchImage(const Caster &caster,
     return total;
 }
 
-template <typename Caster>
+template <typename Volume>
 void
 raycastKernelImpl(support::Image<Vec3f> &vertex_out,
                   support::Image<Vec3f> &normal_out,
-                  const Caster &caster,
+                  const Volume &volume,
                   const math::CameraIntrinsics &intrinsics,
                   const math::Mat4f &camera_to_world,
                   const RaycastParams &params, WorkCounts &counts,
-                  support::ThreadPool *pool)
+                  support::ThreadPool *pool,
+                  const KernelBackend *backend)
 {
     KernelTimer timer(counts, KernelId::Raycast);
     const size_t w = intrinsics.width;
@@ -205,7 +166,8 @@ raycastKernelImpl(support::Image<Vec3f> &vertex_out,
     normal_out.resize(w, h);
 
     const MarchTotals total = marchImage(
-        caster, intrinsics, camera_to_world, params, pool,
+        volume, backend ? *backend : scalarKernelBackend(), intrinsics,
+        camera_to_world, params, pool,
         [&](size_t x, size_t y, bool found, const Vec3f &hit,
             const Vec3f &g) {
             if (found && !degenerateGradient(g)) {
@@ -247,14 +209,15 @@ addRenderWork(WorkCounts &counts, double steps)
     TRACE_COUNTER("render_volume.steps", steps);
 }
 
-template <typename Caster>
+template <typename Volume>
 void
 renderVolumeKernelImpl(support::Image<support::Rgb8> &out,
-                       const Caster &caster,
+                       const Volume &volume,
                        const math::CameraIntrinsics &intrinsics,
                        const math::Mat4f &camera_to_world,
                        const RaycastParams &params, WorkCounts &counts,
-                       support::ThreadPool *pool)
+                       support::ThreadPool *pool,
+                       const KernelBackend *backend)
 {
     KernelTimer timer(counts, KernelId::RenderVolume);
     const size_t w = intrinsics.width;
@@ -262,7 +225,8 @@ renderVolumeKernelImpl(support::Image<support::Rgb8> &out,
     out.resize(w, h);
 
     const MarchTotals total = marchImage(
-        caster, intrinsics, camera_to_world, params, pool,
+        volume, backend ? *backend : scalarKernelBackend(), intrinsics,
+        camera_to_world, params, pool,
         [&](size_t x, size_t y, bool found, const Vec3f &,
             const Vec3f &g) {
             out(x, y) = found && !degenerateGradient(g)
@@ -279,7 +243,7 @@ castRay(const TsdfVolume &volume, const Vec3f &origin, const Vec3f &dir,
         const RaycastParams &params, Vec3f &hit, int &steps)
 {
     RayHit ray;
-    castRayDense(volume, origin, dir, params, ray);
+    marchRay(volume, origin, dir, params, ray);
     if (ray.found)
         hit = ray.hit;
     steps = ray.steps;
@@ -292,7 +256,7 @@ castRay(const SparseTsdfVolume &volume, const Vec3f &origin,
         int &steps, SparseTsdfVolume::LookupCache &cache)
 {
     RayHit ray;
-    castRaySparse(volume, origin, dir, params, cache, ray);
+    marchRay(volume, origin, dir, params, cache, ray);
     if (ray.found)
         hit = ray.hit;
     steps = ray.steps;
@@ -337,10 +301,8 @@ raycastKernel(support::Image<Vec3f> &vertex_out,
               const RaycastParams &params, WorkCounts &counts,
               support::ThreadPool *pool, const KernelBackend *backend)
 {
-    const DenseCaster caster{
-        volume, backend ? *backend : scalarKernelBackend()};
-    raycastKernelImpl(vertex_out, normal_out, caster, intrinsics,
-                      camera_to_world, params, counts, pool);
+    raycastKernelImpl(vertex_out, normal_out, volume, intrinsics,
+                      camera_to_world, params, counts, pool, backend);
 }
 
 void
@@ -350,11 +312,10 @@ raycastKernel(support::Image<Vec3f> &vertex_out,
               const math::CameraIntrinsics &intrinsics,
               const math::Mat4f &camera_to_world,
               const RaycastParams &params, WorkCounts &counts,
-              support::ThreadPool *pool)
+              support::ThreadPool *pool, const KernelBackend *backend)
 {
-    const SparseCaster caster{volume};
-    raycastKernelImpl(vertex_out, normal_out, caster, intrinsics,
-                      camera_to_world, params, counts, pool);
+    raycastKernelImpl(vertex_out, normal_out, volume, intrinsics,
+                      camera_to_world, params, counts, pool, backend);
 }
 
 void
@@ -366,10 +327,8 @@ renderVolumeKernel(support::Image<support::Rgb8> &out,
                    support::ThreadPool *pool,
                    const KernelBackend *backend)
 {
-    const DenseCaster caster{
-        volume, backend ? *backend : scalarKernelBackend()};
-    renderVolumeKernelImpl(out, caster, intrinsics, camera_to_world,
-                           params, counts, pool);
+    renderVolumeKernelImpl(out, volume, intrinsics, camera_to_world,
+                           params, counts, pool, backend);
 }
 
 void
@@ -378,11 +337,11 @@ renderVolumeKernel(support::Image<support::Rgb8> &out,
                    const math::CameraIntrinsics &intrinsics,
                    const math::Mat4f &camera_to_world,
                    const RaycastParams &params, WorkCounts &counts,
-                   support::ThreadPool *pool)
+                   support::ThreadPool *pool,
+                   const KernelBackend *backend)
 {
-    const SparseCaster caster{volume};
-    renderVolumeKernelImpl(out, caster, intrinsics, camera_to_world,
-                           params, counts, pool);
+    renderVolumeKernelImpl(out, volume, intrinsics, camera_to_world,
+                           params, counts, pool, backend);
 }
 
 } // namespace slambench::kfusion

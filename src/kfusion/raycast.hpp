@@ -97,8 +97,8 @@ void renderFromNormalsKernel(support::Image<support::Rgb8> &out,
 
 /**
  * Cast a single ray against the volume, skipping the fetch of
- * samples in free bricks (TsdfVolume::sampleIsFree); hits and steps
- * are those of the march that fetches every sample.
+ * samples in free bricks (FreeBrickGrid::sampleIsFree); hits and
+ * steps are those of the march that fetches every sample.
  *
  * @param volume Fused TSDF volume.
  * @param origin Ray origin (world).
@@ -113,12 +113,10 @@ bool castRay(const TsdfVolume &volume, const math::Vec3f &origin,
              math::Vec3f &hit, int &steps);
 
 /**
- * Sparse-volume flavors. Control flow (per-step t accumulation,
- * refinement, invalid-sample handling) is shared with the dense core,
- * so hits are bit-identical to the dense volume's; the sparse sampler
- * resolves its stencil through @p cache and detects unknown space
- * from unallocated blocks without touching voxel memory (the
- * empty-space skip).
+ * Sparse-volume flavor. The march (per-step t accumulation, the
+ * free-brick skip, refinement, invalid-sample handling) is the dense
+ * one and the samples are bit-identical, so hits and steps equal the
+ * dense volume's; the sampler resolves its stencil through @p cache.
  */
 bool castRay(const SparseTsdfVolume &volume, const math::Vec3f &origin,
              const math::Vec3f &dir, const RaycastParams &params,
@@ -126,10 +124,9 @@ bool castRay(const SparseTsdfVolume &volume, const math::Vec3f &origin,
              SparseTsdfVolume::LookupCache &cache);
 
 /**
- * Sparse-volume raycast. Rays march through cached block lookups on
- * the scalar sampler (the kernel backend's packet caster is a
- * dense-layout kernel); results are bit-identical to the dense
- * raycast of the same scene.
+ * Sparse-volume raycast: the kernel backend's packet caster on the
+ * sparse sampler; results are bit-identical to the dense raycast of
+ * the same integrates.
  */
 void raycastKernel(support::Image<math::Vec3f> &vertex_out,
                    support::Image<math::Vec3f> &normal_out,
@@ -137,7 +134,8 @@ void raycastKernel(support::Image<math::Vec3f> &vertex_out,
                    const math::CameraIntrinsics &intrinsics,
                    const math::Mat4f &camera_to_world,
                    const RaycastParams &params, WorkCounts &counts,
-                   support::ThreadPool *pool);
+                   support::ThreadPool *pool,
+                   const KernelBackend *backend = nullptr);
 
 /** Sparse-volume shaded render (see renderVolumeKernel above). */
 void renderVolumeKernel(support::Image<support::Rgb8> &out,
@@ -145,7 +143,8 @@ void renderVolumeKernel(support::Image<support::Rgb8> &out,
                         const math::CameraIntrinsics &intrinsics,
                         const math::Mat4f &camera_to_world,
                         const RaycastParams &params, WorkCounts &counts,
-                        support::ThreadPool *pool);
+                        support::ThreadPool *pool,
+                        const KernelBackend *backend = nullptr);
 
 } // namespace slambench::kfusion
 

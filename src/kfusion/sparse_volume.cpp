@@ -1,6 +1,7 @@
 #include "kfusion/sparse_volume.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -13,8 +14,8 @@ namespace slambench::kfusion {
 
 namespace {
 
-/** Unallocated voxels read as the dense initial value (+1, weight 0). */
-constexpr Voxel kUnobserved{};
+/** Source of SparseTsdfVolume ids (0 is no volume's). */
+std::atomic<uint64_t> g_nextVolumeId{1};
 
 /** Run of consecutive touched z-blocks in one (bx, by) footprint. */
 struct BlockRun
@@ -41,7 +42,8 @@ SparseTsdfVolume::SparseTsdfVolume(int resolution, float size_m,
                                    int block_size,
                                    size_t pool_capacity)
     : resolution_(resolution), size_(size_m), origin_(origin),
-      blockSize_(block_size)
+      id_(g_nextVolumeId.fetch_add(1, std::memory_order_relaxed)),
+      blockSize_(block_size), freeBricks_(resolution, size_m, origin)
 {
     if (resolution < 8)
         support::fatal("SparseTsdfVolume: resolution must be >= 8");
@@ -92,6 +94,7 @@ SparseTsdfVolume::reset()
     allocated_.store(0, std::memory_order_relaxed);
     lastTouched_ = 0;
     ++generation_;
+    freeBricks_.setAll();
 }
 
 bool
@@ -121,6 +124,20 @@ SparseTsdfVolume::findBlock(int bx, int by, int bz) const
 
 Voxel *
 SparseTsdfVolume::allocateBlock(int bx, int by, int bz)
+{
+    Voxel *data = insertBlock(bx, by, bz);
+    if (data) {
+        const int x0 = bx * blockSize_, y0 = by * blockSize_,
+                  z0 = bz * blockSize_;
+        const int edge = blockSize_ - 1;
+        freeBricks_.clearBox(x0, y0, z0, x0 + edge, y0 + edge,
+                             z0 + edge);
+    }
+    return data;
+}
+
+Voxel *
+SparseTsdfVolume::insertBlock(int bx, int by, int bz)
 {
     const uint64_t key = blockKey(bx, by, bz);
     const size_t mask = tableSize_ - 1;
@@ -224,53 +241,19 @@ SparseTsdfVolume::sampleTrilinearCached(float px, float py, float pz,
                                         bool &valid,
                                         LookupCache &cache) const
 {
-    const float vs = voxelSize();
-    // Shift by half a voxel so samples are taken at voxel centers
-    // (bit-identical arithmetic to TsdfVolume::sampleTrilinear).
-    const Vec3f local = (Vec3f{px, py, pz} - origin_) * (1.0f / vs) -
-                        Vec3f{0.5f, 0.5f, 0.5f};
+    const Vec3f local = freeBricks_.stencilLocal(px, py, pz);
     const int x0 = static_cast<int>(std::floor(local.x));
     const int y0 = static_cast<int>(std::floor(local.y));
     const int z0 = static_cast<int>(std::floor(local.z));
-    if (x0 < 0 || y0 < 0 || z0 < 0 || x0 + 1 >= resolution_ ||
-        y0 + 1 >= resolution_ || z0 + 1 >= resolution_) {
+    if (!freeBricks_.stencilInBounds(x0, y0, z0)) {
         valid = false;
         return 1.0f;
     }
 
-    // Resolve the stencil's eight voxels through the block cache.
     // Unallocated blocks contribute the default voxel (+1, weight 0),
     // exactly what the untouched dense voxel holds.
-    bool any_block = false;
-    const auto fetch = [&](int x, int y, int z) -> const Voxel & {
-        const Voxel *block =
-            cachedBlock(x >> blockShift_, y >> blockShift_,
-                        z >> blockShift_, cache);
-        if (!block)
-            return kUnobserved;
-        any_block = true;
-        return block[(static_cast<size_t>(x & blockMask_) *
-                          blockSize_ +
-                      static_cast<size_t>(y & blockMask_)) *
-                         blockSize_ +
-                     static_cast<size_t>(z & blockMask_)];
-    };
-    const Voxel &v000 = fetch(x0, y0, z0);
-    const Voxel &v100 = fetch(x0 + 1, y0, z0);
-    const Voxel &v010 = fetch(x0, y0 + 1, z0);
-    const Voxel &v110 = fetch(x0 + 1, y0 + 1, z0);
-    const Voxel &v001 = fetch(x0, y0, z0 + 1);
-    const Voxel &v101 = fetch(x0 + 1, y0, z0 + 1);
-    const Voxel &v011 = fetch(x0, y0 + 1, z0 + 1);
-    const Voxel &v111 = fetch(x0 + 1, y0 + 1, z0 + 1);
-
-    // Empty-space fast path: no stencil block is resident, so every
-    // voxel is unobserved and the dense result would be an invalid +1
-    // sample — skip the weight math entirely.
-    if (!any_block) {
-        valid = false;
-        return 1.0f;
-    }
+    const Voxel *v[8];
+    stencilVoxels(x0, y0, z0, cache, v);
 
     const float fx = local.x - x0;
     const float fy = local.y - y0;
@@ -279,20 +262,21 @@ SparseTsdfVolume::sampleTrilinearCached(float px, float py, float pz,
     const float wy0 = 1.0f - fy, wy1 = fy;
     const float wz0 = 1.0f - fz, wz1 = fz;
 
+    // The dense sampler's expressions, in its accumulation order.
     const bool any_observed =
-        v000.weight > 0.0f || v100.weight > 0.0f ||
-        v010.weight > 0.0f || v110.weight > 0.0f ||
-        v001.weight > 0.0f || v101.weight > 0.0f ||
-        v011.weight > 0.0f || v111.weight > 0.0f;
+        v[0]->weight > 0.0f || v[1]->weight > 0.0f ||
+        v[2]->weight > 0.0f || v[3]->weight > 0.0f ||
+        v[4]->weight > 0.0f || v[5]->weight > 0.0f ||
+        v[6]->weight > 0.0f || v[7]->weight > 0.0f;
     float value = 0.0f;
-    value += v000.tsdf * wx0 * wy0 * wz0;
-    value += v100.tsdf * wx1 * wy0 * wz0;
-    value += v010.tsdf * wx0 * wy1 * wz0;
-    value += v110.tsdf * wx1 * wy1 * wz0;
-    value += v001.tsdf * wx0 * wy0 * wz1;
-    value += v101.tsdf * wx1 * wy0 * wz1;
-    value += v011.tsdf * wx0 * wy1 * wz1;
-    value += v111.tsdf * wx1 * wy1 * wz1;
+    value += v[0]->tsdf * wx0 * wy0 * wz0;
+    value += v[1]->tsdf * wx1 * wy0 * wz0;
+    value += v[2]->tsdf * wx0 * wy1 * wz0;
+    value += v[3]->tsdf * wx1 * wy1 * wz0;
+    value += v[4]->tsdf * wx0 * wy0 * wz1;
+    value += v[5]->tsdf * wx1 * wy0 * wz1;
+    value += v[6]->tsdf * wx0 * wy1 * wz1;
+    value += v[7]->tsdf * wx1 * wy1 * wz1;
     valid = any_observed;
     return any_observed ? value : 1.0f;
 }
@@ -465,9 +449,12 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
         static thread_local std::vector<Voxel *> dest;
         static thread_local std::vector<uint8_t> fresh;
         static thread_local std::vector<uint8_t> swept;
-        // The free-brick flags are a dense-volume structure; block
-        // segments span at most 16 voxels (< 64 bricks), one word.
-        uint64_t unused_dirty = 0;
+        // One bit per volume z-brick of the column being fused.
+        static thread_local std::vector<uint64_t> dirty;
+        dirty.assign(freeBricks_.dirtyWords(), 0);
+        const auto mark_dirty = [](int b) {
+            dirty[b >> 6] |= uint64_t{1} << (b & 63);
+        };
         long long touched = 0;
         for (size_t ri = begin; ri < end; ++ri) {
             const BlockRun r = runs[ri];
@@ -521,9 +508,24 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
                         const int block_z0 = (r.bz_begin + j) * bs;
                         const int z_lim =
                             std::min(z_stop, block_z0 + bs);
+                        // Block segments span at most 16 voxels, so
+                        // their block-local z-bricks fit one word.
+                        uint64_t block_dirty = 0;
                         backend.integrateColumn(
                             ctx, dest[j] + col_off, z - block_z0,
-                            z_lim - block_z0, pos, &unused_dirty);
+                            z_lim - block_z0, pos, &block_dirty);
+                        const int brick0 = block_z0 >> kBrickShift;
+                        for (uint64_t bits = block_dirty; bits != 0;
+                             bits &= bits - 1)
+                            mark_dirty(brick0 +
+                                       std::countr_zero(bits));
+                        // The kernel sees this voxel at local z = 0
+                        // and cannot mark the brick below, whose
+                        // apron holds it. A voxel != 1 left 1 at
+                        // some visit, where dense cleared that brick.
+                        if (z == block_z0 && block_z0 > 0 &&
+                            dest[j][col_off].tsdf != 1.0f)
+                            mark_dirty(brick0 - 1);
                         // Advance past the segment with the same
                         // additions the dense sweep performs.
                         for (int k = z; k < z_lim; ++k)
@@ -531,6 +533,10 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
                         swept[j] = 1;
                         z = z_lim;
                     }
+                    if (std::any_of(dirty.begin(), dirty.end(),
+                                    [](uint64_t w) { return w != 0; }))
+                        freeBricks_.clearColumnBricks(x, y,
+                                                      dirty.data());
                 }
             }
 
@@ -553,7 +559,7 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
                 if (!fused)
                     continue;
                 Voxel *data =
-                    allocateBlock(r.bx, r.by, r.bz_begin + j);
+                    insertBlock(r.bx, r.by, r.bz_begin + j);
                 if (!data) {
                     dropped_now.fetch_add(
                         1, std::memory_order_relaxed);

@@ -27,6 +27,12 @@
  * unallocated voxels as the default Voxel{+1, 0} — precisely the
  * value an untouched dense voxel holds.
  *
+ * Free space: the volume keeps the dense volume's FreeBrickGrid over
+ * the same voxel coordinates. integrate() clears it exactly as the
+ * dense sweep does (see integrate()), so after the same integrates
+ * both grids hold the same bytes and the ray marcher skips the same
+ * fetches on either volume.
+ *
  * Concurrency: findBlock() is lock-free (atomic key probe with
  * acquire loads); allocation serializes on a mutex but publishes the
  * key with release order after the slot data is visible, so readers
@@ -72,13 +78,18 @@ class SparseTsdfVolume
     /** Sentinel "no block" key (hash table empty slot). */
     static constexpr uint64_t kEmptyKey = 0;
 
+    /** What an unallocated voxel reads as: an untouched dense voxel. */
+    static constexpr Voxel kUnobserved{};
+
     /**
      * Per-thread (or per-ray / per-stencil) direct-mapped cache of
      * the most recent block lookups. Indexed by the coordinate
      * parities (bx&1, by&1, bz&1), so the 8 blocks under any 2x2x2
      * interpolation stencil occupy distinct entries and a stencil
      * straddling block corners still hits after the first fetch.
-     * Entries are invalidated by generation, bumped on reset().
+     * A cache belongs to one volume at one generation: used on
+     * another volume (volume ids are process-unique) or after
+     * reset() bumped the generation, it empties itself.
      */
     struct LookupCache
     {
@@ -87,6 +98,7 @@ class SparseTsdfVolume
                             kEmptyKey, kEmptyKey};
         const Voxel *blocks[8] = {};
         uint64_t generation = ~0ull;
+        uint64_t volume = 0; ///< Owner's id(); 0 = none yet.
     };
 
     /**
@@ -121,11 +133,14 @@ class SparseTsdfVolume
     size_t poolCapacity() const { return poolCapacity_; }
     /** @return open-addressed hash table slot count (power of two). */
     size_t tableSize() const { return tableSize_; }
+    /** @return this volume's process-unique id (never 0). */
+    uint64_t id() const { return id_; }
 
     /**
-     * Drop every block: all voxels read unobserved again. Pool
-     * storage is recycled, not freed — slots are reused by later
-     * allocations (the "eviction" path exercised by tests).
+     * Drop every block: all voxels read unobserved again (and every
+     * brick is free). Pool storage is recycled, not freed — slots are
+     * reused by later allocations (the "eviction" path exercised by
+     * tests).
      */
     void reset();
 
@@ -141,6 +156,9 @@ class SparseTsdfVolume
     /** @return true when @p p (world) lies inside the volume. */
     bool contains(const Vec3f &p) const;
 
+    /** @return the free-brick flags (see FreeBrickGrid). */
+    const FreeBrickGrid &freeBricks() const { return freeBricks_; }
+
     /**
      * Voxel copy accessor; unallocated voxels read as the default
      * Voxel{+1, 0} (bit-identical to an untouched dense voxel).
@@ -155,15 +173,74 @@ class SparseTsdfVolume
      */
     float interp(const Vec3f &p, bool &valid) const;
 
-    /**
-     * interp() with a caller-held block cache. When every block under
-     * the stencil is unallocated the sample is resolved as invalid
-     * (+1) from the cache alone — the empty-space fast path of the
-     * sparse ray march; the result is still bit-identical to dense
-     * (all-unobserved stencils are invalid there too).
-     */
+    /** interp() with a caller-held block cache. */
     float interpCached(const Vec3f &p, bool &valid,
                        LookupCache &cache) const;
+
+    /**
+     * The eight voxels of the in-bounds 2x2x2 stencil based at voxel
+     * (x0, y0, z0), in interp()'s corner order 000, 100, 010, 110,
+     * 001, 101, 011, 111; unallocated voxels read as kUnobserved. The
+     * base block is resolved once through @p cache, and a stencil
+     * inside it reads all eight corners from it; a stencil that
+     * straddles block faces resolves each block it spans once.
+     */
+    void
+    stencilVoxels(int x0, int y0, int z0, LookupCache &cache,
+                  const Voxel *corners[8]) const
+    {
+        const int lx = x0 & blockMask_;
+        const int ly = y0 & blockMask_;
+        const int lz = z0 & blockMask_;
+        const int bx = x0 >> blockShift_;
+        const int by = y0 >> blockShift_;
+        const int bz = z0 >> blockShift_;
+        const size_t sy = static_cast<size_t>(blockSize_);
+        const size_t sx = sy * sy;
+        // Per axis: whether the stencil's +1 corner is in the next
+        // block.
+        const int cross = (lx == blockMask_) | (ly == blockMask_) << 1 |
+                          (lz == blockMask_) << 2;
+        if (cross == 0) {
+            const Voxel *block = cachedBlock(bx, by, bz, cache);
+            if (!block) {
+                for (int c = 0; c < 8; ++c)
+                    corners[c] = &kUnobserved;
+                return;
+            }
+            const Voxel *base = block + static_cast<size_t>(lx) * sx +
+                                static_cast<size_t>(ly) * sy +
+                                static_cast<size_t>(lz);
+            corners[0] = base;
+            corners[1] = base + sx;
+            corners[2] = base + sy;
+            corners[3] = base + sx + sy;
+            corners[4] = base + 1;
+            corners[5] = base + sx + 1;
+            corners[6] = base + sy + 1;
+            corners[7] = base + sx + sy + 1;
+            return;
+        }
+        // blocks[b]: the block offset by b's bits (x, y, z) from the
+        // base block, for every b the stencil spans; corner c lies in
+        // blocks[c & cross].
+        const Voxel *blocks[8] = {};
+        for (int b = 0; b < 8; ++b)
+            if ((b & ~cross) == 0)
+                blocks[b] = cachedBlock(bx + (b & 1), by + (b >> 1 & 1),
+                                        bz + (b >> 2), cache);
+        for (int c = 0; c < 8; ++c) {
+            const Voxel *block = blocks[c & cross];
+            if (!block) {
+                corners[c] = &kUnobserved;
+                continue;
+            }
+            const size_t x = (lx + (c & 1)) & blockMask_;
+            const size_t y = (ly + (c >> 1 & 1)) & blockMask_;
+            const size_t z = (lz + (c >> 2)) & blockMask_;
+            corners[c] = block + x * sx + y * sy + z;
+        }
+    }
 
     /**
      * TSDF gradient at world point @p p; bit-identical to
@@ -187,6 +264,14 @@ class SparseTsdfVolume
      * thread-local scratch first and only allocated when some voxel
      * actually fused (weight > 0), so residency tracks the observed
      * region exactly — never the conservative cull margin.
+     *
+     * Phase 3 clears the free-brick flags the dense sweep clears: the
+     * kernels' block-local z-bricks are offset to volume bricks, and
+     * because a kernel cannot mark the brick below its block, a
+     * segment that starts on a block's z = 0 face also clears that
+     * brick when the voxel there holds tsdf != 1. A block dropped on
+     * pool exhaustion may leave flags cleared over voxels that read
+     * 1; that only costs the skip.
      *
      * Not thread-safe against concurrent calls on the same volume.
      *
@@ -226,8 +311,11 @@ class SparseTsdfVolume
     const Voxel *findBlock(int bx, int by, int bz) const;
 
     /**
-     * Find-or-allocate a block (serialized on the allocation mutex;
-     * the returned storage is default-initialized when fresh).
+     * Find-or-allocate a block for direct writes (serialized on the
+     * allocation mutex; the returned storage is default-initialized
+     * when fresh). Clears the free-brick flags over the block and its
+     * apron, so whatever is written through the storage keeps the
+     * grid conservative.
      *
      * @return the block's voxel storage, or nullptr when the pool is
      *         at capacity and the block is not resident.
@@ -264,6 +352,12 @@ class SparseTsdfVolume
     }
 
   private:
+    /**
+     * allocateBlock() without touching the flags: integrate() clears
+     * them from the voxels it fused.
+     */
+    Voxel *insertBlock(int bx, int by, int bz);
+
     /** Packed non-zero hash key for block (bx, by, bz). */
     uint64_t
     blockKey(int bx, int by, int bz) const
@@ -278,9 +372,10 @@ class SparseTsdfVolume
     const Voxel *
     cachedBlock(int bx, int by, int bz, LookupCache &cache) const
     {
-        if (cache.generation != generation_) {
+        if (cache.generation != generation_ || cache.volume != id_) {
             cache = LookupCache{};
             cache.generation = generation_;
+            cache.volume = id_;
         }
         const int slot = (bx & 1) | ((by & 1) << 1) | ((bz & 1) << 2);
         const uint64_t key = blockKey(bx, by, bz);
@@ -300,6 +395,8 @@ class SparseTsdfVolume
     int resolution_;
     float size_;
     Vec3f origin_;
+    /// Process-unique, so a LookupCache never trusts another volume.
+    uint64_t id_;
     int blockSize_;
     int blockShift_; ///< log2(blockSize_)
     int blockMask_;  ///< blockSize_ - 1
@@ -331,6 +428,7 @@ class SparseTsdfVolume
 
     LambdaTable lambda_;
     std::vector<ZInterval> cullScratch_;
+    FreeBrickGrid freeBricks_;
 };
 
 } // namespace slambench::kfusion

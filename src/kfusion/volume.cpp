@@ -20,32 +20,25 @@ constexpr size_t kFreeFlagPadding = 4;
 
 } // namespace
 
-TsdfVolume::TsdfVolume(int resolution, float size_m, const Vec3f &origin)
+FreeBrickGrid::FreeBrickGrid(int resolution, float size_m,
+                             const Vec3f &origin)
     : resolution_(resolution), size_(size_m), origin_(origin),
       bricks_((resolution + kBrickEdge - 1) / kBrickEdge)
 {
-    if (resolution < 8)
-        support::fatal("TsdfVolume: resolution must be >= 8");
-    if (!(size_m > 0.0f))
-        support::fatal("TsdfVolume: size must be positive");
-    voxels_.assign(static_cast<size_t>(resolution) * resolution *
-                       resolution,
-                   Voxel{});
     // Every voxel starts at tsdf 1, so every brick starts free.
-    freeBricks_.assign(static_cast<size_t>(bricks_) * bricks_ * bricks_ +
-                           kFreeFlagPadding,
-                       1);
+    flags_.assign(static_cast<size_t>(bricks_) * bricks_ * bricks_ +
+                      kFreeFlagPadding,
+                  1);
 }
 
 void
-TsdfVolume::reset()
+FreeBrickGrid::setAll()
 {
-    std::fill(voxels_.begin(), voxels_.end(), Voxel{});
-    std::fill(freeBricks_.begin(), freeBricks_.end(), 1);
+    std::fill(flags_.begin(), flags_.end(), 1);
 }
 
 void
-TsdfVolume::clearColumnBricks(int x, int y, uint64_t *dirty)
+FreeBrickGrid::clearColumnBricks(int x, int y, uint64_t *dirty)
 {
     for (int w = 0; w * 64 < bricks_; ++w) {
         for (uint64_t bits = dirty[w]; bits != 0; bits &= bits - 1) {
@@ -57,6 +50,26 @@ TsdfVolume::clearColumnBricks(int x, int y, uint64_t *dirty)
         }
         dirty[w] = 0;
     }
+}
+
+TsdfVolume::TsdfVolume(int resolution, float size_m, const Vec3f &origin)
+    : resolution_(resolution), size_(size_m), origin_(origin),
+      freeBricks_(resolution, size_m, origin)
+{
+    if (resolution < 8)
+        support::fatal("TsdfVolume: resolution must be >= 8");
+    if (!(size_m > 0.0f))
+        support::fatal("TsdfVolume: size must be positive");
+    voxels_.assign(static_cast<size_t>(resolution) * resolution *
+                       resolution,
+                   Voxel{});
+}
+
+void
+TsdfVolume::reset()
+{
+    std::fill(voxels_.begin(), voxels_.end(), Voxel{});
+    freeBricks_.setAll();
 }
 
 bool
@@ -71,11 +84,11 @@ float
 TsdfVolume::sampleTrilinear(float px, float py, float pz,
                             bool &valid) const
 {
-    const Vec3f local = stencilLocal(px, py, pz);
+    const Vec3f local = freeBricks_.stencilLocal(px, py, pz);
     const int x0 = static_cast<int>(std::floor(local.x));
     const int y0 = static_cast<int>(std::floor(local.y));
     const int z0 = static_cast<int>(std::floor(local.z));
-    if (!stencilInBounds(x0, y0, z0)) {
+    if (!freeBricks_.stencilInBounds(x0, y0, z0)) {
         valid = false;
         return 1.0f;
     }
@@ -246,7 +259,7 @@ TsdfVolume::integrateImpl(const support::Image<float> &depth,
     // One bit per z-brick: the kernels mark the bricks whose apron
     // holds a voxel they moved off tsdf 1, and the column's free
     // flags are cleared from it.
-    const size_t dirty_words = (static_cast<size_t>(bricks_) + 63) / 64;
+    const size_t dirty_words = freeBricks_.dirtyWords();
 
     // March along voxel columns: for fixed (x, y) the camera-frame
     // position is affine in z, so compute it incrementally (this is
@@ -284,7 +297,7 @@ TsdfVolume::integrateImpl(const support::Image<float> &depth,
             // Once a surface is fused, columns rarely mark anything.
             if (std::any_of(dirty.begin(), dirty.end(),
                             [](uint64_t w) { return w != 0; }))
-                clearColumnBricks(x, y, dirty.data());
+                freeBricks_.clearColumnBricks(x, y, dirty.data());
         }
         visited_total.fetch_add(visited, std::memory_order_relaxed);
         culled_total.fetch_add(culled, std::memory_order_relaxed);

@@ -7,6 +7,7 @@
  * fusion, the map representation of KinectFusion.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
@@ -43,6 +44,176 @@ struct Voxel
 };
 
 /**
+ * Free-space bricks of a cubic voxel grid: one flag byte per
+ * kBrickEdge^3 brick. A set flag means every voxel of the brick, plus
+ * a one-voxel apron on its +x/+y/+z faces, holds tsdf == 1.0f
+ * exactly, so any 2x2x2 stencil based in the brick samples "about 1"
+ * (or is invalid) and the ray marcher may skip the fetch
+ * (sampleIsFree).
+ *
+ * Both volumes own one. The flags depend only on voxel values, which
+ * are bit-identical between the volumes (an unallocated sparse voxel
+ * reads as tsdf 1), so after the same integrates both grids hold the
+ * same bytes. The owner sets every flag at construction and reset();
+ * integrate only ever clears them.
+ *
+ * The grid also holds the interpolation stencil's geometry
+ * (stencilLocal / stencilInBounds), which both volumes' samplers use,
+ * so the brick sampleIsFree tests is the one the fetch reads.
+ */
+class FreeBrickGrid
+{
+  public:
+    /**
+     * @param resolution Voxels per edge.
+     * @param size_m Edge length in meters.
+     * @param origin World position of the minimum corner.
+     */
+    FreeBrickGrid(int resolution, float size_m, const Vec3f &origin);
+
+    /** @return bricks per edge: ceil(resolution / kBrickEdge). */
+    int bricksPerEdge() const { return bricks_; }
+
+    /**
+     * The flags, indexed (bx * B + by) * B + bz with
+     * B = bricksPerEdge(); nonzero = free. Four readable padding
+     * bytes follow the last flag, so a 32-bit load at any flag stays
+     * inside the allocation.
+     */
+    const uint8_t *flags() const { return flags_.data(); }
+
+    /** @return whether brick (bx, by, bz) is flagged free. */
+    bool
+    brickFree(int bx, int by, int bz) const
+    {
+        return flags_[brickIndex(bx, by, bz)] != 0;
+    }
+
+    /** Flag every brick free (every voxel holds tsdf 1 again). */
+    void setAll();
+
+    /**
+     * The ray marcher's fetch-policy predicate: true when interp(p)
+     * is known without a fetch to be invalid or >= 0.8, because the
+     * sample's 2x2x2 stencil is out of bounds or based in a free
+     * brick (all eight corners hold tsdf 1).
+     */
+    bool
+    sampleIsFree(const Vec3f &p) const
+    {
+        const Vec3f local = stencilLocal(p.x, p.y, p.z);
+        const int x0 = static_cast<int>(std::floor(local.x));
+        const int y0 = static_cast<int>(std::floor(local.y));
+        const int z0 = static_cast<int>(std::floor(local.z));
+        if (!stencilInBounds(x0, y0, z0))
+            return true;
+        return flags_[brickIndex(x0 >> kBrickShift, y0 >> kBrickShift,
+                                 z0 >> kBrickShift)] != 0;
+    }
+
+    /** interp()'s voxel-center-relative stencil coordinates of p. */
+    Vec3f
+    stencilLocal(float px, float py, float pz) const
+    {
+        const float vs = size_ / resolution_;
+        // Shift by half a voxel so samples are taken at voxel centers.
+        return (Vec3f{px, py, pz} - origin_) * (1.0f / vs) -
+               Vec3f{0.5f, 0.5f, 0.5f};
+    }
+
+    /** @return whether the stencil based at (x0, y0, z0) fits. */
+    bool
+    stencilInBounds(int x0, int y0, int z0) const
+    {
+        return !(x0 < 0 || y0 < 0 || z0 < 0 || x0 + 1 >= resolution_ ||
+                 y0 + 1 >= resolution_ || z0 + 1 >= resolution_);
+    }
+
+    /**
+     * Clear the flag of every brick whose apron holds voxel
+     * (x, y, z).
+     */
+    void clearVoxel(int x, int y, int z) { clearBox(x, y, z, x, y, z); }
+
+    /**
+     * Clear the flag of every brick whose apron holds a voxel of the
+     * box [x0, x1] x [y0, y1] x [z0, z1] (inclusive, clamped to the
+     * grid).
+     */
+    void
+    clearBox(int x0, int y0, int z0, int x1, int y1, int z1)
+    {
+        const int last = resolution_ - 1;
+        x1 = std::min(x1, last);
+        y1 = std::min(y1, last);
+        z1 = std::min(z1, last);
+        for (int bx = apronLow(x0); bx <= (x1 >> kBrickShift); ++bx)
+            for (int by = apronLow(y0); by <= (y1 >> kBrickShift); ++by)
+                for (int bz = apronLow(z0); bz <= (z1 >> kBrickShift);
+                     ++bz)
+                    clearBrick(brickIndex(bx, by, bz));
+    }
+
+    /**
+     * Clear the flags column (x, y) dirtied: every brick whose apron
+     * holds voxel column (x, y) at a z-brick set in @p dirty (one bit
+     * per z-brick, dirtyWords() words, as the integrateColumn kernels
+     * report). Zeroes @p dirty for the next column. Pool workers may
+     * call it concurrently.
+     */
+    void clearColumnBricks(int x, int y, uint64_t *dirty);
+
+    /** @return 64-bit words of a column's z-brick bitset. */
+    size_t
+    dirtyWords() const
+    {
+        return (static_cast<size_t>(bricks_) + 63) / 64;
+    }
+
+  private:
+    size_t
+    brickIndex(int bx, int by, int bz) const
+    {
+        return (static_cast<size_t>(bx) * bricks_ +
+                static_cast<size_t>(by)) *
+                   bricks_ +
+               static_cast<size_t>(bz);
+    }
+
+    /**
+     * @return the lowest brick coordinate whose apron holds voxel
+     * coordinate @p v: a voxel on a brick's low face is also the
+     * apron of the brick below it.
+     */
+    static int
+    apronLow(int v)
+    {
+        return (v & (kBrickEdge - 1)) == 0 && v > 0
+                   ? (v >> kBrickShift) - 1
+                   : v >> kBrickShift;
+    }
+
+    /**
+     * Clear one flag. Pool workers fusing neighboring columns clear
+     * shared bricks concurrently, hence the relaxed atomic (the load
+     * first keeps already-cleared lines shared).
+     */
+    void
+    clearBrick(size_t brick)
+    {
+        std::atomic_ref<uint8_t> flag(flags_[brick]);
+        if (flag.load(std::memory_order_relaxed) != 0)
+            flag.store(0, std::memory_order_relaxed);
+    }
+
+    int resolution_;
+    float size_;
+    Vec3f origin_;
+    int bricks_;
+    std::vector<uint8_t> flags_;
+};
+
+/**
  * Cubic, uniform TSDF volume positioned in world space.
  *
  * Values are normalized: tsdf = clamp(signed_distance / mu, -1, 1).
@@ -52,13 +223,8 @@ struct Voxel
  * integration sweep along a (x, y) voxel column and the 2x2x2
  * interpolation stencil both touch adjacent memory.
  *
- * Free-space bricks: the volume also keeps one flag byte per
- * kBrickEdge^3 brick. A set flag means every voxel of the brick, plus
- * a one-voxel apron on its +x/+y/+z faces, holds tsdf == 1.0f
- * exactly, so any 2x2x2 stencil based in the brick samples "about 1"
- * (or is invalid) and the ray marcher may skip the fetch
- * (sampleIsFree). The constructor and reset() set every flag;
- * integrate() and the mutable at() only ever clear them.
+ * The volume keeps a FreeBrickGrid: the constructor and reset() set
+ * every flag; integrate() and the mutable at() only ever clear them.
  */
 class TsdfVolume
 {
@@ -89,11 +255,7 @@ class TsdfVolume
     Voxel &
     at(int x, int y, int z)
     {
-        for (int bx = apronLow(x); bx <= (x >> kBrickShift); ++bx)
-            for (int by = apronLow(y); by <= (y >> kBrickShift); ++by)
-                for (int bz = apronLow(z); bz <= (z >> kBrickShift);
-                     ++bz)
-                    clearBrick(brickIndex(bx, by, bz));
+        freeBricks_.clearVoxel(x, y, z);
         return voxels_[index(x, y, z)];
     }
 
@@ -128,45 +290,8 @@ class TsdfVolume
     /** @return true when @p p (world) lies inside the volume. */
     bool contains(const Vec3f &p) const;
 
-    /** @return bricks per edge: ceil(resolution / kBrickEdge). */
-    int bricksPerEdge() const { return bricks_; }
-
-    /**
-     * Free-brick flags, indexed (bx * B + by) * B + bz with
-     * B = bricksPerEdge(); nonzero = free (see the class comment).
-     * Four readable padding bytes follow the last flag, so a 32-bit
-     * load at any flag stays inside the allocation.
-     */
-    const uint8_t *freeBricks() const { return freeBricks_.data(); }
-
-    /** @return whether brick (bx, by, bz) is flagged free. */
-    bool
-    brickFree(int bx, int by, int bz) const
-    {
-        return freeBricks_[brickIndex(bx, by, bz)] != 0;
-    }
-
-    /**
-     * The ray marcher's fetch-policy predicate: true when interp(p)
-     * is known without a fetch to be invalid or >= 0.8, because the
-     * sample's 2x2x2 stencil is out of bounds or based in a free
-     * brick (all eight corners hold tsdf 1). Repeats interp()'s exact
-     * stencil arithmetic, so the brick tested is the one the fetch
-     * would read.
-     */
-    bool
-    sampleIsFree(const Vec3f &p) const
-    {
-        const Vec3f local = stencilLocal(p.x, p.y, p.z);
-        const int x0 = static_cast<int>(std::floor(local.x));
-        const int y0 = static_cast<int>(std::floor(local.y));
-        const int z0 = static_cast<int>(std::floor(local.z));
-        if (!stencilInBounds(x0, y0, z0))
-            return true;
-        return freeBricks_[brickIndex(x0 >> kBrickShift,
-                                      y0 >> kBrickShift,
-                                      z0 >> kBrickShift)] != 0;
-    }
+    /** @return the free-brick flags (see FreeBrickGrid). */
+    const FreeBrickGrid &freeBricks() const { return freeBricks_; }
 
     /**
      * Trilinearly interpolated TSDF at world point @p p.
@@ -264,67 +389,6 @@ class TsdfVolume
                static_cast<size_t>(z);
     }
 
-    size_t
-    brickIndex(int bx, int by, int bz) const
-    {
-        return (static_cast<size_t>(bx) * bricks_ +
-                static_cast<size_t>(by)) *
-                   bricks_ +
-               static_cast<size_t>(bz);
-    }
-
-    /**
-     * @return the lowest brick coordinate whose apron holds voxel
-     * coordinate @p v: a voxel on a brick's low face is also the
-     * apron of the brick below it.
-     */
-    static int
-    apronLow(int v)
-    {
-        return (v & (kBrickEdge - 1)) == 0 && v > 0
-                   ? (v >> kBrickShift) - 1
-                   : v >> kBrickShift;
-    }
-
-    /**
-     * Clear one free flag. Pool workers fusing neighboring columns
-     * clear shared bricks concurrently, hence the relaxed atomic
-     * (the load first keeps already-cleared lines shared).
-     */
-    void
-    clearBrick(size_t brick)
-    {
-        std::atomic_ref<uint8_t> flag(freeBricks_[brick]);
-        if (flag.load(std::memory_order_relaxed) != 0)
-            flag.store(0, std::memory_order_relaxed);
-    }
-
-    /**
-     * Clear the flags column (x, y) dirtied: every brick whose apron
-     * holds voxel column (x, y) at a z-brick set in @p dirty (one bit
-     * per z-brick, as the integrateColumn kernels report). Zeroes
-     * @p dirty for the next column.
-     */
-    void clearColumnBricks(int x, int y, uint64_t *dirty);
-
-    /** interp()'s voxel-center-relative stencil coordinates of p. */
-    Vec3f
-    stencilLocal(float px, float py, float pz) const
-    {
-        const float vs = voxelSize();
-        // Shift by half a voxel so samples are taken at voxel centers.
-        return (Vec3f{px, py, pz} - origin_) * (1.0f / vs) -
-               Vec3f{0.5f, 0.5f, 0.5f};
-    }
-
-    /** @return whether the stencil based at (x0, y0, z0) fits. */
-    bool
-    stencilInBounds(int x0, int y0, int z0) const
-    {
-        return !(x0 < 0 || y0 < 0 || z0 < 0 || x0 + 1 >= resolution_ ||
-                 y0 + 1 >= resolution_ || z0 + 1 >= resolution_);
-    }
-
     /**
      * Trilinear sample with interp()'s exact arithmetic but a single
      * base-index computation; the building block of grad().
@@ -344,8 +408,7 @@ class TsdfVolume
     float size_;
     Vec3f origin_;
     std::vector<Voxel> voxels_;
-    int bricks_;
-    std::vector<uint8_t> freeBricks_;
+    FreeBrickGrid freeBricks_;
     const KernelBackend *backend_ = nullptr;
     LambdaTable lambda_;
 };

@@ -144,6 +144,7 @@ class SparseVolume final : public VolumeBackend
     void
     setKernelBackend(const KernelBackend *backend) override
     {
+        backend_ = backend;
         volume_.setBackend(backend);
     }
 
@@ -190,7 +191,8 @@ class SparseVolume final : public VolumeBackend
             support::ThreadPool *pool) const override
     {
         raycastKernel(vertex_out, normal_out, volume_, intrinsics,
-                      camera_to_world, params, counts, pool);
+                      camera_to_world, params, counts, pool,
+                      backend_);
     }
 
     void
@@ -201,7 +203,7 @@ class SparseVolume final : public VolumeBackend
                  support::ThreadPool *pool) const override
     {
         renderVolumeKernel(out, volume_, intrinsics, camera_to_world,
-                           params, counts, pool);
+                           params, counts, pool, backend_);
     }
 
     TriangleMesh
@@ -223,6 +225,7 @@ class SparseVolume final : public VolumeBackend
 
   private:
     SparseTsdfVolume volume_;
+    const KernelBackend *backend_ = nullptr;
 };
 
 } // namespace

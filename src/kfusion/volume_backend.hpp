@@ -16,10 +16,10 @@
  *
  * The volume backend (map data structure) is orthogonal to the
  * kernel backend (scalar/simd instruction flavor): both volume
- * backends fuse columns through the selected KernelBackend, while
- * ray marching runs the dense backend's packet caster or the sparse
- * backend's block-cached scalar sampler — all combinations are
- * bit-exact against each other by the parity contract.
+ * backends fuse columns and cast ray packets through the selected
+ * KernelBackend, which samples the dense voxel array or resolves the
+ * sparse blocks per lane — all combinations are bit-exact against
+ * each other by the parity contract.
  */
 
 #include <memory>
@@ -58,8 +58,8 @@ class VolumeBackend
     virtual void reset() = 0;
 
     /**
-     * Select the kernel backend integrate() fuses with (and, for the
-     * dense volume, raycasts with); nullptr = scalar reference.
+     * Select the kernel backend integrate() fuses with and raycast()
+     * and renderVolume() march with; nullptr = scalar reference.
      */
     virtual void setKernelBackend(const KernelBackend *backend) = 0;
 

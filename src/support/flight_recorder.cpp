@@ -1,6 +1,7 @@
 #include "support/flight_recorder.hpp"
 
 #include <cstring>
+#include <iterator>
 
 #include <fcntl.h>
 #include <signal.h>
@@ -201,6 +202,10 @@ std::atomic<bool> g_crash_dumping{false};
 /** Signals covered by the handler. */
 constexpr int kCrashSignals[] = {SIGSEGV, SIGABRT, SIGBUS, SIGFPE,
                                  SIGILL,  SIGTERM, SIGINT};
+/** Whether the handler is installed (g_saved_actions is live). */
+bool g_crash_installed = false;
+/** The dispositions the handler replaced, per kCrashSignals entry. */
+struct sigaction g_saved_actions[std::size(kCrashSignals)];
 
 extern "C" void
 slambenchCrashHandler(int sig)
@@ -345,8 +350,23 @@ installCrashDump(const std::string &path,
     std::memset(&sa, 0, sizeof(sa));
     sa.sa_handler = slambenchCrashHandler;
     ::sigemptyset(&sa.sa_mask);
-    for (const int sig : kCrashSignals)
-        ::sigaction(sig, &sa, nullptr);
+    // Only the first install saves: a re-install would save the
+    // handler itself.
+    for (size_t i = 0; i < std::size(kCrashSignals); ++i)
+        ::sigaction(kCrashSignals[i], &sa,
+                    g_crash_installed ? nullptr : &g_saved_actions[i]);
+    g_crash_installed = true;
+}
+
+void
+uninstallCrashDump()
+{
+    if (!g_crash_installed)
+        return;
+    for (size_t i = 0; i < std::size(kCrashSignals); ++i)
+        ::sigaction(kCrashSignals[i], &g_saved_actions[i], nullptr);
+    g_crash_installed = false;
+    g_crash_path[0] = '\0';
 }
 
 const char *

@@ -191,6 +191,14 @@ class FlightRecorder
 void installCrashDump(const std::string &path,
                       const std::string &generator);
 
+/**
+ * Undo installCrashDump: restore the signal dispositions it replaced
+ * (those in place at the first install since the last uninstall) and
+ * clear crashDumpPath(). The dump reads registry metrics, so whoever
+ * owns them uninstalls before they go. No-op when not installed.
+ */
+void uninstallCrashDump();
+
 /** @return the installed crash-dump path ("" when not installed). */
 const char *crashDumpPath();
 

@@ -845,6 +845,7 @@ TelemetryEndpoint::~TelemetryEndpoint()
     server_.stop();
     setLiveTelemetry(false);
     SloWatchdog::instance().reset();
+    uninstallCrashDump();
 }
 
 } // namespace slambench::support::telemetry

@@ -201,7 +201,9 @@ struct TelemetryOptions
  * "telemetry: listening on http://127.0.0.1:<port>" at INFO). A
  * default-constructed endpoint — or one built from options where
  * TelemetryOptions::any() is false — does nothing at all. The
- * destructor stops the server and disarms the hook and watchdog.
+ * destructor stops the server, disarms the hook and watchdog, and
+ * uninstalls the crash dump (restoring the signal dispositions it
+ * replaced).
  */
 class TelemetryEndpoint
 {

@@ -779,6 +779,8 @@ TEST_F(SparseFusedVolume, CastRayMatchesDense)
 
 TEST_F(SparseFusedVolume, RaycastKernelMatchesDenseSerialAndPooled)
 {
+    // Every backend's sparse packet caster against the dense scalar
+    // reference.
     const RaycastParams params = testParams(volume_);
     const Mat4f views[] = {
         Mat4f{},
@@ -792,21 +794,24 @@ TEST_F(SparseFusedVolume, RaycastKernelMatchesDenseSerialAndPooled)
         WorkCounts counts;
         raycastKernel(vertex_ref, normal_ref, volume_, k_, view,
                       params, counts, nullptr);
-        for (ThreadPool *p : {static_cast<ThreadPool *>(nullptr),
-                              &pool}) {
-            Image<Vec3f> vertex, normal;
-            raycastKernel(vertex, normal, sparse_, k_, view, params,
-                          counts, p);
-            ASSERT_EQ(vertex.size(), vertex_ref.size());
-            for (size_t i = 0; i < vertex.size(); ++i) {
-                ASSERT_EQ(vertex[i].x, vertex_ref[i].x)
-                    << "pixel " << i;
-                ASSERT_EQ(vertex[i].y, vertex_ref[i].y);
-                ASSERT_EQ(vertex[i].z, vertex_ref[i].z);
-                ASSERT_EQ(normal[i].x, normal_ref[i].x)
-                    << "pixel " << i;
-                ASSERT_EQ(normal[i].y, normal_ref[i].y);
-                ASSERT_EQ(normal[i].z, normal_ref[i].z);
+        for (const std::string &name : kernelBackendNames()) {
+            SCOPED_TRACE(name);
+            for (ThreadPool *p : {static_cast<ThreadPool *>(nullptr),
+                                  &pool}) {
+                Image<Vec3f> vertex, normal;
+                raycastKernel(vertex, normal, sparse_, k_, view, params,
+                              counts, p, findKernelBackend(name));
+                ASSERT_EQ(vertex.size(), vertex_ref.size());
+                for (size_t i = 0; i < vertex.size(); ++i) {
+                    ASSERT_EQ(vertex[i].x, vertex_ref[i].x)
+                        << "pixel " << i;
+                    ASSERT_EQ(vertex[i].y, vertex_ref[i].y);
+                    ASSERT_EQ(vertex[i].z, vertex_ref[i].z);
+                    ASSERT_EQ(normal[i].x, normal_ref[i].x)
+                        << "pixel " << i;
+                    ASSERT_EQ(normal[i].y, normal_ref[i].y);
+                    ASSERT_EQ(normal[i].z, normal_ref[i].z);
+                }
             }
         }
     }
@@ -820,13 +825,16 @@ TEST_F(SparseFusedVolume, RenderVolumeMatchesDense)
     ThreadPool pool(3);
     renderVolumeKernel(reference, volume_, k_, Mat4f{}, params,
                        counts, nullptr);
-    renderVolumeKernel(tested, sparse_, k_, Mat4f{}, params, counts,
-                       &pool);
-    ASSERT_EQ(tested.size(), reference.size());
-    for (size_t i = 0; i < tested.size(); ++i) {
-        ASSERT_EQ(tested[i].r, reference[i].r) << "pixel " << i;
-        ASSERT_EQ(tested[i].g, reference[i].g);
-        ASSERT_EQ(tested[i].b, reference[i].b);
+    for (const std::string &name : kernelBackendNames()) {
+        SCOPED_TRACE(name);
+        renderVolumeKernel(tested, sparse_, k_, Mat4f{}, params, counts,
+                           &pool, findKernelBackend(name));
+        ASSERT_EQ(tested.size(), reference.size());
+        for (size_t i = 0; i < tested.size(); ++i) {
+            ASSERT_EQ(tested[i].r, reference[i].r) << "pixel " << i;
+            ASSERT_EQ(tested[i].g, reference[i].g);
+            ASSERT_EQ(tested[i].b, reference[i].b);
+        }
     }
 }
 
@@ -879,10 +887,12 @@ TEST(SparseParity, PipelinePosesMatchDenseExactly)
 TEST(BackendParity, PipelinePosesMatchScalarExactly)
 {
     // End-to-end: the full pipeline must produce bit-identical poses
-    // and per-frame work counts under every backend, because each
-    // kernel is bit-exact and both are pure functions of the kernel
-    // outputs. Equal work is what lets the DSE run its host pipeline
-    // on any backend while the device model sees the sampled one.
+    // and per-frame work counts under every backend, on either volume
+    // (the sparse one with an unbounded pool), because each kernel is
+    // bit-exact and both are pure functions of the kernel outputs.
+    // Equal work is what lets the DSE run its host pipeline on any
+    // backend (or volume) while the device model sees the sampled
+    // one.
     slambench::dataset::SequenceSpec spec;
     spec.width = 80;
     spec.height = 60;
@@ -903,33 +913,36 @@ TEST(BackendParity, PipelinePosesMatchScalarExactly)
             reference.push_back(kf.processFrame(frame.depthMm));
     }
 
-    for (const std::string &name : kernelBackendNames()) {
-        SCOPED_TRACE(name);
-        KFusionConfig cfg = config;
-        cfg.kernelBackend = name;
-        KFusion kf(cfg, seq.intrinsics);
-        kf.setPose(seq.groundTruth.pose(0));
-        for (size_t f = 0; f < seq.frames.size(); ++f) {
-            SCOPED_TRACE(f);
-            const FrameResult result =
-                kf.processFrame(seq.frames[f].depthMm);
-            for (int r = 0; r < 4; ++r)
-                for (int c = 0; c < 4; ++c)
-                    ASSERT_EQ(result.pose(r, c),
-                              reference[f].pose(r, c))
-                        << "element (" << r << ", " << c << ")";
-            // Raycast items are the ray-march step counts.
-            for (size_t k = 0; k < kNumKernels; ++k) {
-                const auto id = static_cast<KernelId>(k);
-                EXPECT_EQ(result.work.itemsFor(id),
-                          reference[f].work.itemsFor(id))
-                    << kernelName(id);
-                EXPECT_EQ(result.work.skippedFor(id),
-                          reference[f].work.skippedFor(id))
-                    << kernelName(id);
-                EXPECT_EQ(result.work.bytesFor(id),
-                          reference[f].work.bytesFor(id))
-                    << kernelName(id);
+    for (const std::string volume : {"dense", "sparse"}) {
+        for (const std::string &name : kernelBackendNames()) {
+            SCOPED_TRACE(volume + " " + name);
+            KFusionConfig cfg = config;
+            cfg.kernelBackend = name;
+            cfg.volumeBackend = volume;
+            KFusion kf(cfg, seq.intrinsics);
+            kf.setPose(seq.groundTruth.pose(0));
+            for (size_t f = 0; f < seq.frames.size(); ++f) {
+                SCOPED_TRACE(f);
+                const FrameResult result =
+                    kf.processFrame(seq.frames[f].depthMm);
+                for (int r = 0; r < 4; ++r)
+                    for (int c = 0; c < 4; ++c)
+                        ASSERT_EQ(result.pose(r, c),
+                                  reference[f].pose(r, c))
+                            << "element (" << r << ", " << c << ")";
+                // Raycast items are the ray-march step counts.
+                for (size_t k = 0; k < kNumKernels; ++k) {
+                    const auto id = static_cast<KernelId>(k);
+                    EXPECT_EQ(result.work.itemsFor(id),
+                              reference[f].work.itemsFor(id))
+                        << kernelName(id);
+                    EXPECT_EQ(result.work.skippedFor(id),
+                              reference[f].work.skippedFor(id))
+                        << kernelName(id);
+                    EXPECT_EQ(result.work.bytesFor(id),
+                              reference[f].work.bytesFor(id))
+                        << kernelName(id);
+                }
             }
         }
     }
@@ -937,9 +950,10 @@ TEST(BackendParity, PipelinePosesMatchScalarExactly)
 
 // --- free-space skip ---
 //
-// The dense caster skips the fetch of samples in free bricks. The
-// reference is the same castRayCore with the NeverFree policy, so
-// any difference in hits or steps is the skip's fault.
+// Both volumes skip the fetch of samples in free bricks. The
+// reference is the same castRayCore with the NeverFree policy, so any
+// difference in hits or steps is the skip's fault. Every fixture runs
+// on the dense volume and on sparse volumes of block size 8 and 16.
 
 /** Metric depth of a sphere seen from @p camera_to_world (0 = miss). */
 Image<float>
@@ -979,36 +993,37 @@ sphereViews()
 }
 
 /**
- * A 60^3 volume (not a multiple of the brick edge: the last brick of
- * each axis is partial) with a sphere of radius 0.35 m fused from
- * every sphereViews() pose.
+ * Fuse a sphere of radius 0.35 m from every sphereViews() pose into a
+ * volume of the skip fixtures' geometry (kSkipResolution = 60, not a
+ * multiple of the brick edge: the last brick of each axis is partial).
  */
-TsdfVolume
-fusedSphere(const KernelBackend *backend, ThreadPool *pool)
+template <typename Volume>
+void
+fuseSphere(Volume &volume, const KernelBackend *backend, ThreadPool *pool)
 {
     const auto k = CameraIntrinsics::fromFov(64, 48, 1.2f);
-    TsdfVolume volume(60, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
     volume.setBackend(backend);
     WorkCounts counts;
     for (const Mat4f &pose : sphereViews())
         volume.integrate(
             sphereDepth(k, pose, Vec3f{0.0f, 0.0f, 1.0f}, 0.35f), k,
             pose, 0.1f, 100.0f, counts, pool);
-    return volume;
 }
 
 /**
- * The fusedSphere() volume's geometry with three flat walls fused
- * from cameras looking along +z, +x and +y instead. Each wall's depth
- * puts the outer edge of its truncation band exactly on a brick face,
- * so the first voxel layer past the face is the only one fused below
- * 1: the brick before the face is clean except for its apron.
+ * The sphere fixture's geometry with three flat walls fused from
+ * cameras looking along +z, +x and +y instead. Each wall's depth puts
+ * the outer edge of its truncation band exactly on a brick face (and,
+ * for the +z wall at z = 32, on a sparse block face of either block
+ * size), so the first voxel layer past the face is the only one fused
+ * below 1: the brick before the face is clean except for its apron.
  */
-TsdfVolume
-fusedFaceWalls(const KernelBackend *backend, ThreadPool *pool)
+template <typename Volume>
+void
+fuseFaceWalls(Volume &volume, const KernelBackend *backend,
+              ThreadPool *pool)
 {
     const auto k = CameraIntrinsics::fromFov(48, 40, 0.8f);
-    TsdfVolume volume(60, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
     volume.setBackend(backend);
     const float mu = 0.1f;
     const float vs = volume.voxelSize();
@@ -1035,12 +1050,50 @@ fusedFaceWalls(const KernelBackend *backend, ThreadPool *pool)
             slambench::math::lookAt(w.eye, w.eye + w.forward, w.up), mu,
             100.0f, counts, pool);
     }
-    return volume;
+}
+
+/** The skip fixtures' volume geometry. */
+constexpr int kSkipResolution = 60;
+const Vec3f kSkipOrigin{-1.0f, -1.0f, 0.0f};
+
+/**
+ * Build the fixture @p fuse (volume&) in the dense volume and in
+ * sparse volumes of block size 8 and 16 (unbounded pools), and run
+ * @p check (volume&) on each.
+ */
+template <typename Fuse, typename Check>
+void
+forEachSkipVolume(const Fuse &fuse, const Check &check)
+{
+    {
+        SCOPED_TRACE("dense");
+        TsdfVolume volume(kSkipResolution, 2.0f, kSkipOrigin);
+        fuse(volume);
+        check(volume);
+    }
+    for (int block_size : {8, 16}) {
+        SCOPED_TRACE(testing::Message() << "sparse, block " << block_size);
+        SparseTsdfVolume volume(kSkipResolution, 2.0f, kSkipOrigin,
+                                block_size, 0);
+        fuse(volume);
+        check(volume);
+    }
+}
+
+/** forEachSkipVolume over the sphere fixture, fused serially. */
+template <typename Check>
+void
+forEachSphereVolume(const Check &check)
+{
+    forEachSkipVolume(
+        [](auto &volume) { fuseSphere(volume, nullptr, nullptr); },
+        check);
 }
 
 /** Fine step one voxel, coarse step about one brick (8 voxels). */
+template <typename Volume>
 RaycastParams
-skipParams(const TsdfVolume &volume, float large_step)
+skipParams(const Volume &volume, float large_step)
 {
     RaycastParams params;
     params.nearPlane = 0.0f;
@@ -1050,6 +1103,20 @@ skipParams(const TsdfVolume &volume, float large_step)
     return params;
 }
 
+/** castRayCore on @p volume with the NeverFree reference policy. */
+template <typename Volume>
+RayHit
+marchNeverFree(const Volume &volume, const Vec3f &origin,
+               const Vec3f &dir, const RaycastParams &params)
+{
+    RayHit ray;
+    castRayCore(
+        volume.origin(), volume.size(), origin, dir, params,
+        [&](const Vec3f &p, bool &valid) { return volume.interp(p, valid); },
+        NeverFree{}, ray);
+    return ray;
+}
+
 /** One march with the free-brick skip, one without. */
 struct SkipPair
 {
@@ -1057,20 +1124,18 @@ struct SkipPair
     RayHit reference;
 };
 
+template <typename Volume>
 SkipPair
-marchBoth(const TsdfVolume &volume, const Vec3f &origin,
-          const Vec3f &dir, const RaycastParams &params)
+marchBoth(const Volume &volume, const Vec3f &origin, const Vec3f &dir,
+          const RaycastParams &params)
 {
-    const auto interp = [&](const Vec3f &p, bool &valid) {
-        return volume.interp(p, valid);
-    };
     SkipPair pair;
-    castRayCore(volume.origin(), volume.size(), origin, dir, params,
-                interp,
-                [&](const Vec3f &p) { return volume.sampleIsFree(p); },
-                pair.skip);
-    castRayCore(volume.origin(), volume.size(), origin, dir, params,
-                interp, NeverFree{}, pair.reference);
+    castRayCore(
+        volume.origin(), volume.size(), origin, dir, params,
+        [&](const Vec3f &p, bool &valid) { return volume.interp(p, valid); },
+        [&](const Vec3f &p) { return volume.freeBricks().sampleIsFree(p); },
+        pair.skip);
+    pair.reference = marchNeverFree(volume, origin, dir, params);
     return pair;
 }
 
@@ -1101,32 +1166,33 @@ randomDir(Rng &rng)
 
 TEST(FreeSpaceSkip, RandomRaysOnFusedSphereMatchNeverFree)
 {
-    const TsdfVolume volume = fusedSphere(nullptr, nullptr);
-    Rng rng(71);
-    for (float large : {0.075f, 0.25f}) {
-        const RaycastParams params = skipParams(volume, large);
-        int hits = 0;
-        long long skipped = 0;
-        for (int i = 0; i < 4000; ++i) {
-            const Vec3f origin{
-                static_cast<float>(rng.uniform(-1.2, 1.2)),
-                static_cast<float>(rng.uniform(-1.2, 1.2)),
-                static_cast<float>(rng.uniform(-0.2, 2.2))};
-            // Every other ray is aimed at the sphere.
-            const Vec3f target =
-                Vec3f{0.0f, 0.0f, 1.0f} + randomDir(rng) * 0.3f;
-            const Vec3f dir = i % 2 ? (target - origin).normalized()
-                                    : randomDir(rng);
-            const SkipPair r = marchBoth(volume, origin, dir, params);
-            SCOPED_TRACE(i);
-            expectSameRay(r.skip, r.reference);
-            EXPECT_EQ(r.reference.skipped, 0);
-            hits += r.skip.found;
-            skipped += r.skip.skipped;
+    forEachSphereVolume([](const auto &volume) {
+        Rng rng(71);
+        for (float large : {0.075f, 0.25f}) {
+            const RaycastParams params = skipParams(volume, large);
+            int hits = 0;
+            long long skipped = 0;
+            for (int i = 0; i < 4000; ++i) {
+                const Vec3f origin{
+                    static_cast<float>(rng.uniform(-1.2, 1.2)),
+                    static_cast<float>(rng.uniform(-1.2, 1.2)),
+                    static_cast<float>(rng.uniform(-0.2, 2.2))};
+                // Every other ray is aimed at the sphere.
+                const Vec3f target =
+                    Vec3f{0.0f, 0.0f, 1.0f} + randomDir(rng) * 0.3f;
+                const Vec3f dir = i % 2 ? (target - origin).normalized()
+                                        : randomDir(rng);
+                const SkipPair r = marchBoth(volume, origin, dir, params);
+                SCOPED_TRACE(i);
+                expectSameRay(r.skip, r.reference);
+                EXPECT_EQ(r.reference.skipped, 0);
+                hits += r.skip.found;
+                skipped += r.skip.skipped;
+            }
+            EXPECT_GT(hits, 1000);
+            EXPECT_GT(skipped, 10000);
         }
-        EXPECT_GT(hits, 1000);
-        EXPECT_GT(skipped, 10000);
-    }
+    });
 }
 
 TEST(FreeSpaceSkip, CrossingRightAfterSkippedSampleRefetches)
@@ -1134,53 +1200,57 @@ TEST(FreeSpaceSkip, CrossingRightAfterSkippedSampleRefetches)
     // A coarse step of three truncation bands jumps from a free
     // brick straight into the surface, so the crossing's f_t is the
     // skipped sample's, fetched again at its stored t.
-    const TsdfVolume volume = fusedSphere(nullptr, nullptr);
-    const RaycastParams params = skipParams(volume, 0.3f);
-    const Vec3f center{0.0f, 0.0f, 1.0f};
-    Rng rng(72);
-    int after_skip = 0;
-    for (int i = 0; i < 3000; ++i) {
-        // Rays from outside the sphere aimed near its center.
-        const Vec3f origin = center + randomDir(rng) * 0.9f;
-        const Vec3f target =
-            center + randomDir(rng) *
-                         static_cast<float>(rng.uniform(0.0, 0.3));
-        const Vec3f dir = (target - origin).normalized();
-        const SkipPair r = marchBoth(volume, origin, dir, params);
-        SCOPED_TRACE(i);
-        expectSameRay(r.skip, r.reference);
-        if (!r.skip.found)
-            continue;
-        // Replay the skip march's decisions: was the sample before
-        // the crossing skipped?
-        std::vector<bool> decisions;
-        RayHit replay;
-        castRayCore(
-            volume.origin(), volume.size(), origin, dir, params,
-            [&](const Vec3f &p, bool &valid) {
-                return volume.interp(p, valid);
-            },
-            [&](const Vec3f &p) {
-                decisions.push_back(volume.sampleIsFree(p));
-                return decisions.back();
-            },
-            replay);
-        ASSERT_GE(decisions.size(), 2u);
-        after_skip += decisions[decisions.size() - 2];
-    }
-    EXPECT_GT(after_skip, 100);
+    forEachSphereVolume([](const auto &volume) {
+        const RaycastParams params = skipParams(volume, 0.3f);
+        const Vec3f center{0.0f, 0.0f, 1.0f};
+        Rng rng(72);
+        int after_skip = 0;
+        for (int i = 0; i < 3000; ++i) {
+            // Rays from outside the sphere aimed near its center.
+            const Vec3f origin = center + randomDir(rng) * 0.9f;
+            const Vec3f target =
+                center + randomDir(rng) *
+                             static_cast<float>(rng.uniform(0.0, 0.3));
+            const Vec3f dir = (target - origin).normalized();
+            const SkipPair r = marchBoth(volume, origin, dir, params);
+            SCOPED_TRACE(i);
+            expectSameRay(r.skip, r.reference);
+            if (!r.skip.found)
+                continue;
+            // Replay the skip march's decisions: was the sample before
+            // the crossing skipped?
+            std::vector<bool> decisions;
+            RayHit replay;
+            castRayCore(
+                volume.origin(), volume.size(), origin, dir, params,
+                [&](const Vec3f &p, bool &valid) {
+                    return volume.interp(p, valid);
+                },
+                [&](const Vec3f &p) {
+                    decisions.push_back(
+                        volume.freeBricks().sampleIsFree(p));
+                    return decisions.back();
+                },
+                replay);
+            ASSERT_GE(decisions.size(), 2u);
+            after_skip += decisions[decisions.size() - 2];
+        }
+        EXPECT_GT(after_skip, 100);
+    });
 }
 
+template <typename Volume>
 void
-checkRaysAlongBrickFaces(const TsdfVolume &volume)
+checkRaysAlongBrickFaces(const Volume &volume)
 {
     const float vs = volume.voxelSize();
     const Vec3f o = volume.origin();
     const RaycastParams params = skipParams(volume, 0.075f);
+    const int bricks = volume.freeBricks().bricksPerEdge();
     int hits = 0;
     long long skipped = 0;
-    for (int bx = 1; bx < volume.bricksPerEdge(); ++bx) {
-        for (int by = 1; by < volume.bricksPerEdge(); ++by) {
+    for (int bx = 1; bx < bricks; ++bx) {
+        for (int by = 1; by < bricks; ++by) {
             // The face plane x = bx * kBrickEdge * vs puts the stencil
             // base at x0 = bx * kBrickEdge - 1.
             const float fx = o.x + static_cast<float>(bx * kBrickEdge) * vs;
@@ -1219,8 +1289,11 @@ TEST(FreeSpaceSkip, RaysAlongBrickFacesMatchNeverFree)
     // bricks, so a flag that ignored the +x/+y/+z apron voxel would
     // skip a fetch that reads the surface. The face walls put
     // surface voxels on exactly those apron layers.
-    checkRaysAlongBrickFaces(fusedSphere(nullptr, nullptr));
-    checkRaysAlongBrickFaces(fusedFaceWalls(nullptr, nullptr));
+    forEachSphereVolume(
+        [](const auto &volume) { checkRaysAlongBrickFaces(volume); });
+    forEachSkipVolume(
+        [](auto &volume) { fuseFaceWalls(volume, nullptr, nullptr); },
+        [](const auto &volume) { checkRaysAlongBrickFaces(volume); });
 }
 
 TEST(FreeSpaceSkip, RaysLeavingTheVolumeMatchNeverFree)
@@ -1228,37 +1301,49 @@ TEST(FreeSpaceSkip, RaysLeavingTheVolumeMatchNeverFree)
     // Origins inside the volume, far plane beyond it: the last
     // samples' stencils fall off the far faces, where the predicate
     // answers "free" for out-of-bounds samples.
-    const TsdfVolume volume = fusedSphere(nullptr, nullptr);
-    const RaycastParams params = skipParams(volume, 0.075f);
-    Rng rng(73);
-    long long skipped = 0;
-    for (int i = 0; i < 3000; ++i) {
-        const Vec3f origin{static_cast<float>(rng.uniform(-0.95, 0.95)),
-                           static_cast<float>(rng.uniform(-0.95, 0.95)),
-                           static_cast<float>(rng.uniform(0.05, 1.95))};
-        const SkipPair r =
-            marchBoth(volume, origin, randomDir(rng), params);
-        SCOPED_TRACE(i);
-        expectSameRay(r.skip, r.reference);
-        skipped += r.skip.skipped;
-    }
-    EXPECT_GT(skipped, 10000);
+    forEachSphereVolume([](const auto &volume) {
+        const RaycastParams params = skipParams(volume, 0.075f);
+        Rng rng(73);
+        long long skipped = 0;
+        for (int i = 0; i < 3000; ++i) {
+            const Vec3f origin{
+                static_cast<float>(rng.uniform(-0.95, 0.95)),
+                static_cast<float>(rng.uniform(-0.95, 0.95)),
+                static_cast<float>(rng.uniform(0.05, 1.95))};
+            const SkipPair r =
+                marchBoth(volume, origin, randomDir(rng), params);
+            SCOPED_TRACE(i);
+            expectSameRay(r.skip, r.reference);
+            skipped += r.skip.skipped;
+        }
+        EXPECT_GT(skipped, 10000);
+    });
 }
 
-TEST(FreeSpaceSkip, PacketsWithMixedFreeLanesMatchScalar)
+/**
+ * Packets of rays fanned from one origin through every backend's
+ * castRays on @p volume: each lane must match the scalar backend and
+ * the NeverFree march. Lanes enter, leave and skip free bricks at
+ * different iterations, some hit the surface, some miss the volume,
+ * and short packets leave lanes unused. With @p min_skipped > 0 and
+ * an accelerated simd backend, each non-scalar backend must skip more
+ * than @p min_skipped fetches at each coarse step.
+ */
+template <typename Volume>
+void
+checkPacketsMatchNeverFree(const Volume &volume, uint64_t seed,
+                           int packets, long long min_skipped)
 {
-    // Packets of rays fanned from one origin: lanes enter, leave and
-    // skip free bricks at different iterations, some hit the sphere,
-    // some miss the volume, and short packets leave lanes unused.
-    const TsdfVolume volume = fusedSphere(nullptr, nullptr);
     const KernelBackend &scalar = scalarKernelBackend();
-    Rng rng(74);
-    for (const KernelBackend *backend : nonScalarBackends()) {
-        SCOPED_TRACE(backend->name());
+    Rng rng(seed);
+    for (const std::string &name : kernelBackendNames()) {
+        const KernelBackend *backend = findKernelBackend(name);
+        SCOPED_TRACE(name);
         for (float large : {0.075f, 0.3f}) {
+            SCOPED_TRACE(large);
             const RaycastParams params = skipParams(volume, large);
             long long skipped = 0;
-            for (int packet = 0; packet < 600; ++packet) {
+            for (int packet = 0; packet < packets; ++packet) {
                 const Vec3f origin{
                     static_cast<float>(rng.uniform(-1.5, 1.5)),
                     static_cast<float>(rng.uniform(-1.5, 1.5)),
@@ -1277,83 +1362,208 @@ TEST(FreeSpaceSkip, PacketsWithMixedFreeLanesMatchScalar)
                     SCOPED_TRACE(testing::Message()
                                  << "packet " << packet << " lane " << l);
                     expectSameRay(got[l], want[l]);
-                    RayHit never;
-                    castRayCore(
-                        volume.origin(), volume.size(), origin, dirs[l],
-                        params,
-                        [&](const Vec3f &p, bool &valid) {
-                            return volume.interp(p, valid);
-                        },
-                        NeverFree{}, never);
-                    expectSameRay(got[l], never);
+                    expectSameRay(got[l], marchNeverFree(volume, origin,
+                                                         dirs[l], params));
                     skipped += got[l].skipped;
                 }
             }
-            if (simdBackendIsAccelerated()) {
-                EXPECT_GT(skipped, 10000);
+            if (backend != &scalar && min_skipped > 0 &&
+                simdBackendIsAccelerated()) {
+                EXPECT_GT(skipped, min_skipped);
             }
         }
     }
+}
+
+TEST(FreeSpaceSkip, PacketsWithMixedFreeLanesMatchScalar)
+{
+    forEachSphereVolume([](const auto &volume) {
+        checkPacketsMatchNeverFree(volume, 74, 600, 10000);
+    });
+}
+
+TEST(FreeSpaceSkip, ExhaustedPoolVolumeMatchesNeverFree)
+{
+    // A bounded pool drops fusion into new blocks, and those blocks'
+    // flags stay cleared over voxels that read 1: the skip is then
+    // conservative, and every caster still matches NeverFree on the
+    // same volume.
+    for (int block_size : {8, 16}) {
+        SCOPED_TRACE(block_size);
+        SparseTsdfVolume volume(kSkipResolution, 2.0f, kSkipOrigin,
+                                block_size, 12);
+        fuseSphere(volume, nullptr, nullptr);
+        ASSERT_GT(volume.memoryStats().droppedBlocks, 0u);
+        ASSERT_EQ(volume.allocatedBlocks(), 12u);
+        checkPacketsMatchNeverFree(volume, 75, 300, 0);
+    }
+}
+
+/**
+ * Every flagged brick and its +x/+y/+z apron hold tsdf == 1.
+ *
+ * @return the flagged bricks.
+ */
+template <typename Volume>
+int
+checkFlagInvariant(const Volume &volume)
+{
+    const FreeBrickGrid &grid = volume.freeBricks();
+    const int res = volume.resolution();
+    const int nb = grid.bricksPerEdge();
+    const auto hi = [res](int b) {
+        return std::min((b + 1) * kBrickEdge, res - 1);
+    };
+    int flagged = 0;
+    for (int bx = 0; bx < nb; ++bx) {
+        for (int by = 0; by < nb; ++by) {
+            for (int bz = 0; bz < nb; ++bz) {
+                if (!grid.brickFree(bx, by, bz))
+                    continue;
+                ++flagged;
+                for (int x = bx * kBrickEdge; x <= hi(bx); ++x)
+                    for (int y = by * kBrickEdge; y <= hi(by); ++y)
+                        for (int z = bz * kBrickEdge; z <= hi(bz); ++z)
+                            EXPECT_EQ(volume.voxelAt(x, y, z).tsdf, 1.0f)
+                                << "brick (" << bx << ", " << by << ", "
+                                << bz << ") voxel (" << x << ", " << y
+                                << ", " << z << ")";
+            }
+        }
+    }
+    return flagged;
+}
+
+/** @return whether two grids hold the same flag bytes. */
+bool
+sameFlags(const FreeBrickGrid &a, const FreeBrickGrid &b)
+{
+    const int nb = a.bricksPerEdge();
+    return nb == b.bricksPerEdge() &&
+           std::memcmp(a.flags(), b.flags(),
+                       static_cast<size_t>(nb) * nb * nb) == 0;
 }
 
 TEST(FreeSpaceSkip, FlagInvariantHoldsAfterPooledIntegrates)
 {
     // Exhaustive: after multi-frame fusion on a pool, every flagged
     // brick and its +x/+y/+z apron hold tsdf == 1 exactly, for every
-    // backend and both fixtures, and the flags match the serial
-    // fusion's.
+    // backend, both fixtures and both volumes, and the flags match
+    // the serial fusion's.
     ThreadPool pool(3);
     for (const std::string &name : kernelBackendNames()) {
         SCOPED_TRACE(name);
         const KernelBackend *backend = findKernelBackend(name);
-        for (const auto fuse : {fusedSphere, fusedFaceWalls}) {
-            const TsdfVolume pooled = fuse(backend, &pool);
-            const TsdfVolume serial = fuse(backend, nullptr);
-            const int res = pooled.resolution();
-            const int nb = pooled.bricksPerEdge();
-            const auto hi = [res](int b) {
-                return std::min((b + 1) * kBrickEdge, res - 1);
+        for (const bool walls : {false, true}) {
+            SCOPED_TRACE(walls ? "face walls" : "sphere");
+            const auto fuse = [&](auto &volume, ThreadPool *p) {
+                if (walls)
+                    fuseFaceWalls(volume, backend, p);
+                else
+                    fuseSphere(volume, backend, p);
             };
-            int flagged = 0;
-            for (int bx = 0; bx < nb; ++bx) {
-                for (int by = 0; by < nb; ++by) {
-                    for (int bz = 0; bz < nb; ++bz) {
-                        ASSERT_EQ(pooled.brickFree(bx, by, bz),
-                                  serial.brickFree(bx, by, bz));
-                        if (!pooled.brickFree(bx, by, bz))
-                            continue;
-                        ++flagged;
-                        for (int x = bx * kBrickEdge; x <= hi(bx); ++x)
-                            for (int y = by * kBrickEdge; y <= hi(by);
-                                 ++y)
-                                for (int z = bz * kBrickEdge;
-                                     z <= hi(bz); ++z)
-                                    ASSERT_EQ(
-                                        pooled.voxelAt(x, y, z).tsdf,
-                                        1.0f)
-                                        << "brick (" << bx << ", " << by
-                                        << ", " << bz << ") voxel (" << x
-                                        << ", " << y << ", " << z << ")";
-                    }
-                }
-            }
-            // The surfaces clear some bricks and leave most free.
-            EXPECT_GT(flagged, nb * nb * nb / 2);
-            EXPECT_LT(flagged, nb * nb * nb);
+            forEachSkipVolume(
+                [&](auto &volume) { fuse(volume, &pool); },
+                [&](const auto &pooled) {
+                    // The surfaces clear some bricks and leave most
+                    // free.
+                    const int nb = pooled.freeBricks().bricksPerEdge();
+                    const int flagged = checkFlagInvariant(pooled);
+                    EXPECT_GT(flagged, nb * nb * nb / 2);
+                    EXPECT_LT(flagged, nb * nb * nb);
+                    TsdfVolume serial(kSkipResolution, 2.0f, kSkipOrigin);
+                    fuse(serial, nullptr);
+                    EXPECT_TRUE(
+                        sameFlags(pooled.freeBricks(), serial.freeBricks()));
+                });
         }
+    }
+}
+
+TEST(FreeSpaceSkip, SparseGridEqualsDenseGridAfterPooledIntegrates)
+{
+    // The flags depend only on voxel values, which the volumes share
+    // bit for bit, so the sparse grid must be the dense grid's bytes.
+    ThreadPool pool(3);
+    const auto k = CameraIntrinsics::fromFov(48, 40, 1.1f);
+    for (const std::string &name : kernelBackendNames()) {
+        SCOPED_TRACE(name);
+        const KernelBackend *backend = findKernelBackend(name);
+        for (int block_size : {8, 16}) {
+            SCOPED_TRACE(block_size);
+            TsdfVolume dense(kSkipResolution, 2.0f, kSkipOrigin);
+            SparseTsdfVolume sparse(kSkipResolution, 2.0f, kSkipOrigin,
+                                    block_size, 0);
+            fuseSphere(dense, backend, &pool);
+            fuseSphere(sparse, backend, &pool);
+            EXPECT_TRUE(sameFlags(sparse.freeBricks(), dense.freeBricks()));
+            fuseFaceWalls(dense, backend, &pool);
+            fuseFaceWalls(sparse, backend, &pool);
+            EXPECT_TRUE(sameFlags(sparse.freeBricks(), dense.freeBricks()));
+            // Random depth from random poses touches block faces along
+            // every axis at every offset.
+            uint64_t seed = 91;
+            for (const Mat4f &pose : sphereViews()) {
+                const Image<float> depth = makeDepth(k, seed++);
+                WorkCounts counts;
+                dense.integrate(depth, k, pose, 0.1f, 100.0f, counts,
+                                &pool);
+                sparse.integrate(depth, k, pose, 0.1f, 100.0f, counts,
+                                 &pool);
+            }
+            EXPECT_TRUE(sameFlags(sparse.freeBricks(), dense.freeBricks()));
+            EXPECT_GT(checkFlagInvariant(sparse), 0);
+            sparse.reset();
+            TsdfVolume fresh(kSkipResolution, 2.0f, kSkipOrigin);
+            EXPECT_TRUE(sameFlags(sparse.freeBricks(), fresh.freeBricks()));
+        }
+    }
+}
+
+TEST(FreeSpaceSkip, SparseBlockFaceVoxelClearsBrickBelow)
+{
+    // The +z face wall fuses voxel layer z = 32 below 1 and leaves
+    // z = 24..31 at 1. Layer 32 is local z = 0 of a sparse block of
+    // either size, where the column kernel cannot mark brick 3 below
+    // it; brick 3 holds that layer as its apron, so integrate must
+    // clear it anyway.
+    for (int block_size : {8, 16}) {
+        SCOPED_TRACE(block_size);
+        SparseTsdfVolume volume(kSkipResolution, 2.0f, kSkipOrigin,
+                                block_size, 0);
+        fuseFaceWalls(volume, nullptr, nullptr);
+        const FreeBrickGrid &grid = volume.freeBricks();
+        int face_voxels = 0;
+        for (int x = 0; x < kSkipResolution; ++x) {
+            for (int y = 0; y < kSkipResolution; ++y) {
+                if (volume.voxelAt(x, y, 32).tsdf == 1.0f)
+                    continue;
+                bool brick_clean = true;
+                for (int z = 24; z < 32; ++z)
+                    brick_clean &= volume.voxelAt(x, y, z).tsdf == 1.0f;
+                if (!brick_clean)
+                    continue;
+                ++face_voxels;
+                ASSERT_FALSE(grid.brickFree(x >> kBrickShift,
+                                            y >> kBrickShift, 3))
+                    << "voxel (" << x << ", " << y << ", 32)";
+            }
+        }
+        EXPECT_GT(face_voxels, 100);
     }
 }
 
 TEST(FreeSpaceSkip, AtClearsFlagsAndResetRestoresThem)
 {
     TsdfVolume volume(60, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
-    const int nb = volume.bricksPerEdge();
+    const FreeBrickGrid &grid = volume.freeBricks();
+    const int nb = grid.bricksPerEdge();
     const auto count_free = [&] {
         int n = 0;
         for (int bx = 0; bx < nb; ++bx)
             for (int by = 0; by < nb; ++by)
                 for (int bz = 0; bz < nb; ++bz)
-                    n += volume.brickFree(bx, by, bz);
+                    n += grid.brickFree(bx, by, bz);
         return n;
     };
     ASSERT_EQ(count_free(), nb * nb * nb);
@@ -1364,16 +1574,16 @@ TEST(FreeSpaceSkip, AtClearsFlagsAndResetRestoresThem)
     for (int bx = 0; bx < nb; ++bx)
         for (int by = 0; by < nb; ++by)
             for (int bz = 0; bz < nb; ++bz)
-                EXPECT_EQ(volume.brickFree(bx, by, bz),
+                EXPECT_EQ(grid.brickFree(bx, by, bz),
                           !(bx <= 1 && by >= 1 && by <= 2 && bz == 0))
                     << bx << ", " << by << ", " << bz;
     // The predicate honours the cleared brick.
     const float vs = volume.voxelSize();
     const Vec3f in_cleared = volume.origin() + Vec3f{8.6f, 16.6f, 3.6f} * vs;
-    EXPECT_FALSE(volume.sampleIsFree(in_cleared));
-    EXPECT_TRUE(volume.sampleIsFree(volume.origin() +
-                                    Vec3f{40.6f, 40.6f, 40.6f} * vs));
-    EXPECT_TRUE(volume.sampleIsFree(volume.origin() - Vec3f::all(vs)));
+    EXPECT_FALSE(grid.sampleIsFree(in_cleared));
+    EXPECT_TRUE(grid.sampleIsFree(volume.origin() +
+                                  Vec3f{40.6f, 40.6f, 40.6f} * vs));
+    EXPECT_TRUE(grid.sampleIsFree(volume.origin() - Vec3f::all(vs)));
     volume.reset();
     EXPECT_EQ(count_free(), nb * nb * nb);
     EXPECT_EQ(volume.voxelAt(8, 16, 3).tsdf, 1.0f);

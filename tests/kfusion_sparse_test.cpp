@@ -182,6 +182,66 @@ TEST(SparseVolume, ResetInvalidatesLookupCaches)
     EXPECT_FALSE(valid);
 }
 
+TEST(SparseVolume, LookupCacheSharedAcrossVolumesReadsEachVolume)
+{
+    // Two volumes at the same generation, fused from different depth
+    // maps: a cache filled on one must not hand its block pointers to
+    // the other.
+    const auto k = CameraIntrinsics::fromFov(40, 32, 1.1f);
+    SparseTsdfVolume a(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, 8, 0);
+    SparseTsdfVolume b(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, 8, 0);
+    WorkCounts counts;
+    a.integrate(makeDepth(k, 61), k, Mat4f{}, 0.1f, 100.0f, counts,
+                nullptr);
+    b.integrate(makeDepth(k, 62), k, Mat4f{}, 0.1f, 100.0f, counts,
+                nullptr);
+    EXPECT_NE(a.id(), b.id());
+
+    SparseTsdfVolume::LookupCache cache;
+    Rng rng(63);
+    int differing = 0;
+    for (int i = 0; i < 5000; ++i) {
+        const Vec3f p{static_cast<float>(rng.uniform(-1.0, 1.0)),
+                      static_cast<float>(rng.uniform(-1.0, 1.0)),
+                      static_cast<float>(rng.uniform(0.0, 2.0))};
+        bool valid_a = false, valid_b = false, cached_valid = false;
+        const float va = a.interpCached(p, cached_valid, cache);
+        ASSERT_EQ(va, a.interp(p, valid_a));
+        ASSERT_EQ(cached_valid, valid_a);
+        const float vb = b.interpCached(p, cached_valid, cache);
+        ASSERT_EQ(vb, b.interp(p, valid_b))
+            << "at " << p.x << ", " << p.y << ", " << p.z;
+        ASSERT_EQ(cached_valid, valid_b);
+        differing += va != vb;
+    }
+    EXPECT_GT(differing, 100);
+}
+
+TEST(SparseVolume, AllocateBlockClearsFreeBricksOverTheBlock)
+{
+    // Direct writes through allocateBlock() storage must not leave a
+    // brick flagged free over them: the block's bricks, and the
+    // bricks whose +x/+y/+z apron it holds, are cleared; the rest of
+    // the grid stays free.
+    for (int bs : {8, 16}) {
+        SCOPED_TRACE(bs);
+        SparseTsdfVolume volume(64, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f},
+                                bs, 0);
+        const FreeBrickGrid &grid = volume.freeBricks();
+        const int nb = grid.bricksPerEdge();
+        ASSERT_NE(volume.allocateBlock(1, 1, 1), nullptr);
+        const int lo = bs / kBrickEdge - 1;
+        const int hi = (2 * bs - 1) / kBrickEdge;
+        const auto inside = [&](int b) { return b >= lo && b <= hi; };
+        for (int bx = 0; bx < nb; ++bx)
+            for (int by = 0; by < nb; ++by)
+                for (int bz = 0; bz < nb; ++bz)
+                    ASSERT_EQ(grid.brickFree(bx, by, bz),
+                              !(inside(bx) && inside(by) && inside(bz)))
+                        << bx << ", " << by << ", " << bz;
+    }
+}
+
 // --- pool exhaustion ---
 
 TEST(SparseVolume, AllocateReturnsNullWhenPoolExhausted)

@@ -1188,6 +1188,42 @@ TEST(CrashDump, FatalSignalInForkedChildWritesDumpFile)
               std::string::npos);
 }
 
+/** A SIGSEGV disposition the endpoint must hand back. */
+extern "C" void
+savedSegvHandler(int)
+{
+}
+
+TEST(CrashDump, EndpointLeavingScopeRestoresSavedHandler)
+{
+    // The crash dump reads registry metrics; once its endpoint is
+    // gone, a fatal signal must reach the handler that was there
+    // before, not a dump over freed state.
+    struct sigaction mine;
+    std::memset(&mine, 0, sizeof(mine));
+    mine.sa_handler = savedSegvHandler;
+    ::sigemptyset(&mine.sa_mask);
+    struct sigaction previous;
+    ASSERT_EQ(::sigaction(SIGSEGV, &mine, &previous), 0);
+    {
+        TelemetryOptions options;
+        options.crashDumpPath =
+            tempPath("telemetry_test_restore") + ".json";
+        options.generator = "telemetry_test";
+        const TelemetryEndpoint endpoint(options);
+        ASSERT_TRUE(endpoint.active());
+        EXPECT_EQ(std::string(crashDumpPath()), options.crashDumpPath);
+        struct sigaction armed;
+        ASSERT_EQ(::sigaction(SIGSEGV, nullptr, &armed), 0);
+        EXPECT_NE(armed.sa_handler, &savedSegvHandler);
+    }
+    EXPECT_EQ(std::string(crashDumpPath()), "");
+    struct sigaction after;
+    ASSERT_EQ(::sigaction(SIGSEGV, nullptr, &after), 0);
+    EXPECT_EQ(after.sa_handler, &savedSegvHandler);
+    ::sigaction(SIGSEGV, &previous, nullptr);
+}
+
 // --- Streaming frames CSV ---------------------------------------
 
 TEST(RunSessionStreaming, CsvFlushesPerWindowAndCountsRows)
