@@ -220,11 +220,10 @@ BM_Integrate(benchmark::State &state, const KernelBackend *backend)
     Workload &wl = workload(160, 120);
     TsdfVolume volume =
         benchVolume(static_cast<int>(state.range(0)));
-    volume.setBackend(backend);
     WorkCounts counts;
     for (auto _ : state) {
         volume.integrate(wl.depth, wl.k, wl.pose, 0.1f, 100.0f,
-                         counts, nullptr);
+                         counts, nullptr, backend);
         benchmark::DoNotOptimize(volume.at(0, 0, 0).tsdf);
     }
     state.SetItemsProcessed(
@@ -265,11 +264,10 @@ BM_IntegrateSparse(benchmark::State &state,
     Workload &wl = workload(160, 120);
     SparseTsdfVolume volume(static_cast<int>(state.range(0)), 4.8f,
                             {-2.4f, -0.4f, -2.4f}, 8, 0);
-    volume.setBackend(backend);
     WorkCounts counts;
     for (auto _ : state) {
         volume.integrate(wl.depth, wl.k, wl.pose, 0.1f, 100.0f,
-                         counts, nullptr);
+                         counts, nullptr, backend);
         benchmark::DoNotOptimize(volume.voxelAt(0, 0, 0).tsdf);
     }
     state.SetItemsProcessed(
@@ -750,14 +748,14 @@ main(int argc, char **argv)
         std::printf("\nROOFLINE: measured bytes/s vs device model "
                     "(odroid-xu3, %.2f GB/s)\n",
                     roofline_bandwidth / 1e9);
-        std::printf("%-32s %-8s %12s %10s\n", "kernel", "backend",
-                    "meas GB/s", "of roof");
+        std::printf("%-32s %-8s %16s %10s\n", "kernel", "backend",
+                    "meas GB/s (1e9)", "of roof");
         bool any = false;
         for (const KernelResult &r : reporter.results) {
             if (!r.hasBytes || r.bytesPerSecond <= 0.0)
                 continue;
             any = true;
-            std::printf("%-32s %-8s %12.2f %9.1f%%\n",
+            std::printf("%-32s %-8s %16.2f %9.1f%%\n",
                         r.name.c_str(),
                         r.backend.empty() ? "-" : r.backend.c_str(),
                         r.bytesPerSecond / 1e9,

@@ -5,7 +5,10 @@
 # an unknown flag and a negative frame count, plus every case below
 # whose first flag it accepts: a non-numeric --vr, an out-of-set
 # --csr, values that used to be clamped silently, the deleted "mixed"
-# kernel backend, the CLI's --dump-mesh/odometry clash, and an output
+# kernel backend, an unknown volume backend, an out-of-set sparse block
+# size, a negative block-pool capacity (the option parser and
+# KFusionConfig::validate() are all that stand in front of building
+# the map), the CLI's --dump-mesh/odometry clash, and an output
 # path (--frames-csv, --metrics-json, --trace, --crash-dump) in a
 # directory that does not exist. The deleted --perf-csv (every binary
 # with --trace) and --log (slambench_cli) per-frame tables must be
@@ -53,6 +56,9 @@ cases=(
     "--recorder-slots 0"
     "--dse-threads -1"
     "--backend mixed"
+    "--volume hashed"
+    "--block-size 12"
+    "--pool-capacity -1"
     "--dump-mesh mesh.obj --system odometry"
     "--frames-csv /nonexistent/d/x.csv"
     "--metrics-json /nonexistent/d/y.json"

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "kfusion/backend.hpp"
-#include "kfusion/volume_backend.hpp"
 
 namespace slambench::core {
 

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "kfusion/backend.hpp"
-#include "kfusion/volume_backend.hpp"
 #include "support/strings.hpp"
 
 namespace slambench::kfusion {
@@ -74,6 +73,24 @@ const char *
 implementationName(Implementation impl)
 {
     return impl == Implementation::Sequential ? "sequential" : "threaded";
+}
+
+bool
+volumeBackendNameValid(const std::string &name)
+{
+    return name == "dense" || name == "sparse";
+}
+
+int
+volumeBackendOrdinal(const std::string &name)
+{
+    return name == "sparse" ? 1 : 0;
+}
+
+std::string
+volumeBackendFromOrdinal(int ordinal)
+{
+    return ordinal == 1 ? "sparse" : "dense";
 }
 
 } // namespace slambench::kfusion

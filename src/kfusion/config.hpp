@@ -155,6 +155,18 @@ enum class Implementation {
 /** @return "sequential" or "threaded". */
 const char *implementationName(Implementation impl);
 
+/** @return true when @p name names a built-in volume backend. */
+bool volumeBackendNameValid(const std::string &name);
+
+/**
+ * DSE ordinal encoding of the volume backend ("volume" dimension):
+ * dense = 0, sparse = 1.
+ */
+int volumeBackendOrdinal(const std::string &name);
+
+/** Inverse of volumeBackendOrdinal (out-of-range maps to "dense"). */
+std::string volumeBackendFromOrdinal(int ordinal);
+
 } // namespace slambench::kfusion
 
 #endif // SLAMBENCH_KFUSION_CONFIG_HPP

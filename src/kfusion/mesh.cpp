@@ -254,4 +254,11 @@ extractMesh(const SparseTsdfVolume &volume)
     return std::move(extractor.mesh);
 }
 
+TriangleMesh
+extractMesh(const TsdfMap &map)
+{
+    return std::visit(
+        [](const auto &volume) { return extractMesh(volume); }, map);
+}
+
 } // namespace slambench::kfusion

@@ -68,6 +68,9 @@ TriangleMesh extractMesh(const TsdfVolume &volume);
  */
 TriangleMesh extractMesh(const SparseTsdfVolume &volume);
 
+/** Extraction from whichever volume @p map holds. */
+TriangleMesh extractMesh(const TsdfMap &map);
+
 } // namespace slambench::kfusion
 
 #endif // SLAMBENCH_KFUSION_MESH_HPP

@@ -14,6 +14,36 @@ namespace slambench::kfusion {
 using math::Mat4f;
 using math::Vec3f;
 
+namespace {
+
+/** @return @p config; fatal when it cannot run on the input. */
+const KFusionConfig &
+checkedConfig(const KFusionConfig &config,
+              const math::CameraIntrinsics &input_intrinsics)
+{
+    const std::string problem =
+        KFusion::checkCompatibility(config, input_intrinsics);
+    if (!problem.empty())
+        support::fatal("KFusion: invalid configuration: " + problem);
+    return config;
+}
+
+/** @return the volume config.volumeBackend names, built in place. */
+TsdfMap
+makeMap(const KFusionConfig &config)
+{
+    if (config.volumeBackend == "sparse")
+        return TsdfMap(std::in_place_type<SparseTsdfVolume>,
+                       config.volumeResolution, config.volumeSize,
+                       config.volumeOrigin, config.volumeBlockSize,
+                       static_cast<size_t>(config.volumePoolCapacity));
+    return TsdfMap(std::in_place_type<TsdfVolume>,
+                   config.volumeResolution, config.volumeSize,
+                   config.volumeOrigin);
+}
+
+} // namespace
+
 std::string
 KFusion::checkCompatibility(
     const KFusionConfig &config,
@@ -40,13 +70,10 @@ KFusion::checkCompatibility(
 KFusion::KFusion(const KFusionConfig &config,
                  const math::CameraIntrinsics &input_intrinsics,
                  Implementation impl, size_t num_threads)
-    : config_(config), inputIntrinsics_(input_intrinsics), impl_(impl)
+    : config_(checkedConfig(config, input_intrinsics)),
+      inputIntrinsics_(input_intrinsics), impl_(impl),
+      volume_(makeMap(config_))
 {
-    const std::string problem =
-        checkCompatibility(config, input_intrinsics);
-    if (!problem.empty())
-        support::fatal("KFusion: invalid configuration: " + problem);
-
     // Resolve "auto" (CPUID dispatch) to a concrete backend once;
     // validate() already guaranteed the name resolves.
     std::string backend_error;
@@ -60,13 +87,6 @@ KFusion::KFusion(const KFusionConfig &config,
 
     scaledIntrinsics_ = inputIntrinsics_.scaled(
         static_cast<size_t>(config_.computeSizeRatio));
-
-    volume_ = makeVolumeBackend(
-        config_.volumeBackend, config_.volumeResolution,
-        config_.volumeSize, config_.volumeOrigin,
-        config_.volumeBlockSize,
-        static_cast<size_t>(config_.volumePoolCapacity));
-    volume_->setKernelBackend(backend_);
 
     pyramid_.resize(config_.levels());
     math::CameraIntrinsics level_k = scaledIntrinsics_;
@@ -189,6 +209,10 @@ KFusion::processFrame(const support::Image<uint16_t> &depth_mm)
     static sm::LatencyHistogram &frame_histogram =
         sm::Registry::instance().histogram(
             "pipeline.frame_seconds");
+    static sm::Gauge &allocated_gauge =
+        sm::Registry::instance().gauge("volume.blocks.allocated");
+    static sm::Gauge &bytes_gauge =
+        sm::Registry::instance().gauge("volume.blocks.bytes");
     const uint64_t start_ns = slambench::metrics::now_ns();
 
     FrameResult result;
@@ -222,9 +246,18 @@ KFusion::processFrame(const support::Image<uint16_t> &depth_mm)
         (frame_ % static_cast<size_t>(config_.integrationRate) == 0 ||
          frame_ < 4);
     if (do_integrate) {
-        volume_->integrate(rawDepth_, scaledIntrinsics_, pose_,
-                           config_.mu, config_.maxWeight, work,
-                           pool_.get());
+        const VolumeMemoryStats stats = std::visit(
+            [&](auto &volume) {
+                volume.integrate(rawDepth_, scaledIntrinsics_, pose_,
+                                 config_.mu, config_.maxWeight, work,
+                                 pool_.get(), backend_);
+                return volume.memoryStats();
+            },
+            volume_);
+        // Residency of either volume; the dense one has no blocks and
+        // is always fully resident.
+        allocated_gauge.set(static_cast<double>(stats.allocatedBlocks));
+        bytes_gauge.set(static_cast<double>(stats.bytes));
         result.integrated = true;
         raycastCurrent_ = false;
     }
@@ -232,9 +265,13 @@ KFusion::processFrame(const support::Image<uint16_t> &depth_mm)
     // --- Raycast the model for the next frame's tracking ---
     if (frame_ > 2 || do_integrate) {
         const double steps_before = work.itemsFor(KernelId::Raycast);
-        volume_->raycast(raycastVertex_, raycastNormal_,
-                         scaledIntrinsics_, pose_, raycastParams(),
-                         work, pool_.get());
+        std::visit(
+            [&](const auto &volume) {
+                raycastKernel(raycastVertex_, raycastNormal_, volume,
+                              scaledIntrinsics_, pose_, raycastParams(),
+                              work, pool_.get(), backend_);
+            },
+            volume_);
         raycastSteps_ = work.itemsFor(KernelId::Raycast) - steps_before;
         raycastPose_ = pose_;
         haveReference_ = true;
@@ -276,8 +313,13 @@ KFusion::renderModel(support::Image<support::Rgb8> &out,
         renderFromNormalsKernel(out, raycastNormal_, raycastSteps_,
                                 work, pool_.get());
     } else {
-        volume_->renderVolume(out, k, view_pose, raycastParams(), work,
-                              pool_.get());
+        std::visit(
+            [&](const auto &volume) {
+                renderVolumeKernel(out, volume, k, view_pose,
+                                   raycastParams(), work, pool_.get(),
+                                   backend_);
+            },
+            volume_);
     }
     totalWork_.merge(work);
     if (!frameWork_.empty())

@@ -18,9 +18,9 @@
 #include "kfusion/config.hpp"
 #include "kfusion/kernels.hpp"
 #include "kfusion/raycast.hpp"
+#include "kfusion/sparse_volume.hpp"
 #include "kfusion/tracking.hpp"
 #include "kfusion/volume.hpp"
-#include "kfusion/volume_backend.hpp"
 #include "kfusion/work_counters.hpp"
 
 namespace slambench::kfusion {
@@ -117,10 +117,10 @@ class KFusion
     void renderTrack(support::Image<support::Rgb8> &out) const;
 
     /**
-     * @return the fused TSDF map behind the volume-backend
-     * interface (config.volumeBackend selects dense or sparse).
+     * @return the fused TSDF map: the dense or the sparse volume, as
+     * config.volumeBackend names.
      */
-    const VolumeBackend &volume() const { return *volume_; }
+    const TsdfMap &volume() const { return volume_; }
 
     /** @return model vertex map from the last raycast (world frame). */
     const support::Image<math::Vec3f> &
@@ -171,7 +171,7 @@ class KFusion
     const KernelBackend *backend_ = nullptr;
     std::unique_ptr<support::ThreadPool> pool_;
 
-    std::unique_ptr<VolumeBackend> volume_;
+    TsdfMap volume_;
     math::Mat4f pose_;
 
     // Preprocessing scratch (level-0 depth after bilateral filter).

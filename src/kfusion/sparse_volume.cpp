@@ -335,11 +335,12 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
                             const CameraIntrinsics &intrinsics,
                             const Mat4f &camera_to_world, float mu,
                             float max_weight, WorkCounts &counts,
-                            support::ThreadPool *pool)
+                            support::ThreadPool *pool,
+                            const KernelBackend *backend)
 {
     KernelTimer timer(counts, KernelId::Integrate);
-    const KernelBackend &backend =
-        backend_ ? *backend_ : scalarKernelBackend();
+    const KernelBackend &kernels =
+        backend ? *backend : scalarKernelBackend();
     const Mat4f world_to_camera = camera_to_world.rigidInverse();
     const float vs = voxelSize();
     const int res = resolution_;
@@ -511,7 +512,7 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
                         // Block segments span at most 16 voxels, so
                         // their block-local z-bricks fit one word.
                         uint64_t block_dirty = 0;
-                        backend.integrateColumn(
+                        kernels.integrateColumn(
                             ctx, dest[j] + col_off, z - block_z0,
                             z_lim - block_z0, pos, &block_dirty);
                         const int brick0 = block_z0 >> kBrickShift;
@@ -595,7 +596,6 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
     counts.addSkipped(KernelId::Integrate, culled);
     counts.addBytes(KernelId::Integrate, visited * 16.0);
 
-    const VolumeMemoryStats stats = memoryStats();
     namespace sm = support::metrics;
     static sm::Counter &visited_counter =
         sm::Registry::instance().counter("volume.integrate.visited");
@@ -605,18 +605,11 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
         sm::Registry::instance().counter("volume.blocks.touched");
     static sm::Counter &dropped_counter =
         sm::Registry::instance().counter("volume.blocks.dropped");
-    static sm::Gauge &allocated_gauge =
-        sm::Registry::instance().gauge("volume.blocks.allocated");
-    static sm::Gauge &bytes_gauge =
-        sm::Registry::instance().gauge("volume.blocks.bytes");
     visited_counter.add(static_cast<uint64_t>(visited_total.load()));
     culled_counter.add(static_cast<uint64_t>(culled_total.load()));
     touched_counter.add(lastTouched_);
     if (dropped > 0)
         dropped_counter.add(static_cast<uint64_t>(dropped));
-    allocated_gauge.set(
-        static_cast<double>(stats.allocatedBlocks));
-    bytes_gauge.set(static_cast<double>(stats.bytes));
     TRACE_COUNTER("integrate.voxels", visited);
     TRACE_COUNTER("integrate.culled", culled);
     TRACE_COUNTER("integrate.blocks",

@@ -46,24 +46,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <variant>
 #include <vector>
 
 #include "kfusion/volume.hpp"
 
 namespace slambench::kfusion {
-
-/** Resident-memory snapshot of a sparse (or dense) volume. */
-struct VolumeMemoryStats
-{
-    /** Blocks currently resident (0 for the dense backend). */
-    uint64_t allocatedBlocks = 0;
-    /** Blocks swept by the most recent integrate(). */
-    uint64_t touchedBlocks = 0;
-    /** Cumulative blocks dropped on pool exhaustion. */
-    uint64_t droppedBlocks = 0;
-    /** Resident bytes: voxel storage plus index structures. */
-    uint64_t bytes = 0;
-};
 
 /**
  * Sparse TSDF volume over hashed voxel blocks.
@@ -282,24 +270,15 @@ class SparseTsdfVolume
      * @param max_weight Weight saturation bound.
      * @param[in,out] counts Work accounting (Integrate kernel).
      * @param pool Optional worker pool.
+     * @param backend Kernel backend fusing the columns (nullptr =
+     *                scalar reference).
      */
     void integrate(const support::Image<float> &depth,
                    const CameraIntrinsics &intrinsics,
                    const Mat4f &camera_to_world, float mu,
                    float max_weight, WorkCounts &counts,
-                   support::ThreadPool *pool);
-
-    /**
-     * Select the kernel backend integrate() fuses columns with
-     * (nullptr for the scalar reference).
-     */
-    void setBackend(const KernelBackend *backend)
-    {
-        backend_ = backend;
-    }
-
-    /** @return the active kernel backend (nullptr = scalar). */
-    const KernelBackend *backend() const { return backend_; }
+                   support::ThreadPool *pool,
+                   const KernelBackend *backend = nullptr);
 
     /**
      * Find a resident block by block coordinates. Lock-free; safe
@@ -404,7 +383,6 @@ class SparseTsdfVolume
     size_t blockVoxels_;
     size_t poolCapacity_;
     size_t tableSize_;
-    const KernelBackend *backend_ = nullptr;
 
     /// Open-addressed table: packed block key (0 = empty) per slot,
     /// published with release order after slotBlocks_[slot] is set.
@@ -430,6 +408,17 @@ class SparseTsdfVolume
     std::vector<ZInterval> cullScratch_;
     FreeBrickGrid freeBricks_;
 };
+
+/**
+ * The pipeline's TSDF map: the dense or the sparse volume, as
+ * KFusionConfig::volumeBackend names. SparseTsdfVolume holds a mutex
+ * and atomics and cannot move, so a TsdfMap is built in place
+ * (std::in_place_type) and never reassigned. Both alternatives have
+ * the same entry points (integrate, memoryStats, and the raycastKernel
+ * / renderVolumeKernel / extractMesh overloads); callers reach them
+ * through std::visit with a generic lambda.
+ */
+using TsdfMap = std::variant<TsdfVolume, SparseTsdfVolume>;
 
 } // namespace slambench::kfusion
 

@@ -193,11 +193,12 @@ TsdfVolume::integrate(const support::Image<float> &depth,
                       const CameraIntrinsics &intrinsics,
                       const Mat4f &camera_to_world, float mu,
                       float max_weight, WorkCounts &counts,
-                      support::ThreadPool *pool)
+                      support::ThreadPool *pool,
+                      const KernelBackend *backend)
 {
     integrateImpl(depth, intrinsics, camera_to_world, mu, max_weight,
                   counts, pool, /*cull=*/true,
-                  backend_ ? *backend_ : scalarKernelBackend());
+                  backend ? *backend : scalarKernelBackend());
 }
 
 void

@@ -43,6 +43,19 @@ struct Voxel
     float weight = 0.0f;
 };
 
+/** Resident-memory snapshot of a dense or sparse volume. */
+struct VolumeMemoryStats
+{
+    /** Blocks currently resident (0 for the dense volume). */
+    uint64_t allocatedBlocks = 0;
+    /** Blocks swept by the most recent integrate(). */
+    uint64_t touchedBlocks = 0;
+    /** Cumulative blocks dropped on pool exhaustion. */
+    uint64_t droppedBlocks = 0;
+    /** Resident bytes: voxel storage plus index structures. */
+    uint64_t bytes = 0;
+};
+
 /**
  * Free-space bricks of a cubic voxel grid: one flag byte per
  * kBrickEdge^3 brick. A set flag means every voxel of the brick, plus
@@ -343,18 +356,22 @@ class TsdfVolume
      * @param max_weight Weight saturation bound.
      * @param[in,out] counts Work accounting (Integrate kernel).
      * @param pool Optional worker pool.
+     * @param backend Kernel backend fusing the columns (nullptr =
+     *                scalar reference).
      */
     void integrate(const support::Image<float> &depth,
                    const CameraIntrinsics &intrinsics,
                    const Mat4f &camera_to_world, float mu,
                    float max_weight, WorkCounts &counts,
-                   support::ThreadPool *pool);
+                   support::ThreadPool *pool,
+                   const KernelBackend *backend = nullptr);
 
     /**
      * Reference integration: identical per-voxel math but every voxel
-     * of every column is visited (no frustum culling). Kept for the
-     * bit-exactness parity tests and the kernel benchmarks;
-     * integrate() must produce exactly the same volume.
+     * of every column is visited (no frustum culling), always on the
+     * scalar backend. Kept for the bit-exactness parity tests and the
+     * kernel benchmarks; integrate() on any backend must produce
+     * exactly the same volume (see docs/ARCHITECTURE.md).
      */
     void integrateDense(const support::Image<float> &depth,
                         const CameraIntrinsics &intrinsics,
@@ -366,18 +383,16 @@ class TsdfVolume
     size_t voxelCount() const { return voxels_.size(); }
 
     /**
-     * Select the kernel backend integrate() fuses with (nullptr for
-     * the scalar reference). integrateDense() always runs the scalar
-     * backend — it is the parity baseline every backend is tested
-     * against (see docs/ARCHITECTURE.md).
+     * @return resident-memory snapshot: the voxel array, always fully
+     * resident (no blocks).
      */
-    void setBackend(const KernelBackend *backend)
+    VolumeMemoryStats
+    memoryStats() const
     {
-        backend_ = backend;
+        VolumeMemoryStats stats;
+        stats.bytes = static_cast<uint64_t>(voxels_.size()) * sizeof(Voxel);
+        return stats;
     }
-
-    /** @return the active kernel backend (nullptr = scalar). */
-    const KernelBackend *backend() const { return backend_; }
 
   private:
     size_t
@@ -409,7 +424,6 @@ class TsdfVolume
     Vec3f origin_;
     std::vector<Voxel> voxels_;
     FreeBrickGrid freeBricks_;
-    const KernelBackend *backend_ = nullptr;
     LambdaTable lambda_;
 };
 

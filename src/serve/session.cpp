@@ -20,6 +20,15 @@ tenantMetric(const char *family, const std::string &tenant)
     return labeledMetricName(family, "tenant", tenant);
 }
 
+/** @return resident bytes of the pipeline's volume, dense or sparse. */
+uint64_t
+residentBytes(const kfusion::KFusion &pipeline)
+{
+    return std::visit(
+        [](const auto &volume) { return volume.memoryStats().bytes; },
+        pipeline.volume());
+}
+
 } // namespace
 
 TenantSession::TenantSession(const TenantConfig &config)
@@ -56,7 +65,7 @@ TenantSession::TenantSession(const TenantConfig &config)
                         sequence_.groundTruth.pose(0));
     epochs_ = 1;
     epochsCounter_.add();
-    volumeBytes_ = system_->pipeline().volume().memoryStats().bytes;
+    volumeBytes_ = residentBytes(system_->pipeline());
     volumeBytesGauge_.set(static_cast<double>(volumeBytes_));
 }
 
@@ -100,7 +109,7 @@ TenantSession::processNext(uint64_t liveFrame,
     }
     frameSecondsHistogram_.record(stats.wallSeconds);
     deviceSecondsHistogram_.record(stats.deviceSeconds);
-    volumeBytes_ = system_->pipeline().volume().memoryStats().bytes;
+    volumeBytes_ = residentBytes(system_->pipeline());
     volumeBytesGauge_.set(static_cast<double>(volumeBytes_));
 
     // The request-trace context completeFrame() finishes was

@@ -361,13 +361,12 @@ TEST(BackendParity, IntegrateMatchesScalarDense)
         SCOPED_TRACE(backend->name());
         TsdfVolume tested(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
         TsdfVolume dense(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
-        tested.setBackend(backend);
         WorkCounts counts;
         uint64_t seed = 101;
         for (const Mat4f &pose : poses) {
             const Image<float> depth = makeDepth(k, seed++);
             tested.integrate(depth, k, pose, 0.1f, 100.0f, counts,
-                             nullptr);
+                             nullptr, backend);
             dense.integrateDense(depth, k, pose, 0.1f, 100.0f,
                                  counts, nullptr);
         }
@@ -387,10 +386,9 @@ TEST(BackendParity, IntegrateMatchesScalarWithInvalidDepth)
         SCOPED_TRACE(backend->name());
         TsdfVolume tested(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
         TsdfVolume dense(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
-        tested.setBackend(backend);
         WorkCounts counts;
         tested.integrate(depth, k, Mat4f{}, 0.1f, 100.0f, counts,
-                         nullptr);
+                         nullptr, backend);
         dense.integrateDense(depth, k, Mat4f{}, 0.1f, 100.0f, counts,
                              nullptr);
         expectBitIdentical(tested, dense);
@@ -666,17 +664,15 @@ TEST(SparseParity, MatchesDenseAcrossFusedFramesPooled)
         TsdfVolume dense(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
         SparseTsdfVolume sparse(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f},
                                 8, 0);
-        dense.setBackend(backend);
-        sparse.setBackend(backend);
         ThreadPool pool(3);
         WorkCounts counts;
         uint64_t seed = 51;
         for (const Mat4f &pose : poses) {
             const Image<float> depth = makeDepth(k, seed++);
             dense.integrate(depth, k, pose, 0.1f, 100.0f, counts,
-                            nullptr);
+                            nullptr, backend);
             sparse.integrate(depth, k, pose, 0.1f, 100.0f, counts,
-                             &pool);
+                             &pool, backend);
         }
         expectSparseMatchesDense(sparse, dense);
     }
@@ -1002,12 +998,11 @@ void
 fuseSphere(Volume &volume, const KernelBackend *backend, ThreadPool *pool)
 {
     const auto k = CameraIntrinsics::fromFov(64, 48, 1.2f);
-    volume.setBackend(backend);
     WorkCounts counts;
     for (const Mat4f &pose : sphereViews())
         volume.integrate(
             sphereDepth(k, pose, Vec3f{0.0f, 0.0f, 1.0f}, 0.35f), k,
-            pose, 0.1f, 100.0f, counts, pool);
+            pose, 0.1f, 100.0f, counts, pool, backend);
 }
 
 /**
@@ -1024,7 +1019,6 @@ fuseFaceWalls(Volume &volume, const KernelBackend *backend,
               ThreadPool *pool)
 {
     const auto k = CameraIntrinsics::fromFov(48, 40, 0.8f);
-    volume.setBackend(backend);
     const float mu = 0.1f;
     const float vs = volume.voxelSize();
     const Vec3f o = volume.origin();
@@ -1048,7 +1042,7 @@ fuseFaceWalls(Volume &volume, const KernelBackend *backend,
         volume.integrate(
             depth, k,
             slambench::math::lookAt(w.eye, w.eye + w.forward, w.up), mu,
-            100.0f, counts, pool);
+            100.0f, counts, pool, backend);
     }
 }
 
@@ -1507,9 +1501,9 @@ TEST(FreeSpaceSkip, SparseGridEqualsDenseGridAfterPooledIntegrates)
                 const Image<float> depth = makeDepth(k, seed++);
                 WorkCounts counts;
                 dense.integrate(depth, k, pose, 0.1f, 100.0f, counts,
-                                &pool);
+                                &pool, backend);
                 sparse.integrate(depth, k, pose, 0.1f, 100.0f, counts,
-                                 &pool);
+                                 &pool, backend);
             }
             EXPECT_TRUE(sameFlags(sparse.freeBricks(), dense.freeBricks()));
             EXPECT_GT(checkFlagInvariant(sparse), 0);
@@ -1621,8 +1615,13 @@ TEST(RenderReuse, ModelRenderAtRaycastPoseMatchesMarchPooled)
         Image<slambench::support::Rgb8> reused, marched;
         kf.renderModel(reused, kf.pose(), &k);
         WorkCounts march_work;
-        kf.volume().renderVolume(marched, k, kf.pose(), params,
-                                 march_work, nullptr);
+        std::visit(
+            [&](const auto &volume) {
+                renderVolumeKernel(marched, volume, k, kf.pose(), params,
+                                   march_work, nullptr,
+                                   &kf.kernelBackend());
+            },
+            kf.volume());
         ASSERT_EQ(reused.size(), marched.size());
         for (size_t i = 0; i < reused.size(); ++i) {
             ASSERT_EQ(reused[i].r, marched[i].r) << "pixel " << i;

@@ -9,10 +9,12 @@
 
 #include <set>
 #include <string>
+#include <variant>
 
 #include "dataset/generator.hpp"
 #include "kfusion/pipeline.hpp"
 #include "metrics/ate.hpp"
+#include "support/metrics.hpp"
 
 namespace {
 
@@ -227,6 +229,50 @@ TEST(Pipeline, RaycastMapsAvailableAfterFirstFrame)
     for (size_t i = 0; i < vertex.size(); ++i)
         hits += vertex[i].squaredNorm() > 0.0f;
     EXPECT_GT(hits, vertex.size() / 4);
+}
+
+TEST(Pipeline, ResidencyGaugesReadTheHeldVolume)
+{
+    // The pipeline holds the volume config.volumeBackend names and
+    // sets volume.blocks.{allocated,bytes} from its memoryStats()
+    // after every integrate, whichever volume it is.
+    namespace sm = slambench::support::metrics;
+    sm::Gauge &allocated =
+        sm::Registry::instance().gauge("volume.blocks.allocated");
+    sm::Gauge &bytes = sm::Registry::instance().gauge("volume.blocks.bytes");
+    const Sequence seq = smallSequence(1);
+    for (const std::string volume : {"dense", "sparse"}) {
+        SCOPED_TRACE(volume);
+        KFusionConfig config = smallConfig();
+        config.volumeBackend = volume;
+        config.volumeBlockSize = 16;
+        allocated.set(-1.0);
+        bytes.set(-1.0);
+        KFusion kf(config, seq.intrinsics);
+        kf.setPose(seq.groundTruth.pose(0));
+        ASSERT_TRUE(kf.processFrame(seq.frames[0].depthMm).integrated);
+
+        VolumeMemoryStats stats;
+        if (volume == "dense") {
+            const auto *dense = std::get_if<TsdfVolume>(&kf.volume());
+            ASSERT_NE(dense, nullptr);
+            stats = dense->memoryStats();
+            const uint64_t vr =
+                static_cast<uint64_t>(config.volumeResolution);
+            EXPECT_EQ(stats.bytes, vr * vr * vr * sizeof(Voxel));
+            EXPECT_EQ(stats.allocatedBlocks, 0u);
+        } else {
+            const auto *sparse =
+                std::get_if<SparseTsdfVolume>(&kf.volume());
+            ASSERT_NE(sparse, nullptr);
+            EXPECT_EQ(sparse->blockSize(), 16);
+            stats = sparse->memoryStats();
+            EXPECT_GT(stats.allocatedBlocks, 0u);
+        }
+        EXPECT_EQ(allocated.value(),
+                  static_cast<double>(stats.allocatedBlocks));
+        EXPECT_EQ(bytes.value(), static_cast<double>(stats.bytes));
+    }
 }
 
 TEST(PipelineConfig, ValidationCatchesBadValues)
