@@ -82,8 +82,8 @@ main(int argc, char **argv)
 
     // --backend/--volume select the baseline's kernel and volume
     // backends; the DSE itself always explores the "implementation"
-    // (0 = scalar, 1 = simd) and "volume" (0 = dense,
-    // 1 = sparse) dimensions regardless of these flags.
+    // dimension (0 = scalar, 1 = simd) and runs every evaluation on
+    // the dense map, regardless of these flags.
     kfusion::KFusionConfig default_config = defaultConfig();
     core::applyKernelOptions(options, default_config);
     core::Observability observability(options, "fig2_dse");

@@ -263,7 +263,7 @@ BM_IntegrateSparse(benchmark::State &state,
 {
     Workload &wl = workload(160, 120);
     SparseTsdfVolume volume(static_cast<int>(state.range(0)), 4.8f,
-                            {-2.4f, -0.4f, -2.4f}, 8, 0);
+                            {-2.4f, -0.4f, -2.4f});
     WorkCounts counts;
     for (auto _ : state) {
         volume.integrate(wl.depth, wl.k, wl.pose, 0.1f, 100.0f,
@@ -314,7 +314,7 @@ BM_RaycastSparse(benchmark::State &state, const KernelBackend *backend)
 {
     Workload &wl = workload(160, 120);
     SparseTsdfVolume volume(static_cast<int>(state.range(0)), 4.8f,
-                            {-2.4f, -0.4f, -2.4f}, 8, 0);
+                            {-2.4f, -0.4f, -2.4f});
     WorkCounts counts;
     volume.integrate(wl.depth, wl.k, wl.pose, 0.1f, 100.0f, counts,
                      nullptr);

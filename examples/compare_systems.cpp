@@ -10,7 +10,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -19,15 +18,16 @@
 #include "core/slam_system.hpp"
 #include "dataset/generator.hpp"
 #include "devices/fleet.hpp"
+#include "support/options.hpp"
 
 int
 main(int argc, char **argv)
 {
     using namespace slambench;
 
-    size_t frames = 40;
-    if (argc > 1)
-        frames = static_cast<size_t>(std::atol(argv[1]));
+    const auto frames = static_cast<size_t>(
+        support::parsePositionalsOrExit(argc, argv,
+                                        {{"frames", 40, 1}})[0]);
 
     dataset::SequenceSpec spec;
     spec.width = 160;

@@ -11,34 +11,35 @@
  * Usage: dse_exploration [budget] [frames] [threads]
  *
  * The third argument sets the evaluation worker count (0 = hardware
- * concurrency, 1 = serial); the explored configurations are identical
- * either way.
+ * concurrency, 1 = serial, at most core::kMaxThreads); the explored
+ * configurations are identical either way.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
 
+#include "core/cli_options.hpp"
 #include "core/config_binding.hpp"
 #include "core/experiment.hpp"
 #include "dataset/generator.hpp"
 #include "devices/fleet.hpp"
 #include "hypermapper/knowledge.hpp"
+#include "support/options.hpp"
 
 int
 main(int argc, char **argv)
 {
     using namespace slambench;
 
-    size_t budget = 24;
-    size_t frames = 12;
-    size_t threads = 0;
-    if (argc > 1)
-        budget = static_cast<size_t>(std::atol(argv[1]));
-    if (argc > 2)
-        frames = static_cast<size_t>(std::atol(argv[2]));
-    if (argc > 3)
-        threads = static_cast<size_t>(std::atol(argv[3]));
+    // Half the budget warms up the model, and each of the two
+    // rounds needs at least one configuration.
+    const std::vector<long> args = support::parsePositionalsOrExit(
+        argc, argv,
+        {{"budget", 24, 4},
+         {"frames", 12, 1},
+         {"threads", 0, 0, core::kMaxThreads}});
+    const auto budget = static_cast<size_t>(args[0]);
+    const auto frames = static_cast<size_t>(args[1]);
+    const auto threads = static_cast<size_t>(args[2]);
 
     // 1. Workload: a short synthetic living-room sequence.
     dataset::SequenceSpec spec;

@@ -9,13 +9,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/benchmark.hpp"
 #include "core/experiment.hpp"
 #include "core/slam_system.hpp"
 #include "dataset/generator.hpp"
 #include "devices/fleet.hpp"
+#include "support/options.hpp"
 #include "support/stats.hpp"
 
 int
@@ -23,12 +23,10 @@ main(int argc, char **argv)
 {
     using namespace slambench;
 
-    size_t devices_count = 20;
-    size_t frames = 12;
-    if (argc > 1)
-        devices_count = static_cast<size_t>(std::atol(argv[1]));
-    if (argc > 2)
-        frames = static_cast<size_t>(std::atol(argv[2]));
+    const std::vector<long> args = support::parsePositionalsOrExit(
+        argc, argv, {{"devices", 20, 1}, {"frames", 12, 1}});
+    const auto devices_count = static_cast<size_t>(args[0]);
+    const auto frames = static_cast<size_t>(args[1]);
 
     dataset::SequenceSpec spec;
     spec.width = 160;

@@ -8,28 +8,26 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/benchmark.hpp"
 #include "core/slam_system.hpp"
 #include "dataset/generator.hpp"
 #include "devices/fleet.hpp"
 #include "support/logging.hpp"
+#include "support/options.hpp"
 
 int
 main(int argc, char **argv)
 {
     using namespace slambench;
 
-    size_t frames = 40;
-    size_t width = 160;
-    size_t height = 120;
-    if (argc > 1)
-        frames = static_cast<size_t>(std::atol(argv[1]));
-    if (argc > 2)
-        width = static_cast<size_t>(std::atol(argv[2]));
-    if (argc > 3)
-        height = static_cast<size_t>(std::atol(argv[3]));
+    // The pipeline needs at least an 8x8 compute image.
+    const std::vector<long> args = support::parsePositionalsOrExit(
+        argc, argv,
+        {{"frames", 40, 1}, {"width", 160, 8}, {"height", 120, 8}});
+    const auto frames = static_cast<size_t>(args[0]);
+    const auto width = static_cast<size_t>(args[1]);
+    const auto height = static_cast<size_t>(args[2]);
 
     // 1. Generate the dataset (the ICL-NUIM stand-in).
     dataset::SequenceSpec spec;

@@ -63,8 +63,9 @@ main(int argc, char **argv)
          "concurrent tenant sessions"},
         {"--serve-ticks", OptionType::Integer, "0", "0..",
          "scheduling ticks to run (0 = run until SIGTERM)"},
-        {"--serve-threads", OptionType::Integer, "0", "0..",
-         "scheduler pool workers (0 = hardware concurrency)"},
+        core::threadCountOption(
+            "--serve-threads",
+            "scheduler pool workers (0 = hardware concurrency)"),
     });
     options.section("admission control (load shedding)").add({
         {"--serve-queue-hi", OptionType::Integer, "64", "1..",

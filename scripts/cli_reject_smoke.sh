@@ -5,15 +5,19 @@
 # an unknown flag and a negative frame count, plus every case below
 # whose first flag it accepts: a non-numeric --vr, an out-of-set
 # --csr, values that used to be clamped silently, the deleted "mixed"
-# kernel backend, an unknown volume backend, an out-of-set sparse block
-# size, a negative block-pool capacity (the option parser and
+# kernel backend, an unknown volume backend (the option parser and
 # KFusionConfig::validate() are all that stand in front of building
 # the map), the CLI's --dump-mesh/odometry clash, and an output
 # path (--frames-csv, --metrics-json, --trace, --crash-dump) in a
 # directory that does not exist. The deleted --perf-csv (every binary
 # with --trace) and --log (slambench_cli) per-frame tables must be
 # rejected too: --frames-csv replaced both. So must the deleted
-# hardware-counter flag --pmu, on every binary.
+# hardware-counter flag --pmu and the deleted sparse-volume tuning
+# flags --block-size and --pool-capacity, on every binary.
+#
+# The examples that take positional integers (quickstart,
+# compare_systems, mobile_fleet, dse_exploration) get garbage,
+# negative, zero and surplus arguments instead.
 #
 # Usage: cli_reject_smoke.sh <binary>...
 set -u
@@ -57,8 +61,6 @@ cases=(
     "--dse-threads -1"
     "--backend mixed"
     "--volume hashed"
-    "--block-size 12"
-    "--pool-capacity -1"
     "--dump-mesh mesh.obj --system odometry"
     "--frames-csv /nonexistent/d/x.csv"
     "--metrics-json /nonexistent/d/y.json"
@@ -70,6 +72,40 @@ for bin in "$@"; do
     check "$bin" --bogus-flag 1
     check "$bin" --frames -5
     check "$bin" --pmu
+    check "$bin" --block-size 8
+    check "$bin" --pool-capacity 0
+    case "$(basename "$bin")" in
+    quickstart)
+        check "$bin" abc
+        check "$bin" -3
+        check "$bin" 0
+        check "$bin" 4 0
+        check "$bin" 4 160 12x
+        check "$bin" 4 160 120 1
+        ;;
+    compare_systems)
+        check "$bin" abc
+        check "$bin" -1
+        check "$bin" 0
+        check "$bin" 4 4
+        ;;
+    mobile_fleet)
+        check "$bin" abc
+        check "$bin" -2
+        check "$bin" 0
+        check "$bin" 5 0
+        check "$bin" 5 4 1
+        ;;
+    dse_exploration)
+        check "$bin" abc
+        check "$bin" -24
+        check "$bin" 0
+        check "$bin" 24 0
+        check "$bin" 24 12 -1
+        check "$bin" 24 12 1x
+        check "$bin" 24 12 1 1
+        ;;
+    esac
     help=$("$bin" --help)
     if grep -q "^  --trace " <<< "$help"; then
         check "$bin" --perf-csv p.csv

@@ -154,12 +154,6 @@ addKernelOptions(support::Options &options)
          "kernel backend (bit-exact; docs/KERNEL_BACKENDS.md)"},
         {"--volume", OptionType::String, defaults.volumeBackend,
          "dense|sparse", "TSDF map data structure (bit-identical)"},
-        {"--block-size", OptionType::Integer,
-         std::to_string(defaults.volumeBlockSize), "8|16",
-         "sparse voxel-block edge"},
-        {"--pool-capacity", OptionType::Integer,
-         std::to_string(defaults.volumePoolCapacity), "0..",
-         "sparse resident-block cap (0 = unbounded)"},
     });
 }
 
@@ -169,21 +163,24 @@ applyKernelOptions(const support::Options &options,
 {
     config.kernelBackend = options.string("--backend");
     config.volumeBackend = options.string("--volume");
-    config.volumeBlockSize =
-        static_cast<int>(options.integer("--block-size"));
-    config.volumePoolCapacity = options.integer("--pool-capacity");
     const std::string problem = config.validate();
     if (!problem.empty())
         options.fail("invalid configuration: " + problem);
 }
 
+support::OptionSpec
+threadCountOption(std::string name, std::string help)
+{
+    return {std::move(name), OptionType::Integer, "0",
+            "0.." + std::to_string(kMaxThreads), std::move(help)};
+}
+
 void
 addDseThreadsOption(support::Options &options)
 {
-    options.add({
-        {"--dse-threads", OptionType::Integer, "0", "0..",
-         "worker threads (0 = hardware concurrency, 1 = serial)"},
-    });
+    options.add({threadCountOption(
+        "--dse-threads",
+        "worker threads (0 = hardware concurrency, 1 = serial)")});
 }
 
 } // namespace slambench::core

@@ -69,10 +69,10 @@ struct Observability
 };
 
 /**
- * Declare the kernel/volume group: `--backend`, `--volume`,
- * `--block-size`, `--pool-capacity` (docs/KERNEL_BACKENDS.md,
- * docs/ARCHITECTURE.md "Volume backends"). All choices are
- * bit-exact, so these move only the performance and memory axes.
+ * Declare the kernel/volume group: `--backend`, `--volume`
+ * (docs/KERNEL_BACKENDS.md, docs/ARCHITECTURE.md "The volume backend
+ * axis"). All choices are bit-exact, so these move only the
+ * performance and memory axes.
  */
 void addKernelOptions(support::Options &options);
 
@@ -85,9 +85,23 @@ void applyKernelOptions(const support::Options &options,
                         kfusion::KFusionConfig &config);
 
 /**
- * Declare `--dse-threads N`: worker threads for parallel evaluation
- * (0 = hardware concurrency, 1 = serial). Any value gives
- * byte-identical results; only the wall clock changes.
+ * Largest worker-thread count any binary accepts (`--dse-threads`,
+ * `--serve-threads`, the examples' thread arguments). A ThreadPool
+ * starts every thread it is asked for, so a larger count is a usage
+ * error, not a request.
+ */
+inline constexpr long kMaxThreads = 1024;
+
+/**
+ * The option row of a worker-thread count named @p name: an integer
+ * in 0..kMaxThreads, default 0 (hardware concurrency).
+ */
+support::OptionSpec threadCountOption(std::string name, std::string help);
+
+/**
+ * Declare `--dse-threads N` (0..kMaxThreads): worker threads for
+ * parallel evaluation (0 = hardware concurrency, 1 = serial). Any
+ * value gives byte-identical results; only the wall clock changes.
  */
 void addDseThreadsOption(support::Options &options);
 

@@ -32,14 +32,6 @@ kfusionParameterSpace()
     // 1 = simd. All backends are bit-exact, so this dimension only
     // moves the performance/energy axes, never accuracy.
     space.addOrdinal("implementation", {0, 1}, 0);
-    // TSDF map data structure: 0 = dense array, 1 = hashed voxel
-    // blocks. Sparse is bit-identical to dense on the observed
-    // region, so like "implementation" this is a pure
-    // performance/memory axis. block_size and pool_capacity only
-    // take effect when volume = 1 (pool_capacity 0 = unbounded).
-    space.addOrdinal("volume", {0, 1}, 0);
-    space.addOrdinal("block_size", {8, 16}, 8);
-    space.addInteger("pool_capacity", 0, 1 << 20, 0);
     return space;
 }
 
@@ -68,12 +60,6 @@ pointToConfig(const ParameterSpace &space, const Point &point)
         static_cast<int>(p[space.indexOf("rendering_rate")]);
     config.kernelBackend = kfusion::kernelBackendFromOrdinal(
         p[space.indexOf("implementation")]);
-    config.volumeBackend = kfusion::volumeBackendFromOrdinal(
-        p[space.indexOf("volume")]);
-    config.volumeBlockSize =
-        static_cast<int>(p[space.indexOf("block_size")]);
-    config.volumePoolCapacity =
-        static_cast<long>(p[space.indexOf("pool_capacity")]);
     return config;
 }
 
@@ -102,11 +88,6 @@ configToPoint(const ParameterSpace &space, const KFusionConfig &config)
     p[space.indexOf("rendering_rate")] = config.renderingRate;
     p[space.indexOf("implementation")] =
         kfusion::kernelBackendOrdinal(config.kernelBackend);
-    p[space.indexOf("volume")] =
-        kfusion::volumeBackendOrdinal(config.volumeBackend);
-    p[space.indexOf("block_size")] = config.volumeBlockSize;
-    p[space.indexOf("pool_capacity")] =
-        static_cast<double>(config.volumePoolCapacity);
     return space.canonicalize(p);
 }
 

@@ -41,10 +41,6 @@ KFusionConfig::validate() const
         return backend_error;
     if (!volumeBackendNameValid(volumeBackend))
         return "volumeBackend must be one of {dense, sparse}";
-    if (volumeBlockSize != 8 && volumeBlockSize != 16)
-        return "volumeBlockSize must be 8 or 16";
-    if (volumePoolCapacity < 0)
-        return "volumePoolCapacity must be >= 0 (0 = unbounded)";
     return "";
 }
 
@@ -63,9 +59,6 @@ KFusionConfig::toString() const
     }
     out << " tr=" << trackingRate << " rr=" << renderingRate
         << " kb=" << kernelBackend << " vol=" << volumeBackend;
-    if (volumeBackend == "sparse")
-        out << " bs=" << volumeBlockSize
-            << " pc=" << volumePoolCapacity;
     return out.str();
 }
 
@@ -79,18 +72,6 @@ bool
 volumeBackendNameValid(const std::string &name)
 {
     return name == "dense" || name == "sparse";
-}
-
-int
-volumeBackendOrdinal(const std::string &name)
-{
-    return name == "sparse" ? 1 : 0;
-}
-
-std::string
-volumeBackendFromOrdinal(int ordinal)
-{
-    return ordinal == 1 ? "sparse" : "dense";
 }
 
 } // namespace slambench::kfusion

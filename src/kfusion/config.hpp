@@ -83,22 +83,13 @@ struct KFusionConfig
     /**
      * TSDF map data structure: "dense" (z-major array,
      * O(resolution^3) memory, the numerical reference) or "sparse"
-     * (hashed voxel blocks, memory proportional to observed surface,
-     * bit-identical to dense on the observed region). The DSE
-     * explores it as the ordinal "volume" dimension. See
-     * docs/ARCHITECTURE.md "Volume backends".
+     * (hashed 8^3-voxel blocks, memory proportional to observed
+     * surface, bit-identical to dense on the observed region). Not a
+     * DSE dimension: it moves no objective, so every DSE evaluation
+     * runs the dense map. See docs/ARCHITECTURE.md "The volume
+     * backend axis".
      */
     std::string volumeBackend = "dense";
-
-    /** Sparse volume: voxels per block edge (8 or 16). */
-    int volumeBlockSize = 8;
-
-    /**
-     * Sparse volume: maximum resident blocks (0 = unbounded). On
-     * exhaustion, fusion into not-yet-resident blocks is dropped;
-     * resident blocks keep fusing.
-     */
-    long volumePoolCapacity = 0;
 
     // --- Fixed algorithm constants (SLAMBench values). ---
 
@@ -157,15 +148,6 @@ const char *implementationName(Implementation impl);
 
 /** @return true when @p name names a built-in volume backend. */
 bool volumeBackendNameValid(const std::string &name);
-
-/**
- * DSE ordinal encoding of the volume backend ("volume" dimension):
- * dense = 0, sparse = 1.
- */
-int volumeBackendOrdinal(const std::string &name);
-
-/** Inverse of volumeBackendOrdinal (out-of-range maps to "dense"). */
-std::string volumeBackendFromOrdinal(int ordinal);
 
 } // namespace slambench::kfusion
 

@@ -35,8 +35,7 @@ makeMap(const KFusionConfig &config)
     if (config.volumeBackend == "sparse")
         return TsdfMap(std::in_place_type<SparseTsdfVolume>,
                        config.volumeResolution, config.volumeSize,
-                       config.volumeOrigin, config.volumeBlockSize,
-                       static_cast<size_t>(config.volumePoolCapacity));
+                       config.volumeOrigin);
     return TsdfMap(std::in_place_type<TsdfVolume>,
                    config.volumeResolution, config.volumeSize,
                    config.volumeOrigin);

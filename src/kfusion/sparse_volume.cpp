@@ -1,7 +1,6 @@
 #include "kfusion/sparse_volume.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -38,37 +37,25 @@ ceilPow2(size_t n)
 } // namespace
 
 SparseTsdfVolume::SparseTsdfVolume(int resolution, float size_m,
-                                   const Vec3f &origin,
-                                   int block_size,
-                                   size_t pool_capacity)
+                                   const Vec3f &origin)
     : resolution_(resolution), size_(size_m), origin_(origin),
       id_(g_nextVolumeId.fetch_add(1, std::memory_order_relaxed)),
-      blockSize_(block_size), freeBricks_(resolution, size_m, origin)
+      freeBricks_(resolution, size_m, origin)
 {
     if (resolution < 8)
         support::fatal("SparseTsdfVolume: resolution must be >= 8");
     if (!(size_m > 0.0f))
         support::fatal("SparseTsdfVolume: size must be positive");
-    if (block_size != 8 && block_size != 16)
-        support::fatal("SparseTsdfVolume: block size must be 8 or 16");
 
-    blockShift_ = block_size == 8 ? 3 : 4;
-    blockMask_ = block_size - 1;
-    blocksPerEdge_ = (resolution + block_size - 1) / block_size;
-    blockVoxels_ = static_cast<size_t>(block_size) * block_size *
-                   block_size;
-
+    blocksPerEdge_ = (resolution + kBlockSize - 1) / kBlockSize;
     const size_t grid_blocks = static_cast<size_t>(blocksPerEdge_) *
                                blocksPerEdge_ * blocksPerEdge_;
-    poolCapacity_ = pool_capacity == 0
-                        ? grid_blocks
-                        : std::min(pool_capacity, grid_blocks);
 
     // Load factor <= 0.5 keeps linear-probe chains short and, since
-    // allocation stops at poolCapacity_, guarantees every probe
+    // no more than grid_blocks blocks exist, guarantees every probe
     // terminates at an empty slot. The table is sized once — no
     // rehash — so concurrent lock-free readers are safe.
-    tableSize_ = std::max<size_t>(64, ceilPow2(poolCapacity_ * 2));
+    tableSize_ = std::max<size_t>(64, ceilPow2(grid_blocks * 2));
     tableKeys_ = std::vector<std::atomic<uint64_t>>(tableSize_);
     for (auto &k : tableKeys_)
         k.store(kEmptyKey, std::memory_order_relaxed);
@@ -77,8 +64,8 @@ SparseTsdfVolume::SparseTsdfVolume(int resolution, float size_m,
     // ~2 MiB chunks: large enough to amortize allocation, small
     // enough that the last partially-used chunk wastes little.
     blocksPerChunk_ = std::max<size_t>(
-        1, (2u << 20) / (blockVoxels_ * sizeof(Voxel)));
-    chunks_.reserve(poolCapacity_ / blocksPerChunk_ + 1);
+        1, (2u << 20) / (kBlockVoxels * sizeof(Voxel)));
+    chunks_.reserve(grid_blocks / blocksPerChunk_ + 1);
 }
 
 void
@@ -126,13 +113,10 @@ Voxel *
 SparseTsdfVolume::allocateBlock(int bx, int by, int bz)
 {
     Voxel *data = insertBlock(bx, by, bz);
-    if (data) {
-        const int x0 = bx * blockSize_, y0 = by * blockSize_,
-                  z0 = bz * blockSize_;
-        const int edge = blockSize_ - 1;
-        freeBricks_.clearBox(x0, y0, z0, x0 + edge, y0 + edge,
-                             z0 + edge);
-    }
+    const int x0 = bx * kBlockSize, y0 = by * kBlockSize,
+              z0 = bz * kBlockSize;
+    freeBricks_.clearBox(x0, y0, z0, x0 + kBlockMask, y0 + kBlockMask,
+                         z0 + kBlockMask);
     return data;
 }
 
@@ -154,19 +138,16 @@ SparseTsdfVolume::insertBlock(int bx, int by, int bz)
             break;
         i = (i + 1) & mask;
     }
-    if (allocated_.load(std::memory_order_relaxed) >= poolCapacity_)
-        return nullptr;
-
     const size_t slot = nextPoolSlot_++;
     const size_t chunk = slot / blocksPerChunk_;
     if (chunk == chunks_.size())
         chunks_.push_back(std::make_unique<Voxel[]>(
-            blocksPerChunk_ * blockVoxels_));
+            blocksPerChunk_ * kBlockVoxels));
     Voxel *data = chunks_[chunk].get() +
-                  (slot % blocksPerChunk_) * blockVoxels_;
+                  (slot % blocksPerChunk_) * kBlockVoxels;
     // Re-default explicitly: chunk memory may be recycled from a
     // previous epoch (reset() keeps the chunks).
-    std::fill_n(data, blockVoxels_, Voxel{});
+    std::fill_n(data, kBlockVoxels, Voxel{});
 
     slotBlocks_[i] = data;
     // Publish last with release order so a lock-free reader that
@@ -180,14 +161,14 @@ SparseTsdfVolume::insertBlock(int bx, int by, int bz)
 Voxel
 SparseTsdfVolume::voxelAt(int x, int y, int z) const
 {
-    const Voxel *block = findBlock(x >> blockShift_, y >> blockShift_,
-                                   z >> blockShift_);
+    const Voxel *block = findBlock(x >> kBlockShift, y >> kBlockShift,
+                                   z >> kBlockShift);
     if (!block)
         return kUnobserved;
-    return block[(static_cast<size_t>(x & blockMask_) * blockSize_ +
-                  static_cast<size_t>(y & blockMask_)) *
-                     blockSize_ +
-                 static_cast<size_t>(z & blockMask_)];
+    return block[(static_cast<size_t>(x & kBlockMask) * kBlockSize +
+                  static_cast<size_t>(y & kBlockMask)) *
+                     kBlockSize +
+                 static_cast<size_t>(z & kBlockMask)];
 }
 
 std::vector<math::Vec3i>
@@ -223,11 +204,10 @@ SparseTsdfVolume::memoryStats() const
     VolumeMemoryStats stats;
     stats.allocatedBlocks = allocated_.load(std::memory_order_relaxed);
     stats.touchedBlocks = lastTouched_;
-    stats.droppedBlocks = dropped_.load(std::memory_order_relaxed);
     // Resident pool memory is counted at chunk granularity (what the
     // process actually holds), plus the fixed-size hash index.
     const uint64_t pool_bytes = static_cast<uint64_t>(chunks_.size()) *
-                                blocksPerChunk_ * blockVoxels_ *
+                                blocksPerChunk_ * kBlockVoxels *
                                 sizeof(Voxel);
     const uint64_t table_bytes =
         static_cast<uint64_t>(tableSize_) *
@@ -344,7 +324,7 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
     const Mat4f world_to_camera = camera_to_world.rigidInverse();
     const float vs = voxelSize();
     const int res = resolution_;
-    const int bs = blockSize_;
+    constexpr int bs = kBlockSize;
     const size_t width = depth.width();
     const size_t height = depth.height();
     const float *lambda_table =
@@ -415,8 +395,8 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
                                      x];
                     if (zi.begin >= zi.end)
                         continue;
-                    const int b0 = zi.begin >> blockShift_;
-                    const int b1 = (zi.end - 1) >> blockShift_;
+                    const int b0 = zi.begin >> kBlockShift;
+                    const int b1 = (zi.end - 1) >> kBlockShift;
                     for (int b = b0; b <= b1; ++b)
                         zmask[b >> 6] |= 1ull << (b & 63);
                     any = true;
@@ -444,7 +424,6 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
     // when a voxel actually fused, keeping residency proportional to
     // the observed region rather than the conservative cull margin.
     std::atomic<long long> touched_total{0};
-    std::atomic<long long> dropped_now{0};
     auto sweep_runs = [&](size_t begin, size_t end) {
         static thread_local std::vector<Voxel> scratch;
         static thread_local std::vector<Voxel *> dest;
@@ -460,7 +439,7 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
         for (size_t ri = begin; ri < end; ++ri) {
             const BlockRun r = runs[ri];
             const int nb = r.bz_end - r.bz_begin;
-            scratch.resize(static_cast<size_t>(nb) * blockVoxels_);
+            scratch.resize(static_cast<size_t>(nb) * kBlockVoxels);
             dest.resize(nb);
             fresh.resize(nb);
             swept.resize(nb);
@@ -472,8 +451,8 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
                     fresh[j] = 0;
                 } else {
                     Voxel *s = scratch.data() +
-                               static_cast<size_t>(j) * blockVoxels_;
-                    std::fill_n(s, blockVoxels_, Voxel{});
+                               static_cast<size_t>(j) * kBlockVoxels;
+                    std::fill_n(s, kBlockVoxels, Voxel{});
                     dest[j] = s;
                     fresh[j] = 1;
                 }
@@ -500,33 +479,30 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
                     for (int k = 0; k < z; ++k)
                         pos += step;
                     const size_t col_off =
-                        (static_cast<size_t>(x & blockMask_) * bs +
-                         static_cast<size_t>(y & blockMask_)) *
+                        (static_cast<size_t>(x & kBlockMask) * bs +
+                         static_cast<size_t>(y & kBlockMask)) *
                         bs;
                     while (z < z_stop) {
-                        const int j =
-                            (z >> blockShift_) - r.bz_begin;
-                        const int block_z0 = (r.bz_begin + j) * bs;
+                        // A block is one brick: the segment's brick
+                        // is its block's z index.
+                        const int brick = z >> kBlockShift;
+                        const int j = brick - r.bz_begin;
+                        const int block_z0 = brick * bs;
                         const int z_lim =
                             std::min(z_stop, block_z0 + bs);
-                        // Block segments span at most 16 voxels, so
-                        // their block-local z-bricks fit one word.
                         uint64_t block_dirty = 0;
                         kernels.integrateColumn(
                             ctx, dest[j] + col_off, z - block_z0,
                             z_lim - block_z0, pos, &block_dirty);
-                        const int brick0 = block_z0 >> kBrickShift;
-                        for (uint64_t bits = block_dirty; bits != 0;
-                             bits &= bits - 1)
-                            mark_dirty(brick0 +
-                                       std::countr_zero(bits));
+                        if (block_dirty)
+                            mark_dirty(brick);
                         // The kernel sees this voxel at local z = 0
                         // and cannot mark the brick below, whose
                         // apron holds it. A voxel != 1 left 1 at
                         // some visit, where dense cleared that brick.
-                        if (z == block_z0 && block_z0 > 0 &&
+                        if (z == block_z0 && brick > 0 &&
                             dest[j][col_off].tsdf != 1.0f)
-                            mark_dirty(brick0 - 1);
+                            mark_dirty(brick - 1);
                         // Advance past the segment with the same
                         // additions the dense sweep performs.
                         for (int k = z; k < z_lim; ++k)
@@ -549,9 +525,9 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
                     continue;
                 const Voxel *s = scratch.data() +
                                  static_cast<size_t>(j) *
-                                     blockVoxels_;
+                                     kBlockVoxels;
                 bool fused = false;
-                for (size_t v = 0; v < blockVoxels_; ++v) {
+                for (size_t v = 0; v < kBlockVoxels; ++v) {
                     if (s[v].weight > 0.0f) {
                         fused = true;
                         break;
@@ -559,14 +535,8 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
                 }
                 if (!fused)
                     continue;
-                Voxel *data =
-                    insertBlock(r.bx, r.by, r.bz_begin + j);
-                if (!data) {
-                    dropped_now.fetch_add(
-                        1, std::memory_order_relaxed);
-                    continue;
-                }
-                std::copy_n(s, blockVoxels_, data);
+                std::copy_n(s, kBlockVoxels,
+                            insertBlock(r.bx, r.by, r.bz_begin + j));
             }
         }
         touched_total.fetch_add(touched, std::memory_order_relaxed);
@@ -577,18 +547,6 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
         sweep_runs(0, runs.size());
 
     lastTouched_ = static_cast<uint64_t>(touched_total.load());
-    const long long dropped = dropped_now.load();
-    if (dropped > 0) {
-        dropped_.fetch_add(static_cast<uint64_t>(dropped),
-                           std::memory_order_relaxed);
-        if (!warnedExhausted_) {
-            warnedExhausted_ = true;
-            support::logWarn()
-                << "sparse volume: block pool exhausted (capacity="
-                << poolCapacity_ << "); dropping fusion into new "
-                << "blocks (resident blocks keep fusing)";
-        }
-    }
 
     const double visited = static_cast<double>(visited_total.load());
     const double culled = static_cast<double>(culled_total.load());
@@ -603,13 +561,9 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
         sm::Registry::instance().counter("volume.integrate.culled");
     static sm::Counter &touched_counter =
         sm::Registry::instance().counter("volume.blocks.touched");
-    static sm::Counter &dropped_counter =
-        sm::Registry::instance().counter("volume.blocks.dropped");
     visited_counter.add(static_cast<uint64_t>(visited_total.load()));
     culled_counter.add(static_cast<uint64_t>(culled_total.load()));
     touched_counter.add(lastTouched_);
-    if (dropped > 0)
-        dropped_counter.add(static_cast<uint64_t>(dropped));
     TRACE_COUNTER("integrate.voxels", visited);
     TRACE_COUNTER("integrate.culled", culled);
     TRACE_COUNTER("integrate.blocks",

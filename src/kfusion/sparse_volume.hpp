@@ -7,14 +7,14 @@
  * z-major TsdfVolume, with memory proportional to the observed
  * surface instead of resolution^3.
  *
- * Layout: the volume is partitioned into fixed-size cubic blocks of
- * B^3 voxels (B = 8 or 16, a DSE parameter). Blocks are allocated
- * on demand from a chunked pool during integrate() and found through
- * an open-addressed spatial hash from block coordinates to pool
- * slots. Within a block, voxels are stored z-major (z contiguous,
- * then y, then x) — the same order as a dense sub-volume — so the
- * integration sweep along a column and the kernel-backend
- * `integrateColumn` hooks work on block storage unchanged.
+ * Layout: the volume is partitioned into cubic blocks of 8^3 voxels,
+ * one FreeBrickGrid brick each. Blocks are allocated on demand from a
+ * chunked pool during integrate() and found through an open-addressed
+ * spatial hash from block coordinates to pool slots. Within a block,
+ * voxels are stored z-major (z contiguous, then y, then x) — the
+ * same order as a dense sub-volume — so the integration sweep along
+ * a column and the kernel-backend `integrateColumn` hooks work on
+ * block storage unchanged.
  *
  * Bit-exactness contract (verified by kfusion_parity_test): after
  * identical integrate calls, every voxel the dense volume would hold
@@ -93,15 +93,9 @@ class SparseTsdfVolume
      * @param resolution Voxels per edge (>= 8).
      * @param size_m Edge length in meters.
      * @param origin World position of the minimum corner.
-     * @param block_size Voxels per block edge (8 or 16).
-     * @param pool_capacity Maximum resident blocks; 0 = unbounded
-     *        (bounded only by the block grid itself). On exhaustion
-     *        fusion into *new* blocks is dropped (counted and
-     *        WARN-logged once); already-resident blocks keep fusing.
      */
     SparseTsdfVolume(int resolution, float size_m,
-                     const Vec3f &origin, int block_size,
-                     size_t pool_capacity);
+                     const Vec3f &origin);
 
     /** @return voxels per edge. */
     int resolution() const { return resolution_; }
@@ -111,14 +105,12 @@ class SparseTsdfVolume
     const Vec3f &origin() const { return origin_; }
     /** @return voxel edge length, meters. */
     float voxelSize() const { return size_ / resolution_; }
-    /** @return voxels per block edge. */
-    int blockSize() const { return blockSize_; }
+    /** @return voxels per block edge (one brick). */
+    static constexpr int blockSize() { return kBlockSize; }
     /** @return blocks per volume edge (ceil(resolution / block)). */
     int blocksPerEdge() const { return blocksPerEdge_; }
     /** @return voxels per block (blockSize^3). */
-    size_t blockVoxels() const { return blockVoxels_; }
-    /** @return maximum resident blocks (never 0 after construction). */
-    size_t poolCapacity() const { return poolCapacity_; }
+    static constexpr size_t blockVoxels() { return kBlockVoxels; }
     /** @return open-addressed hash table slot count (power of two). */
     size_t tableSize() const { return tableSize_; }
     /** @return this volume's process-unique id (never 0). */
@@ -177,18 +169,18 @@ class SparseTsdfVolume
     stencilVoxels(int x0, int y0, int z0, LookupCache &cache,
                   const Voxel *corners[8]) const
     {
-        const int lx = x0 & blockMask_;
-        const int ly = y0 & blockMask_;
-        const int lz = z0 & blockMask_;
-        const int bx = x0 >> blockShift_;
-        const int by = y0 >> blockShift_;
-        const int bz = z0 >> blockShift_;
-        const size_t sy = static_cast<size_t>(blockSize_);
+        const int lx = x0 & kBlockMask;
+        const int ly = y0 & kBlockMask;
+        const int lz = z0 & kBlockMask;
+        const int bx = x0 >> kBlockShift;
+        const int by = y0 >> kBlockShift;
+        const int bz = z0 >> kBlockShift;
+        const size_t sy = static_cast<size_t>(kBlockSize);
         const size_t sx = sy * sy;
         // Per axis: whether the stencil's +1 corner is in the next
         // block.
-        const int cross = (lx == blockMask_) | (ly == blockMask_) << 1 |
-                          (lz == blockMask_) << 2;
+        const int cross = (lx == kBlockMask) | (ly == kBlockMask) << 1 |
+                          (lz == kBlockMask) << 2;
         if (cross == 0) {
             const Voxel *block = cachedBlock(bx, by, bz, cache);
             if (!block) {
@@ -223,9 +215,9 @@ class SparseTsdfVolume
                 corners[c] = &kUnobserved;
                 continue;
             }
-            const size_t x = (lx + (c & 1)) & blockMask_;
-            const size_t y = (ly + (c >> 1 & 1)) & blockMask_;
-            const size_t z = (lz + (c >> 2)) & blockMask_;
+            const size_t x = (lx + (c & 1)) & kBlockMask;
+            const size_t y = (ly + (c >> 1 & 1)) & kBlockMask;
+            const size_t z = (lz + (c >> 2)) & kBlockMask;
             corners[c] = block + x * sx + y * sy + z;
         }
     }
@@ -253,13 +245,11 @@ class SparseTsdfVolume
      * actually fused (weight > 0), so residency tracks the observed
      * region exactly — never the conservative cull margin.
      *
-     * Phase 3 clears the free-brick flags the dense sweep clears: the
-     * kernels' block-local z-bricks are offset to volume bricks, and
-     * because a kernel cannot mark the brick below its block, a
-     * segment that starts on a block's z = 0 face also clears that
-     * brick when the voxel there holds tsdf != 1. A block dropped on
-     * pool exhaustion may leave flags cleared over voxels that read
-     * 1; that only costs the skip.
+     * Phase 3 clears the free-brick flags the dense sweep clears: a
+     * block is one brick, so a dirty segment clears its block's
+     * brick, and because a kernel cannot mark the brick below its
+     * block, a segment that starts on a block's z = 0 face also
+     * clears that brick when the voxel there holds tsdf != 1.
      *
      * Not thread-safe against concurrent calls on the same volume.
      *
@@ -296,8 +286,7 @@ class SparseTsdfVolume
      * apron, so whatever is written through the storage keeps the
      * grid conservative.
      *
-     * @return the block's voxel storage, or nullptr when the pool is
-     *         at capacity and the block is not resident.
+     * @return the block's voxel storage.
      */
     Voxel *allocateBlock(int bx, int by, int bz);
 
@@ -376,12 +365,14 @@ class SparseTsdfVolume
     Vec3f origin_;
     /// Process-unique, so a LookupCache never trusts another volume.
     uint64_t id_;
-    int blockSize_;
-    int blockShift_; ///< log2(blockSize_)
-    int blockMask_;  ///< blockSize_ - 1
+    /// A block is one FreeBrickGrid brick, so a block-local z segment
+    /// dirties exactly its own brick (see integrate()).
+    static constexpr int kBlockSize = kBrickEdge;
+    static constexpr int kBlockShift = kBrickShift;
+    static constexpr int kBlockMask = kBlockSize - 1;
+    static constexpr size_t kBlockVoxels =
+        static_cast<size_t>(kBlockSize) * kBlockSize * kBlockSize;
     int blocksPerEdge_;
-    size_t blockVoxels_;
-    size_t poolCapacity_;
     size_t tableSize_;
 
     /// Open-addressed table: packed block key (0 = empty) per slot,
@@ -398,11 +389,9 @@ class SparseTsdfVolume
 
     std::mutex allocMutex_;
     std::atomic<uint64_t> allocated_{0};
-    std::atomic<uint64_t> dropped_{0};
     uint64_t lastTouched_ = 0;
     /// Bumped by reset() so outstanding LookupCaches self-invalidate.
     uint64_t generation_ = 0;
-    bool warnedExhausted_ = false;
 
     LambdaTable lambda_;
     std::vector<ZInterval> cullScratch_;

@@ -50,8 +50,6 @@ struct VolumeMemoryStats
     uint64_t allocatedBlocks = 0;
     /** Blocks swept by the most recent integrate(). */
     uint64_t touchedBlocks = 0;
-    /** Cumulative blocks dropped on pool exhaustion. */
-    uint64_t droppedBlocks = 0;
     /** Resident bytes: voxel storage plus index structures. */
     uint64_t bytes = 0;
 };

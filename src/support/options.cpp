@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <utility>
 
 #include "support/logging.hpp"
@@ -327,6 +328,62 @@ Options::help() const
     out += "Unknown options, missing or malformed values and "
            "out-of-range values exit 2.\n";
     return out;
+}
+
+std::string
+parsePositionals(const std::vector<std::string> &args,
+                 const std::vector<PositionalSpec> &specs,
+                 std::vector<long> &values)
+{
+    if (args.size() > specs.size())
+        return "unexpected argument '" + args[specs.size()] + "'";
+    std::vector<long> parsed;
+    for (size_t i = 0; i < specs.size(); ++i) {
+        const PositionalSpec &spec = specs[i];
+        long value = spec.fallback;
+        if (i < args.size()) {
+            if (!parseLong(args[i], value))
+                return spec.name + ": '" + args[i] +
+                       "' is not an integer";
+            if (value < spec.min || value > spec.max)
+                return spec.name + ": " + std::to_string(value) +
+                       " is out of range (want " +
+                       describeRange(
+                           std::to_string(spec.min) + ".." +
+                           (spec.max == std::numeric_limits<long>::max()
+                                ? ""
+                                : std::to_string(spec.max))) +
+                       ")";
+        }
+        parsed.push_back(value);
+    }
+    values = std::move(parsed);
+    return "";
+}
+
+std::vector<long>
+parsePositionalsOrExit(int argc, char **argv,
+                       const std::vector<PositionalSpec> &specs)
+{
+    const std::string program =
+        std::filesystem::path(argv[0]).filename().string();
+    std::string usage = "usage: " + program;
+    for (const PositionalSpec &spec : specs)
+        usage += " [" + spec.name + "]";
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    for (const std::string &arg : args)
+        if (arg == "--help" || arg == "-h") {
+            std::printf("%s\n", usage.c_str());
+            std::exit(0);
+        }
+    std::vector<long> values;
+    const std::string problem = parsePositionals(args, specs, values);
+    if (!problem.empty()) {
+        std::fprintf(stderr, "%s: %s\n%s\n", program.c_str(),
+                     problem.c_str(), usage.c_str());
+        std::exit(2);
+    }
+    return values;
 }
 
 } // namespace slambench::support

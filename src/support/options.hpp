@@ -156,6 +156,46 @@ class Options
     bool helpRequested_ = false;
 };
 
+/**
+ * One optional positional integer argument of an example binary
+ * (`quickstart [frames] [width] [height]`).
+ */
+struct PositionalSpec
+{
+    /** Shown in the usage line as "[name]". */
+    std::string name;
+    /** Value when the argument is absent. */
+    long fallback;
+    /** Smallest accepted value. */
+    long min;
+    /** Largest accepted value. */
+    long max = std::numeric_limits<long>::max();
+};
+
+/**
+ * Parse @p args as up to specs.size() positional integers, in order:
+ * each must parse whole (parseLong) and lie in its [min, max].
+ *
+ * @param[out] values One value per spec (the fallback where absent);
+ *     untouched on a problem.
+ * @return empty on success, else the usage error.
+ */
+std::string parsePositionals(const std::vector<std::string> &args,
+                             const std::vector<PositionalSpec> &specs,
+                             std::vector<long> &values);
+
+/**
+ * parsePositionals() over argv. `--help`/`-h` prints the usage line
+ * ("usage: <program> [name]...") and exits 0; a usage error prints
+ * "<program>: <problem>" and the usage line to stderr and exits 2,
+ * before any work starts.
+ *
+ * @return one value per spec.
+ */
+std::vector<long>
+parsePositionalsOrExit(int argc, char **argv,
+                       const std::vector<PositionalSpec> &specs);
+
 } // namespace slambench::support
 
 #endif // SLAMBENCH_SUPPORT_OPTIONS_HPP

@@ -577,17 +577,14 @@ expectSparseMatchesDense(const SparseTsdfVolume &sparse,
  * pooled sparse) and require voxel-for-voxel identity.
  */
 void
-checkSparseMatchesDense(const Mat4f &pose, uint64_t seed,
-                        int block_size)
+checkSparseMatchesDense(const Mat4f &pose, uint64_t seed)
 {
     const auto k = CameraIntrinsics::fromFov(40, 32, 1.1f);
     const Image<float> depth = makeDepth(k, seed);
 
     TsdfVolume dense(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
-    SparseTsdfVolume serial(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f},
-                            block_size, 0);
-    SparseTsdfVolume pooled(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f},
-                            block_size, 0);
+    SparseTsdfVolume serial(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
+    SparseTsdfVolume pooled(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
     ThreadPool pool(3);
     WorkCounts dense_counts, serial_counts, pooled_counts;
     dense.integrate(depth, k, pose, 0.1f, 100.0f, dense_counts,
@@ -609,8 +606,7 @@ checkSparseMatchesDense(const Mat4f &pose, uint64_t seed,
 
 TEST(SparseParity, MatchesDenseIdentityPose)
 {
-    checkSparseMatchesDense(Mat4f{}, 11, 8);
-    checkSparseMatchesDense(Mat4f{}, 11, 16);
+    checkSparseMatchesDense(Mat4f{}, 11);
 }
 
 TEST(SparseParity, MatchesDensePartialFrustum)
@@ -618,8 +614,7 @@ TEST(SparseParity, MatchesDensePartialFrustum)
     const Mat4f pose = slambench::math::lookAt(
         Vec3f{0.8f, 0.4f, -0.6f}, Vec3f{-0.2f, 0.0f, 1.0f},
         Vec3f{0.0f, 1.0f, 0.0f});
-    checkSparseMatchesDense(pose, 12, 8);
-    checkSparseMatchesDense(pose, 12, 16);
+    checkSparseMatchesDense(pose, 12);
 }
 
 TEST(SparseParity, MatchesDenseCameraInsideVolume)
@@ -627,7 +622,7 @@ TEST(SparseParity, MatchesDenseCameraInsideVolume)
     const Mat4f pose = slambench::math::lookAt(
         Vec3f{0.0f, 0.0f, 1.0f}, Vec3f{0.0f, 0.0f, 2.0f},
         Vec3f{0.0f, 1.0f, 0.0f});
-    checkSparseMatchesDense(pose, 13, 8);
+    checkSparseMatchesDense(pose, 13);
 }
 
 TEST(SparseParity, MatchesDenseVolumeBehindCamera)
@@ -635,10 +630,9 @@ TEST(SparseParity, MatchesDenseVolumeBehindCamera)
     const Mat4f pose = slambench::math::lookAt(
         Vec3f{0.0f, 0.0f, -0.5f}, Vec3f{0.0f, 0.0f, -2.0f},
         Vec3f{0.0f, 1.0f, 0.0f});
-    checkSparseMatchesDense(pose, 14, 8);
+    checkSparseMatchesDense(pose, 14);
     // Nothing projects: no block may be allocated.
-    SparseTsdfVolume sparse(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, 8,
-                            0);
+    SparseTsdfVolume sparse(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
     WorkCounts counts;
     const auto k = CameraIntrinsics::fromFov(40, 32, 1.1f);
     sparse.integrate(makeDepth(k, 14), k, pose, 0.1f, 100.0f, counts,
@@ -662,8 +656,7 @@ TEST(SparseParity, MatchesDenseAcrossFusedFramesPooled)
         SCOPED_TRACE(name);
         const KernelBackend *backend = findKernelBackend(name);
         TsdfVolume dense(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
-        SparseTsdfVolume sparse(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f},
-                                8, 0);
+        SparseTsdfVolume sparse(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
         ThreadPool pool(3);
         WorkCounts counts;
         uint64_t seed = 51;
@@ -683,7 +676,7 @@ class SparseFusedVolume : public FusedVolume
 {
   protected:
     SparseFusedVolume()
-        : sparse_(48, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, 8, 0)
+        : sparse_(48, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f})
     {
         WorkCounts counts;
         Image<float> wall(k_.width, k_.height, 1.0f);
@@ -861,34 +854,30 @@ TEST(SparseParity, PipelinePosesMatchDenseExactly)
                 kf.processFrame(frame.depthMm).pose);
     }
 
-    for (int block_size : {8, 16}) {
-        SCOPED_TRACE(block_size);
-        KFusionConfig cfg = config;
-        cfg.volumeBackend = "sparse";
-        cfg.volumeBlockSize = block_size;
-        KFusion kf(cfg, seq.intrinsics);
-        kf.setPose(seq.groundTruth.pose(0));
-        for (size_t f = 0; f < seq.frames.size(); ++f) {
-            const Mat4f pose =
-                kf.processFrame(seq.frames[f].depthMm).pose;
-            for (int r = 0; r < 4; ++r)
-                for (int c = 0; c < 4; ++c)
-                    ASSERT_EQ(pose(r, c), reference_poses[f](r, c))
-                        << "frame " << f << " element (" << r << ", "
-                        << c << ")";
-        }
+    KFusionConfig cfg = config;
+    cfg.volumeBackend = "sparse";
+    KFusion kf(cfg, seq.intrinsics);
+    kf.setPose(seq.groundTruth.pose(0));
+    for (size_t f = 0; f < seq.frames.size(); ++f) {
+        const Mat4f pose =
+            kf.processFrame(seq.frames[f].depthMm).pose;
+        for (int r = 0; r < 4; ++r)
+            for (int c = 0; c < 4; ++c)
+                ASSERT_EQ(pose(r, c), reference_poses[f](r, c))
+                    << "frame " << f << " element (" << r << ", "
+                    << c << ")";
     }
 }
 
 TEST(BackendParity, PipelinePosesMatchScalarExactly)
 {
     // End-to-end: the full pipeline must produce bit-identical poses
-    // and per-frame work counts under every backend, on either volume
-    // (the sparse one with an unbounded pool), because each kernel is
-    // bit-exact and both are pure functions of the kernel outputs.
-    // Equal work is what lets the DSE run its host pipeline on any
-    // backend (or volume) while the device model sees the sampled
-    // one.
+    // and per-frame work counts under every backend, on either
+    // volume, because each kernel is bit-exact and both are pure
+    // functions of the kernel outputs. Equal work is what lets the
+    // DSE run its host pipeline on any backend while the device model
+    // sees the sampled one, and is why the map is not a DSE
+    // dimension.
     slambench::dataset::SequenceSpec spec;
     spec.width = 80;
     spec.height = 60;
@@ -949,7 +938,7 @@ TEST(BackendParity, PipelinePosesMatchScalarExactly)
 // Both volumes skip the fetch of samples in free bricks. The
 // reference is the same castRayCore with the NeverFree policy, so any
 // difference in hits or steps is the skip's fault. Every fixture runs
-// on the dense volume and on sparse volumes of block size 8 and 16.
+// on the dense volume and on the sparse volume.
 
 /** Metric depth of a sphere seen from @p camera_to_world (0 = miss). */
 Image<float>
@@ -1051,9 +1040,8 @@ constexpr int kSkipResolution = 60;
 const Vec3f kSkipOrigin{-1.0f, -1.0f, 0.0f};
 
 /**
- * Build the fixture @p fuse (volume&) in the dense volume and in
- * sparse volumes of block size 8 and 16 (unbounded pools), and run
- * @p check (volume&) on each.
+ * Build the fixture @p fuse (volume&) in the dense and the sparse
+ * volume, and run @p check (volume&) on each.
  */
 template <typename Fuse, typename Check>
 void
@@ -1065,10 +1053,9 @@ forEachSkipVolume(const Fuse &fuse, const Check &check)
         fuse(volume);
         check(volume);
     }
-    for (int block_size : {8, 16}) {
-        SCOPED_TRACE(testing::Message() << "sparse, block " << block_size);
-        SparseTsdfVolume volume(kSkipResolution, 2.0f, kSkipOrigin,
-                                block_size, 0);
+    {
+        SCOPED_TRACE("sparse");
+        SparseTsdfVolume volume(kSkipResolution, 2.0f, kSkipOrigin);
         fuse(volume);
         check(volume);
     }
@@ -1376,23 +1363,6 @@ TEST(FreeSpaceSkip, PacketsWithMixedFreeLanesMatchScalar)
     });
 }
 
-TEST(FreeSpaceSkip, ExhaustedPoolVolumeMatchesNeverFree)
-{
-    // A bounded pool drops fusion into new blocks, and those blocks'
-    // flags stay cleared over voxels that read 1: the skip is then
-    // conservative, and every caster still matches NeverFree on the
-    // same volume.
-    for (int block_size : {8, 16}) {
-        SCOPED_TRACE(block_size);
-        SparseTsdfVolume volume(kSkipResolution, 2.0f, kSkipOrigin,
-                                block_size, 12);
-        fuseSphere(volume, nullptr, nullptr);
-        ASSERT_GT(volume.memoryStats().droppedBlocks, 0u);
-        ASSERT_EQ(volume.allocatedBlocks(), 12u);
-        checkPacketsMatchNeverFree(volume, 75, 300, 0);
-    }
-}
-
 /**
  * Every flagged brick and its +x/+y/+z apron hold tsdf == 1.
  *
@@ -1483,68 +1453,60 @@ TEST(FreeSpaceSkip, SparseGridEqualsDenseGridAfterPooledIntegrates)
     for (const std::string &name : kernelBackendNames()) {
         SCOPED_TRACE(name);
         const KernelBackend *backend = findKernelBackend(name);
-        for (int block_size : {8, 16}) {
-            SCOPED_TRACE(block_size);
-            TsdfVolume dense(kSkipResolution, 2.0f, kSkipOrigin);
-            SparseTsdfVolume sparse(kSkipResolution, 2.0f, kSkipOrigin,
-                                    block_size, 0);
-            fuseSphere(dense, backend, &pool);
-            fuseSphere(sparse, backend, &pool);
-            EXPECT_TRUE(sameFlags(sparse.freeBricks(), dense.freeBricks()));
-            fuseFaceWalls(dense, backend, &pool);
-            fuseFaceWalls(sparse, backend, &pool);
-            EXPECT_TRUE(sameFlags(sparse.freeBricks(), dense.freeBricks()));
-            // Random depth from random poses touches block faces along
-            // every axis at every offset.
-            uint64_t seed = 91;
-            for (const Mat4f &pose : sphereViews()) {
-                const Image<float> depth = makeDepth(k, seed++);
-                WorkCounts counts;
-                dense.integrate(depth, k, pose, 0.1f, 100.0f, counts,
-                                &pool, backend);
-                sparse.integrate(depth, k, pose, 0.1f, 100.0f, counts,
-                                 &pool, backend);
-            }
-            EXPECT_TRUE(sameFlags(sparse.freeBricks(), dense.freeBricks()));
-            EXPECT_GT(checkFlagInvariant(sparse), 0);
-            sparse.reset();
-            TsdfVolume fresh(kSkipResolution, 2.0f, kSkipOrigin);
-            EXPECT_TRUE(sameFlags(sparse.freeBricks(), fresh.freeBricks()));
+        TsdfVolume dense(kSkipResolution, 2.0f, kSkipOrigin);
+        SparseTsdfVolume sparse(kSkipResolution, 2.0f, kSkipOrigin);
+        fuseSphere(dense, backend, &pool);
+        fuseSphere(sparse, backend, &pool);
+        EXPECT_TRUE(sameFlags(sparse.freeBricks(), dense.freeBricks()));
+        fuseFaceWalls(dense, backend, &pool);
+        fuseFaceWalls(sparse, backend, &pool);
+        EXPECT_TRUE(sameFlags(sparse.freeBricks(), dense.freeBricks()));
+        // Random depth from random poses touches block faces along
+        // every axis at every offset.
+        uint64_t seed = 91;
+        for (const Mat4f &pose : sphereViews()) {
+            const Image<float> depth = makeDepth(k, seed++);
+            WorkCounts counts;
+            dense.integrate(depth, k, pose, 0.1f, 100.0f, counts,
+                            &pool, backend);
+            sparse.integrate(depth, k, pose, 0.1f, 100.0f, counts,
+                             &pool, backend);
         }
+        EXPECT_TRUE(sameFlags(sparse.freeBricks(), dense.freeBricks()));
+        EXPECT_GT(checkFlagInvariant(sparse), 0);
+        sparse.reset();
+        TsdfVolume fresh(kSkipResolution, 2.0f, kSkipOrigin);
+        EXPECT_TRUE(sameFlags(sparse.freeBricks(), fresh.freeBricks()));
     }
 }
 
 TEST(FreeSpaceSkip, SparseBlockFaceVoxelClearsBrickBelow)
 {
     // The +z face wall fuses voxel layer z = 32 below 1 and leaves
-    // z = 24..31 at 1. Layer 32 is local z = 0 of a sparse block of
-    // either size, where the column kernel cannot mark brick 3 below
-    // it; brick 3 holds that layer as its apron, so integrate must
-    // clear it anyway.
-    for (int block_size : {8, 16}) {
-        SCOPED_TRACE(block_size);
-        SparseTsdfVolume volume(kSkipResolution, 2.0f, kSkipOrigin,
-                                block_size, 0);
-        fuseFaceWalls(volume, nullptr, nullptr);
-        const FreeBrickGrid &grid = volume.freeBricks();
-        int face_voxels = 0;
-        for (int x = 0; x < kSkipResolution; ++x) {
-            for (int y = 0; y < kSkipResolution; ++y) {
-                if (volume.voxelAt(x, y, 32).tsdf == 1.0f)
-                    continue;
-                bool brick_clean = true;
-                for (int z = 24; z < 32; ++z)
-                    brick_clean &= volume.voxelAt(x, y, z).tsdf == 1.0f;
-                if (!brick_clean)
-                    continue;
-                ++face_voxels;
-                ASSERT_FALSE(grid.brickFree(x >> kBrickShift,
-                                            y >> kBrickShift, 3))
-                    << "voxel (" << x << ", " << y << ", 32)";
-            }
+    // z = 24..31 at 1. Layer 32 is local z = 0 of a sparse block,
+    // where the column kernel cannot mark brick 3 below it; brick 3
+    // holds that layer as its apron, so integrate must clear it
+    // anyway.
+    SparseTsdfVolume volume(kSkipResolution, 2.0f, kSkipOrigin);
+    fuseFaceWalls(volume, nullptr, nullptr);
+    const FreeBrickGrid &grid = volume.freeBricks();
+    int face_voxels = 0;
+    for (int x = 0; x < kSkipResolution; ++x) {
+        for (int y = 0; y < kSkipResolution; ++y) {
+            if (volume.voxelAt(x, y, 32).tsdf == 1.0f)
+                continue;
+            bool brick_clean = true;
+            for (int z = 24; z < 32; ++z)
+                brick_clean &= volume.voxelAt(x, y, z).tsdf == 1.0f;
+            if (!brick_clean)
+                continue;
+            ++face_voxels;
+            ASSERT_FALSE(grid.brickFree(x >> kBrickShift,
+                                        y >> kBrickShift, 3))
+                << "voxel (" << x << ", " << y << ", 32)";
         }
-        EXPECT_GT(face_voxels, 100);
     }
+    EXPECT_GT(face_voxels, 100);
 }
 
 TEST(FreeSpaceSkip, AtClearsFlagsAndResetRestoresThem)

@@ -2,9 +2,9 @@
  * @file
  * Unit tests for the hashed-voxel-block TSDF volume: spatial-hash
  * collision handling, pool recycling across reset() epochs,
- * pool-exhaustion behavior, interpolation stencils that straddle
- * block boundaries, memory accounting, and mesh-extraction
- * equivalence with the dense reference.
+ * interpolation stencils that straddle block boundaries, memory
+ * accounting, and mesh-extraction equivalence with the dense
+ * reference.
  *
  * The bit-exactness contract against the dense volume is covered by
  * tests/kfusion_parity_test.cpp (SparseParity/SparseFusedVolume);
@@ -73,8 +73,7 @@ TEST(SparseVolume, SpatialHashCollisionsResolveByProbing)
     // Find a set of distinct block coordinates whose hashes land on
     // the same table slot, then allocate all of them: linear probing
     // must keep every block addressable, with no overwrites.
-    SparseTsdfVolume volume(64, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, 8,
-                            0);
+    SparseTsdfVolume volume(64, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
     const size_t mask = volume.tableSize() - 1;
     const int be = volume.blocksPerEdge();
 
@@ -119,8 +118,7 @@ TEST(SparseVolume, SpatialHashCollisionsResolveByProbing)
 
 TEST(SparseVolume, FindMissesReturnNullWithoutAllocating)
 {
-    SparseTsdfVolume volume(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, 8,
-                            0);
+    SparseTsdfVolume volume(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
     EXPECT_EQ(volume.findBlock(0, 0, 0), nullptr);
     EXPECT_EQ(volume.findBlock(3, 3, 3), nullptr);
     EXPECT_EQ(volume.allocatedBlocks(), 0u);
@@ -129,12 +127,50 @@ TEST(SparseVolume, FindMissesReturnNullWithoutAllocating)
     EXPECT_EQ(v.weight, 0.0f);
 }
 
+TEST(SparseVolume, EveryBlockOfTheGridAllocates)
+{
+    // The pool has no cap and the hash table is sized from the grid,
+    // so a fully observed volume holds every block: each allocation
+    // succeeds, lands in its own storage and stays findable, and
+    // reset() hands the whole grid out again. 40 voxels per edge
+    // leaves a partial block at the far faces.
+    SparseTsdfVolume volume(40, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
+    const int be = volume.blocksPerEdge();
+    ASSERT_EQ(be, 5);
+    const size_t grid_blocks = static_cast<size_t>(be) * be * be;
+
+    for (int epoch = 0; epoch < 2; ++epoch) {
+        SCOPED_TRACE(epoch == 0 ? "first epoch" : "after reset");
+        std::vector<Voxel *> blocks;
+        for (int bx = 0; bx < be; ++bx)
+            for (int by = 0; by < be; ++by)
+                for (int bz = 0; bz < be; ++bz) {
+                    Voxel *data = volume.allocateBlock(bx, by, bz);
+                    ASSERT_NE(data, nullptr);
+                    ASSERT_EQ(data[0].tsdf, 1.0f);
+                    data[0].tsdf = static_cast<float>(blocks.size());
+                    blocks.push_back(data);
+                }
+        EXPECT_EQ(volume.allocatedBlocks(), grid_blocks);
+        EXPECT_EQ(volume.memoryStats().allocatedBlocks, grid_blocks);
+
+        size_t i = 0;
+        for (int bx = 0; bx < be; ++bx)
+            for (int by = 0; by < be; ++by)
+                for (int bz = 0; bz < be; ++bz, ++i) {
+                    ASSERT_EQ(volume.findBlock(bx, by, bz), blocks[i]);
+                    ASSERT_EQ(blocks[i][0].tsdf,
+                              static_cast<float>(i));
+                }
+        volume.reset();
+    }
+}
+
 // --- reset / pool recycling ---
 
 TEST(SparseVolume, ResetRecyclesPoolAndRedefaultsVoxels)
 {
-    SparseTsdfVolume volume(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, 8,
-                            0);
+    SparseTsdfVolume volume(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
     setVoxel(volume, 9, 10, 11, -0.25f, 3.0f);
     ASSERT_EQ(volume.allocatedBlocks(), 1u);
     const uint64_t bytes_before = volume.memoryStats().bytes;
@@ -158,8 +194,7 @@ TEST(SparseVolume, ResetRecyclesPoolAndRedefaultsVoxels)
 
 TEST(SparseVolume, ResetInvalidatesLookupCaches)
 {
-    SparseTsdfVolume volume(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, 8,
-                            0);
+    SparseTsdfVolume volume(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
     // Build an observed stencil so a cached interp resolves a block.
     for (int dx = 0; dx < 2; ++dx)
         for (int dy = 0; dy < 2; ++dy)
@@ -188,8 +223,8 @@ TEST(SparseVolume, LookupCacheSharedAcrossVolumesReadsEachVolume)
     // maps: a cache filled on one must not hand its block pointers to
     // the other.
     const auto k = CameraIntrinsics::fromFov(40, 32, 1.1f);
-    SparseTsdfVolume a(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, 8, 0);
-    SparseTsdfVolume b(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, 8, 0);
+    SparseTsdfVolume a(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
+    SparseTsdfVolume b(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
     WorkCounts counts;
     a.integrate(makeDepth(k, 61), k, Mat4f{}, 0.1f, 100.0f, counts,
                 nullptr);
@@ -223,111 +258,20 @@ TEST(SparseVolume, AllocateBlockClearsFreeBricksOverTheBlock)
     // brick flagged free over them: the block's bricks, and the
     // bricks whose +x/+y/+z apron it holds, are cleared; the rest of
     // the grid stays free.
-    for (int bs : {8, 16}) {
-        SCOPED_TRACE(bs);
-        SparseTsdfVolume volume(64, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f},
-                                bs, 0);
-        const FreeBrickGrid &grid = volume.freeBricks();
-        const int nb = grid.bricksPerEdge();
-        ASSERT_NE(volume.allocateBlock(1, 1, 1), nullptr);
-        const int lo = bs / kBrickEdge - 1;
-        const int hi = (2 * bs - 1) / kBrickEdge;
-        const auto inside = [&](int b) { return b >= lo && b <= hi; };
-        for (int bx = 0; bx < nb; ++bx)
-            for (int by = 0; by < nb; ++by)
-                for (int bz = 0; bz < nb; ++bz)
-                    ASSERT_EQ(grid.brickFree(bx, by, bz),
-                              !(inside(bx) && inside(by) && inside(bz)))
-                        << bx << ", " << by << ", " << bz;
-    }
-}
-
-// --- pool exhaustion ---
-
-TEST(SparseVolume, AllocateReturnsNullWhenPoolExhausted)
-{
-    SparseTsdfVolume volume(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, 8,
-                            2);
-    EXPECT_EQ(volume.poolCapacity(), 2u);
-    Voxel *a = volume.allocateBlock(0, 0, 0);
-    Voxel *b = volume.allocateBlock(1, 1, 1);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(volume.allocateBlock(2, 2, 2), nullptr);
-    // Resident blocks stay reachable past exhaustion.
-    EXPECT_EQ(volume.allocateBlock(0, 0, 0), a);
-    EXPECT_EQ(volume.findBlock(1, 1, 1), b);
-    EXPECT_EQ(volume.allocatedBlocks(), 2u);
-
-    // reset() returns the capacity for a new epoch.
-    volume.reset();
-    EXPECT_NE(volume.allocateBlock(2, 2, 2), nullptr);
-}
-
-TEST(SparseVolume, ExhaustedIntegrateDropsNewBlocksKeepsFusing)
-{
-    const auto k = CameraIntrinsics::fromFov(40, 32, 1.1f);
-    const Image<float> depth = makeDepth(k, 77);
-
-    // Unbounded run establishes how many blocks the frame needs.
-    SparseTsdfVolume unbounded(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f},
-                               8, 0);
-    WorkCounts counts;
-    unbounded.integrate(depth, k, Mat4f{}, 0.1f, 100.0f, counts,
-                        nullptr);
-    const size_t needed = unbounded.allocatedBlocks();
-    ASSERT_GT(needed, 4u);
-
-    // A pool half that size must fill up, drop the overflow, and
-    // keep the resident blocks fusing on the next frame.
-    const size_t capacity = needed / 2;
-    SparseTsdfVolume bounded(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, 8,
-                             capacity);
-    bounded.integrate(depth, k, Mat4f{}, 0.1f, 100.0f, counts,
-                      nullptr);
-    VolumeMemoryStats stats = bounded.memoryStats();
-    EXPECT_EQ(stats.allocatedBlocks, capacity);
-    EXPECT_EQ(stats.droppedBlocks, needed - capacity);
-
-    // Resident voxels match the unbounded fusion bit for bit.
-    std::vector<Vec3i> resident = bounded.allocatedBlockCoords();
-    ASSERT_EQ(resident.size(), capacity);
-    const int bs = bounded.blockSize();
-    for (const Vec3i &b : resident) {
-        for (int x = b.x * bs; x < (b.x + 1) * bs; ++x)
-            for (int y = b.y * bs; y < (b.y + 1) * bs; ++y)
-                for (int z = b.z * bs; z < (b.z + 1) * bs; ++z) {
-                    ASSERT_EQ(bounded.voxelAt(x, y, z).tsdf,
-                              unbounded.voxelAt(x, y, z).tsdf)
-                        << "voxel (" << x << ", " << y << ", " << z
-                        << ")";
-                }
-    }
-
-    // Second frame: no free blocks remain, so every fresh block is
-    // dropped again, but resident weights keep accumulating.
-    const Vec3i probe = resident.front();
-    float weight_before = -1.0f;
-    for (int x = probe.x * bs; x < (probe.x + 1) * bs && weight_before <= 0.0f; ++x)
-        for (int y = probe.y * bs; y < (probe.y + 1) * bs && weight_before <= 0.0f; ++y)
-            for (int z = probe.z * bs; z < (probe.z + 1) * bs && weight_before <= 0.0f; ++z)
-                weight_before =
-                    std::max(weight_before,
-                             bounded.voxelAt(x, y, z).weight);
-    ASSERT_GT(weight_before, 0.0f);
-    bounded.integrate(depth, k, Mat4f{}, 0.1f, 100.0f, counts,
-                      nullptr);
-    EXPECT_EQ(bounded.allocatedBlocks(), capacity);
-    EXPECT_GE(bounded.memoryStats().droppedBlocks,
-              needed - capacity);
-    float weight_after = 0.0f;
-    for (int x = probe.x * bs; x < (probe.x + 1) * bs; ++x)
-        for (int y = probe.y * bs; y < (probe.y + 1) * bs; ++y)
-            for (int z = probe.z * bs; z < (probe.z + 1) * bs; ++z)
-                weight_after =
-                    std::max(weight_after,
-                             bounded.voxelAt(x, y, z).weight);
-    EXPECT_GT(weight_after, weight_before);
+    const int bs = SparseTsdfVolume::blockSize();
+    SparseTsdfVolume volume(64, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
+    const FreeBrickGrid &grid = volume.freeBricks();
+    const int nb = grid.bricksPerEdge();
+    ASSERT_NE(volume.allocateBlock(1, 1, 1), nullptr);
+    const int lo = bs / kBrickEdge - 1;
+    const int hi = (2 * bs - 1) / kBrickEdge;
+    const auto inside = [&](int b) { return b >= lo && b <= hi; };
+    for (int bx = 0; bx < nb; ++bx)
+        for (int by = 0; by < nb; ++by)
+            for (int bz = 0; bz < nb; ++bz)
+                ASSERT_EQ(grid.brickFree(bx, by, bz),
+                          !(inside(bx) && inside(by) && inside(bz)))
+                    << bx << ", " << by << ", " << bz;
 }
 
 // --- block-boundary interpolation stencils ---
@@ -337,7 +281,7 @@ class BoundaryStencil : public ::testing::Test
   protected:
     BoundaryStencil()
         : dense_(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}),
-          sparse_(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, 8, 0)
+          sparse_(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f})
     {
     }
 
@@ -423,42 +367,12 @@ TEST_F(BoundaryStencil, PartiallyAllocatedStencilMatchesDense)
     EXPECT_FALSE(valid);
 }
 
-TEST_F(BoundaryStencil, BlockSize16StencilsMatchDense)
-{
-    SparseTsdfVolume sparse16(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f},
-                              16, 0);
-    for (int dx = 0; dx < 2; ++dx)
-        for (int dy = 0; dy < 2; ++dy)
-            for (int dz = 0; dz < 2; ++dz) {
-                const float tsdf =
-                    -0.0625f * static_cast<float>(dx + 2 * dy + 1);
-                set(15 + dx, 15 + dy, 15 + dz, tsdf, 1.0f);
-                setVoxel(sparse16, 15 + dx, 15 + dy, 15 + dz, tsdf,
-                         1.0f);
-            }
-    EXPECT_EQ(sparse16.allocatedBlocks(), 8u);
-    const Vec3f base = dense_.voxelCenter(15, 15, 15);
-    Rng rng(5);
-    for (int i = 0; i < 500; ++i) {
-        const Vec3f p =
-            base + Vec3f{static_cast<float>(rng.uniform(0.0, 1.0)),
-                         static_cast<float>(rng.uniform(0.0, 1.0)),
-                         static_cast<float>(rng.uniform(0.0, 1.0))} *
-                       dense_.voxelSize();
-        bool dv = false, sv = false;
-        const float d = dense_.interp(p, dv);
-        const float s = sparse16.interp(p, sv);
-        ASSERT_EQ(s, d);
-        ASSERT_EQ(sv, dv);
-    }
-}
-
 // --- memory accounting ---
 
 TEST(SparseVolume, MemoryStatsTrackResidency)
 {
     SparseTsdfVolume volume(256, 4.8f,
-                            Vec3f{-2.4f, -0.4f, -2.4f}, 8, 0);
+                            Vec3f{-2.4f, -0.4f, -2.4f});
     const uint64_t dense_bytes = static_cast<uint64_t>(256) * 256 *
                                  256 * sizeof(Voxel);
     VolumeMemoryStats stats = volume.memoryStats();
@@ -476,8 +390,7 @@ TEST(SparseVolume, MemoryStatsTrackResidency)
 
 TEST(SparseVolume, AllocatedBlockCoordsAreSortedAndComplete)
 {
-    SparseTsdfVolume volume(64, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, 8,
-                            0);
+    SparseTsdfVolume volume(64, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
     const std::array<Vec3i, 4> want = {
         Vec3i{5, 1, 2}, Vec3i{0, 3, 7}, Vec3i{5, 1, 1},
         Vec3i{2, 2, 2}};
@@ -524,8 +437,7 @@ TEST(SparseMesh, ExtractionMatchesDenseTriangleForTriangle)
 {
     const auto k = CameraIntrinsics::fromFov(48, 48, 1.0f);
     TsdfVolume dense(48, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
-    SparseTsdfVolume sparse(48, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, 8,
-                            0);
+    SparseTsdfVolume sparse(48, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
     WorkCounts counts;
     Image<float> wall(k.width, k.height, 1.0f);
     dense.integrate(wall, k, Mat4f{}, 0.1f, 100.0f, counts, nullptr);
@@ -555,8 +467,7 @@ TEST(SparseMesh, ExtractionMatchesDenseTriangleForTriangle)
 
 TEST(SparseMesh, EmptyVolumeExtractsNothing)
 {
-    SparseTsdfVolume sparse(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f}, 8,
-                            0);
+    SparseTsdfVolume sparse(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
     const TriangleMesh mesh = extractMesh(sparse);
     EXPECT_EQ(mesh.triangleCount(), 0u);
     EXPECT_TRUE(mesh.vertices.empty());
@@ -575,8 +486,7 @@ TEST(SparseVolume, PooledIntegrationIsDeterministic)
         Vec3f{0.0f, 1.0f, 0.0f});
 
     auto fuse = [&](ThreadPool *pool) {
-        SparseTsdfVolume volume(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f},
-                                8, 0);
+        SparseTsdfVolume volume(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
         WorkCounts counts;
         for (uint64_t seed = 61; seed < 64; ++seed) {
             volume.integrate(makeDepth(k, seed), k,

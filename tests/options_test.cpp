@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cli_options.hpp"
@@ -168,12 +169,10 @@ TEST(Options, SharedGroupsDeclareEveryFlagOnce)
     slambench::core::addDseThreadsOption(options);
     slambench::core::addKernelOptions(options);
     slambench::core::addObservabilityOptions(options);
-    ASSERT_EQ(options.parse({"--volume", "sparse", "--block-size", "16"}),
-              "");
+    ASSERT_EQ(options.parse({"--volume", "sparse"}), "");
     const std::string help = options.help();
     for (const char *name :
-         {"--backend", "--volume", "--block-size", "--pool-capacity",
-          "--dse-threads", "--trace", "--metrics-json", "--frames-csv", "--telemetry-port",
+         {"--backend", "--volume", "--dse-threads", "--trace", "--metrics-json", "--frames-csv", "--telemetry-port",
           "--crash-dump", "--recorder-slots", "--slo-frame-p99-ms",
           "--slo-max-ate", "--slo-max-lost", "--slo-queue-stall-ms",
           "--trace-requests", "--trace-sample-rate", "--trace-store",
@@ -185,8 +184,84 @@ TEST(Options, SharedGroupsDeclareEveryFlagOnce)
     slambench::core::applyKernelOptions(options, config);
     EXPECT_EQ(config.kernelBackend, "scalar");
     EXPECT_EQ(config.volumeBackend, "sparse");
-    EXPECT_EQ(config.volumeBlockSize, 16);
-    EXPECT_EQ(config.volumePoolCapacity, 0);
+}
+
+TEST(Options, KernelGroupHasNoSparseTuningFlag)
+{
+    // The sparse volume has one block size (a free brick) and no
+    // block-pool cap, so neither tuning flag exists.
+    Options options("sample", "shared kernel group");
+    slambench::core::addKernelOptions(options);
+    for (const char *name : {"--block-size", "--pool-capacity"}) {
+        EXPECT_FALSE(options.declared(name)) << name;
+        EXPECT_NE(options.parse({name, "8"}).find("unknown option"),
+                  std::string::npos)
+            << name;
+    }
+}
+
+TEST(Options, ThreadCountsAboveTheSharedBoundAreRejected)
+{
+    // Parsing only: a pool starts every thread it is asked for, so no
+    // binary is ever run with a count above the bound.
+    const std::string bound = std::to_string(slambench::core::kMaxThreads);
+    const std::string above =
+        std::to_string(slambench::core::kMaxThreads + 1);
+    for (const char *name : {"--dse-threads", "--serve-threads"}) {
+        SCOPED_TRACE(name);
+        for (const std::string &value : {bound, std::string("0")}) {
+            Options options("sample", "thread count");
+            options.add({slambench::core::threadCountOption(name, "n")});
+            ASSERT_EQ(options.parse({name, value}), "");
+            EXPECT_EQ(options.integer(name), std::stol(value));
+        }
+        for (const std::string &value :
+             {above, std::string("100000"), std::string("-1")}) {
+            Options options("sample", "thread count");
+            options.add({slambench::core::threadCountOption(name, "n")});
+            EXPECT_NE(options.parse({name, value}).find("out of range"),
+                      std::string::npos)
+                << value;
+        }
+    }
+    Options dse("sample", "dse threads");
+    slambench::core::addDseThreadsOption(dse);
+    EXPECT_NE(dse.parse({"--dse-threads", above}).find("out of range"),
+              std::string::npos);
+}
+
+TEST(Options, PositionalsParseWholeIntegersInRange)
+{
+    using slambench::support::parsePositionals;
+    const std::vector<slambench::support::PositionalSpec> specs = {
+        {"budget", 24, 4},
+        {"frames", 12, 1},
+        {"threads", 0, 0, slambench::core::kMaxThreads}};
+    std::vector<long> values;
+    ASSERT_EQ(parsePositionals({}, specs, values), "");
+    EXPECT_EQ(values, (std::vector<long>{24, 12, 0}));
+    ASSERT_EQ(parsePositionals({"8", "3"}, specs, values), "");
+    EXPECT_EQ(values, (std::vector<long>{8, 3, 0}));
+    ASSERT_EQ(parsePositionals({"8", "3", "1024"}, specs, values), "");
+    EXPECT_EQ(values, (std::vector<long>{8, 3, 1024}));
+
+    const std::vector<std::pair<std::vector<std::string>, std::string>>
+        rejected = {
+            {{"abc"}, "budget: 'abc' is not an integer"},
+            {{"12x"}, "budget: '12x' is not an integer"},
+            {{"3"}, "budget: 3 is out of range (want >= 4)"},
+            {{"24", "0"}, "frames: 0 is out of range"},
+            {{"24", "12", "-1"}, "threads: -1 is out of range (want 0..1024)"},
+            {{"24", "12", "1025"}, "threads: 1025 is out of range"},
+            {{"24", "12", "1", "9"}, "unexpected argument '9'"},
+        };
+    for (const auto &[args, problem] : rejected) {
+        values = {7};
+        EXPECT_NE(parsePositionals(args, specs, values).find(problem),
+                  std::string::npos)
+            << problem;
+        EXPECT_EQ(values, std::vector<long>{7}) << "touched on error";
+    }
 }
 
 TEST(Options, ServeObservabilityGroupHasNoProfilingFlags)
