@@ -114,13 +114,14 @@ BM_Mm2Meters(benchmark::State &state)
 }
 
 void
-BM_BilateralFilter(benchmark::State &state)
+BM_BilateralFilter(benchmark::State &state, const KernelBackend *backend)
 {
     Workload &wl = workload(static_cast<size_t>(state.range(0)),
                             static_cast<size_t>(state.range(1)));
     Image<float> out;
     for (auto _ : state) {
-        bilateralFilterKernel(out, wl.depth, 2, 4.0f, 0.1f, nullptr);
+        bilateralFilterKernel(out, wl.depth, 2, 4.0f, 0.1f, nullptr,
+                              backend);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(
@@ -602,8 +603,8 @@ writeKernelReport(const std::string &path,
  * Register the backend-parameterized hot-kernel benches as
  * "BM_<name>@<backend>" rows, one set per requested backend (the
  * report writer splits the "@backend" suffix into a "backend"
- * field). The preprocessing benches have no backend axis and stay
- * statically registered.
+ * field). The other preprocessing benches have no backend axis and
+ * stay statically registered.
  */
 void
 registerBackendBenches(const std::vector<std::string> &backends)
@@ -641,16 +642,18 @@ registerBackendBenches(const std::vector<std::string> &backends)
             ("BM_Grad@" + name).c_str(), BM_Grad, backend)
             ->Arg(128)
             ->Arg(256);
+        benchmark::RegisterBenchmark(
+            ("BM_BilateralFilter@" + name).c_str(), BM_BilateralFilter,
+            backend)
+            ->Args({320, 240})
+            ->Args({160, 120})
+            ->Args({80, 60});
     }
 }
 
 } // namespace
 
 BENCHMARK(BM_Mm2Meters)->Args({320, 240})->Args({160, 120});
-BENCHMARK(BM_BilateralFilter)
-    ->Args({320, 240})
-    ->Args({160, 120})
-    ->Args({80, 60});
 BENCHMARK(BM_HalfSample)->Args({320, 240})->Args({160, 120});
 BENCHMARK(BM_Depth2Vertex)->Args({320, 240})->Args({160, 120});
 BENCHMARK(BM_Vertex2Normal)->Args({320, 240})->Args({160, 120});

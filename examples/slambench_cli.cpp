@@ -120,6 +120,11 @@ main(int argc, char **argv)
     core::applyKernelOptions(options, config);
 
     const std::string &system_name = options.string("--system");
+    if (system_name == "kfusion")
+        core::checkKernelInput(
+            options, config,
+            math::CameraIntrinsics::fromFov(spec.width, spec.height,
+                                            spec.hfovRad));
     if (options.given("--dump-mesh") && system_name != "kfusion")
         options.fail("--dump-mesh requires --system kfusion");
     const kfusion::Implementation impl =

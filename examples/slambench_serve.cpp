@@ -114,6 +114,12 @@ main(int argc, char **argv)
     kfusion_config.computeSizeRatio =
         static_cast<int>(options.integer("--csr"));
     core::applyKernelOptions(options, kfusion_config);
+    core::checkKernelInput(
+        options, kfusion_config,
+        math::CameraIntrinsics::fromFov(
+            static_cast<size_t>(options.integer("--width")),
+            static_cast<size_t>(options.integer("--height")),
+            dataset::SequenceSpec{}.hfovRad));
 
     // Belt and braces on top of the server's send(MSG_NOSIGNAL): no
     // stray SIGPIPE (a scraper gone mid-response, a closed log pipe)

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Malformed command lines are usage errors: each binary must exit 2
 # with a message on stderr before doing any work, i.e. before it
-# prints a "generating" line or synthesizes a frame. Each binary gets
-# an unknown flag and a negative frame count, plus every case below
-# whose first flag it accepts: a non-numeric --vr, an out-of-set
-# --csr, values that used to be clamped silently, the deleted "mixed"
-# kernel backend, an unknown volume backend (the option parser and
+# prints a "generating" (slambench_serve: "standing up") line or
+# synthesizes a frame. Each binary gets an unknown flag and a
+# negative frame count, plus every case below whose first flag it
+# accepts: a non-numeric --vr, an out-of-set --csr, values that used
+# to be clamped silently, the deleted "mixed" kernel backend, an
+# unknown volume backend (the option parser and
 # KFusionConfig::validate() are all that stand in front of building
-# the map), the CLI's --dump-mesh/odometry clash, and an output
-# path (--frames-csv, --metrics-json, --trace, --crash-dump) in a
+# the map), frames too small for the compute image (4x4, the check
+# KFusion's constructor makes), the CLI's --dump-mesh/odometry
+# clash, and an output path (--frames-csv, --metrics-json, --trace,
+# --crash-dump) in a
 # directory that does not exist. The deleted --perf-csv (every binary
 # with --trace) and --log (slambench_cli) per-frame tables must be
 # rejected too: --frames-csv replaced both. So must the deleted
@@ -41,7 +44,7 @@ check() {
         echo "cli_reject_smoke: $(basename "$bin") $*: exit $status," \
              "want 2" >&2
         failures=$((failures + 1))
-    elif grep -q generating "$workdir/out"; then
+    elif grep -Eq "generating|standing up" "$workdir/out"; then
         echo "cli_reject_smoke: $(basename "$bin") $*: started work" \
              "before rejecting" >&2
         failures=$((failures + 1))
@@ -61,6 +64,7 @@ cases=(
     "--dse-threads -1"
     "--backend mixed"
     "--volume hashed"
+    "--width 4 --height 4 --frames 1"
     "--dump-mesh mesh.obj --system odometry"
     "--frames-csv /nonexistent/d/x.csv"
     "--metrics-json /nonexistent/d/y.json"

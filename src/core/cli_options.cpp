@@ -6,6 +6,7 @@
 
 #include "core/report.hpp"
 #include "kfusion/backend.hpp"
+#include "kfusion/pipeline.hpp"
 
 namespace slambench::core {
 
@@ -166,6 +167,20 @@ applyKernelOptions(const support::Options &options,
     const std::string problem = config.validate();
     if (!problem.empty())
         options.fail("invalid configuration: " + problem);
+}
+
+void
+checkKernelInput(const support::Options &options,
+                 const kfusion::KFusionConfig &config,
+                 const math::CameraIntrinsics &input)
+{
+    const std::string problem =
+        kfusion::KFusion::checkCompatibility(config, input);
+    if (!problem.empty())
+        options.fail("invalid configuration for " +
+                     std::to_string(input.width) + "x" +
+                     std::to_string(input.height) +
+                     " input: " + problem);
 }
 
 support::OptionSpec

@@ -11,6 +11,7 @@
  */
 
 #include "kfusion/config.hpp"
+#include "math/camera.hpp"
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
 #include "support/options.hpp"
@@ -83,6 +84,16 @@ void addKernelOptions(support::Options &options);
  */
 void applyKernelOptions(const support::Options &options,
                         kfusion::KFusionConfig &config);
+
+/**
+ * Check that @p config can run on input frames with intrinsics
+ * @p input (KFusion::checkCompatibility: the compute image and every
+ * pyramid level large enough); a problem is a usage error (exit 2),
+ * raised before any input is synthesized.
+ */
+void checkKernelInput(const support::Options &options,
+                      const kfusion::KFusionConfig &config,
+                      const math::CameraIntrinsics &input);
 
 /**
  * Largest worker-thread count any binary accepts (`--dse-threads`,

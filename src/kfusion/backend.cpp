@@ -150,6 +150,12 @@ class ScalarBackend final : public KernelBackend
     {
         return reduceRangeScalar(track_data, begin, end);
     }
+
+    void
+    bilateralRow(const BilateralContext &ctx, size_t y) const override
+    {
+        bilateralPixels(ctx, y, 0, ctx.width);
+    }
 };
 
 /**
@@ -204,6 +210,15 @@ class SimdBackend final : public KernelBackend
                      : reduceRangeScalar(track_data, begin, end);
     }
 
+    void
+    bilateralRow(const BilateralContext &ctx, size_t y) const override
+    {
+        if (avx2_)
+            detail::bilateralRowAvx2(ctx, y);
+        else
+            bilateralPixels(ctx, y, 0, ctx.width);
+    }
+
     double
     modelSpeedup(KernelId id) const override
     {
@@ -216,11 +231,13 @@ class SimdBackend final : public KernelBackend
         // the scalar sweep's early-outs beat the vector gathers;
         // ROADMAP item 5 measured the opposite at -O3 (simd integrate
         // faster). Recalibration waits for the item-1 ledger, since
-        // any change here moves every DSE objective. RenderVolume
-        // shares the marchImage core with Raycast and inherits its
-        // factor. Only itemsPerSecond is scaled: a vector unit
-        // retires the same arithmetic per item, so joulesPerItem is
-        // modeled as implementation-invariant.
+        // any change here moves every DSE objective; for the same
+        // reason BilateralFilter stays 1.0 although its AVX2 row is
+        // measured faster. RenderVolume shares the marchImage core
+        // with Raycast and inherits its factor. Only itemsPerSecond
+        // is scaled: a vector unit retires the same arithmetic per
+        // item, so joulesPerItem is modeled as
+        // implementation-invariant.
         switch (id) {
           case KernelId::Integrate: return 0.80;
           case KernelId::Raycast: return 2.60;

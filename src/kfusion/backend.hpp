@@ -3,7 +3,7 @@
 
 /**
  * @file
- * Kernel backends: named implementations of the four hot kernels of
+ * Kernel backends: named implementations of the five hot kernels of
  * the frame loop.
  *
  * SLAMBench's founding idea is comparing multiple implementations of
@@ -16,7 +16,9 @@
  *  3. the shared marchImage ray-march core, vectorized as ray
  *     packets on either volume (KernelBackend::castRays),
  *  4. the ICP reduction over a pixel range
- *     (KernelBackend::reduceRange).
+ *     (KernelBackend::reduceRange),
+ *  5. one row of the bilateral filter (KernelBackend::bilateralRow),
+ *     whose range weights come from kfusion::expf (expf.hpp).
  *
  * There is one backend per ISA, held in a fixed table in
  * backend.cpp; a backend's DSE ordinal is its index there:
@@ -31,12 +33,13 @@
  * simdBackendIsAccelerated() and to "scalar" otherwise,
  * deterministically for a given machine.
  *
- * Numerical-parity contract (docs/ARCHITECTURE.md): all four simd
+ * Numerical-parity contract (docs/ARCHITECTURE.md): all five simd
  * kernels are bit-exact against scalar by construction. Each vector
  * lane replays the scalar operation sequence of exactly one work
- * item (one voxel, one sample, one ray), and the ICP reduction is
- * vectorized across its 28 accumulator slots rather than across
- * pixels, so no floating-point operation is reassociated anywhere.
+ * item (one voxel, one sample, one ray, one output pixel), and the
+ * ICP reduction is vectorized across its 28 accumulator slots rather
+ * than across pixels, so no floating-point operation is reassociated
+ * anywhere.
  * tests/kfusion_parity_test.cpp enforces the contract for every
  * backend in the table.
  */
@@ -46,6 +49,7 @@
 #include <string_view>
 #include <vector>
 
+#include "kfusion/kernels.hpp"
 #include "kfusion/ray_march.hpp"
 #include "kfusion/raycast.hpp"
 #include "kfusion/sparse_volume.hpp"
@@ -98,7 +102,7 @@ markDirtyZ(uint64_t *dirty, int z)
 }
 
 /**
- * One named implementation of the four hot kernels.
+ * One named implementation of the five hot kernels.
  *
  * Implementations are stateless (safe to call concurrently from the
  * thread pool) and live for the whole process.
@@ -179,6 +183,14 @@ class KernelBackend
     virtual ReductionResult
     reduceRange(const support::Image<TrackData> &track_data,
                 size_t begin, size_t end) const = 0;
+
+    /**
+     * Filter row @p y of a bilateral filter call (the per-row body of
+     * bilateralFilterKernel); every output pixel must match
+     * bilateralPixels() bit for bit.
+     */
+    virtual void bilateralRow(const BilateralContext &ctx,
+                              size_t y) const = 0;
 
     /**
      * Speedup factor the analytic device models apply to kernel

@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX2 implementations of the four hot kernels, behind the "simd"
+ * AVX2 implementations of the five hot kernels, behind the "simd"
  * backend. This is the only translation unit compiled with -mavx2;
  * everything else in the tree stays at the baseline ISA, and the
  * simd backend only dispatches here after a runtime CPUID check.
@@ -24,7 +24,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "kfusion/expf.hpp"
 #include "math/aabb.hpp"
 
 namespace slambench::kfusion::detail {
@@ -795,6 +797,148 @@ reduceRangeAvx2(const support::Image<TrackData> &track_data,
     return out;
 }
 
+namespace {
+
+/**
+ * kfusion::expf on 4 lanes, each replaying the scalar form's double
+ * arithmetic (the same table, no FMA), so every lane is bit-identical
+ * to it.
+ */
+__m128
+expf4(__m128 x)
+{
+    const __m256d z =
+        _mm256_mul_pd(_mm256_set1_pd(kExpInvLn2N), _mm256_cvtps_pd(x));
+    const __m256d shift = _mm256_set1_pd(kExpShift);
+    const __m256d kd_shifted = _mm256_add_pd(z, shift);
+    const __m256i ki = _mm256_castpd_si256(kd_shifted);
+    const __m256d r = _mm256_sub_pd(z, _mm256_sub_pd(kd_shifted, shift));
+    const __m256i index = _mm256_and_si256(
+        ki, _mm256_set1_epi64x((1 << kExpTableBits) - 1));
+    const __m256i t = _mm256_add_epi64(
+        _mm256_i64gather_epi64(
+            reinterpret_cast<const long long *>(kExpTable), index, 8),
+        _mm256_slli_epi64(ki, 52 - kExpTableBits));
+    const __m256d p = _mm256_add_pd(
+        _mm256_mul_pd(_mm256_set1_pd(kExpC0), r), _mm256_set1_pd(kExpC1));
+    const __m256d r2 = _mm256_mul_pd(r, r);
+    __m256d y = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(kExpC2), r),
+                              _mm256_set1_pd(1.0));
+    y = _mm256_add_pd(_mm256_mul_pd(p, r2), y);
+    y = _mm256_mul_pd(y, _mm256_castsi256_pd(t));
+    return _mm256_cvtpd_ps(y);
+}
+
+/** kfusion::expf on 8 lanes, its underflow and overflow included. */
+__m256
+expf8(__m256 x)
+{
+    __m256 y = _mm256_set_m128(expf4(_mm256_extractf128_ps(x, 1)),
+                               expf4(_mm256_castps256_ps128(x)));
+    y = _mm256_blendv_ps(
+        y, _mm256_setzero_ps(),
+        _mm256_cmp_ps(x, _mm256_set1_ps(kExpUnderflow), _CMP_LT_OQ));
+    return _mm256_blendv_ps(
+        y, _mm256_set1_ps(std::numeric_limits<float>::infinity()),
+        _mm256_cmp_ps(x, _mm256_set1_ps(kExpOverflow), _CMP_GT_OQ));
+}
+
+} // namespace
+
+void
+expfAvx2(const float *x, float *out, size_t n)
+{
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        _mm256_storeu_ps(out + i, expf8(_mm256_loadu_ps(x + i)));
+    for (; i < n; ++i)
+        out[i] = expf(x[i]);
+}
+
+void
+bilateralRowAvx2(const BilateralContext &ctx, size_t y)
+{
+    // Lane l filters pixel x + l of the row, replaying bilateralPixels:
+    // taps in (dy, dx) order, sum and weight updated only where the
+    // scalar code adds (a blend, not an add of 0), the same final
+    // division.
+    const size_t w = ctx.width;
+    const int radius = ctx.radius;
+    const int side = 2 * radius + 1;
+    const float *row = ctx.in + y * w;
+    const __m256 zero = _mm256_setzero_ps();
+    const __m256 sign = _mm256_set1_ps(-0.0f);
+    const __m256 inv2e2 = _mm256_set1_ps(ctx.inv2e2);
+    const __m256i lane_index = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i width = _mm256_set1_epi32(static_cast<int>(w));
+    // Row range of the window (the scalar loop skips rows outside).
+    const long y_lo = std::max(-static_cast<long>(radius),
+                               -static_cast<long>(y));
+    const long y_hi = std::min(static_cast<long>(radius),
+                               static_cast<long>(ctx.height - 1 - y));
+
+    size_t x = 0;
+    for (; x + 8 <= w; x += 8) {
+        const __m256 center = _mm256_loadu_ps(row + x);
+        // !(center <= 0): NaN centers are filtered, as in the scalar.
+        const __m256 active = _mm256_cmp_ps(center, zero, _CMP_NLE_UQ);
+        if (_mm256_movemask_ps(active) == 0) {
+            _mm256_storeu_ps(ctx.out + y * w + x, zero);
+            continue;
+        }
+        __m256 sum = zero;
+        __m256 weight = zero;
+        for (long dy = y_lo; dy <= y_hi; ++dy) {
+            const float *src = ctx.in + (static_cast<long>(y) + dy) *
+                                            static_cast<long>(w);
+            const float *spatial =
+                ctx.spatial + (dy + radius) * side + radius;
+            for (int dx = -radius; dx <= radius; ++dx) {
+                const long x0 = static_cast<long>(x) + dx;
+                __m256 sample;
+                if (x0 >= 0 && x0 + 8 <= static_cast<long>(w)) {
+                    sample = _mm256_loadu_ps(src + x0);
+                } else {
+                    // The taps cross the row's end: gather only the
+                    // lanes whose column lies inside the row; the
+                    // others read 0, which the scalar loop skips
+                    // like an outside column.
+                    const __m256i cols = _mm256_add_epi32(
+                        _mm256_set1_epi32(static_cast<int>(x0)),
+                        lane_index);
+                    const __m256 in_row = _mm256_castsi256_ps(
+                        _mm256_andnot_si256(
+                            _mm256_cmpgt_epi32(_mm256_setzero_si256(),
+                                               cols),
+                            _mm256_cmpgt_epi32(width, cols)));
+                    sample = _mm256_mask_i32gather_ps(zero, src, cols,
+                                                      in_row, 4);
+                }
+                // !(sample <= 0): the taps the scalar loop takes.
+                const __m256 take =
+                    _mm256_cmp_ps(sample, zero, _CMP_NLE_UQ);
+                const __m256 diff = _mm256_sub_ps(sample, center);
+                const __m256 range = expf8(_mm256_mul_ps(
+                    _mm256_mul_ps(_mm256_xor_ps(diff, sign), diff),
+                    inv2e2));
+                const __m256 wgt =
+                    _mm256_mul_ps(_mm256_set1_ps(spatial[dx]), range);
+                sum = _mm256_blendv_ps(
+                    sum, _mm256_add_ps(sum, _mm256_mul_ps(wgt, sample)),
+                    take);
+                weight = _mm256_blendv_ps(
+                    weight, _mm256_add_ps(weight, wgt), take);
+            }
+        }
+        const __m256 filtered = _mm256_and_ps(
+            _mm256_div_ps(sum, weight),
+            _mm256_cmp_ps(weight, zero, _CMP_GT_OQ));
+        _mm256_storeu_ps(ctx.out + y * w + x,
+                         _mm256_and_ps(filtered, active));
+    }
+    bilateralPixels(ctx, y, x, w);
+}
+
 } // namespace slambench::kfusion::detail
 
 #else // !defined(__AVX2__)
@@ -846,6 +990,18 @@ ReductionResult
 reduceRangeAvx2(const support::Image<TrackData> &, size_t, size_t)
 {
     support::fatal("reduceRangeAvx2: AVX2 not compiled in");
+}
+
+void
+bilateralRowAvx2(const BilateralContext &, size_t)
+{
+    support::fatal("bilateralRowAvx2: AVX2 not compiled in");
+}
+
+void
+expfAvx2(const float *, float *, size_t)
+{
+    support::fatal("expfAvx2: AVX2 not compiled in");
 }
 
 } // namespace slambench::kfusion::detail

@@ -44,6 +44,15 @@ ReductionResult
 reduceRangeAvx2(const support::Image<TrackData> &track_data,
                 size_t begin, size_t end);
 
+/** AVX2 flavor of KernelBackend::bilateralRow (bit-exact per pixel). */
+void bilateralRowAvx2(const BilateralContext &ctx, size_t y);
+
+/**
+ * The AVX2 lanes of kfusion::expf: out[i] = expf(x[i]) for i < n,
+ * 8 lanes at a time (a tail under 8 runs the scalar form).
+ */
+void expfAvx2(const float *x, float *out, size_t n);
+
 } // namespace slambench::kfusion::detail
 
 #endif // SLAMBENCH_KFUSION_BACKEND_SIMD_HPP

@@ -70,10 +70,10 @@ struct KFusionConfig
     int renderingRate = 4;
 
     /**
-     * Kernel backend for the four hot kernels (TSDF integrate, fused
-     * gradient, ray-march core, ICP reduction): a name registered in
-     * the kernel-backend registry ("scalar", "simd", ...) or "auto"
-     * for CPUID-based dispatch. See docs/KERNEL_BACKENDS.md. All
+     * Kernel backend for the five hot kernels (TSDF integrate, fused
+     * gradient, ray-march core, ICP reduction, bilateral filter row):
+     * a name in the kernel-backend table ("scalar", "simd") or
+     * "auto" for CPUID-based dispatch. See docs/KERNEL_BACKENDS.md. All
      * backends are bit-exact against "scalar", so this is a pure
      * performance axis — the DSE explores it as the ordinal
      * "implementation" dimension.

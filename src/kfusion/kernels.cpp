@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
+#include "kfusion/backend.hpp"
+#include "kfusion/expf.hpp"
 #include "support/logging.hpp"
 #include "support/trace.hpp"
 
@@ -45,10 +49,81 @@ mm2metersKernel(Image<float> &out, const Image<uint16_t> &in, int ratio,
     });
 }
 
+float
+expf(float x)
+{
+    if (x < kExpUnderflow)
+        return 0.0f;
+    if (x > kExpOverflow)
+        return std::numeric_limits<float>::infinity();
+    // x * N / ln2 = k + r, k an integer, r in [-1/2, 1/2].
+    const double z = kExpInvLn2N * static_cast<double>(x);
+    double kd = z + kExpShift;
+    uint64_t ki;
+    std::memcpy(&ki, &kd, sizeof(ki));
+    kd -= kExpShift;
+    const double r = z - kd;
+    // exp(x) = 2^(k/N) * 2^(r/N) ~= s * (C0 r^3 + C1 r^2 + C2 r + 1).
+    const uint64_t t =
+        kExpTable[ki % (1 << kExpTableBits)] + (ki << (52 - kExpTableBits));
+    double s;
+    std::memcpy(&s, &t, sizeof(s));
+    const double p = kExpC0 * r + kExpC1;
+    const double r2 = r * r;
+    double y = kExpC2 * r + 1.0;
+    y = p * r2 + y;
+    y = y * s;
+    return static_cast<float>(y);
+}
+
+void
+bilateralPixels(const BilateralContext &ctx, size_t y, size_t x_begin,
+                size_t x_end)
+{
+    const size_t w = ctx.width;
+    const size_t h = ctx.height;
+    const int radius = ctx.radius;
+    const int side = 2 * radius + 1;
+    for (size_t x = x_begin; x < x_end; ++x) {
+        const float center = ctx.in[y * w + x];
+        if (center <= 0.0f) {
+            ctx.out[y * w + x] = 0.0f;
+            continue;
+        }
+        float sum = 0.0f;
+        float weight = 0.0f;
+        for (int dy = -radius; dy <= radius; ++dy) {
+            const long yy = static_cast<long>(y) + dy;
+            if (yy < 0 || yy >= static_cast<long>(h))
+                continue;
+            for (int dx = -radius; dx <= radius; ++dx) {
+                const long xx = static_cast<long>(x) + dx;
+                if (xx < 0 || xx >= static_cast<long>(w))
+                    continue;
+                const float sample =
+                    ctx.in[static_cast<size_t>(yy) * w +
+                           static_cast<size_t>(xx)];
+                if (sample <= 0.0f)
+                    continue;
+                const float diff = sample - center;
+                const float range = expf(-diff * diff * ctx.inv2e2);
+                const float wgt =
+                    ctx.spatial[static_cast<size_t>(
+                        (dy + radius) * side + dx + radius)] *
+                    range;
+                sum += wgt * sample;
+                weight += wgt;
+            }
+        }
+        ctx.out[y * w + x] = weight > 0.0f ? sum / weight : 0.0f;
+    }
+}
+
 void
 bilateralFilterKernel(Image<float> &out, const Image<float> &in,
                       int radius, float gaussian_delta, float e_delta,
-                      support::ThreadPool *pool)
+                      support::ThreadPool *pool,
+                      const KernelBackend *backend)
 {
     const size_t w = in.width();
     const size_t h = in.height();
@@ -71,50 +146,22 @@ bilateralFilterKernel(Image<float> &out, const Image<float> &in,
                     static_cast<float>(dx * dx + dy * dy);
                 spatial[static_cast<size_t>((dy + radius) * side +
                                             dx + radius)] =
-                    std::exp(-d2 / (2.0f * gaussian_delta *
-                                    gaussian_delta));
+                    expf(-d2 / (2.0f * gaussian_delta *
+                                gaussian_delta));
             }
         }
     }
 
-    const float inv_2e2 = 1.0f / (2.0f * e_delta * e_delta);
-
-    forEachRow(h, pool, [&](size_t y) {
-        for (size_t x = 0; x < w; ++x) {
-            const float center = in(x, y);
-            if (center <= 0.0f) {
-                out(x, y) = 0.0f;
-                continue;
-            }
-            float sum = 0.0f;
-            float weight = 0.0f;
-            for (int dy = -radius; dy <= radius; ++dy) {
-                const long yy = static_cast<long>(y) + dy;
-                if (yy < 0 || yy >= static_cast<long>(h))
-                    continue;
-                for (int dx = -radius; dx <= radius; ++dx) {
-                    const long xx = static_cast<long>(x) + dx;
-                    if (xx < 0 || xx >= static_cast<long>(w))
-                        continue;
-                    const float sample =
-                        in(static_cast<size_t>(xx),
-                           static_cast<size_t>(yy));
-                    if (sample <= 0.0f)
-                        continue;
-                    const float diff = sample - center;
-                    const float range =
-                        std::exp(-diff * diff * inv_2e2);
-                    const float wgt =
-                        spatial[static_cast<size_t>(
-                            (dy + radius) * side + dx + radius)] *
-                        range;
-                    sum += wgt * sample;
-                    weight += wgt;
-                }
-            }
-            out(x, y) = weight > 0.0f ? sum / weight : 0.0f;
-        }
-    });
+    BilateralContext ctx;
+    ctx.in = in.data();
+    ctx.out = out.data();
+    ctx.width = w;
+    ctx.height = h;
+    ctx.radius = radius;
+    ctx.spatial = spatial.data();
+    ctx.inv2e2 = 1.0f / (2.0f * e_delta * e_delta);
+    const KernelBackend &rows = backend ? *backend : scalarKernelBackend();
+    forEachRow(h, pool, [&](size_t y) { rows.bilateralRow(ctx, y); });
 }
 
 void

@@ -39,10 +39,14 @@ using support::Image;
 void mm2metersKernel(Image<float> &out, const Image<uint16_t> &in,
                      int ratio, support::ThreadPool *pool);
 
+class KernelBackend;
+
 /**
  * Edge-preserving bilateral filter on a metric depth image.
  *
- * Invalid (0) pixels stay invalid and do not pollute neighbors.
+ * Invalid (0) pixels stay invalid and do not pollute neighbors. Both
+ * the spatial and the range weights come from kfusion::expf, so the
+ * output does not depend on the libm version.
  *
  * @param[out] out Filtered depth, same size as @p in.
  * @param in Metric depth.
@@ -50,10 +54,38 @@ void mm2metersKernel(Image<float> &out, const Image<uint16_t> &in,
  * @param gaussian_delta Spatial sigma, pixels.
  * @param e_delta Range sigma, meters.
  * @param pool Optional worker pool.
+ * @param backend Kernel backend filtering each row (nullptr = scalar
+ *                reference).
  */
 void bilateralFilterKernel(Image<float> &out, const Image<float> &in,
                            int radius, float gaussian_delta,
-                           float e_delta, support::ThreadPool *pool);
+                           float e_delta, support::ThreadPool *pool,
+                           const KernelBackend *backend = nullptr);
+
+/**
+ * Inputs and output of one bilateral filter call (radius >= 1), as
+ * bilateralFilterKernel hands them to KernelBackend::bilateralRow.
+ */
+struct BilateralContext
+{
+    const float *in = nullptr; ///< Metric depth, row-major.
+    float *out = nullptr;      ///< Filtered depth, same size.
+    size_t width = 0;          ///< Image width, pixels.
+    size_t height = 0;         ///< Image height, pixels.
+    int radius = 1;            ///< Half window size, pixels.
+    /** Spatial weights, (2 radius + 1)^2 of them, row-major in
+     *  (dy, dx). */
+    const float *spatial = nullptr;
+    float inv2e2 = 0.0f; ///< 1 / (2 e_delta^2).
+};
+
+/**
+ * The reference filter body: output pixels [@p x_begin, @p x_end) of
+ * row @p y, taps in (dy, dx) order. Every backend's row must match it
+ * bit for bit.
+ */
+void bilateralPixels(const BilateralContext &ctx, size_t y,
+                     size_t x_begin, size_t x_end);
 
 /**
  * Robust 2x down-sampling used to build the tracking pyramid: the

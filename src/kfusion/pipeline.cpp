@@ -127,7 +127,7 @@ KFusion::preprocess(const support::Image<uint16_t> &depth_mm,
         bilateralFilterKernel(filteredDepth_, rawDepth_,
                               config_.filterRadius,
                               config_.gaussianDelta, config_.eDelta,
-                              pool_.get());
+                              pool_.get(), backend_);
         work.addItems(
             KernelId::BilateralFilter,
             static_cast<double>(filteredDepth_.size()) *

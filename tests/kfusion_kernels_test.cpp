@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "kfusion/backend.hpp"
+#include "kfusion/backend_simd.hpp"
+#include "kfusion/expf.hpp"
 #include "kfusion/kernels.hpp"
 #include "support/rng.hpp"
 
@@ -70,6 +74,132 @@ TEST(Mm2Meters, ZeroStaysInvalid)
     mm2metersKernel(out, in, 1, nullptr);
     for (size_t i = 0; i < out.size(); ++i)
         EXPECT_FLOAT_EQ(out[i], 0.0f);
+}
+
+// --- kfusion::expf ---
+
+// The pipeline's exp, not the C library's ::expf.
+using slambench::kfusion::expf;
+
+uint32_t
+floatBits(float f)
+{
+    uint32_t u;
+    std::memcpy(&u, &f, sizeof(u));
+    return u;
+}
+
+float
+bitsFloat(uint32_t u)
+{
+    float f;
+    std::memcpy(&f, &u, sizeof(f));
+    return f;
+}
+
+/** Pinned (input, output) bit patterns of the scalar form. */
+struct ExpPin
+{
+    uint32_t x;
+    uint32_t y;
+};
+
+const ExpPin kExpPins[] = {
+    {0x80000000, 0x3f800000}, // -0.0 -> 1
+    {0xb22bcc77, 0x3f800000}, // -1e-8 -> 1
+    // -0x1.f8cbb2p+5: glibc's FMA build gives 0x1.f45326p-92.
+    {0xc27c65d9, 0x11fa2992},
+    {0xc2cff1b4, 0x00000001}, // the underflow bound -> 2^-149
+    {0xc2cff1b5, 0x00000000}, // its lower neighbour -> 0
+    {0xc2af0000, 0x006cb2bc}, // -87.5 -> subnormal
+    // Neighbours across table-index boundaries (index in comments).
+    {0xbc317217, 0x3f7d3e0c}, // 0
+    {0xbc317218, 0x3f7d3e0c}, // 31
+    {0xbeabe687, 0x3f36fd92}, // 17
+    {0xbeabe688, 0x3f36fd92}, // 16
+    {0xbeb6fda8, 0x3f3311c4}, // 16
+    {0xbeb6fda9, 0x3f3311c4}, // 15
+    {0xbf2eac4f, 0x3f0164d2}, // 1
+    {0xbf2eac50, 0x3f0164d2}, // 0
+};
+
+TEST(KfusionExp, PinnedBitPatterns)
+{
+    for (const ExpPin &pin : kExpPins)
+        EXPECT_EQ(floatBits(expf(bitsFloat(pin.x))), pin.y)
+            << std::hexfloat << bitsFloat(pin.x);
+}
+
+TEST(KfusionExp, TableHoldsCorrectlyRoundedPowersOfTwo)
+{
+    // A one-ulp error in a double entry rarely moves a float result,
+    // so check the entries themselves: bits(RN(2^(i/32))) once the
+    // exponent offset is added back. The long double reference has
+    // 11 more bits than the entries need.
+    if (std::numeric_limits<long double>::digits < 64)
+        GTEST_SKIP() << "long double too narrow for the reference";
+    for (uint64_t i = 0; i < (1u << kExpTableBits); ++i) {
+        const double expect =
+            static_cast<double>(std::exp2l(static_cast<long double>(i) /
+                                           (1u << kExpTableBits)));
+        uint64_t bits = kExpTable[i] + (i << (52 - kExpTableBits));
+        double got;
+        std::memcpy(&got, &bits, sizeof(got));
+        EXPECT_EQ(got, expect) << "entry " << i;
+    }
+}
+
+TEST(KfusionExp, SpecialValues)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    EXPECT_EQ(expf(-inf), 0.0f);
+    EXPECT_EQ(expf(inf), inf);
+    EXPECT_EQ(expf(std::nextafter(kExpOverflow, inf)), inf);
+    EXPECT_LT(expf(kExpOverflow), inf);
+    EXPECT_TRUE(std::isnan(expf(std::numeric_limits<float>::quiet_NaN())));
+    EXPECT_EQ(expf(0.0f), 1.0f);
+}
+
+TEST(KfusionExp, Avx2LanesMatchScalar)
+{
+    if (!simdBackendIsAccelerated())
+        GTEST_SKIP() << "AVX2 kernels not available on this host";
+    const float inf = std::numeric_limits<float>::infinity();
+    std::vector<float> xs = {-inf, inf, -1e30f, -1000.0f};
+    // Every 97th bit pattern of [-110, 0] (the filter's range), every
+    // 997th of the other non-NaN floats ...
+    for (uint32_t b = 0x80000000u; b <= floatBits(-110.0f); b += 97)
+        xs.push_back(bitsFloat(b));
+    for (uint32_t b = floatBits(-110.0f); b <= floatBits(-inf); b += 997)
+        xs.push_back(bitsFloat(b));
+    for (uint32_t b = 0; b <= floatBits(inf); b += 997)
+        xs.push_back(bitsFloat(b));
+    // ... and +-4 ulp around every pinned input and both bounds.
+    std::vector<uint32_t> centres = {floatBits(kExpUnderflow),
+                                     floatBits(kExpOverflow)};
+    for (const ExpPin &pin : kExpPins)
+        centres.push_back(pin.x);
+    for (uint32_t c : centres)
+        for (uint32_t b = c - 4; b != c + 5; ++b)
+            if (!std::isnan(bitsFloat(b)))
+                xs.push_back(bitsFloat(b));
+    // Whole vectors only: expfAvx2 runs a short tail on the scalar.
+    while (xs.size() % 8 != 0)
+        xs.push_back(0.0f);
+
+    std::vector<float> lanes(xs.size());
+    slambench::kfusion::detail::expfAvx2(xs.data(), lanes.data(),
+                                         xs.size());
+    size_t misses = 0;
+    for (size_t i = 0; i < xs.size(); ++i) {
+        if (floatBits(lanes[i]) != floatBits(expf(xs[i])) &&
+            ++misses <= 5)
+            ADD_FAILURE() << "lane differs at x = " << std::hexfloat
+                          << xs[i] << ": " << lanes[i] << " vs "
+                          << expf(xs[i]);
+    }
+    EXPECT_EQ(misses, 0u) << "of " << xs.size() << " inputs";
+    EXPECT_GT(xs.size(), 11000000u);
 }
 
 // --- bilateral filter ---

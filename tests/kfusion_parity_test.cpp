@@ -19,6 +19,7 @@
 
 #include "dataset/generator.hpp"
 #include "kfusion/backend.hpp"
+#include "kfusion/kernels.hpp"
 #include "kfusion/pipeline.hpp"
 #include "kfusion/ray_march.hpp"
 #include "kfusion/raycast.hpp"
@@ -540,6 +541,75 @@ TEST(BackendParity, ReduceMatchesScalar)
                 ASSERT_EQ(got.jte[i], expect.jte[i]) << "jte " << i;
         }
     }
+}
+
+/**
+ * Depth images for the bilateral filter parity tests: random depth
+ * with scattered zero pixels, plus the same with zero rows, with a
+ * zero border and with scattered NaNs (a NaN center or tap is taken
+ * and zeroes the output), so vector lanes meet invalid centers,
+ * invalid taps and whole invalid windows.
+ */
+std::vector<Image<float>>
+bilateralInputs(size_t w, size_t h)
+{
+    const auto k = CameraIntrinsics::fromFov(w, h, 1.1f);
+    std::vector<Image<float>> images(4, makeDepth(k, 700 + w));
+    for (size_t y = 1; y < h; y += 4)
+        for (size_t x = 0; x < w; ++x)
+            images[1](x, y) = 0.0f;
+    for (size_t y = 0; y < h; ++y)
+        for (size_t x = 0; x < w; ++x)
+            if (x < 3 || y < 3 || x + 3 >= w || y + 3 >= h)
+                images[2](x, y) = 0.0f;
+    for (size_t i = 5; i < images[3].size(); i += 37)
+        images[3][i] = std::nanf("");
+    return images;
+}
+
+/**
+ * Every backend's bilateral filter, on @p pool or sequential, must
+ * match the sequential scalar reference byte for byte: radius 0 to 8,
+ * widths around and below the 8-lane vector width.
+ */
+void
+expectBilateralMatchesScalar(ThreadPool *pool)
+{
+    for (const size_t w : {size_t{8}, size_t{9}, size_t{157},
+                           size_t{320}}) {
+        const std::vector<Image<float>> images = bilateralInputs(w, 13);
+        for (size_t i = 0; i < images.size(); ++i) {
+            for (int radius = 0; radius <= 8; ++radius) {
+                Image<float> expect;
+                bilateralFilterKernel(expect, images[i], radius, 4.0f,
+                                      0.1f, nullptr);
+                for (const std::string &name : kernelBackendNames()) {
+                    SCOPED_TRACE(name + " width " + std::to_string(w) +
+                                 " image " + std::to_string(i) +
+                                 " radius " + std::to_string(radius));
+                    Image<float> got;
+                    bilateralFilterKernel(got, images[i], radius, 4.0f,
+                                          0.1f, pool,
+                                          findKernelBackend(name));
+                    ASSERT_EQ(got.size(), expect.size());
+                    ASSERT_EQ(std::memcmp(got.data(), expect.data(),
+                                          expect.size() * sizeof(float)),
+                              0);
+                }
+            }
+        }
+    }
+}
+
+TEST(BackendParity, BilateralFilterMatchesScalar)
+{
+    expectBilateralMatchesScalar(nullptr);
+}
+
+TEST(BackendParity, BilateralFilterMatchesScalarPooled)
+{
+    ThreadPool pool(3);
+    expectBilateralMatchesScalar(&pool);
 }
 
 // --- sparse-volume parity ---
