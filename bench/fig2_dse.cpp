@@ -81,9 +81,10 @@ main(int argc, char **argv)
     options.parseOrExit(argc, argv);
 
     // --backend/--volume select the baseline's kernel and volume
-    // backends; the DSE itself always explores the "implementation"
-    // dimension (0 = scalar, 1 = simd) and runs every evaluation on
-    // the dense map, regardless of these flags.
+    // backends, which move host time only; the DSE itself explores
+    // the modeled "implementation" dimension (0 = reference,
+    // 1 = vectorized kernels) and runs every evaluation on the dense
+    // map, regardless of these flags.
     kfusion::KFusionConfig default_config = defaultConfig();
     core::applyKernelOptions(options, default_config);
     core::Observability observability(options, "fig2_dse");

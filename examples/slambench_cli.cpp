@@ -120,11 +120,22 @@ main(int argc, char **argv)
     core::applyKernelOptions(options, config);
 
     const std::string &system_name = options.string("--system");
-    if (system_name == "kfusion")
-        core::checkKernelInput(
-            options, config,
-            math::CameraIntrinsics::fromFov(spec.width, spec.height,
-                                            spec.hfovRad));
+    const math::CameraIntrinsics input = math::CameraIntrinsics::fromFov(
+        spec.width, spec.height, spec.hfovRad);
+    core::OdometryConfig odo;
+    odo.computeSizeRatio = config.computeSizeRatio;
+    odo.pyramidIterations = config.pyramidIterations;
+    odo.icpThreshold = config.icpThreshold;
+    if (system_name == "kfusion") {
+        core::checkKernelInput(options, config, input);
+    } else if (const std::string problem =
+                   core::OdometrySystem::checkCompatibility(odo, input);
+               !problem.empty()) {
+        options.fail("invalid configuration for " +
+                     std::to_string(input.width) + "x" +
+                     std::to_string(input.height) +
+                     " input: " + problem);
+    }
     if (options.given("--dump-mesh") && system_name != "kfusion")
         options.fail("--dump-mesh requires --system kfusion");
     const kfusion::Implementation impl =
@@ -152,10 +163,6 @@ main(int argc, char **argv)
         kfusion_system = kf.get();
         system = std::move(kf);
     } else {
-        core::OdometryConfig odo;
-        odo.computeSizeRatio = config.computeSizeRatio;
-        odo.pyramidIterations = config.pyramidIterations;
-        odo.icpThreshold = config.icpThreshold;
         system = std::make_unique<core::OdometrySystem>(odo);
     }
 

@@ -8,8 +8,9 @@
 # to be clamped silently, the deleted "mixed" kernel backend, an
 # unknown volume backend (the option parser and
 # KFusionConfig::validate() are all that stand in front of building
-# the map), frames too small for the compute image (4x4, the check
-# KFusion's constructor makes), the CLI's --dump-mesh/odometry
+# the map), frames too small for the compute image (4x4, the checks
+# KFusion's constructor and OdometrySystem::initialize make), the
+# CLI's --dump-mesh/odometry
 # clash, and an output path (--frames-csv, --metrics-json, --trace,
 # --crash-dump) in a
 # directory that does not exist. The deleted --perf-csv (every binary
@@ -65,6 +66,7 @@ cases=(
     "--backend mixed"
     "--volume hashed"
     "--width 4 --height 4 --frames 1"
+    "--system odometry --width 4 --height 4 --frames 1"
     "--dump-mesh mesh.obj --system odometry"
     "--frames-csv /nonexistent/d/x.csv"
     "--metrics-json /nonexistent/d/y.json"

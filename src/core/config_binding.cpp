@@ -1,9 +1,5 @@
 #include "core/config_binding.hpp"
 
-#include <cmath>
-
-#include "kfusion/backend.hpp"
-
 namespace slambench::core {
 
 using hypermapper::ParameterSpace;
@@ -28,9 +24,10 @@ kfusionParameterSpace()
     space.addInteger("rendering_rate", 1, 8, 4);
     // Kernel implementation axis (paper sec. II: the same algorithmic
     // configuration can run on differently optimized kernels). The
-    // ordinal is an index into the kernel-backend table: 0 = scalar,
-    // 1 = simd. All backends are bit-exact, so this dimension only
-    // moves the performance/energy axes, never accuracy.
+    // ordinal is KFusionConfig::modeledImplementation: 0 = reference
+    // kernels, 1 = vectorized kernels. Only the device model reads
+    // it, so this dimension moves the performance/energy axes, never
+    // accuracy.
     space.addOrdinal("implementation", {0, 1}, 0);
     return space;
 }
@@ -58,8 +55,8 @@ pointToConfig(const ParameterSpace &space, const Point &point)
         static_cast<int>(p[space.indexOf("tracking_rate")]);
     config.renderingRate =
         static_cast<int>(p[space.indexOf("rendering_rate")]);
-    config.kernelBackend = kfusion::kernelBackendFromOrdinal(
-        p[space.indexOf("implementation")]);
+    config.modeledImplementation =
+        static_cast<int>(p[space.indexOf("implementation")]);
     return config;
 }
 
@@ -86,8 +83,7 @@ configToPoint(const ParameterSpace &space, const KFusionConfig &config)
             : 0;
     p[space.indexOf("tracking_rate")] = config.trackingRate;
     p[space.indexOf("rendering_rate")] = config.renderingRate;
-    p[space.indexOf("implementation")] =
-        kfusion::kernelBackendOrdinal(config.kernelBackend);
+    p[space.indexOf("implementation")] = config.modeledImplementation;
     return space.canonicalize(p);
 }
 

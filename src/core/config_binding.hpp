@@ -8,7 +8,9 @@
  * The ten explored parameters are the ones named by the paper and
  * its companion studies: compute-size ratio, ICP threshold, mu,
  * integration rate, volume resolution, the three pyramid iteration
- * counts, tracking rate, and rendering rate.
+ * counts, tracking rate, and rendering rate. An eleventh dimension,
+ * "implementation", is KFusionConfig::modeledImplementation: the
+ * kernel implementation the device model assumes.
  */
 
 #include "hypermapper/param_space.hpp"

@@ -1,11 +1,11 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <mutex>
 
-#include "kfusion/backend.hpp"
 #include "support/logging.hpp"
 
 namespace slambench::core {
@@ -13,29 +13,49 @@ namespace slambench::core {
 namespace {
 
 /**
- * Device model with its compute rates scaled by the configured
- * kernel backend's modeled speedup. Only the compute term of the
- * roofline moves: vectorization does not raise memory bandwidth, so
- * memory-bound kernels see little simulated gain, exactly like on
- * hardware. joulesPerItem is left unchanged (a conservative
- * simplification: the same work items are switched either way).
+ * Per-kernel factors the device models apply to each kernel's
+ * itemsPerSecond, one row per modeled implementation
+ * (KFusionConfig::modeledImplementation): row 0 the reference
+ * kernels, row 1 the vectorized ones. The table is the same on every
+ * host; which backend the host pipeline ran never enters it.
+ *
+ * Row 1 holds the simd backend's per-kernel items_per_second ratios
+ * versus scalar, as recorded in BENCH_kernels.json (single core,
+ * AVX2; docs/KERNEL_BACKENDS.md has the calibration procedure).
+ * Integrate's 0.80 is that file's ratio, from a build where the
+ * scalar sweep's early-outs beat the vector gathers; ROADMAP item 5
+ * measured the opposite at -O3 (simd integrate faster).
+ * Recalibration waits for the item-1 ledger, since any change here
+ * moves every DSE objective; for the same reason BilateralFilter
+ * stays 1.0 although its AVX2 row is measured faster. RenderVolume
+ * shares the marchImage core with Raycast and inherits its factor.
+ *
+ * Only the compute term of the roofline moves: vectorization does
+ * not raise memory bandwidth, so memory-bound kernels see little
+ * simulated gain, exactly like on hardware. joulesPerItem is not
+ * scaled: a vector unit retires the same arithmetic per item, so
+ * energy per item is modeled as implementation-invariant.
  */
-devices::DeviceModel
-deviceForBackend(const devices::DeviceModel &device,
-                 const kfusion::KFusionConfig &config)
-{
-    const kfusion::KernelBackend *backend =
-        kfusion::resolveKernelBackend(config.kernelBackend);
-    if (!backend)
-        return device;
-    devices::DeviceModel scaled = device;
-    for (size_t k = 0; k < kfusion::kNumKernels; ++k)
-        scaled.itemsPerSecond[k] *=
-            backend->modelSpeedup(static_cast<kfusion::KernelId>(k));
-    return scaled;
-}
+constexpr std::array<std::array<double, kfusion::kNumKernels>,
+                     kfusion::kNumModeledImplementations>
+    kModeledSpeedups{{
+        // mm2meters, bilateral_filter, half_sample, depth2vertex,
+        // vertex2normal, track, reduce, solve, integrate, raycast,
+        // render_volume (KernelId order)
+        {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0},
+        {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.70, 1.0, 0.80, 2.60, 2.60},
+    }};
+static_assert(kfusion::kNumKernels == 11,
+              "kModeledSpeedups needs one column per kernel");
 
 } // namespace
+
+double
+modeledKernelSpeedup(int implementation, kfusion::KernelId id)
+{
+    return kModeledSpeedups.at(static_cast<size_t>(implementation))
+        .at(static_cast<size_t>(id));
+}
 
 double
 volumeBytes(const kfusion::KFusionConfig &config)
@@ -69,19 +89,21 @@ evaluateConfigOnDevice(const kfusion::KFusionConfig &config,
         return record;
     }
 
-    // Every kernel backend is bit-exact, so the host pipeline runs the
-    // fastest one; deviceForBackend still models the sampled backend.
-    kfusion::KFusionConfig host_config = config;
-    host_config.kernelBackend = "auto";
-    KFusionSystem system(host_config);
+    KFusionSystem system(config);
     BenchmarkOptions bench_options;
     bench_options.alignedAte = false;
     record.bench = runBenchmark(system, sequence, bench_options);
 
     record.ate = record.bench.ate;
     record.trackedFraction = record.bench.trackedFraction();
-    record.simulated = devices::simulateRun(
-        deviceForBackend(device, config), record.bench.frameWork);
+    // The host ran config.kernelBackend, which moves no result; the
+    // device models the sampled implementation instead.
+    devices::DeviceModel modeled = device;
+    for (size_t k = 0; k < kfusion::kNumKernels; ++k)
+        modeled.itemsPerSecond[k] *= modeledKernelSpeedup(
+            config.modeledImplementation, static_cast<kfusion::KernelId>(k));
+    record.simulated =
+        devices::simulateRun(modeled, record.bench.frameWork);
     record.valid =
         record.trackedFraction >= options.minTrackedFraction &&
         std::isfinite(record.ate.maxAte);

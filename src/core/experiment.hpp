@@ -146,6 +146,15 @@ std::vector<FleetEntry> replayOnFleet(
     const std::vector<kfusion::WorkCounts> &tuned_run,
     double tuned_volume_bytes);
 
+/**
+ * Factor the device models apply to kernel @p id's itemsPerSecond
+ * under modeled implementation @p implementation
+ * (KFusionConfig::modeledImplementation; 0 = reference kernels,
+ * 1 = vectorized kernels). Throws std::out_of_range outside [0,
+ * kfusion::kNumModeledImplementations).
+ */
+double modeledKernelSpeedup(int implementation, kfusion::KernelId id);
+
 /** @return TSDF volume footprint in bytes for a configuration. */
 double volumeBytes(const kfusion::KFusionConfig &config);
 

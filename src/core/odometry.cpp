@@ -25,18 +25,35 @@ OdometrySystem::name() const
     return "icp-odometry";
 }
 
+std::string
+OdometrySystem::checkCompatibility(
+    const OdometryConfig &config,
+    const math::CameraIntrinsics &input_intrinsics)
+{
+    math::CameraIntrinsics level = input_intrinsics.scaled(
+        static_cast<size_t>(config.computeSizeRatio));
+    for (size_t l = 0; l < config.pyramidIterations.size(); ++l) {
+        if (level.width < 4 || level.height < 4)
+            return "too many pyramid levels for the compute image "
+                   "size";
+        level = level.scaled(2);
+    }
+    return "";
+}
+
 void
 OdometrySystem::initialize(const math::CameraIntrinsics &intrinsics,
                            const Mat4f &initial_pose)
 {
+    const std::string problem = checkCompatibility(config_, intrinsics);
+    if (!problem.empty())
+        support::fatal("OdometrySystem: " + problem);
     inputIntrinsics_ = intrinsics;
     scaledIntrinsics_ = intrinsics.scaled(
         static_cast<size_t>(config_.computeSizeRatio));
     levelIntrinsics_.clear();
     math::CameraIntrinsics level = scaledIntrinsics_;
     for (size_t l = 0; l < config_.pyramidIterations.size(); ++l) {
-        if (level.width < 4 || level.height < 4)
-            support::fatal("OdometrySystem: too many pyramid levels");
         levelIntrinsics_.push_back(level);
         level = level.scaled(2);
     }

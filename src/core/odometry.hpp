@@ -14,6 +14,7 @@
  */
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/slam_system.hpp"
@@ -48,6 +49,17 @@ class OdometrySystem : public SlamSystem
 {
   public:
     explicit OdometrySystem(const OdometryConfig &config = {});
+
+    /**
+     * Check whether a configuration can run on inputs of the given
+     * size (every pyramid level of the compute image at least 4x4).
+     * initialize() enforces the same rule.
+     *
+     * @return an empty string when compatible, else the problem.
+     */
+    static std::string checkCompatibility(
+        const OdometryConfig &config,
+        const math::CameraIntrinsics &input_intrinsics);
 
     std::string name() const override;
     void initialize(const math::CameraIntrinsics &intrinsics,

@@ -9,12 +9,6 @@ namespace slambench::kfusion {
 
 using math::Vec3f;
 
-double
-KernelBackend::modelSpeedup(KernelId) const
-{
-    return 1.0;
-}
-
 namespace {
 
 /**
@@ -219,34 +213,6 @@ class SimdBackend final : public KernelBackend
             bilateralPixels(ctx, y, 0, ctx.width);
     }
 
-    double
-    modelSpeedup(KernelId id) const override
-    {
-        if (!avx2_)
-            return 1.0;
-        // Per-kernel items_per_second ratios versus scalar, as
-        // recorded in BENCH_kernels.json (single core; see
-        // docs/KERNEL_BACKENDS.md for the calibration procedure).
-        // Integrate's 0.80 is that file's ratio, from a build where
-        // the scalar sweep's early-outs beat the vector gathers;
-        // ROADMAP item 5 measured the opposite at -O3 (simd integrate
-        // faster). Recalibration waits for the item-1 ledger, since
-        // any change here moves every DSE objective; for the same
-        // reason BilateralFilter stays 1.0 although its AVX2 row is
-        // measured faster. RenderVolume shares the marchImage core
-        // with Raycast and inherits its factor. Only itemsPerSecond
-        // is scaled: a vector unit retires the same arithmetic per
-        // item, so joulesPerItem is modeled as
-        // implementation-invariant.
-        switch (id) {
-          case KernelId::Integrate: return 0.80;
-          case KernelId::Raycast: return 2.60;
-          case KernelId::RenderVolume: return 2.60;
-          case KernelId::Reduce: return 2.70;
-          default: return 1.0;
-        }
-    }
-
   private:
     /** The AVX2 packet march on either volume, else scalar. */
     template <typename Volume>
@@ -265,7 +231,7 @@ class SimdBackend final : public KernelBackend
     const bool avx2_ = simdBackendIsAccelerated();
 };
 
-/** The built-in backends; a backend's DSE ordinal is its index. */
+/** The built-in backends, in kernelBackendNames() order. */
 const std::array<const KernelBackend *, 2> &
 backendTable()
 {
@@ -328,26 +294,6 @@ simdBackendIsAccelerated()
 #else
     return false;
 #endif
-}
-
-double
-kernelBackendOrdinal(std::string_view name)
-{
-    const KernelBackend *backend = resolveKernelBackend(name);
-    const auto &table = backendTable();
-    const auto it = std::find(table.begin(), table.end(), backend);
-    return it == table.end() ? 0.0
-                             : static_cast<double>(it - table.begin());
-}
-
-const char *
-kernelBackendFromOrdinal(double ordinal)
-{
-    const auto &table = backendTable();
-    for (size_t i = 0; i < table.size(); ++i)
-        if (ordinal == static_cast<double>(i))
-            return table[i]->name();
-    return table[0]->name();
 }
 
 } // namespace slambench::kfusion

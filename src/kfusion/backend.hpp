@@ -21,7 +21,7 @@
  *     whose range weights come from kfusion::expf (expf.hpp).
  *
  * There is one backend per ISA, held in a fixed table in
- * backend.cpp; a backend's DSE ordinal is its index there:
+ * backend.cpp:
  *
  *  0. "scalar": the reference for the baseline ISA. Every other
  *     backend is tested against it.
@@ -191,14 +191,6 @@ class KernelBackend
      */
     virtual void bilateralRow(const BilateralContext &ctx,
                               size_t y) const = 0;
-
-    /**
-     * Speedup factor the analytic device models apply to kernel
-     * @p id's items/second rate when a pipeline runs on this backend
-     * (the DSE's implementation axis; see docs/ARCHITECTURE.md).
-     * The scalar reference returns 1.0 everywhere.
-     */
-    virtual double modelSpeedup(KernelId id) const;
 };
 
 /**
@@ -235,23 +227,6 @@ const KernelBackend &scalarKernelBackend();
  * scalar kernels.
  */
 bool simdBackendIsAccelerated();
-
-/**
- * Map a backend name to its ordinal value in the DSE's
- * "implementation" dimension: its index in the backend table
- * (0 = scalar, 1 = simd). "auto" maps to its resolved backend.
- *
- * @return the ordinal, or 0 when the name is unknown.
- */
-double kernelBackendOrdinal(std::string_view name);
-
-/**
- * Inverse of kernelBackendOrdinal.
- *
- * @return the backend name at table index @p ordinal, or "scalar"
- * for any value that is not an index.
- */
-const char *kernelBackendFromOrdinal(double ordinal);
 
 } // namespace slambench::kfusion
 

@@ -36,6 +36,10 @@ KFusionConfig::validate() const
         return "filterRadius must be in [0, 8]";
     if (!(nearPlane >= 0.0f) || !(farPlane > nearPlane))
         return "need 0 <= nearPlane < farPlane";
+    if (modeledImplementation < 0 ||
+        modeledImplementation >= kNumModeledImplementations)
+        return "modeledImplementation must be in [0, " +
+               std::to_string(kNumModeledImplementations - 1) + "]";
     std::string backend_error;
     if (!resolveKernelBackend(kernelBackend, &backend_error))
         return backend_error;

@@ -74,11 +74,22 @@ struct KFusionConfig
      * gradient, ray-march core, ICP reduction, bilateral filter row):
      * a name in the kernel-backend table ("scalar", "simd") or
      * "auto" for CPUID-based dispatch. See docs/KERNEL_BACKENDS.md. All
-     * backends are bit-exact against "scalar", so this is a pure
-     * performance axis — the DSE explores it as the ordinal
-     * "implementation" dimension.
+     * backends are bit-exact against "scalar", so this moves host
+     * time only: no pose, image, work count or modeled number
+     * depends on it.
      */
-    std::string kernelBackend = "scalar";
+    std::string kernelBackend = "auto";
+
+    /**
+     * Kernel implementation the analytic device models assume: the
+     * DSE's "implementation" ordinal, 0 = reference kernels,
+     * 1 = vectorized kernels (one row each of the per-kernel rate
+     * factors in core/experiment.cpp). Read only by the device model;
+     * the host pipeline ignores it, whatever kernelBackend runs.
+     * Unrelated to Implementation, the `--impl sequential|threaded`
+     * switch, which moves no modeled number.
+     */
+    int modeledImplementation = 0;
 
     /**
      * TSDF map data structure: "dense" (z-major array,
@@ -136,6 +147,9 @@ struct KFusionConfig
     /** One-line summary of the explored parameters. */
     std::string toString() const;
 };
+
+/** Number of modeled kernel implementations (see modeledImplementation). */
+inline constexpr int kNumModeledImplementations = 2;
 
 /** Implementation flavor of the compute kernels. */
 enum class Implementation {

@@ -18,7 +18,6 @@
 #include "core/report.hpp"
 #include "core/slam_system.hpp"
 #include "devices/fleet.hpp"
-#include "kfusion/backend.hpp"
 #include "support/slo_watchdog.hpp"
 #include "support/telemetry_server.hpp"
 #include "support/trace.hpp"
@@ -320,6 +319,8 @@ TEST(ConfigBinding, SpaceIsTheAlgorithmicParametersPlusImplementation)
     EXPECT_EQ(config.integrationRate, reference.integrationRate);
     EXPECT_EQ(config.pyramidIterations, reference.pyramidIterations);
     EXPECT_FLOAT_EQ(config.mu, reference.mu);
+    EXPECT_EQ(config.modeledImplementation,
+              reference.modeledImplementation);
     EXPECT_EQ(config.kernelBackend, reference.kernelBackend);
     EXPECT_EQ(config.volumeBackend, reference.volumeBackend);
 }
@@ -335,7 +336,8 @@ TEST(ConfigBinding, RoundTripThroughPoint)
     config.pyramidIterations = {8, 4, 2};
     config.trackingRate = 2;
     config.renderingRate = 6;
-    config.kernelBackend = "simd";
+    config.modeledImplementation = 1;
+    config.kernelBackend = "scalar";
     const Point p = configToPoint(space, config);
     const KFusionConfig decoded = pointToConfig(space, p);
     EXPECT_EQ(decoded.computeSizeRatio, 4);
@@ -346,47 +348,54 @@ TEST(ConfigBinding, RoundTripThroughPoint)
               (std::vector<int>{8, 4, 2}));
     EXPECT_EQ(decoded.trackingRate, 2);
     EXPECT_EQ(decoded.renderingRate, 6);
-    EXPECT_EQ(decoded.kernelBackend, "simd");
+    EXPECT_EQ(decoded.modeledImplementation, 1);
+    // The host backend is no dimension: the point does not carry it.
+    EXPECT_EQ(decoded.kernelBackend, KFusionConfig{}.kernelBackend);
 }
 
-TEST(ConfigBinding, ImplementationAxisIndexesTheBackendTable)
+TEST(ConfigBinding, ImplementationAxisIsTheModeledImplementation)
 {
-    // The DSE's implementation ordinal is the kernel-backend table
-    // index: one level per backend, decoding to that backend's name.
+    // The DSE's implementation ordinal is modeledImplementation: one
+    // level per row of the modeled speedup table. It never picks the
+    // host backend, and the host backend never encodes into it.
     const ParameterSpace space = kfusionParameterSpace();
     const size_t axis = space.indexOf("implementation");
-    const std::vector<std::string> names =
-        slambench::kfusion::kernelBackendNames();
-    ASSERT_EQ(space.param(axis).values.size(), names.size());
-    for (size_t i = 0; i < names.size(); ++i) {
-        EXPECT_EQ(space.param(axis).values[i], static_cast<double>(i));
+    ASSERT_EQ(space.param(axis).values.size(),
+              static_cast<size_t>(
+                  slambench::kfusion::kNumModeledImplementations));
+    for (int i = 0; i < slambench::kfusion::kNumModeledImplementations;
+         ++i) {
+        EXPECT_EQ(space.param(axis).values[static_cast<size_t>(i)],
+                  static_cast<double>(i));
         Point p = space.defaultPoint();
         p[axis] = static_cast<double>(i);
-        EXPECT_EQ(pointToConfig(space, p).kernelBackend, names[i]);
+        const KFusionConfig decoded = pointToConfig(space, p);
+        EXPECT_EQ(decoded.modeledImplementation, i);
+        EXPECT_EQ(decoded.kernelBackend, KFusionConfig{}.kernelBackend);
     }
-    // "auto" encodes as the backend it resolves to on this host.
-    KFusionConfig config;
-    config.kernelBackend = "auto";
-    EXPECT_EQ(configToPoint(space, config)[axis],
-              slambench::kfusion::simdBackendIsAccelerated() ? 1.0
-                                                             : 0.0);
+    for (const std::string backend : {"auto", "scalar", "simd"}) {
+        KFusionConfig config;
+        config.kernelBackend = backend;
+        EXPECT_EQ(configToPoint(space, config)[axis], 0.0) << backend;
+    }
 }
 
-TEST(ConfigBinding, RandomPointsSampleEveryBackend)
+TEST(ConfigBinding, RandomPointsSampleEveryModeledImplementation)
 {
-    // Uniform sampling reaches every backend in the table and nothing
-    // else (no stale ordinal decodes to a deleted backend).
+    // Uniform sampling reaches every modeled implementation and
+    // nothing else (no ordinal decodes outside the table).
     const ParameterSpace space = kfusionParameterSpace();
     slambench::support::Rng rng(5);
-    std::vector<std::string> seen;
+    std::vector<int> seen;
     for (int i = 0; i < 200; ++i) {
-        const std::string backend =
-            pointToConfig(space, space.sample(rng)).kernelBackend;
-        if (std::find(seen.begin(), seen.end(), backend) == seen.end())
-            seen.push_back(backend);
+        const int implementation =
+            pointToConfig(space, space.sample(rng)).modeledImplementation;
+        if (std::find(seen.begin(), seen.end(), implementation) ==
+            seen.end())
+            seen.push_back(implementation);
     }
     std::sort(seen.begin(), seen.end());
-    EXPECT_EQ(seen, slambench::kfusion::kernelBackendNames());
+    EXPECT_EQ(seen, (std::vector<int>{0, 1}));
 }
 
 TEST(ConfigBinding, RandomPointsAlwaysValidate)
@@ -422,12 +431,10 @@ TEST(Experiment, EvaluateConfigOnDeviceProducesObjectives)
     EXPECT_GT(record.trackedFraction, 0.9);
 }
 
-TEST(Experiment, EvaluationModelsSampledBackendOnSameHostWork)
+TEST(Experiment, KernelBackendMovesNoResult)
 {
-    // The host pipeline runs whichever kernel backend is fastest;
-    // only the device model sees the sampled one. So the work and
-    // accuracy of a DSE point are backend-independent, while its
-    // simulated runtime is not (on a host where simd is accelerated).
+    // Every backend is bit-exact, so the host backend a DSE point
+    // runs on changes neither its work nor its modeled device run.
     const Sequence seq = tinySequence(4);
     KFusionConfig scalar = tinyConfig();
     scalar.kernelBackend = "scalar";
@@ -439,6 +446,26 @@ TEST(Experiment, EvaluationModelsSampledBackendOnSameHostWork)
         evaluateConfigOnDevice(simd, seq, odroidXu3());
     EXPECT_EQ(a.config.kernelBackend, "scalar");
     EXPECT_EQ(b.config.kernelBackend, "simd");
+    EXPECT_EQ(a.ate.perFrame, b.ate.perFrame);
+    EXPECT_EQ(a.simulated.frameSeconds, b.simulated.frameSeconds);
+    EXPECT_EQ(a.simulated.totalJoules, b.simulated.totalJoules);
+    EXPECT_EQ(a.simulated.pacedWatts, b.simulated.pacedWatts);
+}
+
+TEST(Experiment, ModeledImplementationMovesOnlyModeledRuntime)
+{
+    // The modeled implementation is read only by the device model:
+    // the host run (work, accuracy) is the same for every ordinal,
+    // while the simulated runtime follows the speedup table.
+    const Sequence seq = tinySequence(4);
+    KFusionConfig reference = tinyConfig();
+    reference.modeledImplementation = 0;
+    KFusionConfig vectorized = tinyConfig();
+    vectorized.modeledImplementation = 1;
+    const EvaluatedConfig a =
+        evaluateConfigOnDevice(reference, seq, odroidXu3());
+    const EvaluatedConfig b =
+        evaluateConfigOnDevice(vectorized, seq, odroidXu3());
     ASSERT_EQ(a.bench.frameWork.size(), b.bench.frameWork.size());
     for (size_t f = 0; f < a.bench.frameWork.size(); ++f) {
         EXPECT_EQ(a.bench.frameWork[f].items, b.bench.frameWork[f].items)
@@ -449,9 +476,47 @@ TEST(Experiment, EvaluationModelsSampledBackendOnSameHostWork)
     }
     EXPECT_EQ(a.ate.maxAte, b.ate.maxAte);
     EXPECT_EQ(a.ate.perFrame, b.ate.perFrame);
-    if (slambench::kfusion::simdBackendIsAccelerated()) {
-        EXPECT_NE(a.simulated.meanFrameSeconds,
-                  b.simulated.meanFrameSeconds);
+    EXPECT_NE(a.simulated.meanFrameSeconds,
+              b.simulated.meanFrameSeconds);
+}
+
+TEST(Experiment, ModeledSpeedupFactorsArePinned)
+{
+    // The device models scale each kernel's rate by these factors, so
+    // any change moves every DSE objective; recalibrating them is a
+    // deliberate change that must update this table too. The table
+    // is the same on every host.
+    using slambench::kfusion::KernelId;
+    for (size_t k = 0; k < slambench::kfusion::kNumKernels; ++k) {
+        const auto id = static_cast<KernelId>(k);
+        EXPECT_EQ(modeledKernelSpeedup(0, id), 1.0)
+            << slambench::kfusion::kernelName(id);
+        double expected = 1.0;
+        switch (id) {
+          case KernelId::Integrate: expected = 0.80; break;
+          case KernelId::Raycast: expected = 2.60; break;
+          case KernelId::RenderVolume: expected = 2.60; break;
+          case KernelId::Reduce: expected = 2.70; break;
+          default: break;
+        }
+        EXPECT_EQ(modeledKernelSpeedup(1, id), expected)
+            << slambench::kfusion::kernelName(id);
+    }
+}
+
+TEST(Experiment, OutOfTableImplementationIsInvalid)
+{
+    KFusionConfig config = tinyConfig();
+    for (const int implementation :
+         {-1, slambench::kfusion::kNumModeledImplementations}) {
+        config.modeledImplementation = implementation;
+        EXPECT_NE(config.validate().find("modeledImplementation"),
+                  std::string::npos)
+            << implementation;
+        EXPECT_FALSE(
+            evaluateConfigOnDevice(config, tinySequence(2), odroidXu3())
+                .valid)
+            << implementation;
     }
 }
 

@@ -401,7 +401,7 @@ TEST(WorkHelpers, BilateralItemsPerPixel)
 
 TEST(BackendRegistry, BuiltinsAreRegistered)
 {
-    // One backend per ISA, in table order (the DSE ordinal).
+    // One backend per ISA, in table order.
     EXPECT_EQ(kernelBackendNames(),
               (std::vector<std::string>{"scalar", "simd"}));
     EXPECT_EQ(findKernelBackend("scalar"), &scalarKernelBackend());
@@ -436,51 +436,6 @@ TEST(BackendRegistry, AutoResolvesDeterministically)
         simdBackendIsAccelerated() ? "simd" : "scalar";
     EXPECT_STREQ(first->name(), expected);
     EXPECT_EQ(first, findKernelBackend(expected));
-}
-
-TEST(BackendRegistry, OrdinalRoundTrip)
-{
-    EXPECT_EQ(kernelBackendOrdinal("scalar"), 0.0);
-    EXPECT_EQ(kernelBackendOrdinal("simd"), 1.0);
-    EXPECT_EQ(kernelBackendOrdinal("auto"),
-              simdBackendIsAccelerated() ? 1.0 : 0.0);
-    EXPECT_EQ(kernelBackendOrdinal("no-such-backend"), 0.0);
-    EXPECT_STREQ(kernelBackendFromOrdinal(0.0), "scalar");
-    EXPECT_STREQ(kernelBackendFromOrdinal(1.0), "simd");
-    // Unknown ordinals decode to the scalar reference so a stray DSE
-    // point can never crash a run.
-    EXPECT_STREQ(kernelBackendFromOrdinal(2.0), "scalar");
-    EXPECT_STREQ(kernelBackendFromOrdinal(0.5), "scalar");
-    EXPECT_STREQ(kernelBackendFromOrdinal(7.0), "scalar");
-    for (const std::string &name : kernelBackendNames())
-        EXPECT_EQ(kernelBackendFromOrdinal(kernelBackendOrdinal(name)),
-                  name);
-}
-
-TEST(BackendRegistry, ModelSpeedupFactorsArePinned)
-{
-    // The device models scale each kernel's rate by these factors, so
-    // any change moves every DSE objective; recalibrating them is a
-    // deliberate change that must update this table too.
-    const KernelBackend *simd = findKernelBackend("simd");
-    ASSERT_NE(simd, nullptr);
-    const bool accelerated = simdBackendIsAccelerated();
-    for (size_t k = 0; k < kNumKernels; ++k) {
-        const auto id = static_cast<KernelId>(k);
-        EXPECT_EQ(scalarKernelBackend().modelSpeedup(id), 1.0)
-            << kernelName(id);
-        double expected = 1.0;
-        if (accelerated) {
-            switch (id) {
-              case KernelId::Integrate: expected = 0.80; break;
-              case KernelId::Raycast: expected = 2.60; break;
-              case KernelId::RenderVolume: expected = 2.60; break;
-              case KernelId::Reduce: expected = 2.70; break;
-              default: break;
-            }
-        }
-        EXPECT_EQ(simd->modelSpeedup(id), expected) << kernelName(id);
-    }
 }
 
 } // namespace

@@ -123,6 +123,28 @@ TEST(Odometry, ReinitializeClearsState)
     EXPECT_LT(again.ate.maxAte, 0.05);
 }
 
+TEST(Odometry, CheckCompatibilityNeedsFourPixelLevels)
+{
+    // Three levels need a compute image of at least 16x16: level 2 is
+    // a quarter of it and must stay 4x4.
+    const OdometryConfig config; // three levels, ratio 1
+    const auto size = [](size_t w, size_t h) {
+        return math::CameraIntrinsics::fromFov(w, h, 1.0f);
+    };
+    EXPECT_EQ(OdometrySystem::checkCompatibility(config, size(16, 16)),
+              "");
+    EXPECT_NE(OdometrySystem::checkCompatibility(config, size(15, 16)),
+              "");
+    EXPECT_NE(OdometrySystem::checkCompatibility(config, size(4, 4)),
+              "");
+    OdometryConfig coarse = config;
+    coarse.computeSizeRatio = 2;
+    EXPECT_NE(OdometrySystem::checkCompatibility(coarse, size(16, 16)),
+              "");
+    EXPECT_EQ(OdometrySystem::checkCompatibility(coarse, size(32, 32)),
+              "");
+}
+
 TEST(Odometry, PolymorphicUseThroughInterface)
 {
     const Sequence seq = makeSequence(3);

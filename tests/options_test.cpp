@@ -182,7 +182,7 @@ TEST(Options, SharedGroupsDeclareEveryFlagOnce)
     // Defaults leave the configuration as constructed.
     slambench::kfusion::KFusionConfig config;
     slambench::core::applyKernelOptions(options, config);
-    EXPECT_EQ(config.kernelBackend, "scalar");
+    EXPECT_EQ(config.kernelBackend, "auto");
     EXPECT_EQ(config.volumeBackend, "sparse");
 }
 
