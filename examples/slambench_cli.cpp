@@ -136,8 +136,17 @@ main(int argc, char **argv)
                      std::to_string(input.height) +
                      " input: " + problem);
     }
-    if (options.given("--dump-mesh") && system_name != "kfusion")
-        options.fail("--dump-mesh requires --system kfusion");
+    if (system_name != "kfusion") {
+        // The odometry baseline keeps no map and runs the scalar
+        // kernels, so a map or backend flag would be ignored.
+        for (const char *flag :
+             {"--volume", "--vr", "--vs", "--mu", "--ir", "--tr", "--rr",
+              "--backend", "--dump-mesh"})
+            if (options.given(flag))
+                options.fail(std::string(flag) +
+                             " requires --system kfusion");
+        config.kernelBackend = "scalar";
+    }
     const kfusion::Implementation impl =
         options.string("--impl") == "threaded"
             ? kfusion::Implementation::Threaded

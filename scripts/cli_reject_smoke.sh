@@ -10,9 +10,10 @@
 # KFusionConfig::validate() are all that stand in front of building
 # the map), frames too small for the compute image (4x4, the checks
 # KFusion's constructor and OdometrySystem::initialize make), the
-# CLI's --dump-mesh/odometry
-# clash, and an output path (--frames-csv, --metrics-json, --trace,
-# --crash-dump) in a
+# CLI's KinectFusion-only flags (--dump-mesh, the map flags --volume,
+# --vr, --vs, --mu, --ir, --tr, --rr, and --backend) given with
+# --system odometry, which would ignore them, and an output path
+# (--frames-csv, --metrics-json, --trace, --crash-dump) in a
 # directory that does not exist. The deleted --perf-csv (every binary
 # with --trace) and --log (slambench_cli) per-frame tables must be
 # rejected too: --frames-csv replaced both. So must the deleted
@@ -68,6 +69,14 @@ cases=(
     "--width 4 --height 4 --frames 1"
     "--system odometry --width 4 --height 4 --frames 1"
     "--dump-mesh mesh.obj --system odometry"
+    "--system odometry --volume sparse"
+    "--system odometry --vr 128"
+    "--system odometry --vs 4"
+    "--system odometry --mu 0.2"
+    "--system odometry --ir 1"
+    "--system odometry --tr 1"
+    "--system odometry --rr 1"
+    "--system odometry --backend scalar"
     "--frames-csv /nonexistent/d/x.csv"
     "--metrics-json /nonexistent/d/y.json"
     "--trace /nonexistent/d/t.json"

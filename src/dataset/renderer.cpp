@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "dataset/tracer.hpp"
+#include "support/cpu.hpp"
 #include "support/thread_pool.hpp"
 
 namespace slambench::dataset {
@@ -32,74 +35,121 @@ shade(const Primitive &prim, const Vec3f &normal, const Vec3f &view_dir)
 
 } // namespace
 
+namespace detail {
+
+void
+traceRaysScalar(const Scene &scene, const Vec3f &origin, const Vec3f *dirs,
+                size_t count, const RenderOptions &options, RayTrace *out)
+{
+    const float far_clip = scene.farClip();
+    for (size_t i = 0; i < count; ++i) {
+        const Vec3f &dir = dirs[i];
+        RayTrace &ray = out[i];
+        ray = RayTrace{};
+        float t = 0.0f;
+        for (int step = 0; step < options.maxSteps; ++step) {
+            const Vec3f p = origin + dir * t;
+            const SdfSample s = scene.evaluate(p);
+            if (s.distance < options.hitEpsilon) {
+                ray.hit = true;
+                ray.primitive = s.primitive;
+                break;
+            }
+            t += s.distance;
+            if (t > far_clip)
+                break;
+        }
+        if (ray.hit) {
+            ray.t = t;
+            ray.normal =
+                scene.normal(origin + dir * t, options.normalEpsilon);
+        }
+    }
+}
+
+bool
+avx2TracerAvailable()
+{
+    return avx2TracerCompiledIn() && support::cpuHasAvx2();
+}
+
 RenderResult
-renderFrame(const Scene &scene, const CameraIntrinsics &intrinsics,
-            const Mat4f &camera_to_world, const RenderOptions &options)
+makeRenderResult(const CameraIntrinsics &intrinsics,
+                 const RenderOptions &options)
 {
     const size_t w = intrinsics.width;
     const size_t h = intrinsics.height;
-
     RenderResult result;
     result.depth.resize(w, h);
     result.cosIncidence.resize(w, h);
     result.primitive.resize(w, h);
-    result.primitive.fill(-1);
     if (options.shadeRgb)
         result.rgb.resize(w, h);
+    return result;
+}
 
+void
+renderRows(const Scene &scene, const CameraIntrinsics &intrinsics,
+           const Mat4f &camera_to_world, const RenderOptions &options,
+           TraceRays trace, size_t row_begin, size_t row_end,
+           RenderResult &out)
+{
+    const size_t w = intrinsics.width;
     const Vec3f origin = camera_to_world.translationPart();
-    const float far_clip = scene.farClip();
+    std::vector<Vec3f> dirs(w);
+    std::vector<float> dir_cam_z(w);
+    std::vector<RayTrace> rays(w);
+    for (size_t y = row_begin; y < row_end; ++y) {
+        for (size_t x = 0; x < w; ++x) {
+            const Vec3f dir_cam =
+                intrinsics.rayDir(static_cast<float>(x) + 0.5f,
+                                  static_cast<float>(y) + 0.5f);
+            dirs[x] = camera_to_world.transformDir(dir_cam);
+            dir_cam_z[x] = dir_cam.z;
+        }
+        trace(scene, origin, dirs.data(), w, options, rays.data());
 
-    // Every pixel is independent and writes only its own slots of the
-    // images sized above, so rows split over the pool give the same
-    // bytes as a serial sweep.
-    const auto render_rows = [&](size_t row_begin, size_t row_end) {
-        for (size_t y = row_begin; y < row_end; ++y) {
-            for (size_t x = 0; x < w; ++x) {
-                const Vec3f dir_cam = intrinsics.rayDir(
-                    static_cast<float>(x) + 0.5f,
-                    static_cast<float>(y) + 0.5f);
-                const Vec3f dir = camera_to_world.transformDir(dir_cam);
-
-                float t = 0.0f;
-                bool hit = false;
-                int prim_id = -1;
-                for (int step = 0; step < options.maxSteps; ++step) {
-                    const Vec3f p = origin + dir * t;
-                    const SdfSample s = scene.evaluate(p);
-                    if (s.distance < options.hitEpsilon) {
-                        hit = true;
-                        prim_id = s.primitive;
-                        break;
-                    }
-                    t += s.distance;
-                    if (t > far_clip)
-                        break;
-                }
-
-                if (!hit) {
-                    result.depth(x, y) = 0.0f;
-                    result.cosIncidence(x, y) = 0.0f;
-                    if (options.shadeRgb)
-                        result.rgb(x, y) = {10, 10, 14};
-                    continue;
-                }
-
-                const Vec3f p = origin + dir * t;
-                const Vec3f n = scene.normal(p, options.normalEpsilon);
-                // Depth is camera-Z, not ray length.
-                result.depth(x, y) = t * dir_cam.z;
-                result.cosIncidence(x, y) = std::abs(n.dot(dir));
-                result.primitive(x, y) = prim_id;
-                if (options.shadeRgb) {
-                    const Primitive &prim =
-                        scene.primitives()[static_cast<size_t>(prim_id)];
-                    result.rgb(x, y) = shade(prim, n, dir);
-                }
+        for (size_t x = 0; x < w; ++x) {
+            const RayTrace &ray = rays[x];
+            if (!ray.hit) {
+                out.depth(x, y) = 0.0f;
+                out.cosIncidence(x, y) = 0.0f;
+                out.primitive(x, y) = -1;
+                if (options.shadeRgb)
+                    out.rgb(x, y) = {10, 10, 14};
+                continue;
+            }
+            // Depth is camera-Z, not ray length.
+            out.depth(x, y) = ray.t * dir_cam_z[x];
+            out.cosIncidence(x, y) = std::abs(ray.normal.dot(dirs[x]));
+            out.primitive(x, y) = ray.primitive;
+            if (options.shadeRgb) {
+                const Primitive &prim =
+                    scene.primitives()[static_cast<size_t>(ray.primitive)];
+                out.rgb(x, y) = shade(prim, ray.normal, dirs[x]);
             }
         }
-    };
-    support::ThreadPool::global().parallelForChunked(0, h, render_rows);
+    }
+}
+
+} // namespace detail
+
+RenderResult
+renderFrame(const Scene &scene, const CameraIntrinsics &intrinsics,
+            const Mat4f &camera_to_world, const RenderOptions &options)
+{
+    RenderResult result = detail::makeRenderResult(intrinsics, options);
+    const detail::TraceRays trace = detail::avx2TracerAvailable()
+                                        ? detail::traceRaysAvx2
+                                        : detail::traceRaysScalar;
+    // Every pixel is independent and each row writes only its own
+    // slots of the images, so rows split over the pool give the same
+    // bytes as a serial sweep, with either tracer.
+    support::ThreadPool::global().parallelForChunked(
+        0, intrinsics.height, [&](size_t row_begin, size_t row_end) {
+            detail::renderRows(scene, intrinsics, camera_to_world, options,
+                               trace, row_begin, row_end, result);
+        });
     return result;
 }
 

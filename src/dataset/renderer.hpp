@@ -48,7 +48,10 @@ struct RenderResult
 };
 
 /**
- * Render one RGB-D frame of @p scene.
+ * Render one RGB-D frame of @p scene. Rows run on the global thread
+ * pool, through the 8-lane AVX2 tracer when the build and the CPU
+ * have AVX2 and the scalar one otherwise; the bytes are the same for
+ * any thread count and either tracer.
  *
  * @param scene Scene to render.
  * @param intrinsics Pinhole camera model (sets the image size).

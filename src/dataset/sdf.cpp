@@ -48,29 +48,72 @@ yawRotation(float yaw)
     return {std::cos(-yaw), std::sin(-yaw)};
 }
 
-/** Signed distance from @p p (world) to @p prim, rotated by @p rot. */
+/** Signed distance from @p p (world) to @p prim with cache @p c. */
 float
-distanceTo(const Primitive &prim, const YawRotation &rot, const Vec3f &p)
+distanceTo(const Primitive &prim, const PrimitiveCache &c, const Vec3f &p)
 {
     switch (prim.kind) {
       case PrimitiveKind::Sphere: {
         return (p - prim.center).norm() - prim.params.x;
       }
       case PrimitiveKind::Box: {
-        return sdBox(toLocal(prim, rot, p), prim.params, prim.rounding);
+        return sdBox(toLocal(prim, c.rotation, p), prim.params,
+                     prim.rounding);
       }
       case PrimitiveKind::InvertedBox: {
-        return -sdBox(toLocal(prim, rot, p), prim.params, prim.rounding);
+        return -sdBox(toLocal(prim, c.rotation, p), prim.params,
+                      prim.rounding);
       }
       case PrimitiveKind::Cylinder: {
-        const Vec3f local = toLocal(prim, rot, p);
+        const Vec3f local = toLocal(prim, c.rotation, p);
         return sdCylinderY(local, prim.params.x, prim.params.y);
       }
       case PrimitiveKind::Plane: {
-        return p.dot(prim.params.normalized()) - prim.rounding;
+        return p.dot(c.planeNormal) - prim.rounding;
       }
     }
     return prim.center.norm(); // unreachable
+}
+
+PrimitiveCache
+makeCache(const Primitive &prim)
+{
+    PrimitiveCache c;
+    c.rotation = yawRotation(prim.yaw);
+    float radius = 0.0f;
+    switch (prim.kind) {
+      case PrimitiveKind::Sphere:
+        radius = prim.params.x;
+        break;
+      case PrimitiveKind::Box:
+        radius = prim.params.norm() + prim.rounding;
+        break;
+      case PrimitiveKind::Cylinder:
+        radius = std::hypot(prim.params.x, prim.params.y);
+        break;
+      case PrimitiveKind::Plane:
+        c.planeNormal = prim.params.normalized();
+        return c;
+      case PrimitiveKind::InvertedBox:
+        return c;
+    }
+    c.reach =
+        radius + kCullSlack * (radius + prim.center.norm() + 1.0f);
+    return c;
+}
+
+/**
+ * @return true when the primitive cached as @p c, centered at
+ * @p center, cannot be nearer to @p p than @p best (kCullSlack).
+ */
+bool
+culled(const PrimitiveCache &c, const Vec3f &center, const Vec3f &p,
+       float best)
+{
+    if (c.reach < 0.0f)
+        return false;
+    const float bound = best + kCullSlack * std::abs(best) + c.reach;
+    return bound >= 0.0f && (p - center).squaredNorm() >= bound * bound;
 }
 
 } // namespace
@@ -78,14 +121,14 @@ distanceTo(const Primitive &prim, const YawRotation &rot, const Vec3f &p)
 float
 primitiveDistance(const Primitive &prim, const Vec3f &p)
 {
-    return distanceTo(prim, yawRotation(prim.yaw), p);
+    return distanceTo(prim, makeCache(prim), p);
 }
 
 int
 Scene::add(const Primitive &p)
 {
     primitives_.push_back(p);
-    rotations_.push_back(yawRotation(p.yaw));
+    caches_.push_back(makeCache(p));
     return static_cast<int>(primitives_.size()) - 1;
 }
 
@@ -95,7 +138,10 @@ Scene::evaluate(const Vec3f &p) const
     SdfSample best;
     best.distance = farClip_;
     for (size_t i = 0; i < primitives_.size(); ++i) {
-        const float d = distanceTo(primitives_[i], rotations_[i], p);
+        const Primitive &prim = primitives_[i];
+        if (culled(caches_[i], prim.center, p, best.distance))
+            continue;
+        const float d = distanceTo(prim, caches_[i], p);
         if (d < best.distance) {
             best.distance = d;
             best.primitive = static_cast<int>(i);
@@ -108,8 +154,11 @@ float
 Scene::distance(const Vec3f &p) const
 {
     float best = farClip_;
-    for (size_t i = 0; i < primitives_.size(); ++i)
-        best = std::min(best, distanceTo(primitives_[i], rotations_[i], p));
+    for (size_t i = 0; i < primitives_.size(); ++i) {
+        const Primitive &prim = primitives_[i];
+        if (!culled(caches_[i], prim.center, p, best))
+            best = std::min(best, distanceTo(prim, caches_[i], p));
+    }
     return best;
 }
 

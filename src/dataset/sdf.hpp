@@ -63,6 +63,42 @@ struct YawRotation
     float sin = 0.0f; ///< sin(-yaw).
 };
 
+/**
+ * Relative float slack of the culling bound. Scene::evaluate and
+ * Scene::distance skip primitive i at point p when
+ *
+ *     bound = best + kCullSlack * |best| + reach_i >= 0  and
+ *     |p - center_i|^2 >= bound^2
+ *
+ * where best is the running minimum. The exact SDF of a solid inside a
+ * ball of radius R about its center is at least |p - center| - R, so
+ * the skipped distance cannot pass `d < best`. Every rounding error of
+ * distanceTo() and of the test itself is a few float ulps (2^-24) of
+ * |center| + |best| + R; the slack is about 1700 of them.
+ */
+inline constexpr float kCullSlack = 1e-4f;
+
+/**
+ * What a Scene caches about each primitive when it is added, so the
+ * SDF loop neither recomputes it nor evaluates primitives that cannot
+ * be nearest.
+ */
+struct PrimitiveCache
+{
+    /** yawRotation(yaw). */
+    YawRotation rotation;
+    /** A Plane's unit normal, params.normalized(); zero otherwise. */
+    Vec3f planeNormal{};
+    /**
+     * Bounding radius about center with the float slack added:
+     * R + kCullSlack * (R + |center| + 1), where R is |half| + rounding
+     * (Box), hypot(radius, half height) (Cylinder) or the radius
+     * (Sphere). Negative means never culled: the unbounded kinds
+     * (InvertedBox, Plane) and any solid whose reach comes out below 0.
+     */
+    float reach = -1.0f;
+};
+
 /** Result of evaluating the scene SDF at one point. */
 struct SdfSample
 {
@@ -72,8 +108,14 @@ struct SdfSample
 
 /**
  * A static scene: primitives plus an overall bounding radius used to
- * terminate rays. Each primitive's yaw rotation is computed once, when
- * it is added, instead of at every SDF sample.
+ * terminate rays. Each primitive's yaw rotation and bounding sphere
+ * are computed once, when it is added (PrimitiveCache).
+ *
+ * evaluate() and distance() skip every primitive whose bounding
+ * sphere rules it out (kCullSlack). A skipped primitive's
+ * distance could not have passed the strict `d < best` update, which
+ * still runs in index order, so the minimum, its index and the
+ * first-index tie-break equal those of the full min-union bit for bit.
  */
 class Scene
 {
@@ -86,6 +128,9 @@ class Scene
 
     /** @return number of primitives. */
     size_t size() const { return primitives_.size(); }
+
+    /** @return the cache of each primitive, parallel to primitives(). */
+    const std::vector<PrimitiveCache> &caches() const { return caches_; }
 
     /**
      * Evaluate the scene SDF (min-union over primitives).
@@ -113,8 +158,8 @@ class Scene
 
   private:
     std::vector<Primitive> primitives_;
-    /** yawRotation() of each primitive, parallel to primitives_. */
-    std::vector<YawRotation> rotations_;
+    /** Parallel to primitives_. */
+    std::vector<PrimitiveCache> caches_;
     float farClip_ = 20.0f;
 };
 

@@ -4,6 +4,7 @@
 #include <array>
 
 #include "kfusion/backend_simd.hpp"
+#include "support/cpu.hpp"
 
 namespace slambench::kfusion {
 
@@ -288,12 +289,7 @@ scalarKernelBackend()
 bool
 simdBackendIsAccelerated()
 {
-#if defined(__x86_64__) || defined(__i386__)
-    return detail::avx2CompiledIn() &&
-           __builtin_cpu_supports("avx2") != 0;
-#else
-    return false;
-#endif
+    return detail::avx2CompiledIn() && support::cpuHasAvx2();
 }
 
 } // namespace slambench::kfusion

@@ -8,13 +8,17 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <utility>
+#include <vector>
 
 #include "dataset/generator.hpp"
 #include "dataset/noise.hpp"
 #include "dataset/renderer.hpp"
 #include "dataset/scene.hpp"
 #include "dataset/sdf.hpp"
+#include "dataset/tracer.hpp"
 #include "dataset/trajectory.hpp"
 
 namespace {
@@ -162,6 +166,98 @@ TEST(Scene, YawedBoxDistanceMatchesPrimitiveDistance)
     for (const Vec3f &p : points) {
         EXPECT_EQ(scene.distance(p), primitiveDistance(b, p));
         EXPECT_EQ(scene.evaluate(p).distance, primitiveDistance(b, p));
+    }
+}
+
+/** The unculled min-union: primitiveDistance in index order. */
+SdfSample
+referenceEvaluate(const Scene &scene, const Vec3f &p)
+{
+    SdfSample best;
+    best.distance = scene.farClip();
+    for (size_t i = 0; i < scene.size(); ++i) {
+        const float d = primitiveDistance(scene.primitives()[i], p);
+        if (d < best.distance) {
+            best.distance = d;
+            best.primitive = static_cast<int>(i);
+        }
+    }
+    return best;
+}
+
+bool
+sameBits(float a, float b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(Sdf, CulledSceneMatchesUnculledReference)
+{
+    // Scene::evaluate and Scene::distance skip primitives by their
+    // bounding spheres; the result must equal the full min-union bit
+    // for bit, nearest index and first-index tie-break included.
+    Rng rng(20261019);
+    const auto uniform = [&rng](float lo, float hi) {
+        return lo + (hi - lo) * static_cast<float>(rng.uniform());
+    };
+    const auto unit = [&]() {
+        for (;;) {
+            const Vec3f v{uniform(-1, 1), uniform(-1, 1), uniform(-1, 1)};
+            const float n2 = v.squaredNorm();
+            if (n2 > 1e-4f && n2 <= 1.0f)
+                return v / std::sqrt(n2);
+        }
+    };
+    for (const Scene &scene : {livingRoomScene(), officeScene()}) {
+        std::vector<Vec3f> points;
+        // In and around the room (the shell is 4.56 x 2.44 x 4.56 m).
+        for (int i = 0; i < 3000; ++i)
+            points.push_back(
+                {uniform(-3, 3), uniform(-0.5f, 3), uniform(-3, 3)});
+        for (size_t i = 0; i < scene.size(); ++i) {
+            const Primitive &prim = scene.primitives()[i];
+            const float reach = scene.caches()[i].reach;
+            if (reach < 0.0f)
+                continue;
+            // Inside and near the solid: negative running minima.
+            for (int k = 0; k < 100; ++k)
+                points.push_back(prim.center +
+                                 unit() * (0.5f * reach *
+                                           uniform(0, 1)));
+            // Either side of the bounding sphere, where the cull
+            // decision flips.
+            for (const float scale :
+                 {0.999f, 0.99999f, 1.0f, 1.00001f, 1.0001f, 1.001f})
+                for (int k = 0; k < 20; ++k)
+                    points.push_back(prim.center + unit() * (reach * scale));
+        }
+
+        size_t inside_furniture = 0;
+        for (const Vec3f &p : points) {
+            const SdfSample want = referenceEvaluate(scene, p);
+            const SdfSample got = scene.evaluate(p);
+            ASSERT_TRUE(sameBits(got.distance, want.distance))
+                << got.distance << " vs " << want.distance << " at ("
+                << p.x << ", " << p.y << ", " << p.z << ")";
+            ASSERT_EQ(got.primitive, want.primitive);
+            ASSERT_TRUE(sameBits(scene.distance(p), want.distance));
+            inside_furniture += want.primitive > 0 && want.distance < 0;
+            // The bound the cull rests on: no solid reaches past its
+            // bounding sphere.
+            for (size_t i = 0; i < scene.size(); ++i) {
+                const Primitive &prim = scene.primitives()[i];
+                const float reach = scene.caches()[i].reach;
+                if (reach < 0.0f)
+                    continue;
+                const Vec3f d = p - prim.center;
+                const double from_center = std::sqrt(
+                    double(d.x) * d.x + double(d.y) * d.y +
+                    double(d.z) * d.z);
+                ASSERT_GE(primitiveDistance(prim, p), from_center - reach)
+                    << prim.name;
+            }
+        }
+        EXPECT_GT(inside_furniture, 300u);
     }
 }
 
@@ -320,6 +416,70 @@ TEST_F(RendererFixture, PrimitiveIdsAreValid)
     for (size_t i = 0; i < r.primitive.size(); ++i) {
         EXPECT_GE(r.primitive[i], 0);
         EXPECT_LT(r.primitive[i], static_cast<int>(scene_.size()));
+    }
+}
+
+template <typename T>
+bool
+sameImage(const Image<T> &a, const Image<T> &b)
+{
+    return a.width() == b.width() && a.height() == b.height() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+void
+expectSameRender(const RenderResult &a, const RenderResult &b)
+{
+    EXPECT_TRUE(sameImage(a.depth, b.depth));
+    EXPECT_TRUE(sameImage(a.cosIncidence, b.cosIncidence));
+    EXPECT_TRUE(sameImage(a.primitive, b.primitive));
+    EXPECT_TRUE(sameImage(a.rgb, b.rgb));
+}
+
+TEST(Renderer, VectorTracerMatchesScalarByteForByte)
+{
+    namespace detail = slambench::dataset::detail;
+    if (!detail::avx2TracerAvailable())
+        GTEST_SKIP() << "the AVX2 tracer needs an AVX2 build and CPU";
+    const RenderOptions options; // RGB on
+    const auto render_rows = [&](const Scene &scene,
+                                 const slambench::math::CameraIntrinsics &k,
+                                 const Mat4f &pose, detail::TraceRays trace) {
+        RenderResult out = detail::makeRenderResult(k, options);
+        detail::renderRows(scene, k, pose, options, trace, 0, k.height, out);
+        return out;
+    };
+    for (const SceneId scene_id : {SceneId::LivingRoom, SceneId::Office}) {
+        const Scene scene = makeScene(scene_id);
+        for (const TrajectoryPreset preset :
+             {TrajectoryPreset::OrbitA, TrajectoryPreset::SweepB,
+              TrajectoryPreset::CloseupC}) {
+            const Trajectory traj =
+                Trajectory::fromSpline(presetSpec(preset), 3, 30.0);
+            // 157 is not a multiple of the 8 lanes: a partial packet
+            // ends every row.
+            for (const auto &[w, h] : {std::pair<size_t, size_t>{320, 240},
+                                       std::pair<size_t, size_t>{157, 117}}) {
+                const auto k = slambench::math::CameraIntrinsics::fromFov(
+                    w, h, 1.02f);
+                for (size_t f = 0; f < traj.size(); f += 2) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "scene " << static_cast<int>(scene_id)
+                                 << " preset " << static_cast<int>(preset)
+                                 << " " << w << "x" << h << " frame " << f);
+                    const Mat4f pose = traj.pose(f);
+                    const RenderResult scalar = render_rows(
+                        scene, k, pose, detail::traceRaysScalar);
+                    expectSameRender(scalar,
+                                     render_rows(scene, k, pose,
+                                                 detail::traceRaysAvx2));
+                    // renderFrame dispatches to the AVX2 tracer and
+                    // splits rows over the global pool.
+                    expectSameRender(scalar,
+                                     renderFrame(scene, k, pose, options));
+                }
+            }
+        }
     }
 }
 
