@@ -160,13 +160,13 @@ BM_Depth2Vertex(benchmark::State &state)
 }
 
 void
-BM_Vertex2Normal(benchmark::State &state)
+BM_Vertex2Normal(benchmark::State &state, const KernelBackend *backend)
 {
     Workload &wl = workload(static_cast<size_t>(state.range(0)),
                             static_cast<size_t>(state.range(1)));
     Image<math::Vec3f> out;
     for (auto _ : state) {
-        vertex2normalKernel(out, wl.vertex, nullptr);
+        vertex2normalKernel(out, wl.vertex, nullptr, backend);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(
@@ -175,7 +175,7 @@ BM_Vertex2Normal(benchmark::State &state)
 }
 
 void
-BM_TrackKernel(benchmark::State &state)
+BM_TrackKernel(benchmark::State &state, const KernelBackend *backend)
 {
     Workload &wl = workload(static_cast<size_t>(state.range(0)),
                             static_cast<size_t>(state.range(1)));
@@ -183,7 +183,7 @@ BM_TrackKernel(benchmark::State &state)
     for (auto _ : state) {
         trackKernel(track, wl.vertex, wl.normal, wl.pose,
                     wl.refVertex, wl.refNormal, wl.k, wl.pose, 0.1f,
-                    0.8f, nullptr);
+                    0.8f, nullptr, IcpResidual::PointToPlane, backend);
         benchmark::DoNotOptimize(track.data());
     }
     state.SetItemsProcessed(
@@ -648,6 +648,16 @@ registerBackendBenches(const std::vector<std::string> &backends)
             ->Args({320, 240})
             ->Args({160, 120})
             ->Args({80, 60});
+        benchmark::RegisterBenchmark(
+            ("BM_Vertex2Normal@" + name).c_str(), BM_Vertex2Normal,
+            backend)
+            ->Args({320, 240})
+            ->Args({160, 120});
+        benchmark::RegisterBenchmark(
+            ("BM_TrackKernel@" + name).c_str(), BM_TrackKernel, backend)
+            ->Args({320, 240})
+            ->Args({160, 120})
+            ->Args({80, 60});
     }
 }
 
@@ -656,11 +666,6 @@ registerBackendBenches(const std::vector<std::string> &backends)
 BENCHMARK(BM_Mm2Meters)->Args({320, 240})->Args({160, 120});
 BENCHMARK(BM_HalfSample)->Args({320, 240})->Args({160, 120});
 BENCHMARK(BM_Depth2Vertex)->Args({320, 240})->Args({160, 120});
-BENCHMARK(BM_Vertex2Normal)->Args({320, 240})->Args({160, 120});
-BENCHMARK(BM_TrackKernel)
-    ->Args({320, 240})
-    ->Args({160, 120})
-    ->Args({80, 60});
 BENCHMARK(BM_IntegrateDense)->Arg(64)->Arg(128)->Arg(256);
 BENCHMARK(BM_GradReference)->Arg(128)->Arg(256);
 

@@ -138,14 +138,14 @@ main(int argc, char **argv)
     }
     if (system_name != "kfusion") {
         // The odometry baseline keeps no map and runs the scalar
-        // kernels, so a map or backend flag would be ignored.
+        // kernels on the calling thread, so a map, backend or thread
+        // flag would be ignored.
         for (const char *flag :
              {"--volume", "--vr", "--vs", "--mu", "--ir", "--tr", "--rr",
-              "--backend", "--dump-mesh"})
+              "--backend", "--dump-mesh", "--impl", "--dse-threads"})
             if (options.given(flag))
                 options.fail(std::string(flag) +
                              " requires --system kfusion");
-        config.kernelBackend = "scalar";
     }
     const kfusion::Implementation impl =
         options.string("--impl") == "threaded"
@@ -176,8 +176,12 @@ main(int argc, char **argv)
     }
 
     std::printf("running %s (%s)...\n", system->name().c_str(),
-                config.toString().c_str());
-    core::addConfigParams(metrics_session, config);
+                kfusion_system ? config.toString().c_str()
+                               : odo.toString().c_str());
+    if (kfusion_system)
+        core::addConfigParams(metrics_session, config);
+    else
+        core::addOdometryParams(metrics_session, odo);
     core::BenchmarkOptions benchmark_options;
     benchmark_options.alignedAte = options.flag("--align");
     const core::BenchmarkResult result =

@@ -11,8 +11,9 @@
 # the map), frames too small for the compute image (4x4, the checks
 # KFusion's constructor and OdometrySystem::initialize make), the
 # CLI's KinectFusion-only flags (--dump-mesh, the map flags --volume,
-# --vr, --vs, --mu, --ir, --tr, --rr, and --backend) given with
-# --system odometry, which would ignore them, and an output path
+# --vr, --vs, --mu, --ir, --tr, --rr, and --backend) and thread flags
+# (--impl, --dse-threads) given with --system odometry, which would
+# ignore them, and an output path
 # (--frames-csv, --metrics-json, --trace, --crash-dump) in a
 # directory that does not exist. The deleted --perf-csv (every binary
 # with --trace) and --log (slambench_cli) per-frame tables must be
@@ -77,6 +78,8 @@ cases=(
     "--system odometry --tr 1"
     "--system odometry --rr 1"
     "--system odometry --backend scalar"
+    "--system odometry --impl threaded"
+    "--system odometry --dse-threads 2"
     "--frames-csv /nonexistent/d/x.csv"
     "--metrics-json /nonexistent/d/y.json"
     "--trace /nonexistent/d/t.json"

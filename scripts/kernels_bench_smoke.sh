@@ -23,13 +23,13 @@ cd "$workdir"
 
 # Small volume, short min time: exercises the culled integrate bench
 # on every kernel backend, the dense reference, the sparse-volume
-# twins, one image kernel and the bilateral filter on every backend
-# in a couple of seconds. The per-backend rows ("BM_Integrate@scalar"
+# twins, one image kernel and the bilateral filter and track on every
+# backend in a couple of seconds. The per-backend rows ("BM_Integrate@scalar"
 # and friends) exercise the report's backend field and
 # bench_compare's (name, backend) keying; the sparse rows exercise
 # the volume/volume_bytes fields and the --max-volume-bytes-regress
 # gate.
-"$bin" --benchmark_filter='BM_Integrate(Dense)?/64|BM_Integrate(Sparse)?@[^/]+/64|BM_RaycastSparse@[^/]+/64|BM_Mm2Meters/160/120|BM_BilateralFilter@[^/]+/160/120' \
+"$bin" --benchmark_filter='BM_Integrate(Dense)?/64|BM_Integrate(Sparse)?@[^/]+/64|BM_RaycastSparse@[^/]+/64|BM_Mm2Meters/160/120|BM_BilateralFilter@[^/]+/160/120|BM_TrackKernel@[^/]+/160/120' \
     --benchmark_min_time=0.01 --metrics-json out.json \
     > run.log 2>&1 || {
     echo "kernels_bench_smoke: bench failed:" >&2
@@ -70,6 +70,8 @@ for key in (("BM_Integrate/64", "scalar"),
             ("BM_RaycastSparse/64", "simd"),
             ("BM_BilateralFilter/160/120", "scalar"),
             ("BM_BilateralFilter/160/120", "simd"),
+            ("BM_TrackKernel/160/120", "scalar"),
+            ("BM_TrackKernel/160/120", "simd"),
             ("BM_Mm2Meters/160/120", "")):
     assert key in kernels, f"{key} missing from report"
 for k in report["kernels"]:

@@ -1,5 +1,7 @@
 #include "core/odometry.hpp"
 
+#include <sstream>
+
 #include "support/logging.hpp"
 
 namespace slambench::core {
@@ -11,6 +13,21 @@ using kfusion::WorkCounts;
 using math::Mat4f;
 using math::Vec3f;
 using support::Image;
+
+std::string
+OdometryConfig::toString() const
+{
+    std::ostringstream out;
+    out << "csr=" << computeSizeRatio << " icp=" << icpThreshold
+        << " pyr=";
+    for (size_t i = 0; i < pyramidIterations.size(); ++i) {
+        if (i)
+            out << ',';
+        out << pyramidIterations[i];
+    }
+    out << " kb=scalar";
+    return out.str();
+}
 
 OdometrySystem::OdometrySystem(const OdometryConfig &config)
     : config_(config)

@@ -40,6 +40,13 @@ struct OdometryConfig
     /** Pose acceptance gates. */
     float trackInlierFraction = 0.10f;
     float trackResidualLimit = 2e-2f;
+
+    /**
+     * @return the flag-named fields a run line prints, in
+     * KFusionConfig::toString()'s format: csr, icp, pyr and the
+     * kernel backend, which is always scalar.
+     */
+    std::string toString() const;
 };
 
 /**

@@ -59,6 +59,23 @@ summarizeRun(const BenchmarkResult &result,
     return out.str();
 }
 
+namespace {
+
+/** @return pyramid iterations as the `pyramid` param ("10,5,4"). */
+std::string
+pyramidParam(const std::vector<int> &pyramid_iterations)
+{
+    std::string pyramid;
+    for (const int iters : pyramid_iterations) {
+        if (!pyramid.empty())
+            pyramid += ",";
+        pyramid += std::to_string(iters);
+    }
+    return pyramid;
+}
+
+} // namespace
+
 void
 addConfigParams(support::metrics::RunSession &session,
                 const kfusion::KFusionConfig &config)
@@ -72,13 +89,7 @@ addConfigParams(support::metrics::RunSession &session,
     session.setParam("ir", std::to_string(config.integrationRate));
     session.setParam("vr", std::to_string(config.volumeResolution));
     session.setParam("vs", support::format("%g", config.volumeSize));
-    std::string pyramid;
-    for (const int iters : config.pyramidIterations) {
-        if (!pyramid.empty())
-            pyramid += ",";
-        pyramid += std::to_string(iters);
-    }
-    session.setParam("pyramid", pyramid);
+    session.setParam("pyramid", pyramidParam(config.pyramidIterations));
     session.setParam("tr", std::to_string(config.trackingRate));
     session.setParam("rr", std::to_string(config.renderingRate));
     // Record the *resolved* backend ("auto" dispatched to a concrete
@@ -87,6 +98,19 @@ addConfigParams(support::metrics::RunSession &session,
         kfusion::resolveKernelBackend(config.kernelBackend);
     session.setParam("kernel.backend",
                      backend ? backend->name() : config.kernelBackend);
+}
+
+void
+addOdometryParams(support::metrics::RunSession &session,
+                  const OdometryConfig &config)
+{
+    if (!session.active())
+        return;
+    session.setParam("csr",
+                     std::to_string(config.computeSizeRatio));
+    session.setParam("icp", support::format("%g", config.icpThreshold));
+    session.setParam("pyramid", pyramidParam(config.pyramidIterations));
+    session.setParam("kernel.backend", "scalar");
 }
 
 size_t

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/benchmark.hpp"
+#include "core/odometry.hpp"
 #include "devices/device_model.hpp"
 #include "support/metrics.hpp"
 
@@ -47,6 +48,14 @@ std::string summarizeRun(const BenchmarkResult &result,
  */
 void addConfigParams(support::metrics::RunSession &session,
                      const kfusion::KFusionConfig &config);
+
+/**
+ * Record the parameters the odometry baseline uses (`csr`, `icp`,
+ * `pyramid`, and `kernel.backend`, always "scalar"): addConfigParams
+ * without the map and rate fields it ignores.
+ */
+void addOdometryParams(support::metrics::RunSession &session,
+                       const OdometryConfig &config);
 
 /**
  * Append every frame row of @p result to @p session (no-op when the

@@ -151,6 +151,19 @@ class ScalarBackend final : public KernelBackend
     {
         bilateralPixels(ctx, y, 0, ctx.width);
     }
+
+    void
+    trackRow(const TrackContext &ctx, size_t y) const override
+    {
+        trackPixels(ctx, y, 0, ctx.width);
+    }
+
+    void
+    vertex2normalRow(const Vertex2NormalContext &ctx,
+                     size_t y) const override
+    {
+        vertex2normalPixels(ctx, y, 0, ctx.width);
+    }
 };
 
 /**
@@ -212,6 +225,25 @@ class SimdBackend final : public KernelBackend
             detail::bilateralRowAvx2(ctx, y);
         else
             bilateralPixels(ctx, y, 0, ctx.width);
+    }
+
+    void
+    trackRow(const TrackContext &ctx, size_t y) const override
+    {
+        if (avx2_)
+            detail::trackRowAvx2(ctx, y);
+        else
+            trackPixels(ctx, y, 0, ctx.width);
+    }
+
+    void
+    vertex2normalRow(const Vertex2NormalContext &ctx,
+                     size_t y) const override
+    {
+        if (avx2_)
+            detail::vertex2normalRowAvx2(ctx, y);
+        else
+            vertex2normalPixels(ctx, y, 0, ctx.width);
     }
 
   private:

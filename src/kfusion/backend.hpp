@@ -3,8 +3,8 @@
 
 /**
  * @file
- * Kernel backends: named implementations of the five hot kernels of
- * the frame loop.
+ * Kernel backends: named implementations of the seven hot kernels
+ * of the frame loop.
  *
  * SLAMBench's founding idea is comparing multiple implementations of
  * the same kernels under one accuracy/performance harness. The
@@ -18,7 +18,9 @@
  *  4. the ICP reduction over a pixel range
  *     (KernelBackend::reduceRange),
  *  5. one row of the bilateral filter (KernelBackend::bilateralRow),
- *     whose range weights come from kfusion::expf (expf.hpp).
+ *     whose range weights come from kfusion::expf (expf.hpp),
+ *  6. one row of the ICP correspondence search (KernelBackend::trackRow),
+ *  7. one row of the normal map (KernelBackend::vertex2normalRow).
  *
  * There is one backend per ISA, held in a fixed table in
  * backend.cpp:
@@ -33,7 +35,7 @@
  * simdBackendIsAccelerated() and to "scalar" otherwise,
  * deterministically for a given machine.
  *
- * Numerical-parity contract (docs/ARCHITECTURE.md): all five simd
+ * Numerical-parity contract (docs/ARCHITECTURE.md): all seven simd
  * kernels are bit-exact against scalar by construction. Each vector
  * lane replays the scalar operation sequence of exactly one work
  * item (one voxel, one sample, one ray, one output pixel), and the
@@ -102,7 +104,7 @@ markDirtyZ(uint64_t *dirty, int z)
 }
 
 /**
- * One named implementation of the five hot kernels.
+ * One named implementation of the seven hot kernels.
  *
  * Implementations are stateless (safe to call concurrently from the
  * thread pool) and live for the whole process.
@@ -191,6 +193,21 @@ class KernelBackend
      */
     virtual void bilateralRow(const BilateralContext &ctx,
                               size_t y) const = 0;
+
+    /**
+     * Track live row @p y of a trackKernel call (the per-row body);
+     * every pixel must match trackPixels() bit for bit. A pixel
+     * whose result is not Ok gets only its result written: its error
+     * and jacobian, and the record's padding, keep their bytes.
+     */
+    virtual void trackRow(const TrackContext &ctx, size_t y) const = 0;
+
+    /**
+     * Compute normal row @p y of a vertex2normalKernel call; every
+     * output pixel must match vertex2normalPixels() bit for bit.
+     */
+    virtual void vertex2normalRow(const Vertex2NormalContext &ctx,
+                                  size_t y) const = 0;
 };
 
 /**

@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX2 implementations of the five hot kernels, behind the "simd"
+ * AVX2 implementations of the seven hot kernels, behind the "simd"
  * backend. This is the only translation unit compiled with -mavx2;
  * everything else in the tree stays at the baseline ISA, and the
  * simd backend only dispatches here after a runtime CPUID check.
@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 
 #include "kfusion/expf.hpp"
@@ -939,6 +940,354 @@ bilateralRowAvx2(const BilateralContext &ctx, size_t y)
     bilateralPixels(ctx, y, x, w);
 }
 
+namespace {
+
+/**
+ * Split 8 consecutive Vec3f (24 floats at @p p) into x, y and z lanes.
+ * Lane l of component k is float 3l + k, which sits in load
+ * (3l + k) / 8 at position (3l + k) % 8: one index vector per
+ * component serves all three loads, and blends pick the load.
+ */
+inline void
+loadVec3x8(const Vec3f *p, __m256 &x, __m256 &y, __m256 &z)
+{
+    const float *f = reinterpret_cast<const float *>(p);
+    const __m256 a = _mm256_loadu_ps(f);
+    const __m256 b = _mm256_loadu_ps(f + 8);
+    const __m256 c = _mm256_loadu_ps(f + 16);
+    const __m256i ix = _mm256_setr_epi32(0, 3, 6, 1, 4, 7, 2, 5);
+    const __m256i iy = _mm256_setr_epi32(1, 4, 7, 2, 5, 0, 3, 6);
+    const __m256i iz = _mm256_setr_epi32(2, 5, 0, 3, 6, 1, 4, 7);
+    x = _mm256_blend_ps(
+        _mm256_blend_ps(_mm256_permutevar8x32_ps(a, ix),
+                        _mm256_permutevar8x32_ps(b, ix), 0x38),
+        _mm256_permutevar8x32_ps(c, ix), 0xc0);
+    y = _mm256_blend_ps(
+        _mm256_blend_ps(_mm256_permutevar8x32_ps(a, iy),
+                        _mm256_permutevar8x32_ps(b, iy), 0x18),
+        _mm256_permutevar8x32_ps(c, iy), 0xe0);
+    z = _mm256_blend_ps(
+        _mm256_blend_ps(_mm256_permutevar8x32_ps(a, iz),
+                        _mm256_permutevar8x32_ps(b, iz), 0x1c),
+        _mm256_permutevar8x32_ps(c, iz), 0xe0);
+}
+
+/**
+ * Interleave x, y and z lanes into 8 consecutive Vec3f at @p p, the
+ * inverse of loadVec3x8: float e of the 24 is component e % 3 of
+ * lane e / 3.
+ */
+inline void
+storeVec3x8(Vec3f *p, __m256 x, __m256 y, __m256 z)
+{
+    float *f = reinterpret_cast<float *>(p);
+    const __m256i ia = _mm256_setr_epi32(0, 0, 0, 1, 1, 1, 2, 2);
+    const __m256i ib = _mm256_setr_epi32(2, 3, 3, 3, 4, 4, 4, 5);
+    const __m256i ic = _mm256_setr_epi32(5, 5, 6, 6, 6, 7, 7, 7);
+    _mm256_storeu_ps(
+        f, _mm256_blend_ps(
+               _mm256_blend_ps(_mm256_permutevar8x32_ps(x, ia),
+                               _mm256_permutevar8x32_ps(y, ia), 0x92),
+               _mm256_permutevar8x32_ps(z, ia), 0x24));
+    _mm256_storeu_ps(
+        f + 8, _mm256_blend_ps(
+                   _mm256_blend_ps(_mm256_permutevar8x32_ps(x, ib),
+                                   _mm256_permutevar8x32_ps(y, ib), 0x24),
+                   _mm256_permutevar8x32_ps(z, ib), 0x49));
+    _mm256_storeu_ps(
+        f + 16, _mm256_blend_ps(
+                    _mm256_blend_ps(_mm256_permutevar8x32_ps(x, ic),
+                                    _mm256_permutevar8x32_ps(y, ic), 0x49),
+                    _mm256_permutevar8x32_ps(z, ic), 0x92));
+}
+
+/** (a.x * b.x + a.y * b.y) + a.z * b.z on 8 lanes (Vec3f::dot). */
+inline __m256
+dot8(__m256 ax, __m256 ay, __m256 az, __m256 bx, __m256 by, __m256 bz)
+{
+    return _mm256_add_ps(
+        _mm256_add_ps(_mm256_mul_ps(ax, bx), _mm256_mul_ps(ay, by)),
+        _mm256_mul_ps(az, bz));
+}
+
+/** One row of a Mat4f, broadcast: ((m0 x + m1 y) + m2 z) + m3. */
+struct MatRow8
+{
+    __m256 m0, m1, m2, m3;
+
+    MatRow8(const math::Mat4f &m, int r)
+        : m0(_mm256_set1_ps(m.m[r][0])), m1(_mm256_set1_ps(m.m[r][1])),
+          m2(_mm256_set1_ps(m.m[r][2])), m3(_mm256_set1_ps(m.m[r][3]))
+    {}
+
+    /** Mat4f::transformDir's row: (m0 x + m1 y) + m2 z. */
+    __m256
+    dir(__m256 x, __m256 y, __m256 z) const
+    {
+        return dot8(m0, m1, m2, x, y, z);
+    }
+
+    /** Mat4f::transformPoint's row. */
+    __m256
+    point(__m256 x, __m256 y, __m256 z) const
+    {
+        return _mm256_add_ps(dir(x, y, z), m3);
+    }
+};
+
+/** Transpose 8 rows of 8 floats in place (row r, lane l -> row l, lane r). */
+inline void
+transpose8x8(__m256 r[8])
+{
+    __m256 t[8], u[8];
+    for (int i = 0; i < 8; i += 2) {
+        t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+        t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+    }
+    for (int i = 0; i < 8; i += 4) {
+        u[i] = _mm256_shuffle_ps(t[i], t[i + 2], 0x44);
+        u[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], 0xee);
+        u[i + 2] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0x44);
+        u[i + 3] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0xee);
+    }
+    for (int i = 0; i < 4; ++i) {
+        r[i] = _mm256_permute2f128_ps(u[i], u[i + 4], 0x20);
+        r[i + 4] = _mm256_permute2f128_ps(u[i], u[i + 4], 0x31);
+    }
+}
+
+} // namespace
+
+void
+trackRowAvx2(const TrackContext &ctx, size_t y)
+{
+    // Lane l tracks pixel x + l of the row, replaying trackPixels: the
+    // gates in the scalar order with ordered-quiet compares (a NaN
+    // takes the scalar branch), the reference maps read by gathers
+    // masked to the lanes that reached each read, and the result code
+    // of the first gate a lane fails.
+    static_assert(sizeof(TrackData) == 32 &&
+                      offsetof(TrackData, error) == 4 &&
+                      offsetof(TrackData, jacobian) == 8,
+                  "trackRowAvx2 stores TrackData as 8 dwords");
+    const size_t w = ctx.width;
+    const Vec3f *live_vertex = ctx.liveVertex + y * w;
+    const Vec3f *live_normal = ctx.liveNormal + y * w;
+    TrackData *out = ctx.out + y * w;
+    const MatRow8 pose[3] = {{ctx.pose, 0}, {ctx.pose, 1}, {ctx.pose, 2}};
+    const MatRow8 to_ref[3] = {
+        {ctx.worldToRef, 0}, {ctx.worldToRef, 1}, {ctx.worldToRef, 2}};
+    const __m256 fx = _mm256_set1_ps(ctx.refIntrinsics.fx);
+    const __m256 fy = _mm256_set1_ps(ctx.refIntrinsics.fy);
+    const __m256 cx = _mm256_set1_ps(ctx.refIntrinsics.cx);
+    const __m256 cy = _mm256_set1_ps(ctx.refIntrinsics.cy);
+    const __m256 dist_threshold = _mm256_set1_ps(ctx.distThreshold);
+    const __m256 normal_threshold = _mm256_set1_ps(ctx.normalThreshold);
+    const __m256i ref_w = _mm256_set1_epi32(static_cast<int>(ctx.refWidth));
+    const __m256i ref_h =
+        _mm256_set1_epi32(static_cast<int>(ctx.refHeight));
+    const __m256i minus1 = _mm256_set1_epi32(-1);
+    const __m256 zero = _mm256_setzero_ps();
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const float *ref_vertex = reinterpret_cast<const float *>(ctx.refVertex);
+    const float *ref_normal = reinterpret_cast<const float *>(ctx.refNormal);
+    const bool point_to_point = ctx.residual == IcpResidual::PointToPoint;
+    // Point-to-point: lane l's axis is (x + y + l) % 3. lane_axis holds
+    // l % 3, so lane_axis + (x + y) % 3 is at most 4 and one
+    // conditional subtraction of 3 finishes the % 3.
+    const __m256i lane_axis = _mm256_setr_epi32(0, 1, 2, 0, 1, 2, 0, 1);
+    const __m256i two = _mm256_set1_epi32(2);
+    const __m256i three = _mm256_set1_epi32(3);
+    // Store masks: an Ok record takes every byte but the padding after
+    // result; any other record takes only result.
+    const __m256i take_ok = _mm256_setr_epi32(0xff, -1, -1, -1, -1, -1, -1, -1);
+    const __m256i take_result = _mm256_setr_epi32(0xff, 0, 0, 0, 0, 0, 0, 0);
+
+    auto code = [](TrackResult r) {
+        return _mm256_set1_epi32(static_cast<int>(r));
+    };
+    auto select = [](__m256i base, __m256i value, __m256 mask) {
+        return _mm256_castps_si256(_mm256_blendv_ps(
+            _mm256_castsi256_ps(base), _mm256_castsi256_ps(value), mask));
+    };
+
+    size_t x = 0;
+    for (; x + 8 <= w; x += 8) {
+        __m256 vx, vy, vz, nx, ny, nz;
+        loadVec3x8(live_vertex + x, vx, vy, vz);
+        loadVec3x8(live_normal + x, nx, ny, nz);
+        const __m256 no_input = _mm256_or_ps(
+            _mm256_cmp_ps(dot8(vx, vy, vz, vx, vy, vz), zero, _CMP_EQ_OQ),
+            _mm256_cmp_ps(dot8(nx, ny, nz, nx, ny, nz), zero, _CMP_EQ_OQ));
+
+        const __m256 wx = pose[0].point(vx, vy, vz);
+        const __m256 wy = pose[1].point(vx, vy, vz);
+        const __m256 wz = pose[2].point(vx, vy, vz);
+        const __m256 rx = to_ref[0].point(wx, wy, wz);
+        const __m256 ry = to_ref[1].point(wx, wy, wz);
+        const __m256 rz = to_ref[2].point(wx, wy, wz);
+        // project: (f * p) / z + c, truncated like static_cast<int>.
+        const __m256i px = _mm256_cvttps_epi32(
+            _mm256_add_ps(_mm256_div_ps(_mm256_mul_ps(fx, rx), rz), cx));
+        const __m256i py = _mm256_cvttps_epi32(
+            _mm256_add_ps(_mm256_div_ps(_mm256_mul_ps(fy, ry), rz), cy));
+        const __m256i inside = _mm256_and_si256(
+            _mm256_and_si256(_mm256_cmpgt_epi32(px, minus1),
+                             _mm256_cmpgt_epi32(py, minus1)),
+            _mm256_and_si256(_mm256_cmpgt_epi32(ref_w, px),
+                             _mm256_cmpgt_epi32(ref_h, py)));
+        const __m256 outside = _mm256_or_ps(
+            _mm256_cmp_ps(rz, zero, _CMP_LE_OQ),
+            _mm256_castsi256_ps(_mm256_xor_si256(inside, minus1)));
+
+        // Reference reads, masked so that no lane reads outside the maps.
+        const __m256 reach_normal = _mm256_andnot_ps(
+            _mm256_or_ps(no_input, outside), _mm256_castsi256_ps(minus1));
+        const __m256i ref = _mm256_mullo_epi32(
+            _mm256_add_epi32(_mm256_mullo_epi32(py, ref_w), px), three);
+        const __m256i ref_y = _mm256_add_epi32(ref, _mm256_set1_epi32(1));
+        const __m256i ref_z = _mm256_add_epi32(ref, two);
+        const __m256 rnx =
+            _mm256_mask_i32gather_ps(zero, ref_normal, ref, reach_normal, 4);
+        const __m256 rny = _mm256_mask_i32gather_ps(zero, ref_normal, ref_y,
+                                                    reach_normal, 4);
+        const __m256 rnz = _mm256_mask_i32gather_ps(zero, ref_normal, ref_z,
+                                                    reach_normal, 4);
+        const __m256 no_ref_normal =
+            _mm256_cmp_ps(dot8(rnx, rny, rnz, rnx, rny, rnz), zero,
+                          _CMP_EQ_OQ);
+        const __m256 reach_vertex =
+            _mm256_andnot_ps(no_ref_normal, reach_normal);
+        const __m256 rvx =
+            _mm256_mask_i32gather_ps(zero, ref_vertex, ref, reach_vertex, 4);
+        const __m256 rvy = _mm256_mask_i32gather_ps(zero, ref_vertex, ref_y,
+                                                    reach_vertex, 4);
+        const __m256 rvz = _mm256_mask_i32gather_ps(zero, ref_vertex, ref_z,
+                                                    reach_vertex, 4);
+
+        const __m256 dx = _mm256_sub_ps(rvx, wx);
+        const __m256 dy = _mm256_sub_ps(rvy, wy);
+        const __m256 dz = _mm256_sub_ps(rvz, wz);
+        const __m256 too_far =
+            _mm256_cmp_ps(_mm256_sqrt_ps(dot8(dx, dy, dz, dx, dy, dz)),
+                          dist_threshold, _CMP_GT_OQ);
+        const __m256 mismatch = _mm256_cmp_ps(
+            dot8(pose[0].dir(nx, ny, nz), pose[1].dir(nx, ny, nz),
+                 pose[2].dir(nx, ny, nz), rnx, rny, rnz),
+            normal_threshold, _CMP_LT_OQ);
+
+        // The first failed gate wins: blend from the last to the first.
+        __m256i result = code(TrackResult::Ok);
+        result = select(result, code(TrackResult::NormalMismatch), mismatch);
+        result = select(result, code(TrackResult::TooFar), too_far);
+        result = select(result, code(TrackResult::NoRefNormal), no_ref_normal);
+        result =
+            select(result, code(TrackResult::ProjectedOutside), outside);
+        result = select(result, code(TrackResult::NoInputVertex), no_input);
+        const int ok = _mm256_movemask_ps(_mm256_castsi256_ps(
+            _mm256_cmpeq_epi32(result, code(TrackResult::Ok))));
+
+        __m256 dir_x = rnx, dir_y = rny, dir_z = rnz;
+        if (point_to_point) {
+            __m256i axis = _mm256_add_epi32(
+                lane_axis, _mm256_set1_epi32(static_cast<int>((x + y) % 3)));
+            axis = _mm256_sub_epi32(
+                axis, _mm256_and_si256(_mm256_cmpgt_epi32(axis, two), three));
+            dir_x = _mm256_and_ps(
+                one, _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+                         axis, _mm256_setzero_si256())));
+            dir_y = _mm256_and_ps(
+                one, _mm256_castsi256_ps(
+                         _mm256_cmpeq_epi32(axis, _mm256_set1_epi32(1))));
+            dir_z = _mm256_and_ps(
+                one, _mm256_castsi256_ps(_mm256_cmpeq_epi32(axis, two)));
+        }
+
+        // Fields in TrackData order, then one record per row.
+        __m256 rec[8] = {
+            _mm256_castsi256_ps(result),
+            dot8(dir_x, dir_y, dir_z, dx, dy, dz),
+            dir_x,
+            dir_y,
+            dir_z,
+            // world_vertex.cross(direction)
+            _mm256_sub_ps(_mm256_mul_ps(wy, dir_z), _mm256_mul_ps(wz, dir_y)),
+            _mm256_sub_ps(_mm256_mul_ps(wz, dir_x), _mm256_mul_ps(wx, dir_z)),
+            _mm256_sub_ps(_mm256_mul_ps(wx, dir_y), _mm256_mul_ps(wy, dir_x)),
+        };
+        transpose8x8(rec);
+        for (int l = 0; l < 8; ++l) {
+            __m256i *slot = reinterpret_cast<__m256i *>(out + x + l);
+            const __m256i take = (ok >> l) & 1 ? take_ok : take_result;
+            _mm256_storeu_si256(
+                slot, _mm256_blendv_epi8(_mm256_loadu_si256(slot),
+                                         _mm256_castps_si256(rec[l]), take));
+        }
+    }
+    trackPixels(ctx, y, x, w);
+}
+
+void
+vertex2normalRowAvx2(const Vertex2NormalContext &ctx, size_t y)
+{
+    // Lane l computes pixel x + l, replaying vertex2normalPixels. The
+    // last row has no pixel below and the last column no pixel to the
+    // right: the scalar body writes their zeros.
+    const size_t w = ctx.width;
+    if (y + 1 >= ctx.height) {
+        vertex2normalPixels(ctx, y, 0, w);
+        return;
+    }
+    const Vec3f *row = ctx.in + y * w;
+    const Vec3f *below = row + w;
+    Vec3f *out = ctx.out + y * w;
+    const __m256 zero = _mm256_setzero_ps();
+    const __m256 sign = _mm256_set1_ps(-0.0f);
+    const __m256 min_sq = _mm256_set1_ps(1e-18f);
+
+    size_t x = 0;
+    for (; x + 8 < w; x += 8) {
+        __m256 cx, cy, cz, rx, ry, rz, dx, dy, dz;
+        loadVec3x8(row + x, cx, cy, cz);
+        loadVec3x8(row + x + 1, rx, ry, rz);
+        loadVec3x8(below + x, dx, dy, dz);
+        __m256 invalid = _mm256_or_ps(
+            _mm256_or_ps(
+                _mm256_cmp_ps(dot8(cx, cy, cz, cx, cy, cz), zero,
+                              _CMP_EQ_OQ),
+                _mm256_cmp_ps(dot8(rx, ry, rz, rx, ry, rz), zero,
+                              _CMP_EQ_OQ)),
+            _mm256_cmp_ps(dot8(dx, dy, dz, dx, dy, dz), zero, _CMP_EQ_OQ));
+        const __m256 ux = _mm256_sub_ps(rx, cx);
+        const __m256 uy = _mm256_sub_ps(ry, cy);
+        const __m256 uz = _mm256_sub_ps(rz, cz);
+        const __m256 vx = _mm256_sub_ps(dx, cx);
+        const __m256 vy = _mm256_sub_ps(dy, cy);
+        const __m256 vz = _mm256_sub_ps(dz, cz);
+        // n = du.cross(dv)
+        __m256 nx = _mm256_sub_ps(_mm256_mul_ps(uy, vz), _mm256_mul_ps(uz, vy));
+        __m256 ny = _mm256_sub_ps(_mm256_mul_ps(uz, vx), _mm256_mul_ps(ux, vz));
+        __m256 nz = _mm256_sub_ps(_mm256_mul_ps(ux, vy), _mm256_mul_ps(uy, vx));
+        const __m256 sq = dot8(nx, ny, nz, nx, ny, nz);
+        invalid = _mm256_or_ps(invalid, _mm256_cmp_ps(sq, min_sq, _CMP_LT_OQ));
+        // normalized(): n / norm when norm > 0, else n unchanged.
+        const __m256 norm = _mm256_sqrt_ps(sq);
+        const __m256 scale = _mm256_cmp_ps(norm, zero, _CMP_GT_OQ);
+        nx = _mm256_blendv_ps(nx, _mm256_div_ps(nx, norm), scale);
+        ny = _mm256_blendv_ps(ny, _mm256_div_ps(ny, norm), scale);
+        nz = _mm256_blendv_ps(nz, _mm256_div_ps(nz, norm), scale);
+        // Orient toward the camera: negate where n.dot(center) > 0.
+        const __m256 flip = _mm256_and_ps(
+            sign, _mm256_cmp_ps(dot8(nx, ny, nz, cx, cy, cz), zero,
+                                _CMP_GT_OQ));
+        storeVec3x8(out + x,
+                    _mm256_andnot_ps(invalid, _mm256_xor_ps(nx, flip)),
+                    _mm256_andnot_ps(invalid, _mm256_xor_ps(ny, flip)),
+                    _mm256_andnot_ps(invalid, _mm256_xor_ps(nz, flip)));
+    }
+    vertex2normalPixels(ctx, y, x, w);
+}
+
 } // namespace slambench::kfusion::detail
 
 #else // !defined(__AVX2__)
@@ -1002,6 +1351,18 @@ void
 expfAvx2(const float *, float *, size_t)
 {
     support::fatal("expfAvx2: AVX2 not compiled in");
+}
+
+void
+trackRowAvx2(const TrackContext &, size_t)
+{
+    support::fatal("trackRowAvx2: AVX2 not compiled in");
+}
+
+void
+vertex2normalRowAvx2(const Vertex2NormalContext &, size_t)
+{
+    support::fatal("vertex2normalRowAvx2: AVX2 not compiled in");
 }
 
 } // namespace slambench::kfusion::detail

@@ -47,6 +47,12 @@ reduceRangeAvx2(const support::Image<TrackData> &track_data,
 /** AVX2 flavor of KernelBackend::bilateralRow (bit-exact per pixel). */
 void bilateralRowAvx2(const BilateralContext &ctx, size_t y);
 
+/** AVX2 flavor of KernelBackend::trackRow (bit-exact per pixel). */
+void trackRowAvx2(const TrackContext &ctx, size_t y);
+
+/** AVX2 flavor of KernelBackend::vertex2normalRow (bit-exact per pixel). */
+void vertex2normalRowAvx2(const Vertex2NormalContext &ctx, size_t y);
+
 /**
  * The AVX2 lanes of kfusion::expf: out[i] = expf(x[i]) for i < n,
  * 8 lanes at a time (a tail under 8 runs the scalar form).

@@ -228,42 +228,55 @@ depth2vertexKernel(Image<Vec3f> &out, const Image<float> &depth,
 }
 
 void
-vertex2normalKernel(Image<Vec3f> &out, const Image<Vec3f> &vertex,
-                    support::ThreadPool *pool)
+vertex2normalPixels(const Vertex2NormalContext &ctx, size_t y,
+                    size_t x_begin, size_t x_end)
 {
-    const size_t w = vertex.width();
-    const size_t h = vertex.height();
-    out.resize(w, h);
-
-    forEachRow(h, pool, [&](size_t y) {
-        for (size_t x = 0; x < w; ++x) {
-            if (x + 1 >= w || y + 1 >= h) {
-                out(x, y) = Vec3f{};
-                continue;
-            }
-            const Vec3f &center = vertex(x, y);
-            const Vec3f &right = vertex(x + 1, y);
-            const Vec3f &down = vertex(x, y + 1);
-            if (center.squaredNorm() == 0.0f ||
-                right.squaredNorm() == 0.0f ||
-                down.squaredNorm() == 0.0f) {
-                out(x, y) = Vec3f{};
-                continue;
-            }
-            const Vec3f du = right - center;
-            const Vec3f dv = down - center;
-            Vec3f n = du.cross(dv);
-            if (n.squaredNorm() < 1e-18f) {
-                out(x, y) = Vec3f{};
-                continue;
-            }
-            n = n.normalized();
-            // Orient toward the camera (vertices are camera-frame).
-            if (n.dot(center) > 0.0f)
-                n = -n;
-            out(x, y) = n;
+    const size_t w = ctx.width;
+    const size_t h = ctx.height;
+    for (size_t x = x_begin; x < x_end; ++x) {
+        Vec3f &out = ctx.out[y * w + x];
+        if (x + 1 >= w || y + 1 >= h) {
+            out = Vec3f{};
+            continue;
         }
-    });
+        const Vec3f &center = ctx.in[y * w + x];
+        const Vec3f &right = ctx.in[y * w + x + 1];
+        const Vec3f &down = ctx.in[(y + 1) * w + x];
+        if (center.squaredNorm() == 0.0f ||
+            right.squaredNorm() == 0.0f ||
+            down.squaredNorm() == 0.0f) {
+            out = Vec3f{};
+            continue;
+        }
+        const Vec3f du = right - center;
+        const Vec3f dv = down - center;
+        Vec3f n = du.cross(dv);
+        if (n.squaredNorm() < 1e-18f) {
+            out = Vec3f{};
+            continue;
+        }
+        n = n.normalized();
+        // Orient toward the camera (vertices are camera-frame).
+        if (n.dot(center) > 0.0f)
+            n = -n;
+        out = n;
+    }
+}
+
+void
+vertex2normalKernel(Image<Vec3f> &out, const Image<Vec3f> &vertex,
+                    support::ThreadPool *pool,
+                    const KernelBackend *backend)
+{
+    // Every pixel is written, so an image of the right size (the
+    // pyramid's, from the previous frame) is not cleared first.
+    if (out.width() != vertex.width() || out.height() != vertex.height())
+        out.resize(vertex.width(), vertex.height());
+    const Vertex2NormalContext ctx{vertex.data(), out.data(),
+                                   vertex.width(), vertex.height()};
+    const KernelBackend &rows = backend ? *backend : scalarKernelBackend();
+    forEachRow(ctx.height, pool,
+               [&](size_t y) { rows.vertex2normalRow(ctx, y); });
 }
 
 } // namespace slambench::kfusion

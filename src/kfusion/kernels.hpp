@@ -118,9 +118,31 @@ void depth2vertexKernel(Image<Vec3f> &out, const Image<float> &depth,
  * @param[out] out Unit normal per pixel; (0,0,0) marks invalid.
  * @param vertex Vertex map.
  * @param pool Optional worker pool.
+ * @param backend Kernel backend computing each row (nullptr = scalar
+ *                reference).
  */
 void vertex2normalKernel(Image<Vec3f> &out, const Image<Vec3f> &vertex,
-                         support::ThreadPool *pool);
+                         support::ThreadPool *pool,
+                         const KernelBackend *backend = nullptr);
+
+/**
+ * Input and output of one vertex2normal call, as vertex2normalKernel
+ * hands them to KernelBackend::vertex2normalRow.
+ */
+struct Vertex2NormalContext
+{
+    const Vec3f *in = nullptr; ///< Vertex map, row-major.
+    Vec3f *out = nullptr;      ///< Normal map, same size.
+    size_t width = 0;          ///< Image width, pixels.
+    size_t height = 0;         ///< Image height, pixels.
+};
+
+/**
+ * The reference normal body: output pixels [@p x_begin, @p x_end) of
+ * row @p y. Every backend's row must match it bit for bit.
+ */
+void vertex2normalPixels(const Vertex2NormalContext &ctx, size_t y,
+                         size_t x_begin, size_t x_end);
 
 /**
  * Work items charged per output pixel of the bilateral filter with

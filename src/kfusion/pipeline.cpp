@@ -171,7 +171,7 @@ KFusion::buildPyramid(WorkCounts &work)
         {
             KernelTimer timer(work, KernelId::Vertex2Normal);
             vertex2normalKernel(pyramid_[l].normal, pyramid_[l].vertex,
-                                pool_.get());
+                                pool_.get(), backend_);
             work.addItems(
                 KernelId::Vertex2Normal,
                 static_cast<double>(pyramid_[l].normal.size()));

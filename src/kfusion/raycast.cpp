@@ -70,17 +70,17 @@ struct alignas(64) RowTotals
 /** The dense volume's fused gradient, on the kernel backend. */
 Vec3f
 gradAt(const KernelBackend &backend, const TsdfVolume &volume,
-       const Vec3f &p)
+       const Vec3f &p, SparseTsdfVolume::LookupCache &)
 {
     return backend.grad(volume, p);
 }
 
-/** The sparse volume's fused gradient (one block cache per call). */
+/** The sparse volume's fused gradient, through the row's block cache. */
 Vec3f
 gradAt(const KernelBackend &, const SparseTsdfVolume &volume,
-       const Vec3f &p)
+       const Vec3f &p, SparseTsdfVolume::LookupCache &cache)
 {
-    return volume.grad(p);
+    return volume.gradCached(p, cache);
 }
 
 /**
@@ -111,6 +111,8 @@ marchImage(const Volume &volume, const KernelBackend &backend,
         MarchTotals row;
         Vec3f dirs[kRayPacketWidth];
         RayHit hits[kRayPacketWidth];
+        // Adjacent hits share blocks; the dense volume ignores it.
+        SparseTsdfVolume::LookupCache cache;
         for (size_t x0 = 0; x0 < w; x0 += kRayPacketWidth) {
             const size_t n = std::min(kRayPacketWidth, w - x0);
             for (size_t l = 0; l < n; ++l) {
@@ -125,7 +127,8 @@ marchImage(const Volume &volume, const KernelBackend &backend,
                 row.steps += hits[l].steps;
                 row.skipped += hits[l].skipped;
                 const Vec3f g = hits[l].found
-                                    ? gradAt(backend, volume, hits[l].hit)
+                                    ? gradAt(backend, volume,
+                                             hits[l].hit, cache)
                                     : Vec3f{};
                 shade(x0 + l, y, hits[l].found, hits[l].hit, g);
             }

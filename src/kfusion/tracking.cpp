@@ -34,6 +34,75 @@ icpLevelSpanName(size_t li)
 } // namespace
 
 void
+trackPixels(const TrackContext &ctx, size_t y, size_t x_begin,
+            size_t x_end)
+{
+    for (size_t x = x_begin; x < x_end; ++x) {
+        const size_t i = y * ctx.width + x;
+        TrackData &row = ctx.out[i];
+        const Vec3f &in_vertex = ctx.liveVertex[i];
+        const Vec3f &in_normal = ctx.liveNormal[i];
+        if (in_vertex.squaredNorm() == 0.0f ||
+            in_normal.squaredNorm() == 0.0f) {
+            row.result = TrackResult::NoInputVertex;
+            continue;
+        }
+
+        const Vec3f world_vertex = ctx.pose.transformPoint(in_vertex);
+        const Vec3f ref_cam = ctx.worldToRef.transformPoint(world_vertex);
+        if (ref_cam.z <= 0.0f) {
+            row.result = TrackResult::ProjectedOutside;
+            continue;
+        }
+        const math::Vec2f pix = ctx.refIntrinsics.project(ref_cam);
+        const int px = static_cast<int>(pix.x);
+        const int py = static_cast<int>(pix.y);
+        if (px < 0 || py < 0 || px >= static_cast<int>(ctx.refWidth) ||
+            py >= static_cast<int>(ctx.refHeight)) {
+            row.result = TrackResult::ProjectedOutside;
+            continue;
+        }
+
+        const size_t ref = static_cast<size_t>(py) * ctx.refWidth +
+                           static_cast<size_t>(px);
+        const Vec3f &r_normal = ctx.refNormal[ref];
+        if (r_normal.squaredNorm() == 0.0f) {
+            row.result = TrackResult::NoRefNormal;
+            continue;
+        }
+        const Vec3f &r_vertex = ctx.refVertex[ref];
+
+        const Vec3f diff = r_vertex - world_vertex;
+        if (diff.norm() > ctx.distThreshold) {
+            row.result = TrackResult::TooFar;
+            continue;
+        }
+        const Vec3f world_normal = ctx.pose.transformDir(in_normal);
+        if (world_normal.dot(r_normal) < ctx.normalThreshold) {
+            row.result = TrackResult::NormalMismatch;
+            continue;
+        }
+
+        row.result = TrackResult::Ok;
+        // Point-to-plane projects the correspondence difference onto
+        // the reference normal. Point-to-point minimizes the full 3D
+        // difference; its three component residuals are round-robined
+        // across pixels so the scalar reduction sees an (evenly
+        // subsampled) full-rank system.
+        Vec3f direction = r_normal;
+        if (ctx.residual == IcpResidual::PointToPoint) {
+            const size_t axis = (x + y) % 3;
+            direction = Vec3f{};
+            direction[axis] = 1.0f;
+        }
+        row.error = direction.dot(diff);
+        const Vec3f jw = world_vertex.cross(direction);
+        row.jacobian = {direction.x, direction.y, direction.z,
+                        jw.x, jw.y, jw.z};
+    }
+}
+
+void
 trackKernel(support::Image<TrackData> &track_data,
             const support::Image<Vec3f> &live_vertex,
             const support::Image<Vec3f> &live_normal,
@@ -42,80 +111,33 @@ trackKernel(support::Image<TrackData> &track_data,
             const math::CameraIntrinsics &ref_intrinsics,
             const Mat4f &ref_pose, float dist_threshold,
             float normal_threshold, support::ThreadPool *pool,
-            IcpResidual residual)
+            IcpResidual residual, const KernelBackend *backend)
 {
     const size_t w = live_vertex.width();
     const size_t h = live_vertex.height();
-    track_data.resize(w, h);
+    // Every record gets its result below, so a buffer of the right
+    // size (icpTrack's, from the previous iteration) is not cleared.
+    if (track_data.width() != w || track_data.height() != h)
+        track_data.resize(w, h);
 
-    const Mat4f world_to_ref = ref_pose.rigidInverse();
-
-    auto process_row = [&](size_t y) {
-        for (size_t x = 0; x < w; ++x) {
-            TrackData &row = track_data(x, y);
-            const Vec3f &in_vertex = live_vertex(x, y);
-            const Vec3f &in_normal = live_normal(x, y);
-            if (in_vertex.squaredNorm() == 0.0f ||
-                in_normal.squaredNorm() == 0.0f) {
-                row.result = TrackResult::NoInputVertex;
-                continue;
-            }
-
-            const Vec3f world_vertex = pose.transformPoint(in_vertex);
-            const Vec3f ref_cam = world_to_ref.transformPoint(world_vertex);
-            if (ref_cam.z <= 0.0f) {
-                row.result = TrackResult::ProjectedOutside;
-                continue;
-            }
-            const math::Vec2f pix = ref_intrinsics.project(ref_cam);
-            const int px = static_cast<int>(pix.x);
-            const int py = static_cast<int>(pix.y);
-            if (px < 0 || py < 0 ||
-                px >= static_cast<int>(ref_vertex.width()) ||
-                py >= static_cast<int>(ref_vertex.height())) {
-                row.result = TrackResult::ProjectedOutside;
-                continue;
-            }
-
-            const Vec3f &r_normal = ref_normal(
-                static_cast<size_t>(px), static_cast<size_t>(py));
-            if (r_normal.squaredNorm() == 0.0f) {
-                row.result = TrackResult::NoRefNormal;
-                continue;
-            }
-            const Vec3f &r_vertex = ref_vertex(
-                static_cast<size_t>(px), static_cast<size_t>(py));
-
-            const Vec3f diff = r_vertex - world_vertex;
-            if (diff.norm() > dist_threshold) {
-                row.result = TrackResult::TooFar;
-                continue;
-            }
-            const Vec3f world_normal = pose.transformDir(in_normal);
-            if (world_normal.dot(r_normal) < normal_threshold) {
-                row.result = TrackResult::NormalMismatch;
-                continue;
-            }
-
-            row.result = TrackResult::Ok;
-            // Point-to-plane projects the correspondence difference
-            // onto the reference normal. Point-to-point minimizes
-            // the full 3D difference; its three component residuals
-            // are round-robined across pixels so the scalar
-            // reduction sees an (evenly subsampled) full-rank
-            // system.
-            Vec3f direction = r_normal;
-            if (residual == IcpResidual::PointToPoint) {
-                const size_t axis = (x + y) % 3;
-                direction = Vec3f{};
-                direction[axis] = 1.0f;
-            }
-            row.error = direction.dot(diff);
-            const Vec3f jw = world_vertex.cross(direction);
-            row.jacobian = {direction.x, direction.y, direction.z,
-                            jw.x, jw.y, jw.z};
-        }
-    };
+    TrackContext ctx;
+    ctx.out = track_data.data();
+    ctx.liveVertex = live_vertex.data();
+    ctx.liveNormal = live_normal.data();
+    ctx.width = w;
+    ctx.height = h;
+    ctx.pose = pose;
+    ctx.worldToRef = ref_pose.rigidInverse();
+    ctx.refVertex = ref_vertex.data();
+    ctx.refNormal = ref_normal.data();
+    ctx.refWidth = ref_vertex.width();
+    ctx.refHeight = ref_vertex.height();
+    ctx.refIntrinsics = ref_intrinsics;
+    ctx.distThreshold = dist_threshold;
+    ctx.normalThreshold = normal_threshold;
+    ctx.residual = residual;
+    const KernelBackend &rows = backend ? *backend : scalarKernelBackend();
+    auto process_row = [&](size_t y) { rows.trackRow(ctx, y); };
 
     if (pool) {
         pool->parallelFor(0, h, process_row);
@@ -252,7 +274,7 @@ icpTrack(Mat4f &pose, const std::vector<PyramidLevel> &live,
                             ref_intrinsics, ref_pose,
                             config.distThreshold,
                             config.normalThreshold, pool,
-                            config.icpResidual);
+                            config.icpResidual, backend);
                 counts.addItems(
                     KernelId::Track,
                     static_cast<double>(level.vertex.size()));

@@ -80,8 +80,8 @@ struct PyramidLevel
  * @param pool Optional worker pool.
  * @param[out] final_track_data When non-null, receives the per-pixel
  *             records of the last executed iteration (GUI pane).
- * @param backend Kernel backend running the reduction (nullptr =
- *                scalar reference).
+ * @param backend Kernel backend running the track rows and the
+ *                reduction (nullptr = scalar reference).
  * @return residual statistics and whether the pose was accepted.
  */
 TrackingStats icpTrack(math::Mat4f &pose,
@@ -100,7 +100,10 @@ TrackingStats icpTrack(math::Mat4f &pose,
  * One correspondence+residual evaluation over a full image (exposed
  * separately for unit tests and the point-to-point ablation).
  *
- * @param[out] track_data Per-pixel records, sized like live_vertex.
+ * @param[in,out] track_data Per-pixel records, sized like
+ *             live_vertex (resized, and so cleared, only when its
+ *             size differs). Every result is written; a record whose
+ *             result is not Ok keeps the error and jacobian it held.
  * @param live_vertex Live vertex map (camera frame).
  * @param live_normal Live normal map (camera frame).
  * @param pose Current camera-to-world estimate.
@@ -115,6 +118,8 @@ TrackingStats icpTrack(math::Mat4f &pose,
  *                 correspondence difference onto the reference
  *                 normal; point-to-point projects it onto its own
  *                 direction (classic ICP distance, linearized).
+ * @param backend Kernel backend tracking each row (nullptr = scalar
+ *                reference).
  */
 void trackKernel(support::Image<TrackData> &track_data,
                  const support::Image<math::Vec3f> &live_vertex,
@@ -125,7 +130,40 @@ void trackKernel(support::Image<TrackData> &track_data,
                  const math::CameraIntrinsics &ref_intrinsics,
                  const math::Mat4f &ref_pose, float dist_threshold,
                  float normal_threshold, support::ThreadPool *pool,
-                 IcpResidual residual = IcpResidual::PointToPlane);
+                 IcpResidual residual = IcpResidual::PointToPlane,
+                 const KernelBackend *backend = nullptr);
+
+/**
+ * Inputs and output of one trackKernel call (its loop invariants),
+ * as trackKernel hands them to KernelBackend::trackRow.
+ */
+struct TrackContext
+{
+    TrackData *out = nullptr;              ///< Per-pixel records.
+    const math::Vec3f *liveVertex = nullptr; ///< Camera frame.
+    const math::Vec3f *liveNormal = nullptr; ///< Camera frame.
+    size_t width = 0;  ///< Live image width, pixels.
+    size_t height = 0; ///< Live image height, pixels.
+    math::Mat4f pose;       ///< Current camera-to-world estimate.
+    math::Mat4f worldToRef; ///< Inverse of the reference pose.
+    const math::Vec3f *refVertex = nullptr; ///< World frame.
+    const math::Vec3f *refNormal = nullptr; ///< World frame.
+    size_t refWidth = 0;  ///< Reference image width, pixels.
+    size_t refHeight = 0; ///< Reference image height, pixels.
+    math::CameraIntrinsics refIntrinsics; ///< Of the reference maps.
+    float distThreshold = 0.1f;   ///< Distance gate, meters.
+    float normalThreshold = 0.8f; ///< Normal-agreement gate, cosine.
+    IcpResidual residual = IcpResidual::PointToPlane;
+};
+
+/**
+ * The reference track body: pixels [@p x_begin, @p x_end) of live row
+ * @p y. A pixel whose result is not Ok gets only its result written;
+ * its error and jacobian keep whatever they held. Every backend's row
+ * must match it bit for bit, those untouched fields included.
+ */
+void trackPixels(const TrackContext &ctx, size_t y, size_t x_begin,
+                 size_t x_end);
 
 /** Reduction output: J^T J (upper triangle), J^T e, error, count. */
 struct ReductionResult

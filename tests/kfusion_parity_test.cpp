@@ -16,6 +16,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <map>
 
 #include "dataset/generator.hpp"
 #include "kfusion/backend.hpp"
@@ -610,6 +611,229 @@ TEST(BackendParity, BilateralFilterMatchesScalarPooled)
 {
     ThreadPool pool(3);
     expectBilateralMatchesScalar(&pool);
+}
+
+/** Maps of one track parity case: live (camera) and reference (world). */
+struct TrackInputs
+{
+    Image<Vec3f> liveVertex, liveNormal, refVertex, refNormal;
+    CameraIntrinsics refK;
+    Mat4f pose, refPose;
+};
+
+/** Camera-frame vertices of a slanted wall seen through @p k. */
+Image<Vec3f>
+wallVertices(const CameraIntrinsics &k)
+{
+    Image<Vec3f> vertex(k.width, k.height);
+    for (size_t y = 0; y < k.height; ++y)
+        for (size_t x = 0; x < k.width; ++x) {
+            const float u = static_cast<float>(x) + 0.5f;
+            const float v = static_cast<float>(y) + 0.5f;
+            const float depth =
+                1.5f + 0.4f * u / static_cast<float>(k.width) +
+                0.1f * v / static_cast<float>(k.height);
+            vertex(x, y) = k.backProject(u, v, depth);
+        }
+    return vertex;
+}
+
+/**
+ * A wall tracked from a slightly moved camera, with pixels spoiled so
+ * that every TrackResult occurs: zero live vertices and normals, NaN
+ * vertices and points behind the camera or far off the image
+ * (ProjectedOutside), zero reference normals, pushed-back vertices
+ * (TooFar) and flipped normals (NormalMismatch), plus NaN reference
+ * normals and vertices, which pass every gate as NaN residuals.
+ */
+TrackInputs
+trackInputs(size_t w, size_t h, size_t ref_w, size_t ref_h,
+            uint64_t seed)
+{
+    TrackInputs in;
+    const auto live_k = CameraIntrinsics::fromFov(w, h, 1.1f);
+    in.refK = CameraIntrinsics::fromFov(ref_w, ref_h, 1.1f);
+    in.refPose = slambench::math::expSe3(
+                     slambench::math::Vec3d{0.1, -0.2, 0.3},
+                     slambench::math::Vec3d{0.05, 0.1, -0.02})
+                     .cast<float>();
+    in.pose = slambench::math::expSe3(
+                  slambench::math::Vec3d{0.004, 0.003, -0.002},
+                  slambench::math::Vec3d{0.002, -0.003, 0.001})
+                  .cast<float>() *
+              in.refPose;
+    in.liveVertex = wallVertices(live_k);
+    vertex2normalKernel(in.liveNormal, in.liveVertex, nullptr);
+    const Image<Vec3f> ref_cam = wallVertices(in.refK);
+    Image<Vec3f> ref_cam_normal;
+    vertex2normalKernel(ref_cam_normal, ref_cam, nullptr);
+    in.refVertex.resize(ref_w, ref_h);
+    in.refNormal.resize(ref_w, ref_h);
+    for (size_t i = 0; i < ref_cam.size(); ++i) {
+        in.refVertex[i] = in.refPose.transformPoint(ref_cam[i]);
+        in.refNormal[i] = in.refPose.transformDir(ref_cam_normal[i]);
+    }
+
+    const float nan = std::nanf("");
+    Rng rng(seed);
+    for (size_t i = 0; i < in.liveVertex.size(); ++i) {
+        Vec3f &v = in.liveVertex[i];
+        Vec3f &n = in.liveNormal[i];
+        const double kind = rng.uniform(0.0, 1.0);
+        if (kind < 0.04)
+            v = Vec3f{};
+        else if (kind < 0.07)
+            n = Vec3f{};
+        else if (kind < 0.10)
+            v.y = nan;
+        else if (kind < 0.13)
+            v.z = -v.z; // behind the camera
+        else if (kind < 0.16)
+            v.x *= kind < 0.145 ? 10.0f : 1e30f; // off the image
+        else if (kind < 0.22)
+            v = v * 1.3f; // pushed back along the ray
+        else if (kind < 0.28)
+            n = -n;
+    }
+    for (size_t i = 0; i < in.refNormal.size(); ++i) {
+        const double kind = rng.uniform(0.0, 1.0);
+        if (kind < 0.05)
+            in.refNormal[i] = Vec3f{};
+        else if (kind < 0.06)
+            in.refNormal[i].x = nan;
+        else if (kind < 0.07)
+            in.refVertex[i].z = nan;
+    }
+    return in;
+}
+
+/**
+ * @return @p w x @p h track records pre-filled with one non-zero byte
+ * pattern, padding included (trackKernel keeps a buffer of the right
+ * size, so its non-Ok records keep these bytes).
+ */
+Image<TrackData>
+filledRecords(size_t w, size_t h)
+{
+    Image<TrackData> records(w, h);
+    std::memset(static_cast<void *>(records.data()), 0xa5,
+                records.size() * sizeof(TrackData));
+    return records;
+}
+
+/**
+ * Every backend's track, on @p pool or sequential, must match the
+ * sequential scalar reference byte for byte: both residuals, live
+ * widths around and below the 8-lane vector width, and a reference
+ * image the size of the live one or of another size. Both sides
+ * start from the same pre-filled records and are compared whole, so
+ * a lane that writes more than a non-Ok result (or touches the
+ * padding) shows. Each TrackResult must occur.
+ */
+void
+expectTrackMatchesScalar(ThreadPool *pool)
+{
+    const size_t h = 13;
+    std::map<TrackResult, size_t> seen;
+    for (const IcpResidual residual :
+         {IcpResidual::PointToPlane, IcpResidual::PointToPoint}) {
+        for (const size_t w : {size_t{8}, size_t{9}, size_t{157},
+                               size_t{320}}) {
+            for (const auto &[ref_w, ref_h] :
+                 {std::pair<size_t, size_t>{w, h}, {97, 61}}) {
+                const TrackInputs in =
+                    trackInputs(w, h, ref_w, ref_h, 900 + w + ref_w);
+                Image<TrackData> expect = filledRecords(w, h);
+                trackKernel(expect, in.liveVertex, in.liveNormal,
+                            in.pose, in.refVertex, in.refNormal, in.refK,
+                            in.refPose, 0.1f, 0.8f, nullptr, residual);
+                for (size_t i = 0; i < expect.size(); ++i)
+                    ++seen[expect[i].result];
+                for (const std::string &name : kernelBackendNames()) {
+                    SCOPED_TRACE(name + " width " + std::to_string(w) +
+                                 " ref " + std::to_string(ref_w) +
+                                 " residual " +
+                                 std::to_string(static_cast<int>(residual)));
+                    Image<TrackData> got = filledRecords(w, h);
+                    trackKernel(got, in.liveVertex, in.liveNormal,
+                                in.pose, in.refVertex, in.refNormal,
+                                in.refK, in.refPose, 0.1f, 0.8f, pool,
+                                residual, findKernelBackend(name));
+                    ASSERT_EQ(got.size(), expect.size());
+                    ASSERT_EQ(std::memcmp(got.data(), expect.data(),
+                                          expect.size() *
+                                              sizeof(TrackData)),
+                              0);
+                }
+            }
+        }
+    }
+    for (const TrackResult result :
+         {TrackResult::Ok, TrackResult::NoInputVertex,
+          TrackResult::ProjectedOutside, TrackResult::NoRefNormal,
+          TrackResult::TooFar, TrackResult::NormalMismatch})
+        EXPECT_GT(seen[result], 0u)
+            << "result " << static_cast<int>(result) << " never occurs";
+}
+
+TEST(BackendParity, TrackMatchesScalar)
+{
+    expectTrackMatchesScalar(nullptr);
+}
+
+TEST(BackendParity, TrackMatchesScalarPooled)
+{
+    ThreadPool pool(3);
+    expectTrackMatchesScalar(&pool);
+}
+
+/**
+ * Vertex maps for the vertex2normal parity test: a wall with zero
+ * vertices, NaN and huge components (infinite or NaN cross
+ * products), and repeated neighbours (a zero cross product under the
+ * 1e-18 gate), at widths around and below the 8-lane vector width.
+ */
+TEST(BackendParity, Vertex2NormalMatchesScalar)
+{
+    ThreadPool pool(3);
+    for (const size_t w : {size_t{8}, size_t{9}, size_t{157},
+                           size_t{320}}) {
+        const auto k = CameraIntrinsics::fromFov(w, 13, 1.1f);
+        Image<Vec3f> vertex = wallVertices(k);
+        Rng rng(1100 + w);
+        for (size_t i = 0; i < vertex.size(); ++i) {
+            const double kind = rng.uniform(0.0, 1.0);
+            if (kind < 0.06)
+                vertex[i] = Vec3f{};
+            else if (kind < 0.08)
+                vertex[i].x = std::nanf("");
+            else if (kind < 0.10)
+                vertex[i].y = 1e30f;
+            else if (kind < 0.14 && i > 0)
+                vertex[i] = vertex[i - 1];
+        }
+        Image<Vec3f> expect;
+        vertex2normalKernel(expect, vertex, nullptr);
+        size_t zeros = 0;
+        for (size_t i = 0; i < expect.size(); ++i)
+            zeros += expect[i] == Vec3f{};
+        ASSERT_GT(zeros, w + 13); // more than the last row and column
+        ASSERT_LT(zeros, expect.size());
+        for (const std::string &name : kernelBackendNames()) {
+            for (ThreadPool *p : {static_cast<ThreadPool *>(nullptr),
+                                  &pool}) {
+                SCOPED_TRACE(name + " width " + std::to_string(w) +
+                             (p ? " pooled" : ""));
+                Image<Vec3f> got;
+                vertex2normalKernel(got, vertex, p,
+                                    findKernelBackend(name));
+                ASSERT_EQ(got.size(), expect.size());
+                ASSERT_EQ(std::memcmp(got.data(), expect.data(),
+                                      expect.size() * sizeof(Vec3f)),
+                          0);
+            }
+        }
+    }
 }
 
 // --- sparse-volume parity ---
