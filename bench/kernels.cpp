@@ -65,7 +65,7 @@ struct Workload
         mm2metersKernel(depth, sequence.frames[0].depthMm, 1,
                         nullptr);
         depth2vertexKernel(vertex, depth, k, nullptr);
-        vertex2normalKernel(normal, vertex, nullptr);
+        vertex2normalKernel(normal, vertex, nullptr, scalarKernelBackend());
         refVertex.resize(w, h);
         refNormal.resize(w, h);
         for (size_t i = 0; i < vertex.size(); ++i) {
@@ -121,7 +121,7 @@ BM_BilateralFilter(benchmark::State &state, const KernelBackend *backend)
     Image<float> out;
     for (auto _ : state) {
         bilateralFilterKernel(out, wl.depth, 2, 4.0f, 0.1f, nullptr,
-                              backend);
+                              *backend);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(
@@ -166,7 +166,7 @@ BM_Vertex2Normal(benchmark::State &state, const KernelBackend *backend)
                             static_cast<size_t>(state.range(1)));
     Image<math::Vec3f> out;
     for (auto _ : state) {
-        vertex2normalKernel(out, wl.vertex, nullptr, backend);
+        vertex2normalKernel(out, wl.vertex, nullptr, *backend);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(
@@ -183,7 +183,7 @@ BM_TrackKernel(benchmark::State &state, const KernelBackend *backend)
     for (auto _ : state) {
         trackKernel(track, wl.vertex, wl.normal, wl.pose,
                     wl.refVertex, wl.refNormal, wl.k, wl.pose, 0.1f,
-                    0.8f, nullptr, IcpResidual::PointToPlane, backend);
+                    0.8f, nullptr, *backend, IcpResidual::PointToPlane);
         benchmark::DoNotOptimize(track.data());
     }
     state.SetItemsProcessed(
@@ -198,10 +198,11 @@ BM_ReduceKernel(benchmark::State &state, const KernelBackend *backend)
                             static_cast<size_t>(state.range(1)));
     Image<TrackData> track;
     trackKernel(track, wl.vertex, wl.normal, wl.pose, wl.refVertex,
-                wl.refNormal, wl.k, wl.pose, 0.1f, 0.8f, nullptr);
+                wl.refNormal, wl.k, wl.pose, 0.1f, 0.8f, nullptr,
+                scalarKernelBackend());
     for (auto _ : state) {
         const ReductionResult r =
-            reduceKernel(track, nullptr, backend);
+            reduceKernel(track, nullptr, *backend);
         benchmark::DoNotOptimize(r.errorSq);
     }
     state.SetItemsProcessed(
@@ -224,7 +225,7 @@ BM_Integrate(benchmark::State &state, const KernelBackend *backend)
     WorkCounts counts;
     for (auto _ : state) {
         volume.integrate(wl.depth, wl.k, wl.pose, 0.1f, 100.0f,
-                         counts, nullptr, backend);
+                         counts, nullptr, *backend);
         benchmark::DoNotOptimize(volume.at(0, 0, 0).tsdf);
     }
     state.SetItemsProcessed(
@@ -268,7 +269,7 @@ BM_IntegrateSparse(benchmark::State &state,
     WorkCounts counts;
     for (auto _ : state) {
         volume.integrate(wl.depth, wl.k, wl.pose, 0.1f, 100.0f,
-                         counts, nullptr, backend);
+                         counts, nullptr, *backend);
         benchmark::DoNotOptimize(volume.voxelAt(0, 0, 0).tsdf);
     }
     state.SetItemsProcessed(
@@ -288,7 +289,7 @@ BM_Raycast(benchmark::State &state, const KernelBackend *backend)
         benchVolume(static_cast<int>(state.range(0)));
     WorkCounts counts;
     volume.integrate(wl.depth, wl.k, wl.pose, 0.1f, 100.0f, counts,
-                     nullptr);
+                     nullptr, scalarKernelBackend());
     RaycastParams params;
     params.step = volume.voxelSize();
     params.largeStep = 0.075f;
@@ -296,7 +297,7 @@ BM_Raycast(benchmark::State &state, const KernelBackend *backend)
     counts = WorkCounts{};
     for (auto _ : state) {
         raycastKernel(vertex, normal, volume, wl.k, wl.pose, params,
-                      counts, nullptr, backend);
+                      counts, nullptr, *backend);
         benchmark::DoNotOptimize(vertex.data());
     }
     state.SetItemsProcessed(
@@ -318,7 +319,7 @@ BM_RaycastSparse(benchmark::State &state, const KernelBackend *backend)
                             {-2.4f, -0.4f, -2.4f});
     WorkCounts counts;
     volume.integrate(wl.depth, wl.k, wl.pose, 0.1f, 100.0f, counts,
-                     nullptr);
+                     nullptr, scalarKernelBackend());
     RaycastParams params;
     params.step = volume.voxelSize();
     params.largeStep = 0.075f;
@@ -326,7 +327,7 @@ BM_RaycastSparse(benchmark::State &state, const KernelBackend *backend)
     counts = WorkCounts{};
     for (auto _ : state) {
         raycastKernel(vertex, normal, volume, wl.k, wl.pose, params,
-                      counts, nullptr, backend);
+                      counts, nullptr, *backend);
         benchmark::DoNotOptimize(vertex.data());
     }
     state.SetItemsProcessed(
@@ -351,7 +352,7 @@ gradientPoints(const TsdfVolume &volume, const Workload &wl)
     Image<math::Vec3f> vertex, normal;
     WorkCounts counts;
     raycastKernel(vertex, normal, volume, wl.k, wl.pose, params,
-                  counts, nullptr);
+                  counts, nullptr, scalarKernelBackend());
     std::vector<math::Vec3f> points;
     points.reserve(vertex.size());
     for (size_t i = 0; i < vertex.size(); ++i)
@@ -369,7 +370,7 @@ BM_Grad(benchmark::State &state, const KernelBackend *backend)
         benchVolume(static_cast<int>(state.range(0)));
     WorkCounts counts;
     volume.integrate(wl.depth, wl.k, wl.pose, 0.1f, 100.0f, counts,
-                     nullptr);
+                     nullptr, scalarKernelBackend());
     const std::vector<math::Vec3f> points =
         gradientPoints(volume, wl);
     math::Vec3f acc{};
@@ -392,7 +393,7 @@ BM_GradReference(benchmark::State &state)
         benchVolume(static_cast<int>(state.range(0)));
     WorkCounts counts;
     volume.integrate(wl.depth, wl.k, wl.pose, 0.1f, 100.0f, counts,
-                     nullptr);
+                     nullptr, scalarKernelBackend());
     const std::vector<math::Vec3f> points =
         gradientPoints(volume, wl);
     math::Vec3f acc{};

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "kfusion/backend.hpp"
 #include "support/logging.hpp"
 
 namespace slambench::core {
@@ -99,7 +100,8 @@ OdometrySystem::buildPyramid(const Image<uint16_t> &depth_mm,
         KernelTimer timer(work, KernelId::BilateralFilter);
         kfusion::bilateralFilterKernel(pyramid[0].depth, raw,
                                        config_.filterRadius, 4.0f,
-                                       0.1f, nullptr);
+                                       0.1f, nullptr,
+                                       kfusion::scalarKernelBackend());
         const double per_pixel =
             kfusion::bilateralItemsPerPixel(config_.filterRadius);
         work.addItems(KernelId::BilateralFilter,
@@ -135,8 +137,9 @@ OdometrySystem::buildPyramid(const Image<uint16_t> &depth_mm,
         }
         {
             KernelTimer timer(work, KernelId::Vertex2Normal);
-            kfusion::vertex2normalKernel(pyramid[l].normal,
-                                         pyramid[l].vertex, nullptr);
+            kfusion::vertex2normalKernel(
+                pyramid[l].normal, pyramid[l].vertex, nullptr,
+                kfusion::scalarKernelBackend());
             work.addItems(
                 KernelId::Vertex2Normal,
                 static_cast<double>(pyramid[l].normal.size()));
@@ -166,7 +169,8 @@ OdometrySystem::processFrame(const dataset::Frame &frame)
 
         const kfusion::TrackingStats stats = kfusion::icpTrack(
             pose_, pyramid, refVertex_, refNormal_, scaledIntrinsics_,
-            refPose_, gates, work, nullptr);
+            refPose_, gates, work, nullptr,
+            kfusion::scalarKernelBackend());
         tracked = stats.tracked;
     }
 

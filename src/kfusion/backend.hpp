@@ -27,9 +27,10 @@
  *
  *  0. "scalar": the reference for the baseline ISA. Every other
  *     backend is tested against it.
- *  1. "simd": AVX2 intrinsics when they are compiled in and the CPU
- *     supports them (simdBackendIsAccelerated()), else the scalar
- *     kernels.
+ *  1. "simd": the AVX2 backend that backend_avx2.cpp exports when it
+ *     is compiled with -mavx2, installed when the CPU supports AVX2
+ *     (simdBackendIsAccelerated()); otherwise the scalar kernels
+ *     under this name.
  *
  * The special name "auto" resolves to "simd" when
  * simdBackendIsAccelerated() and to "scalar" otherwise,

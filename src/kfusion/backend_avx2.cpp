@@ -1,9 +1,12 @@
 /**
  * @file
- * AVX2 implementations of the seven hot kernels, behind the "simd"
- * backend. This is the only translation unit compiled with -mavx2;
- * everything else in the tree stays at the baseline ISA, and the
- * simd backend only dispatches here after a runtime CPUID check.
+ * The "simd" kernel backend, Avx2Backend: its member functions are
+ * the AVX2 flavors of the seven hot kernels. This is the only
+ * translation unit compiled with -mavx2; everything else in the tree
+ * stays at the baseline ISA, and the backend table (backend.cpp)
+ * installs this backend only after a runtime CPUID check. Built
+ * without -mavx2 the file has no backend to export:
+ * detail::avx2Backend() returns nullptr.
  *
  * Bit-exactness strategy (the parity contract in
  * docs/ARCHITECTURE.md): every vector lane replays the scalar
@@ -34,13 +37,42 @@ namespace slambench::kfusion::detail {
 
 using math::Vec3f;
 
-bool
-avx2CompiledIn()
-{
-    return true;
-}
-
 namespace {
+
+/** The "simd" backend; every hook below is bit-exact versus scalar. */
+class Avx2Backend final : public KernelBackend
+{
+  public:
+    const char *name() const override { return "simd"; }
+
+    void integrateColumn(const IntegrateContext &ctx, Voxel *column,
+                         int z_begin, int z_end, Vec3f pos,
+                         uint64_t *dirty) const override;
+
+    Vec3f grad(const TsdfVolume &volume, const Vec3f &p) const override;
+
+    void castRays(const TsdfVolume &volume, const Vec3f &origin,
+                  const Vec3f *dirs, size_t count,
+                  const RaycastParams &params,
+                  RayHit *hits) const override;
+
+    void castRays(const SparseTsdfVolume &volume, const Vec3f &origin,
+                  const Vec3f *dirs, size_t count,
+                  const RaycastParams &params,
+                  RayHit *hits) const override;
+
+    ReductionResult
+    reduceRange(const support::Image<TrackData> &track_data,
+                size_t begin, size_t end) const override;
+
+    void bilateralRow(const BilateralContext &ctx,
+                      size_t y) const override;
+
+    void trackRow(const TrackContext &ctx, size_t y) const override;
+
+    void vertex2normalRow(const Vertex2NormalContext &ctx,
+                          size_t y) const override;
+};
 
 /** Per-lane stencil base of up to 8 trilinear samples. */
 struct Stencil8
@@ -323,8 +355,9 @@ lanei(__m256i v, int l)
 } // namespace
 
 void
-integrateColumnAvx2(const IntegrateContext &ctx, Voxel *column,
-                    int z_begin, int z_end, Vec3f pos, uint64_t *dirty)
+Avx2Backend::integrateColumn(const IntegrateContext &ctx, Voxel *column,
+                             int z_begin, int z_end, Vec3f pos,
+                             uint64_t *dirty) const
 {
     const __m256 fx = _mm256_set1_ps(ctx.intrinsics.fx);
     const __m256 fy = _mm256_set1_ps(ctx.intrinsics.fy);
@@ -476,7 +509,7 @@ integrateColumnAvx2(const IntegrateContext &ctx, Voxel *column,
 }
 
 Vec3f
-gradAvx2(const TsdfVolume &volume, const Vec3f &p)
+Avx2Backend::grad(const TsdfVolume &volume, const Vec3f &p) const
 {
     const float step = volume.voxelSize();
     const float inv_vs = 1.0f / volume.voxelSize();
@@ -517,9 +550,9 @@ gradAvx2(const TsdfVolume &volume, const Vec3f &p)
 namespace {
 
 /**
- * The packet march of castRaysAvx2 on either volume: castRayCore's
- * control flow per lane, with the free-brick skip read from the
- * volume's FreeBrickGrid.
+ * The packet march of Avx2Backend::castRays on either volume:
+ * castRayCore's control flow per lane, with the free-brick skip read
+ * from the volume's FreeBrickGrid.
  *
  * @param volume TsdfVolume or SparseTsdfVolume.
  * @param sample (stencil, active, valid&) -> per-lane interp() of
@@ -726,9 +759,9 @@ castRaysPacket(const Volume &volume, Sampler &sample,
 } // namespace
 
 void
-castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
-             const Vec3f *dirs, size_t count,
-             const RaycastParams &params, RayHit *hits)
+Avx2Backend::castRays(const TsdfVolume &volume, const Vec3f &origin,
+                      const Vec3f *dirs, size_t count,
+                      const RaycastParams &params, RayHit *hits) const
 {
     DenseSampler8 sample{
         reinterpret_cast<const float *>(&volume.at(0, 0, 0)),
@@ -737,17 +770,17 @@ castRaysAvx2(const TsdfVolume &volume, const Vec3f &origin,
 }
 
 void
-castRaysAvx2(const SparseTsdfVolume &volume, const Vec3f &origin,
-             const Vec3f *dirs, size_t count,
-             const RaycastParams &params, RayHit *hits)
+Avx2Backend::castRays(const SparseTsdfVolume &volume, const Vec3f &origin,
+                      const Vec3f *dirs, size_t count,
+                      const RaycastParams &params, RayHit *hits) const
 {
     SparseSampler8 sample(volume);
     castRaysPacket(volume, sample, origin, dirs, count, params, hits);
 }
 
 ReductionResult
-reduceRangeAvx2(const support::Image<TrackData> &track_data,
-                size_t begin, size_t end)
+Avx2Backend::reduceRange(const support::Image<TrackData> &track_data,
+                         size_t begin, size_t end) const
 {
     // Slot-per-lane: the 6x8 products jac[r] * {j0..j5, e, 0} cover
     // the full J^T J (row-major) and J^T e in 12 register-resident
@@ -857,7 +890,7 @@ expfAvx2(const float *x, float *out, size_t n)
 }
 
 void
-bilateralRowAvx2(const BilateralContext &ctx, size_t y)
+Avx2Backend::bilateralRow(const BilateralContext &ctx, size_t y) const
 {
     // Lane l filters pixel x + l of the row, replaying bilateralPixels:
     // taps in (dy, dx) order, sum and weight updated only where the
@@ -1059,7 +1092,7 @@ transpose8x8(__m256 r[8])
 } // namespace
 
 void
-trackRowAvx2(const TrackContext &ctx, size_t y)
+Avx2Backend::trackRow(const TrackContext &ctx, size_t y) const
 {
     // Lane l tracks pixel x + l of the row, replaying trackPixels: the
     // gates in the scalar order with ordered-quiet compares (a NaN
@@ -1069,7 +1102,7 @@ trackRowAvx2(const TrackContext &ctx, size_t y)
     static_assert(sizeof(TrackData) == 32 &&
                       offsetof(TrackData, error) == 4 &&
                       offsetof(TrackData, jacobian) == 8,
-                  "trackRowAvx2 stores TrackData as 8 dwords");
+                  "trackRow stores TrackData as 8 dwords");
     const size_t w = ctx.width;
     const Vec3f *live_vertex = ctx.liveVertex + y * w;
     const Vec3f *live_normal = ctx.liveNormal + y * w;
@@ -1228,7 +1261,8 @@ trackRowAvx2(const TrackContext &ctx, size_t y)
 }
 
 void
-vertex2normalRowAvx2(const Vertex2NormalContext &ctx, size_t y)
+Avx2Backend::vertex2normalRow(const Vertex2NormalContext &ctx,
+                              size_t y) const
 {
     // Lane l computes pixel x + l, replaying vertex2normalPixels. The
     // last row has no pixel below and the last column no pixel to the
@@ -1288,6 +1322,13 @@ vertex2normalRowAvx2(const Vertex2NormalContext &ctx, size_t y)
     vertex2normalPixels(ctx, y, x, w);
 }
 
+const KernelBackend *
+avx2Backend()
+{
+    static const Avx2Backend backend;
+    return &backend;
+}
+
 } // namespace slambench::kfusion::detail
 
 #else // !defined(__AVX2__)
@@ -1296,73 +1337,18 @@ vertex2normalRowAvx2(const Vertex2NormalContext &ctx, size_t y)
 
 namespace slambench::kfusion::detail {
 
-// Fallback stubs: the simd backend never dispatches here unless
-// avx2CompiledIn() returned true, so these only exist to keep the
-// build linking when the compiler has no -mavx2.
-
-bool
-avx2CompiledIn()
+const KernelBackend *
+avx2Backend()
 {
-    return false;
+    return nullptr;
 }
 
-void
-integrateColumnAvx2(const IntegrateContext &, Voxel *, int, int,
-                    math::Vec3f, uint64_t *)
-{
-    support::fatal("integrateColumnAvx2: AVX2 not compiled in");
-}
-
-math::Vec3f
-gradAvx2(const TsdfVolume &, const math::Vec3f &)
-{
-    support::fatal("gradAvx2: AVX2 not compiled in");
-}
-
-void
-castRaysAvx2(const TsdfVolume &, const math::Vec3f &,
-             const math::Vec3f *, size_t, const RaycastParams &,
-             RayHit *)
-{
-    support::fatal("castRaysAvx2: AVX2 not compiled in");
-}
-
-void
-castRaysAvx2(const SparseTsdfVolume &, const math::Vec3f &,
-             const math::Vec3f *, size_t, const RaycastParams &,
-             RayHit *)
-{
-    support::fatal("castRaysAvx2: AVX2 not compiled in");
-}
-
-ReductionResult
-reduceRangeAvx2(const support::Image<TrackData> &, size_t, size_t)
-{
-    support::fatal("reduceRangeAvx2: AVX2 not compiled in");
-}
-
-void
-bilateralRowAvx2(const BilateralContext &, size_t)
-{
-    support::fatal("bilateralRowAvx2: AVX2 not compiled in");
-}
-
+// Callers check simdBackendIsAccelerated() first; this keeps the
+// build linking.
 void
 expfAvx2(const float *, float *, size_t)
 {
     support::fatal("expfAvx2: AVX2 not compiled in");
-}
-
-void
-trackRowAvx2(const TrackContext &, size_t)
-{
-    support::fatal("trackRowAvx2: AVX2 not compiled in");
-}
-
-void
-vertex2normalRowAvx2(const Vertex2NormalContext &, size_t)
-{
-    support::fatal("vertex2normalRowAvx2: AVX2 not compiled in");
 }
 
 } // namespace slambench::kfusion::detail

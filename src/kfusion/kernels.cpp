@@ -15,6 +15,19 @@ namespace slambench::kfusion {
 namespace {
 
 /**
+ * Size @p out to @p w x @p h for a kernel that writes every pixel:
+ * an image already of that size (the pyramid's, from the previous
+ * frame) keeps its bytes instead of being cleared first.
+ */
+template <typename T>
+void
+sizeForOverwrite(Image<T> &out, size_t w, size_t h)
+{
+    if (out.width() != w || out.height() != h)
+        out.resize(w, h);
+}
+
+/**
  * Run @p body(y) for each row, either sequentially or on the pool.
  */
 void
@@ -39,7 +52,7 @@ mm2metersKernel(Image<float> &out, const Image<uint16_t> &in, int ratio,
         support::panic("mm2metersKernel: ratio must be >= 1");
     const size_t w = in.width() / static_cast<size_t>(ratio);
     const size_t h = in.height() / static_cast<size_t>(ratio);
-    out.resize(w, h);
+    sizeForOverwrite(out, w, h);
     const size_t r = static_cast<size_t>(ratio);
 
     forEachRow(h, pool, [&](size_t y) {
@@ -123,11 +136,11 @@ void
 bilateralFilterKernel(Image<float> &out, const Image<float> &in,
                       int radius, float gaussian_delta, float e_delta,
                       support::ThreadPool *pool,
-                      const KernelBackend *backend)
+                      const KernelBackend &backend)
 {
     const size_t w = in.width();
     const size_t h = in.height();
-    out.resize(w, h);
+    sizeForOverwrite(out, w, h);
 
     if (radius == 0) {
         for (size_t i = 0; i < in.size(); ++i)
@@ -160,8 +173,7 @@ bilateralFilterKernel(Image<float> &out, const Image<float> &in,
     ctx.radius = radius;
     ctx.spatial = spatial.data();
     ctx.inv2e2 = 1.0f / (2.0f * e_delta * e_delta);
-    const KernelBackend &rows = backend ? *backend : scalarKernelBackend();
-    forEachRow(h, pool, [&](size_t y) { rows.bilateralRow(ctx, y); });
+    forEachRow(h, pool, [&](size_t y) { backend.bilateralRow(ctx, y); });
 }
 
 void
@@ -170,7 +182,7 @@ halfSampleRobustKernel(Image<float> &out, const Image<float> &in,
 {
     const size_t w = in.width() / 2;
     const size_t h = in.height() / 2;
-    out.resize(w, h);
+    sizeForOverwrite(out, w, h);
 
     forEachRow(h, pool, [&](size_t y) {
         for (size_t x = 0; x < w; ++x) {
@@ -211,7 +223,7 @@ depth2vertexKernel(Image<Vec3f> &out, const Image<float> &depth,
 {
     const size_t w = depth.width();
     const size_t h = depth.height();
-    out.resize(w, h);
+    sizeForOverwrite(out, w, h);
 
     forEachRow(h, pool, [&](size_t y) {
         for (size_t x = 0; x < w; ++x) {
@@ -266,17 +278,13 @@ vertex2normalPixels(const Vertex2NormalContext &ctx, size_t y,
 void
 vertex2normalKernel(Image<Vec3f> &out, const Image<Vec3f> &vertex,
                     support::ThreadPool *pool,
-                    const KernelBackend *backend)
+                    const KernelBackend &backend)
 {
-    // Every pixel is written, so an image of the right size (the
-    // pyramid's, from the previous frame) is not cleared first.
-    if (out.width() != vertex.width() || out.height() != vertex.height())
-        out.resize(vertex.width(), vertex.height());
+    sizeForOverwrite(out, vertex.width(), vertex.height());
     const Vertex2NormalContext ctx{vertex.data(), out.data(),
                                    vertex.width(), vertex.height()};
-    const KernelBackend &rows = backend ? *backend : scalarKernelBackend();
     forEachRow(ctx.height, pool,
-               [&](size_t y) { rows.vertex2normalRow(ctx, y); });
+               [&](size_t y) { backend.vertex2normalRow(ctx, y); });
 }
 
 } // namespace slambench::kfusion

@@ -54,13 +54,12 @@ class KernelBackend;
  * @param gaussian_delta Spatial sigma, pixels.
  * @param e_delta Range sigma, meters.
  * @param pool Optional worker pool.
- * @param backend Kernel backend filtering each row (nullptr = scalar
- *                reference).
+ * @param backend Kernel backend filtering each row.
  */
 void bilateralFilterKernel(Image<float> &out, const Image<float> &in,
                            int radius, float gaussian_delta,
                            float e_delta, support::ThreadPool *pool,
-                           const KernelBackend *backend = nullptr);
+                           const KernelBackend &backend);
 
 /**
  * Inputs and output of one bilateral filter call (radius >= 1), as
@@ -118,12 +117,11 @@ void depth2vertexKernel(Image<Vec3f> &out, const Image<float> &depth,
  * @param[out] out Unit normal per pixel; (0,0,0) marks invalid.
  * @param vertex Vertex map.
  * @param pool Optional worker pool.
- * @param backend Kernel backend computing each row (nullptr = scalar
- *                reference).
+ * @param backend Kernel backend computing each row.
  */
 void vertex2normalKernel(Image<Vec3f> &out, const Image<Vec3f> &vertex,
                          support::ThreadPool *pool,
-                         const KernelBackend *backend = nullptr);
+                         const KernelBackend &backend);
 
 /**
  * Input and output of one vertex2normal call, as vertex2normalKernel

@@ -124,17 +124,17 @@ KFusion::preprocess(const support::Image<uint16_t> &depth_mm,
     }
     {
         KernelTimer timer(work, KernelId::BilateralFilter);
-        bilateralFilterKernel(filteredDepth_, rawDepth_,
+        bilateralFilterKernel(pyramid_[0].depth, rawDepth_,
                               config_.filterRadius,
                               config_.gaussianDelta, config_.eDelta,
-                              pool_.get(), backend_);
+                              pool_.get(), *backend_);
         work.addItems(
             KernelId::BilateralFilter,
-            static_cast<double>(filteredDepth_.size()) *
+            static_cast<double>(pyramid_[0].depth.size()) *
                 bilateralItemsPerPixel(config_.filterRadius));
         work.addBytes(
             KernelId::BilateralFilter,
-            static_cast<double>(filteredDepth_.size()) *
+            static_cast<double>(pyramid_[0].depth.size()) *
                 (bilateralItemsPerPixel(config_.filterRadius) * 4.0 +
                  4.0));
     }
@@ -144,7 +144,6 @@ void
 KFusion::buildPyramid(WorkCounts &work)
 {
     TRACE_SCOPE("build_pyramid");
-    pyramid_[0].depth = filteredDepth_;
     for (size_t l = 1; l < pyramid_.size(); ++l) {
         KernelTimer timer(work, KernelId::HalfSample);
         halfSampleRobustKernel(pyramid_[l].depth,
@@ -171,7 +170,7 @@ KFusion::buildPyramid(WorkCounts &work)
         {
             KernelTimer timer(work, KernelId::Vertex2Normal);
             vertex2normalKernel(pyramid_[l].normal, pyramid_[l].vertex,
-                                pool_.get(), backend_);
+                                pool_.get(), *backend_);
             work.addItems(
                 KernelId::Vertex2Normal,
                 static_cast<double>(pyramid_[l].normal.size()));
@@ -233,7 +232,7 @@ KFusion::processFrame(const support::Image<uint16_t> &depth_mm)
         result.tracking = icpTrack(
             pose_, pyramid_, raycastVertex_, raycastNormal_,
             scaledIntrinsics_, raycastPose_, config_, work,
-            pool_.get(), &lastTrackData_, backend_);
+            pool_.get(), *backend_, &lastTrackData_);
     } else {
         // Tracking skipped this frame: reuse the previous pose.
         result.tracking.tracked = true;
@@ -249,7 +248,7 @@ KFusion::processFrame(const support::Image<uint16_t> &depth_mm)
             [&](auto &volume) {
                 volume.integrate(rawDepth_, scaledIntrinsics_, pose_,
                                  config_.mu, config_.maxWeight, work,
-                                 pool_.get(), backend_);
+                                 pool_.get(), *backend_);
                 return volume.memoryStats();
             },
             volume_);
@@ -268,7 +267,7 @@ KFusion::processFrame(const support::Image<uint16_t> &depth_mm)
             [&](const auto &volume) {
                 raycastKernel(raycastVertex_, raycastNormal_, volume,
                               scaledIntrinsics_, pose_, raycastParams(),
-                              work, pool_.get(), backend_);
+                              work, pool_.get(), *backend_);
             },
             volume_);
         raycastSteps_ = work.itemsFor(KernelId::Raycast) - steps_before;
@@ -316,7 +315,7 @@ KFusion::renderModel(support::Image<support::Rgb8> &out,
             [&](const auto &volume) {
                 renderVolumeKernel(out, volume, k, view_pose,
                                    raycastParams(), work, pool_.get(),
-                                   backend_);
+                                   *backend_);
             },
             volume_);
     }

@@ -174,9 +174,9 @@ class KFusion
     TsdfMap volume_;
     math::Mat4f pose_;
 
-    // Preprocessing scratch (level-0 depth after bilateral filter).
+    // Preprocessing output: metric depth, and the tracking pyramid,
+    // whose level-0 depth preprocess filters into.
     support::Image<float> rawDepth_;
-    support::Image<float> filteredDepth_;
     std::vector<PyramidLevel> pyramid_;
 
     // Model (reference) maps from the last raycast.

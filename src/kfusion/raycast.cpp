@@ -160,7 +160,7 @@ raycastKernelImpl(support::Image<Vec3f> &vertex_out,
                   const math::Mat4f &camera_to_world,
                   const RaycastParams &params, WorkCounts &counts,
                   support::ThreadPool *pool,
-                  const KernelBackend *backend)
+                  const KernelBackend &backend)
 {
     KernelTimer timer(counts, KernelId::Raycast);
     const size_t w = intrinsics.width;
@@ -169,8 +169,7 @@ raycastKernelImpl(support::Image<Vec3f> &vertex_out,
     normal_out.resize(w, h);
 
     const MarchTotals total = marchImage(
-        volume, backend ? *backend : scalarKernelBackend(), intrinsics,
-        camera_to_world, params, pool,
+        volume, backend, intrinsics, camera_to_world, params, pool,
         [&](size_t x, size_t y, bool found, const Vec3f &hit,
             const Vec3f &g) {
             if (found && !degenerateGradient(g)) {
@@ -220,7 +219,7 @@ renderVolumeKernelImpl(support::Image<support::Rgb8> &out,
                        const math::Mat4f &camera_to_world,
                        const RaycastParams &params, WorkCounts &counts,
                        support::ThreadPool *pool,
-                       const KernelBackend *backend)
+                       const KernelBackend &backend)
 {
     KernelTimer timer(counts, KernelId::RenderVolume);
     const size_t w = intrinsics.width;
@@ -228,8 +227,7 @@ renderVolumeKernelImpl(support::Image<support::Rgb8> &out,
     out.resize(w, h);
 
     const MarchTotals total = marchImage(
-        volume, backend ? *backend : scalarKernelBackend(), intrinsics,
-        camera_to_world, params, pool,
+        volume, backend, intrinsics, camera_to_world, params, pool,
         [&](size_t x, size_t y, bool found, const Vec3f &,
             const Vec3f &g) {
             out(x, y) = found && !degenerateGradient(g)
@@ -302,7 +300,7 @@ raycastKernel(support::Image<Vec3f> &vertex_out,
               const math::CameraIntrinsics &intrinsics,
               const math::Mat4f &camera_to_world,
               const RaycastParams &params, WorkCounts &counts,
-              support::ThreadPool *pool, const KernelBackend *backend)
+              support::ThreadPool *pool, const KernelBackend &backend)
 {
     raycastKernelImpl(vertex_out, normal_out, volume, intrinsics,
                       camera_to_world, params, counts, pool, backend);
@@ -315,7 +313,7 @@ raycastKernel(support::Image<Vec3f> &vertex_out,
               const math::CameraIntrinsics &intrinsics,
               const math::Mat4f &camera_to_world,
               const RaycastParams &params, WorkCounts &counts,
-              support::ThreadPool *pool, const KernelBackend *backend)
+              support::ThreadPool *pool, const KernelBackend &backend)
 {
     raycastKernelImpl(vertex_out, normal_out, volume, intrinsics,
                       camera_to_world, params, counts, pool, backend);
@@ -328,7 +326,7 @@ renderVolumeKernel(support::Image<support::Rgb8> &out,
                    const math::Mat4f &camera_to_world,
                    const RaycastParams &params, WorkCounts &counts,
                    support::ThreadPool *pool,
-                   const KernelBackend *backend)
+                   const KernelBackend &backend)
 {
     renderVolumeKernelImpl(out, volume, intrinsics, camera_to_world,
                            params, counts, pool, backend);
@@ -341,7 +339,7 @@ renderVolumeKernel(support::Image<support::Rgb8> &out,
                    const math::Mat4f &camera_to_world,
                    const RaycastParams &params, WorkCounts &counts,
                    support::ThreadPool *pool,
-                   const KernelBackend *backend)
+                   const KernelBackend &backend)
 {
     renderVolumeKernelImpl(out, volume, intrinsics, camera_to_world,
                            params, counts, pool, backend);

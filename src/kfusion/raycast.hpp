@@ -43,7 +43,7 @@ struct RaycastParams
  *                       unit is marching steps taken).
  * @param pool Optional worker pool.
  * @param backend Kernel backend casting the rays and evaluating the
- *                gradients (nullptr = scalar reference).
+ *                gradients.
  */
 void raycastKernel(support::Image<math::Vec3f> &vertex_out,
                    support::Image<math::Vec3f> &normal_out,
@@ -52,7 +52,7 @@ void raycastKernel(support::Image<math::Vec3f> &vertex_out,
                    const math::Mat4f &camera_to_world,
                    const RaycastParams &params, WorkCounts &counts,
                    support::ThreadPool *pool,
-                   const KernelBackend *backend = nullptr);
+                   const KernelBackend &backend);
 
 /**
  * Shaded rendering of the current model (the GUI's right pane).
@@ -65,7 +65,7 @@ void raycastKernel(support::Image<math::Vec3f> &vertex_out,
  * @param[in,out] counts Work accounting (RenderVolume kernel).
  * @param pool Optional worker pool.
  * @param backend Kernel backend casting the rays and evaluating the
- *                gradients (nullptr = scalar reference).
+ *                gradients.
  */
 void renderVolumeKernel(support::Image<support::Rgb8> &out,
                         const TsdfVolume &volume,
@@ -73,7 +73,7 @@ void renderVolumeKernel(support::Image<support::Rgb8> &out,
                         const math::Mat4f &camera_to_world,
                         const RaycastParams &params, WorkCounts &counts,
                         support::ThreadPool *pool,
-                        const KernelBackend *backend = nullptr);
+                        const KernelBackend &backend);
 
 /**
  * Shaded rendering from a raycast's normal map instead of a second
@@ -135,7 +135,7 @@ void raycastKernel(support::Image<math::Vec3f> &vertex_out,
                    const math::Mat4f &camera_to_world,
                    const RaycastParams &params, WorkCounts &counts,
                    support::ThreadPool *pool,
-                   const KernelBackend *backend = nullptr);
+                   const KernelBackend &backend);
 
 /** Sparse-volume shaded render (see renderVolumeKernel above). */
 void renderVolumeKernel(support::Image<support::Rgb8> &out,
@@ -144,7 +144,7 @@ void renderVolumeKernel(support::Image<support::Rgb8> &out,
                         const math::Mat4f &camera_to_world,
                         const RaycastParams &params, WorkCounts &counts,
                         support::ThreadPool *pool,
-                        const KernelBackend *backend = nullptr);
+                        const KernelBackend &backend);
 
 } // namespace slambench::kfusion
 

@@ -316,11 +316,9 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
                             const Mat4f &camera_to_world, float mu,
                             float max_weight, WorkCounts &counts,
                             support::ThreadPool *pool,
-                            const KernelBackend *backend)
+                            const KernelBackend &backend)
 {
     KernelTimer timer(counts, KernelId::Integrate);
-    const KernelBackend &kernels =
-        backend ? *backend : scalarKernelBackend();
     const Mat4f world_to_camera = camera_to_world.rigidInverse();
     const float vs = voxelSize();
     const int res = resolution_;
@@ -491,7 +489,7 @@ SparseTsdfVolume::integrate(const support::Image<float> &depth,
                         const int z_lim =
                             std::min(z_stop, block_z0 + bs);
                         uint64_t block_dirty = 0;
-                        kernels.integrateColumn(
+                        backend.integrateColumn(
                             ctx, dest[j] + col_off, z - block_z0,
                             z_lim - block_z0, pos, &block_dirty);
                         if (block_dirty)

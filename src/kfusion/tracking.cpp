@@ -111,7 +111,7 @@ trackKernel(support::Image<TrackData> &track_data,
             const math::CameraIntrinsics &ref_intrinsics,
             const Mat4f &ref_pose, float dist_threshold,
             float normal_threshold, support::ThreadPool *pool,
-            IcpResidual residual, const KernelBackend *backend)
+            const KernelBackend &backend, IcpResidual residual)
 {
     const size_t w = live_vertex.width();
     const size_t h = live_vertex.height();
@@ -136,8 +136,7 @@ trackKernel(support::Image<TrackData> &track_data,
     ctx.distThreshold = dist_threshold;
     ctx.normalThreshold = normal_threshold;
     ctx.residual = residual;
-    const KernelBackend &rows = backend ? *backend : scalarKernelBackend();
-    auto process_row = [&](size_t y) { rows.trackRow(ctx, y); };
+    auto process_row = [&](size_t y) { backend.trackRow(ctx, y); };
 
     if (pool) {
         pool->parallelFor(0, h, process_row);
@@ -149,17 +148,15 @@ trackKernel(support::Image<TrackData> &track_data,
 
 ReductionResult
 reduceKernel(const support::Image<TrackData> &track_data,
-             support::ThreadPool *pool, const KernelBackend *backend)
+             support::ThreadPool *pool, const KernelBackend &backend)
 {
     // The reduction is associative; compute per-chunk partials and
     // merge. The sequential path is a single chunk. The per-chunk
     // body lives in the kernel backend (the scalar backend carries
     // the original reduce_range loop).
-    const KernelBackend &be =
-        backend ? *backend : scalarKernelBackend();
     auto reduce_range = [&](size_t begin,
                             size_t end) -> ReductionResult {
-        return be.reduceRange(track_data, begin, end);
+        return backend.reduceRange(track_data, begin, end);
     };
 
     ReductionResult total;
@@ -247,8 +244,8 @@ icpTrack(Mat4f &pose, const std::vector<PyramidLevel> &live,
          const math::CameraIntrinsics &ref_intrinsics,
          const Mat4f &ref_pose, const KFusionConfig &config,
          WorkCounts &counts, support::ThreadPool *pool,
-         support::Image<TrackData> *final_track_data,
-         const KernelBackend *backend)
+         const KernelBackend &backend,
+         support::Image<TrackData> *final_track_data)
 {
     TRACE_SCOPE("icp_track");
     TrackingStats stats;
@@ -273,8 +270,8 @@ icpTrack(Mat4f &pose, const std::vector<PyramidLevel> &live,
                             pose, ref_vertex, ref_normal,
                             ref_intrinsics, ref_pose,
                             config.distThreshold,
-                            config.normalThreshold, pool,
-                            config.icpResidual, backend);
+                            config.normalThreshold, pool, backend,
+                            config.icpResidual);
                 counts.addItems(
                     KernelId::Track,
                     static_cast<double>(level.vertex.size()));

@@ -78,10 +78,10 @@ struct PyramidLevel
  * @param config Gates, per-level iterations, convergence threshold.
  * @param[in,out] counts Work accounting (Track/Reduce/Solve).
  * @param pool Optional worker pool.
+ * @param backend Kernel backend running the track rows and the
+ *                reduction.
  * @param[out] final_track_data When non-null, receives the per-pixel
  *             records of the last executed iteration (GUI pane).
- * @param backend Kernel backend running the track rows and the
- *                reduction (nullptr = scalar reference).
  * @return residual statistics and whether the pose was accepted.
  */
 TrackingStats icpTrack(math::Mat4f &pose,
@@ -92,9 +92,9 @@ TrackingStats icpTrack(math::Mat4f &pose,
                        const math::Mat4f &ref_pose,
                        const KFusionConfig &config, WorkCounts &counts,
                        support::ThreadPool *pool,
+                       const KernelBackend &backend,
                        support::Image<TrackData> *final_track_data =
-                           nullptr,
-                       const KernelBackend *backend = nullptr);
+                           nullptr);
 
 /**
  * One correspondence+residual evaluation over a full image (exposed
@@ -114,12 +114,11 @@ TrackingStats icpTrack(math::Mat4f &pose,
  * @param dist_threshold Distance gate, meters.
  * @param normal_threshold Normal-agreement gate, cosine.
  * @param pool Optional worker pool.
+ * @param backend Kernel backend tracking each row.
  * @param residual Residual formulation: point-to-plane projects the
  *                 correspondence difference onto the reference
  *                 normal; point-to-point projects it onto its own
  *                 direction (classic ICP distance, linearized).
- * @param backend Kernel backend tracking each row (nullptr = scalar
- *                reference).
  */
 void trackKernel(support::Image<TrackData> &track_data,
                  const support::Image<math::Vec3f> &live_vertex,
@@ -130,8 +129,8 @@ void trackKernel(support::Image<TrackData> &track_data,
                  const math::CameraIntrinsics &ref_intrinsics,
                  const math::Mat4f &ref_pose, float dist_threshold,
                  float normal_threshold, support::ThreadPool *pool,
-                 IcpResidual residual = IcpResidual::PointToPlane,
-                 const KernelBackend *backend = nullptr);
+                 const KernelBackend &backend,
+                 IcpResidual residual = IcpResidual::PointToPlane);
 
 /**
  * Inputs and output of one trackKernel call (its loop invariants),
@@ -180,12 +179,11 @@ struct ReductionResult
  *
  * @param track_data Per-pixel records from trackKernel.
  * @param pool Optional worker pool (chunked partial sums).
- * @param backend Kernel backend running each chunk's reduction
- *                (nullptr = scalar reference).
+ * @param backend Kernel backend running each chunk's reduction.
  */
 ReductionResult reduceKernel(const support::Image<TrackData> &track_data,
                              support::ThreadPool *pool,
-                             const KernelBackend *backend = nullptr);
+                             const KernelBackend &backend);
 
 /**
  * Solve the reduced system and left-multiply the pose by exp(twist).

@@ -194,11 +194,10 @@ TsdfVolume::integrate(const support::Image<float> &depth,
                       const Mat4f &camera_to_world, float mu,
                       float max_weight, WorkCounts &counts,
                       support::ThreadPool *pool,
-                      const KernelBackend *backend)
+                      const KernelBackend &backend)
 {
     integrateImpl(depth, intrinsics, camera_to_world, mu, max_weight,
-                  counts, pool, /*cull=*/true,
-                  backend ? *backend : scalarKernelBackend());
+                  counts, pool, /*cull=*/true, backend);
 }
 
 void

@@ -354,15 +354,14 @@ class TsdfVolume
      * @param max_weight Weight saturation bound.
      * @param[in,out] counts Work accounting (Integrate kernel).
      * @param pool Optional worker pool.
-     * @param backend Kernel backend fusing the columns (nullptr =
-     *                scalar reference).
+     * @param backend Kernel backend fusing the columns.
      */
     void integrate(const support::Image<float> &depth,
                    const CameraIntrinsics &intrinsics,
                    const Mat4f &camera_to_world, float mu,
                    float max_weight, WorkCounts &counts,
                    support::ThreadPool *pool,
-                   const KernelBackend *backend = nullptr);
+                   const KernelBackend &backend);
 
     /**
      * Reference integration: identical per-voxel math but every voxel

@@ -211,7 +211,8 @@ TEST(Bilateral, SmoothsGaussianNoise)
     for (size_t i = 0; i < in.size(); ++i)
         in[i] = 2.0f + static_cast<float>(rng.normal(0.0, 0.01));
     Image<float> out;
-    bilateralFilterKernel(out, in, 2, 4.0f, 0.1f, nullptr);
+    bilateralFilterKernel(out, in, 2, 4.0f, 0.1f, nullptr,
+                          scalarKernelBackend());
 
     double var_in = 0.0, var_out = 0.0;
     for (size_t i = 0; i < in.size(); ++i) {
@@ -229,7 +230,8 @@ TEST(Bilateral, PreservesSharpEdges)
         for (size_t x = 0; x < 32; ++x)
             in(x, y) = x < 16 ? 1.0f : 3.0f;
     Image<float> out;
-    bilateralFilterKernel(out, in, 2, 4.0f, 0.1f, nullptr);
+    bilateralFilterKernel(out, in, 2, 4.0f, 0.1f, nullptr,
+                          scalarKernelBackend());
     EXPECT_NEAR(out(15, 4), 1.0f, 1e-4f);
     EXPECT_NEAR(out(16, 4), 3.0f, 1e-4f);
 }
@@ -239,7 +241,8 @@ TEST(Bilateral, InvalidPixelsStayInvalidAndDoNotBleed)
     Image<float> in(16, 16, 2.0f);
     in(8, 8) = 0.0f;
     Image<float> out;
-    bilateralFilterKernel(out, in, 2, 4.0f, 0.1f, nullptr);
+    bilateralFilterKernel(out, in, 2, 4.0f, 0.1f, nullptr,
+                          scalarKernelBackend());
     EXPECT_FLOAT_EQ(out(8, 8), 0.0f);
     // Neighbors should remain exactly 2 (hole contributes nothing).
     EXPECT_NEAR(out(7, 8), 2.0f, 1e-5f);
@@ -252,7 +255,8 @@ TEST(Bilateral, RadiusZeroIsIdentity)
     for (size_t i = 0; i < in.size(); ++i)
         in[i] = static_cast<float>(rng.uniform(1.0, 3.0));
     Image<float> out;
-    bilateralFilterKernel(out, in, 0, 4.0f, 0.1f, nullptr);
+    bilateralFilterKernel(out, in, 0, 4.0f, 0.1f, nullptr,
+                          scalarKernelBackend());
     for (size_t i = 0; i < in.size(); ++i)
         EXPECT_FLOAT_EQ(out[i], in[i]);
 }
@@ -324,7 +328,7 @@ TEST(Vertex2Normal, FlatPlaneGivesConstantNormal)
     Image<float> depth(32, 32, 2.0f);
     Image<Vec3f> vertex, normal;
     depth2vertexKernel(vertex, depth, k, nullptr);
-    vertex2normalKernel(normal, vertex, nullptr);
+    vertex2normalKernel(normal, vertex, nullptr, scalarKernelBackend());
     for (size_t y = 4; y < 28; ++y) {
         for (size_t x = 4; x < 28; ++x) {
             const Vec3f n = normal(x, y);
@@ -341,7 +345,7 @@ TEST(Vertex2Normal, BorderAndInvalidAreZero)
     depth(3, 3) = 0.0f;
     Image<Vec3f> vertex, normal;
     depth2vertexKernel(vertex, depth, k, nullptr);
-    vertex2normalKernel(normal, vertex, nullptr);
+    vertex2normalKernel(normal, vertex, nullptr, scalarKernelBackend());
     EXPECT_EQ(normal(7, 7).squaredNorm(), 0.0f); // border
     EXPECT_EQ(normal(3, 3).squaredNorm(), 0.0f); // invalid center
     EXPECT_EQ(normal(2, 3).squaredNorm(), 0.0f); // neighbor of hole
@@ -366,8 +370,10 @@ TEST_P(ImplEquivalence, AllKernelsMatch)
         ASSERT_FLOAT_EQ(d_seq[i], d_par[i]);
 
     Image<float> f_seq, f_par;
-    bilateralFilterKernel(f_seq, d_seq, 2, 4.0f, 0.1f, nullptr);
-    bilateralFilterKernel(f_par, d_seq, 2, 4.0f, 0.1f, &pool);
+    bilateralFilterKernel(f_seq, d_seq, 2, 4.0f, 0.1f, nullptr,
+                          scalarKernelBackend());
+    bilateralFilterKernel(f_par, d_seq, 2, 4.0f, 0.1f, &pool,
+                          scalarKernelBackend());
     for (size_t i = 0; i < f_seq.size(); ++i)
         ASSERT_FLOAT_EQ(f_seq[i], f_par[i]);
 
@@ -384,14 +390,86 @@ TEST_P(ImplEquivalence, AllKernelsMatch)
         ASSERT_EQ(v_seq[i], v_par[i]);
 
     Image<Vec3f> n_seq, n_par;
-    vertex2normalKernel(n_seq, v_seq, nullptr);
-    vertex2normalKernel(n_par, v_seq, &pool);
+    vertex2normalKernel(n_seq, v_seq, nullptr, scalarKernelBackend());
+    vertex2normalKernel(n_par, v_seq, &pool, scalarKernelBackend());
     for (size_t i = 0; i < n_seq.size(); ++i)
         ASSERT_EQ(n_seq[i], n_par[i]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ImplEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5, 11, 17, 23));
+
+// --- an output of the right size is overwritten, not cleared ---
+
+/** A @p w x @p h image whose every byte is 0xa5 (non-zero floats). */
+template <typename T>
+Image<T>
+prefilled(size_t w, size_t h)
+{
+    Image<T> img(w, h);
+    std::memset(static_cast<void *>(img.data()), 0xa5,
+                img.size() * sizeof(T));
+    return img;
+}
+
+template <typename T>
+bool
+sameBytes(const Image<T> &a, const Image<T> &b)
+{
+    return a.width() == b.width() && a.height() == b.height() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+TEST(OutputReuse, PrefilledOutputMatchesFresh)
+{
+    // The preprocessing kernels keep an output that already has the
+    // right size (the pipeline's, from the previous frame) instead of
+    // clearing it, so none of its old bytes may survive the call.
+    ThreadPool pool(3);
+    const auto k = CameraIntrinsics::fromFov(40, 30, 1.0f);
+    const Image<uint16_t> raw = randomDepthMm(80, 60, 7, 0.2);
+    for (ThreadPool *p : {static_cast<ThreadPool *>(nullptr), &pool}) {
+        Image<float> depth;
+        mm2metersKernel(depth, raw, 2, p);
+        Image<float> depth_reused = prefilled<float>(40, 30);
+        mm2metersKernel(depth_reused, raw, 2, p);
+        EXPECT_TRUE(sameBytes(depth, depth_reused)) << "mm2meters";
+
+        Image<float> half;
+        halfSampleRobustKernel(half, depth, 0.3f, p);
+        Image<float> half_reused = prefilled<float>(20, 15);
+        halfSampleRobustKernel(half_reused, depth, 0.3f, p);
+        EXPECT_TRUE(sameBytes(half, half_reused)) << "half_sample";
+
+        Image<Vec3f> vertex;
+        depth2vertexKernel(vertex, depth, k, p);
+        Image<Vec3f> vertex_reused = prefilled<Vec3f>(40, 30);
+        depth2vertexKernel(vertex_reused, depth, k, p);
+        EXPECT_TRUE(sameBytes(vertex, vertex_reused)) << "depth2vertex";
+
+        for (const std::string &name : kernelBackendNames()) {
+            const KernelBackend &backend = *findKernelBackend(name);
+            for (int radius : {0, 2}) {
+                Image<float> filtered;
+                bilateralFilterKernel(filtered, depth, radius, 4.0f,
+                                      0.1f, p, backend);
+                Image<float> filtered_reused = prefilled<float>(40, 30);
+                bilateralFilterKernel(filtered_reused, depth, radius,
+                                      4.0f, 0.1f, p, backend);
+                EXPECT_TRUE(sameBytes(filtered, filtered_reused))
+                    << "bilateral_filter radius " << radius << " on "
+                    << name;
+            }
+
+            Image<Vec3f> normal;
+            vertex2normalKernel(normal, vertex, p, backend);
+            Image<Vec3f> normal_reused = prefilled<Vec3f>(40, 30);
+            vertex2normalKernel(normal_reused, vertex, p, backend);
+            EXPECT_TRUE(sameBytes(normal, normal_reused))
+                << "vertex2normal on " << name;
+        }
+    }
+}
 
 TEST(WorkHelpers, BilateralItemsPerPixel)
 {
@@ -405,7 +483,13 @@ TEST(BackendRegistry, BuiltinsAreRegistered)
     EXPECT_EQ(kernelBackendNames(),
               (std::vector<std::string>{"scalar", "simd"}));
     EXPECT_EQ(findKernelBackend("scalar"), &scalarKernelBackend());
-    EXPECT_NE(findKernelBackend("simd"), nullptr);
+    // The simd row answers to its name on every host, and it is the
+    // AVX2 backend exactly when that backend runs here.
+    const KernelBackend *simd = findKernelBackend("simd");
+    ASSERT_NE(simd, nullptr);
+    EXPECT_STREQ(simd->name(), "simd");
+    EXPECT_NE(simd, &scalarKernelBackend());
+    EXPECT_EQ(simd == detail::avx2Backend(), simdBackendIsAccelerated());
     // "auto" is a resolver keyword, never a backend name.
     EXPECT_EQ(findKernelBackend("auto"), nullptr);
     EXPECT_EQ(findKernelBackend("mixed"), nullptr);

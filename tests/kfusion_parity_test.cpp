@@ -88,7 +88,7 @@ checkCulledMatchesDense(const Mat4f &pose, uint64_t seed)
     TsdfVolume dense(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
     WorkCounts culled_counts, dense_counts;
     culled.integrate(depth, k, pose, 0.1f, 100.0f, culled_counts,
-                     nullptr);
+                     nullptr, scalarKernelBackend());
     dense.integrateDense(depth, k, pose, 0.1f, 100.0f, dense_counts,
                          nullptr);
     expectBitIdentical(culled, dense);
@@ -167,9 +167,9 @@ TEST(IntegrateParity, CulledMatchesDensePooled)
     for (const Mat4f &pose : poses) {
         const Image<float> depth = makeDepth(k, seed++);
         culled_serial.integrate(depth, k, pose, 0.1f, 100.0f, counts,
-                                nullptr);
+                                nullptr, scalarKernelBackend());
         culled_pooled.integrate(depth, k, pose, 0.1f, 100.0f, counts,
-                                &pool);
+                                &pool, scalarKernelBackend());
         dense_pooled.integrateDense(depth, k, pose, 0.1f, 100.0f,
                                     counts, &pool);
     }
@@ -189,10 +189,10 @@ class FusedVolume : public ::testing::Test
         WorkCounts counts;
         Image<float> wall(k_.width, k_.height, 1.0f);
         volume_.integrate(wall, k_, Mat4f{}, 0.1f, 100.0f, counts,
-                          nullptr);
+                          nullptr, scalarKernelBackend());
         const Image<float> depth = makeDepth(k_, 31);
         volume_.integrate(depth, k_, Mat4f{}, 0.1f, 100.0f, counts,
-                          nullptr);
+                          nullptr, scalarKernelBackend());
     }
 
     TsdfVolume volume_;
@@ -256,9 +256,9 @@ TEST_F(FusedVolume, RaycastPooledMatchesSerial)
     WorkCounts counts;
     ThreadPool pool(3);
     raycastKernel(vertex_s, normal_s, volume_, k_, Mat4f{}, params,
-                  counts, nullptr);
+                  counts, nullptr, scalarKernelBackend());
     raycastKernel(vertex_p, normal_p, volume_, k_, Mat4f{}, params,
-                  counts, &pool);
+                  counts, &pool, scalarKernelBackend());
     ASSERT_EQ(vertex_s.size(), vertex_p.size());
     for (size_t i = 0; i < vertex_s.size(); ++i) {
         ASSERT_EQ(vertex_s[i].x, vertex_p[i].x) << "pixel " << i;
@@ -277,9 +277,9 @@ TEST_F(FusedVolume, RenderVolumePooledMatchesSerial)
     WorkCounts counts;
     ThreadPool pool(3);
     renderVolumeKernel(serial, volume_, k_, Mat4f{}, params, counts,
-                       nullptr);
+                       nullptr, scalarKernelBackend());
     renderVolumeKernel(pooled, volume_, k_, Mat4f{}, params, counts,
-                       &pool);
+                       &pool, scalarKernelBackend());
     ASSERT_EQ(serial.size(), pooled.size());
     for (size_t i = 0; i < serial.size(); ++i) {
         ASSERT_EQ(serial[i].r, pooled[i].r) << "pixel " << i;
@@ -368,7 +368,7 @@ TEST(BackendParity, IntegrateMatchesScalarDense)
         for (const Mat4f &pose : poses) {
             const Image<float> depth = makeDepth(k, seed++);
             tested.integrate(depth, k, pose, 0.1f, 100.0f, counts,
-                             nullptr, backend);
+                             nullptr, *backend);
             dense.integrateDense(depth, k, pose, 0.1f, 100.0f,
                                  counts, nullptr);
         }
@@ -390,7 +390,7 @@ TEST(BackendParity, IntegrateMatchesScalarWithInvalidDepth)
         TsdfVolume dense(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
         WorkCounts counts;
         tested.integrate(depth, k, Mat4f{}, 0.1f, 100.0f, counts,
-                         nullptr, backend);
+                         nullptr, *backend);
         dense.integrateDense(depth, k, Mat4f{}, 0.1f, 100.0f, counts,
                              nullptr);
         expectBitIdentical(tested, dense);
@@ -423,12 +423,12 @@ TEST_F(FusedVolume, BackendRaycastMatchesScalar)
     Image<Vec3f> vertex_ref, normal_ref;
     WorkCounts counts;
     raycastKernel(vertex_ref, normal_ref, volume_, k_, Mat4f{},
-                  params, counts, nullptr);
+                  params, counts, nullptr, scalarKernelBackend());
     for (const KernelBackend *backend : nonScalarBackends()) {
         SCOPED_TRACE(backend->name());
         Image<Vec3f> vertex, normal;
         raycastKernel(vertex, normal, volume_, k_, Mat4f{}, params,
-                      counts, nullptr, backend);
+                      counts, nullptr, *backend);
         ASSERT_EQ(vertex.size(), vertex_ref.size());
         for (size_t i = 0; i < vertex.size(); ++i) {
             ASSERT_EQ(vertex[i].x, vertex_ref[i].x) << "pixel " << i;
@@ -453,12 +453,12 @@ TEST_F(FusedVolume, BackendRaycastMatchesScalarObliqueView)
     Image<Vec3f> vertex_ref, normal_ref;
     WorkCounts counts;
     raycastKernel(vertex_ref, normal_ref, volume_, k_, view, params,
-                  counts, nullptr);
+                  counts, nullptr, scalarKernelBackend());
     for (const KernelBackend *backend : nonScalarBackends()) {
         SCOPED_TRACE(backend->name());
         Image<Vec3f> vertex, normal;
         raycastKernel(vertex, normal, volume_, k_, view, params,
-                      counts, nullptr, backend);
+                      counts, nullptr, *backend);
         ASSERT_EQ(vertex.size(), vertex_ref.size());
         for (size_t i = 0; i < vertex.size(); ++i) {
             ASSERT_EQ(vertex[i].x, vertex_ref[i].x) << "pixel " << i;
@@ -477,12 +477,12 @@ TEST_F(FusedVolume, BackendRenderVolumeMatchesScalar)
     Image<slambench::support::Rgb8> reference;
     WorkCounts counts;
     renderVolumeKernel(reference, volume_, k_, Mat4f{}, params,
-                       counts, nullptr);
+                       counts, nullptr, scalarKernelBackend());
     for (const KernelBackend *backend : nonScalarBackends()) {
         SCOPED_TRACE(backend->name());
         Image<slambench::support::Rgb8> tested;
         renderVolumeKernel(tested, volume_, k_, Mat4f{}, params,
-                           counts, nullptr, backend);
+                           counts, nullptr, *backend);
         ASSERT_EQ(tested.size(), reference.size());
         for (size_t i = 0; i < tested.size(); ++i) {
             ASSERT_EQ(tested[i].r, reference[i].r) << "pixel " << i;
@@ -583,7 +583,7 @@ expectBilateralMatchesScalar(ThreadPool *pool)
             for (int radius = 0; radius <= 8; ++radius) {
                 Image<float> expect;
                 bilateralFilterKernel(expect, images[i], radius, 4.0f,
-                                      0.1f, nullptr);
+                                      0.1f, nullptr, scalarKernelBackend());
                 for (const std::string &name : kernelBackendNames()) {
                     SCOPED_TRACE(name + " width " + std::to_string(w) +
                                  " image " + std::to_string(i) +
@@ -591,7 +591,7 @@ expectBilateralMatchesScalar(ThreadPool *pool)
                     Image<float> got;
                     bilateralFilterKernel(got, images[i], radius, 4.0f,
                                           0.1f, pool,
-                                          findKernelBackend(name));
+                                          *findKernelBackend(name));
                     ASSERT_EQ(got.size(), expect.size());
                     ASSERT_EQ(std::memcmp(got.data(), expect.data(),
                                           expect.size() * sizeof(float)),
@@ -663,10 +663,12 @@ trackInputs(size_t w, size_t h, size_t ref_w, size_t ref_h,
                   .cast<float>() *
               in.refPose;
     in.liveVertex = wallVertices(live_k);
-    vertex2normalKernel(in.liveNormal, in.liveVertex, nullptr);
+    vertex2normalKernel(in.liveNormal, in.liveVertex, nullptr,
+                        scalarKernelBackend());
     const Image<Vec3f> ref_cam = wallVertices(in.refK);
     Image<Vec3f> ref_cam_normal;
-    vertex2normalKernel(ref_cam_normal, ref_cam, nullptr);
+    vertex2normalKernel(ref_cam_normal, ref_cam, nullptr,
+                        scalarKernelBackend());
     in.refVertex.resize(ref_w, ref_h);
     in.refNormal.resize(ref_w, ref_h);
     for (size_t i = 0; i < ref_cam.size(); ++i) {
@@ -746,7 +748,8 @@ expectTrackMatchesScalar(ThreadPool *pool)
                 Image<TrackData> expect = filledRecords(w, h);
                 trackKernel(expect, in.liveVertex, in.liveNormal,
                             in.pose, in.refVertex, in.refNormal, in.refK,
-                            in.refPose, 0.1f, 0.8f, nullptr, residual);
+                            in.refPose, 0.1f, 0.8f, nullptr,
+                            scalarKernelBackend(), residual);
                 for (size_t i = 0; i < expect.size(); ++i)
                     ++seen[expect[i].result];
                 for (const std::string &name : kernelBackendNames()) {
@@ -758,7 +761,7 @@ expectTrackMatchesScalar(ThreadPool *pool)
                     trackKernel(got, in.liveVertex, in.liveNormal,
                                 in.pose, in.refVertex, in.refNormal,
                                 in.refK, in.refPose, 0.1f, 0.8f, pool,
-                                residual, findKernelBackend(name));
+                                *findKernelBackend(name), residual);
                     ASSERT_EQ(got.size(), expect.size());
                     ASSERT_EQ(std::memcmp(got.data(), expect.data(),
                                           expect.size() *
@@ -813,7 +816,7 @@ TEST(BackendParity, Vertex2NormalMatchesScalar)
                 vertex[i] = vertex[i - 1];
         }
         Image<Vec3f> expect;
-        vertex2normalKernel(expect, vertex, nullptr);
+        vertex2normalKernel(expect, vertex, nullptr, scalarKernelBackend());
         size_t zeros = 0;
         for (size_t i = 0; i < expect.size(); ++i)
             zeros += expect[i] == Vec3f{};
@@ -826,7 +829,7 @@ TEST(BackendParity, Vertex2NormalMatchesScalar)
                              (p ? " pooled" : ""));
                 Image<Vec3f> got;
                 vertex2normalKernel(got, vertex, p,
-                                    findKernelBackend(name));
+                                    *findKernelBackend(name));
                 ASSERT_EQ(got.size(), expect.size());
                 ASSERT_EQ(std::memcmp(got.data(), expect.data(),
                                       expect.size() * sizeof(Vec3f)),
@@ -882,11 +885,11 @@ checkSparseMatchesDense(const Mat4f &pose, uint64_t seed)
     ThreadPool pool(3);
     WorkCounts dense_counts, serial_counts, pooled_counts;
     dense.integrate(depth, k, pose, 0.1f, 100.0f, dense_counts,
-                    nullptr);
+                    nullptr, scalarKernelBackend());
     serial.integrate(depth, k, pose, 0.1f, 100.0f, serial_counts,
-                     nullptr);
+                     nullptr, scalarKernelBackend());
     pooled.integrate(depth, k, pose, 0.1f, 100.0f, pooled_counts,
-                     &pool);
+                     &pool, scalarKernelBackend());
     expectSparseMatchesDense(serial, dense);
     expectSparseMatchesDense(pooled, dense);
     EXPECT_EQ(serial.allocatedBlocks(), pooled.allocatedBlocks());
@@ -930,7 +933,7 @@ TEST(SparseParity, MatchesDenseVolumeBehindCamera)
     WorkCounts counts;
     const auto k = CameraIntrinsics::fromFov(40, 32, 1.1f);
     sparse.integrate(makeDepth(k, 14), k, pose, 0.1f, 100.0f, counts,
-                     nullptr);
+                     nullptr, scalarKernelBackend());
     EXPECT_EQ(sparse.allocatedBlocks(), 0u);
 }
 
@@ -957,9 +960,9 @@ TEST(SparseParity, MatchesDenseAcrossFusedFramesPooled)
         for (const Mat4f &pose : poses) {
             const Image<float> depth = makeDepth(k, seed++);
             dense.integrate(depth, k, pose, 0.1f, 100.0f, counts,
-                            nullptr, backend);
+                            nullptr, *backend);
             sparse.integrate(depth, k, pose, 0.1f, 100.0f, counts,
-                             &pool, backend);
+                             &pool, *backend);
         }
         expectSparseMatchesDense(sparse, dense);
     }
@@ -975,10 +978,10 @@ class SparseFusedVolume : public FusedVolume
         WorkCounts counts;
         Image<float> wall(k_.width, k_.height, 1.0f);
         sparse_.integrate(wall, k_, Mat4f{}, 0.1f, 100.0f, counts,
-                          nullptr);
+                          nullptr, scalarKernelBackend());
         const Image<float> depth = makeDepth(k_, 31);
         sparse_.integrate(depth, k_, Mat4f{}, 0.1f, 100.0f, counts,
-                          nullptr);
+                          nullptr, scalarKernelBackend());
     }
 
     SparseTsdfVolume sparse_;
@@ -1076,14 +1079,14 @@ TEST_F(SparseFusedVolume, RaycastKernelMatchesDenseSerialAndPooled)
         Image<Vec3f> vertex_ref, normal_ref;
         WorkCounts counts;
         raycastKernel(vertex_ref, normal_ref, volume_, k_, view,
-                      params, counts, nullptr);
+                      params, counts, nullptr, scalarKernelBackend());
         for (const std::string &name : kernelBackendNames()) {
             SCOPED_TRACE(name);
             for (ThreadPool *p : {static_cast<ThreadPool *>(nullptr),
                                   &pool}) {
                 Image<Vec3f> vertex, normal;
                 raycastKernel(vertex, normal, sparse_, k_, view, params,
-                              counts, p, findKernelBackend(name));
+                              counts, p, *findKernelBackend(name));
                 ASSERT_EQ(vertex.size(), vertex_ref.size());
                 for (size_t i = 0; i < vertex.size(); ++i) {
                     ASSERT_EQ(vertex[i].x, vertex_ref[i].x)
@@ -1107,11 +1110,11 @@ TEST_F(SparseFusedVolume, RenderVolumeMatchesDense)
     WorkCounts counts;
     ThreadPool pool(3);
     renderVolumeKernel(reference, volume_, k_, Mat4f{}, params,
-                       counts, nullptr);
+                       counts, nullptr, scalarKernelBackend());
     for (const std::string &name : kernelBackendNames()) {
         SCOPED_TRACE(name);
         renderVolumeKernel(tested, sparse_, k_, Mat4f{}, params, counts,
-                           &pool, findKernelBackend(name));
+                           &pool, *findKernelBackend(name));
         ASSERT_EQ(tested.size(), reference.size());
         for (size_t i = 0; i < tested.size(); ++i) {
             ASSERT_EQ(tested[i].r, reference[i].r) << "pixel " << i;
@@ -1278,7 +1281,7 @@ sphereViews()
  */
 template <typename Volume>
 void
-fuseSphere(Volume &volume, const KernelBackend *backend, ThreadPool *pool)
+fuseSphere(Volume &volume, const KernelBackend &backend, ThreadPool *pool)
 {
     const auto k = CameraIntrinsics::fromFov(64, 48, 1.2f);
     WorkCounts counts;
@@ -1298,7 +1301,7 @@ fuseSphere(Volume &volume, const KernelBackend *backend, ThreadPool *pool)
  */
 template <typename Volume>
 void
-fuseFaceWalls(Volume &volume, const KernelBackend *backend,
+fuseFaceWalls(Volume &volume, const KernelBackend &backend,
               ThreadPool *pool)
 {
     const auto k = CameraIntrinsics::fromFov(48, 40, 0.8f);
@@ -1361,7 +1364,7 @@ void
 forEachSphereVolume(const Check &check)
 {
     forEachSkipVolume(
-        [](auto &volume) { fuseSphere(volume, nullptr, nullptr); },
+        [](auto &volume) { fuseSphere(volume, scalarKernelBackend(), nullptr); },
         check);
 }
 
@@ -1567,7 +1570,7 @@ TEST(FreeSpaceSkip, RaysAlongBrickFacesMatchNeverFree)
     forEachSphereVolume(
         [](const auto &volume) { checkRaysAlongBrickFaces(volume); });
     forEachSkipVolume(
-        [](auto &volume) { fuseFaceWalls(volume, nullptr, nullptr); },
+        [](auto &volume) { fuseFaceWalls(volume, scalarKernelBackend(), nullptr); },
         [](const auto &volume) { checkRaysAlongBrickFaces(volume); });
 }
 
@@ -1711,7 +1714,7 @@ TEST(FreeSpaceSkip, FlagInvariantHoldsAfterPooledIntegrates)
     ThreadPool pool(3);
     for (const std::string &name : kernelBackendNames()) {
         SCOPED_TRACE(name);
-        const KernelBackend *backend = findKernelBackend(name);
+        const KernelBackend &backend = *findKernelBackend(name);
         for (const bool walls : {false, true}) {
             SCOPED_TRACE(walls ? "face walls" : "sphere");
             const auto fuse = [&](auto &volume, ThreadPool *p) {
@@ -1746,7 +1749,7 @@ TEST(FreeSpaceSkip, SparseGridEqualsDenseGridAfterPooledIntegrates)
     const auto k = CameraIntrinsics::fromFov(48, 40, 1.1f);
     for (const std::string &name : kernelBackendNames()) {
         SCOPED_TRACE(name);
-        const KernelBackend *backend = findKernelBackend(name);
+        const KernelBackend &backend = *findKernelBackend(name);
         TsdfVolume dense(kSkipResolution, 2.0f, kSkipOrigin);
         SparseTsdfVolume sparse(kSkipResolution, 2.0f, kSkipOrigin);
         fuseSphere(dense, backend, &pool);
@@ -1782,7 +1785,7 @@ TEST(FreeSpaceSkip, SparseBlockFaceVoxelClearsBrickBelow)
     // holds that layer as its apron, so integrate must clear it
     // anyway.
     SparseTsdfVolume volume(kSkipResolution, 2.0f, kSkipOrigin);
-    fuseFaceWalls(volume, nullptr, nullptr);
+    fuseFaceWalls(volume, scalarKernelBackend(), nullptr);
     const FreeBrickGrid &grid = volume.freeBricks();
     int face_voxels = 0;
     for (int x = 0; x < kSkipResolution; ++x) {
@@ -1875,7 +1878,7 @@ TEST(RenderReuse, ModelRenderAtRaycastPoseMatchesMarchPooled)
             [&](const auto &volume) {
                 renderVolumeKernel(marched, volume, k, kf.pose(), params,
                                    march_work, nullptr,
-                                   &kf.kernelBackend());
+                                   kf.kernelBackend());
             },
             kf.volume());
         ASSERT_EQ(reused.size(), marched.size());

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "kfusion/backend.hpp"
 #include "kfusion/mesh.hpp"
 #include "kfusion/sparse_volume.hpp"
 #include "kfusion/volume.hpp"
@@ -227,9 +228,9 @@ TEST(SparseVolume, LookupCacheSharedAcrossVolumesReadsEachVolume)
     SparseTsdfVolume b(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
     WorkCounts counts;
     a.integrate(makeDepth(k, 61), k, Mat4f{}, 0.1f, 100.0f, counts,
-                nullptr);
+                nullptr, scalarKernelBackend());
     b.integrate(makeDepth(k, 62), k, Mat4f{}, 0.1f, 100.0f, counts,
-                nullptr);
+                nullptr, scalarKernelBackend());
     EXPECT_NE(a.id(), b.id());
 
     SparseTsdfVolume::LookupCache cache;
@@ -440,14 +441,15 @@ TEST(SparseMesh, ExtractionMatchesDenseTriangleForTriangle)
     SparseTsdfVolume sparse(48, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
     WorkCounts counts;
     Image<float> wall(k.width, k.height, 1.0f);
-    dense.integrate(wall, k, Mat4f{}, 0.1f, 100.0f, counts, nullptr);
+    dense.integrate(wall, k, Mat4f{}, 0.1f, 100.0f, counts, nullptr,
+                    scalarKernelBackend());
     sparse.integrate(wall, k, Mat4f{}, 0.1f, 100.0f, counts,
-                     nullptr);
+                     nullptr, scalarKernelBackend());
     const Image<float> depth = makeDepth(k, 31);
     dense.integrate(depth, k, Mat4f{}, 0.1f, 100.0f, counts,
-                    nullptr);
+                    nullptr, scalarKernelBackend());
     sparse.integrate(depth, k, Mat4f{}, 0.1f, 100.0f, counts,
-                     nullptr);
+                     nullptr, scalarKernelBackend());
 
     const TriangleMesh dense_mesh = extractMesh(dense);
     const TriangleMesh sparse_mesh = extractMesh(sparse);
@@ -491,7 +493,7 @@ TEST(SparseVolume, PooledIntegrationIsDeterministic)
         for (uint64_t seed = 61; seed < 64; ++seed) {
             volume.integrate(makeDepth(k, seed), k,
                              seed % 2 ? pose : Mat4f{}, 0.1f, 100.0f,
-                             counts, pool);
+                             counts, pool, scalarKernelBackend());
         }
         std::vector<Voxel> flat;
         flat.reserve(static_cast<size_t>(32) * 32 * 32);

@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "dataset/generator.hpp"
+#include "kfusion/backend.hpp"
 #include "kfusion/kernels.hpp"
 #include "kfusion/tracking.hpp"
 #include "math/se3.hpp"
@@ -32,7 +33,7 @@ buildMaps(const Image<float> &depth, const CameraIntrinsics &k,
           Image<Vec3f> &vertex, Image<Vec3f> &normal)
 {
     depth2vertexKernel(vertex, depth, k, nullptr);
-    vertex2normalKernel(normal, vertex, nullptr);
+    vertex2normalKernel(normal, vertex, nullptr, scalarKernelBackend());
 }
 
 /** Transform camera-frame maps to world frame with @p pose. */
@@ -96,8 +97,10 @@ TEST_F(IcpFixture, PerfectPoseGivesNearZeroResidual)
 {
     Image<TrackData> track;
     trackKernel(track, vertexCam_, normalCam_, pose_, refVertex_,
-                refNormal_, k_, pose_, 0.1f, 0.8f, nullptr);
-    const ReductionResult red = reduceKernel(track, nullptr);
+                refNormal_, k_, pose_, 0.1f, 0.8f, nullptr,
+                scalarKernelBackend());
+    const ReductionResult red = reduceKernel(track, nullptr,
+                                             scalarKernelBackend());
     ASSERT_GT(red.validCount, track.size() / 2);
     EXPECT_LT(std::sqrt(red.errorSq /
                         static_cast<double>(red.validCount)),
@@ -111,7 +114,8 @@ TEST_F(IcpFixture, GatesRejectFarCorrespondences)
     far_pose(0, 3) += 0.5f;
     Image<TrackData> track;
     trackKernel(track, vertexCam_, normalCam_, far_pose, refVertex_,
-                refNormal_, k_, pose_, 0.1f, 0.8f, nullptr);
+                refNormal_, k_, pose_, 0.1f, 0.8f, nullptr,
+                scalarKernelBackend());
     size_t too_far = 0, ok = 0;
     for (size_t i = 0; i < track.size(); ++i) {
         too_far += track[i].result == TrackResult::TooFar;
@@ -125,10 +129,13 @@ TEST_F(IcpFixture, ReductionSequentialMatchesThreaded)
 {
     Image<TrackData> track;
     trackKernel(track, vertexCam_, normalCam_, pose_, refVertex_,
-                refNormal_, k_, pose_, 0.1f, 0.8f, nullptr);
+                refNormal_, k_, pose_, 0.1f, 0.8f, nullptr,
+                scalarKernelBackend());
     slambench::support::ThreadPool pool(3);
-    const ReductionResult a = reduceKernel(track, nullptr);
-    const ReductionResult b = reduceKernel(track, &pool);
+    const ReductionResult a = reduceKernel(track, nullptr,
+                                           scalarKernelBackend());
+    const ReductionResult b = reduceKernel(track, &pool,
+                                           scalarKernelBackend());
     EXPECT_EQ(a.validCount, b.validCount);
     EXPECT_NEAR(a.errorSq, b.errorSq, 1e-9 * (1.0 + a.errorSq));
     for (size_t i = 0; i < a.jtj.size(); ++i)
@@ -205,7 +212,7 @@ TEST_P(IcpConvergence, RecoversPerturbedPose)
         WorkCounts counts;
         const TrackingStats stats =
             icpTrack(pose, pyramid, ref_vertex, ref_normal, k,
-                     gt_pose, config, counts, nullptr);
+                     gt_pose, config, counts, nullptr, scalarKernelBackend());
         const float pos_err =
             (pose.translationPart() - gt_pose.translationPart())
                 .norm();
@@ -256,7 +263,7 @@ TEST(IcpResidualVariant, PointToPointAlsoConverges)
     WorkCounts counts;
     const TrackingStats stats =
         icpTrack(pose, pyramid, ref_vertex, ref_normal, k, gt_pose,
-                 config, counts, nullptr);
+                 config, counts, nullptr, scalarKernelBackend());
     EXPECT_TRUE(stats.tracked);
     EXPECT_LT((pose.translationPart() - gt_pose.translationPart())
                   .norm(),
@@ -284,10 +291,10 @@ TEST(IcpResidualVariant, FormulationsDifferPerPixel)
     Image<TrackData> plane, point;
     trackKernel(plane, vertex_cam, normal_cam, off, ref_vertex,
                 ref_normal, sequence.intrinsics, gt, 0.1f, 0.8f,
-                nullptr, IcpResidual::PointToPlane);
+                nullptr, scalarKernelBackend(), IcpResidual::PointToPlane);
     trackKernel(point, vertex_cam, normal_cam, off, ref_vertex,
                 ref_normal, sequence.intrinsics, gt, 0.1f, 0.8f,
-                nullptr, IcpResidual::PointToPoint);
+                nullptr, scalarKernelBackend(), IcpResidual::PointToPoint);
     size_t differing = 0;
     size_t unit_jacobians = 0;
     for (size_t i = 0; i < plane.size(); ++i) {
@@ -321,7 +328,7 @@ TEST(IcpEdgeCases, ZeroIterationsReportsTracked)
     WorkCounts counts;
     const TrackingStats stats =
         icpTrack(pose, pyramid, ref_v, ref_n, pyramid[0].intrinsics,
-                 Mat4f{}, config, counts, nullptr);
+                 Mat4f{}, config, counts, nullptr, scalarKernelBackend());
     EXPECT_TRUE(stats.tracked);
     EXPECT_EQ(stats.iterations, 0);
 }
@@ -354,7 +361,7 @@ TEST(IcpEdgeCases, EmptyReferenceFailsGates)
     WorkCounts counts;
     const TrackingStats stats = icpTrack(
         pose, pyramid, ref_v, ref_n, sequence.intrinsics,
-        original, config, counts, nullptr);
+        original, config, counts, nullptr, scalarKernelBackend());
     EXPECT_FALSE(stats.tracked);
     for (int r = 0; r < 4; ++r)
         for (int c = 0; c < 4; ++c)
@@ -390,7 +397,7 @@ TEST(IcpEdgeCases, TrackDataExported)
     Image<TrackData> exported;
     icpTrack(pose, pyramid, ref_v, ref_n, sequence.intrinsics,
              sequence.groundTruth.pose(0), config, counts, nullptr,
-             &exported);
+             scalarKernelBackend(), &exported);
     EXPECT_EQ(exported.width(), 40u);
     EXPECT_EQ(exported.height(), 30u);
 }
@@ -422,7 +429,8 @@ TEST(IcpWork, CountsTrackReduceSolve)
     Mat4f pose = sequence.groundTruth.pose(0);
     WorkCounts counts;
     icpTrack(pose, pyramid, ref_v, ref_n, sequence.intrinsics,
-             sequence.groundTruth.pose(0), config, counts, nullptr);
+             sequence.groundTruth.pose(0), config, counts, nullptr,
+             scalarKernelBackend());
     EXPECT_DOUBLE_EQ(counts.itemsFor(KernelId::Track),
                      3.0 * 40.0 * 30.0);
     EXPECT_DOUBLE_EQ(counts.itemsFor(KernelId::Reduce),

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <vector>
 
+#include "kfusion/backend.hpp"
 #include "kfusion/raycast.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -35,7 +36,8 @@ fuseWall(TsdfVolume &volume, const CameraIntrinsics &k, float wall_z,
     Image<float> depth(k.width, k.height, wall_z);
     const Mat4f pose; // identity: camera at origin, +Z forward
     for (int i = 0; i < times; ++i)
-        volume.integrate(depth, k, pose, mu, 100.0f, counts, nullptr);
+        volume.integrate(depth, k, pose, mu, 100.0f, counts, nullptr,
+                         scalarKernelBackend());
 }
 
 class WallFixture : public ::testing::Test
@@ -133,7 +135,7 @@ TEST_F(WallFixture, RaycastKernelProducesConsistentMaps)
     Image<Vec3f> vertex, normal;
     WorkCounts counts;
     raycastKernel(vertex, normal, volume_, k_, Mat4f{}, params,
-                  counts, nullptr);
+                  counts, nullptr, scalarKernelBackend());
     ASSERT_EQ(vertex.width(), k_.width);
 
     size_t hits = 0;
@@ -166,7 +168,7 @@ TEST_F(WallFixture, RenderVolumeShadesHits)
     Image<slambench::support::Rgb8> out;
     WorkCounts counts;
     renderVolumeKernel(out, volume_, k_, Mat4f{}, params, counts,
-                       nullptr);
+                       nullptr, scalarKernelBackend());
     // Center pixel hits the wall: must not be the background color.
     const auto c = out(32, 32);
     EXPECT_FALSE(c.r == 20 && c.g == 20 && c.b == 28);
@@ -208,7 +210,7 @@ TEST(Volume, WeightSaturatesAtMax)
     Image<float> depth(32, 32, 1.0f);
     for (int i = 0; i < 8; ++i)
         volume.integrate(depth, k, Mat4f{}, 0.1f, 5.0f, counts,
-                         nullptr);
+                         nullptr, scalarKernelBackend());
     // Find a voxel near the wall and check its weight cap.
     float max_weight = 0.0f;
     for (int z = 0; z < 32; ++z)
@@ -224,7 +226,7 @@ TEST(Volume, IntegrationCountsWork)
     WorkCounts counts;
     Image<float> depth(16, 16, 0.5f);
     volume.integrate(depth, k, Mat4f{}, 0.1f, 100.0f, counts,
-                     nullptr);
+                     nullptr, scalarKernelBackend());
     // Items are voxels actually visited; culled voxels show up as
     // skipped work, and together they cover the whole volume.
     EXPECT_GT(counts.itemsFor(KernelId::Integrate), 0.0);
@@ -261,8 +263,10 @@ TEST(Volume, SequentialAndThreadedIntegrationMatch)
     TsdfVolume par(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
     WorkCounts counts;
     slambench::support::ThreadPool pool(3);
-    seq.integrate(depth, k, Mat4f{}, 0.1f, 100.0f, counts, nullptr);
-    par.integrate(depth, k, Mat4f{}, 0.1f, 100.0f, counts, &pool);
+    seq.integrate(depth, k, Mat4f{}, 0.1f, 100.0f, counts, nullptr,
+                  scalarKernelBackend());
+    par.integrate(depth, k, Mat4f{}, 0.1f, 100.0f, counts, &pool,
+                  scalarKernelBackend());
     for (int z = 0; z < 32; ++z) {
         for (int y = 0; y < 32; ++y) {
             for (int x = 0; x < 32; ++x) {
@@ -318,7 +322,7 @@ TEST_P(SphereFusion, RaycastRecoversRadius)
             }
         }
         volume.integrate(depth, k, pose, 0.1f, 100.0f, counts,
-                         nullptr);
+                         nullptr, scalarKernelBackend());
     }
 
     // Raycast from a nearby novel viewpoint (between two training
@@ -337,7 +341,7 @@ TEST_P(SphereFusion, RaycastRecoversRadius)
 
     Image<Vec3f> vertex, normal;
     raycastKernel(vertex, normal, volume, k, pose, params, counts,
-                  nullptr);
+                  nullptr, scalarKernelBackend());
     // Check the central rows (the well-observed equatorial band):
     // the median hit radius must match, and most hits must be close.
     std::vector<float> radii;
