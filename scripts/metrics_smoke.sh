@@ -3,17 +3,22 @@
 # the Fig. 1 bench for a handful of frames with --metrics-json /
 # --frames-csv on, validate the report against the schema checker,
 # verify histogram totals reconcile with mean x count, and check that
-# comparing the report against itself yields zero regressions.
+# comparing the report against itself yields zero regressions. An
+# odometry leg runs slambench_cli --system odometry the same way and
+# validates its report and frames CSV too.
 #
-# Usage: metrics_smoke.sh <path-to-bench_fig1_pipeline> <scripts-dir>
+# Usage: metrics_smoke.sh <path-to-bench_fig1_pipeline>
+#                         <path-to-slambench_cli> <scripts-dir>
 set -eu
 
-if [ $# -ne 2 ]; then
-    echo "usage: $0 <path-to-bench_fig1_pipeline> <scripts-dir>" >&2
+if [ $# -ne 3 ]; then
+    echo "usage: $0 <path-to-bench_fig1_pipeline>" \
+         "<path-to-slambench_cli> <scripts-dir>" >&2
     exit 2
 fi
 bin=$(readlink -f "$1")
-scripts=$(readlink -f "$2")
+cli=$(readlink -f "$2")
+scripts=$(readlink -f "$3")
 
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
@@ -29,11 +34,27 @@ cd "$workdir"
 [ -s out.json ] || { echo "metrics_smoke: empty out.json" >&2; exit 1; }
 [ -s frames.csv ] || { echo "metrics_smoke: empty frames.csv" >&2; exit 1; }
 
+"$cli" --system odometry --frames 4 --width 80 --height 60 \
+    --metrics-json odo.json --frames-csv odo.csv > odo.log 2>&1 || {
+    echo "metrics_smoke: odometry run failed:" >&2
+    cat odo.log >&2
+    exit 1
+}
+odo_rows=$(wc -l < odo.csv)
+if [ "$odo_rows" -ne 5 ]; then
+    echo "metrics_smoke: odo.csv has $odo_rows lines, want 5" >&2
+    exit 1
+fi
+
 if command -v python3 >/dev/null 2>&1; then
     # Full validation: schema + histogram reconciliation, then the
     # self-comparison must report zero regressions.
     python3 "$scripts/check_metrics_schema.py" out.json frames.csv || {
         echo "metrics_smoke: schema validation failed" >&2
+        exit 1
+    }
+    python3 "$scripts/check_metrics_schema.py" odo.json odo.csv || {
+        echo "metrics_smoke: odometry schema validation failed" >&2
         exit 1
     }
     python3 "$scripts/bench_compare.py" out.json out.json || {

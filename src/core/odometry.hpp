@@ -9,8 +9,10 @@
  * SLAMBench's purpose is comparing *different* SLAM systems under
  * one harness; this system is the classic drift-prone baseline that
  * KinectFusion's frame-to-model tracking is evaluated against. It
- * reuses the same preprocessing and ICP kernels, so per-kernel work
- * accounting and device simulation work identically.
+ * runs KinectFusion's depth front end (kfusion::preprocessDepth and
+ * kfusion::buildPyramid, which charge the work) and its icpTrack, so
+ * both systems count the same work for the same kernels and device
+ * simulation treats them alike.
  */
 
 #include <memory>
@@ -18,7 +20,6 @@
 #include <vector>
 
 #include "core/slam_system.hpp"
-#include "kfusion/kernels.hpp"
 #include "kfusion/tracking.hpp"
 
 namespace slambench::core {
@@ -76,15 +77,15 @@ class OdometrySystem : public SlamSystem
     const std::vector<kfusion::WorkCounts> &frameWork() const override;
 
   private:
-    void buildPyramid(const support::Image<uint16_t> &depth_mm,
-                      std::vector<kfusion::PyramidLevel> &pyramid,
-                      kfusion::WorkCounts &work) const;
-
     OdometryConfig config_;
-    math::CameraIntrinsics inputIntrinsics_;
-    math::CameraIntrinsics scaledIntrinsics_;
-    std::vector<math::CameraIntrinsics> levelIntrinsics_;
+    /** config_ in the front end's and icpTrack's terms. */
+    kfusion::KFusionConfig kernelConfig_;
     math::Mat4f pose_;
+
+    // The current frame: metric depth, its pyramid, the ICP records.
+    support::Image<float> rawDepth_;
+    std::vector<kfusion::PyramidLevel> pyramid_;
+    support::Image<kfusion::TrackData> trackData_;
 
     // Previous frame's maps in world coordinates (the reference).
     support::Image<math::Vec3f> refVertex_;

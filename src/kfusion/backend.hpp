@@ -148,7 +148,7 @@ class KernelBackend
 
     /**
      * Cast a packet of up to kRayPacketWidth rays (the per-pixel core
-     * of marchImage); each lane must match castRay bit-for-bit in
+     * of marchImage); each lane must match marchRay bit-for-bit in
      * found, hit and steps. An implementation may honour the
      * volume's free-brick flags or ignore them: a skipped fetch can
      * change neither the step decision nor the refined hit (see
@@ -170,7 +170,7 @@ class KernelBackend
 
     /**
      * castRays on the sparse volume, under the same contract: each
-     * lane matches castRay on it (and so on the dense volume of the
+     * lane matches marchRay on it (and so on the dense volume of the
      * same integrates) bit-for-bit in found, hit and steps.
      */
     virtual void castRays(const SparseTsdfVolume &volume,

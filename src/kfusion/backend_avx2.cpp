@@ -570,7 +570,7 @@ castRaysPacket(const Volume &volume, Sampler &sample,
                          volume.origin() +
                              Vec3f::all(volume.size())};
 
-    // Per-lane setup replays the scalar castRay prologue: AABB clip,
+    // Per-lane setup replays the scalar march prologue: AABB clip,
     // t/t_end clamping, and the miss-before-marching cases.
     alignas(32) float dx[8]{}, dy[8]{}, dz[8]{};
     alignas(32) float t0[8]{}, tend[8]{};

@@ -15,19 +15,6 @@ namespace slambench::kfusion {
 namespace {
 
 /**
- * Size @p out to @p w x @p h for a kernel that writes every pixel:
- * an image already of that size (the pyramid's, from the previous
- * frame) keeps its bytes instead of being cleared first.
- */
-template <typename T>
-void
-sizeForOverwrite(Image<T> &out, size_t w, size_t h)
-{
-    if (out.width() != w || out.height() != h)
-        out.resize(w, h);
-}
-
-/**
  * Run @p body(y) for each row, either sequentially or on the pool.
  */
 void
@@ -52,7 +39,7 @@ mm2metersKernel(Image<float> &out, const Image<uint16_t> &in, int ratio,
         support::panic("mm2metersKernel: ratio must be >= 1");
     const size_t w = in.width() / static_cast<size_t>(ratio);
     const size_t h = in.height() / static_cast<size_t>(ratio);
-    sizeForOverwrite(out, w, h);
+    out.sizeForOverwrite(w, h);
     const size_t r = static_cast<size_t>(ratio);
 
     forEachRow(h, pool, [&](size_t y) {
@@ -140,7 +127,7 @@ bilateralFilterKernel(Image<float> &out, const Image<float> &in,
 {
     const size_t w = in.width();
     const size_t h = in.height();
-    sizeForOverwrite(out, w, h);
+    out.sizeForOverwrite(w, h);
 
     if (radius == 0) {
         for (size_t i = 0; i < in.size(); ++i)
@@ -182,7 +169,7 @@ halfSampleRobustKernel(Image<float> &out, const Image<float> &in,
 {
     const size_t w = in.width() / 2;
     const size_t h = in.height() / 2;
-    sizeForOverwrite(out, w, h);
+    out.sizeForOverwrite(w, h);
 
     forEachRow(h, pool, [&](size_t y) {
         for (size_t x = 0; x < w; ++x) {
@@ -223,7 +210,7 @@ depth2vertexKernel(Image<Vec3f> &out, const Image<float> &depth,
 {
     const size_t w = depth.width();
     const size_t h = depth.height();
-    sizeForOverwrite(out, w, h);
+    out.sizeForOverwrite(w, h);
 
     forEachRow(h, pool, [&](size_t y) {
         for (size_t x = 0; x < w; ++x) {
@@ -280,7 +267,7 @@ vertex2normalKernel(Image<Vec3f> &out, const Image<Vec3f> &vertex,
                     support::ThreadPool *pool,
                     const KernelBackend &backend)
 {
-    sizeForOverwrite(out, vertex.width(), vertex.height());
+    out.sizeForOverwrite(vertex.width(), vertex.height());
     const Vertex2NormalContext ctx{vertex.data(), out.data(),
                                    vertex.width(), vertex.height()};
     forEachRow(ctx.height, pool,

@@ -56,14 +56,7 @@ KFusion::checkCompatibility(
     if (scaled.width < 8 || scaled.height < 8)
         return "compute image too small; lower the compute-size "
                "ratio";
-    math::CameraIntrinsics level_k = scaled;
-    for (size_t l = 0; l < config.levels(); ++l) {
-        if (level_k.width < 4 || level_k.height < 4)
-            return "too many pyramid levels for the compute image "
-                   "size";
-        level_k = level_k.scaled(2);
-    }
-    return "";
+    return checkPyramidSize(scaled, config.levels());
 }
 
 KFusion::KFusion(const KFusionConfig &config,
@@ -87,12 +80,7 @@ KFusion::KFusion(const KFusionConfig &config,
     scaledIntrinsics_ = inputIntrinsics_.scaled(
         static_cast<size_t>(config_.computeSizeRatio));
 
-    pyramid_.resize(config_.levels());
-    math::CameraIntrinsics level_k = scaledIntrinsics_;
-    for (size_t l = 0; l < config_.levels(); ++l) {
-        pyramid_[l].intrinsics = level_k;
-        level_k = level_k.scaled(2);
-    }
+    pyramid_ = makePyramid(scaledIntrinsics_, config_.levels());
 }
 
 RaycastParams
@@ -106,79 +94,6 @@ KFusion::raycastParams() const
     // The coarse step must never be finer than the fine step.
     params.largeStep = std::max(params.largeStep, params.step);
     return params;
-}
-
-void
-KFusion::preprocess(const support::Image<uint16_t> &depth_mm,
-                    WorkCounts &work)
-{
-    TRACE_SCOPE("preprocess");
-    {
-        KernelTimer timer(work, KernelId::Mm2Meters);
-        mm2metersKernel(rawDepth_, depth_mm, config_.computeSizeRatio,
-                        pool_.get());
-        work.addItems(KernelId::Mm2Meters,
-                      static_cast<double>(rawDepth_.size()));
-        work.addBytes(KernelId::Mm2Meters,
-                      static_cast<double>(rawDepth_.size()) * 6.0);
-    }
-    {
-        KernelTimer timer(work, KernelId::BilateralFilter);
-        bilateralFilterKernel(pyramid_[0].depth, rawDepth_,
-                              config_.filterRadius,
-                              config_.gaussianDelta, config_.eDelta,
-                              pool_.get(), *backend_);
-        work.addItems(
-            KernelId::BilateralFilter,
-            static_cast<double>(pyramid_[0].depth.size()) *
-                bilateralItemsPerPixel(config_.filterRadius));
-        work.addBytes(
-            KernelId::BilateralFilter,
-            static_cast<double>(pyramid_[0].depth.size()) *
-                (bilateralItemsPerPixel(config_.filterRadius) * 4.0 +
-                 4.0));
-    }
-}
-
-void
-KFusion::buildPyramid(WorkCounts &work)
-{
-    TRACE_SCOPE("build_pyramid");
-    for (size_t l = 1; l < pyramid_.size(); ++l) {
-        KernelTimer timer(work, KernelId::HalfSample);
-        halfSampleRobustKernel(pyramid_[l].depth,
-                               pyramid_[l - 1].depth,
-                               config_.eDelta * 3.0f, pool_.get());
-        work.addItems(KernelId::HalfSample,
-                      static_cast<double>(pyramid_[l].depth.size()));
-        work.addBytes(KernelId::HalfSample,
-                      static_cast<double>(pyramid_[l].depth.size()) *
-                          20.0);
-    }
-    for (size_t l = 0; l < pyramid_.size(); ++l) {
-        {
-            KernelTimer timer(work, KernelId::Depth2Vertex);
-            depth2vertexKernel(pyramid_[l].vertex, pyramid_[l].depth,
-                               pyramid_[l].intrinsics, pool_.get());
-            work.addItems(
-                KernelId::Depth2Vertex,
-                static_cast<double>(pyramid_[l].vertex.size()));
-            work.addBytes(
-                KernelId::Depth2Vertex,
-                static_cast<double>(pyramid_[l].vertex.size()) * 16.0);
-        }
-        {
-            KernelTimer timer(work, KernelId::Vertex2Normal);
-            vertex2normalKernel(pyramid_[l].normal, pyramid_[l].vertex,
-                                pool_.get(), *backend_);
-            work.addItems(
-                KernelId::Vertex2Normal,
-                static_cast<double>(pyramid_[l].normal.size()));
-            work.addBytes(
-                KernelId::Vertex2Normal,
-                static_cast<double>(pyramid_[l].normal.size()) * 48.0);
-        }
-    }
 }
 
 FrameResult
@@ -217,25 +132,23 @@ KFusion::processFrame(const support::Image<uint16_t> &depth_mm)
     result.frameIndex = frame_;
     WorkCounts &work = result.work;
 
-    preprocess(depth_mm, work);
+    preprocessDepth(rawDepth_, pyramid_, depth_mm, config_, work,
+                    pool_.get(), *backend_);
 
     // --- Tracking ---
+    // The first frame builds its pyramid but has no reference to track
+    // against yet; a frame the tracking rate skips keeps the pose.
     const bool do_track =
+        frame_ > 0 && haveReference_ &&
         frame_ % static_cast<size_t>(config_.trackingRate) == 0;
-    if (frame_ == 0) {
-        // The first frame defines the reference; nothing to track
-        // against yet.
-        buildPyramid(work);
-        result.tracking.tracked = true;
-    } else if (do_track && haveReference_) {
-        buildPyramid(work);
+    if (frame_ == 0 || do_track)
+        buildPyramid(pyramid_, config_, work, pool_.get(), *backend_);
+    result.tracking.tracked = true;
+    if (do_track) {
         result.tracking = icpTrack(
             pose_, pyramid_, raycastVertex_, raycastNormal_,
             scaledIntrinsics_, raycastPose_, config_, work,
-            pool_.get(), *backend_, &lastTrackData_);
-    } else {
-        // Tracking skipped this frame: reuse the previous pose.
-        result.tracking.tracked = true;
+            pool_.get(), *backend_, lastTrackData_);
     }
 
     // --- Integration ---

@@ -159,9 +159,6 @@ class KFusion
     const KernelBackend &kernelBackend() const { return *backend_; }
 
   private:
-    void preprocess(const support::Image<uint16_t> &depth_mm,
-                    WorkCounts &work);
-    void buildPyramid(WorkCounts &work);
     RaycastParams raycastParams() const;
 
     KFusionConfig config_;
@@ -175,7 +172,7 @@ class KFusion
     math::Mat4f pose_;
 
     // Preprocessing output: metric depth, and the tracking pyramid,
-    // whose level-0 depth preprocess filters into.
+    // whose level-0 depth preprocessDepth filters into.
     support::Image<float> rawDepth_;
     std::vector<PyramidLevel> pyramid_;
 

@@ -17,7 +17,7 @@
 
 namespace slambench::kfusion {
 
-/** Per-ray result of a march (mirrors castRay outputs). */
+/** Per-ray result of a march. */
 struct RayHit
 {
     math::Vec3f hit;  ///< World-space surface point when found.

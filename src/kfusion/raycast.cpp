@@ -165,8 +165,8 @@ raycastKernelImpl(support::Image<Vec3f> &vertex_out,
     KernelTimer timer(counts, KernelId::Raycast);
     const size_t w = intrinsics.width;
     const size_t h = intrinsics.height;
-    vertex_out.resize(w, h);
-    normal_out.resize(w, h);
+    vertex_out.sizeForOverwrite(w, h);
+    normal_out.sizeForOverwrite(w, h);
 
     const MarchTotals total = marchImage(
         volume, backend, intrinsics, camera_to_world, params, pool,
@@ -224,7 +224,7 @@ renderVolumeKernelImpl(support::Image<support::Rgb8> &out,
     KernelTimer timer(counts, KernelId::RenderVolume);
     const size_t w = intrinsics.width;
     const size_t h = intrinsics.height;
-    out.resize(w, h);
+    out.sizeForOverwrite(w, h);
 
     const MarchTotals total = marchImage(
         volume, backend, intrinsics, camera_to_world, params, pool,
@@ -239,31 +239,6 @@ renderVolumeKernelImpl(support::Image<support::Rgb8> &out,
 
 } // namespace
 
-bool
-castRay(const TsdfVolume &volume, const Vec3f &origin, const Vec3f &dir,
-        const RaycastParams &params, Vec3f &hit, int &steps)
-{
-    RayHit ray;
-    marchRay(volume, origin, dir, params, ray);
-    if (ray.found)
-        hit = ray.hit;
-    steps = ray.steps;
-    return ray.found;
-}
-
-bool
-castRay(const SparseTsdfVolume &volume, const Vec3f &origin,
-        const Vec3f &dir, const RaycastParams &params, Vec3f &hit,
-        int &steps, SparseTsdfVolume::LookupCache &cache)
-{
-    RayHit ray;
-    marchRay(volume, origin, dir, params, cache, ray);
-    if (ray.found)
-        hit = ray.hit;
-    steps = ray.steps;
-    return ray.found;
-}
-
 void
 renderFromNormalsKernel(support::Image<support::Rgb8> &out,
                         const support::Image<Vec3f> &normals,
@@ -273,7 +248,7 @@ renderFromNormalsKernel(support::Image<support::Rgb8> &out,
     KernelTimer timer(counts, KernelId::RenderVolume);
     const size_t w = normals.width();
     const size_t h = normals.height();
-    out.resize(w, h);
+    out.sizeForOverwrite(w, h);
     // raycastKernel stored g.normalized() exactly where the render
     // would shade it, and zero where it would paint background.
     auto shade_row = [&](size_t y) {

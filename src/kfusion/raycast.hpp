@@ -96,34 +96,6 @@ void renderFromNormalsKernel(support::Image<support::Rgb8> &out,
                              support::ThreadPool *pool);
 
 /**
- * Cast a single ray against the volume, skipping the fetch of
- * samples in free bricks (FreeBrickGrid::sampleIsFree); hits and
- * steps are those of the march that fetches every sample.
- *
- * @param volume Fused TSDF volume.
- * @param origin Ray origin (world).
- * @param dir Unit ray direction (world).
- * @param params Stepping parameters.
- * @param[out] hit World-space surface point when found.
- * @param[out] steps Marching steps consumed.
- * @return true when a zero crossing (+ to -) was found.
- */
-bool castRay(const TsdfVolume &volume, const math::Vec3f &origin,
-             const math::Vec3f &dir, const RaycastParams &params,
-             math::Vec3f &hit, int &steps);
-
-/**
- * Sparse-volume flavor. The march (per-step t accumulation, the
- * free-brick skip, refinement, invalid-sample handling) is the dense
- * one and the samples are bit-identical, so hits and steps equal the
- * dense volume's; the sampler resolves its stencil through @p cache.
- */
-bool castRay(const SparseTsdfVolume &volume, const math::Vec3f &origin,
-             const math::Vec3f &dir, const RaycastParams &params,
-             math::Vec3f &hit, int &steps,
-             SparseTsdfVolume::LookupCache &cache);
-
-/**
  * Sparse-volume raycast: the kernel backend's packet caster on the
  * sparse sampler; results are bit-identical to the dense raycast of
  * the same integrates.

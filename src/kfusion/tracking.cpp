@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "kfusion/backend.hpp"
+#include "kfusion/kernels.hpp"
 #include "math/se3.hpp"
 #include "math/solve.hpp"
 #include "support/logging.hpp"
@@ -32,6 +33,102 @@ icpLevelSpanName(size_t li)
 }
 
 } // namespace
+
+std::vector<PyramidLevel>
+makePyramid(const math::CameraIntrinsics &finest, size_t levels)
+{
+    std::vector<PyramidLevel> pyramid(levels);
+    math::CameraIntrinsics level_k = finest;
+    for (PyramidLevel &level : pyramid) {
+        level.intrinsics = level_k;
+        level_k = level_k.scaled(2);
+    }
+    return pyramid;
+}
+
+std::string
+checkPyramidSize(const math::CameraIntrinsics &finest, size_t levels)
+{
+    for (const PyramidLevel &level : makePyramid(finest, levels)) {
+        if (level.intrinsics.width < 4 || level.intrinsics.height < 4)
+            return "too many pyramid levels for the compute image "
+                   "size";
+    }
+    return "";
+}
+
+void
+preprocessDepth(support::Image<float> &raw_depth,
+                std::vector<PyramidLevel> &pyramid,
+                const support::Image<uint16_t> &depth_mm,
+                const KFusionConfig &config, WorkCounts &work,
+                support::ThreadPool *pool, const KernelBackend &backend)
+{
+    TRACE_SCOPE("preprocess");
+    {
+        KernelTimer timer(work, KernelId::Mm2Meters);
+        mm2metersKernel(raw_depth, depth_mm, config.computeSizeRatio,
+                        pool);
+        work.addItems(KernelId::Mm2Meters,
+                      static_cast<double>(raw_depth.size()));
+        work.addBytes(KernelId::Mm2Meters,
+                      static_cast<double>(raw_depth.size()) * 6.0);
+    }
+    {
+        KernelTimer timer(work, KernelId::BilateralFilter);
+        bilateralFilterKernel(pyramid[0].depth, raw_depth,
+                              config.filterRadius, config.gaussianDelta,
+                              config.eDelta, pool, backend);
+        const double per_pixel =
+            bilateralItemsPerPixel(config.filterRadius);
+        work.addItems(KernelId::BilateralFilter,
+                      static_cast<double>(pyramid[0].depth.size()) *
+                          per_pixel);
+        work.addBytes(KernelId::BilateralFilter,
+                      static_cast<double>(pyramid[0].depth.size()) *
+                          (per_pixel * 4.0 + 4.0));
+    }
+}
+
+void
+buildPyramid(std::vector<PyramidLevel> &pyramid,
+             const KFusionConfig &config, WorkCounts &work,
+             support::ThreadPool *pool, const KernelBackend &backend)
+{
+    TRACE_SCOPE("build_pyramid");
+    for (size_t l = 1; l < pyramid.size(); ++l) {
+        KernelTimer timer(work, KernelId::HalfSample);
+        halfSampleRobustKernel(pyramid[l].depth, pyramid[l - 1].depth,
+                               config.eDelta * 3.0f, pool);
+        work.addItems(KernelId::HalfSample,
+                      static_cast<double>(pyramid[l].depth.size()));
+        work.addBytes(KernelId::HalfSample,
+                      static_cast<double>(pyramid[l].depth.size()) *
+                          20.0);
+    }
+    for (PyramidLevel &level : pyramid) {
+        {
+            KernelTimer timer(work, KernelId::Depth2Vertex);
+            depth2vertexKernel(level.vertex, level.depth,
+                               level.intrinsics, pool);
+            work.addItems(KernelId::Depth2Vertex,
+                          static_cast<double>(level.vertex.size()));
+            work.addBytes(KernelId::Depth2Vertex,
+                          static_cast<double>(level.vertex.size()) *
+                              16.0);
+        }
+        {
+            KernelTimer timer(work, KernelId::Vertex2Normal);
+            vertex2normalKernel(level.normal, level.vertex, pool,
+                                backend);
+            work.addItems(KernelId::Vertex2Normal,
+                          static_cast<double>(level.normal.size()));
+            work.addBytes(KernelId::Vertex2Normal,
+                          static_cast<double>(level.normal.size()) *
+                              48.0);
+        }
+    }
+}
 
 void
 trackPixels(const TrackContext &ctx, size_t y, size_t x_begin,
@@ -117,8 +214,7 @@ trackKernel(support::Image<TrackData> &track_data,
     const size_t h = live_vertex.height();
     // Every record gets its result below, so a buffer of the right
     // size (icpTrack's, from the previous iteration) is not cleared.
-    if (track_data.width() != w || track_data.height() != h)
-        track_data.resize(w, h);
+    track_data.sizeForOverwrite(w, h);
 
     TrackContext ctx;
     ctx.out = track_data.data();
@@ -245,7 +341,7 @@ icpTrack(Mat4f &pose, const std::vector<PyramidLevel> &live,
          const Mat4f &ref_pose, const KFusionConfig &config,
          WorkCounts &counts, support::ThreadPool *pool,
          const KernelBackend &backend,
-         support::Image<TrackData> *final_track_data)
+         support::Image<TrackData> &track_data)
 {
     TRACE_SCOPE("icp_track");
     TrackingStats stats;
@@ -253,7 +349,6 @@ icpTrack(Mat4f &pose, const std::vector<PyramidLevel> &live,
         support::panic("icpTrack: empty pyramid");
 
     const Mat4f old_pose = pose;
-    support::Image<TrackData> track_data;
     ReductionResult last_reduction;
     bool have_reduction = false;
 
@@ -314,9 +409,6 @@ icpTrack(Mat4f &pose, const std::vector<PyramidLevel> &live,
             "tracking.icp_iterations");
     iterations_counter.add(
         static_cast<uint64_t>(std::max(stats.iterations, 0)));
-
-    if (final_track_data)
-        *final_track_data = track_data;
 
     if (!have_reduction) {
         // No iterations configured: keep the prior pose, report it

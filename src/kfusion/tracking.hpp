@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "kfusion/config.hpp"
@@ -64,6 +65,69 @@ struct PyramidLevel
     math::CameraIntrinsics intrinsics;
 };
 
+// --- The depth front end: preprocessing and the tracking pyramid ---
+//
+// KinectFusion and the odometry baseline run and charge these kernels
+// through the functions below, so both systems do the same work for
+// the same frame.
+
+/**
+ * @return @p levels pyramid levels for a compute image of intrinsics
+ * @p finest, each half the size of the one before, with their
+ * intrinsics set and their images empty.
+ */
+std::vector<PyramidLevel> makePyramid(
+    const math::CameraIntrinsics &finest, size_t levels);
+
+/**
+ * The pyramid size rule: every one of @p levels levels of a compute
+ * image of intrinsics @p finest is at least 4x4.
+ *
+ * @return an empty string when it holds, else the problem.
+ */
+std::string checkPyramidSize(const math::CameraIntrinsics &finest,
+                             size_t levels);
+
+/**
+ * Depth preprocessing (span "preprocess"): mm2meters at
+ * config.computeSizeRatio into @p raw_depth, then the bilateral
+ * filter into pyramid[0].depth. Charged to Mm2Meters and
+ * BilateralFilter.
+ *
+ * @param[out] raw_depth Metric depth at the compute size.
+ * @param[in,out] pyramid Levels from makePyramid; level 0's depth
+ *                is written.
+ * @param depth_mm Sensor depth in millimeters.
+ * @param config Compute-size ratio and bilateral parameters.
+ * @param[in,out] work Work accounting.
+ * @param pool Optional worker pool.
+ * @param backend Kernel backend running the bilateral rows.
+ */
+void preprocessDepth(support::Image<float> &raw_depth,
+                     std::vector<PyramidLevel> &pyramid,
+                     const support::Image<uint16_t> &depth_mm,
+                     const KFusionConfig &config, WorkCounts &work,
+                     support::ThreadPool *pool,
+                     const KernelBackend &backend);
+
+/**
+ * Build the tracking pyramid from pyramid[0].depth (span
+ * "build_pyramid"): halfSample at config.eDelta * 3 down the levels,
+ * then depth2vertex and vertex2normal on each. Charged to HalfSample,
+ * Depth2Vertex and Vertex2Normal.
+ *
+ * @param[in,out] pyramid Levels from makePyramid, level 0's depth
+ *                filled by preprocessDepth.
+ * @param config Bilateral range sigma (eDelta).
+ * @param[in,out] work Work accounting.
+ * @param pool Optional worker pool.
+ * @param backend Kernel backend running the normal rows.
+ */
+void buildPyramid(std::vector<PyramidLevel> &pyramid,
+                  const KFusionConfig &config, WorkCounts &work,
+                  support::ThreadPool *pool,
+                  const KernelBackend &backend);
+
 /**
  * Multi-level ICP aligning the live pyramid to the reference model
  * maps (raycasted vertex/normal at the reference pose).
@@ -80,8 +144,10 @@ struct PyramidLevel
  * @param pool Optional worker pool.
  * @param backend Kernel backend running the track rows and the
  *                reduction.
- * @param[out] final_track_data When non-null, receives the per-pixel
- *             records of the last executed iteration (GUI pane).
+ * @param[in,out] track_data Buffer every iteration tracks into (see
+ *             trackKernel); afterwards it holds the per-pixel records
+ *             of the last executed iteration (GUI pane), and is
+ *             untouched when no iteration ran.
  * @return residual statistics and whether the pose was accepted.
  */
 TrackingStats icpTrack(math::Mat4f &pose,
@@ -93,8 +159,7 @@ TrackingStats icpTrack(math::Mat4f &pose,
                        const KFusionConfig &config, WorkCounts &counts,
                        support::ThreadPool *pool,
                        const KernelBackend &backend,
-                       support::Image<TrackData> *final_track_data =
-                           nullptr);
+                       support::Image<TrackData> &track_data);
 
 /**
  * One correspondence+residual evaluation over a full image (exposed

@@ -72,6 +72,18 @@ class Image
         pixels_.assign(width * height, T{});
     }
 
+    /**
+     * Size to @p width x @p height for a writer of every pixel: an
+     * image already of that size keeps its bytes instead of being
+     * cleared first (resize() otherwise).
+     */
+    void
+    sizeForOverwrite(size_t width, size_t height)
+    {
+        if (width_ != width || height_ != height)
+            resize(width, height);
+    }
+
     /** Set every pixel to @p value. */
     void
     fill(const T &value)

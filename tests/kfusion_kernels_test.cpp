@@ -16,14 +16,17 @@
 #include "kfusion/backend_simd.hpp"
 #include "kfusion/expf.hpp"
 #include "kfusion/kernels.hpp"
+#include "kfusion/raycast.hpp"
 #include "support/rng.hpp"
 
 namespace {
 
 using namespace slambench::kfusion;
 using slambench::math::CameraIntrinsics;
+using slambench::math::Mat4f;
 using slambench::math::Vec3f;
 using slambench::support::Image;
+using slambench::support::Rgb8;
 using slambench::support::Rng;
 using slambench::support::ThreadPool;
 
@@ -422,12 +425,30 @@ sameBytes(const Image<T> &a, const Image<T> &b)
 
 TEST(OutputReuse, PrefilledOutputMatchesFresh)
 {
-    // The preprocessing kernels keep an output that already has the
-    // right size (the pipeline's, from the previous frame) instead of
-    // clearing it, so none of its old bytes may survive the call.
+    // The preprocessing, raycast and render kernels keep an output
+    // that already has the right size (the pipeline's, from the
+    // previous frame) instead of clearing it, so none of its old
+    // bytes may survive the call.
     ThreadPool pool(3);
     const auto k = CameraIntrinsics::fromFov(40, 30, 1.0f);
     const Image<uint16_t> raw = randomDepthMm(80, 60, 7, 0.2);
+
+    // A small map of each kind, fused from that depth, to march.
+    Image<float> metric;
+    mm2metersKernel(metric, raw, 2, nullptr);
+    TsdfVolume dense(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
+    SparseTsdfVolume sparse(32, 2.0f, Vec3f{-1.0f, -1.0f, 0.0f});
+    WorkCounts work;
+    dense.integrate(metric, k, Mat4f{}, 0.1f, 100.0f, work, nullptr,
+                    scalarKernelBackend());
+    sparse.integrate(metric, k, Mat4f{}, 0.1f, 100.0f, work, nullptr,
+                     scalarKernelBackend());
+    RaycastParams params;
+    params.nearPlane = 0.1f;
+    params.farPlane = 4.0f;
+    params.step = dense.voxelSize();
+    params.largeStep = 0.075f;
+
     for (ThreadPool *p : {static_cast<ThreadPool *>(nullptr), &pool}) {
         Image<float> depth;
         mm2metersKernel(depth, raw, 2, p);
@@ -467,6 +488,40 @@ TEST(OutputReuse, PrefilledOutputMatchesFresh)
             vertex2normalKernel(normal_reused, vertex, p, backend);
             EXPECT_TRUE(sameBytes(normal, normal_reused))
                 << "vertex2normal on " << name;
+
+            const auto check_map = [&](const auto &map,
+                                       const char *kind) {
+                Image<Vec3f> hits, normals;
+                raycastKernel(hits, normals, map, k, Mat4f{}, params,
+                              work, p, backend);
+                Image<Vec3f> hits_reused = prefilled<Vec3f>(40, 30);
+                Image<Vec3f> normals_reused = prefilled<Vec3f>(40, 30);
+                raycastKernel(hits_reused, normals_reused, map, k,
+                              Mat4f{}, params, work, p, backend);
+                EXPECT_TRUE(sameBytes(hits, hits_reused) &&
+                            sameBytes(normals, normals_reused))
+                    << "raycast on " << kind << ", " << name;
+
+                Image<Rgb8> render;
+                renderVolumeKernel(render, map, k, Mat4f{}, params,
+                                   work, p, backend);
+                Image<Rgb8> render_reused = prefilled<Rgb8>(40, 30);
+                renderVolumeKernel(render_reused, map, k, Mat4f{},
+                                   params, work, p, backend);
+                EXPECT_TRUE(sameBytes(render, render_reused))
+                    << "render_volume on " << kind << ", " << name;
+
+                Image<Rgb8> shaded;
+                renderFromNormalsKernel(shaded, normals, 0.0, work, p);
+                Image<Rgb8> shaded_reused = prefilled<Rgb8>(40, 30);
+                renderFromNormalsKernel(shaded_reused, normals, 0.0,
+                                        work, p);
+                EXPECT_TRUE(sameBytes(shaded, shaded_reused))
+                    << "render_from_normals on " << kind << ", "
+                    << name;
+            };
+            check_map(dense, "dense");
+            check_map(sparse, "sparse");
         }
     }
 }

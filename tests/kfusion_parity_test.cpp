@@ -294,33 +294,31 @@ TEST_F(FusedVolume, ClippedRayFromFarOriginHitsSameSurface)
     // pushing the origin back along the ray must find the same
     // surface (up to the fine step's refinement tolerance).
     const RaycastParams params = testParams(volume_);
-    Vec3f near_hit, far_hit;
-    int near_steps = 0, far_steps = 0;
-    ASSERT_TRUE(castRay(volume_, Vec3f{0.0f, 0.0f, 0.2f},
-                        Vec3f{0.0f, 0.0f, 1.0f}, params, near_hit,
-                        near_steps));
-    ASSERT_TRUE(castRay(volume_, Vec3f{0.0f, 0.0f, -2.0f},
-                        Vec3f{0.0f, 0.0f, 1.0f}, params, far_hit,
-                        far_steps));
-    EXPECT_NEAR(near_hit.z, far_hit.z, volume_.voxelSize());
+    RayHit near_ray, far_ray;
+    marchRay(volume_, Vec3f{0.0f, 0.0f, 0.2f}, Vec3f{0.0f, 0.0f, 1.0f},
+             params, near_ray);
+    ASSERT_TRUE(near_ray.found);
+    marchRay(volume_, Vec3f{0.0f, 0.0f, -2.0f},
+             Vec3f{0.0f, 0.0f, 1.0f}, params, far_ray);
+    ASSERT_TRUE(far_ray.found);
+    EXPECT_NEAR(near_ray.hit.z, far_ray.hit.z, volume_.voxelSize());
     // The far ray marches the clipped interval, not the extra two
     // meters of empty space in front of the volume.
-    EXPECT_LT(far_steps, near_steps + 30);
+    EXPECT_LT(far_ray.steps, near_ray.steps + 30);
 }
 
 TEST_F(FusedVolume, RaysMissingTheVolumeTakeNoSteps)
 {
     const RaycastParams params = testParams(volume_);
-    Vec3f hit;
-    int steps = 0;
-    EXPECT_FALSE(castRay(volume_, Vec3f{0.0f, 0.0f, -0.5f},
-                         Vec3f{0.0f, 0.0f, -1.0f}, params, hit,
-                         steps));
-    EXPECT_EQ(steps, 0);
-    EXPECT_FALSE(castRay(volume_, Vec3f{5.0f, 0.0f, 1.0f},
-                         Vec3f{0.0f, 1.0f, 0.0f}, params, hit,
-                         steps));
-    EXPECT_EQ(steps, 0);
+    RayHit behind, beside;
+    marchRay(volume_, Vec3f{0.0f, 0.0f, -0.5f},
+             Vec3f{0.0f, 0.0f, -1.0f}, params, behind);
+    EXPECT_FALSE(behind.found);
+    EXPECT_EQ(behind.steps, 0);
+    marchRay(volume_, Vec3f{5.0f, 0.0f, 1.0f}, Vec3f{0.0f, 1.0f, 0.0f},
+             params, beside);
+    EXPECT_FALSE(beside.found);
+    EXPECT_EQ(beside.steps, 0);
 }
 
 // --- kernel-backend parity ---
@@ -1046,19 +1044,15 @@ TEST_F(SparseFusedVolume, CastRayMatchesDense)
                   static_cast<float>(rng.uniform(-0.4, 0.4)),
                   static_cast<float>(rng.uniform(0.5, 1.0))};
         dir = dir * (1.0f / dir.norm());
-        Vec3f dense_hit, sparse_hit;
-        int dense_steps = 0, sparse_steps = 0;
-        const bool dense_found = castRay(
-            volume_, origin, dir, params, dense_hit, dense_steps);
-        const bool sparse_found =
-            castRay(sparse_, origin, dir, params, sparse_hit,
-                    sparse_steps, cache);
-        ASSERT_EQ(sparse_found, dense_found) << "ray " << i;
-        ASSERT_EQ(sparse_steps, dense_steps);
-        if (dense_found) {
-            ASSERT_EQ(sparse_hit.x, dense_hit.x) << "ray " << i;
-            ASSERT_EQ(sparse_hit.y, dense_hit.y);
-            ASSERT_EQ(sparse_hit.z, dense_hit.z);
+        RayHit dense, sparse;
+        marchRay(volume_, origin, dir, params, dense);
+        marchRay(sparse_, origin, dir, params, cache, sparse);
+        ASSERT_EQ(sparse.found, dense.found) << "ray " << i;
+        ASSERT_EQ(sparse.steps, dense.steps);
+        if (dense.found) {
+            ASSERT_EQ(sparse.hit.x, dense.hit.x) << "ray " << i;
+            ASSERT_EQ(sparse.hit.y, dense.hit.y);
+            ASSERT_EQ(sparse.hit.z, dense.hit.z);
         }
     }
 }
@@ -1417,7 +1411,7 @@ marchBoth(const Volume &volume, const Vec3f &origin, const Vec3f &dir,
     return pair;
 }
 
-/** Exact equality of everything castRay reports. */
+/** Exact equality of everything a march reports. */
 void
 expectSameRay(const RayHit &got, const RayHit &want)
 {

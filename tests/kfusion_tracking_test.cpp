@@ -210,9 +210,11 @@ TEST_P(IcpConvergence, RecoversPerturbedPose)
         Mat4f pose = delta.cast<float>() * gt_pose;
 
         WorkCounts counts;
+        Image<TrackData> track_data;
         const TrackingStats stats =
             icpTrack(pose, pyramid, ref_vertex, ref_normal, k,
-                     gt_pose, config, counts, nullptr, scalarKernelBackend());
+                     gt_pose, config, counts, nullptr,
+                     scalarKernelBackend(), track_data);
         const float pos_err =
             (pose.translationPart() - gt_pose.translationPart())
                 .norm();
@@ -261,9 +263,11 @@ TEST(IcpResidualVariant, PointToPointAlsoConverges)
     Mat4f pose = gt_pose;
     pose(0, 3) += 0.01f;
     WorkCounts counts;
+    Image<TrackData> track_data;
     const TrackingStats stats =
         icpTrack(pose, pyramid, ref_vertex, ref_normal, k, gt_pose,
-                 config, counts, nullptr, scalarKernelBackend());
+                 config, counts, nullptr, scalarKernelBackend(),
+                 track_data);
     EXPECT_TRUE(stats.tracked);
     EXPECT_LT((pose.translationPart() - gt_pose.translationPart())
                   .norm(),
@@ -326,9 +330,11 @@ TEST(IcpEdgeCases, ZeroIterationsReportsTracked)
     Image<Vec3f> ref_v(8, 8), ref_n(8, 8);
     Mat4f pose;
     WorkCounts counts;
+    Image<TrackData> track_data;
     const TrackingStats stats =
         icpTrack(pose, pyramid, ref_v, ref_n, pyramid[0].intrinsics,
-                 Mat4f{}, config, counts, nullptr, scalarKernelBackend());
+                 Mat4f{}, config, counts, nullptr, scalarKernelBackend(),
+                 track_data);
     EXPECT_TRUE(stats.tracked);
     EXPECT_EQ(stats.iterations, 0);
 }
@@ -359,9 +365,10 @@ TEST(IcpEdgeCases, EmptyReferenceFailsGates)
     const Mat4f original = sequence.groundTruth.pose(0);
     Mat4f pose = original;
     WorkCounts counts;
+    Image<TrackData> track_data;
     const TrackingStats stats = icpTrack(
-        pose, pyramid, ref_v, ref_n, sequence.intrinsics,
-        original, config, counts, nullptr, scalarKernelBackend());
+        pose, pyramid, ref_v, ref_n, sequence.intrinsics, original,
+        config, counts, nullptr, scalarKernelBackend(), track_data);
     EXPECT_FALSE(stats.tracked);
     for (int r = 0; r < 4; ++r)
         for (int c = 0; c < 4; ++c)
@@ -397,7 +404,7 @@ TEST(IcpEdgeCases, TrackDataExported)
     Image<TrackData> exported;
     icpTrack(pose, pyramid, ref_v, ref_n, sequence.intrinsics,
              sequence.groundTruth.pose(0), config, counts, nullptr,
-             scalarKernelBackend(), &exported);
+             scalarKernelBackend(), exported);
     EXPECT_EQ(exported.width(), 40u);
     EXPECT_EQ(exported.height(), 30u);
 }
@@ -428,9 +435,10 @@ TEST(IcpWork, CountsTrackReduceSolve)
 
     Mat4f pose = sequence.groundTruth.pose(0);
     WorkCounts counts;
+    Image<TrackData> track_data;
     icpTrack(pose, pyramid, ref_v, ref_n, sequence.intrinsics,
              sequence.groundTruth.pose(0), config, counts, nullptr,
-             scalarKernelBackend());
+             scalarKernelBackend(), track_data);
     EXPECT_DOUBLE_EQ(counts.itemsFor(KernelId::Track),
                      3.0 * 40.0 * 30.0);
     EXPECT_DOUBLE_EQ(counts.itemsFor(KernelId::Reduce),

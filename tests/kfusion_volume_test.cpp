@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "kfusion/backend.hpp"
+#include "kfusion/ray_march.hpp"
 #include "kfusion/raycast.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -102,12 +103,11 @@ TEST_F(WallFixture, CastRayHitsWallAtRightDepth)
     params.step = volume_.voxelSize();
     params.largeStep = 0.075f;
 
-    Vec3f hit;
-    int steps = 0;
-    ASSERT_TRUE(castRay(volume_, Vec3f{0, 0, 0}, Vec3f{0, 0, 1},
-                        params, hit, steps));
-    EXPECT_NEAR(hit.z, 1.0f, 0.01f);
-    EXPECT_GT(steps, 0);
+    RayHit ray;
+    marchRay(volume_, Vec3f{0, 0, 0}, Vec3f{0, 0, 1}, params, ray);
+    ASSERT_TRUE(ray.found);
+    EXPECT_NEAR(ray.hit.z, 1.0f, 0.01f);
+    EXPECT_GT(ray.steps, 0);
 }
 
 TEST_F(WallFixture, CastRayMissesWhenLookingAway)
@@ -118,10 +118,9 @@ TEST_F(WallFixture, CastRayMissesWhenLookingAway)
     params.step = volume_.voxelSize();
     params.largeStep = 0.075f;
 
-    Vec3f hit;
-    int steps = 0;
-    EXPECT_FALSE(castRay(volume_, Vec3f{0, 0, 0}, Vec3f{0, 0, -1},
-                         params, hit, steps));
+    RayHit ray;
+    marchRay(volume_, Vec3f{0, 0, 0}, Vec3f{0, 0, -1}, params, ray);
+    EXPECT_FALSE(ray.found);
 }
 
 TEST_F(WallFixture, RaycastKernelProducesConsistentMaps)

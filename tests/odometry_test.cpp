@@ -145,6 +145,36 @@ TEST(Odometry, CheckCompatibilityNeedsFourPixelLevels)
               "");
 }
 
+/** FNV-1a over @p n bytes at @p bytes. */
+void
+fnv1a(uint64_t &h, const void *bytes, size_t n)
+{
+    const auto *p = static_cast<const uint8_t *>(bytes);
+    for (size_t i = 0; i < n; ++i)
+        h = (h ^ p[i]) * 1099511628211ull;
+}
+
+TEST(Odometry, GoldenPosesAndWork)
+{
+    // Pins the odometry path bit for bit: every frame's pose and each
+    // kernel's items and bytes (host seconds vary and stay out).
+    const Sequence seq = makeSequence(8);
+    OdometrySystem system;
+    const BenchmarkResult result = runBenchmark(system, seq);
+    ASSERT_EQ(result.estimatedPoses.size(), 8u);
+    ASSERT_EQ(result.frameWork.size(), 8u);
+    uint64_t h = 14695981039346656037ull;
+    for (size_t f = 0; f < 8; ++f) {
+        fnv1a(h, result.estimatedPoses[f].m,
+              sizeof(result.estimatedPoses[f].m));
+        fnv1a(h, result.frameWork[f].items.data(),
+              sizeof(result.frameWork[f].items));
+        fnv1a(h, result.frameWork[f].bytes.data(),
+              sizeof(result.frameWork[f].bytes));
+    }
+    EXPECT_EQ(h, 0x548ed5fda8e8ca4eull) << std::hex << h;
+}
+
 TEST(Odometry, PolymorphicUseThroughInterface)
 {
     const Sequence seq = makeSequence(3);
